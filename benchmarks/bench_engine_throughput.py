@@ -7,12 +7,13 @@ Measures, at the standard working point (n=4096):
 * TED-Join-Brute self-join at d=64 -- engine (symmetric tiles) vs the seed
   full-matrix loop, with a bit-identity check.
 * Pairs/sec of every kernel's self-join at d=64.
-* The out-of-core streaming executor vs the in-memory engine at the same
-  tile plan (bit-identity + peak-resident-vs-budget check, mmap-backed).
-* The batched candidate executor vs per-group GEMMs on the fine-grid
-  workload (``fine_grid_dataset``, small eps -> thousands of tiny cells).
-* The two-source streaming executor (``streaming_join``) vs the in-memory
-  rectangular executor at the same tile plan (bit-identity + budget).
+* The tile executor over a source-backed (mmap) operand vs a resident one
+  at the same tile plan (bit-identity + peak-resident-vs-budget check).
+* The candidate executor's batched mode vs per-group GEMMs on the
+  fine-grid workload (``fine_grid_dataset``, small eps -> thousands of
+  tiny cells).
+* The two-source (A x B) tile join, both operands mmap-backed, vs the
+  resident one at the same rectangular tile plan (bit-identity + budget).
 * The source-backed index join (``GridIndex.from_source`` build + row
   gathers) vs the in-memory grid-indexed self-join (bit-identity).
 * The topology-resolved worker plan (``workers="auto"``: WorkerPlan
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engine import RectTilePlan, TilePlan, WorkerPlan
+from repro.core.engine import TilePlan, WorkerPlan
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import MmapNpySource, write_chunked_npy
 from repro.data.synthetic import fine_grid_dataset
@@ -196,7 +197,10 @@ def bench_streaming(data: np.ndarray, eps: float) -> dict:
     tile shapes; see docs/ARCHITECTURE.md).
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
-    plan = TilePlan.from_budget(data.shape[0], data.shape[1], STREAM_BUDGET_BYTES)
+    plan = TilePlan.from_budget(
+        data.shape[0], data.shape[0], data.shape[1], STREAM_BUDGET_BYTES,
+        symmetric=True,
+    )
     kern = FastedKernel()
     with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "bench_stream.npy"
@@ -232,7 +236,7 @@ def bench_streaming(data: np.ndarray, eps: float) -> dict:
 
 
 def bench_two_source(rng: np.random.Generator, eps: float) -> dict:
-    """Two-source streaming executor vs in-memory rect executor, same plan.
+    """Two-source tile join: mmap-backed operands vs resident, same plan.
 
     FaSTED numerics; both datasets are served from memory-mapped ``.npy``
     files and the rectangular tile plan is derived from
@@ -243,7 +247,7 @@ def bench_two_source(rng: np.random.Generator, eps: float) -> dict:
     """
     a = rng.normal(size=(N_POINTS, JOIN_DIMS))
     b = rng.normal(size=(N_POINTS, JOIN_DIMS))
-    plan = RectTilePlan.from_budget(
+    plan = TilePlan.from_budget(
         a.shape[0], b.shape[0], JOIN_DIMS, STREAM_BUDGET_BYTES
     )
     kern = FastedKernel()

@@ -257,7 +257,7 @@ def _cmd_join(args) -> str:
             plan = stats.plan
             geometry = (
                 f"row_block={plan.row_block} "
-                f"({plan.n_blocks} blocks, {plan.n_tiles} tiles, "
+                f"({plan.n_row_blocks} blocks, {plan.n_tiles} tiles, "
                 f"{stats.blocks_loaded} block loads)"
             )
         elapsed = time.perf_counter() - t0

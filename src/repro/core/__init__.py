@@ -18,21 +18,17 @@ from repro.core.api import (
     self_join_stream,
 )
 from repro.core.engine import (
-    RectTilePlan,
-    SourceWorkView,
+    Operand,
+    ResidentOperand,
+    SourceOperand,
+    StreamStats,
     TilePlan,
     auto_batched_from_stats,
     batch_params_from_stats,
-    resolve_start_method,
-    batched_candidate_join,
-    batched_candidate_self_join,
     candidate_join,
-    candidate_self_join,
     norm_expansion_sq_dists,
-    rect_join,
-    streaming_join,
-    streaming_self_join,
-    symmetric_self_join,
+    resolve_start_method,
+    tile_join,
 )
 from repro.core.results import (
     JoinResult,
@@ -62,19 +58,15 @@ __all__ = [
     "PairAccumulator",
     "from_dense_mask",
     "TilePlan",
-    "RectTilePlan",
-    "SourceWorkView",
-    "symmetric_self_join",
-    "candidate_self_join",
+    "StreamStats",
+    "Operand",
+    "ResidentOperand",
+    "SourceOperand",
+    "tile_join",
     "candidate_join",
-    "batched_candidate_self_join",
-    "batched_candidate_join",
     "batch_params_from_stats",
     "auto_batched_from_stats",
     "resolve_start_method",
-    "streaming_self_join",
-    "streaming_join",
-    "rect_join",
     "norm_expansion_sq_dists",
     "epsilon_for_selectivity",
     "measured_selectivity",

@@ -18,8 +18,8 @@ Datasets may also be :class:`repro.data.source.DatasetSource` instances
 (or paths to ``.npy`` files / chunk directories); with ``stream=True`` the
 brute methods then run out-of-core, holding only ``memory_budget_bytes``
 of the data resident (docs/ARCHITECTURE.md describes the dataflow -- for
-:func:`self_join` the symmetric :class:`~repro.core.engine.TilePlan`, for
-:func:`join` the rectangular :class:`~repro.core.engine.RectTilePlan`).
+:func:`self_join` a symmetric :class:`~repro.core.engine.TilePlan`, for
+:func:`join` a rectangular one).
 Setting the environment variable ``REPRO_STREAM=1`` flips the default to
 streaming wherever it is defined -- the CI streaming leg runs the test
 suite that way.  The index-backed methods materialize here; their
@@ -31,7 +31,7 @@ explicit count, or ``"auto"`` to resolve a topology-aware
 :class:`repro.core.engine.WorkerPlan` (cores, BLAS pinning,
 ``REPRO_WORKERS`` override, cache-fit tile edges).  Parallel execution is
 bit-identical to serial for every method, with one set-level exception:
-``batched=True`` combined with workers carries the batched executor's
+``batched=True`` combined with workers carries the batched mode's
 pair-set contract (batch boundaries move with the partitioning).  The
 CLI exposes the same knob as ``--workers``.
 """
@@ -117,7 +117,7 @@ def self_join(
         ``REPRO_WORKERS``.  Brute methods dispatch tiles to threads;
         index-backed methods fan candidate groups to a fork-based process
         pool.  Results are bit-identical to serial -- except combined
-        with ``batched=True``, which keeps the batched executor's
+        with ``batched=True``, which keeps the batched mode's
         pair-*set* contract (batch boundaries move with the
         partitioning, so FP32 low-order distance bits and pair order may
         differ).
@@ -315,7 +315,7 @@ def join(
         ``True`` for an index-backed method raises.
     memory_budget_bytes:
         Bound on resident streamed-block bytes
-        (:meth:`repro.core.engine.RectTilePlan.from_budget`); implies
+        (:meth:`repro.core.engine.TilePlan.from_budget`); implies
         ``stream=True``.
     workers:
         Engine worker-pool request, as for :func:`self_join` (brute

@@ -1,84 +1,64 @@
-"""Shared vectorized join-engine: the functional hot path of every kernel.
+"""Shared vectorized join engine: two executors over ``(rows, norms)`` operands.
 
 Architecture
 ------------
-All four simulated kernels (FaSTED, TED-Join, GDS-Join, MiSTIC) compute the
-same thing functionally -- "which candidate pairs are within ``eps``" -- and
-before this module existed each re-implemented its own tile loop, its own
-Python-list pair accumulation, and its own diagonal/mirror bookkeeping.  The
-engine factors that shell out so a kernel only supplies the *numerics*: a
-callback producing the squared-distance block for a tile or candidate group,
-in whatever precision that kernel models (FP16-32, FP32, FP64).
+FaSTED and the paper's three baselines (TED-Join, GDS-Join, MiSTIC) compute
+one expression -- ``d2 = s_i + s_j - 2 (p_i . q_j)`` filtered by ``eps^2`` --
+and differ only in *working precision* and in *which pairs are candidates*.
+The engine therefore owns the distance expression, its stage timing and all
+pair bookkeeping exactly once, and a kernel supplies only **operands** and a
+**schedule**:
 
-Two execution shapes cover every kernel:
+* An :class:`Operand` is one side of a join: rows in the kernel's working
+  precision plus their squared norms, addressable by row range
+  (:meth:`~Operand.block`) and by index array (:meth:`~Operand.take`).  A
+  :class:`ResidentOperand` is prepared once for a whole in-memory array
+  (quantize/cast + norms); a :class:`SourceOperand` prepares each block or
+  gather it pulls from a :class:`repro.data.source.DatasetSource` with the
+  same *row-local* function, so both yield bitwise the same values for the
+  same rows -- the lever behind every streamed-equals-resident pin.
 
-* :func:`symmetric_self_join` -- dense/brute kernels.  The point set is cut
-  into ``row_block`` tiles and only the upper triangle of the tile grid
-  (``c0 >= r0``) is computed; off-diagonal tiles are mirrored into both
-  pair directions, halving the GEMM work.  ``dist(i, j) == dist(j, i)``
-  holds bitwise for every precision here because float addition is
-  commutative and BLAS dot products do not depend on the operand block's
-  position, so mirroring is *bit-identical* to computing the full matrix
-  (tests/test_engine.py pins this against re-implementations of the seed
-  kernels).  Tile dispatch is governed by a :class:`WorkerPlan` -- serial
-  by default, a thread pool when ``workers`` asks for one (explicitly or
-  via the topology-derived ``"auto"`` plan); NumPy/BLAS release the GIL
-  for the heavy ops, results are committed in deterministic tile order
-  either way, so parallel output is bit-identical to serial.
+* :func:`tile_join` -- dense/brute kernels.  Walks the block tiles of a
+  :class:`TilePlan` (the host form of the GPU work queue): ``right=None`` is
+  a self-join (a symmetric plan evaluates only ``c0 >= r0`` tiles and
+  mirrors the off-diagonal ones, halving the GEMM work; the self-pair
+  diagonal is cleared), a second operand is ``A x B`` (every tile, one pair
+  direction, nothing cleared).  ``dist(i, j) == dist(j, i)`` holds bitwise
+  for every precision here because float addition is commutative and BLAS
+  dot products do not depend on the operand block's position, so mirroring
+  is bit-identical to the full matrix (tests/test_engine.py pins this
+  against re-implementations of the seed kernels).  When an operand is
+  source-backed the next block is loaded and prepared on a background
+  thread while the current tile computes, and at most
+  :data:`TilePlan.RESIDENT_BLOCKS` blocks are alive at once.
 
-* :func:`candidate_self_join` -- index-backed kernels.  Iterates
-  ``(members, candidates)`` groups from a grid/tree index, evaluates the
-  kernel's distance block per group (optionally chunking very wide
-  candidate lists to bound temporaries), filters by ``eps^2``, drops self
-  pairs, and accumulates.  Its batched sibling
-  :func:`batched_candidate_self_join` concatenates many *small* groups
-  into one padded batch GEMM per flush -- the host analogue of how the
-  paper's GPU kernels dispatch work in fixed 8x8 tiles -- which lifts the
-  index-backed kernels at small eps, where per-group GEMMs degenerate to
-  Python-call overhead.
+* :func:`candidate_join` -- index-backed kernels and the query service.
+  Iterates ``(members, candidates)`` groups from a grid/tree index and
+  evaluates each group's distance block (candidate axis chunked from ``d``
+  so a temporary stays bounded).  ``right=None`` drops self pairs; a second
+  operand keeps equal indices (they address different points).  Two *modes*
+  of the same executor: ``batched=True`` fuses small groups into padded
+  batch GEMMs -- the host analogue of the GPU kernels' fixed 8x8 dispatch
+  tiles, a win where per-group GEMMs degenerate to call overhead -- and
+  ``workers=`` fans group batches out to a process pool (fork-COW or
+  spawn + shared memory; resident operands only).
 
-A third shape extends the symmetric executor past resident memory:
-:func:`streaming_self_join` drives the same tile geometry from a
-:class:`repro.data.source.DatasetSource`, scheduling row-block loads with a
-:class:`TilePlan`, prefetching the next block on a background thread while
-the current GEMM runs, and holding at most a handful of blocks resident
-(``O(row_block * d)``) -- bit-identical to the in-memory path (see
-docs/ARCHITECTURE.md for the dataflow and the bit-identity argument).
-
-The fourth shape generalizes all of this to **two-source joins** ``A x B``:
-:func:`rect_join` is the in-memory rectangular executor (every tile of the
-``A``-rows x ``B``-cols grid is evaluated -- no symmetry to exploit, no
-diagonal to clear, pairs emitted in one direction only) and
-:func:`streaming_join` is its out-of-core form, driven by a rectangular
-:class:`RectTilePlan` with independent row/column block schedules and
-prefetch across both sources.  :func:`candidate_join` is the two-source
-candidate-group executor (grid/tree candidates from the right set per
-query group of the left set; index equality does *not* mean identity, so
-no self pairs are dropped).
-
-All shapes emit into a :class:`repro.core.results.PairAccumulator` --
-preallocated, geometrically grown arrays -- instead of per-tile Python
-lists, and hand back the accumulator so the kernel can attach its own
-metadata (padded candidate counts, short-circuit profiles) via the
-``on_group`` hook without re-iterating the index.
-
-**Parallel execution** is owned by :class:`WorkerPlan`: worker counts are
-resolved from core topology (``os.cpu_count``), BLAS thread-pinning
-environment variables, and the ``REPRO_WORKERS`` override, and the plan
-also picks a cache-fit tile edge for callers that leave ``row_block``
-unset.  The tiled executors (symmetric, rectangular, both streaming
-forms) dispatch tile evaluation to a thread pool but commit results in
-strict tile order, and the candidate executors can fan groups out to a
-fork-based process pool (:func:`process_candidate_self_join`) when the
-per-group work is too fine-grained for threads -- in every case the
-output is bit-identical to serial execution.
+Both executors emit into a :class:`repro.core.results.PairAccumulator` and
+commit strictly in tile / group order whatever the parallelism
+(:class:`WorkerPlan`: thread tiles, process-pool groups), so parallel output
+is bit-identical to serial (pair-set-equal in batched mode, where batch
+boundaries move with the partitioning).  Under ``repro.trace.use_hooks``
+both attribute their time to the same stages -- ``adjacency`` (index group
+iteration), ``gather``, ``gemm``, ``rz`` (norm-expansion recombination),
+``commit`` (pair extraction + append) and ``worker`` (pool wait) -- with
+one ContextVar read per call and nothing per tile when no hooks are armed.
 
 **Timing-path reuse**: the tiled kernels' ``cost()`` models derive their
 ``KernelCost.n_tiles`` from the same :class:`TilePlan` geometry the
-functional executors run (``TilePlan(symmetric=False)`` is the device
-schedule: every block tile of the full grid), so modeled and executed
-tile counts can no longer drift apart -- tests/test_workers.py executes
-the functional path at the device plan and asserts the equality.
+functional executor runs (``symmetric=False`` is the device schedule: every
+block tile of the full grid), so modeled and executed tile counts cannot
+drift apart -- tests/test_workers.py executes the functional path at the
+device plan and asserts the equality.
 """
 
 from __future__ import annotations
@@ -100,57 +80,17 @@ from repro import faults
 from repro import trace as trace_mod
 from repro.core.results import PairAccumulator
 
-#: Profiling seam (re-exported from :mod:`repro.trace`): executors fetch
-#: the ambient hooks object once per call and attribute per-stage time
-#: to it -- adjacency (index group iteration), gather, gemm, rz
-#: (norm-expansion recombination), commit (pair extraction/append), and
-#: worker (pool wait).  ``current_hooks()`` returns ``None`` unless a
-#: caller installed hooks via ``use_hooks`` -- the default costs one
-#: ContextVar read per executor invocation, nothing per tile.
-TraceHooks = trace_mod.TraceHooks
-current_trace_hooks = trace_mod.current_hooks
+#: ``prepare(raw_block)`` turns float64 rows into ``(rows in the kernel's
+#: working precision, their squared norms)``.  Must be row-local (a row's
+#: output depends on that row only): that is what makes a block-wise or
+#: gather-wise preparation bitwise equal to slicing a whole-array one.
+PrepareFn = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 
-
-def _timed_groups(
-    groups: Iterable[tuple[np.ndarray, np.ndarray]], hooks: "TraceHooks"
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield groups, attributing iterator-pull time to ``adjacency``.
-
-    Candidate groups are computed lazily by the grid/tree iterators, so
-    the time spent *producing* the next group is index traversal work,
-    not kernel math -- timed here at the executor's pull site.
-    """
-    it = iter(groups)
-    while True:
-        t0 = time.perf_counter()
-        try:
-            item = next(it)
-        except StopIteration:
-            return
-        hooks.record("adjacency", time.perf_counter() - t0)
-        yield item
-
-#: ``tile_fn(r0, r1, c0, c1)`` returns the squared-distance block for points
-#: ``[r0:r1]`` x ``[c0:c1]`` in the kernel's working precision.
-TileFn = Callable[[int, int, int, int], np.ndarray]
-
-#: ``dist_fn(members, candidates)`` returns the squared-distance block for
-#: two index arrays into the dataset.
-GroupDistFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-#: Default bound on the elements of one candidate-group distance block;
-#: callers chunk the candidate axis so a temporary stays ~this many
-#: elements regardless of cell density (shared by the per-group executor,
-#: the batched executor's large-group bypass, and the kernels).
+#: Bound on the elements of one gathered candidate block; the candidate
+#: executor chunks a group's candidate axis at ``GROUP_CHUNK_ELEMS // d``
+#: (:func:`group_chunk`) so a temporary stays ~this size regardless of
+#: cell density.
 GROUP_CHUNK_ELEMS = 2_000_000
-
-#: ``prepare(raw_block)`` turns a loaded float64 row block into the kernel's
-#: per-block working state (e.g. quantized coordinates + precomputed norms).
-BlockPrepareFn = Callable[[np.ndarray], Any]
-
-#: ``block_sq_dists(row_state, col_state)`` returns the squared-distance
-#: block between two prepared blocks in the kernel's working precision.
-BlockDistFn = Callable[[Any, Any], np.ndarray]
 
 #: Default byte budget one distance tile (the ``row_block x row_block``
 #: d2 block plus its two operand panels) should fit in -- sized for the
@@ -341,14 +281,310 @@ def norm_expansion_sq_dists(
     return np.maximum(gram, 0.0, out=gram)
 
 
-def iter_symmetric_tiles(
-    n: int, row_block: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Upper-triangle tile coordinates ``(r0, r1, c0, c1)`` with ``c0 >= r0``."""
-    for r0 in range(0, n, row_block):
-        r1 = min(r0 + row_block, n)
-        for c0 in range(r0, n, row_block):
-            yield r0, r1, c0, min(c0 + row_block, n)
+
+# ----------------------------------------------------------------------
+# Tile geometry and streaming statistics
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TilePlan:
+    """Block-tile schedule of a tiled join: the host form of the work queue.
+
+    The left set's ``n_rows`` rows are cut into ``row_block``-sized blocks
+    and the right set's ``n_cols`` rows into ``col_block``-sized blocks;
+    every ``(ri, cj)`` block pair is a tile, walked row-major.  A
+    **symmetric** plan (self-joins only: square, equal block edges) walks
+    just the upper triangle ``cj >= ri`` -- the executor mirrors the
+    off-diagonal tiles -- while ``symmetric=False`` over a square grid is
+    the **device schedule** (a GPU work queue issues all block tiles),
+    which the kernels' timing models share via their ``tile_plan()`` /
+    ``cost()`` methods so modeled and executed tile counts cannot drift.
+
+    When the operands are source-backed, processing row block ``ri`` pins
+    it for the whole stripe while the stripe's column blocks stream
+    through, each discarded after its tile -- the left set is read once
+    and the right set once per row stripe -- so peak residency is bounded
+    by :data:`RESIDENT_BLOCKS` blocks regardless of either size
+    (``workers > 1`` keeps up to one extra column block in flight per
+    worker; see :func:`tile_join`).
+    """
+
+    n_rows: int
+    n_cols: int
+    row_block: int
+    col_block: int
+    symmetric: bool = False
+
+    #: Worst-case simultaneously resident blocks: the pinned row block, the
+    #: current column block, and the prefetched next block (whose raw
+    #: float64 form and prepared state briefly coexist inside ``prepare``).
+    RESIDENT_BLOCKS = 4
+
+    def __post_init__(self) -> None:
+        if self.n_rows < 0 or self.n_cols < 0:
+            raise ValueError("need n_rows >= 0 and n_cols >= 0")
+        if self.row_block <= 0 or self.col_block <= 0:
+            raise ValueError("row_block and col_block must be positive")
+        if self.symmetric and (
+            self.n_rows != self.n_cols or self.row_block != self.col_block
+        ):
+            raise ValueError("a symmetric plan needs a square grid")
+
+    @classmethod
+    def square(cls, n: int, row_block: int, *, symmetric: bool = True) -> "TilePlan":
+        """Self-join plan over ``n`` points with one block edge."""
+        return cls(n, n, int(row_block), int(row_block), symmetric)
+
+    @classmethod
+    def from_budget(
+        cls,
+        n_rows: int,
+        n_cols: int,
+        dim: int,
+        memory_budget_bytes: int,
+        *,
+        symmetric: bool = False,
+        itemsize: int = 8,
+        extra_blocks: int = 0,
+    ) -> "TilePlan":
+        """Choose equal block edges so peak resident data fits the budget.
+
+        The budget covers the streamed blocks only (``RESIDENT_BLOCKS``
+        float64 blocks, plus one spare column per row for the per-block
+        norm vectors); the result pairs themselves grow with the join's
+        output and are accounted separately by ``PairAccumulator.nbytes``.
+        ``extra_blocks`` widens the accounting for blocks kept alive
+        beyond that -- :func:`tile_join` passes its in-flight worker
+        window here, so a ``memory_budget_bytes`` stays honored with
+        ``workers > 1``.
+        """
+        if memory_budget_bytes <= 0:
+            raise ValueError("memory_budget_bytes must be positive")
+        per_row = max(1, (dim + 1) * itemsize)
+        blocks = cls.RESIDENT_BLOCKS + max(0, int(extra_blocks))
+        block = int(max(1, memory_budget_bytes // (blocks * per_row)))
+        return cls(
+            n_rows,
+            n_cols,
+            min(block, max(n_rows, 1)),
+            min(block, max(n_cols, 1)),
+            symmetric,
+        )
+
+    @classmethod
+    def for_join(
+        cls,
+        n_rows: int,
+        n_cols: int,
+        dim: int,
+        *,
+        row_block: int,
+        col_block: int | None = None,
+        memory_budget_bytes: int | None = None,
+        symmetric: bool = False,
+        extra_blocks: int = 0,
+    ) -> "TilePlan":
+        """The plan a join runs when the caller gave block edges or a budget.
+
+        A ``memory_budget_bytes`` wins (:meth:`from_budget`); otherwise
+        the explicit edges are used (``col_block`` defaults to
+        ``row_block``, and symmetric plans use ``row_block`` for both).
+        """
+        if memory_budget_bytes is not None:
+            return cls.from_budget(
+                n_rows, n_cols, dim, int(memory_budget_bytes),
+                symmetric=symmetric, extra_blocks=extra_blocks,
+            )
+        rb = int(row_block)
+        cb = rb if symmetric or col_block is None else int(col_block)
+        return cls(n_rows, n_cols, rb, cb, symmetric)
+
+    @property
+    def n_row_blocks(self) -> int:
+        return -(-self.n_rows // self.row_block) if self.n_rows else 0
+
+    @property
+    def n_col_blocks(self) -> int:
+        return -(-self.n_cols // self.col_block) if self.n_cols else 0
+
+    @property
+    def n_tiles(self) -> int:
+        nb = self.n_row_blocks
+        return nb * (nb + 1) // 2 if self.symmetric else nb * self.n_col_blocks
+
+    def row_bounds(self, ri: int) -> tuple[int, int]:
+        """Row range ``(r0, r1)`` of left-set block ``ri``."""
+        r0 = ri * self.row_block
+        return r0, min(r0 + self.row_block, self.n_rows)
+
+    def col_bounds(self, cj: int) -> tuple[int, int]:
+        """Row range ``(c0, c1)`` of right-set block ``cj``."""
+        c0 = cj * self.col_block
+        return c0, min(c0 + self.col_block, self.n_cols)
+
+    def stripe(self, ri: int) -> range:
+        """Column-block indices of row stripe ``ri``, in execution order."""
+        return range(ri if self.symmetric else 0, self.n_col_blocks)
+
+    def tiles(self) -> Iterator[tuple[int, int]]:
+        """Block-index pairs ``(ri, cj)`` in execution order.
+
+        Upper triangle (``cj >= ri``) for symmetric plans, the full grid
+        row-major otherwise.
+        """
+        for ri in range(self.n_row_blocks):
+            for cj in self.stripe(ri):
+                yield ri, cj
+
+    def tile_bounds(self) -> Iterator[tuple[int, int, int, int]]:
+        """Tile coordinates ``(r0, r1, c0, c1)`` in execution order."""
+        for ri, cj in self.tiles():
+            yield (*self.row_bounds(ri), *self.col_bounds(cj))
+
+    def peak_resident_bytes(self, dim: int, *, itemsize: int = 8) -> int:
+        """Upper bound on simultaneously resident streamed-block bytes."""
+        edge = max(self.row_block, self.col_block)
+        return self.RESIDENT_BLOCKS * edge * (dim + 1) * itemsize
+
+
+@dataclass
+class StreamStats:
+    """What a source-backed run actually loaded and held (tests, reporting).
+
+    :func:`tile_join` returns one per call (all zeros for resident
+    operands apart from ``tiles_evaluated``); source-backed index builds
+    (``GridIndex.from_source``) and the kernels' ``self_join_source``
+    gathers account into one the kernel creates.
+    """
+
+    plan: "TilePlan | None" = None
+    blocks_loaded: int = 0
+    tiles_evaluated: int = 0
+    peak_resident_bytes: int = 0
+    _resident_bytes: int = field(default=0, repr=False)
+    _lock: Any = field(default_factory=threading.Lock, repr=False)
+
+    def _acquire(self, nbytes: int) -> None:
+        # The prefetch thread and the main loop both account blocks.
+        with self._lock:
+            self._resident_bytes += nbytes
+            if self._resident_bytes > self.peak_resident_bytes:
+                self.peak_resident_bytes = self._resident_bytes
+
+    def _release(self, nbytes: int) -> None:
+        with self._lock:
+            self._resident_bytes -= nbytes
+
+
+# ----------------------------------------------------------------------
+# Operands
+# ----------------------------------------------------------------------
+
+
+class Operand:
+    """One side of a join: working-precision rows + their squared norms.
+
+    ``block(r0, r1)`` and ``take(idx)`` both return ``(rows, norms)``;
+    whoever called them hands the pair back through :meth:`release` once
+    its distance block is computed.  ``stats`` (a :class:`StreamStats`,
+    optional everywhere) is where a source-backed operand accounts the
+    bytes it has handed out; resident operands hand out views or gathers
+    of arrays that are alive anyway and account nothing.
+    """
+
+    #: True when rows are held in memory for the operand's lifetime.
+    resident: bool
+    n: int
+    dim: int
+
+    def block(self, r0: int, r1: int, stats: "StreamStats | None" = None):
+        raise NotImplementedError
+
+    def take(self, idx: np.ndarray, stats: "StreamStats | None" = None):
+        raise NotImplementedError
+
+    def release(self, rows, norms, stats: "StreamStats | None" = None) -> None:
+        pass
+
+
+class ResidentOperand(Operand):
+    """Operand prepared once for a whole in-memory array.
+
+    ``ResidentOperand(*prepare(data))`` is the usual spelling: the
+    quantize/cast + norms pass runs exactly once however many tiles or
+    groups read it.
+    """
+
+    resident = True
+
+    def __init__(self, rows: np.ndarray, norms: np.ndarray) -> None:
+        self.rows = rows
+        self.norms = norms
+        self.n, self.dim = rows.shape
+
+    def block(self, r0, r1, stats=None):
+        return self.rows[r0:r1], self.norms[r0:r1]
+
+    def take(self, idx, stats=None):
+        return self.rows[idx], self.norms[idx]
+
+
+class SourceOperand(Operand):
+    """Operand over a ``DatasetSource``: load/gather, then ``prepare``.
+
+    Rows come from ``source.load_block`` / ``source.take`` (float64) and
+    go through the same row-local ``prepare`` a resident operand ran over
+    the whole array, so the values are bitwise what slicing that
+    precompute would yield.  The raw float64 rows and the prepared state
+    briefly coexist inside :meth:`_prepared`; both are charged to
+    ``stats`` so ``peak_resident_bytes`` is honest about it.
+    """
+
+    resident = False
+
+    def __init__(self, source, prepare: PrepareFn) -> None:
+        self.source = source
+        self.prepare = prepare
+        self.n, self.dim = int(source.n), int(source.dim)
+
+    def _prepared(self, raw: np.ndarray, stats):
+        if stats is None:
+            return self.prepare(raw)
+        stats._acquire(raw.nbytes)
+        rows, norms = self.prepare(raw)
+        stats._acquire(rows.nbytes + norms.nbytes)
+        stats._release(raw.nbytes)  # raw block dies with this frame
+        return rows, norms
+
+    def block(self, r0, r1, stats=None):
+        out = self._prepared(self.source.load_block(r0, r1), stats)
+        if stats is not None:
+            stats.blocks_loaded += 1
+        return out
+
+    def take(self, idx, stats=None):
+        return self._prepared(self.source.take(idx), stats)
+
+    def release(self, rows, norms, stats=None) -> None:
+        if stats is not None:
+            stats._release(rows.nbytes + norms.nbytes)
+
+
+def _check_operands(left: Operand, right: "Operand | None") -> Operand:
+    """The column-side operand (``left`` itself for a self-join)."""
+    if right is None:
+        return left
+    if left.dim != right.dim:
+        raise ValueError(
+            f"operand dimensionalities disagree: {left.dim} != {right.dim}"
+        )
+    return right
+
+
+# ----------------------------------------------------------------------
+# Tile executor
+# ----------------------------------------------------------------------
 
 
 def _extract_pairs(
@@ -357,18 +593,16 @@ def _extract_pairs(
     c0: int,
     eps2: float,
     store_distances: bool,
-    *,
-    clear_diagonal: bool | None = None,
+    clear_diagonal: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Extract the in-range pairs (global indices) of one evaluated tile.
 
-    ``clear_diagonal`` defaults to the self-join convention (the diagonal
-    of an ``r0 == c0`` tile holds self pairs); two-source executors pass
-    ``False`` because a coincidental ``r0 == c0`` relates *different*
-    points of the two sets.
+    ``clear_diagonal`` is set for the diagonal tiles of a self-join, whose
+    diagonal holds self pairs; two-source tiles never clear it because
+    equal indices relate *different* points of the two sets.
     """
     mask = d2 <= eps2
-    if clear_diagonal if clear_diagonal is not None else c0 == r0:
+    if clear_diagonal:
         np.fill_diagonal(mask, False)
     ii, jj = np.nonzero(mask)
     gi = ii.astype(np.int64)
@@ -379,57 +613,15 @@ def _extract_pairs(
     return gi, gj, dd
 
 
-def _extract_tile(
-    tile_fn: TileFn,
-    eps2: float,
-    store_distances: bool,
-    tile: tuple[int, int, int, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Evaluate one tile and extract its in-range pairs (global indices)."""
-    r0, r1, c0, c1 = tile
-    return _extract_pairs(tile_fn(r0, r1, c0, c1), r0, c0, eps2, store_distances)
-
-
-def _run_tiles(
-    tiles: list,
-    evaluate: Callable[[Any], Any],
-    commit: Callable[[Any, Any], None],
-    n_workers: int,
-) -> None:
-    """Evaluate tiles (optionally on a thread pool) and commit in order.
-
-    The shared dispatch loop of the tiled executors: with more than one
-    worker, a bounded window (~2x workers) of tiles is kept in flight so
-    finished-but-uncommitted results never pile up, and ``commit`` runs on
-    the calling thread in strict submission order -- the determinism lever
-    that makes parallel output bit-identical to serial.
-    """
-    if n_workers > 1 and len(tiles) > 1:
-        window = 2 * int(n_workers)
-        pending: deque = deque()
-        with ThreadPoolExecutor(max_workers=int(n_workers)) as pool:
-            for tile in tiles:
-                pending.append((tile, pool.submit(evaluate, tile)))
-                if len(pending) >= window:
-                    head, fut = pending.popleft()
-                    commit(head, fut.result())
-            while pending:
-                head, fut = pending.popleft()
-                commit(head, fut.result())
-    else:
-        for tile in tiles:
-            commit(tile, evaluate(tile))
-
-
 class _InFlightWindow:
     """Bounded in-flight tile window with in-order commit.
 
-    The streaming executors' analogue of :func:`_run_tiles`: tiles are
-    evaluated on ``pool`` (or inline when ``pool`` is None) while commits
-    run on the calling thread in strict submission order, with at most
-    ``limit`` results outstanding.  ``commit(result, *payload)`` receives
-    whatever payload rode along with the submission (block byte counts,
-    tile coordinates).
+    Tiles are evaluated on ``pool`` (or inline when ``pool`` is None)
+    while commits run on the calling thread in strict submission order,
+    with at most ``limit`` results outstanding so finished-but-uncommitted
+    results never pile up -- the determinism lever that makes parallel
+    output bit-identical to serial.  ``commit(result, *payload)`` receives
+    whatever payload rode along with the submission.
     """
 
     def __init__(self, pool: ThreadPoolExecutor | None, limit: int, commit) -> None:
@@ -451,990 +643,273 @@ class _InFlightWindow:
             self._commit(fut.result(), *payload)
 
 
-def symmetric_self_join(
-    n: int,
+def _prefetched(requests: Iterable, fetch: Callable, pool: ThreadPoolExecutor | None):
+    """Yield ``fetch(req)`` per request, one request ahead on ``pool``.
+
+    A 1-deep pipeline: while the consumer works on result ``k``, request
+    ``k + 1`` is being fetched on the (single-thread) pool.  Without a
+    pool the fetches run inline, on demand.
+    """
+    if pool is None:
+        for req in requests:
+            yield fetch(req)
+        return
+    it = iter(requests)
+    first = next(it, None)
+    if first is None:
+        return
+    ahead = pool.submit(fetch, first)
+    for req in it:
+        ready, ahead = ahead.result(), pool.submit(fetch, req)
+        yield ready
+    yield ahead.result()
+
+
+def tile_join(
+    left: Operand,
     eps2: float,
-    tile_fn: TileFn,
-    *,
-    plan: "TilePlan | None" = None,
-    row_block: int = 2048,
-    store_distances: bool = True,
-    workers: "int | str | WorkerPlan | None" = 0,
-) -> PairAccumulator:
-    """Tiled self-join over the tile grid of a :class:`TilePlan`.
-
-    With a symmetric plan (the default) only tiles with ``c0 >= r0`` are
-    evaluated and off-diagonal tiles emit both pair directions from the
-    one evaluation; with ``plan.symmetric=False`` (the device-schedule
-    form the timing models share) every tile of the full grid is
-    evaluated and nothing is mirrored -- the two modes are bit-identical
-    because ``dist(i, j) == dist(j, i)`` holds bitwise.  Diagonal tiles
-    get their self-pair diagonal cleared either way.
-
-    Parameters
-    ----------
-    n:
-        Number of points.
-    eps2:
-        Squared radius in the kernel's working precision (pairs with
-        ``d2 <= eps2`` are kept, matching every kernel's seed semantics).
-    tile_fn:
-        Kernel numerics; see :data:`TileFn`.
-    plan:
-        Explicit tile schedule; overrides ``row_block``.  ``plan.n`` must
-        equal ``n``.
-    row_block:
-        Tile edge when no plan is given (performance knob only -- results
-        are identical for any value).
-    store_distances:
-        Track per-pair squared distances.
-    workers:
-        Worker-pool request resolved via :meth:`WorkerPlan.resolve`
-        (0/None serial, N threads, ``"auto"`` for the topology plan).
-        Pairs are committed in tile order, so results are deterministic
-        and identical to the serial path.
-    """
-    if plan is None:
-        plan = TilePlan(n=n, row_block=int(row_block))
-    elif plan.n != n:
-        raise ValueError(f"plan covers n={plan.n}, join has n={n}")
-    acc = PairAccumulator(store_distances=store_distances)
-    tiles = list(plan.tile_bounds())
-    mirror = plan.symmetric
-
-    def evaluate(tile: tuple[int, int, int, int]):
-        return _extract_tile(tile_fn, eps2, store_distances, tile)
-
-    def commit(
-        tile: tuple[int, int, int, int],
-        extracted: tuple[np.ndarray, np.ndarray, np.ndarray | None],
-    ) -> None:
-        gi, gj, dd = extracted
-        acc.append(gi, gj, dd)
-        if mirror and tile[2] != tile[0]:  # mirrored direction, off-diagonal
-            acc.append(gj, gi, dd)
-
-    hooks = trace_mod.current_hooks()
-    if hooks is not None:
-        # Wrap rather than branch per tile: `evaluate` may run on pool
-        # threads, so the hooks ride the closure, not the context.
-        base_evaluate, base_commit = evaluate, commit
-
-        def evaluate(tile):
-            t0 = time.perf_counter()
-            out = base_evaluate(tile)
-            hooks.record("gemm", time.perf_counter() - t0)
-            return out
-
-        def commit(tile, extracted):
-            t0 = time.perf_counter()
-            base_commit(tile, extracted)
-            hooks.record("commit", time.perf_counter() - t0)
-
-    _run_tiles(tiles, evaluate, commit, WorkerPlan.resolve(workers).n_workers)
-    return acc
-
-
-@dataclass(frozen=True)
-class TilePlan:
-    """Schedule of row-block loads for an out-of-core symmetric self-join.
-
-    The plan owns the tile geometry of the tiled executors: the dataset
-    is cut into ``ceil(n / row_block)`` row blocks, and the upper triangle
-    of the block grid (``cj >= ri``) is evaluated exactly like
-    :func:`iter_symmetric_tiles` does in memory -- the two paths share the
-    same tile coordinates, which is half of the bit-identity argument
-    (docs/ARCHITECTURE.md has the other half).  With ``symmetric=False``
-    the plan instead schedules **every** tile of the full block grid with
-    no mirroring -- the device dispatch shape (a GPU work queue issues all
-    block tiles), which the kernels' timing models share via their
-    ``tile_plan()`` / ``cost()`` methods so modeled and executed tile
-    counts cannot drift apart.
-
-    A block is loaded once per *row stripe* it participates in: processing
-    row block ``ri`` loads block ``ri`` (kept resident for the whole
-    stripe) and then streams column blocks ``ri+1 .. nb-1`` through, each
-    discarded after its tile.  Peak residency is therefore bounded by
-    :data:`RESIDENT_BLOCKS` blocks regardless of ``n`` (streaming with
-    ``workers > 1`` keeps up to one extra column block in flight per
-    worker; see :func:`streaming_self_join`).
-    """
-
-    n: int
-    row_block: int
-    symmetric: bool = True
-
-    #: Worst-case simultaneously resident blocks: the pinned row block, the
-    #: current column block, and the prefetched next block (whose raw
-    #: float64 form and prepared state briefly coexist inside ``prepare``).
-    RESIDENT_BLOCKS = 4
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.row_block <= 0:
-            raise ValueError("need n >= 0 and row_block > 0")
-
-    @classmethod
-    def from_budget(
-        cls,
-        n: int,
-        dim: int,
-        memory_budget_bytes: int,
-        *,
-        itemsize: int = 8,
-        extra_blocks: int = 0,
-    ) -> "TilePlan":
-        """Choose ``row_block`` so peak resident data fits the budget.
-
-        The budget covers the streamed blocks only (``RESIDENT_BLOCKS``
-        float64 blocks of ``row_block`` rows, plus one spare column per row
-        for the per-block norm vectors); the result pairs themselves grow
-        with the join's output and are accounted separately by
-        ``PairAccumulator.nbytes``.  ``extra_blocks`` widens the
-        accounting for executors that keep additional blocks alive -- the
-        streaming executors pass their in-flight worker window here, so a
-        ``memory_budget_bytes`` stays honored with ``workers > 1``.
-        """
-        if memory_budget_bytes <= 0:
-            raise ValueError("memory_budget_bytes must be positive")
-        per_row = max(1, (dim + 1) * itemsize)
-        blocks = cls.RESIDENT_BLOCKS + max(0, int(extra_blocks))
-        row_block = memory_budget_bytes // (blocks * per_row)
-        return cls(n=n, row_block=int(max(1, min(row_block, max(n, 1)))))
-
-    @property
-    def n_blocks(self) -> int:
-        return -(-self.n // self.row_block) if self.n else 0
-
-    @property
-    def n_tiles(self) -> int:
-        nb = self.n_blocks
-        return nb * (nb + 1) // 2 if self.symmetric else nb * nb
-
-    def block_bounds(self, bi: int) -> tuple[int, int]:
-        """Row range ``(r0, r1)`` of block ``bi``."""
-        r0 = bi * self.row_block
-        return r0, min(r0 + self.row_block, self.n)
-
-    def blocks(self) -> Iterator[tuple[int, int]]:
-        for bi in range(self.n_blocks):
-            yield self.block_bounds(bi)
-
-    def tiles(self) -> Iterator[tuple[int, int]]:
-        """Block-index pairs ``(ri, cj)`` in execution order.
-
-        Upper triangle (``cj >= ri``) for symmetric plans, the full grid
-        row-major otherwise.
-        """
-        for ri in range(self.n_blocks):
-            for cj in range(ri if self.symmetric else 0, self.n_blocks):
-                yield ri, cj
-
-    def tile_bounds(self) -> Iterator[tuple[int, int, int, int]]:
-        """Tile coordinates ``(r0, r1, c0, c1)`` in execution order.
-
-        The symmetric form yields exactly what
-        :func:`iter_symmetric_tiles` yields -- one geometry shared by the
-        in-memory executor, the streaming executor and (through the
-        kernels' ``tile_plan()``) the timing models.
-        """
-        for ri, cj in self.tiles():
-            r0, r1 = self.block_bounds(ri)
-            c0, c1 = self.block_bounds(cj)
-            yield r0, r1, c0, c1
-
-    def peak_resident_bytes(self, dim: int, *, itemsize: int = 8) -> int:
-        """Upper bound on simultaneously resident streamed-block bytes."""
-        return self.RESIDENT_BLOCKS * self.row_block * (dim + 1) * itemsize
-
-
-@dataclass
-class StreamStats:
-    """What a streaming executor actually did (for tests and reporting).
-
-    ``plan`` is a :class:`TilePlan` for self-joins and a
-    :class:`RectTilePlan` for two-source joins; source-backed index builds
-    (``GridIndex.from_source``) account their pass loads here too.
-    """
-
-    plan: Any
-    blocks_loaded: int = 0
-    tiles_evaluated: int = 0
-    peak_resident_bytes: int = 0
-    _resident_bytes: int = field(default=0, repr=False)
-    _lock: Any = field(default_factory=threading.Lock, repr=False)
-
-    def _acquire(self, nbytes: int) -> None:
-        # The prefetch thread and the main loop both account blocks.
-        with self._lock:
-            self._resident_bytes += nbytes
-            if self._resident_bytes > self.peak_resident_bytes:
-                self.peak_resident_bytes = self._resident_bytes
-
-    def _release(self, nbytes: int) -> None:
-        with self._lock:
-            self._resident_bytes -= nbytes
-
-
-def _state_nbytes(state: Any) -> int:
-    """Total ndarray bytes reachable from a prepared block state."""
-    if isinstance(state, np.ndarray):
-        return state.nbytes
-    if isinstance(state, (tuple, list)):
-        return sum(_state_nbytes(s) for s in state)
-    return 0
-
-
-def streaming_self_join(
-    source,
-    eps2: float,
-    prepare: BlockPrepareFn,
-    block_sq_dists: BlockDistFn,
+    right: Operand | None = None,
     *,
     plan: TilePlan | None = None,
     row_block: int = 2048,
+    col_block: int | None = None,
     memory_budget_bytes: int | None = None,
     store_distances: bool = True,
-    prefetch: bool = True,
     acc: PairAccumulator | None = None,
     workers: "int | str | WorkerPlan | None" = 0,
 ) -> tuple[PairAccumulator, StreamStats]:
-    """Out-of-core symmetric self-join over a :class:`~repro.data.source.DatasetSource`.
+    """Tiled join over the block grid of a :class:`TilePlan`.
 
-    Same tile geometry and pair extraction as :func:`symmetric_self_join`,
-    but the dataset never has to be resident: row blocks are loaded from
-    ``source`` on demand following a :class:`TilePlan`, the next block is
-    prefetched on a background thread while the current tile's GEMM runs,
+    ``right=None`` is the self-join of ``left``: with a symmetric plan
+    (the default) only tiles with ``c0 >= r0`` are evaluated and
+    off-diagonal tiles emit both pair directions from the one evaluation,
+    with ``plan.symmetric=False`` (the device schedule the timing models
+    share) every tile of the full grid is evaluated and nothing is
+    mirrored -- bit-identical, because ``dist(i, j) == dist(j, i)`` holds
+    bitwise -- and diagonal tiles get their self-pair diagonal cleared
+    either way.  A second operand makes it ``A x B``: every tile, pairs
+    ``(i in A, j in B)`` in that one direction, no diagonal handling.
+
+    Resident operands are sliced in place.  When an operand is
+    source-backed its row blocks are loaded on demand: each row block of
+    ``left`` is pinned for one stripe while the stripe's column blocks
+    stream through, the next block (of either operand) is loaded and
+    prepared on a background thread while the current tile's GEMM runs,
     and at most :data:`TilePlan.RESIDENT_BLOCKS` blocks are alive at once.
-    Results are bit-identical to the in-memory executor for the kernels'
-    numerics (per-row preparation and per-tile GEMM shapes are unchanged;
-    tests/test_streaming.py pins this).
+    Per-block preparation is row-local and per-tile GEMM shapes depend
+    only on the plan, so a streamed run is bit-identical to a resident
+    run at the same plan (tests/test_streaming.py, tests/test_two_source.py).
 
     Parameters
     ----------
-    source:
-        :class:`repro.data.source.DatasetSource` (or anything exposing
-        ``n``, ``dim`` and ``load_block``).
+    left, right:
+        Operands in the kernel's working precision; dimensionalities must
+        match.
     eps2:
-        Squared radius in the kernel's working precision.
-    prepare:
-        Per-block kernel state builder; see :data:`BlockPrepareFn`.  Called
-        once per block *load* (on the prefetch thread when prefetching).
-    block_sq_dists:
-        Kernel numerics over two prepared states; see :data:`BlockDistFn`.
+        Squared radius in the working precision (pairs with ``d2 <= eps2``
+        are kept, matching every kernel's seed semantics).
     plan:
-        Explicit tile plan; overrides ``row_block``/``memory_budget_bytes``.
-    row_block:
-        Tile edge when no plan/budget is given.
+        Explicit tile schedule; overrides ``row_block`` / ``col_block`` /
+        ``memory_budget_bytes`` and must cover exactly the operands' rows.
+    row_block, col_block:
+        Block edges when no plan/budget is given (``col_block`` defaults
+        to ``row_block``; self-joins use ``row_block`` for both).  A
+        performance knob only -- the pair set is identical for any value.
     memory_budget_bytes:
-        When given, derive the plan with :meth:`TilePlan.from_budget` so
-        peak resident streamed data stays under the budget.
+        Derive the plan with :meth:`TilePlan.from_budget` so peak resident
+        streamed data stays under the budget.
     store_distances:
-        Track per-pair squared distances.
-    prefetch:
-        Overlap the next block's load+prepare with the current GEMM
-        (single background thread; deterministic commit order either way).
+        Track per-pair squared distances (ignored when ``acc`` is given).
     acc:
         Emit into this accumulator instead of a fresh one -- the hook for
         disk-spilling accumulators
         (``PairAccumulator(spill_threshold_bytes=...)``) when the output
-        itself outgrows memory.  ``store_distances`` is ignored when an
-        accumulator is supplied.
+        itself outgrows memory.  A failed run cleans its spill files up.
     workers:
         Worker-pool request (:meth:`WorkerPlan.resolve`): with more than
-        one worker, tile GEMMs + extraction run on a thread pool and
-        overlap the block prefetch, with pairs committed in strict tile
-        order -- bit-identical to serial.  Each in-flight tile keeps its
-        column block alive; when the plan is derived from
-        ``memory_budget_bytes`` the extra blocks are folded into the
-        accounting (``TilePlan.from_budget(extra_blocks=...)``) so the
-        budget stays honored, while an explicit ``plan``/``row_block``
-        accepts the up-to-``workers``-blocks residency growth.
+        one worker, tile GEMMs + extraction run on a thread pool (NumPy /
+        BLAS release the GIL for the heavy ops) and overlap the block
+        prefetch, with pairs committed in strict tile order.  Each
+        in-flight tile keeps its column block alive; budget-derived plans
+        fold those blocks into the accounting
+        (``from_budget(extra_blocks=...)``), explicit plans accept the
+        up-to-``workers``-blocks residency growth.
 
     Returns
     -------
     (PairAccumulator, StreamStats)
         The accumulated pairs and the observed load/residency statistics.
     """
-    n, dim = int(source.n), int(source.dim)
+    self_join = right is None
+    cols = _check_operands(left, right)
     wp = WorkerPlan.resolve(workers)
     if plan is None:
-        if memory_budget_bytes is not None:
-            # In-flight worker tiles each pin an extra column block;
-            # widen the residency accounting so the budget stays honored.
-            plan = TilePlan.from_budget(
-                n, dim, int(memory_budget_bytes),
-                extra_blocks=wp.n_workers if wp.parallel else 0,
-            )
-        else:
-            plan = TilePlan(n=n, row_block=int(row_block))
-    if not plan.symmetric:
-        raise ValueError("streaming_self_join requires a symmetric TilePlan")
-    stats = StreamStats(plan=plan)
-    if acc is None:
-        acc = PairAccumulator(store_distances=store_distances)
-    store_distances = acc.store_distances
-    nb = plan.n_blocks
-    if nb == 0:
-        return acc, stats
-
-    def load(bi: int) -> tuple[Any, int]:
-        r0, r1 = plan.block_bounds(bi)
-        raw = source.load_block(r0, r1)
-        stats._acquire(raw.nbytes)
-        state = prepare(raw)
-        nbytes = _state_nbytes(state)
-        stats._acquire(nbytes)
-        stats._release(raw.nbytes)  # raw block dies with this frame
-        stats.blocks_loaded += 1
-        return state, nbytes
-
-    # Block-load sequence: row block ri, then its column blocks ri+1..nb-1,
-    # for each row stripe.  A 1-deep pipeline prefetches loads[k+1] while
-    # tile k computes.
-    loads: list[int] = []
-    for ri in range(nb):
-        loads.append(ri)
-        loads.extend(range(ri + 1, nb))
-    pool = ThreadPoolExecutor(max_workers=1) if prefetch and len(loads) > 1 else None
-    gemm_pool = ThreadPoolExecutor(max_workers=wp.n_workers) if wp.parallel else None
-    try:
-        futures: deque = deque()
-        cursor = 0
-
-        def schedule_next() -> None:
-            nonlocal cursor
-            if pool is not None and cursor < len(loads):
-                futures.append(pool.submit(load, loads[cursor]))
-                cursor += 1
-
-        def next_block() -> tuple[Any, int]:
-            nonlocal cursor
-            if pool is None:
-                blk = load(loads[cursor])
-                cursor += 1
-                return blk
-            if not futures:
-                schedule_next()
-            blk = futures.popleft().result()
-            schedule_next()  # keep the pipeline primed
-            return blk
-
-        def eval_tile(row_state, col_state, r0: int, c0: int):
-            d2 = block_sq_dists(row_state, col_state)
-            return _extract_pairs(d2, r0, c0, eps2, store_distances)
-
-        def commit_tile(extracted, r0: int, c0: int, col_nbytes: int) -> None:
-            gi, gj, dd = extracted
-            acc.append(gi, gj, dd)
-            if c0 != r0:
-                acc.append(gj, gi, dd)
-            stats.tiles_evaluated += 1
-            if col_nbytes:
-                stats._release(col_nbytes)
-
-        # In-flight tile window (workers > 1): futures keep their column
-        # block alive until commit, and commits run here in submission
-        # order -- the same determinism lever as the in-memory executor.
-        window = _InFlightWindow(gemm_pool, wp.n_workers, commit_tile)
-
-        schedule_next()
-        for ri in range(nb):
-            row_state, row_nbytes = next_block()
-            r0, r1 = plan.block_bounds(ri)
-            for cj in range(ri, nb):
-                if cj == ri:
-                    col_state, col_nbytes = row_state, 0
-                else:
-                    col_state, col_nbytes = next_block()
-                c0, _c1 = plan.block_bounds(cj)
-                window.run(
-                    eval_tile, (row_state, col_state, r0, c0),
-                    (r0, c0, col_nbytes),
-                )
-            # The stripe's tiles all read row_state: finish them before
-            # the pinned row block's bytes are released.
-            window.drain()
-            stats._release(row_nbytes)
-    except BaseException:
-        # A failed stream's partial output is garbage; drop any spilled
-        # chunk files with it so prefetch/tile errors do not leak disk.
-        acc.cleanup()
-        raise
-    finally:
-        if gemm_pool is not None:
-            gemm_pool.shutdown(wait=True, cancel_futures=True)
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return acc, stats
-
-
-@dataclass(frozen=True)
-class RectTilePlan:
-    """Schedule of block loads for an out-of-core two-source join ``A x B``.
-
-    The rectangular counterpart of :class:`TilePlan`: the left set's
-    ``n_rows`` rows are cut into ``row_block``-sized blocks and the right
-    set's ``n_cols`` rows into ``col_block``-sized blocks, independently --
-    there is no symmetry to exploit, so **every** ``(ri, cj)`` block pair
-    is a tile and nothing is mirrored.  Processing row block ``ri`` pins it
-    for the whole stripe while all of ``B``'s column blocks stream through,
-    so ``A`` is read once and ``B`` once per row stripe; peak residency is
-    bounded by :data:`RESIDENT_BLOCKS` blocks regardless of either size.
-    """
-
-    n_rows: int
-    n_cols: int
-    row_block: int
-    col_block: int
-
-    #: Worst-case simultaneously resident blocks: the pinned row block, the
-    #: current column block, and the prefetched next block (whose raw
-    #: float64 form and prepared state briefly coexist inside ``prepare``).
-    RESIDENT_BLOCKS = 4
-
-    def __post_init__(self) -> None:
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("need n_rows >= 0 and n_cols >= 0")
-        if self.row_block <= 0 or self.col_block <= 0:
-            raise ValueError("row_block and col_block must be positive")
-
-    @classmethod
-    def from_budget(
-        cls,
-        n_rows: int,
-        n_cols: int,
-        dim: int,
-        memory_budget_bytes: int,
-        *,
-        itemsize: int = 8,
-        extra_blocks: int = 0,
-    ) -> "RectTilePlan":
-        """Choose equal block edges so peak resident data fits the budget.
-
-        Same accounting as :meth:`TilePlan.from_budget`: the budget covers
-        the :data:`RESIDENT_BLOCKS` streamed float64 blocks (plus one spare
-        column per row for per-block norm vectors), widened by
-        ``extra_blocks`` for in-flight worker tiles; result growth is
-        accounted separately by ``PairAccumulator.nbytes``.
-        """
-        if memory_budget_bytes <= 0:
-            raise ValueError("memory_budget_bytes must be positive")
-        per_row = max(1, (dim + 1) * itemsize)
-        blocks = cls.RESIDENT_BLOCKS + max(0, int(extra_blocks))
-        block = memory_budget_bytes // (blocks * per_row)
-        block = int(max(1, block))
-        return cls(
-            n_rows=n_rows,
-            n_cols=n_cols,
-            row_block=min(block, max(n_rows, 1)),
-            col_block=min(block, max(n_cols, 1)),
+        # In-flight worker tiles each pin an extra column block; widen a
+        # budget's residency accounting so it stays honored.
+        plan = TilePlan.for_join(
+            left.n, cols.n, left.dim,
+            row_block=row_block, col_block=col_block,
+            memory_budget_bytes=memory_budget_bytes, symmetric=self_join,
+            extra_blocks=wp.n_workers if wp.parallel else 0,
         )
-
-    @property
-    def n_row_blocks(self) -> int:
-        return -(-self.n_rows // self.row_block) if self.n_rows else 0
-
-    @property
-    def n_col_blocks(self) -> int:
-        return -(-self.n_cols // self.col_block) if self.n_cols else 0
-
-    @property
-    def n_tiles(self) -> int:
-        return self.n_row_blocks * self.n_col_blocks
-
-    def row_bounds(self, ri: int) -> tuple[int, int]:
-        """Row range ``(r0, r1)`` of left-set block ``ri``."""
-        r0 = ri * self.row_block
-        return r0, min(r0 + self.row_block, self.n_rows)
-
-    def col_bounds(self, cj: int) -> tuple[int, int]:
-        """Row range ``(c0, c1)`` of right-set block ``cj``."""
-        c0 = cj * self.col_block
-        return c0, min(c0 + self.col_block, self.n_cols)
-
-    def tiles(self) -> Iterator[tuple[int, int]]:
-        """Block-index pairs ``(ri, cj)`` in execution order (row-major)."""
-        for ri in range(self.n_row_blocks):
-            for cj in range(self.n_col_blocks):
-                yield ri, cj
-
-    def peak_resident_bytes(self, dim: int, *, itemsize: int = 8) -> int:
-        """Upper bound on simultaneously resident streamed-block bytes."""
-        edge = max(self.row_block, self.col_block)
-        return self.RESIDENT_BLOCKS * edge * (dim + 1) * itemsize
-
-
-def iter_rect_tiles(
-    n_rows: int, n_cols: int, row_block: int, col_block: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """All tile coordinates ``(r0, r1, c0, c1)`` of the A x B grid, row-major."""
-    for r0 in range(0, n_rows, row_block):
-        r1 = min(r0 + row_block, n_rows)
-        for c0 in range(0, n_cols, col_block):
-            yield r0, r1, c0, min(c0 + col_block, n_cols)
-
-
-def rect_join(
-    n_rows: int,
-    n_cols: int,
-    eps2: float,
-    tile_fn: TileFn,
-    *,
-    row_block: int = 2048,
-    col_block: int | None = None,
-    store_distances: bool = True,
-    acc: PairAccumulator | None = None,
-    workers: "int | str | WorkerPlan | None" = 0,
-) -> PairAccumulator:
-    """In-memory two-source join: every tile of the rectangular grid.
-
-    The A x B counterpart of :func:`symmetric_self_join`.  ``tile_fn(r0,
-    r1, c0, c1)`` returns the squared-distance block between rows
-    ``[r0:r1]`` of the left set and rows ``[c0:c1]`` of the right set;
-    pairs are emitted in the single direction ``(i in A, j in B)`` and the
-    tile diagonal is *never* cleared -- equal indices address different
-    points of the two sets.  ``workers`` dispatches tile evaluation to a
-    thread pool with in-order commit, exactly like the symmetric executor
-    (bit-identical to serial).
-    """
-    if acc is None:
-        acc = PairAccumulator(store_distances=store_distances)
-    store_distances = acc.store_distances
-    if col_block is None:
-        col_block = row_block
-    tiles = list(iter_rect_tiles(n_rows, n_cols, row_block, col_block))
-
-    def evaluate(tile: tuple[int, int, int, int]):
-        r0, r1, c0, c1 = tile
-        return _extract_pairs(
-            tile_fn(r0, r1, c0, c1), r0, c0, eps2, store_distances,
-            clear_diagonal=False,
-        )
-
-    def commit(_tile, extracted) -> None:
-        gi, gj, dd = extracted
-        acc.append(gi, gj, dd)
-
-    _run_tiles(tiles, evaluate, commit, WorkerPlan.resolve(workers).n_workers)
-    return acc
-
-
-def streaming_join(
-    source_a,
-    source_b,
-    eps2: float,
-    prepare: BlockPrepareFn,
-    block_sq_dists: BlockDistFn,
-    *,
-    plan: RectTilePlan | None = None,
-    row_block: int = 2048,
-    col_block: int | None = None,
-    memory_budget_bytes: int | None = None,
-    store_distances: bool = True,
-    prefetch: bool = True,
-    acc: PairAccumulator | None = None,
-    workers: "int | str | WorkerPlan | None" = 0,
-) -> tuple[PairAccumulator, StreamStats]:
-    """Out-of-core two-source join over two :class:`~repro.data.source.DatasetSource`\\ s.
-
-    Same tile geometry and pair extraction as :func:`rect_join`, but
-    neither dataset has to be resident: each row block of ``source_a`` is
-    pinned for one stripe while all of ``source_b``'s column blocks stream
-    through, with the next block (of either source -- the prefetch
-    pipeline spans both) loaded and prepared on a background thread while
-    the current tile's GEMM runs.  At most
-    :data:`RectTilePlan.RESIDENT_BLOCKS` blocks are alive at once, and
-    results are bit-identical to :func:`rect_join` at the same plan for
-    the kernels' numerics (per-block preparation is row-local and per-tile
-    GEMM shapes are unchanged; tests/test_two_source.py pins this).
-
-    Parameters
-    ----------
-    source_a, source_b:
-        Left (query) and right dataset sources; their dimensionalities
-        must match.
-    eps2:
-        Squared radius in the kernel's working precision.
-    prepare:
-        Per-block kernel state builder, applied to blocks of *both*
-        sources; see :data:`BlockPrepareFn`.
-    block_sq_dists:
-        Kernel numerics over a prepared A-block and B-block.
-    plan:
-        Explicit rectangular plan; overrides
-        ``row_block``/``col_block``/``memory_budget_bytes``.
-    row_block, col_block:
-        Independent block edges when no plan/budget is given
-        (``col_block`` defaults to ``row_block``).
-    memory_budget_bytes:
-        Derive the plan with :meth:`RectTilePlan.from_budget` so peak
-        resident streamed data stays under the budget.
-    store_distances:
-        Track per-pair squared distances (ignored when ``acc`` is given).
-    prefetch:
-        Overlap the next block's load+prepare with the current GEMM.
-    acc:
-        Emit into this accumulator (e.g. a disk-spilling one) instead of a
-        fresh in-memory accumulator.
-    workers:
-        Worker-pool request (:meth:`WorkerPlan.resolve`): tile GEMMs +
-        extraction on a thread pool, overlapped with the cross-source
-        prefetch, committed in strict tile order (bit-identical to
-        serial).  As for :func:`streaming_self_join`, budget-derived
-        plans fold the in-flight worker blocks into the residency
-        accounting; explicit plans accept the growth.
-
-    Returns
-    -------
-    (PairAccumulator, StreamStats)
-        Accumulated ``(i in A, j in B)`` pairs plus load/residency stats.
-    """
-    n_a, dim_a = int(source_a.n), int(source_a.dim)
-    n_b, dim_b = int(source_b.n), int(source_b.dim)
-    if dim_a != dim_b:
+    elif (plan.n_rows, plan.n_cols) != (left.n, cols.n):
         raise ValueError(
-            f"source dimensionalities disagree: {dim_a} != {dim_b}"
+            f"plan covers {plan.n_rows}x{plan.n_cols}, "
+            f"join has {left.n}x{cols.n}"
         )
-    wp = WorkerPlan.resolve(workers)
-    if plan is None:
-        if memory_budget_bytes is not None:
-            # As in streaming_self_join: in-flight worker tiles pin extra
-            # column blocks, so widen the accounting to keep the budget.
-            plan = RectTilePlan.from_budget(
-                n_a, n_b, dim_a, int(memory_budget_bytes),
-                extra_blocks=wp.n_workers if wp.parallel else 0,
-            )
-        else:
-            plan = RectTilePlan(
-                n_rows=n_a,
-                n_cols=n_b,
-                row_block=int(row_block),
-                col_block=int(col_block if col_block is not None else row_block),
-            )
+    if self_join and plan.row_block != plan.col_block:
+        raise ValueError("a self-join plan needs equal row and column blocks")
+    if plan.symmetric and not self_join:
+        raise ValueError("a symmetric plan cannot drive a two-source join")
     stats = StreamStats(plan=plan)
-    if acc is None:
-        acc = PairAccumulator(store_distances=store_distances)
-    store_distances = acc.store_distances
-    nbr, nbc = plan.n_row_blocks, plan.n_col_blocks
-    if nbr == 0 or nbc == 0:
-        return acc, stats
-
-    def load(which: str, bi: int) -> tuple[Any, int]:
-        if which == "a":
-            r0, r1 = plan.row_bounds(bi)
-            raw = source_a.load_block(r0, r1)
-        else:
-            c0, c1 = plan.col_bounds(bi)
-            raw = source_b.load_block(c0, c1)
-        stats._acquire(raw.nbytes)
-        state = prepare(raw)
-        nbytes = _state_nbytes(state)
-        stats._acquire(nbytes)
-        stats._release(raw.nbytes)  # raw block dies with this frame
-        stats.blocks_loaded += 1
-        return state, nbytes
-
-    # Block-load sequence: row block ri of A, then every column block of B,
-    # per row stripe.  The 1-deep prefetch pipeline spans both sources --
-    # while the last tile of a stripe computes, the *next A row block* is
-    # already loading.
-    loads: list[tuple[str, int]] = []
-    for ri in range(nbr):
-        loads.append(("a", ri))
-        loads.extend(("b", cj) for cj in range(nbc))
-    pool = ThreadPoolExecutor(max_workers=1) if prefetch and len(loads) > 1 else None
-    gemm_pool = ThreadPoolExecutor(max_workers=wp.n_workers) if wp.parallel else None
-    try:
-        futures: deque = deque()
-        cursor = 0
-
-        def schedule_next() -> None:
-            nonlocal cursor
-            if pool is not None and cursor < len(loads):
-                futures.append(pool.submit(load, *loads[cursor]))
-                cursor += 1
-
-        def next_block() -> tuple[Any, int]:
-            nonlocal cursor
-            if pool is None:
-                blk = load(*loads[cursor])
-                cursor += 1
-                return blk
-            if not futures:
-                schedule_next()
-            blk = futures.popleft().result()
-            schedule_next()  # keep the pipeline primed
-            return blk
-
-        def eval_tile(row_state, col_state, r0: int, c0: int):
-            d2 = block_sq_dists(row_state, col_state)
-            return _extract_pairs(
-                d2, r0, c0, eps2, store_distances, clear_diagonal=False
-            )
-
-        def commit_tile(extracted, col_nbytes: int) -> None:
-            gi, gj, dd = extracted
-            acc.append(gi, gj, dd)
-            stats.tiles_evaluated += 1
-            stats._release(col_nbytes)
-
-        # In-flight tile window (workers > 1); in-order commit on this
-        # thread keeps parallel output bit-identical to serial.
-        window = _InFlightWindow(gemm_pool, wp.n_workers, commit_tile)
-
-        schedule_next()
-        for ri in range(nbr):
-            row_state, row_nbytes = next_block()
-            r0, _r1 = plan.row_bounds(ri)
-            for cj in range(nbc):
-                col_state, col_nbytes = next_block()
-                c0, _c1 = plan.col_bounds(cj)
-                window.run(
-                    eval_tile, (row_state, col_state, r0, c0), (col_nbytes,)
-                )
-            window.drain()  # stripe tiles read row_state; finish first
-            stats._release(row_nbytes)
-    except BaseException:
-        # A failed stream's partial output is garbage; drop any spilled
-        # chunk files with it so prefetch/tile errors do not leak disk.
-        acc.cleanup()
-        raise
-    finally:
-        if gemm_pool is not None:
-            gemm_pool.shutdown(wait=True, cancel_futures=True)
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return acc, stats
-
-
-def candidate_self_join(
-    groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    dist_fn: GroupDistFn,
-    eps2: float,
-    *,
-    store_distances: bool = True,
-    candidate_chunk: int | None = None,
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    acc: PairAccumulator | None = None,
-) -> PairAccumulator:
-    """Index-backed self-join over ``(members, candidates)`` groups.
-
-    Parameters
-    ----------
-    groups:
-        Iterable of ``(members, candidates)`` global-index arrays, as
-        produced by ``GridIndex.iter_cells`` or ``MultiSpaceTree.iter_groups``.
-    dist_fn:
-        Kernel numerics; see :data:`GroupDistFn`.
-    eps2:
-        Squared radius in the kernel's working precision.
-    store_distances:
-        Track per-pair squared distances.
-    candidate_chunk:
-        Evaluate at most this many candidates per ``dist_fn`` call to bound
-        the temporary block (None: whole group at once).
-    on_group:
-        Statistics hook invoked once per nonempty group *before* evaluation
-        -- kernels use it to tally candidate counts / sampling without a
-        second index pass.
-    acc:
-        Emit into this accumulator (e.g. a disk-spilling one) instead of
-        a fresh one; ``store_distances`` is ignored when given.
-    """
     if acc is None:
         acc = PairAccumulator(store_distances=store_distances)
     store_distances = acc.store_distances
     hooks = trace_mod.current_hooks()
+
+    def loads() -> Iterator[tuple[Operand, int, int]]:
+        # Row block ri, then the stripe's column blocks (a self-join's
+        # diagonal tile reuses the pinned row block).
+        for ri in range(plan.n_row_blocks):
+            yield (left, *plan.row_bounds(ri))
+            for cj in plan.stripe(ri):
+                if not (self_join and cj == ri):
+                    yield (cols, *plan.col_bounds(cj))
+
+    def fetch(req: tuple[Operand, int, int]):
+        op, lo, hi = req
+        return op.block(lo, hi, stats)
+
+    def eval_tile(row, col, r0: int, c0: int, diagonal: bool):
+        # May run on pool threads: the hooks ride the closure, not the
+        # context.
+        t0 = time.perf_counter()
+        gram = row[0] @ col[0].T
+        t1 = time.perf_counter()
+        d2 = norm_expansion_sq_dists(row[1], col[1], gram)
+        t2 = time.perf_counter()
+        out = _extract_pairs(d2, r0, c0, eps2, store_distances, diagonal)
+        if hooks is not None:
+            hooks.record("gemm", t1 - t0)
+            hooks.record("rz", t2 - t1)
+            hooks.record("commit", time.perf_counter() - t2)
+        return out
+
+    def commit_tile(extracted, mirror: bool, col) -> None:
+        t0 = time.perf_counter()
+        gi, gj, dd = extracted
+        acc.append(gi, gj, dd)
+        if mirror:
+            acc.append(gj, gi, dd)
+        stats.tiles_evaluated += 1
+        if col is not None:
+            cols.release(*col, stats)
+        if hooks is not None:
+            hooks.record("commit", time.perf_counter() - t0)
+
+    streamed = not (left.resident and cols.resident)
+    loader = ThreadPoolExecutor(max_workers=1) if streamed else None
+    gemm_pool = (
+        ThreadPoolExecutor(max_workers=wp.n_workers)
+        if wp.parallel and plan.n_tiles > 1
+        else None
+    )
+    try:
+        blocks = _prefetched(loads(), fetch, loader)
+        # In-flight tiles keep their column block alive until commit, and
+        # commits run here in submission order.
+        window = _InFlightWindow(gemm_pool, wp.n_workers, commit_tile)
+        for ri in range(plan.n_row_blocks):
+            row = next(blocks)
+            r0, _r1 = plan.row_bounds(ri)
+            for cj in plan.stripe(ri):
+                diagonal = self_join and cj == ri
+                col = row if diagonal else next(blocks)
+                c0, _c1 = plan.col_bounds(cj)
+                window.run(
+                    eval_tile, (row, col, r0, c0, diagonal),
+                    (plan.symmetric and not diagonal, None if diagonal else col),
+                )
+            # The stripe's tiles all read the pinned row block: finish
+            # them before its bytes are released.
+            window.drain()
+            left.release(*row, stats)
+    except BaseException:
+        # A failed run's partial output is garbage; drop any spilled
+        # chunk files with it so prefetch/tile errors do not leak disk.
+        acc.cleanup()
+        raise
+    finally:
+        if gemm_pool is not None:
+            gemm_pool.shutdown(wait=True, cancel_futures=True)
+        if loader is not None:
+            loader.shutdown(wait=True, cancel_futures=True)
+    return acc, stats
+
+
+# ----------------------------------------------------------------------
+# Candidate-group executor
+# ----------------------------------------------------------------------
+
+
+def group_chunk(dim: int) -> int:
+    """Candidates evaluated per distance block at dimensionality ``dim``."""
+    return max(1, GROUP_CHUNK_ELEMS // max(int(dim), 1))
+
+
+def group_sq_dists(
+    rows_m: np.ndarray,
+    norms_m: np.ndarray,
+    cols: Operand,
+    cand: np.ndarray,
+    hooks=None,
+    stats: "StreamStats | None" = None,
+) -> np.ndarray:
+    """Distance block of gathered member rows against ``cols[cand]``.
+
+    The one spelling of the candidate-group distance expression and of
+    its ``gather`` / ``gemm`` / ``rz`` stage split (the clock is read at
+    the boundaries NumPy already evaluates in order, so timing never
+    changes the arithmetic).  Shared by :func:`candidate_join` and the
+    query service's kNN search.
+    """
+    t0 = time.perf_counter()
+    rows_c, norms_c = cols.take(cand, stats)
+    t1 = time.perf_counter()
+    gram = rows_m @ rows_c.T
+    t2 = time.perf_counter()
+    d2 = norm_expansion_sq_dists(norms_m, norms_c, gram)
+    cols.release(rows_c, norms_c, stats)
     if hooks is not None:
-        groups = _timed_groups(groups, hooks)
-    for members, candidates in groups:
-        if members.size == 0 or candidates.size == 0:
-            continue
-        if on_group is not None:
-            on_group(members, candidates)
-        chunk = candidate_chunk or candidates.size
-        for c0 in range(0, candidates.size, chunk):
-            cand = candidates[c0 : c0 + chunk]
-            d2 = dist_fn(members, cand)
-            t0 = time.perf_counter() if hooks is not None else 0.0
-            _emit_group_pairs(
-                acc, d2, members, cand, eps2, store_distances
-            )
-            if hooks is not None:
-                hooks.record("commit", time.perf_counter() - t0)
-    return acc
+        hooks.record("gather", t1 - t0)
+        hooks.record("gemm", t2 - t1)
+        hooks.record("rz", time.perf_counter() - t2)
+    return d2
 
 
-def _emit_group_pairs(
+def _emit_pairs(
     acc: PairAccumulator,
     d2: np.ndarray,
-    members: np.ndarray,
-    candidates: np.ndarray,
-    eps2: float,
-    store_distances: bool,
-    *,
-    drop_self: bool = True,
+    gi: np.ndarray,
+    gj: np.ndarray,
+    hit: tuple,
+    drop_self: bool,
 ) -> None:
-    """Filter one evaluated candidate block and append its in-range pairs.
+    """Append the in-range pairs ``(gi, gj)`` found at ``d2[hit]``.
 
-    The single definition of the group pair-extraction semantics (eps2
-    inclusive, float32 distances) shared by the per-group executor, the
-    batched executor's large-group bypass, and the two-source executor.
-    ``drop_self`` removes ``gi == gj`` pairs -- the self-join convention;
-    two-source joins keep them because equal indices address different
-    points.
+    The single definition of the group pair-extraction semantics (float32
+    distances; ``drop_self`` removes ``gi == gj`` pairs -- the self-join
+    convention, which two-source joins skip because equal indices address
+    different points).
     """
-    mask = d2 <= eps2
-    mi, cj = np.nonzero(mask)
-    gi = members[mi]
-    gj = candidates[cj]
     if drop_self:
         keep = gi != gj
         gi, gj = gi[keep], gj[keep]
-        dd = d2[mi, cj][keep].astype(np.float32) if store_distances else None
-    else:
-        dd = d2[mi, cj].astype(np.float32) if store_distances else None
+    dd = None
+    if acc.store_distances:
+        dd = d2[hit]
+        dd = (dd[keep] if drop_self else dd).astype(np.float32)
     acc.append(gi, gj, dd)
-
-
-def candidate_join(
-    groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    dist_fn: GroupDistFn,
-    eps2: float,
-    *,
-    store_distances: bool = True,
-    candidate_chunk: int | None = None,
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    acc: PairAccumulator | None = None,
-) -> PairAccumulator:
-    """Index-backed two-source join over ``(queries, candidates)`` groups.
-
-    The A x B counterpart of :func:`candidate_self_join`: ``groups`` pairs
-    query-point indices (into the left set) with candidate indices (into
-    the right set), as produced by ``GridIndex.iter_join_groups`` /
-    ``MultiSpaceTree.iter_join_groups``, and ``dist_fn(queries,
-    candidates)`` returns the cross-set squared-distance block.  Identical
-    filtering semantics except that no self pairs exist to drop -- equal
-    indices address different points of the two sets.
-    """
-    if acc is None:
-        acc = PairAccumulator(store_distances=store_distances)
-    store_distances = acc.store_distances
-    hooks = trace_mod.current_hooks()
-    if hooks is not None:
-        groups = _timed_groups(groups, hooks)
-    for members, candidates in groups:
-        if members.size == 0 or candidates.size == 0:
-            continue
-        if on_group is not None:
-            on_group(members, candidates)
-        chunk = candidate_chunk or candidates.size
-        for c0 in range(0, candidates.size, chunk):
-            cand = candidates[c0 : c0 + chunk]
-            d2 = dist_fn(members, cand)
-            t0 = time.perf_counter() if hooks is not None else 0.0
-            _emit_group_pairs(
-                acc, d2, members, cand, eps2,
-                store_distances, drop_self=False,
-            )
-            if hooks is not None:
-                hooks.record("commit", time.perf_counter() - t0)
-    return acc
-
-
-class _GatherView:
-    """Array-shaped facade over a gather callback.
-
-    Exposes exactly the surface the batched candidate executor touches on
-    its ``work`` / ``sq_norms`` operands -- ``shape``, ``dtype`` and
-    integer-array ``__getitem__`` -- so an on-demand row gather (e.g. a
-    :class:`SourceWorkView` over a ``DatasetSource``) can stand in for a
-    resident ndarray.
-    """
-
-    __slots__ = ("_fn", "shape", "dtype")
-
-    def __init__(self, fn, shape: tuple, dtype: np.dtype) -> None:
-        self._fn = fn
-        self.shape = shape
-        self.dtype = dtype
-
-    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
-        return self._fn(idx)
-
-
-class SourceWorkView:
-    """Present a ``DatasetSource`` as the ``(work, sq_norms)`` pair the
-    candidate executors index.
-
-    Rows are gathered on demand with ``source.take`` and converted to the
-    kernel's working precision per gather -- row-local operations, so the
-    values are bit-exactly what slicing a whole-dataset precompute would
-    yield (the same lever that makes ``self_join_source`` bit-identical to
-    the in-memory joins).  A two-deep identity-keyed memo lets the norms
-    view reuse the rows the executor just gathered (the executors always
-    access ``work[idx]`` immediately before ``sq_norms[idx]``), so each
-    index array costs one ``take`` even though two views consume it; two
-    entries because a batched flush holds its member-side and
-    candidate-side gathers *simultaneously* -- which is also why both
-    stay charged to ``stats`` until evicted, keeping the residency
-    high-water mark honest about the flush's real footprint.
-
-    Parameters
-    ----------
-    source:
-        ``DatasetSource`` (or anything with ``n``/``dim``/``take``).
-    dtype:
-        Working precision rows are converted to.
-    norm:
-        ``"rowsum"`` (``(w * w).sum(axis=1)``, the GDS/TED convention) or
-        ``"einsum"`` (``np.einsum("nd,nd->n", w, w)``, MiSTIC's) --
-        mirrors each kernel's precompute reduction so gathered norms match
-        the in-memory ones bit for bit.
-    stats:
-        Optional :class:`StreamStats`; the memoized gather's bytes are
-        accounted as resident until replaced or :meth:`close`\\ d.
-    """
-
-    def __init__(self, source, dtype, *, norm: str = "rowsum", stats=None) -> None:
-        if norm not in ("rowsum", "einsum"):
-            raise ValueError("norm must be 'rowsum' or 'einsum'")
-        self._source = source
-        self._dtype = np.dtype(dtype)
-        self._norm = norm
-        self._stats = stats
-        #: (idx, rows) pairs, newest last; both batched-flush sides live.
-        self._memo: deque = deque(maxlen=2)
-        n, dim = int(source.n), int(source.dim)
-        self.work = _GatherView(self._rows, (n, dim), self._dtype)
-        self.sq_norms = _GatherView(self._norms, (n,), self._dtype)
-
-    def _rows(self, idx: np.ndarray) -> np.ndarray:
-        for held_idx, held_rows in self._memo:
-            if held_idx is idx:
-                return held_rows
-        rows = self._source.take(idx)
-        if rows.dtype != self._dtype:
-            rows = rows.astype(self._dtype)
-        if self._stats is not None:
-            self._stats._acquire(rows.nbytes)
-            if len(self._memo) == self._memo.maxlen:
-                self._stats._release(self._memo[0][1].nbytes)
-        self._memo.append((idx, rows))
-        return rows
-
-    def _norms(self, idx: np.ndarray) -> np.ndarray:
-        w = self._rows(idx)
-        if self._norm == "einsum":
-            return np.einsum("nd,nd->n", w, w)
-        return (w * w).sum(axis=1)
-
-    def close(self) -> None:
-        """Drop the memoized gathers (and release their residency charge)."""
-        if self._stats is not None:
-            for _idx, rows in self._memo:
-                self._stats._release(rows.nbytes)
-        self._memo.clear()
 
 
 def batch_params_from_stats(
@@ -1519,164 +994,192 @@ def auto_batched_from_stats(stats) -> bool:
     return n_groups >= AUTO_BATCH_MIN_GROUPS and 0.0 < typical <= AUTO_BATCH_ELEMS
 
 
-def _batched_candidate_executor(
+
+def resolve_batching(
+    batched: bool | None, index_stats: Callable[[], Any], overrides: dict | None
+) -> tuple[bool, dict | None]:
+    """Resolve a kernel's ``batched`` / ``batch_params`` arguments.
+
+    ``batched=None`` asks the measured group shapes
+    (:func:`auto_batched_from_stats`); when batching is on, the knobs come
+    from the same moments with ``overrides`` taken verbatim
+    (:func:`batch_params_from_stats`).  ``index_stats()`` is called at
+    most once and not at all for an explicit ``batched=False`` -- a
+    tree's stats cost a full group pass.  Returns ``(batched,
+    batch_params or None)``, ready for :func:`candidate_join`.
+    """
+    stats = None
+    if batched is None:
+        stats = index_stats()
+        batched = auto_batched_from_stats(stats)
+    if not batched:
+        return False, None
+    if stats is None:
+        stats = index_stats()
+    return True, batch_params_from_stats(stats, **(overrides or {}))
+
+
+#: Static padded-batch knobs (``batched=True`` with no ``batch_params``);
+#: kernels with an index derive them from the measured group-size
+#: distribution instead (:func:`batch_params_from_stats`).
+#:
+#: * ``batch_elems`` -- flush a buffer before its padded ``g * M * C``
+#:   distance block would exceed this many elements.
+#: * ``max_batch_groups`` -- hard cap on groups per flush (bounds the
+#:   Python-side scatter loop).
+#: * ``single_elems`` -- groups whose own ``members * candidates`` exceeds
+#:   this bypass batching and run as one plain GEMM: a group that large
+#:   amortizes its own BLAS call, and padding it would waste more than
+#:   the call overhead it saves.
+#: * ``min_fill`` -- flush before the buffer's fill ratio (real
+#:   ``sum(m*c)`` over padded ``g * M * C``) would drop below this, the
+#:   guard that keeps heterogeneous group shapes from turning padding
+#:   into more work than batching saves.
+DEFAULT_BATCH_PARAMS = {
+    "batch_elems": 1 << 20,
+    "max_batch_groups": 512,
+    "single_elems": 1 << 12,
+    "min_fill": 0.35,
+}
+
+
+def _live_groups(
     groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    work_m,
-    sq_m,
-    work_c,
-    sq_c,
+    on_group: Callable[[np.ndarray, np.ndarray], None] | None,
+    hooks,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The nonempty groups, in order, with ``on_group`` fired on each.
+
+    Candidate groups are computed lazily by the grid/tree iterators, so
+    the time spent *producing* the next group is index traversal work,
+    not kernel math -- attributed to ``adjacency`` here, at the one pull
+    site every execution mode shares.
+    """
+    it = iter(groups)
+    while True:
+        t0 = time.perf_counter()
+        item = next(it, None)
+        if item is None:
+            return
+        if hooks is not None:
+            hooks.record("adjacency", time.perf_counter() - t0)
+        members, candidates = item
+        if members.size == 0 or candidates.size == 0:
+            continue
+        if on_group is not None:
+            on_group(members, candidates)
+        yield members, candidates
+
+
+def _run_groups(
+    groups: Iterable[tuple[np.ndarray, np.ndarray]],
+    left: Operand,
+    cols: Operand,
     eps2: float,
+    acc: PairAccumulator,
     *,
     drop_self: bool,
-    store_distances: bool = True,
-    batch_elems: int = 1 << 20,
-    max_batch_groups: int = 512,
-    single_elems: int = 1 << 12,
-    min_fill: float = 0.35,
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    acc: PairAccumulator | None = None,
-) -> PairAccumulator:
-    """Shared padded-batch-GEMM core of the batched candidate executors.
+    batch_params: dict | None,
+    hooks=None,
+    stats: "StreamStats | None" = None,
+) -> None:
+    """Evaluate nonempty groups serially into ``acc``.
 
-    ``work_m``/``sq_m`` back the member (query) side and ``work_c``/
-    ``sq_c`` the candidate side -- the same arrays for a self-join,
-    different sets for a two-source join.  Either side may be a resident
-    ndarray or a :class:`SourceWorkView` gather facade: the executor
-    touches only ``shape``/``dtype``/integer indexing, and all of a
-    flush's member (resp. candidate) rows are gathered through **one**
-    concatenated index per side, so a source-backed run issues one
-    ``take`` per side per flush instead of one per group.
+    The numeric core of :func:`candidate_join` -- run by the calling
+    thread in serial mode, by each pool worker on its batch, and by the
+    parent when it recovers a dead worker's batch -- so every mode shares
+    the same gathers, GEMM shapes and extraction.  ``batch_params=None``
+    is the per-group mode; a dict of padded-batch knobs
+    (:data:`DEFAULT_BATCH_PARAMS` keys) is the batched mode.
     """
-    if acc is None:
-        acc = PairAccumulator(store_distances=store_distances)
-    store_distances = acc.store_distances
-    hooks = trace_mod.current_hooks()
-    d = work_m.shape[1]
-    work_dtype = work_m.dtype
-    norm_dtype = sq_m.dtype
-    # Bypassed (large) groups chunk their candidate axis like the
-    # per-group executor does, so a dense cell cannot blow up a single
-    # (members x candidates) temporary.
-    single_chunk = max(1, GROUP_CHUNK_ELEMS // max(d, 1))
+    chunk = group_chunk(left.dim)
 
     def run_single(members: np.ndarray, candidates: np.ndarray) -> None:
-        t0 = time.perf_counter() if hooks is not None else 0.0
-        wm = work_m[members]
-        sm = sq_m[members]
+        t0 = time.perf_counter()
+        rows_m, norms_m = left.take(members, stats)
         if hooks is not None:
             hooks.record("gather", time.perf_counter() - t0)
-        for c0 in range(0, candidates.size, single_chunk):
-            cand = candidates[c0 : c0 + single_chunk]
-            if hooks is None:
-                wc = work_c[cand]
-                sc = sq_c[cand]
-                d2 = norm_expansion_sq_dists(sm, sc, wm @ wc.T)
-                _emit_group_pairs(
-                    acc, d2, members, cand, eps2, store_distances,
-                    drop_self=drop_self,
-                )
-                continue
-            # Timed flavor: identical operations, split only at the
-            # expression boundaries NumPy already evaluates in order.
+        # Wide candidate lists are chunked so a dense cell cannot blow up
+        # a single (members x candidates) temporary.
+        for c0 in range(0, candidates.size, chunk):
+            cand = candidates[c0 : c0 + chunk]
+            d2 = group_sq_dists(rows_m, norms_m, cols, cand, hooks, stats)
             t0 = time.perf_counter()
-            wc = work_c[cand]
-            sc = sq_c[cand]
-            t1 = time.perf_counter()
-            gram = wm @ wc.T
-            t2 = time.perf_counter()
-            d2 = norm_expansion_sq_dists(sm, sc, gram)
-            t3 = time.perf_counter()
-            _emit_group_pairs(
-                acc, d2, members, cand, eps2, store_distances,
-                drop_self=drop_self,
-            )
-            t4 = time.perf_counter()
-            hooks.record("gather", t1 - t0)
-            hooks.record("gemm", t2 - t1)
-            hooks.record("rz", t3 - t2)
-            hooks.record("commit", t4 - t3)
+            hit = np.nonzero(d2 <= eps2)
+            _emit_pairs(acc, d2, members[hit[0]], cand[hit[1]], hit, drop_self)
+            if hooks is not None:
+                hooks.record("commit", time.perf_counter() - t0)
+        left.release(rows_m, norms_m, stats)
 
+    if batch_params is None:
+        for members, candidates in groups:
+            run_single(members, candidates)
+        return
+
+    batch_elems = batch_params["batch_elems"]
+    max_batch_groups = batch_params["max_batch_groups"]
+    single_elems = batch_params["single_elems"]
+    min_fill = batch_params["min_fill"]
     batch: list[tuple[np.ndarray, np.ndarray]] = []
     batch_m = batch_c = batch_fill = 0
 
     def flush() -> None:
         nonlocal batch, batch_m, batch_c, batch_fill
-        if not batch:
-            return
         if len(batch) == 1:
             run_single(*batch[0])
-            batch, batch_m, batch_c, batch_fill = [], 0, 0, 0
-            return
-        g = len(batch)
-        t0 = time.perf_counter() if hooks is not None else 0.0
-        # One concatenated gather per side: identical row values to the
-        # former per-group gathers (row gathers are row-local), but a
-        # source-backed view pays one take() per side per flush.
-        mem_cat = np.concatenate([m for m, _ in batch])
-        cand_cat = np.concatenate([c for _, c in batch])
-        wm_all = work_m[mem_cat]
-        sm_all = sq_m[mem_cat]
-        wc_all = work_c[cand_cat]
-        sc_all = sq_c[cand_cat]
-        p = np.zeros((g, batch_m, d), dtype=work_dtype)
-        q = np.zeros((g, batch_c, d), dtype=work_dtype)
-        sm = np.full((g, batch_m), np.inf, dtype=norm_dtype)
-        sc = np.full((g, batch_c), np.inf, dtype=norm_dtype)
-        mi_idx = np.zeros((g, batch_m), dtype=np.int64)
-        cj_idx = np.zeros((g, batch_c), dtype=np.int64)
-        mo = co = 0
-        for k, (members, candidates) in enumerate(batch):
-            m, c = members.size, candidates.size
-            p[k, :m] = wm_all[mo : mo + m]
-            sm[k, :m] = sm_all[mo : mo + m]
-            mi_idx[k, :m] = members
-            q[k, :c] = wc_all[co : co + c]
-            sc[k, :c] = sc_all[co : co + c]
-            cj_idx[k, :c] = candidates
-            mo += m
-            co += c
-        if hooks is not None:
+        elif batch:
+            g = len(batch)
+            t0 = time.perf_counter()
+            # One concatenated gather per side: identical row values to
+            # per-group gathers (row gathers are row-local), but a
+            # source-backed operand pays one take() per side per flush.
+            mem_cat = np.concatenate([m for m, _ in batch])
+            cand_cat = np.concatenate([c for _, c in batch])
+            rows_m, norms_m = left.take(mem_cat, stats)
+            rows_c, norms_c = cols.take(cand_cat, stats)
+            d = rows_m.shape[1]
+            p = np.zeros((g, batch_m, d), dtype=rows_m.dtype)
+            q = np.zeros((g, batch_c, d), dtype=rows_m.dtype)
+            sm = np.full((g, batch_m), np.inf, dtype=norms_m.dtype)
+            sc = np.full((g, batch_c), np.inf, dtype=norms_m.dtype)
+            mi_idx = np.zeros((g, batch_m), dtype=np.int64)
+            cj_idx = np.zeros((g, batch_c), dtype=np.int64)
+            mo = co = 0
+            for k, (members, candidates) in enumerate(batch):
+                m, c = members.size, candidates.size
+                p[k, :m] = rows_m[mo : mo + m]
+                sm[k, :m] = norms_m[mo : mo + m]
+                mi_idx[k, :m] = members
+                q[k, :c] = rows_c[co : co + c]
+                sc[k, :c] = norms_c[co : co + c]
+                cj_idx[k, :c] = candidates
+                mo += m
+                co += c
+            left.release(rows_m, norms_m, stats)
+            cols.release(rows_c, norms_c, stats)
             t1 = time.perf_counter()
-            hooks.record("gather", t1 - t0)
-        gram = np.matmul(p, q.transpose(0, 2, 1))
-        if hooks is not None:
+            gram = np.matmul(p, q.transpose(0, 2, 1))
             t2 = time.perf_counter()
-            hooks.record("gemm", t2 - t1)
-        # Same elementwise order as norm_expansion_sq_dists, batched.
-        t = sm[:, :, None] + sc[:, None, :]
-        np.multiply(gram, 2.0, out=gram)
-        np.subtract(t, gram, out=gram)
-        np.maximum(gram, 0.0, out=gram)
-        if hooks is not None:
+            # Same elementwise order as norm_expansion_sq_dists, batched.
+            t = sm[:, :, None] + sc[:, None, :]
+            np.multiply(gram, 2.0, out=gram)
+            np.subtract(t, gram, out=gram)
+            np.maximum(gram, 0.0, out=gram)
             t3 = time.perf_counter()
-            hooks.record("rz", t3 - t2)
-        # Padded rows/cols have inf norms -> inf distance -> filtered here.
-        mask = gram <= eps2
-        gk, mi, cj = np.nonzero(mask)
-        gi = mi_idx[gk, mi]
-        gj = cj_idx[gk, cj]
-        if drop_self:
-            keep = gi != gj
-            gi, gj = gi[keep], gj[keep]
-            dd = (
-                gram[gk, mi, cj][keep].astype(np.float32)
-                if store_distances
-                else None
+            # Padded rows/cols have inf norms -> inf distance -> filtered.
+            hit = np.nonzero(gram <= eps2)
+            _emit_pairs(
+                acc, gram, mi_idx[hit[0], hit[1]], cj_idx[hit[0], hit[2]],
+                hit, drop_self,
             )
-        else:
-            dd = gram[gk, mi, cj].astype(np.float32) if store_distances else None
-        acc.append(gi, gj, dd)
-        if hooks is not None:
-            hooks.record("commit", time.perf_counter() - t3)
+            if hooks is not None:
+                hooks.record("gather", t1 - t0)
+                hooks.record("gemm", t2 - t1)
+                hooks.record("rz", t3 - t2)
+                hooks.record("commit", time.perf_counter() - t3)
         batch, batch_m, batch_c, batch_fill = [], 0, 0, 0
 
-    if hooks is not None:
-        groups = _timed_groups(groups, hooks)
     for members, candidates in groups:
-        if members.size == 0 or candidates.size == 0:
-            continue
-        if on_group is not None:
-            on_group(members, candidates)
         mc = members.size * candidates.size
         if mc > single_elems:
             flush()  # preserve group order across the two paths
@@ -1695,174 +1198,129 @@ def _batched_candidate_executor(
         batch.append((members, candidates))
         batch_m, batch_c, batch_fill = new_m, new_c, batch_fill + mc
     flush()
-    return acc
 
 
-def batched_candidate_self_join(
+def candidate_join(
     groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    work: np.ndarray,
-    sq_norms: np.ndarray,
+    left: Operand,
     eps2: float,
+    right: Operand | None = None,
     *,
-    store_distances: bool = True,
-    batch_elems: int = 1 << 20,
-    max_batch_groups: int = 512,
-    single_elems: int = 1 << 12,
-    min_fill: float = 0.35,
+    batched: bool = False,
+    batch_params: dict | None = None,
+    workers: "int | str | WorkerPlan | None" = 0,
+    group_batch: int = 64,
     on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    store_distances: bool = True,
     acc: PairAccumulator | None = None,
+    stats: "StreamStats | None" = None,
 ) -> PairAccumulator:
-    """Index-backed self-join with small groups fused into padded batch GEMMs.
+    """Index-backed join over ``(members, candidates)`` groups.
 
-    :func:`candidate_self_join` issues one GEMM per ``(members,
-    candidates)`` group; at small eps the grid degenerates into thousands
-    of tiny groups and the join becomes Python-call overhead, not BLAS.
-    This executor buffers consecutive small groups and evaluates each
-    buffer as **one padded batch GEMM** -- groups are zero-padded to the
-    buffer's max member/candidate counts and multiplied as a stacked
-    ``(g, M, d) @ (g, d, C)`` ``np.matmul``, the host analogue of the GPU
-    kernels dispatching fixed 8x8 tiles.  Padded rows carry ``+inf`` norms
-    so they can never pass the ``eps^2`` filter; real entries go through
-    the exact same norm-expansion recombination as the per-group path.
-
-    The pair *set* matches :func:`candidate_self_join` on the same groups
-    (tests/test_streaming.py pins this); individual low-order distance
-    bits may differ in FP32 because BLAS may reassociate differently for
-    the padded shapes, which is the same caveat as ``row_block`` changes
-    on the symmetric executor.
+    ``groups`` pairs member indices into ``left`` with candidate indices
+    into ``right`` -- or into ``left`` itself when ``right`` is None, the
+    self-join, where ``gi == gj`` pairs are dropped; with a second operand
+    (``GridIndex.iter_join_groups`` / ``MultiSpaceTree.iter_join_groups``
+    drop external points into the right set's index) equal indices
+    address different points and are kept.  Each group's distance block
+    is evaluated in the operands' working precision with the candidate
+    axis chunked at :func:`group_chunk`, filtered by ``eps2`` (inclusive)
+    and appended in group order.
 
     Parameters
     ----------
     groups:
-        Iterable of ``(members, candidates)`` global-index arrays.  Feeding
-        size-sorted groups (``GridIndex.iter_cells(order="size")``) keeps
-        padding waste low.
-    work:
-        ``(n, d)`` dataset in the kernel's working precision -- a resident
-        ndarray or a :class:`SourceWorkView` ``.work`` facade for
-        source-backed (out-of-core) joins.
-    sq_norms:
-        ``(n,)`` squared norms of ``work`` rows, in the same precision and
-        reduction order the kernel's per-group path uses (or the matching
-        ``SourceWorkView.sq_norms`` facade).
+        Iterable of ``(members, candidates)`` global-index arrays, as
+        produced by ``GridIndex.iter_cells`` /
+        ``MultiSpaceTree.iter_groups`` (or their ``iter_join_groups``).
+        Feeding size-sorted groups (``iter_cells(order="size")``) keeps
+        padding waste low in batched mode.
+    left, right:
+        Operands; either may be source-backed, in which case member and
+        candidate rows are gathered with ``source.take`` per group (per
+        flush and side in batched mode) and the dataset is never resident.
     eps2:
-        Squared radius in the kernel's working precision.
-    store_distances:
-        Track per-pair squared distances.
-    batch_elems:
-        Flush a buffer before its padded ``g * M * C`` distance block would
-        exceed this many elements.
-    max_batch_groups:
-        Hard cap on groups per flush (bounds the Python-side gather loop).
-    single_elems:
-        Groups whose own ``members * candidates`` exceeds this bypass
-        batching and run as one plain GEMM -- a group that large amortizes
-        its own BLAS call, and padding it would waste more than the call
-        overhead it saves.
-    min_fill:
-        Flush before the buffer's fill ratio (real ``sum(m*c)`` over
-        padded ``g * M * C``) would drop below this -- the guard that
-        keeps heterogeneous group shapes from turning padding into more
-        work than batching saves.
+        Squared radius in the working precision.
+    batched:
+        Fuse consecutive small groups into **one padded batch GEMM** per
+        flush: groups are zero-padded to the buffer's max member /
+        candidate counts and multiplied as a stacked ``(g, M, d) @ (g, d,
+        C)`` ``np.matmul``.  Padded rows carry ``+inf`` norms so they can
+        never pass the filter; real entries go through the same
+        recombination as the per-group mode.  The pair *set* matches the
+        per-group mode (tests/test_streaming.py pins this); FP32
+        low-order distance bits may differ because BLAS may reassociate
+        for the padded shapes -- the same caveat as ``row_block`` changes
+        on the tile executor.
+    batch_params:
+        Overrides for :data:`DEFAULT_BATCH_PARAMS` in batched mode.
+    workers:
+        Worker request (:meth:`WorkerPlan.resolve`).  With more than one
+        worker and resident operands, groups are buffered into batches of
+        ``group_batch`` and evaluated on a process pool -- the per-group
+        work (tiny gathers + a microscopic GEMM + mask extraction) is
+        dominated by GIL-held time, so threads cannot help.  Batches are
+        committed in submission order, bit-identical to serial
+        (pair-set-equal in batched mode).  Source-backed operands run
+        serial whatever ``workers`` says.
     on_group:
-        Statistics hook, called once per nonempty group in input order.
+        Statistics hook invoked once per nonempty group, in group order,
+        on the calling process, *before* evaluation -- kernels use it to
+        tally candidate counts / sampling without a second index pass.
+    store_distances:
+        Track per-pair squared distances (ignored when ``acc`` is given).
     acc:
-        Emit into this accumulator instead of a fresh one
-        (``store_distances`` is ignored when given).
-
-    The knobs default to the static values above; kernels with a grid
-    index derive them from the measured group-size distribution instead
-    (:func:`batch_params_from_stats` over ``GridIndex.stats()``).
+        Emit into this accumulator (e.g. a disk-spilling one).
+    stats:
+        Where source-backed operands account their transient gathers.
     """
-    return _batched_candidate_executor(
-        groups, work, sq_norms, work, sq_norms, eps2,
-        drop_self=True,
-        store_distances=store_distances,
-        batch_elems=batch_elems,
-        max_batch_groups=max_batch_groups,
-        single_elems=single_elems,
-        min_fill=min_fill,
-        on_group=on_group,
-        acc=acc,
-    )
-
-
-def batched_candidate_join(
-    groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    work_a,
-    sq_a,
-    work_b,
-    sq_b,
-    eps2: float,
-    *,
-    store_distances: bool = True,
-    batch_elems: int = 1 << 20,
-    max_batch_groups: int = 512,
-    single_elems: int = 1 << 12,
-    min_fill: float = 0.35,
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    acc: PairAccumulator | None = None,
-) -> PairAccumulator:
-    """Two-source batched candidate executor: external queries, padded GEMMs.
-
-    The A x B counterpart of :func:`batched_candidate_self_join` and the
-    batched sibling of :func:`candidate_join`: ``groups`` pairs query
-    indices (into the left set, backed by ``work_a``/``sq_a``) with
-    candidate indices (into the right set, ``work_b``/``sq_b``), small
-    groups are fused into padded batch GEMMs, and -- the two-source
-    convention -- no self pairs are dropped, because equal indices address
-    different points.  This is the executor the query-serving layer
-    (``repro.service``) routes coalesced external range queries through;
-    either side accepts a :class:`SourceWorkView` for out-of-core data.
-    Same pair-set contract as the self-join form.
-    """
-    return _batched_candidate_executor(
-        groups, work_a, sq_a, work_b, sq_b, eps2,
-        drop_self=False,
-        store_distances=store_distances,
-        batch_elems=batch_elems,
-        max_batch_groups=max_batch_groups,
-        single_elems=single_elems,
-        min_fill=min_fill,
-        on_group=on_group,
-        acc=acc,
-    )
+    cols = _check_operands(left, right)
+    wp = WorkerPlan.resolve(workers)
+    if acc is None:
+        acc = PairAccumulator(store_distances=store_distances)
+    hooks = trace_mod.current_hooks()
+    live = _live_groups(groups, on_group, hooks)
+    params = {**DEFAULT_BATCH_PARAMS, **(batch_params or {})} if batched else None
+    if wp.parallel and left.resident and cols.resident:
+        _pool_groups(
+            live, left, cols, eps2, acc, wp, int(group_batch),
+            drop_self=right is None, batch_params=params, hooks=hooks,
+        )
+    else:
+        _run_groups(
+            live, left, cols, eps2, acc,
+            drop_self=right is None, batch_params=params,
+            hooks=hooks, stats=stats,
+        )
+    return acc
 
 
 # ----------------------------------------------------------------------
-# Process-pool candidate execution
+# Process-pool mode of the candidate executor
 # ----------------------------------------------------------------------
 #
-# The candidate executors' per-group work (tiny gathers + a microscopic
-# GEMM + mask extraction) is dominated by GIL-held Python/NumPy header
-# time, so a *thread* pool cannot speed it up.  A *process* pool can, in
-# two flavors sharing one numeric core and one submit/commit loop:
+# Two flavors share :func:`_run_groups` and one submit/commit loop:
 #
-# * **fork** -- the dataset arrays are inherited copy-on-write through
-#   the module-global fork state below;
-# * **spawn** -- the dataset rows + norms are written once into named
+# * **fork** -- the operands are inherited copy-on-write through the
+#   module-global fork state below;
+# * **spawn** -- each operand's rows + norms are written once into named
 #   ``multiprocessing.shared_memory`` segments, each worker attaches
 #   read-only views in its initializer, and the parent unlinks the
 #   segments when the pool closes (spawn-only platforms -- macOS
-#   default, Windows -- get pool execution instead of the old inline
-#   fallback).
+#   default, Windows -- get pool execution too).
 #
 # Either way tasks carry only batches of group index arrays and results
-# carry only the extracted pairs.  Batches are committed in submission
-# order, so output is bit-identical to the serial per-group executor
-# (the batched mode shares the batched executor's pair-set-equality
-# contract instead, because batch boundaries move with the
-# partitioning).  :func:`resolve_start_method` picks the flavor:
-# ``REPRO_START_METHOD`` env override, else fork where available.
+# carry only the extracted pairs.  :func:`resolve_start_method` picks the
+# flavor: ``REPRO_START_METHOD`` env override, else fork where available.
 
-#: Dataset state inherited by forked candidate workers.  Set immediately
+#: Operand state inherited by forked candidate workers.  Set immediately
 #: before the pool forks and cleared afterwards, under ``_FORK_LOCK``.
 _FORK_STATE: dict[str, Any] | None = None
 
-#: Serializes process-pool candidate joins within one parent process:
+#: Serializes fork-pool candidate joins within one parent process:
 #: ``ProcessPoolExecutor`` forks lazily at first submit, so without the
 #: lock a concurrent join could overwrite ``_FORK_STATE`` before this
-#: join's children fork and they would inherit the wrong dataset.
+#: join's children fork and they would inherit the wrong operands.
 _FORK_LOCK = threading.Lock()
 
 
@@ -1913,57 +1371,28 @@ SPAWN_SHM_BYTES = 0
 def _eval_candidate_batch(st: dict, batch: list) -> tuple:
     """Evaluate one batch of ``(members, candidates)`` against ``st``.
 
-    The single numeric core behind both pool flavors *and* the parent's
-    inline recovery path: numerics and chunking mirror
-    :func:`candidate_self_join` / :func:`candidate_join` exactly (same
-    gathers, same GEMM shapes, same extraction), which is why pooled
+    Runs in pool workers of both flavors *and* on the parent's inline
+    recovery path -- always :func:`_run_groups`, which is why pooled
     results are bit-identical to serial.
     """
     acc = PairAccumulator(store_distances=st["store_distances"])
-    work_m, sq_m = st["work_m"], st["sq_m"]
-    work_c, sq_c = st["work_c"], st["sq_c"]
-    eps2 = st["eps2"]
-    drop_self = st["drop_self"]
-    store_distances = st["store_distances"]
-    if st["batched"]:
-        inner = batched_candidate_self_join(
-            batch, work_m, sq_m, eps2, store_distances=store_distances,
-            **(st["batch_params"] or {}),
-        )
-        return inner.arrays()
-    chunk0 = st["candidate_chunk"]
-    for members, candidates in batch:
-        wm = work_m[members]
-        sm = sq_m[members]
-        chunk = chunk0 or candidates.size
-        for c0 in range(0, candidates.size, chunk):
-            cand = candidates[c0 : c0 + chunk]
-            d2 = norm_expansion_sq_dists(sm, sq_c[cand], wm @ work_c[cand].T)
-            _emit_group_pairs(
-                acc, d2, members, cand, eps2, store_distances, drop_self=drop_self
-            )
+    _run_groups(
+        batch, st["left"], st["cols"], st["eps2"], acc,
+        drop_self=st["drop_self"], batch_params=st["batch_params"],
+    )
     return acc.arrays()
 
 
-def _candidate_fork_worker(batch: list, _in_child: bool = True) -> tuple:
-    """Fork-pool worker entry: evaluate one batch in a forked child.
-
-    The dataset state arrives copy-on-write through ``_FORK_STATE``.
-    The ``worker.exec`` fault point only fires on the child path; the
-    parent's recovery re-evaluation must not re-trip the fault that
-    killed the child.
-    """
-    if _in_child and faults.ARMED:
+def _candidate_fork_worker(batch: list) -> tuple:
+    """Fork-pool worker entry: the operands arrive copy-on-write through
+    ``_FORK_STATE``."""
+    if faults.ARMED:
         faults.check("worker.exec")
     return _eval_candidate_batch(_FORK_STATE, batch)
 
 
-# ----------------------------------------------------------------------
-# Spawn flavor: shared-memory dataset segments
-# ----------------------------------------------------------------------
-
-#: Dataset state attached by spawned candidate workers: task-meta
-#: scalars plus read-only views over the parent's shared-memory
+#: Operand state attached by spawned candidate workers: task-meta scalars
+#: plus operands over read-only views of the parent's shared-memory
 #: segments.  Set once per worker by :func:`_spawn_initializer`.
 _SPAWN_STATE: dict[str, Any] | None = None
 
@@ -2015,22 +1444,29 @@ def _spawn_initializer(meta: dict) -> None:
     global _SPAWN_STATE
     st = dict(meta["scalars"])
     segments = []
-    for key, (seg_name, shape, dtype) in meta["arrays"].items():
+
+    def attach(spec: tuple) -> np.ndarray:
+        seg_name, shape, dtype = spec
         seg = _attach_shared(seg_name)
         segments.append(seg)
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
         view.flags.writeable = False
-        st[key] = view
-    for key, other in meta["aliases"].items():
-        st[key] = st[other]
+        return view
+
+    st["left"] = ResidentOperand(*(attach(s) for s in meta["left"]))
+    st["cols"] = (
+        st["left"]
+        if meta["cols"] is None
+        else ResidentOperand(*(attach(s) for s in meta["cols"]))
+    )
     st["_segments"] = segments
     _SPAWN_STATE = st
 
 
 def _candidate_spawn_worker(batch: list) -> tuple:
     """Spawn-pool worker entry: evaluate one batch against the mapped
-    shared-memory views.  Faults arm from ``REPRO_FAULTS`` at import, so
-    the ``worker.exec`` point fires in spawned children exactly as it
+    shared-memory operands.  Faults arm from ``REPRO_FAULTS`` at import,
+    so the ``worker.exec`` point fires in spawned children exactly as it
     does in forked ones."""
     if faults.ARMED:
         faults.check("worker.exec")
@@ -2042,10 +1478,10 @@ def _drive_pool(
     worker_fn: Callable[[list], tuple],
     state: dict,
     groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None,
     group_batch: int,
     n_workers: int,
     acc: PairAccumulator,
+    hooks,
 ) -> None:
     """Submit group batches to ``pool`` and commit results in order.
 
@@ -2053,12 +1489,13 @@ def _drive_pool(
     dies (SIGKILL, OOM-kill), the pool breaks and every in-flight future
     raises BrokenProcessPool -- the batch is then re-evaluated *inline*
     on the parent via :func:`_eval_candidate_batch` over ``state`` (the
-    parent's own arrays, for either flavor), and commits stay in
-    submission order, so the recovered result is bit-identical to the
-    no-failure run (and to serial).
+    parent's own operands, for either flavor; the ``worker.exec`` fault
+    point lives in the worker entries, so the recovery cannot re-trip
+    the fault that killed the child), and commits stay in submission
+    order, so the recovered result is bit-identical to the no-failure
+    run (and to serial).
     """
     store_distances = acc.store_distances
-    hooks = trace_mod.current_hooks()
     pending: deque = deque()
     batch: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -2069,7 +1506,7 @@ def _drive_pool(
 
     def commit_head() -> None:
         fut, items = pending.popleft()
-        t0 = time.perf_counter() if hooks is not None else 0.0
+        t0 = time.perf_counter()
         if fut is None:
             i, j, d = retry_inline(items)
         else:
@@ -2077,13 +1514,12 @@ def _drive_pool(
                 i, j, d = fut.result()
             except BrokenProcessPool:
                 i, j, d = retry_inline(items)
-        if hooks is not None:
-            # Wall time blocked on (or recovering) the worker batch --
-            # the parent-side view of pool execution for this request.
-            t1 = time.perf_counter()
-            hooks.record("worker", t1 - t0)
+        # Wall time blocked on (or recovering) the worker batch -- the
+        # parent-side view of pool execution for this request.
+        t1 = time.perf_counter()
         acc.append(i, j, d if store_distances else None)
         if hooks is not None:
+            hooks.record("worker", t1 - t0)
             hooks.record("commit", time.perf_counter() - t1)
 
     def flush() -> None:
@@ -2099,12 +1535,8 @@ def _drive_pool(
             pending.append((fut, items))
             batch.clear()
 
-    for members, candidates in groups:
-        if members.size == 0 or candidates.size == 0:
-            continue
-        if on_group is not None:
-            on_group(members, candidates)
-        batch.append((members, candidates))
+    for group in groups:
+        batch.append(group)
         if len(batch) >= group_batch:
             flush()
             while len(pending) > 2 * n_workers:
@@ -2114,92 +1546,26 @@ def _drive_pool(
         commit_head()
 
 
-def process_candidate_self_join(
+def _pool_groups(
     groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    work: np.ndarray,
-    sq_norms: np.ndarray,
+    left: ResidentOperand,
+    cols: ResidentOperand,
     eps2: float,
+    acc: PairAccumulator,
+    wp: WorkerPlan,
+    group_batch: int,
     *,
-    store_distances: bool = True,
-    candidate_chunk: int | None = None,
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    workers: "int | str | WorkerPlan | None" = 0,
-    group_batch: int = 64,
-    batched: bool = False,
-    batch_params: dict | None = None,
-    drop_self: bool = True,
-    work_right: np.ndarray | None = None,
-    sq_norms_right: np.ndarray | None = None,
-    acc: PairAccumulator | None = None,
-) -> PairAccumulator:
-    """Candidate-group join fanned out to a process pool.
-
-    The process-pool sibling of :func:`candidate_self_join` (and, with
-    ``batched=True``, of :func:`batched_candidate_self_join`) for the
-    norm-expansion kernels: groups are buffered into batches of
-    ``group_batch``, each batch is evaluated in a pool worker against
-    the ``work`` / ``sq_norms`` arrays -- inherited copy-on-write under
-    the fork start method, mapped read-only from named shared-memory
-    segments under spawn (see :func:`resolve_start_method` /
-    ``REPRO_START_METHOD``) -- and results are committed in submission
-    order, bit-identical to the serial per-group executor (the batched
-    mode carries the batched executor's pair-*set* contract instead).
-    ``on_group`` fires in the parent, in group order, exactly as the
-    serial executors fire it.
-
-    Two-source joins pass the right set via ``work_right`` /
-    ``sq_norms_right`` and ``drop_self=False`` (the
-    :func:`candidate_join` convention).  When the resolved plan is
-    serial, the evaluation runs inline with identical numerics -- the
-    function is always safe to call.
-    """
-    wp = WorkerPlan.resolve(workers)
-    if acc is None:
-        acc = PairAccumulator(store_distances=store_distances)
-    store_distances = acc.store_distances
-    work_c = work if work_right is None else work_right
-    sq_c = sq_norms if sq_norms_right is None else sq_norms_right
-
-    if not wp.parallel:
-        # Inline fallback with the exact worker numerics, emitting
-        # straight into the caller's accumulator.
-        if batched:
-            if work_right is not None:
-                raise ValueError("batched process execution is self-join only")
-            return batched_candidate_self_join(
-                _observed_groups(groups, on_group), work, sq_norms, eps2,
-                store_distances=store_distances, acc=acc,
-                **(batch_params or {}),
-            )
-
-        def dist(members: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            return norm_expansion_sq_dists(
-                sq_norms[members], sq_c[cand], work[members] @ work_c[cand].T
-            )
-
-        runner = candidate_self_join if drop_self else candidate_join
-        return runner(
-            groups, dist, eps2,
-            store_distances=store_distances,
-            candidate_chunk=candidate_chunk,
-            on_group=on_group,
-            acc=acc,
-        )
-
-    if batched and work_right is not None:
-        raise ValueError("batched process execution is self-join only")
-
-    hooks = trace_mod.current_hooks()
+    drop_self: bool,
+    batch_params: dict | None,
+    hooks,
+) -> None:
+    """Fan nonempty groups out to a process pool, committing in order."""
     state = {
-        "work_m": work,
-        "sq_m": sq_norms,
-        "work_c": work_c,
-        "sq_c": sq_c,
+        "left": left,
+        "cols": cols,
         "eps2": eps2,
-        "store_distances": store_distances,
-        "candidate_chunk": candidate_chunk,
+        "store_distances": acc.store_distances,
         "drop_self": drop_self,
-        "batched": batched,
         "batch_params": batch_params,
         # Task metadata, not numerics: workers inherit the originating
         # request's trace id (fork: via _FORK_STATE, spawn: via the
@@ -2207,8 +1573,7 @@ def process_candidate_self_join(
         # request that spawned it.
         "trace_id": hooks.trace_id if hooks is not None else None,
     }
-    method = wp.resolved_start_method()
-    if method == "fork":
+    if wp.resolved_start_method() == "fork":
         global _FORK_STATE
         ctx = multiprocessing.get_context("fork")
         with _FORK_LOCK:
@@ -2219,43 +1584,35 @@ def process_candidate_self_join(
                 ) as pool:
                     _drive_pool(
                         pool, _candidate_fork_worker, state, groups,
-                        on_group, group_batch, wp.n_workers, acc,
+                        group_batch, wp.n_workers, acc, hooks,
                     )
             finally:
                 _FORK_STATE = None
-        return acc
+        return
 
-    # Spawn flavor: write each distinct operand array into a named
-    # shared-memory segment exactly once (a self-join's candidate side
-    # aliases its member side rather than being copied again), ship only
-    # the segment names + scalars to the pool initializer, and unlink
-    # the segments when the pool is done.  No module-global handoff, so
-    # no _FORK_LOCK: concurrent spawn joins each own their segments.
-    array_meta: dict[str, tuple] = {}
-    aliases: dict[str, str] = {}
+    # Spawn flavor: write each operand's arrays into named shared-memory
+    # segments exactly once (a self-join's column side aliases its row
+    # side rather than being copied again), ship only the segment names
+    # + scalars to the pool initializer, and unlink the segments when
+    # the pool is done.  No module-global handoff, so no _FORK_LOCK:
+    # concurrent spawn joins each own their segments.
     segments: list[shared_memory.SharedMemory] = []
-    mapped: dict[int, str] = {}
-    try:
-        for key in ("work_m", "sq_m", "work_c", "sq_c"):
-            arr = state[key]
-            prior = mapped.get(id(arr))
-            if prior is not None:
-                aliases[key] = prior
-                continue
-            seg, meta = _share_array(arr)
+
+    def share(op: ResidentOperand) -> tuple:
+        specs = []
+        for arr in (op.rows, op.norms):
+            seg, spec = _share_array(arr)
             segments.append(seg)
-            array_meta[key] = meta
-            mapped[id(arr)] = key
+            specs.append(spec)
+        return tuple(specs)
+
+    try:
         meta = {
             "scalars": {
-                k: state[k]
-                for k in (
-                    "eps2", "store_distances", "candidate_chunk",
-                    "drop_self", "batched", "batch_params", "trace_id",
-                )
+                k: v for k, v in state.items() if k not in ("left", "cols")
             },
-            "arrays": array_meta,
-            "aliases": aliases,
+            "left": share(left),
+            "cols": None if cols is left else share(cols),
         }
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(
@@ -2264,7 +1621,7 @@ def process_candidate_self_join(
         ) as pool:
             _drive_pool(
                 pool, _candidate_spawn_worker, state, groups,
-                on_group, group_batch, wp.n_workers, acc,
+                group_batch, wp.n_workers, acc, hooks,
             )
     finally:
         for seg in segments:
@@ -2273,15 +1630,3 @@ def process_candidate_self_join(
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover -- already gone
                 pass
-    return acc
-
-
-def _observed_groups(
-    groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    on_group: Callable[[np.ndarray, np.ndarray], None] | None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pass groups through, firing ``on_group`` on the nonempty ones."""
-    for members, candidates in groups:
-        if members.size and candidates.size and on_group is not None:
-            on_group(members, candidates)
-        yield members, candidates

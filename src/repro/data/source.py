@@ -1,11 +1,12 @@
-"""Dataset sources: block-addressable access for the streaming executor.
+"""Dataset sources: block-addressable access for source-backed joins.
 
 The paper's batched result-transfer design assumes the dataset does not sit
 in GPU memory all at once; the host streams it in block by block.  This
 module is the host-side analogue for the join engine's out-of-core mode
-(:func:`repro.core.engine.streaming_self_join`): a :class:`DatasetSource`
-hands out contiguous float64 row blocks on demand, so the executor can keep
-only ``O(row_block * d)`` rows resident regardless of dataset size.
+(a :class:`repro.core.engine.SourceOperand` under either executor): a
+:class:`DatasetSource` hands out contiguous float64 row blocks on demand,
+so the executor can keep only ``O(row_block * d)`` rows resident
+regardless of dataset size.
 
 Three sources cover the storage spectrum:
 

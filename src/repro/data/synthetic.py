@@ -79,8 +79,8 @@ def fine_grid_dataset(
     6-dimension grid prefix is highly discriminative, and a small eps
     shatters the dataset into thousands of occupied cells with a handful
     of points each.  In that regime per-cell GEMMs degenerate into Python
-    call overhead, which is exactly what
-    :func:`repro.core.engine.batched_candidate_self_join` amortizes
+    call overhead, which is exactly what the batched mode of
+    :func:`repro.core.engine.candidate_join` amortizes
     (benchmarks/bench_engine_throughput.py measures this on
     ``fine_grid_dataset``).
 

@@ -136,7 +136,7 @@ class GridStats:
     The group-shape moments (``mean_members`` / ``std_members`` over
     per-cell member counts, ``mean_group_candidates`` /
     ``std_group_candidates`` over per-cell candidate-set sizes) also
-    drive the batched executor's derived knobs
+    drive the batched mode's derived knobs
     (:func:`repro.core.engine.batch_params_from_stats`) and the
     query-serving layer's kNN starting radius.
     """
@@ -568,7 +568,7 @@ class GridIndex:
             iteration order every bit-identity test pins.  ``"size"``:
             cells sorted by (member count, candidate-cell fan-in) so
             consecutive cells have similar padded shapes -- what the
-            batched executor (:func:`repro.core.engine.batched_candidate_self_join`)
+            batched mode of :func:`repro.core.engine.candidate_join`
             wants, since one batch's padding waste is set by its largest
             group.  The pair *set* is order-independent.
         """

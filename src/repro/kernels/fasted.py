@@ -27,14 +27,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.core.engine import (
+    ResidentOperand,
+    SourceOperand,
     StreamStats,
     TilePlan,
     WorkerPlan,
     norm_expansion_sq_dists,
-    rect_join,
-    streaming_join,
-    streaming_self_join,
-    symmetric_self_join,
+    tile_join,
 )
 from repro.core.results import JoinResult, NeighborResult, PairAccumulator
 from repro.data.source import DatasetSource, as_source
@@ -135,7 +134,7 @@ class FastedConfig:
         tests/test_workers.py pins that the two walk identical tile
         counts.
         """
-        return TilePlan(n=n, row_block=self.block_points, symmetric=False)
+        return TilePlan.square(n, self.block_points, symmetric=False)
 
     def n_tiles(self, n: int) -> int:
         """Block tiles in the device schedule (= ``tile_plan(n).n_tiles``)."""
@@ -210,6 +209,16 @@ class FastedKernel:
             quantum=self.config.block_points,
         )
 
+    def _block_state(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """FaSTED operand preparation: FP16-grid coordinates + Step-1 norms.
+
+        Row-local, so block-wise preparation is value-identical to slicing
+        a whole-dataset precompute -- the bit-identity lever shared by the
+        resident and streamed forms of every join below.
+        """
+        q = quantize_fp16(block)  # FP32 values on the FP16 grid
+        return q, (q * q).sum(axis=1, dtype=np.float32)
+
     def self_join(
         self,
         data: np.ndarray,
@@ -222,8 +231,8 @@ class FastedKernel:
     ) -> NeighborResult:
         """Compute the distance-similarity self-join with FaSTED numerics.
 
-        The tile loop runs on the shared symmetric executor
-        (:func:`repro.core.engine.symmetric_self_join`): by default only
+        The tile loop runs on the shared tile executor
+        (:func:`repro.core.engine.tile_join`): by default only
         ``c0 >= r0`` tiles are evaluated and off-diagonal tiles are
         mirrored; an explicit ``plan`` (e.g. the device schedule from
         :meth:`FastedConfig.tile_plan`) overrides the geometry.
@@ -256,29 +265,23 @@ class FastedKernel:
         data = np.ascontiguousarray(data, dtype=np.float64)
         n, d = data.shape
         wp = WorkerPlan.resolve(workers)
-        if plan is None and row_block is None:
+        if row_block is None:
             row_block = self.auto_row_block(n, d, wp)
-        q16 = quantize_fp16(data)  # FP32 values on the FP16 grid
-        s = self.precompute_norms(data)
-        # Square the radius in FP64 before rounding to FP32 so boundary
-        # ties resolve the same way as in an FP64 reference.
-        eps2 = np.float32(float(eps) ** 2)
-
-        def tile(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-            return norm_expansion_sq_dists(
-                s[r0:r1], s[c0:c1], q16[r0:r1] @ q16[c0:c1].T
-            )
-
-        acc = symmetric_self_join(
-            n,
-            eps2,
-            tile,
+        acc, _stats = tile_join(
+            ResidentOperand(*self._block_state(data)),
+            self._eps2(eps),
             plan=plan,
-            row_block=row_block if row_block is not None else 2048,
+            row_block=row_block,
             store_distances=store_distances,
             workers=wp,
         )
         return acc.finalize(n, float(eps))
+
+    @staticmethod
+    def _eps2(eps: float) -> np.float32:
+        # Square the radius in FP64 before rounding to FP32 so boundary
+        # ties resolve the same way as in an FP64 reference.
+        return np.float32(float(eps) ** 2)
 
     def self_join_stream(
         self,
@@ -288,13 +291,12 @@ class FastedKernel:
         store_distances: bool = True,
         row_block: int = 2048,
         memory_budget_bytes: int | None = None,
-        prefetch: bool = True,
         acc: PairAccumulator | None = None,
         workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[NeighborResult, StreamStats]:
         """Out-of-core self-join with FaSTED numerics (bit-identical).
 
-        Runs on :func:`repro.core.engine.streaming_self_join`: row blocks
+        The same tile executor over a source-backed operand: row blocks
         are loaded from ``source`` on demand, quantization and the Step-1
         norms are computed per block (both are row-local operations, so the
         values match the resident path exactly), and only
@@ -309,23 +311,12 @@ class FastedKernel:
         (blocks loaded, observed peak resident bytes).
         """
         source = as_source(source)
-        eps2 = np.float32(float(eps) ** 2)
-        prepare = self._block_state
-
-        def block_sq_dists(row_state, col_state) -> np.ndarray:
-            qr, sr = row_state
-            qc, sc = col_state
-            return norm_expansion_sq_dists(sr, sc, qr @ qc.T)
-
-        out, stats = streaming_self_join(
-            source,
-            eps2,
-            prepare,
-            block_sq_dists,
+        out, stats = tile_join(
+            SourceOperand(source, self._block_state),
+            self._eps2(eps),
             row_block=row_block,
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
-            prefetch=prefetch,
             acc=acc,
             workers=workers,
         )
@@ -334,16 +325,6 @@ class FastedKernel:
     # ------------------------------------------------------------------
     # Two-source joins (A x B)
     # ------------------------------------------------------------------
-
-    def _block_state(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block FaSTED state: FP16-grid coordinates + Step-1 norms.
-
-        Row-local, so block-wise preparation is value-identical to slicing
-        a whole-dataset precompute -- the bit-identity lever shared by the
-        streaming self-join and the two-source executors.
-        """
-        q = quantize_fp16(block)
-        return q, (q * q).sum(axis=1, dtype=np.float32)
 
     def join(
         self,
@@ -358,15 +339,14 @@ class FastedKernel:
     ) -> JoinResult:
         """Two-source join with FaSTED numerics: pairs ``(i in A, j in B)``.
 
-        Runs on the rectangular executor (:func:`repro.core.engine.rect_join`):
-        every tile of the A-rows x B-cols grid is evaluated, nothing is
-        mirrored and no diagonal is cleared -- equal indices address
-        different points.  ``row_block``/``col_block`` are performance
-        knobs only for the pair set (FP32 low-order distance bits vary
-        with BLAS tile shapes, as for the self-join); ``None`` lets the
-        resolved worker plan pick a cache-fit edge.  ``workers``
-        dispatches tiles to a thread pool with in-order commit
-        (bit-identical to serial).
+        The tile executor with a second operand: every tile of the
+        A-rows x B-cols grid is evaluated, nothing is mirrored and no
+        diagonal is cleared -- equal indices address different points.
+        ``row_block``/``col_block`` are performance knobs only for the
+        pair set (FP32 low-order distance bits vary with BLAS tile
+        shapes, as for the self-join); ``None`` lets the resolved worker
+        plan pick a cache-fit edge.  ``workers`` dispatches tiles to a
+        thread pool with in-order commit (bit-identical to serial).
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -377,20 +357,10 @@ class FastedKernel:
             row_block = self.auto_row_block(
                 max(a.shape[0], b.shape[0]), a.shape[1], wp
             )
-        qa, sa = self._block_state(a)
-        qb, sb = self._block_state(b)
-        eps2 = np.float32(float(eps) ** 2)
-
-        def tile(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-            return norm_expansion_sq_dists(
-                sa[r0:r1], sb[c0:c1], qa[r0:r1] @ qb[c0:c1].T
-            )
-
-        acc = rect_join(
-            a.shape[0],
-            b.shape[0],
-            eps2,
-            tile,
+        acc, _stats = tile_join(
+            ResidentOperand(*self._block_state(a)),
+            self._eps2(eps),
+            ResidentOperand(*self._block_state(b)),
             row_block=row_block,
             col_block=col_block,
             store_distances=store_distances,
@@ -408,39 +378,28 @@ class FastedKernel:
         row_block: int = 2048,
         col_block: int | None = None,
         memory_budget_bytes: int | None = None,
-        prefetch: bool = True,
         acc: PairAccumulator | None = None,
         workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[JoinResult, StreamStats]:
         """Out-of-core two-source join (bit-identical to :meth:`join` at
         the same tile plan).
 
-        Runs on :func:`repro.core.engine.streaming_join`: A's row blocks
-        are pinned stripe by stripe while B's column blocks stream
-        through, with prefetch spanning both sources.  Pass ``acc`` (e.g.
-        a disk-spilling :class:`~repro.core.results.PairAccumulator`) when
-        the output itself outgrows memory, and ``workers`` to overlap
-        tile GEMMs with the prefetch (in-order commit; bit-identical).
+        A's row blocks are pinned stripe by stripe while B's column
+        blocks stream through, with prefetch spanning both sources.  Pass
+        ``acc`` (e.g. a disk-spilling
+        :class:`~repro.core.results.PairAccumulator`) when the output
+        itself outgrows memory, and ``workers`` to overlap tile GEMMs
+        with the prefetch (in-order commit; bit-identical).
         """
         source_a, source_b = as_source(source_a), as_source(source_b)
-        eps2 = np.float32(float(eps) ** 2)
-
-        def block_sq_dists(row_state, col_state) -> np.ndarray:
-            qr, sr = row_state
-            qc, sc = col_state
-            return norm_expansion_sq_dists(sr, sc, qr @ qc.T)
-
-        out, stats = streaming_join(
-            source_a,
-            source_b,
-            eps2,
-            self._block_state,
-            block_sq_dists,
+        out, stats = tile_join(
+            SourceOperand(source_a, self._block_state),
+            self._eps2(eps),
+            SourceOperand(source_b, self._block_state),
             row_block=row_block,
             col_block=col_block,
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
-            prefetch=prefetch,
             acc=acc,
             workers=workers,
         )

@@ -22,22 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.engine import (
-    GROUP_CHUNK_ELEMS,
-    SourceWorkView,
+    ResidentOperand,
+    SourceOperand,
     StreamStats,
     TilePlan,
     WorkerPlan,
-    auto_batched_from_stats,
-    batch_params_from_stats,
-    batched_candidate_self_join,
     candidate_join,
-    candidate_self_join,
-    norm_expansion_sq_dists,
-    process_candidate_self_join,
+    resolve_batching,
 )
 from repro.core.results import JoinResult, NeighborResult
 from repro.gpusim.spec import DEFAULT_SPEC, GpuSpec
-from repro.index.grid import GridIndex, variance_order
+from repro.index.grid import GridIndex
 from repro.kernels.base import (
     LAUNCH_OVERHEAD_S,
     ResponseTime,
@@ -99,6 +94,85 @@ class GdsJoinKernel:
     def _dtype(self) -> np.dtype:
         return np.dtype(np.float32 if self.precision == "fp32" else np.float64)
 
+    def _block_state(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """GDS-Join operand preparation: rows cast to the working
+        precision + their row norms (row-local, hence value-identical
+        whether applied to the whole dataset or to one gather)."""
+        w = block.astype(self._dtype, copy=False)
+        return w, (w * w).sum(axis=1)
+
+    def _index_self_join(
+        self, index: GridIndex, operand, n: int, take_rows, eps: float, *,
+        store_distances, batched, batch_params, workers=0, stats=None,
+    ) -> GdsJoinResult:
+        """Candidate pass over the grid's cells + the measured statistics.
+
+        Distances use the norm expansion in the working precision (the
+        real CUDA-core kernel accumulates differences; in FP64 the two are
+        equivalent to ~1e-13 relative, and in FP32 the expansion's extra
+        rounding is two orders of magnitude below the FP16 effects the
+        accuracy study measures).  The candidate tally and the profiling
+        sample ride along via the ``on_group`` hook; ``take_rows(idx)``
+        gathers float64 dataset rows (array fancy indexing or
+        ``source.take``) for the short-circuit profile.
+        """
+        batched, params = resolve_batching(batched, index.stats, batch_params)
+        total_candidates = 0
+        sample_i, sample_j = [], []
+
+        def sample(members: np.ndarray, candidates: np.ndarray) -> None:
+            if len(sample_i) < 64:  # keep some candidate pairs for profiling
+                take = min(candidates.size, 32)
+                sample_i.append(np.repeat(members, take))
+                sample_j.append(np.tile(candidates[:take], members.size))
+
+        def on_group(members: np.ndarray, candidates: np.ndarray) -> None:
+            nonlocal total_candidates
+            total_candidates += members.size * candidates.size
+            if not batched:
+                sample(members, candidates)
+
+        if batched:
+            # The executor consumes size-sorted cells (better batch
+            # packing), but the profiling sample must be drawn the same
+            # way as the per-group mode -- the first cells in *lex*
+            # order -- or the short-circuit profile (and the timing model
+            # built on it) would skew toward the smallest cells.
+            for members, candidates in index.iter_cells():
+                if len(sample_i) >= 64:
+                    break
+                if members.size and candidates.size:
+                    sample(members, candidates)
+        acc = candidate_join(
+            index.iter_cells(order="size" if batched else "lex"),
+            operand,
+            self._dtype.type(float(eps) ** 2),
+            batched=batched,
+            batch_params=params,
+            workers=workers,
+            on_group=on_group,
+            store_distances=store_distances,
+            stats=stats,
+        )
+        result = acc.finalize(n, float(eps))
+        si = np.concatenate(sample_i) if sample_i else np.empty(0, np.int64)
+        sj = np.concatenate(sample_j) if sample_j else np.empty(0, np.int64)
+        # Compact the sampled pair indices so the profile touches only the
+        # sampled rows, never the dataset.
+        uniq, inv = np.unique(np.concatenate((si, sj)), return_inverse=True)
+        profile = short_circuit_profile(
+            take_rows(uniq),
+            eps,
+            (inv[: si.size], inv[si.size :]),
+            order=index.order,
+        )
+        return GdsJoinResult(
+            result=result,
+            total_candidates=total_candidates,
+            profile=profile,
+            n_indexed_dims=index.r,
+        )
+
     def self_join(
         self,
         data: np.ndarray,
@@ -111,145 +185,35 @@ class GdsJoinKernel:
     ) -> GdsJoinResult:
         """Index-supported self-join; returns result + cost statistics.
 
-        Runs on the shared candidate-group executors: per-group GEMMs
-        (:func:`repro.core.engine.candidate_self_join`, pinned
-        bit-identical to the seed loop) or -- batched -- small
-        neighboring cell groups fused into padded batch GEMMs
-        (:func:`repro.core.engine.batched_candidate_self_join`; same pair
+        Runs on the shared candidate-group executor
+        (:func:`repro.core.engine.candidate_join`): per-group GEMMs
+        (pinned bit-identical to the seed loop) or -- batched -- small
+        neighboring cell groups fused into padded batch GEMMs (same pair
         set, faster at small eps).  ``batched=None`` (the default) picks
         per index shape: the grid's measured group-size moments decide
         whether the typical group is call-overhead-bound
         (:func:`repro.core.engine.auto_batched_from_stats`); explicit
         ``True`` / ``False`` forces.  ``workers`` fans the candidate
-        groups out to the engine's process pool
-        (:func:`repro.core.engine.process_candidate_self_join` -- the
-        per-group work is too fine-grained for threads); commit order is
-        group order, so the parallel result is bit-identical to serial
-        (pair-set-equal in batched mode, as for batching itself).  The
-        candidate tally and profiling sample ride along via the
-        ``on_group`` hook in every mode.  Batched-executor knobs are
-        derived from the grid's measured group-size moments
+        groups out to the executor's process pool (the per-group work is
+        too fine-grained for threads); commit order is group order, so
+        the parallel result is bit-identical to serial (pair-set-equal in
+        batched mode, as for batching itself).  The candidate tally and
+        profiling sample ride along via the ``on_group`` hook in every
+        mode.  Batched-mode knobs are derived from the grid's measured
+        group-size moments
         (:func:`repro.core.engine.batch_params_from_stats` over
         ``GridIndex.stats()``); ``batch_params`` overrides any of them
         (``batch_elems`` / ``max_batch_groups`` / ``single_elems`` /
         ``min_fill``) verbatim.
         """
         data = np.ascontiguousarray(data, dtype=np.float64)
-        n = data.shape[0]
-        wp = WorkerPlan.resolve(workers)
         index = GridIndex(data, eps, n_dims=self.n_index_dims)
-        if batched is None:
-            batched = auto_batched_from_stats(index.stats())
-        work = data.astype(self._dtype)
-        eps2 = self._dtype.type(float(eps) ** 2)
-        # One chunk bound for every execution branch: the fork workers
-        # mirror it, so serial and parallel chunking can never diverge
-        # (the bit-identity lever).
-        chunk = max(1, GROUP_CHUNK_ELEMS // max(data.shape[1], 1))
-
-        total_candidates = 0
-        sample_i, sample_j = [], []
-
-        def on_group(members: np.ndarray, candidates: np.ndarray) -> None:
-            nonlocal total_candidates
-            total_candidates += members.size * candidates.size
-            if len(sample_i) < 64:  # keep some candidate pairs for profiling
-                take = min(candidates.size, 32)
-                sample_i.append(np.repeat(members, take))
-                sample_j.append(np.tile(candidates[:take], members.size))
-
-        if batched:
-            sq_norms = (work * work).sum(axis=1)
-            # The executors consume size-sorted cells (better batch
-            # packing), but the profiling sample must be drawn the same
-            # way as the per-group path -- the first cells in *lex*
-            # order -- or the short-circuit profile (and the timing model
-            # built on it) would skew toward the smallest cells.
-            for members, candidates in index.iter_cells():
-                if len(sample_i) >= 64:
-                    break
-                if members.size and candidates.size:
-                    on_group(members, candidates)
-            total_candidates = 0  # re-tallied in full by the executor
-
-            def tally(members: np.ndarray, candidates: np.ndarray) -> None:
-                nonlocal total_candidates
-                total_candidates += members.size * candidates.size
-
-            params = batch_params_from_stats(
-                index.stats(), **(batch_params or {})
-            )
-            if wp.parallel:
-                acc = process_candidate_self_join(
-                    index.iter_cells(order="size"),
-                    work,
-                    sq_norms,
-                    eps2,
-                    store_distances=store_distances,
-                    on_group=tally,
-                    workers=wp,
-                    batched=True,
-                    batch_params=params,
-                )
-            else:
-                acc = batched_candidate_self_join(
-                    index.iter_cells(order="size"),
-                    work,
-                    sq_norms,
-                    eps2,
-                    store_distances=store_distances,
-                    on_group=tally,
-                    **params,
-                )
-            return self._finalize(acc, data, eps, total_candidates, sample_i, sample_j, index)
-
-        if wp.parallel:
-            acc = process_candidate_self_join(
-                index.iter_cells(),
-                work,
-                (work * work).sum(axis=1),
-                eps2,
-                store_distances=store_distances,
-                candidate_chunk=chunk,
-                on_group=on_group,
-                workers=wp,
-            )
-            return self._finalize(
-                acc, data, eps, total_candidates, sample_i, sample_j, index
-            )
-
-        # The engine chunks wide candidate lists, calling dist() several
-        # times per group with the *same* members array: hoist the member
-        # gather + norms across those calls (memo keyed by the live array).
-        group_state: dict[str, np.ndarray] = {}
-
-        def dist(members: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            # Distance via the norm expansion in the working precision,
-            # chunked (candidate_chunk) to bound temporaries.  (The real
-            # CUDA-core kernel accumulates differences; in FP64 the two are
-            # equivalent to ~1e-13 relative, and in FP32 the expansion's
-            # extra rounding is two orders of magnitude below the FP16
-            # effects the accuracy study measures.)
-            if group_state.get("members") is not members:
-                wm = work[members]
-                group_state["members"] = members
-                group_state["wm"] = wm
-                group_state["sm"] = (wm * wm).sum(axis=1)
-            wm = group_state["wm"]
-            sm = group_state["sm"]
-            wc = work[cand]
-            sc = (wc * wc).sum(axis=1)
-            return norm_expansion_sq_dists(sm, sc, wm @ wc.T)
-
-        acc = candidate_self_join(
-            index.iter_cells(),
-            dist,
-            eps2,
-            store_distances=store_distances,
-            candidate_chunk=chunk,
-            on_group=on_group,
+        return self._index_self_join(
+            index, ResidentOperand(*self._block_state(data)),
+            data.shape[0], data.__getitem__, eps,
+            store_distances=store_distances, batched=batched,
+            batch_params=batch_params, workers=workers,
         )
-        return self._finalize(acc, data, eps, total_candidates, sample_i, sample_j, index)
 
     def self_join_source(
         self,
@@ -267,26 +231,24 @@ class GdsJoinKernel:
         The grid comes from ``GridIndex.from_source`` (streamed cell-key
         encoding + external counting sort -- the ``(n, d)`` dataset is
         never resident) and the candidate executor gathers member and
-        candidate rows on demand with ``source.take``, converting to the
+        candidate rows on demand with ``source.take`` through a
+        :class:`~repro.core.engine.SourceOperand`, converting to the
         working precision per gather exactly as the in-memory path
-        converts per slice.  Cell iteration order, per-group norms and
-        GEMM shapes are unchanged, so the result is **bit-identical** to
-        :meth:`self_join` on the materialized data (pinned by
+        converts the whole array.  Cell iteration order, per-group norms
+        and GEMM shapes are unchanged, so the result is **bit-identical**
+        to :meth:`self_join` on the materialized data (pinned by
         tests/test_two_source.py).  The short-circuit profile is measured
         on the gathered sample rows, so the timing statistics ride along
         as usual.
 
         ``batched=True`` (or ``None`` resolving true via
         :func:`repro.core.engine.auto_batched_from_stats` over the
-        streamed grid's stats) routes the groups through the
-        padded-batch-GEMM executor with the ``take()`` gathers
-        **batched**: a
-        :class:`~repro.core.engine.SourceWorkView` stands in for the
-        resident work arrays, so each flush issues one concatenated
-        gather per side instead of one per group -- the pair set matches
-        the per-group source path (the batched executor's usual
-        contract), with knobs derived from ``GridIndex.stats()`` and
-        overridable via ``batch_params``.
+        streamed grid's stats) runs the executor's padded-batch-GEMM mode
+        with the ``take()`` gathers **batched**: each flush issues one
+        concatenated gather per side instead of one per group -- the
+        pair set matches the per-group source path (the batched mode's
+        usual contract), with knobs derived from ``GridIndex.stats()``
+        and overridable via ``batch_params``.
 
         Returns ``(GdsJoinResult, StreamStats)``; the stats account the
         build passes' block loads plus the executor's transient gathers.
@@ -295,95 +257,20 @@ class GdsJoinKernel:
 
         source = as_source(source)
         n, d = int(source.n), int(source.dim)
-        if memory_budget_bytes is not None:
-            row_block = TilePlan.from_budget(n, d, int(memory_budget_bytes)).row_block
-        stats = StreamStats(plan=TilePlan(n=n, row_block=row_block))
+        plan = TilePlan.for_join(
+            n, n, d, row_block=row_block,
+            memory_budget_bytes=memory_budget_bytes, symmetric=True,
+        )
+        row_block = plan.row_block
+        stats = StreamStats(plan=plan)
         index = GridIndex.from_source(
             source, eps, n_dims=self.n_index_dims, row_block=row_block,
             stats=stats,
         )
-        if batched is None:
-            batched = auto_batched_from_stats(index.stats())
-        eps2 = self._dtype.type(float(eps) ** 2)
-
-        total_candidates = 0
-        sample_i, sample_j = [], []
-
-        def on_group(members: np.ndarray, candidates: np.ndarray) -> None:
-            nonlocal total_candidates
-            total_candidates += members.size * candidates.size
-            if len(sample_i) < 64:
-                take = min(candidates.size, 32)
-                sample_i.append(np.repeat(members, take))
-                sample_j.append(np.tile(candidates[:take], members.size))
-
-        if batched:
-            # Sample in lex order (as the per-group path draws it) before
-            # handing the size-sorted groups to the batched executor --
-            # same convention as the in-memory batched mode.
-            for members, candidates in index.iter_cells():
-                if len(sample_i) >= 64:
-                    break
-                if members.size and candidates.size:
-                    on_group(members, candidates)
-            total_candidates = 0  # re-tallied in full by the executor
-
-            def tally(members: np.ndarray, candidates: np.ndarray) -> None:
-                nonlocal total_candidates
-                total_candidates += members.size * candidates.size
-
-            params = batch_params_from_stats(
-                index.stats(), **(batch_params or {})
-            )
-            view = SourceWorkView(source, self._dtype, stats=stats)
-            try:
-                acc = batched_candidate_self_join(
-                    index.iter_cells(order="size"),
-                    view.work,
-                    view.sq_norms,
-                    eps2,
-                    store_distances=store_distances,
-                    on_group=tally,
-                    **params,
-                )
-            finally:
-                view.close()
-            result = self._finalize_source(
-                acc, source, eps, total_candidates, sample_i, sample_j, index
-            )
-            return result, stats
-
-        # Same member-gather memoization as the in-memory path: the engine
-        # chunks wide candidate lists, re-calling dist() with the same
-        # members array.
-        group_state: dict[str, np.ndarray] = {}
-
-        def dist(members: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            if group_state.get("members") is not members:
-                wm = source.take(members).astype(self._dtype)
-                group_state["members"] = members
-                group_state["wm"] = wm
-                group_state["sm"] = (wm * wm).sum(axis=1)
-            wm = group_state["wm"]
-            sm = group_state["sm"]
-            wc = source.take(cand).astype(self._dtype)
-            stats._acquire(wm.nbytes + wc.nbytes)
-            try:
-                sc = (wc * wc).sum(axis=1)
-                return norm_expansion_sq_dists(sm, sc, wm @ wc.T)
-            finally:
-                stats._release(wm.nbytes + wc.nbytes)
-
-        acc = candidate_self_join(
-            index.iter_cells(),
-            dist,
-            eps2,
-            store_distances=store_distances,
-            candidate_chunk=max(1, GROUP_CHUNK_ELEMS // max(d, 1)),
-            on_group=on_group,
-        )
-        result = self._finalize_source(
-            acc, source, eps, total_candidates, sample_i, sample_j, index
+        result = self._index_self_join(
+            index, SourceOperand(source, self._block_state), n, source.take,
+            eps, store_distances=store_distances, batched=batched,
+            batch_params=batch_params, stats=stats,
         )
         return result, stats
 
@@ -401,95 +288,25 @@ class GdsJoinKernel:
         The grid indexes **B**; A's points are dropped into it with B's
         variance order and cell width (``GridIndex.iter_join_groups``) and
         each query group is evaluated against the 3^r adjacent cells'
-        B points by the two-source candidate executor
-        (:func:`repro.core.engine.candidate_join` -- no self pairs exist
-        to drop), fanned out to the process pool when ``workers`` asks
-        for one (bit-identical, in-order commit).  Functional path only;
-        timing stays self-join-scoped.
+        B points by the candidate executor with a second operand (no
+        self pairs exist to drop), fanned out to its process pool when
+        ``workers`` asks for one (bit-identical, in-order commit).
+        Functional path only; timing stays self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         if a.shape[1] != b.shape[1]:
             raise ValueError("A and B dimensionalities must match")
-        wp = WorkerPlan.resolve(workers)
         index = GridIndex(b, eps, n_dims=self.n_index_dims)
-        wa = a.astype(self._dtype)
-        wb = b.astype(self._dtype)
-        sa = (wa * wa).sum(axis=1)
-        sb = (wb * wb).sum(axis=1)
-        eps2 = self._dtype.type(float(eps) ** 2)
-        chunk = max(1, GROUP_CHUNK_ELEMS // max(a.shape[1], 1))
-        if wp.parallel:
-            acc = process_candidate_self_join(
-                index.iter_join_groups(a),
-                wa,
-                sa,
-                eps2,
-                store_distances=store_distances,
-                candidate_chunk=chunk,
-                workers=wp,
-                drop_self=False,
-                work_right=wb,
-                sq_norms_right=sb,
-            )
-            return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-
-        def dist(members: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            return norm_expansion_sq_dists(
-                sa[members], sb[cand], wa[members] @ wb[cand].T
-            )
-
         acc = candidate_join(
             index.iter_join_groups(a),
-            dist,
-            eps2,
+            ResidentOperand(*self._block_state(a)),
+            self._dtype.type(float(eps) ** 2),
+            ResidentOperand(*self._block_state(b)),
             store_distances=store_distances,
-            candidate_chunk=chunk,
+            workers=workers,
         )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-
-    def _finalize_source(
-        self, acc, source, eps, total_candidates, sample_i, sample_j, index
-    ) -> GdsJoinResult:
-        """Source-mode epilogue: profile measured on gathered sample rows."""
-        result = acc.finalize(source.n, float(eps))
-        si = np.concatenate(sample_i) if sample_i else np.empty(0, np.int64)
-        sj = np.concatenate(sample_j) if sample_j else np.empty(0, np.int64)
-        # Compact the sampled pair indices so the profile touches only the
-        # sampled rows, not the dataset.
-        uniq, inv = np.unique(np.concatenate((si, sj)), return_inverse=True)
-        sample_rows = source.take(uniq)
-        profile = short_circuit_profile(
-            sample_rows,
-            eps,
-            (inv[: si.size], inv[si.size :]),
-            order=index.order,
-        )
-        return GdsJoinResult(
-            result=result,
-            total_candidates=total_candidates,
-            profile=profile,
-            n_indexed_dims=index.r,
-        )
-
-    def _finalize(
-        self, acc, data, eps, total_candidates, sample_i, sample_j, index
-    ) -> GdsJoinResult:
-        """Shared epilogue: result + short-circuit profile + statistics."""
-        result = acc.finalize(data.shape[0], float(eps))
-        cand_pairs = (
-            np.concatenate(sample_i) if sample_i else np.empty(0, np.int64),
-            np.concatenate(sample_j) if sample_j else np.empty(0, np.int64),
-        )
-        profile = short_circuit_profile(
-            data, eps, cand_pairs, order=variance_order(data)
-        )
-        return GdsJoinResult(
-            result=result,
-            total_candidates=total_candidates,
-            profile=profile,
-            n_indexed_dims=index.r,
-        )
 
     def cost(
         self, d: int, *, total_candidates: int, profile: ShortCircuitProfile

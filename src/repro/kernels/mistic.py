@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.engine import (
-    SourceWorkView,
+    ResidentOperand,
+    SourceOperand,
     StreamStats,
     TilePlan,
     WorkerPlan,
-    auto_batched_from_stats,
-    batch_params_from_stats,
-    batched_candidate_self_join,
     candidate_join,
-    candidate_self_join,
-    norm_expansion_sq_dists,
-    process_candidate_self_join,
+    resolve_batching,
 )
 from repro.core.results import JoinResult, NeighborResult
 from repro.gpusim.spec import DEFAULT_SPEC, GpuSpec
@@ -71,6 +67,61 @@ class MisticKernel:
         self.spec = spec
         self.seed = seed
 
+    @staticmethod
+    def _block_state(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """MiSTIC operand preparation: FP32 rows + einsum row norms
+        (row-local, hence value-identical whole-array or per gather)."""
+        w = block.astype(np.float32)
+        return w, np.einsum("nd,nd->n", w, w)
+
+    def _tree_self_join(
+        self, tree: MultiSpaceTree, operand, n: int, eps: float, take_rows, *,
+        store_distances, group, batched, batch_params=None, workers=0,
+        stats=None,
+    ) -> MisticResult:
+        """Candidate pass over the tree's groups + the profiling sample.
+
+        ``take_rows(idx)`` gathers float64 dataset rows for the
+        short-circuit profile (only the sampled rows are ever touched).
+        """
+        batched, params = resolve_batching(
+            batched, lambda: tree.stats(group=group), batch_params
+        )
+        # Norm-expansion distances (see gdsjoin.py for the precision
+        # argument); BLAS-backed, so group size only bounds memory.
+        acc = candidate_join(
+            tree.iter_groups(group=group),
+            operand,
+            np.float32(float(eps) ** 2),
+            batched=batched,
+            batch_params=params,
+            workers=workers,
+            store_distances=store_distances,
+            stats=stats,
+        )
+        result = acc.finalize(n, float(eps))
+        rng = np.random.default_rng(self.seed)
+        qi = rng.integers(0, n, size=min(n, 256))
+        cand_i, cand_j = [], []
+        for q in qi[:64]:
+            cm = np.nonzero(tree.candidate_mask_for(int(q)))[0]
+            cand_i.append(np.full(cm.size, q))
+            cand_j.append(cm)
+        si = np.concatenate(cand_i) if cand_i else np.empty(0, np.int64)
+        sj = np.concatenate(cand_j) if cand_j else np.empty(0, np.int64)
+        # Compact the sampled pair indices so the profile gathers only the
+        # sampled rows, never the dataset.
+        uniq, inv = np.unique(np.concatenate((si, sj)), return_inverse=True)
+        profile = short_circuit_profile(
+            take_rows(uniq), eps, (inv[: si.size], inv[si.size :])
+        )
+        return MisticResult(
+            result=result,
+            total_candidates=tree.total_candidates(),
+            profile=profile,
+            construction_evaluations=tree.construction_evaluations,
+        )
+
     def self_join(
         self,
         data: np.ndarray,
@@ -83,90 +134,26 @@ class MisticKernel:
     ) -> MisticResult:
         """Index-supported self-join; returns result + cost statistics.
 
-        ``batched`` fuses small tree groups into padded batch GEMMs
-        (:func:`repro.core.engine.batched_candidate_self_join`) -- same
-        pair set, faster when ``group`` is small or eps prunes hard;
-        ``None`` (the default) resolves from the tree's measured
-        group-shape moments
+        Runs on the shared candidate-group executor
+        (:func:`repro.core.engine.candidate_join`).  ``batched`` fuses
+        small tree groups into padded batch GEMMs -- same pair set,
+        faster when ``group`` is small or eps prunes hard; ``None`` (the
+        default) resolves from the tree's measured group-shape moments
         (:func:`repro.core.engine.auto_batched_from_stats` over
         ``MultiSpaceTree.stats``).  ``workers`` fans the tree groups out
-        to the engine's process pool
-        (:func:`repro.core.engine.process_candidate_self_join`;
-        in-order commit, bit-identical to serial -- pair-set-equal when
-        combined with ``batched``).
+        to the executor's process pool (in-order commit, bit-identical
+        to serial -- pair-set-equal when combined with ``batched``).
         """
         data = np.ascontiguousarray(data, dtype=np.float64)
-        n = data.shape[0]
-        wp = WorkerPlan.resolve(workers)
         tree = MultiSpaceTree(
             data, eps, n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES,
             seed=self.seed,
         )
-        if batched is None:
-            batched = auto_batched_from_stats(tree.stats(group=group))
-        work = data.astype(np.float32)
-        eps2 = np.float32(float(eps) ** 2)
-
-        sq_norms = np.einsum("nd,nd->n", work, work)
-
-        if wp.parallel:
-            acc = process_candidate_self_join(
-                tree.iter_groups(group=group),
-                work,
-                sq_norms,
-                eps2,
-                store_distances=store_distances,
-                workers=wp,
-                batched=batched,
-            )
-        elif batched:
-            acc = batched_candidate_self_join(
-                tree.iter_groups(group=group),
-                work,
-                sq_norms,
-                eps2,
-                store_distances=store_distances,
-                **batch_params_from_stats(tree.stats(group=group)),
-            )
-        else:
-
-            def dist(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-                # Norm-expansion distances (see gdsjoin.py for the precision
-                # argument); BLAS-backed, so group size only bounds memory.
-                return norm_expansion_sq_dists(
-                    sq_norms[members],
-                    sq_norms[candidates],
-                    work[members] @ work[candidates].T,
-                )
-
-            acc = candidate_self_join(
-                tree.iter_groups(group=group),
-                dist,
-                eps2,
-                store_distances=store_distances,
-            )
-        result = acc.finalize(n, float(eps))
-        total_candidates = tree.total_candidates()
-        rng = np.random.default_rng(self.seed)
-        qi = rng.integers(0, n, size=min(n, 256))
-        cand_i, cand_j = [], []
-        for q in qi[:64]:
-            cm = np.nonzero(tree.candidate_mask_for(int(q)))[0]
-            cand_i.append(np.full(cm.size, q))
-            cand_j.append(cm)
-        profile = short_circuit_profile(
-            data,
-            eps,
-            (
-                np.concatenate(cand_i) if cand_i else np.empty(0, np.int64),
-                np.concatenate(cand_j) if cand_j else np.empty(0, np.int64),
-            ),
-        )
-        return MisticResult(
-            result=result,
-            total_candidates=total_candidates,
-            profile=profile,
-            construction_evaluations=tree.construction_evaluations,
+        return self._tree_self_join(
+            tree, ResidentOperand(*self._block_state(data)), data.shape[0],
+            eps, data.__getitem__,
+            store_distances=store_distances, group=group, batched=batched,
+            workers=workers,
         )
 
     def self_join_source(
@@ -187,15 +174,15 @@ class MisticKernel:
         (``MultiSpaceTree.from_source``: every candidate-partition
         evaluation is one streamed pass, which *is* MiSTIC's incremental
         construction cost) and the candidate executor gathers group rows
-        on demand with ``source.take``; per-row FP32 conversion and norms
-        match the in-memory precompute bit for bit, so the result is
-        bit-identical to :meth:`self_join` on the materialized data
-        (pinned by tests/test_two_source.py).  ``batched=True`` fuses
-        small groups into padded batch GEMMs with the ``take()`` gathers
-        batched per flush (:class:`~repro.core.engine.SourceWorkView`,
-        einsum norms matching this kernel's precompute; pair-set
-        contract).  The batch knobs are derived from the tree's measured
-        group-shape moments (``MultiSpaceTree.stats`` ->
+        on demand with ``source.take`` through a
+        :class:`~repro.core.engine.SourceOperand`; per-row FP32
+        conversion and norms match the in-memory precompute bit for bit,
+        so the result is bit-identical to :meth:`self_join` on the
+        materialized data (pinned by tests/test_two_source.py).
+        ``batched=True`` fuses small groups into padded batch GEMMs with
+        the ``take()`` gathers batched per flush (pair-set contract).
+        The batch knobs are derived from the tree's measured group-shape
+        moments (``MultiSpaceTree.stats`` ->
         :func:`~repro.core.engine.batch_params_from_stats`, the same
         sizing contract the grid index uses); ``batch_params`` entries
         override individual derived knobs.
@@ -204,79 +191,23 @@ class MisticKernel:
 
         source = as_source(source)
         n, d = int(source.n), int(source.dim)
-        if memory_budget_bytes is not None:
-            row_block = TilePlan.from_budget(n, d, int(memory_budget_bytes)).row_block
-        stats = StreamStats(plan=TilePlan(n=n, row_block=row_block))
+        plan = TilePlan.for_join(
+            n, n, d, row_block=row_block,
+            memory_budget_bytes=memory_budget_bytes, symmetric=True,
+        )
+        row_block = plan.row_block
+        stats = StreamStats(plan=plan)
         tree = MultiSpaceTree.from_source(
             source, eps, n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES,
             seed=self.seed, row_block=row_block, stats=stats,
         )
-        if batched is None:
-            batched = auto_batched_from_stats(tree.stats(group=group))
-        eps2 = np.float32(float(eps) ** 2)
-
-        if batched:
-            view = SourceWorkView(source, np.float32, norm="einsum", stats=stats)
-            try:
-                acc = batched_candidate_self_join(
-                    tree.iter_groups(group=group),
-                    view.work,
-                    view.sq_norms,
-                    eps2,
-                    store_distances=store_distances,
-                    **batch_params_from_stats(
-                        tree.stats(group=group), **(batch_params or {})
-                    ),
-                )
-            finally:
-                view.close()
-        else:
-
-            def dist(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-                wm = source.take(members).astype(np.float32)
-                wc = source.take(candidates).astype(np.float32)
-                stats._acquire(wm.nbytes + wc.nbytes)
-                try:
-                    return norm_expansion_sq_dists(
-                        np.einsum("nd,nd->n", wm, wm),
-                        np.einsum("nd,nd->n", wc, wc),
-                        wm @ wc.T,
-                    )
-                finally:
-                    stats._release(wm.nbytes + wc.nbytes)
-
-            acc = candidate_self_join(
-                tree.iter_groups(group=group),
-                dist,
-                eps2,
-                store_distances=store_distances,
-            )
-        result = acc.finalize(n, float(eps))
-        total_candidates = tree.total_candidates()
-        rng = np.random.default_rng(self.seed)
-        qi = rng.integers(0, n, size=min(n, 256))
-        cand_i, cand_j = [], []
-        for q in qi[:64]:
-            cm = np.nonzero(tree.candidate_mask_for(int(q)))[0]
-            cand_i.append(np.full(cm.size, q))
-            cand_j.append(cm)
-        si = np.concatenate(cand_i) if cand_i else np.empty(0, np.int64)
-        sj = np.concatenate(cand_j) if cand_j else np.empty(0, np.int64)
-        # Compact the sampled pair indices so the profile gathers only the
-        # sampled rows, never the dataset.
-        uniq, inv = np.unique(np.concatenate((si, sj)), return_inverse=True)
-        profile = short_circuit_profile(
-            source.take(uniq), eps, (inv[: si.size], inv[si.size :])
+        result = self._tree_self_join(
+            tree, SourceOperand(source, self._block_state), n, eps,
+            source.take,
+            store_distances=store_distances, group=group, batched=batched,
+            batch_params=batch_params, stats=stats,
         )
-        return (
-            MisticResult(
-                result=result,
-                total_candidates=total_candidates,
-                profile=profile,
-                construction_evaluations=tree.construction_evaluations,
-            ),
-            stats,
-        )
+        return result, stats
 
     def join(
         self,
@@ -293,50 +224,26 @@ class MisticKernel:
         The tree indexes **B**; blocks of A's points are binned per level
         (``MultiSpaceTree.iter_join_groups`` -- coordinate floor-divides
         plus pivot rings, both valid for external points) and evaluated
-        against the +-1 window candidates by the two-source candidate
-        executor, fanned out to the process pool when ``workers`` asks
-        for one (bit-identical, in-order commit).  Functional path only;
-        timing stays self-join-scoped.
+        against the +-1 window candidates by the candidate executor with
+        a second operand, fanned out to its process pool when ``workers``
+        asks for one (bit-identical, in-order commit).  Functional path
+        only; timing stays self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         if a.shape[1] != b.shape[1]:
             raise ValueError("A and B dimensionalities must match")
-        wp = WorkerPlan.resolve(workers)
         tree = MultiSpaceTree(
             b, eps, n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES,
             seed=self.seed,
         )
-        wa = a.astype(np.float32)
-        wb = b.astype(np.float32)
-        sa = np.einsum("nd,nd->n", wa, wa)
-        sb = np.einsum("nd,nd->n", wb, wb)
-        eps2 = np.float32(float(eps) ** 2)
-
-        if wp.parallel:
-            acc = process_candidate_self_join(
-                tree.iter_join_groups(a, group=group),
-                wa,
-                sa,
-                eps2,
-                store_distances=store_distances,
-                workers=wp,
-                drop_self=False,
-                work_right=wb,
-                sq_norms_right=sb,
-            )
-            return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-
-        def dist(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-            return norm_expansion_sq_dists(
-                sa[members], sb[candidates], wa[members] @ wb[candidates].T
-            )
-
         acc = candidate_join(
             tree.iter_join_groups(a, group=group),
-            dist,
-            eps2,
+            ResidentOperand(*self._block_state(a)),
+            np.float32(float(eps) ** 2),
+            ResidentOperand(*self._block_state(b)),
             store_distances=store_distances,
+            workers=workers,
         )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
 

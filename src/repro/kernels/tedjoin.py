@@ -27,21 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.engine import (
-    SourceWorkView,
+    ResidentOperand,
+    SourceOperand,
     StreamStats,
     TilePlan,
     WorkerPlan,
-    auto_batched_from_stats,
-    batch_params_from_stats,
-    batched_candidate_self_join,
     candidate_join,
-    candidate_self_join,
-    norm_expansion_sq_dists,
-    process_candidate_self_join,
-    rect_join,
-    streaming_join,
-    streaming_self_join,
-    symmetric_self_join,
+    resolve_batching,
+    tile_join,
 )
 from repro.core.results import JoinResult, NeighborResult, PairAccumulator
 from repro.data.source import DatasetSource, as_source
@@ -156,6 +149,19 @@ class TedJoinKernel:
             n, dim, d2_itemsize=8, work_itemsize=8, quantum=8
         )
 
+    @staticmethod
+    def _block_state(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """TED-Join operand preparation: the FP64 rows + their row norms
+        (row-local, hence value-identical block-wise or whole-array)."""
+        return block, (block * block).sum(axis=1)
+
+    def _check_capacity(self, d: int) -> None:
+        if not self.supports(d):
+            raise MemoryError(
+                f"TED-Join ({'modified' if self.modified else 'original'}) "
+                f"exceeds shared memory at d={d}"
+            )
+
     def self_join_stream(
         self,
         source: DatasetSource,
@@ -164,7 +170,6 @@ class TedJoinKernel:
         store_distances: bool = True,
         row_block: int = 1024,
         memory_budget_bytes: int | None = None,
-        prefetch: bool = True,
         acc: PairAccumulator | None = None,
         workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[TedJoinResult, StreamStats]:
@@ -173,9 +178,9 @@ class TedJoinKernel:
         Brute variant only; the index variant's out-of-core mode is
         :meth:`self_join_source`, which builds its grid with the streamed
         ``GridIndex.from_source`` and gathers candidate rows from the
-        source.  Per-block state here is the contiguous FP64 block plus
-        its row norms (row-local, hence value-identical to the resident
-        precompute); peak residency is bounded by the
+        source.  The tile executor runs over a source-backed operand
+        (per-block state is the contiguous FP64 block plus its row
+        norms); peak residency is bounded by the
         :class:`~repro.core.engine.TilePlan`.  ``acc`` admits a
         disk-spilling accumulator; ``workers`` overlaps tile GEMMs with
         the block prefetch (in-order commit, bit-identical).
@@ -186,30 +191,13 @@ class TedJoinKernel:
                 "index variant's out-of-core mode"
             )
         source = as_source(source)
-        if not self.supports(source.dim):
-            raise MemoryError(
-                f"TED-Join ({'modified' if self.modified else 'original'}) "
-                f"exceeds shared memory at d={source.dim}"
-            )
-        eps2 = float(eps) ** 2
-
-        def prepare(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return block, (block * block).sum(axis=1)
-
-        def block_sq_dists(row_state, col_state) -> np.ndarray:
-            dr, sr = row_state
-            dc, sc = col_state
-            return norm_expansion_sq_dists(sr, sc, dr @ dc.T)
-
-        out, stats = streaming_self_join(
-            source,
-            eps2,
-            prepare,
-            block_sq_dists,
+        self._check_capacity(source.dim)
+        out, stats = tile_join(
+            SourceOperand(source, self._block_state),
+            float(eps) ** 2,
             row_block=row_block,
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
-            prefetch=prefetch,
             acc=acc,
             workers=workers,
         )
@@ -236,20 +224,18 @@ class TedJoinKernel:
         """FP64-exact self-join (norm-expansion form, as TED-Join computes).
 
         Both variants run on the shared join engine: the brute variant on
-        the symmetric tiled executor (``c0 >= r0`` tiles mirrored -- FP64
-        dot products are position-independent in BLAS, so this is
-        bit-identical to evaluating the full matrix at half the GEMM work),
-        the index variant on the candidate-group executor.  ``workers``
+        the tile executor (:func:`repro.core.engine.tile_join`; ``c0 >=
+        r0`` tiles mirrored -- FP64 dot products are position-independent
+        in BLAS, so this is bit-identical to evaluating the full matrix
+        at half the GEMM work), the index variant on the candidate-group
+        executor (:func:`repro.core.engine.candidate_join`).  ``workers``
         parallelizes both variants: thread-pool tile dispatch for the
-        brute variant, and the fork-based process pool
-        (:func:`repro.core.engine.process_candidate_self_join`) for the
-        index variant's candidate groups, whose per-group work is too
+        brute variant, and the executor's process pool for the index
+        variant's candidate groups, whose per-group work is too
         fine-grained for threads -- results are bit-identical to serial
-        either way.  ``batched`` routes the index variant through the
-        padded batch-GEMM executor
-        (:func:`repro.core.engine.batched_candidate_self_join`) -- same
-        pair set, faster at small eps, with knobs derived from the grid's
-        measured group moments
+        either way.  ``batched`` runs the index variant in the executor's
+        padded batch-GEMM mode -- same pair set, faster at small eps,
+        with knobs derived from the grid's measured group moments
         (:func:`repro.core.engine.batch_params_from_stats`; override any
         of them via ``batch_params``); ``batched=None`` (the default)
         resolves from those same moments
@@ -265,29 +251,17 @@ class TedJoinKernel:
         """
         data = np.ascontiguousarray(data, dtype=np.float64)
         n, d = data.shape
-        if not self.supports(d):
-            raise MemoryError(
-                f"TED-Join ({'modified' if self.modified else 'original'}) "
-                f"exceeds shared memory at d={d}"
-            )
-        eps2 = float(eps) ** 2
+        self._check_capacity(d)
         wp = WorkerPlan.resolve(workers)
-        s = (data * data).sum(axis=1)
+        operand = ResidentOperand(*self._block_state(data))
         if self.variant == "brute":
-            if plan is None and row_block is None:
+            if row_block is None:
                 row_block = self.auto_row_block(n, d, wp)
-
-            def tile(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-                return norm_expansion_sq_dists(
-                    s[r0:r1], s[c0:c1], data[r0:r1] @ data[c0:c1].T
-                )
-
-            acc = symmetric_self_join(
-                n,
-                eps2,
-                tile,
+            acc, _stats = tile_join(
+                operand,
+                float(eps) ** 2,
                 plan=plan,
-                row_block=row_block if row_block is not None else 1024,
+                row_block=row_block,
                 store_distances=store_distances,
                 workers=wp,
             )
@@ -296,10 +270,18 @@ class TedJoinKernel:
                 total_candidates=n * n,
                 profile=None,
             )
-        # Index variant: grid candidates, FP64 distances, 8x8 tile padding.
-        index = GridIndex(data, eps)
-        if batched is None:
-            batched = auto_batched_from_stats(index.stats())
+        return self._index_self_join(
+            GridIndex(data, eps), operand, n, eps,
+            store_distances=store_distances, workers=wp,
+            batched=batched, batch_params=batch_params,
+        )
+
+    def _index_self_join(
+        self, index: GridIndex, operand, n: int, eps: float, *,
+        store_distances, batched, batch_params, workers=0, stats=None,
+    ) -> TedJoinResult:
+        """Index variant: grid candidates, FP64 distances, 8x8 tile padding."""
+        batched, params = resolve_batching(batched, index.stats, batch_params)
         total_candidates = 0
 
         def on_group(members: np.ndarray, candidates: np.ndarray) -> None:
@@ -308,47 +290,17 @@ class TedJoinKernel:
             padded = (-(-members.size // 8) * 8) * (-(-candidates.size // 8) * 8)
             total_candidates += padded
 
-        params = (
-            batch_params_from_stats(index.stats(), **(batch_params or {}))
-            if batched
-            else None
+        acc = candidate_join(
+            index.iter_cells(order="size" if batched else "lex"),
+            operand,
+            float(eps) ** 2,
+            batched=batched,
+            batch_params=params,
+            workers=workers,
+            on_group=on_group,
+            store_distances=store_distances,
+            stats=stats,
         )
-        if wp.parallel:
-            acc = process_candidate_self_join(
-                index.iter_cells(order="size" if batched else "lex"),
-                data,
-                s,
-                eps2,
-                store_distances=store_distances,
-                on_group=on_group,
-                workers=wp,
-                batched=batched,
-                batch_params=params,
-            )
-        elif batched:
-            acc = batched_candidate_self_join(
-                index.iter_cells(order="size"),
-                data,
-                s,
-                eps2,
-                store_distances=store_distances,
-                on_group=on_group,
-                **params,
-            )
-        else:
-
-            def dist(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-                return norm_expansion_sq_dists(
-                    s[members], s[candidates], data[members] @ data[candidates].T
-                )
-
-            acc = candidate_self_join(
-                index.iter_cells(),
-                dist,
-                eps2,
-                store_distances=store_distances,
-                on_group=on_group,
-            )
         return TedJoinResult(
             result=acc.finalize(n, float(eps)),
             total_candidates=total_candidates,
@@ -372,79 +324,44 @@ class TedJoinKernel:
     ) -> JoinResult:
         """Two-source FP64 join: pairs ``(i in A, j in B)`` within ``eps``.
 
-        Brute variant: rectangular tiled executor
-        (:func:`repro.core.engine.rect_join`) -- every A-row x B-col tile,
-        one pair direction, no diagonal handling.  Index variant: grid
-        built over **B**, A's points dropped into it
-        (``GridIndex.iter_join_groups``), candidates evaluated with the
-        two-source candidate executor (no self-pair drop -- equal indices
-        address different points).  ``workers`` parallelizes both: thread
-        tiles for brute, the process-pool candidate executor for index
-        (bit-identical to serial either way).  Functional path only; the
-        timing models remain self-join-scoped.
+        Brute variant: the tile executor with a second operand -- every
+        A-row x B-col tile, one pair direction, no diagonal handling.
+        Index variant: grid built over **B**, A's points dropped into it
+        (``GridIndex.iter_join_groups``), candidates evaluated by the
+        candidate executor with a second operand (no self-pair drop --
+        equal indices address different points).  ``workers``
+        parallelizes both: thread tiles for brute, the candidate
+        executor's process pool for index (bit-identical to serial
+        either way).  Functional path only; the timing models remain
+        self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         if a.shape[1] != b.shape[1]:
             raise ValueError("A and B dimensionalities must match")
         d = a.shape[1]
-        if not self.supports(d):
-            raise MemoryError(
-                f"TED-Join ({'modified' if self.modified else 'original'}) "
-                f"exceeds shared memory at d={d}"
-            )
+        self._check_capacity(d)
         eps2 = float(eps) ** 2
         wp = WorkerPlan.resolve(workers)
-        sa = (a * a).sum(axis=1)
-        sb = (b * b).sum(axis=1)
+        left = ResidentOperand(*self._block_state(a))
+        right = ResidentOperand(*self._block_state(b))
         if self.variant == "brute":
             if row_block is None:
                 row_block = self.auto_row_block(
                     max(a.shape[0], b.shape[0]), d, wp
                 )
-
-            def tile(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-                return norm_expansion_sq_dists(
-                    sa[r0:r1], sb[c0:c1], a[r0:r1] @ b[c0:c1].T
-                )
-
-            acc = rect_join(
-                a.shape[0],
-                b.shape[0],
-                eps2,
-                tile,
+            acc, _stats = tile_join(
+                left, eps2, right,
                 row_block=row_block,
                 col_block=col_block,
                 store_distances=store_distances,
                 workers=wp,
             )
-            return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-        index = GridIndex(b, eps)
-        if wp.parallel:
-            acc = process_candidate_self_join(
-                index.iter_join_groups(a),
-                a,
-                sa,
-                eps2,
-                store_distances=store_distances,
-                workers=wp,
-                drop_self=False,
-                work_right=b,
-                sq_norms_right=sb,
+        else:
+            acc = candidate_join(
+                GridIndex(b, eps).iter_join_groups(a), left, eps2, right,
+                store_distances=store_distances, workers=wp,
             )
-            return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-
-        def dist(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-            return norm_expansion_sq_dists(
-                sa[members], sb[candidates], a[members] @ b[candidates].T
-            )
-
-        acc = candidate_join(
-            index.iter_join_groups(a),
-            dist,
-            eps2,
-            store_distances=store_distances,
-        )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
 
     def join_stream(
@@ -457,7 +374,6 @@ class TedJoinKernel:
         row_block: int = 1024,
         col_block: int | None = None,
         memory_budget_bytes: int | None = None,
-        prefetch: bool = True,
         acc: PairAccumulator | None = None,
         workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[JoinResult, StreamStats]:
@@ -465,10 +381,10 @@ class TedJoinKernel:
         to :meth:`join` at the same tile plan).
 
         A's row blocks pin stripe by stripe while B's column blocks stream
-        through (:func:`repro.core.engine.streaming_join`); ``acc`` admits
-        a disk-spilling accumulator for outputs larger than RAM, and
-        ``workers`` overlaps tile GEMMs with the cross-source prefetch
-        (in-order commit, bit-identical).
+        through the tile executor; ``acc`` admits a disk-spilling
+        accumulator for outputs larger than RAM, and ``workers`` overlaps
+        tile GEMMs with the cross-source prefetch (in-order commit,
+        bit-identical).
         """
         if self.variant != "brute":
             raise ValueError(
@@ -476,32 +392,15 @@ class TedJoinKernel:
                 "sources via GridIndex.from_source (see self_join_source)"
             )
         source_a, source_b = as_source(source_a), as_source(source_b)
-        if not self.supports(source_a.dim):
-            raise MemoryError(
-                f"TED-Join ({'modified' if self.modified else 'original'}) "
-                f"exceeds shared memory at d={source_a.dim}"
-            )
-        eps2 = float(eps) ** 2
-
-        def prepare(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return block, (block * block).sum(axis=1)
-
-        def block_sq_dists(row_state, col_state) -> np.ndarray:
-            dr, sr = row_state
-            dc, sc = col_state
-            return norm_expansion_sq_dists(sr, sc, dr @ dc.T)
-
-        out, stats = streaming_join(
-            source_a,
-            source_b,
-            eps2,
-            prepare,
-            block_sq_dists,
+        self._check_capacity(source_a.dim)
+        out, stats = tile_join(
+            SourceOperand(source_a, self._block_state),
+            float(eps) ** 2,
+            SourceOperand(source_b, self._block_state),
             row_block=row_block,
             col_block=col_block,
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
-            prefetch=prefetch,
             acc=acc,
             workers=workers,
         )
@@ -523,16 +422,15 @@ class TedJoinKernel:
         The grid is built with ``GridIndex.from_source`` -- streamed
         cell-key encoding plus an external counting sort, never holding
         the ``(n, d)`` dataset -- and the candidate executor gathers
-        member/candidate rows on demand with ``source.take``.  Per-row
-        norms and per-group GEMM shapes are unchanged, so the result is
+        member/candidate rows on demand with ``source.take`` through a
+        :class:`~repro.core.engine.SourceOperand`.  Per-row norms and
+        per-group GEMM shapes are unchanged, so the result is
         bit-identical to :meth:`self_join` on the materialized data
         (pinned by tests/test_two_source.py).  ``batched=True`` (or
         ``None`` resolving true from the streamed grid's group moments)
         fuses the groups into padded batch GEMMs with the ``take()``
-        gathers batched per flush
-        (:class:`~repro.core.engine.SourceWorkView`; pair-set contract,
-        knobs from ``GridIndex.stats()`` overridable via
-        ``batch_params``).
+        gathers batched per flush (pair-set contract, knobs from
+        ``GridIndex.stats()`` overridable via ``batch_params``).
         """
         if self.variant != "index":
             raise ValueError(
@@ -541,68 +439,20 @@ class TedJoinKernel:
             )
         source = as_source(source)
         n, d = int(source.n), int(source.dim)
-        if not self.supports(d):
-            raise MemoryError(
-                f"TED-Join ({'modified' if self.modified else 'original'}) "
-                f"exceeds shared memory at d={d}"
-            )
-        if memory_budget_bytes is not None:
-            row_block = TilePlan.from_budget(n, d, int(memory_budget_bytes)).row_block
-        stats = StreamStats(plan=TilePlan(n=n, row_block=row_block))
+        self._check_capacity(d)
+        plan = TilePlan.for_join(
+            n, n, d, row_block=row_block,
+            memory_budget_bytes=memory_budget_bytes, symmetric=True,
+        )
+        row_block = plan.row_block
+        stats = StreamStats(plan=plan)
         index = GridIndex.from_source(
             source, eps, row_block=row_block, stats=stats
         )
-        if batched is None:
-            batched = auto_batched_from_stats(index.stats())
-        eps2 = float(eps) ** 2
-        total_candidates = 0
-
-        def on_group(members: np.ndarray, candidates: np.ndarray) -> None:
-            nonlocal total_candidates
-            padded = (-(-members.size // 8) * 8) * (-(-candidates.size // 8) * 8)
-            total_candidates += padded
-
-        if batched:
-            params = batch_params_from_stats(
-                index.stats(), **(batch_params or {})
-            )
-            view = SourceWorkView(source, np.float64, stats=stats)
-            try:
-                acc = batched_candidate_self_join(
-                    index.iter_cells(order="size"),
-                    view.work,
-                    view.sq_norms,
-                    eps2,
-                    store_distances=store_distances,
-                    on_group=on_group,
-                    **params,
-                )
-            finally:
-                view.close()
-        else:
-
-            def dist(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-                dm = source.take(members)
-                dc = source.take(candidates)
-                stats._acquire(dm.nbytes + dc.nbytes)
-                try:
-                    return norm_expansion_sq_dists(
-                        (dm * dm).sum(axis=1), (dc * dc).sum(axis=1), dm @ dc.T
-                    )
-                finally:
-                    stats._release(dm.nbytes + dc.nbytes)
-
-            acc = candidate_self_join(
-                index.iter_cells(),
-                dist,
-                eps2,
-                store_distances=store_distances,
-                on_group=on_group,
-            )
-        result = TedJoinResult(
-            result=acc.finalize(n, float(eps)),
-            total_candidates=total_candidates,
-            profile=None,
+        result = self._index_self_join(
+            index, SourceOperand(source, self._block_state), n, eps,
+            store_distances=store_distances, batched=batched,
+            batch_params=batch_params, stats=stats,
         )
         return result, stats
 
@@ -624,7 +474,7 @@ class TedJoinKernel:
         executed tile counts cannot drift (tests/test_workers.py pins the
         equality).
         """
-        return TilePlan(n=n, row_block=8, symmetric=False)
+        return TilePlan.square(n, 8, symmetric=False)
 
     def cost(self, n: int, d: int) -> KernelCost:
         """Work-accounting cost of the brute kernel over the device plan.
@@ -637,11 +487,7 @@ class TedJoinKernel:
         :meth:`kernel_seconds` -- this cost exists so the modeled tile
         schedule is the engine's plan, not a private geometry.
         """
-        if not self.supports(d):
-            raise MemoryError(
-                f"TED-Join ({'modified' if self.modified else 'original'}) "
-                f"exceeds shared memory at d={d}"
-            )
+        self._check_capacity(d)
         plan = self.tile_plan(n)
         chunks = -(-d // 4)  # 8x8x4 FP64 fragments per k-step
         occ = max(1, self.occupancy(d))

@@ -8,9 +8,10 @@ run on:
 
 * :meth:`QueryEngine.range_query` -- eps-neighbors of a batch of query
   points.  Queries are grouped by index cell (``iter_join_groups``) and
-  evaluated by :func:`repro.core.engine.candidate_join` (per-group GEMMs)
-  or :func:`repro.core.engine.batched_candidate_join` (padded batch
-  GEMMs), emitting into a :class:`~repro.core.results.PairAccumulator`.
+  evaluated by :func:`repro.core.engine.candidate_join` (per-group GEMMs,
+  or padded batch GEMMs with ``batched=True``) with the query batch as
+  the left operand and the dataset as the right one, emitting into a
+  :class:`~repro.core.results.PairAccumulator`.
   At the default FP64 precision the result is **bit-identical** to the
   dense brute-force reference (:func:`brute_range_query`) -- the same
   contract the index-backed two-source joins carry
@@ -30,9 +31,11 @@ run on:
 The dataset side can stay **out of core**: a mmap-backed
 :class:`~repro.data.source.DatasetSource` (what ``load_index`` hands
 back) serves candidate rows through ``take`` gathers, touching only the
-rows queries actually hit.  ``workers=`` follows the engine convention
-(:class:`~repro.core.engine.WorkerPlan`; the fork-based candidate pool
-needs a resident dataset and is ignored for source-backed data).
+rows queries actually hit -- the engine's dataset operand is then a
+:class:`~repro.core.engine.SourceOperand` with a hot-cell LRU in front
+of its gather.  ``workers=`` follows the engine convention
+(:class:`~repro.core.engine.WorkerPlan`; the candidate pool needs
+resident operands and is ignored for source-backed data).
 """
 
 from __future__ import annotations
@@ -42,19 +45,20 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro import trace as trace_mod
 from repro.core.engine import (
-    GROUP_CHUNK_ELEMS,
-    SourceWorkView,
+    ResidentOperand,
+    SourceOperand,
     WorkerPlan,
-    batched_candidate_join,
     candidate_join,
+    group_chunk,
+    group_sq_dists,
     norm_expansion_sq_dists,
-    process_candidate_self_join,
 )
 from repro.core.results import JoinResult, PairAccumulator
 from repro.data.source import ArraySource, DatasetSource, as_source
@@ -154,6 +158,59 @@ def brute_range_query(
     return acc.finalize_join(q.shape[0], data.shape[0], float(eps))
 
 
+def _cast_with_norms(dtype: np.dtype, block: np.ndarray):
+    """Operand preparation for queries and dataset alike: cast to the
+    working precision + row norms (row-local)."""
+    w = block.astype(dtype, copy=False)
+    return w, (w * w).sum(axis=1)
+
+
+class _CachedSourceOperand(SourceOperand):
+    """Source-backed dataset operand with an LRU in front of ``take``.
+
+    Serving workloads hit the same hot cells over and over; keying the
+    gathered ``(rows, norms)`` block on a digest of the candidate index
+    bytes makes a repeat skip both the ``take`` gather and the norm
+    recompute, which is most of a warm query's cost.  Values are bitwise
+    what a fresh gather yields (row-local ops), so caching never changes
+    an answer.  Engines are shared across threads (IndexCache + the HTTP
+    server's connection threads), so every cache mutation holds the lock;
+    the gather itself runs outside it (a racing duplicate gather is
+    wasted work, not corruption).  The engine never tracks residency
+    (no ``StreamStats``), so gathers here are unaccounted.
+    """
+
+    def __init__(self, source, prepare, cache_bytes: int) -> None:
+        super().__init__(source, prepare)
+        self._budget = int(cache_bytes)
+        self._cache: "OrderedDict[bytes, tuple[np.ndarray, np.ndarray]]" = (
+            OrderedDict()
+        )
+        self._used = 0
+        self._lock = threading.Lock()
+
+    def take(self, idx, stats=None):
+        if self._budget <= 0:
+            return super().take(idx)
+        key = hashlib.blake2b(
+            np.ascontiguousarray(idx).tobytes(), digest_size=16
+        ).digest()
+        with self._lock:
+            hit = self._cache.get(key)
+            if hit is not None:
+                self._cache.move_to_end(key)
+                return hit
+        rows, norms = super().take(idx)
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = (rows, norms)
+                self._used += rows.nbytes + norms.nbytes
+            while self._used > self._budget and self._cache:
+                _, (old_rows, old_norms) = self._cache.popitem(last=False)
+                self._used -= old_rows.nbytes + old_norms.nbytes
+        return rows, norms
+
+
 class QueryEngine:
     """Build-once / query-many engine over one index + its dataset.
 
@@ -226,6 +283,9 @@ class QueryEngine:
         self.eps = float(index.eps)
         self.precision = precision
         self.dtype = np.dtype(np.float32 if precision == "fp32" else np.float64)
+        # A partial, not a bound method: the dataset operand keeps its
+        # prepare function, and must not keep the engine alive in a cycle.
+        self._prepare = partial(_cast_with_norms, self.dtype)
         self.workers = workers
         self.source = source
         n = int(source.n)
@@ -235,68 +295,16 @@ class QueryEngine:
             )
         self.n_points = n
         self.dim = int(source.dim)
-        # Resident fast path: an in-memory dataset is converted once and
+        # Resident fast path: an in-memory dataset is prepared once and
         # candidate rows are sliced; mmap/chunked sources stay on disk and
-        # are gathered per group (touched rows only).
-        self._resident = isinstance(source, ArraySource)
-        if self._resident:
-            work = source.materialize().astype(self.dtype)
-            self._work = work
-            self._sq = (work * work).sum(axis=1)
+        # are gathered per group (touched rows only) through the LRU.
+        if isinstance(source, ArraySource):
+            self._data = ResidentOperand(*self._prepare(source.materialize()))
         else:
-            self._work = self._sq = None
+            self._data = _CachedSourceOperand(
+                source, self._prepare, candidate_cache_bytes
+            )
         self._stats = None  # lazy GridIndex.stats() (kNN starting reach)
-        self._chunk = max(1, GROUP_CHUNK_ELEMS // max(self.dim, 1))
-        # Candidate-block LRU for source-backed data (see class docstring).
-        # Engines are shared across threads (IndexCache + the HTTP
-        # server's connection threads), so every cache mutation holds the
-        # lock; the gather itself runs outside it (a racing duplicate
-        # gather is wasted work, not corruption).
-        self._cand_cache_bytes = int(candidate_cache_bytes)
-        self._cand_cache: "OrderedDict[bytes, tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
-        self._cand_cache_used = 0
-        self._cand_cache_lock = threading.Lock()
-
-    def _gather_candidates(
-        self, cand: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows + norms of a candidate index set, LRU-cached by content.
-
-        Keying on a digest of the index bytes makes repeat queries into
-        the same cells (the serving hot path) skip both the ``take``
-        gather and the norm recompute; values are bitwise what a fresh
-        gather yields, so caching never changes an answer.  Thread-safe.
-        """
-        if self._cand_cache_bytes <= 0:
-            wc = self.source.take(cand)
-            if wc.dtype != self.dtype:
-                wc = wc.astype(self.dtype)
-            return wc, (wc * wc).sum(axis=1)
-        key = hashlib.blake2b(
-            np.ascontiguousarray(cand).tobytes(), digest_size=16
-        ).digest()
-        with self._cand_cache_lock:
-            hit = self._cand_cache.get(key)
-            if hit is not None:
-                self._cand_cache.move_to_end(key)
-                return hit
-        wc = self.source.take(cand)
-        if wc.dtype != self.dtype:
-            wc = wc.astype(self.dtype)
-        sc = (wc * wc).sum(axis=1)
-        with self._cand_cache_lock:
-            if key not in self._cand_cache:
-                self._cand_cache[key] = (wc, sc)
-                self._cand_cache_used += wc.nbytes + sc.nbytes
-            while (
-                self._cand_cache_used > self._cand_cache_bytes
-                and self._cand_cache
-            ):
-                _, (ow, os_) = self._cand_cache.popitem(last=False)
-                self._cand_cache_used -= ow.nbytes + os_.nbytes
-        return wc, sc
 
     # ------------------------------------------------------------------
 
@@ -305,9 +313,6 @@ class QueryEngine:
             return self.index.iter_join_groups(q, reach=reach)
         return self.index.iter_join_groups(q, group=_TREE_GROUP, reach=reach)
 
-    def _query_state(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wq = q.astype(self.dtype)
-        return wq, (wq * wq).sum(axis=1)
 
     def _check_queries(self, queries) -> np.ndarray:
         q = _as_queries(queries)
@@ -332,13 +337,12 @@ class QueryEngine:
         (the +-1 cell / +-1 bin candidate window is only sound up to
         there -- larger radii belong to an index built at that eps, which
         is why the serving cache keys on the eps grid).  ``batched=True``
-        routes through the padded-batch-GEMM executor (pair-set
-        contract); the default per-group path is bit-identical to
+        runs the candidate executor's padded-batch-GEMM mode (pair-set
+        contract); the default per-group mode is bit-identical to
         :func:`brute_range_query` at FP64.  ``workers`` fans groups out
-        to the engine's fork-based candidate pool -- resident datasets
-        and the per-group path only (the two-source batched executor has
-        no process form, so ``batched=True`` runs serial); in-order
-        commit, bit-identical to serial.
+        to the executor's process pool -- resident datasets only
+        (source-backed data stays on the gather path); in-order commit,
+        bit-identical to serial (pair-set-equal with ``batched=True``).
         """
         q = self._check_queries(queries)
         eps = self.eps if eps is None else float(eps)
@@ -352,103 +356,14 @@ class QueryEngine:
         # Square in float64 before any precision cast (the kernels'
         # boundary-tie convention).
         eps2 = self.dtype.type(float(eps) ** 2)
-        wq, sq = self._query_state(q)
-        wp = WorkerPlan.resolve(self.workers if workers is None else workers)
-        groups = self._iter_groups(q)
-
-        if self._resident:
-            work, s = self._work, self._sq
-            if wp.parallel and not batched:
-                acc = process_candidate_self_join(
-                    groups, wq, sq, eps2,
-                    store_distances=store_distances,
-                    candidate_chunk=self._chunk,
-                    workers=wp,
-                    drop_self=False,
-                    work_right=work,
-                    sq_norms_right=s,
-                )
-                return acc.finalize_join(q.shape[0], self.n_points, eps)
-            if batched:
-                acc = batched_candidate_join(
-                    groups, wq, sq, work, s, eps2,
-                    store_distances=store_distances,
-                )
-                return acc.finalize_join(q.shape[0], self.n_points, eps)
-
-            hooks = trace_mod.current_hooks()
-
-            def dist(members: np.ndarray, cand: np.ndarray) -> np.ndarray:
-                if hooks is None:
-                    return norm_expansion_sq_dists(
-                        sq[members], s[cand], wq[members] @ work[cand].T
-                    )
-                # Timed flavor: split only at NumPy evaluation boundaries
-                # so the arithmetic stays bit-identical to the one-liner.
-                t0 = time.perf_counter()
-                sm = sq[members]
-                sc = s[cand]
-                wm = wq[members]
-                wc = work[cand]
-                t1 = time.perf_counter()
-                gram = wm @ wc.T
-                t2 = time.perf_counter()
-                d2 = norm_expansion_sq_dists(sm, sc, gram)
-                t3 = time.perf_counter()
-                hooks.record("gather", t1 - t0)
-                hooks.record("gemm", t2 - t1)
-                hooks.record("rz", t3 - t2)
-                return d2
-
-            acc = candidate_join(
-                groups, dist, eps2,
-                store_distances=store_distances,
-                candidate_chunk=self._chunk,
-            )
-            return acc.finalize_join(q.shape[0], self.n_points, eps)
-
-        # Source-backed (mmap/chunked) dataset: gather candidate rows on
-        # demand through the hot-cell LRU; norms per gather are row-local,
-        # hence bit-identical to a resident precompute.  The fork pool
-        # would re-open the source per child; stay on the gather path
-        # regardless of workers.
-        if batched:
-            view = SourceWorkView(self.source, self.dtype)
-            try:
-                acc = batched_candidate_join(
-                    groups, wq, sq, view.work, view.sq_norms, eps2,
-                    store_distances=store_distances,
-                )
-            finally:
-                view.close()
-            return acc.finalize_join(q.shape[0], self.n_points, eps)
-
-        hooks = trace_mod.current_hooks()
-
-        def dist(members: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            if hooks is None:
-                wc, sc = self._gather_candidates(cand)
-                return norm_expansion_sq_dists(
-                    sq[members], sc, wq[members] @ wc.T
-                )
-            t0 = time.perf_counter()
-            wc, sc = self._gather_candidates(cand)
-            sm = sq[members]
-            wm = wq[members]
-            t1 = time.perf_counter()
-            gram = wm @ wc.T
-            t2 = time.perf_counter()
-            d2 = norm_expansion_sq_dists(sm, sc, gram)
-            t3 = time.perf_counter()
-            hooks.record("gather", t1 - t0)
-            hooks.record("gemm", t2 - t1)
-            hooks.record("rz", t3 - t2)
-            return d2
-
         acc = candidate_join(
-            groups, dist, eps2,
+            self._iter_groups(q),
+            ResidentOperand(*self._prepare(q)),
+            eps2,
+            self._data,
+            batched=batched,
+            workers=self.workers if workers is None else workers,
             store_distances=store_distances,
-            candidate_chunk=self._chunk,
         )
         return acc.finalize_join(q.shape[0], self.n_points, eps)
 
@@ -496,13 +411,8 @@ class QueryEngine:
         if nq == 0 or self.n_points == 0:
             return KnnResult(k=k, n_points=self.n_points, indices=out_idx, sq_dists=out_d)
         kk = min(k, self.n_points)
-        wq, sq = self._query_state(q)
-
-        def fetch(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            if self._resident:
-                return self._work[cand], self._sq[cand]
-            return self._gather_candidates(cand)
-
+        wq, sq = self._prepare(q)
+        chunk = max(kk, group_chunk(self.dim))
         hooks = trace_mod.current_hooks()
         unresolved = np.arange(nq)
         reach = self._initial_reach(kk)
@@ -521,32 +431,13 @@ class QueryEngine:
                 candidates = np.sort(candidates)
                 best_d = np.full((gm.size, kk), np.inf)
                 best_i = np.full((gm.size, kk), -1, dtype=np.int64)
-                chunk = max(kk, self._chunk)
+                rows_m, norms_m = wq[gm], sq[gm]
                 for c0 in range(0, candidates.size, chunk):
                     cand = candidates[c0 : c0 + chunk]
-                    if hooks is None:
-                        wc, sc = fetch(cand)
-                        d2 = norm_expansion_sq_dists(
-                            sq[gm], sc, wq[gm] @ wc.T
-                        ).astype(np.float64, copy=False)
-                    else:
-                        # Timed flavor -- same ops, same order, split at
-                        # NumPy evaluation boundaries (bit-identical).
-                        t0 = time.perf_counter()
-                        wc, sc = fetch(cand)
-                        sm = sq[gm]
-                        wm = wq[gm]
-                        t1 = time.perf_counter()
-                        gram = wm @ wc.T
-                        t2 = time.perf_counter()
-                        d2 = norm_expansion_sq_dists(sm, sc, gram).astype(
-                            np.float64, copy=False
-                        )
-                        t3 = time.perf_counter()
-                        hooks.record("gather", t1 - t0)
-                        hooks.record("gemm", t2 - t1)
-                        hooks.record("rz", t3 - t2)
-                    tm = time.perf_counter() if hooks is not None else 0.0
+                    d2 = group_sq_dists(
+                        rows_m, norms_m, self._data, cand, hooks
+                    ).astype(np.float64, copy=False)
+                    tm = time.perf_counter()
                     cat_d = np.concatenate([best_d, d2], axis=1)
                     cat_i = np.concatenate(
                         [best_i, np.broadcast_to(cand, d2.shape)], axis=1

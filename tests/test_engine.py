@@ -12,13 +12,18 @@ checked against.
 import numpy as np
 import pytest
 
+from repro import trace
+from repro.core import engine
 from repro.core.engine import (
-    candidate_self_join,
+    ResidentOperand,
+    SourceOperand,
+    candidate_join,
     norm_expansion_sq_dists,
-    symmetric_self_join,
+    tile_join,
 )
 from repro.core.results import NeighborResult, PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
+from repro.data.source import ArraySource
 from repro.index.grid import GridIndex
 from repro.index.mstree import MultiSpaceTree
 from repro.kernels.fasted import FastedKernel
@@ -39,6 +44,10 @@ def _dataset(d, n=400, seed=0):
     rng = np.random.default_rng(seed)
     centers = rng.normal(0, 4, size=(6, d))
     return centers[rng.integers(0, 6, n)] + rng.normal(0, 0.5, size=(n, d))
+
+
+def _fp64_operand(data):
+    return ResidentOperand(*TedJoinKernel._block_state(np.ascontiguousarray(data, np.float64)))
 
 
 def assert_bit_identical(a: NeighborResult, b: NeighborResult):
@@ -124,16 +133,7 @@ class TestEngineExecution:
         eps = epsilon_for_selectivity(data, 16)
         base = TedJoinKernel(variant="brute").self_join(data, eps).result
         for rb in (64, 100, 10_000):
-
-            def tile(r0, r1, c0, c1, _d=np.ascontiguousarray(data)):
-                s = (_d * _d).sum(axis=1)
-                return norm_expansion_sq_dists(
-                    s[r0:r1], s[c0:c1], _d[r0:r1] @ _d[c0:c1].T
-                )
-
-            acc = symmetric_self_join(
-                len(data), float(eps) ** 2, tile, row_block=rb
-            )
+            acc, _ = tile_join(_fp64_operand(data), float(eps) ** 2, row_block=rb)
             assert_bit_identical(base, acc.finalize(len(data), float(eps)))
 
     def test_workers_identical_to_serial(self):
@@ -170,33 +170,23 @@ class TestEngineExecution:
 
     def test_empty_result(self):
         data = _dataset(16, n=50, seed=9) * 100.0  # spread out, tiny eps
-        res = symmetric_self_join(
-            50,
-            np.float32(1e-12),
-            lambda r0, r1, c0, c1: np.full((r1 - r0, c1 - c0), 1.0, np.float32),
-            row_block=16,
-        )
-        assert len(res) == 0
+        res, stats = tile_join(_fp64_operand(data), 1e-12, row_block=16)
+        assert len(res) == 0 and stats.tiles_evaluated == stats.plan.n_tiles
         out = res.finalize(50, 1e-6)
         assert out.pairs_i.size == 0 and out.sq_dists.size == 0
 
-    def test_candidate_chunking_invariance(self):
+    def test_candidate_chunking_invariance(self, monkeypatch):
         data = _dataset(24, n=300, seed=10)
         eps = epsilon_for_selectivity(data, 16)
         index = GridIndex(data, eps)
-        work = data.astype(np.float64)
-        s = (work * work).sum(axis=1)
-
-        def dist(members, cand):
-            return norm_expansion_sq_dists(
-                s[members], s[cand], work[members] @ work[cand].T
-            )
-
+        operand = _fp64_operand(data)
         eps2 = float(eps) ** 2
-        whole = candidate_self_join(index.iter_cells(), dist, eps2)
-        chunked = candidate_self_join(
-            index.iter_cells(), dist, eps2, candidate_chunk=7
-        )
+        whole = candidate_join(index.iter_cells(), operand, eps2)
+        # The executor derives its candidate-axis chunk from d; shrink the
+        # element bound so every group is cut into 7-candidate chunks.
+        monkeypatch.setattr(engine, "GROUP_CHUNK_ELEMS", 7 * data.shape[1])
+        assert engine.group_chunk(data.shape[1]) == 7
+        chunked = candidate_join(index.iter_cells(), operand, eps2)
         assert_bit_identical(whole.finalize(300, eps), chunked.finalize(300, eps))
 
     def test_on_group_sees_every_nonempty_group(self):
@@ -204,9 +194,9 @@ class TestEngineExecution:
         eps = epsilon_for_selectivity(data, 8)
         index = GridIndex(data, eps)
         seen = []
-        candidate_self_join(
+        candidate_join(
             index.iter_cells(),
-            lambda m, c: np.zeros((m.size, c.size)),
+            _fp64_operand(data),
             -1.0,  # keep nothing
             on_group=lambda m, c: seen.append((m.size, c.size)),
         )
@@ -216,6 +206,108 @@ class TestEngineExecution:
             if m.size and c.size
         ]
         assert seen == expect
+
+
+# ----------------------------------------------------------------------
+# candidate_join: every operand kind x execution mode agrees with brute force
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["per-group", "batched", "pooled", "pooled-batched"])
+@pytest.mark.parametrize("streamed", [False, True], ids=["resident", "source"])
+@pytest.mark.parametrize("two_source", [False, True], ids=["self", "axb"])
+def test_candidate_join_modes_match_brute_force(two_source, streamed, mode):
+    data = _dataset(12, n=260, seed=14)
+    queries = _dataset(12, n=90, seed=15) if two_source else data
+    eps = float(epsilon_for_selectivity(data, 10))
+    index = GridIndex(data, eps)
+
+    def operand(x):
+        if streamed:
+            return SourceOperand(ArraySource(x), TedJoinKernel._block_state)
+        return _fp64_operand(x)
+
+    got = candidate_join(
+        index.iter_join_groups(queries) if two_source else index.iter_cells(),
+        operand(queries),
+        eps * eps,
+        operand(data) if two_source else None,
+        batched="batched" in mode,
+        workers=2 if "pooled" in mode else 0,  # source-backed: runs serial
+        group_batch=8,
+    )
+    brute, _ = tile_join(
+        _fp64_operand(queries), eps * eps,
+        _fp64_operand(data) if two_source else None, row_block=64,
+    )
+    if two_source:
+        shape = (queries.shape[0], data.shape[0])
+        got, brute = got.finalize_join(*shape, eps), brute.finalize_join(*shape, eps)
+    else:
+        got, brute = got.finalize(len(data), eps), brute.finalize(len(data), eps)
+    if "batched" in mode:  # pair-set contract (padded GEMMs may reassociate)
+        for x, y in zip(_canon(got)[:2], _canon(brute)[:2]):
+            np.testing.assert_array_equal(x, y)
+    else:
+        assert_bit_identical(got, brute)
+
+
+# ----------------------------------------------------------------------
+# Stage hooks: every executor shape and mode reports its stages
+# ----------------------------------------------------------------------
+
+
+def _hook_cases():
+    """(id, run, expected stages): ``run()`` returns one join's arrays."""
+    data, other = _dataset(16, n=220, seed=12), _dataset(16, n=180, seed=13)
+    eps = float(epsilon_for_selectivity(data, 10))
+
+    def operand(x, streamed):
+        if streamed:
+            return SourceOperand(ArraySource(x), TedJoinKernel._block_state)
+        return _fp64_operand(x)
+
+    def tiled(two_source, streamed):
+        return lambda: tile_join(
+            operand(data, streamed), eps * eps,
+            operand(other, streamed) if two_source else None, row_block=64,
+        )[0].arrays()
+
+    def gds(**kwargs):
+        def run():
+            res = GdsJoinKernel(precision="fp64").self_join(data, eps, **kwargs).result
+            return res.pairs_i, res.pairs_j, res.sq_dists
+
+        return run
+
+    cases = [
+        (
+            f"tile-{'axb' if two else 'self'}-{'streamed' if st else 'resident'}",
+            tiled(two, st),
+            {"gemm", "commit"},
+        )
+        for two in (False, True)
+        for st in (False, True)
+    ]
+    candidate = {"adjacency", "gather", "gemm", "rz", "commit"}
+    cases.append(("gds-per-group", gds(batched=False), candidate))
+    cases.append(("gds-batched", gds(batched=True), candidate))
+    cases.append(("gds-pooled", gds(batched=False, workers=2), {"adjacency", "worker"}))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "run,stages", [pytest.param(r, s, id=i) for i, r, s in _hook_cases()]
+)
+def test_stage_hooks_cover_every_mode_and_never_change_answers(run, stages):
+    plain = run()
+    hooks = trace.TraceHooks()
+    with trace.use_hooks(hooks):
+        hooked = run()
+    assert stages <= set(hooks.stages), hooks.stages
+    assert all(seconds >= 0.0 for seconds in hooks.stages.values())
+    for a, b in zip(plain, hooked):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestNormExpansion:

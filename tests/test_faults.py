@@ -45,9 +45,10 @@ from repro import faults
 from repro.core import engine
 from repro.core.api import build_index, open_index
 from repro.core.engine import (
-    norm_expansion_sq_dists,
-    process_candidate_self_join,
-    streaming_self_join,
+    ResidentOperand,
+    SourceOperand,
+    candidate_join,
+    tile_join,
 )
 from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
@@ -62,6 +63,7 @@ from repro.index.persist import (
     read_header,
     verify_index,
 )
+from repro.kernels.tedjoin import TedJoinKernel
 from repro.service import (
     DeadlineExceeded,
     IndexCache,
@@ -396,23 +398,22 @@ def _chaos_dataset(seed, n=600, d=8):
     return np.ascontiguousarray(data), eps
 
 
+def _grid_join(data, eps, **kwargs):
+    idx = GridIndex(data, eps, n_dims=4)
+    operand = ResidentOperand(*TedJoinKernel._block_state(data))
+    return candidate_join(idx.iter_cells(), operand, eps * eps, **kwargs)
+
+
 class TestExecutorRecovery:
     @pytest.mark.skipif(
         not engine._fork_available(), reason="fork start method unavailable"
     )
     def test_killed_fork_children_recover_bit_identical(self):
         data, eps = _chaos_dataset(11)
-        idx = GridIndex(data, eps, n_dims=4)
-        sq = (data * data).sum(axis=1)
-        eps2 = eps * eps
-        serial = process_candidate_self_join(
-            idx.iter_cells(), data, sq, eps2, workers=0
-        )
+        serial = _grid_join(data, eps, workers=0)
         before = engine.FORK_RECOVERIES
         faults.arm("worker.exec", "kill", prob=0.3, seed=123)
-        chaotic = process_candidate_self_join(
-            idx.iter_cells(), data, sq, eps2, workers=2, group_batch=8
-        )
+        chaotic = _grid_join(data, eps, workers=2, group_batch=8)
         faults.disarm()
         assert engine.FORK_RECOVERIES > before  # children actually died
         si, sj, sd = serial.arrays()
@@ -426,13 +427,9 @@ class TestExecutorRecovery:
     )
     def test_worker_error_fault_propagates(self):
         data, eps = _chaos_dataset(12, n=300)
-        idx = GridIndex(data, eps, n_dims=4)
-        sq = (data * data).sum(axis=1)
         faults.arm("worker.exec", "error")
         with pytest.raises(faults.FaultError):
-            process_candidate_self_join(
-                idx.iter_cells(), data, sq, eps * eps, workers=2, group_batch=8
-            )
+            _grid_join(data, eps, workers=2, group_batch=8)
 
     def test_source_read_fault_propagates_and_clears(self):
         data, _ = _chaos_dataset(13, n=200)
@@ -446,20 +443,13 @@ class TestExecutorRecovery:
 
     def test_streaming_fault_cleans_up_spill_chunks(self, tmp_path):
         data, eps = _chaos_dataset(14, n=400)
-        eps2 = eps * eps
-
-        def prepare(block):
-            return block, (block * block).sum(axis=1)
-
-        def dists(row, col):
-            return norm_expansion_sq_dists(row[1], col[1], row[0] @ col[0].T)
-
         spill_dir = tmp_path / "spill"
         acc = PairAccumulator(spill_threshold_bytes=2048, spill_dir=spill_dir)
         faults.arm("source.read", "error", after=12)  # fail mid-stream
         with pytest.raises(faults.FaultError):
-            streaming_self_join(
-                ArraySource(data), eps2, prepare, dists, row_block=40, acc=acc
+            tile_join(
+                SourceOperand(ArraySource(data), TedJoinKernel._block_state), eps * eps,
+                row_block=40, acc=acc,
             )
         assert not spill_dir.exists() or not any(spill_dir.iterdir())
 

@@ -19,8 +19,9 @@ import pytest
 from repro import faults
 from repro.core import engine
 from repro.core.engine import (
+    ResidentOperand,
     WorkerPlan,
-    process_candidate_self_join,
+    candidate_join,
     resolve_start_method,
 )
 from repro.core.selectivity import epsilon_for_selectivity
@@ -34,12 +35,13 @@ def _dataset(seed, n=600, d=8):
     return np.ascontiguousarray(data), eps
 
 
+def _operand(data):
+    return ResidentOperand(data, (data * data).sum(axis=1))
+
+
 def _join(data, eps, **kwargs):
     idx = GridIndex(data, eps, n_dims=4)
-    sq = (data * data).sum(axis=1)
-    return process_candidate_self_join(
-        idx.iter_cells(), data, sq, eps * eps, **kwargs
-    )
+    return candidate_join(idx.iter_cells(), _operand(data), eps * eps, **kwargs)
 
 
 def assert_same_bits(a, b):
@@ -137,18 +139,12 @@ class TestSpawnPoolBitIdentity:
             (m, rng.integers(0, right.shape[0], size=max(c.size, 1)))
             for m, c in idx.iter_cells()
         ]
-        sq_l = (left * left).sum(axis=1)
-        sq_r = (right * right).sum(axis=1)
-        kwargs = dict(
-            work_right=right, sq_norms_right=sq_r, drop_self=False,
-        )
-        serial = process_candidate_self_join(
-            iter(groups), left, sq_l, eps * eps, workers=0, **kwargs
-        )
-        spawned = process_candidate_self_join(
-            iter(groups), left, sq_l, eps * eps,
+        lo, ro = _operand(left), _operand(right)
+        serial = candidate_join(iter(groups), lo, eps * eps, ro, workers=0)
+        spawned = candidate_join(
+            iter(groups), lo, eps * eps, ro,
             workers=WorkerPlan(2, 1, None, "explicit", start_method="spawn"),
-            group_batch=4, **kwargs
+            group_batch=4,
         )
         assert_same_bits(serial, spawned)
 

@@ -1,6 +1,6 @@
-"""Tests for the out-of-core streaming executor and the batched candidate
-executor (repro.core.engine.streaming_self_join / batched_candidate_self_join,
-repro.data.source).
+"""Tests for the engine's out-of-core (source-backed) tile execution and
+the batched mode of the candidate executor (repro.core.engine.tile_join
+over a SourceOperand / candidate_join(batched=True), repro.data.source).
 
 The streaming contract is *bit-identity with the in-memory engine at the
 same tile plan*: per-block preparation is row-local and per-tile GEMM
@@ -17,12 +17,11 @@ import pytest
 
 from repro.core.api import self_join, self_join_stream
 from repro.core.engine import (
+    ResidentOperand,
+    SourceOperand,
     TilePlan,
-    batched_candidate_self_join,
-    candidate_self_join,
-    iter_symmetric_tiles,
-    norm_expansion_sq_dists,
-    streaming_self_join,
+    candidate_join,
+    tile_join,
 )
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import (
@@ -61,37 +60,31 @@ def assert_pair_sets_equal(a, b):
 
 class TestTilePlan:
     def test_matches_in_memory_tiling(self):
-        plan = TilePlan(n=1000, row_block=128)
-        from_plan = [
-            (
-                *plan.block_bounds(ri),
-                *plan.block_bounds(cj),
-            )
-            for ri, cj in plan.tiles()
-        ]
+        plan = TilePlan.square(1000, 128)
         expect = [
-            (r0, r1, c0, c1)
-            for r0, r1, c0, c1 in iter_symmetric_tiles(1000, 128)
+            (r0, min(r0 + 128, 1000), c0, min(c0 + 128, 1000))
+            for r0 in range(0, 1000, 128)
+            for c0 in range(r0, 1000, 128)
         ]
-        assert [(a, b, c, d) for a, b, c, d in from_plan] == expect
+        assert list(plan.tile_bounds()) == expect
         assert plan.n_tiles == len(expect)
 
     def test_from_budget_respects_bound(self):
         n, d, budget = 10_000, 64, 1 << 20
-        plan = TilePlan.from_budget(n, d, budget)
+        plan = TilePlan.from_budget(n, n, d, budget, symmetric=True)
         assert plan.peak_resident_bytes(d) <= budget
         assert plan.row_block >= 1
 
     def test_from_budget_tiny_budget_still_progresses(self):
-        plan = TilePlan.from_budget(100, 4096, 1024)
+        plan = TilePlan.from_budget(100, 100, 4096, 1024, symmetric=True)
         assert plan.row_block == 1  # floor: one row per block
-        assert plan.n_blocks == 100
+        assert plan.n_row_blocks == 100
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            TilePlan(n=10, row_block=0)
+            TilePlan.square(10, 0)
         with pytest.raises(ValueError):
-            TilePlan.from_budget(10, 8, 0)
+            TilePlan.from_budget(10, 10, 8, 0)
 
 
 # ----------------------------------------------------------------------
@@ -171,14 +164,16 @@ class TestStreamingBitIdentity:
         source = MmapNpySource(path)
         budget = 128 * 1024
         assert source.nbytes > budget  # deliberately larger than the budget
-        plan = TilePlan.from_budget(source.n, source.dim, budget)
+        plan = TilePlan.from_budget(
+            source.n, source.n, source.dim, budget, symmetric=True
+        )
         mem = FastedKernel().self_join(data, eps := epsilon_for_selectivity(data, 16), row_block=plan.row_block)
         got, stats = FastedKernel().self_join_stream(
             source, eps, memory_budget_bytes=budget
         )
         assert joins_bit_identical(mem, got)
         assert stats.peak_resident_bytes <= budget
-        assert stats.plan.n_blocks > TilePlan.RESIDENT_BLOCKS
+        assert stats.plan.n_row_blocks > TilePlan.RESIDENT_BLOCKS
 
     def test_ted_brute_chunked_larger_than_budget(self, tmp_path):
         data = _dataset(32, n=700, seed=2)
@@ -195,20 +190,6 @@ class TestStreamingBitIdentity:
         assert joins_bit_identical(mem, got.result)
         assert stats.peak_resident_bytes <= budget
 
-    def test_prefetch_off_identical(self):
-        data = _dataset(32, n=400, seed=3)
-        eps = epsilon_for_selectivity(data, 12)
-        a, _ = FastedKernel().self_join_stream(
-            ArraySource(data), eps, row_block=100, prefetch=True
-        )
-        b, _ = FastedKernel().self_join_stream(
-            ArraySource(data), eps, row_block=100, prefetch=False
-        )
-        # Same commit order, not just the same set.
-        np.testing.assert_array_equal(a.pairs_i, b.pairs_i)
-        np.testing.assert_array_equal(a.pairs_j, b.pairs_j)
-        assert np.array_equal(a.sq_dists.view(np.uint32), b.sq_dists.view(np.uint32))
-
     def test_store_distances_off(self):
         data = _dataset(24, n=200, seed=4)
         eps = epsilon_for_selectivity(data, 8)
@@ -220,32 +201,19 @@ class TestStreamingBitIdentity:
         assert_pair_sets_equal(mem, got)
 
     def test_streaming_engine_generic(self):
-        """streaming_self_join with trivial numerics == symmetric result."""
+        """tile_join over a source-backed operand == over a resident one."""
         data = _dataset(16, n=150, seed=5).astype(np.float64)
-        s = (data * data).sum(axis=1)
         eps2 = float(epsilon_for_selectivity(data, 8)) ** 2
-
-        def prepare(block):
-            return block, (block * block).sum(axis=1)
-
-        def dists(row, col):
-            return norm_expansion_sq_dists(row[1], col[1], row[0] @ col[0].T)
-
-        acc, stats = streaming_self_join(
-            ArraySource(data), eps2, prepare, dists, row_block=40
+        acc, stats = tile_join(
+            SourceOperand(ArraySource(data), TedJoinKernel._block_state), eps2, row_block=40
         )
-        from repro.core.engine import symmetric_self_join
-
-        def tile(r0, r1, c0, c1):
-            return norm_expansion_sq_dists(
-                s[r0:r1], s[c0:c1], data[r0:r1] @ data[c0:c1].T
-            )
-
-        ref = symmetric_self_join(150, eps2, tile, row_block=40)
-        a = acc.finalize(150, 1.0)
-        b = ref.finalize(150, 1.0)
-        assert joins_bit_identical(a, b)
+        ref, ref_stats = tile_join(
+            ResidentOperand(*TedJoinKernel._block_state(data)), eps2, row_block=40
+        )
+        assert joins_bit_identical(acc.finalize(150, 1.0), ref.finalize(150, 1.0))
         assert stats.tiles_evaluated == stats.plan.n_tiles
+        assert stats.blocks_loaded == stats.plan.n_tiles
+        assert ref_stats.blocks_loaded == 0 == ref_stats.peak_resident_bytes
 
     def test_ted_index_variant_refuses_streaming(self):
         with pytest.raises(ValueError):
@@ -295,7 +263,7 @@ class TestApiStreaming:
         path = tmp_path / "d.npy"
         np.save(path, data)
         budget = 96 * 1024
-        plan = TilePlan.from_budget(300, 32, budget)
+        plan = TilePlan.from_budget(300, 300, 32, budget, symmetric=True)
         mem = FastedKernel().self_join(data, eps, row_block=plan.row_block)
         got = self_join(path, eps, memory_budget_bytes=budget)  # no stream=
         assert joins_bit_identical(mem, got)
@@ -382,21 +350,14 @@ class TestBatchedEngine:
         eps = float(epsilon_for_selectivity(data, 8))
         index = GridIndex(data, eps)
         work = np.ascontiguousarray(data, dtype=np.float64)
-        s = (work * work).sum(axis=1)
-        return data, eps, index, work, s
+        return data, eps, index, ResidentOperand(*TedJoinKernel._block_state(work))
 
     def test_matches_per_group_executor(self):
-        data, eps, index, work, s = self._setup()
+        data, eps, index, operand = self._setup()
         eps2 = float(eps) ** 2
-
-        def dist(members, cand):
-            return norm_expansion_sq_dists(
-                s[members], s[cand], work[members] @ work[cand].T
-            )
-
-        plain = candidate_self_join(index.iter_cells(), dist, eps2)
-        batched = batched_candidate_self_join(
-            index.iter_cells(order="size"), work, s, eps2
+        plain = candidate_join(index.iter_cells(), operand, eps2)
+        batched = candidate_join(
+            index.iter_cells(order="size"), operand, eps2, batched=True
         )
         a = plain.finalize(data.shape[0], eps)
         b = batched.finalize(data.shape[0], eps)
@@ -405,30 +366,25 @@ class TestBatchedEngine:
 
     def test_forced_tiny_batches(self):
         """Pathological knobs (every group flushes alone) still correct."""
-        data, eps, index, work, s = self._setup(n=250)
+        data, eps, index, operand = self._setup(n=250)
         eps2 = float(eps) ** 2
-        batched = batched_candidate_self_join(
-            index.iter_cells(), work, s, eps2, batch_elems=1, single_elems=1
+        batched = candidate_join(
+            index.iter_cells(), operand, eps2, batched=True,
+            batch_params={"batch_elems": 1, "single_elems": 1},
         )
-
-        def dist(members, cand):
-            return norm_expansion_sq_dists(
-                s[members], s[cand], work[members] @ work[cand].T
-            )
-
-        plain = candidate_self_join(index.iter_cells(), dist, eps2)
+        plain = candidate_join(index.iter_cells(), operand, eps2)
         assert joins_bit_identical(
             plain.finalize(250, eps), batched.finalize(250, eps)
         )
 
     def test_on_group_sees_every_group_in_order(self):
-        data, eps, index, work, s = self._setup(n=300)
+        data, eps, index, operand = self._setup(n=300)
         seen = []
-        batched_candidate_self_join(
+        candidate_join(
             index.iter_cells(),
-            work,
-            s,
+            operand,
             -1.0,  # keep nothing
+            batched=True,
             on_group=lambda m, c: seen.append((m.size, c.size)),
         )
         expect = [
@@ -437,11 +393,11 @@ class TestBatchedEngine:
         assert seen == expect
 
     def test_size_order_same_pair_set(self):
-        data, eps, index, work, s = self._setup(n=350, seed=11)
+        data, eps, index, operand = self._setup(n=350, seed=11)
         eps2 = float(eps) ** 2
-        lex = batched_candidate_self_join(index.iter_cells(), work, s, eps2)
-        size = batched_candidate_self_join(
-            index.iter_cells(order="size"), work, s, eps2
+        lex = candidate_join(index.iter_cells(), operand, eps2, batched=True)
+        size = candidate_join(
+            index.iter_cells(order="size"), operand, eps2, batched=True
         )
         assert joins_bit_identical(
             lex.finalize(350, eps), size.finalize(350, eps)

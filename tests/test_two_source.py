@@ -1,16 +1,15 @@
-"""Tests for the two-source (A x B) join subsystem and its out-of-core
-companions: the rectangular streaming executor
-(repro.core.engine.rect_join / streaming_join / RectTilePlan), the
-disk-spilling PairAccumulator, the out-of-core grid/tree builds
-(GridIndex.from_source / MultiSpaceTree.from_source) and the kernels'
-source-backed joins.
+"""Tests for two-source (A x B) joins and their out-of-core companions:
+the tile executor with a second operand over a rectangular TilePlan
+(repro.core.engine.tile_join), the disk-spilling PairAccumulator, the
+out-of-core grid/tree builds (GridIndex.from_source /
+MultiSpaceTree.from_source) and the kernels' source-backed joins.
 
 Contracts pinned here:
 
-* ``streaming_join`` is **bit-identical** to ``rect_join`` at the same
-  tile plan (per-block preparation is row-local, per-tile GEMM shapes are
-  unchanged) -- including from mmap/chunked sources larger than the
-  memory budget, whose observed peak residency must stay under it.
+* A streamed ``A x B`` join is **bit-identical** to the resident one at
+  the same tile plan (per-block preparation is row-local, per-tile GEMM
+  shapes are unchanged) -- including from mmap/chunked sources larger than
+  the memory budget, whose observed peak residency must stay under it.
 * A spilling ``PairAccumulator`` yields exactly the arrays a non-spilling
   run yields, while its resident buffer stays bounded.
 * ``GridIndex.from_source`` (streamed cell-key encoding + external
@@ -26,19 +25,16 @@ import pytest
 
 from repro.core.api import join, join_stream, self_join
 from repro.core.engine import (
-    RectTilePlan,
+    ResidentOperand,
+    TilePlan,
     candidate_join,
-    iter_rect_tiles,
-    norm_expansion_sq_dists,
-    rect_join,
-    streaming_join,
+    tile_join,
 )
 from repro.core.results import JoinResult, PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import (
     ArraySource,
     MmapNpySource,
-    as_source,
     write_chunked_npy,
 )
 from repro.index.grid import GridIndex
@@ -68,6 +64,11 @@ def _eps(a, b, target=12):
     return float(epsilon_for_selectivity(np.vstack((a, b)), target))
 
 
+def _fp64_operand(x):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return ResidentOperand(x, (x * x).sum(axis=1))
+
+
 def assert_pair_sets_equal(x, y):
     xi, xj, _ = canon(x)
     yi, yj, _ = canon(y)
@@ -83,37 +84,41 @@ def _brute_fp64_pairs(a, b, eps):
 
 
 # ----------------------------------------------------------------------
-# RectTilePlan
+# Rectangular TilePlan
 # ----------------------------------------------------------------------
 
 
 class TestRectTilePlan:
     def test_matches_in_memory_tiling(self):
-        plan = RectTilePlan(n_rows=500, n_cols=700, row_block=128, col_block=96)
+        plan = TilePlan(n_rows=500, n_cols=700, row_block=128, col_block=96)
         from_plan = [
             (*plan.row_bounds(ri), *plan.col_bounds(cj))
             for ri, cj in plan.tiles()
         ]
-        expect = list(iter_rect_tiles(500, 700, 128, 96))
-        assert from_plan == expect
+        expect = [
+            (r0, min(r0 + 128, 500), c0, min(c0 + 96, 700))
+            for r0 in range(0, 500, 128)
+            for c0 in range(0, 700, 96)
+        ]
+        assert from_plan == expect == list(plan.tile_bounds())
         assert plan.n_tiles == len(expect)
         assert plan.n_row_blocks == 4 and plan.n_col_blocks == 8
 
     def test_from_budget_respects_bound(self):
-        plan = RectTilePlan.from_budget(10_000, 8_000, 64, 1 << 20)
+        plan = TilePlan.from_budget(10_000, 8_000, 64, 1 << 20)
         assert plan.peak_resident_bytes(64) <= 1 << 20
         assert plan.row_block >= 1 and plan.col_block >= 1
 
     def test_tiny_budget_still_progresses(self):
-        plan = RectTilePlan.from_budget(50, 60, 4096, 1024)
+        plan = TilePlan.from_budget(50, 60, 4096, 1024)
         assert plan.row_block == 1 and plan.col_block == 1
         assert plan.n_tiles == 50 * 60
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            RectTilePlan(n_rows=10, n_cols=10, row_block=0, col_block=4)
+            TilePlan(n_rows=10, n_cols=10, row_block=0, col_block=4)
         with pytest.raises(ValueError):
-            RectTilePlan.from_budget(10, 10, 8, 0)
+            TilePlan.from_budget(10, 10, 8, 0)
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +130,9 @@ class TestRectJoin:
     def test_matches_dense_reference(self):
         a, b = _pair(16, n_a=120, n_b=90, seed=3)
         eps = _eps(a, b, 8)
-        sa = (a * a).sum(axis=1)
-        sb = (b * b).sum(axis=1)
-
-        def tile(r0, r1, c0, c1):
-            return norm_expansion_sq_dists(
-                sa[r0:r1], sb[c0:c1], a[r0:r1] @ b[c0:c1].T
-            )
-
-        acc = rect_join(a.shape[0], b.shape[0], eps * eps, tile, row_block=37)
+        acc, _ = tile_join(
+            _fp64_operand(a), eps * eps, _fp64_operand(b), row_block=37
+        )
         got = acc.finalize_join(a.shape[0], b.shape[0], eps)
         ii, jj = _brute_fp64_pairs(a, b, eps)
         gi, gj, _ = canon(got)
@@ -144,11 +143,7 @@ class TestRectJoin:
         """(i, i) relates different points across sets -- must be kept."""
         a = np.zeros((3, 4))
         b = np.zeros((3, 4))
-
-        def tile(r0, r1, c0, c1):
-            return np.zeros((r1 - r0, c1 - c0))
-
-        acc = rect_join(3, 3, 0.5, tile, row_block=2)
+        acc, _ = tile_join(_fp64_operand(a), 0.5, _fp64_operand(b), row_block=2)
         res = acc.finalize_join(3, 3, 1.0)
         assert res.pairs_i.size == 9  # all pairs, diagonal included
 
@@ -189,7 +184,7 @@ class TestStreamingJoinBitIdentity:
         src_a, src_b = MmapNpySource(path_a), MmapNpySource(path_b)
         budget = 128 * 1024
         assert src_a.nbytes + src_b.nbytes > budget
-        plan = RectTilePlan.from_budget(a.shape[0], b.shape[0], 64, budget)
+        plan = TilePlan.from_budget(a.shape[0], b.shape[0], 64, budget)
         eps = _eps(a, b)
         mem = FastedKernel().join(
             a, b, eps, row_block=plan.row_block, col_block=plan.col_block
@@ -210,19 +205,6 @@ class TestStreamingJoinBitIdentity:
             src_a, src_b, eps, row_block=90
         )
         assert joins_bit_identical(mem, got)
-
-    def test_prefetch_off_identical(self):
-        a, b = _pair(24, seed=9)
-        eps = _eps(a, b)
-        x, _ = FastedKernel().join_stream(
-            ArraySource(a), ArraySource(b), eps, row_block=70, prefetch=True
-        )
-        y, _ = FastedKernel().join_stream(
-            ArraySource(a), ArraySource(b), eps, row_block=70, prefetch=False
-        )
-        np.testing.assert_array_equal(x.pairs_i, y.pairs_i)
-        np.testing.assert_array_equal(x.pairs_j, y.pairs_j)
-        assert np.array_equal(x.sq_dists.view(np.uint32), y.sq_dists.view(np.uint32))
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -360,11 +342,11 @@ class TestFromSourceIndexes:
         np.testing.assert_array_equal(mem._sort, src._sort)
 
     def test_grid_build_accounts_stats(self):
-        from repro.core.engine import StreamStats, TilePlan
+        from repro.core.engine import StreamStats
 
         data = _dataset(16, n=200, seed=17)
         eps = float(epsilon_for_selectivity(data, 8))
-        stats = StreamStats(plan=TilePlan(n=200, row_block=50))
+        stats = StreamStats(plan=TilePlan.square(200, 50))
         GridIndex.from_source(ArraySource(data), eps, row_block=50, stats=stats)
         assert stats.blocks_loaded > 0
         # One block resident at a time during the build passes.
@@ -449,19 +431,12 @@ class TestBatchedSourceExecutor:
         data = _dataset(24, n=600, seed=23)
         return data, float(epsilon_for_selectivity(data, 8))
 
-    @staticmethod
-    def _pair_sets_equal(a, b):
-        from repro.kernels.reference import canon
-
-        ca, cb = canon(a), canon(b)
-        return np.array_equal(ca[0], cb[0]) and np.array_equal(ca[1], cb[1])
-
     def test_gds_batched_source(self, data_eps, tmp_path):
         data, eps = data_eps
         src = write_chunked_npy(tmp_path / "chunks", data, rows_per_chunk=128)
         mem = GdsJoinKernel().self_join(data, eps, batched=True)
         got, stats = GdsJoinKernel().self_join_source(src, eps, batched=True)
-        assert self._pair_sets_equal(mem.result, got.result)
+        assert_pair_sets_equal(mem.result, got.result)
         assert mem.total_candidates == got.total_candidates
         assert stats.blocks_loaded > 0
 
@@ -473,7 +448,7 @@ class TestBatchedSourceExecutor:
         )
         # FP64: the batched executor agrees bitwise in practice, but the
         # contract (and this pin) is the pair set.
-        assert self._pair_sets_equal(mem.result, got.result)
+        assert_pair_sets_equal(mem.result, got.result)
 
     def test_mistic_batched_source(self, data_eps):
         data, eps = data_eps
@@ -481,7 +456,7 @@ class TestBatchedSourceExecutor:
         got, _ = MisticKernel().self_join_source(
             ArraySource(data), eps, batched=True
         )
-        assert self._pair_sets_equal(mem.result, got.result)
+        assert_pair_sets_equal(mem.result, got.result)
 
     def test_source_view_matches_unbatched(self, data_eps, tmp_path):
         """Source-backed batched == per-group source path, pair-set-wise."""
@@ -490,38 +465,26 @@ class TestBatchedSourceExecutor:
         src = MmapNpySource(tmp_path / "d.npy")
         plain, _ = GdsJoinKernel().self_join_source(src, eps)
         batched, _ = GdsJoinKernel().self_join_source(src, eps, batched=True)
-        assert self._pair_sets_equal(plain.result, batched.result)
+        assert_pair_sets_equal(plain.result, batched.result)
 
     def test_batched_candidate_join_two_source(self, data_eps):
-        """The external-query batched executor (batched_candidate_join)
-        matches candidate_join on the same groups."""
-        from repro.core.engine import (
-            batched_candidate_join,
-            candidate_join,
-            norm_expansion_sq_dists,
-        )
-        from repro.index.grid import GridIndex
-
+        """External queries: the candidate executor's batched mode matches
+        its per-group mode on the same groups."""
         data, eps = data_eps
         rng = np.random.default_rng(7)
         queries = data[rng.integers(0, data.shape[0], 200)] + rng.normal(
             0, eps / (4 * data.shape[1] ** 0.5), size=(200, data.shape[1])
         )
         index = GridIndex(data, eps)
-        sa = (queries * queries).sum(axis=1)
-        sb = (data * data).sum(axis=1)
+        left, right = _fp64_operand(queries), _fp64_operand(data)
         eps2 = float(eps) ** 2
-
-        def dist(m, c):
-            return norm_expansion_sq_dists(sa[m], sb[c], queries[m] @ data[c].T)
-
-        plain = candidate_join(
-            index.iter_join_groups(queries), dist, eps2
-        ).finalize_join(200, data.shape[0], eps)
-        batched = batched_candidate_join(
-            index.iter_join_groups(queries), queries, sa, data, sb, eps2
-        ).finalize_join(200, data.shape[0], eps)
-        assert self._pair_sets_equal(plain, batched)
+        plain, batched = (
+            candidate_join(
+                index.iter_join_groups(queries), left, eps2, right, batched=mode
+            ).finalize_join(200, data.shape[0], eps)
+            for mode in (False, True)
+        )
+        assert_pair_sets_equal(plain, batched)
 
 
 # ----------------------------------------------------------------------
@@ -568,12 +531,9 @@ class TestTwoSourceIndexJoins:
     def test_candidate_join_keeps_equal_indices(self):
         """The two-source group executor must not drop (i, i) pairs."""
         groups = [(np.array([0, 1]), np.array([0, 1]))]
-
-        def dist(m, c):
-            return np.zeros((m.size, c.size))
-
-        acc = candidate_join(groups, dist, 0.5)
-        assert len(acc) == 4
+        zeros = _fp64_operand(np.zeros((2, 3)))
+        assert len(candidate_join(groups, zeros, 0.5, zeros)) == 4
+        assert len(candidate_join(groups, zeros, 0.5)) == 2  # self-join drops (i, i)
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +556,7 @@ class TestApiJoin:
         np.save(path_a, a)
         src_b = write_chunked_npy(tmp_path / "b", b, rows_per_chunk=64)
         budget = 96 * 1024
-        plan = RectTilePlan.from_budget(a.shape[0], b.shape[0], 32, budget)
+        plan = TilePlan.from_budget(a.shape[0], b.shape[0], 32, budget)
         mem = FastedKernel().join(
             a, b, eps, row_block=plan.row_block, col_block=plan.col_block
         )

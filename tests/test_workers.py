@@ -17,10 +17,11 @@ import pytest
 from repro.core import api
 from repro.core.engine import (
     TILE_CACHE_BUDGET_BYTES,
+    ResidentOperand,
+    SourceOperand,
     TilePlan,
     WorkerPlan,
-    symmetric_self_join,
-    streaming_self_join,
+    tile_join,
 )
 from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
@@ -357,8 +358,8 @@ class TestTimingPlanUnification:
     def test_fasted_cost_equals_executed_plan(self, n):
         kern = FastedKernel()
         cost = kern.cost(n, 64)
-        device_plan = TilePlan(
-            n=n, row_block=kern.config.block_points, symmetric=False
+        device_plan = TilePlan.square(
+            n, kern.config.block_points, symmetric=False
         )
         assert cost.n_tiles == device_plan.n_tiles
         assert cost.plan is not None and cost.plan.n_tiles == cost.n_tiles
@@ -381,26 +382,17 @@ class TestTimingPlanUnification:
     def test_engine_tile_count_matches_plan(self, dataset):
         data, eps = dataset
         n = data.shape[0]
-        plan = TilePlan(n=n, row_block=128, symmetric=False)
-        calls = 0
-        s = (data * data).sum(axis=1)
-
-        def tile(r0, r1, c0, c1):
-            nonlocal calls
-            calls += 1
-            d2 = s[r0:r1, None] + s[None, c0:c1] - 2.0 * (
-                data[r0:r1] @ data[c0:c1].T
-            )
-            return np.maximum(d2, 0.0)
-
-        symmetric_self_join(n, float(eps) ** 2, tile, plan=plan)
-        assert calls == plan.n_tiles
+        plan = TilePlan.square(n, 128, symmetric=False)
+        _, stats = tile_join(
+            ResidentOperand(*TedJoinKernel._block_state(data)), float(eps) ** 2, plan=plan
+        )
+        assert stats.tiles_evaluated == plan.n_tiles
 
     @pytest.mark.parametrize("n", [160, 700])
     def test_ted_cost_equals_executed_plan(self, n):
         kern = TedJoinKernel(variant="brute")
         cost = kern.cost(n, 64)
-        device_plan = TilePlan(n=n, row_block=8, symmetric=False)
+        device_plan = TilePlan.square(n, 8, symmetric=False)
         assert cost.n_tiles == device_plan.n_tiles
         assert cost.chunks_per_tile == -(-64 // 4)
         # Table-6 conflict degrees survive in the cost view.
@@ -447,29 +439,41 @@ class TestTimingPlanUnification:
 
 class TestPlanGuards:
     def test_symmetric_executor_rejects_mismatched_plan(self):
+        operand = ResidentOperand(*TedJoinKernel._block_state(np.zeros((100, 4))))
         with pytest.raises(ValueError, match="plan covers"):
-            symmetric_self_join(
-                100, 1.0, lambda *a: np.zeros((1, 1)),
-                plan=TilePlan(n=50, row_block=10),
-            )
-
-    def test_streaming_rejects_device_plan(self, dataset):
-        data, eps = dataset
+            tile_join(operand, 1.0, plan=TilePlan.square(50, 10))
         with pytest.raises(ValueError, match="symmetric"):
-            streaming_self_join(
-                ArraySource(data), eps ** 2, lambda b: b, lambda r, c: None,
-                plan=TilePlan(n=data.shape[0], row_block=100, symmetric=False),
-            )
+            tile_join(operand, 1.0, operand, plan=TilePlan.square(100, 10))
+        with pytest.raises(ValueError, match="equal row and column"):
+            tile_join(operand, 1.0, plan=TilePlan(100, 100, 10, 20))
+        with pytest.raises(ValueError, match="square"):
+            TilePlan(100, 80, 10, 10, symmetric=True)
+
+    def test_streaming_runs_device_plan(self, dataset):
+        """One tile loop: a streamed self-join walks the full-grid device
+        schedule too, bit-identical to the resident run at that plan."""
+        data, eps = dataset
+        plan = TilePlan.square(data.shape[0], 100, symmetric=False)
+        resident, _ = tile_join(
+            ResidentOperand(*TedJoinKernel._block_state(data)), eps ** 2, plan=plan
+        )
+        streamed, stats = tile_join(
+            SourceOperand(ArraySource(data), TedJoinKernel._block_state), eps ** 2, plan=plan
+        )
+        n = data.shape[0]
+        assert joins_bit_identical(resident.finalize(n, eps), streamed.finalize(n, eps))
+        # Every tile but the diagonal ones loads a column block.
+        nb = plan.n_row_blocks
+        assert stats.tiles_evaluated == plan.n_tiles == nb * nb
+        assert stats.blocks_loaded == nb + nb * (nb - 1)
 
     def test_full_grid_plan_counts(self):
-        plan = TilePlan(n=1000, row_block=128, symmetric=False)
+        plan = TilePlan.square(1000, 128, symmetric=False)
         assert plan.n_tiles == 64 == len(list(plan.tile_bounds()))
-        sym = TilePlan(n=1000, row_block=128)
+        sym = TilePlan.square(1000, 128)
         assert sym.n_tiles == 36
-        # Symmetric tile bounds match the legacy iterator exactly.
-        from repro.core.engine import iter_symmetric_tiles
-
-        assert list(sym.tile_bounds()) == list(iter_symmetric_tiles(1000, 128))
+        assert all(c0 >= r0 for r0, _r1, c0, _c1 in sym.tile_bounds())
+        assert set(sym.tile_bounds()) <= set(plan.tile_bounds())
 
 
 # ----------------------------------------------------------------------
