@@ -6,7 +6,12 @@ Measures, at the standard working point (n=4096):
   (nextafter-per-chunk) implementation, with a bit-identity check.
 * TED-Join-Brute self-join at d=64 -- engine (symmetric tiles) vs the seed
   full-matrix loop, with a bit-identity check.
-* Pairs/sec of every kernel's self-join at d=64.
+* Pairs/sec of every kernel's self-join at d=64, with each kernel's
+  working precision and its overlap accuracy (paper Eq. 3) against the
+  FP64 ground truth.
+* Stage seconds of the FaSTED self-join (``gemm`` / ``rz`` / ``commit``
+  from ``trace.use_hooks``): the GEMM's share of a join, with a
+  bit-identity check that arming the hooks changes nothing.
 * The tile executor over a source-backed (mmap) operand vs a resident one
   at the same tile plan (bit-identity + peak-resident-vs-budget check).
 * The candidate executor's batched mode vs per-group GEMMs on the
@@ -45,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import trace
+from repro.core.accuracy import overlap_accuracy
 from repro.core.engine import TilePlan, WorkerPlan
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import MmapNpySource, write_chunked_npy
@@ -163,27 +170,78 @@ def bench_ted_brute(data: np.ndarray, eps: float) -> dict:
 
 
 def bench_kernels(data: np.ndarray, eps: float) -> dict:
+    """Pairs/sec per kernel, with its precision and accuracy on record.
+
+    Result sizes may differ between kernels by a few FP32/FP16 boundary
+    pairs (a pair whose true distance sits within rounding of ``eps``);
+    ``overlap_vs_fp64`` -- the paper's Eq. 3 overlap accuracy against
+    GDS-Join in FP64 mode, the paper's ground truth -- says how few.
+    """
     runs = {
-        "fasted": lambda: FastedKernel().self_join(data, eps),
-        "ted-join-brute": lambda: TedJoinKernel(variant="brute")
-        .self_join(data, eps)
-        .result,
-        "ted-join-index": lambda: TedJoinKernel(variant="index")
-        .self_join(data, eps)
-        .result,
-        "gds-join": lambda: GdsJoinKernel().self_join(data, eps).result,
-        "mistic": lambda: MisticKernel().self_join(data, eps).result,
+        "fasted": ("fp16-32", lambda: FastedKernel().self_join(data, eps)),
+        "ted-join-brute": (
+            "fp64",
+            lambda: TedJoinKernel(variant="brute").self_join(data, eps).result,
+        ),
+        "ted-join-index": (
+            "fp64",
+            lambda: TedJoinKernel(variant="index").self_join(data, eps).result,
+        ),
+        "gds-join": ("fp32", lambda: GdsJoinKernel().self_join(data, eps).result),
+        "mistic": ("fp32", lambda: MisticKernel().self_join(data, eps).result),
     }
+    truth = GdsJoinKernel(precision="fp64").self_join(data, eps).result
     out = {}
-    for name, fn in runs.items():
-        pairs = int(fn().pairs_i.size)
+    for name, (precision, fn) in runs.items():
+        res = fn()
+        pairs = int(res.pairs_i.size)
         seconds = median_seconds(fn, reps=3)
         out[name] = {
             "seconds": seconds,
             "result_pairs": pairs,
             "pairs_per_sec": pairs / seconds if seconds else float("inf"),
+            "precision": precision,
+            "overlap_vs_fp64": overlap_accuracy(res, truth),
         }
     return out
+
+
+def bench_stage_seconds(data: np.ndarray, eps: float) -> dict:
+    """Where a FaSTED self-join's seconds go: GEMM vs the Step-3 epilogue.
+
+    ``gemm`` is the tile products, ``rz`` the epilogue's norm sum +
+    recombination + compare, ``commit`` its pair extraction, distance
+    gather and the accumulator appends -- read from ``trace.use_hooks``
+    over the serial tile loop, median of the reps per stage.
+    ``epilogue_over_gemm`` is the number the strip-mined epilogue exists
+    to keep near 1; ``bit_identical`` pins that an armed run returns the
+    same arrays, in the same order, as an unarmed one.
+    """
+    kern = FastedKernel()
+    plain = kern.self_join(data, eps)
+    reps: dict[str, list[float]] = {"gemm": [], "rz": [], "commit": []}
+    for _ in range(5):
+        hooks = trace.TraceHooks()
+        with trace.use_hooks(hooks):
+            armed = kern.self_join(data, eps)
+        for stage, seconds in reps.items():
+            seconds.append(hooks.stages[stage])
+    stages = {stage: statistics.median(seconds) for stage, seconds in reps.items()}
+    return {
+        "n": data.shape[0],
+        "d": data.shape[1],
+        "kernel": "fasted",
+        "row_block": kern.auto_row_block(*data.shape),
+        "join_seconds": median_seconds(lambda: kern.self_join(data, eps)),
+        **stages,
+        "epilogue_over_gemm": (stages["rz"] + stages["commit"]) / stages["gemm"],
+        "bit_identical": bool(
+            np.array_equal(plain.pairs_i, armed.pairs_i)
+            and np.array_equal(plain.pairs_j, armed.pairs_j)
+            and plain.sq_dists.tobytes() == armed.sq_dists.tobytes()
+        ),
+        "result_pairs": int(plain.pairs_i.size),
+    }
 
 
 def bench_streaming(data: np.ndarray, eps: float) -> dict:
@@ -639,6 +697,7 @@ def main() -> dict:
         "rz_sum_squares": bench_rz(rng),
         "ted_join_brute": bench_ted_brute(data, eps),
         "kernel_pairs_per_sec": bench_kernels(data, eps),
+        "stage_seconds": bench_stage_seconds(data, eps),
         "streaming": bench_streaming(data, eps),
         "candidate_batched": bench_candidate_batched(),
         "two_source": bench_two_source(rng, eps),
@@ -653,5 +712,26 @@ def main() -> dict:
     return report
 
 
+#: Correctness bits of the report: every one must be ``True``.
+CORRECTNESS_FIELDS = ("bit_identical", "within_budget", "pair_set_equal")
+
+
+def failed_correctness_fields(node, path: str = "") -> list[str]:
+    """Paths of the report's correctness bits that are not ``True``."""
+    if not isinstance(node, dict):
+        return []
+    failed = []
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else key
+        if key in CORRECTNESS_FIELDS and value is not True:
+            failed.append(where)
+        failed += failed_correctness_fields(value, where)
+    return failed
+
+
 if __name__ == "__main__":
-    main()
+    # CI's benchmark smoke job runs this: a timing is only worth reading
+    # if the answer it timed was right.
+    failed = failed_correctness_fields(main())
+    if failed:
+        raise SystemExit(f"correctness bits not true: {', '.join(failed)}")

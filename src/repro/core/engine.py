@@ -49,9 +49,25 @@ commit strictly in tile / group order whatever the parallelism
 is bit-identical to serial (pair-set-equal in batched mode, where batch
 boundaries move with the partitioning).  Under ``repro.trace.use_hooks``
 both attribute their time to the same stages -- ``adjacency`` (index group
-iteration), ``gather``, ``gemm``, ``rz`` (norm-expansion recombination),
-``commit`` (pair extraction + append) and ``worker`` (pool wait) -- with
-one ContextVar read per call and nothing per tile when no hooks are armed.
+iteration), ``gather``, ``gemm``, ``rz`` (norm sum + recombination +
+compare), ``commit`` (pair extraction, distance gather, append) and
+``worker`` (pool wait) -- with one ContextVar read per call.
+
+**Epilogue**: every distance block -- a tile, a group's candidate chunk, a
+padded batch -- goes through :func:`threshold_epilogue`: Step 3 fused with
+the ``eps^2`` filter and strip-mined, so no full-tile pass follows the GEMM.
+A strip is as many rows of the gram block as fit
+:data:`TILE_CACHE_BUDGET_BYTES` together with one norm-sum and one compare
+buffer, both reused from strip to strip (whole groups at a time in a batch
+of small ones).  Per strip the recombination runs in place in
+:func:`norm_expansion_sq_dists`' elementwise order ``(s_i + s_j) - 2*g``;
+the hits come from a row-major ``flatnonzero`` + one ``divmod``, which lists
+the positions of a 2-D/3-D ``nonzero`` in its order; and only they are
+clamped, because for ``eps2 >= 0``, ``max(x, 0) <= eps2`` iff ``x <= eps2``
+(NaN compares false either way).  Hence bit-identical to thresholding the
+full distance block, which :func:`norm_expansion_sq_dists` still builds
+where it is the product: the query service's kNN search, ``FastedKernel.
+tile_sq_dists``, the brute oracles and the mutable store's buffer pass.
 
 **Timing-path reuse**: the tiled kernels' ``cost()`` models derive their
 ``KernelCost.n_tiles`` from the same :class:`TilePlan` geometry the
@@ -92,11 +108,12 @@ PrepareFn = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 #: cell density.
 GROUP_CHUNK_ELEMS = 2_000_000
 
-#: Default byte budget one distance tile (the ``row_block x row_block``
-#: d2 block plus its two operand panels) should fit in -- sized for the
-#: per-core last-level-cache slice of current server parts, where the
-#: extraction pass (mask + nonzero + gather) re-reads the tile it just
-#: wrote.  ``WorkerPlan(tile_budget_bytes=...)`` overrides it.
+#: Per-core cache byte budget (the last-level-cache slice of current
+#: server parts).  Sizes the default GEMM tile edge
+#: (:meth:`WorkerPlan.tile_rows`: d2 block + two operand panels;
+#: ``WorkerPlan(tile_budget_bytes=...)`` overrides that use) and the row
+#: strips of :func:`threshold_epilogue`, whose passes over a strip then
+#: read cache whatever the tile edge.
 TILE_CACHE_BUDGET_BYTES = 3 << 19  # 1.5 MiB
 
 #: Environment variables consulted (in order) for the BLAS thread count.
@@ -149,11 +166,11 @@ class WorkerPlan:
 
     The plan also owns **tile sizing**: :meth:`tile_rows` picks the
     largest tile edge whose distance block plus operand panels fit
-    ``tile_budget_bytes`` -- the cache-residency knob that dominates
-    single-core throughput.  Kernels use it whenever the caller leaves
-    ``row_block=None``; the choice never changes the pair set, and on the
-    seed datasets it is bit-identical distance-for-distance too (pinned
-    by tests/test_workers.py).
+    ``tile_budget_bytes`` -- the GEMM shape per tile; the epilogue
+    strip-mines any tile, so its cache residency does not depend on it.
+    Kernels use it whenever the caller leaves ``row_block=None``; the
+    choice never changes the pair set, and on the seed datasets it is
+    bit-identical distance-for-distance too (tests/test_workers.py).
     """
 
     n_workers: int
@@ -243,13 +260,7 @@ class WorkerPlan:
         return max(1, min(rows, max(n, 1)))
 
     def resolved_start_method(self) -> str:
-        """The concrete pool start method this plan will use.
-
-        Resolution order: ``REPRO_START_METHOD`` env var, then the plan's
-        ``start_method`` field, with ``"auto"`` meaning fork where the
-        platform offers it and spawn otherwise (macOS/Windows, or fork
-        disabled).  See :func:`resolve_start_method`.
-        """
+        """The concrete pool start method (:func:`resolve_start_method`)."""
         return resolve_start_method(self.start_method)
 
     def as_dict(self) -> dict:
@@ -269,17 +280,76 @@ def norm_expansion_sq_dists(
 ) -> np.ndarray:
     """``max(0, (s_i + s_j) - 2*gram)`` computed in place on ``gram``.
 
-    The shared Step-3 recombination of every kernel.  Elementwise order is
-    exactly ``(s_row[:, None] + s_col[None, :]) - 2.0 * gram`` so results
-    are bit-identical to the naive expression in any precision, but only
-    one temporary (the broadcast norm sum) is allocated; the scale,
-    subtract, and clamp reuse the gram buffer.
+    The full Step-3 distance block.  Elementwise order is exactly
+    ``(s_row[:, None] + s_col[None, :]) - 2.0 * gram``, so results are
+    bit-identical to the naive expression in any precision, with one
+    temporary (the broadcast norm sum); the rest reuses the gram buffer.
     """
     t = s_row[:, None] + s_col[None, :]
     np.multiply(gram, 2.0, out=gram)
     np.subtract(t, gram, out=gram)
     return np.maximum(gram, 0.0, out=gram)
 
+
+def threshold_epilogue(
+    gram: np.ndarray, s_row: np.ndarray, s_col: np.ndarray, eps2: float, *,
+    clear_diagonal: bool = False, store_distances: bool = True, hooks=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Step 3 fused with the ``eps2`` filter, strip by strip (see the
+    module docstring): a gram block's in-range positions and distances.
+
+    ``gram`` is ``(m, c)`` with norms ``(m,)`` / ``(c,)`` or a padded batch
+    ``(g, m, c)`` with norms ``(g, m)`` / ``(g, c)``, and is consumed.
+    Returns ``(rows, cols, dd)``: row-major positions of the ``(g*m, c)``
+    view where ``max(0, (s_i + s_j) - 2*gram) <= eps2`` -- minus the main
+    diagonal when ``clear_diagonal`` -- and those distances as float32
+    (None unless ``store_distances``).  ``hooks`` gets the ``rz`` and
+    ``commit`` (extraction + distance gather) stage seconds.
+    """
+    block = gram.reshape((-1,) + gram.shape[-2:])
+    g, m, c = block.shape
+    s_row, s_col = s_row.reshape(g, m, 1), s_col.reshape(g, 1, c)
+    sum_dtype = np.result_type(s_row, s_col)
+    per_row = max(1, c * (block.itemsize + sum_dtype.itemsize + 1))
+    height = max(1, TILE_CACHE_BUDGET_BYTES // per_row)
+    # A strip is ~`height` rows of the (g*m, c) view -- whole groups when
+    # they are that small, else row ranges of one group -- and one norm-sum
+    # and one compare buffer serve every strip.
+    step_g, step_r = (height // m, m) if height >= m > 0 else (1, height)
+    sums = np.empty((min(step_g, g), min(step_r, m), c), dtype=sum_dtype)
+    mask = np.empty(sums.size, dtype=np.bool_)
+    hits, dists = [np.empty(0, np.int64)], [np.empty(0, np.float32)]
+    rz_s = commit_s = 0.0
+    # eps2 < 0 (or NaN) keeps nothing; clamp-after-select needs eps2 >= 0.
+    for k0 in range(0, g, step_g) if eps2 >= 0 else ():
+        for a in range(0, m, step_r):
+            t0 = time.perf_counter()
+            ks, rs = slice(k0, k0 + step_g), slice(a, a + step_r)
+            strip = block[ks, rs]
+            t, hit = sums[: strip.shape[0], : strip.shape[1]], mask[: strip.size]
+            np.add(s_row[ks, rs], s_col[ks], out=t)
+            np.multiply(strip, 2.0, out=strip)
+            np.subtract(t, strip, out=strip)
+            flat = strip.reshape(-1)
+            np.less_equal(flat, eps2, out=hit)
+            if clear_diagonal and a < c:
+                # Tile row a+i meets the diagonal at column a+i.
+                hit[a : a + (min(rs.stop, m, c) - a) * (c + 1) : c + 1] = False
+            t1 = time.perf_counter()
+            idx = np.flatnonzero(hit)
+            if store_distances:
+                dists.append(np.maximum(flat[idx], 0.0).astype(np.float32, copy=False))
+            idx += (k0 * m + a) * c
+            hits.append(idx)
+            rz_s += t1 - t0
+            commit_s += time.perf_counter() - t1
+    t1 = time.perf_counter()
+    rows, cols = np.divmod(np.concatenate(hits), max(c, 1))
+    dd = np.concatenate(dists) if store_distances else None
+    if hooks is not None:
+        hooks.record("rz", rz_s)
+        hooks.record("commit", commit_s + time.perf_counter() - t1)
+    return rows, cols, dd
 
 
 # ----------------------------------------------------------------------
@@ -587,32 +657,6 @@ def _check_operands(left: Operand, right: "Operand | None") -> Operand:
 # ----------------------------------------------------------------------
 
 
-def _extract_pairs(
-    d2: np.ndarray,
-    r0: int,
-    c0: int,
-    eps2: float,
-    store_distances: bool,
-    clear_diagonal: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Extract the in-range pairs (global indices) of one evaluated tile.
-
-    ``clear_diagonal`` is set for the diagonal tiles of a self-join, whose
-    diagonal holds self pairs; two-source tiles never clear it because
-    equal indices relate *different* points of the two sets.
-    """
-    mask = d2 <= eps2
-    if clear_diagonal:
-        np.fill_diagonal(mask, False)
-    ii, jj = np.nonzero(mask)
-    gi = ii.astype(np.int64)
-    gi += r0
-    gj = jj.astype(np.int64)
-    gj += c0
-    dd = d2[ii, jj].astype(np.float32) if store_distances else None
-    return gi, gj, dd
-
-
 class _InFlightWindow:
     """Bounded in-flight tile window with in-order commit.
 
@@ -781,19 +825,16 @@ def tile_join(
         return op.block(lo, hi, stats)
 
     def eval_tile(row, col, r0: int, c0: int, diagonal: bool):
-        # May run on pool threads: the hooks ride the closure, not the
-        # context.
+        # May run on pool threads: hooks ride the closure, not the context.
         t0 = time.perf_counter()
         gram = row[0] @ col[0].T
-        t1 = time.perf_counter()
-        d2 = norm_expansion_sq_dists(row[1], col[1], gram)
-        t2 = time.perf_counter()
-        out = _extract_pairs(d2, r0, c0, eps2, store_distances, diagonal)
         if hooks is not None:
-            hooks.record("gemm", t1 - t0)
-            hooks.record("rz", t2 - t1)
-            hooks.record("commit", time.perf_counter() - t2)
-        return out
+            hooks.record("gemm", time.perf_counter() - t0)
+        gi, gj, dd = threshold_epilogue(
+            gram, row[1], col[1], eps2, clear_diagonal=diagonal,
+            store_distances=store_distances, hooks=hooks,
+        )
+        return gi + r0, gj + c0, dd
 
     def commit_tile(extracted, mirror: bool, col) -> None:
         t0 = time.perf_counter()
@@ -857,59 +898,26 @@ def group_chunk(dim: int) -> int:
     return max(1, GROUP_CHUNK_ELEMS // max(int(dim), 1))
 
 
-def group_sq_dists(
-    rows_m: np.ndarray,
-    norms_m: np.ndarray,
-    cols: Operand,
-    cand: np.ndarray,
-    hooks=None,
-    stats: "StreamStats | None" = None,
-) -> np.ndarray:
-    """Distance block of gathered member rows against ``cols[cand]``.
+def group_gram(
+    rows_m: np.ndarray, cols: Operand, cand: np.ndarray,
+    hooks=None, stats: "StreamStats | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(gram of member rows against cols[cand], the candidates' norms)``.
 
-    The one spelling of the candidate-group distance expression and of
-    its ``gather`` / ``gemm`` / ``rz`` stage split (the clock is read at
-    the boundaries NumPy already evaluates in order, so timing never
-    changes the arithmetic).  Shared by :func:`candidate_join` and the
-    query service's kNN search.
+    The one spelling of a candidate group's ``gather`` / ``gemm`` stages,
+    shared by :func:`candidate_join` (which thresholds the gram block) and
+    the query service's kNN search (which ranks every candidate, so it
+    builds the full block with :func:`norm_expansion_sq_dists`).
     """
     t0 = time.perf_counter()
     rows_c, norms_c = cols.take(cand, stats)
     t1 = time.perf_counter()
     gram = rows_m @ rows_c.T
-    t2 = time.perf_counter()
-    d2 = norm_expansion_sq_dists(norms_m, norms_c, gram)
-    cols.release(rows_c, norms_c, stats)
     if hooks is not None:
         hooks.record("gather", t1 - t0)
-        hooks.record("gemm", t2 - t1)
-        hooks.record("rz", time.perf_counter() - t2)
-    return d2
-
-
-def _emit_pairs(
-    acc: PairAccumulator,
-    d2: np.ndarray,
-    gi: np.ndarray,
-    gj: np.ndarray,
-    hit: tuple,
-    drop_self: bool,
-) -> None:
-    """Append the in-range pairs ``(gi, gj)`` found at ``d2[hit]``.
-
-    The single definition of the group pair-extraction semantics (float32
-    distances; ``drop_self`` removes ``gi == gj`` pairs -- the self-join
-    convention, which two-source joins skip because equal indices address
-    different points).
-    """
-    if drop_self:
-        keep = gi != gj
-        gi, gj = gi[keep], gj[keep]
-    dd = None
-    if acc.store_distances:
-        dd = d2[hit]
-        dd = (dd[keep] if drop_self else dd).astype(np.float32)
-    acc.append(gi, gj, dd)
+        hooks.record("gemm", time.perf_counter() - t1)
+    cols.release(rows_c, norms_c, stats)
+    return gram, norms_c
 
 
 def batch_params_from_stats(
@@ -994,7 +1002,6 @@ def auto_batched_from_stats(stats) -> bool:
     return n_groups >= AUTO_BATCH_MIN_GROUPS and 0.0 < typical <= AUTO_BATCH_ELEMS
 
 
-
 def resolve_batching(
     batched: bool | None, index_stats: Callable[[], Any], overrides: dict | None
 ) -> tuple[bool, dict | None]:
@@ -1073,15 +1080,9 @@ def _live_groups(
 
 def _run_groups(
     groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    left: Operand,
-    cols: Operand,
-    eps2: float,
-    acc: PairAccumulator,
-    *,
-    drop_self: bool,
-    batch_params: dict | None,
-    hooks=None,
-    stats: "StreamStats | None" = None,
+    left: Operand, cols: Operand, eps2: float, acc: PairAccumulator, *,
+    drop_self: bool, batch_params: dict | None,
+    hooks=None, stats: "StreamStats | None" = None,
 ) -> None:
     """Evaluate nonempty groups serially into ``acc``.
 
@@ -1094,6 +1095,22 @@ def _run_groups(
     """
     chunk = group_chunk(left.dim)
 
+    def emit(gram, norms_m, norms_c, row_ids, col_ids) -> None:
+        # ``row_ids`` is flat over the (g*m) block rows, ``col_ids`` (g, c).
+        rows, cols_, dd = threshold_epilogue(
+            gram, norms_m, norms_c, eps2,
+            store_distances=acc.store_distances, hooks=hooks,
+        )
+        t0 = time.perf_counter()
+        gi, gj = row_ids[rows], col_ids[rows // gram.shape[-2], cols_]
+        if drop_self:  # self-join: equal indices are the same point
+            keep = gi != gj
+            gi, gj = gi[keep], gj[keep]
+            dd = dd[keep] if dd is not None else None
+        acc.append(gi, gj, dd)
+        if hooks is not None:
+            hooks.record("commit", time.perf_counter() - t0)
+
     def run_single(members: np.ndarray, candidates: np.ndarray) -> None:
         t0 = time.perf_counter()
         rows_m, norms_m = left.take(members, stats)
@@ -1103,12 +1120,8 @@ def _run_groups(
         # a single (members x candidates) temporary.
         for c0 in range(0, candidates.size, chunk):
             cand = candidates[c0 : c0 + chunk]
-            d2 = group_sq_dists(rows_m, norms_m, cols, cand, hooks, stats)
-            t0 = time.perf_counter()
-            hit = np.nonzero(d2 <= eps2)
-            _emit_pairs(acc, d2, members[hit[0]], cand[hit[1]], hit, drop_self)
-            if hooks is not None:
-                hooks.record("commit", time.perf_counter() - t0)
+            gram, norms_c = group_gram(rows_m, cols, cand, hooks, stats)
+            emit(gram, norms_m, norms_c, members, cand[None])
         left.release(rows_m, norms_m, stats)
 
     if batch_params is None:
@@ -1159,24 +1172,11 @@ def _run_groups(
             cols.release(rows_c, norms_c, stats)
             t1 = time.perf_counter()
             gram = np.matmul(p, q.transpose(0, 2, 1))
-            t2 = time.perf_counter()
-            # Same elementwise order as norm_expansion_sq_dists, batched.
-            t = sm[:, :, None] + sc[:, None, :]
-            np.multiply(gram, 2.0, out=gram)
-            np.subtract(t, gram, out=gram)
-            np.maximum(gram, 0.0, out=gram)
-            t3 = time.perf_counter()
-            # Padded rows/cols have inf norms -> inf distance -> filtered.
-            hit = np.nonzero(gram <= eps2)
-            _emit_pairs(
-                acc, gram, mi_idx[hit[0], hit[1]], cj_idx[hit[0], hit[2]],
-                hit, drop_self,
-            )
             if hooks is not None:
                 hooks.record("gather", t1 - t0)
-                hooks.record("gemm", t2 - t1)
-                hooks.record("rz", t3 - t2)
-                hooks.record("commit", time.perf_counter() - t3)
+                hooks.record("gemm", time.perf_counter() - t1)
+            # Padded rows/cols have inf norms -> inf distance -> filtered.
+            emit(gram, sm, sc, mi_idx.reshape(-1), cj_idx)
         batch, batch_m, batch_c, batch_fill = [], 0, 0, 0
 
     for members, candidates in groups:

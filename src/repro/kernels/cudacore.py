@@ -121,6 +121,39 @@ def short_circuit_profile(
     )
 
 
+class ProfileSample:
+    """Sampled candidate pairs whose profile is measured on first read.
+
+    The functional joins end by sampling candidate pairs for the timing
+    model, but only the timing path (``response_time`` / ``cost``) ever
+    reads the profile -- ``repro.self_join`` discards it -- so the FP64
+    pass over the sample waits for :attr:`profile`.  The sample is kept
+    compacted (only the sampled rows, pair indices renumbered into them),
+    so holding it never holds the dataset, and the lazy value is
+    identical to an eager :func:`short_circuit_profile` call on it.
+    """
+
+    def __init__(self, sample_i, sample_j, take_rows, eps: float, order=None) -> None:
+        """``take_rows(idx)`` gathers float64 dataset rows; it is called
+        here, once, on the distinct sampled indices."""
+        uniq, inv = np.unique(
+            np.concatenate((sample_i, sample_j)), return_inverse=True
+        )
+        self.rows = take_rows(uniq)
+        self.pairs = (inv[: len(sample_i)], inv[len(sample_i) :])
+        self.eps = eps
+        self.order = order
+        self._profile: ShortCircuitProfile | None = None
+
+    @property
+    def profile(self) -> ShortCircuitProfile:
+        if self._profile is None:
+            self._profile = short_circuit_profile(
+                self.rows, self.eps, self.pairs, order=self.order
+            )
+        return self._profile
+
+
 def cuda_kernel_seconds(
     spec: GpuSpec,
     total_candidates: float,

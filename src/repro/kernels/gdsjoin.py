@@ -41,11 +41,11 @@ from repro.kernels.base import (
 )
 from repro.gpusim.timing import KernelCost
 from repro.kernels.cudacore import (
+    ProfileSample,
     ShortCircuitProfile,
     cuda_candidate_cost,
     cuda_kernel_seconds,
     grid_build_seconds,
-    short_circuit_profile,
 )
 
 #: Fraction of FP32 peak a tuned gather-heavy CUDA-core kernel sustains;
@@ -60,8 +60,13 @@ class GdsJoinResult:
 
     result: NeighborResult
     total_candidates: int
-    profile: ShortCircuitProfile
+    sample: ProfileSample
     n_indexed_dims: int
+
+    @property
+    def profile(self) -> ShortCircuitProfile:
+        """Measured on first read (see :class:`ProfileSample`)."""
+        return self.sample.profile
 
 
 class GdsJoinKernel:
@@ -157,19 +162,10 @@ class GdsJoinKernel:
         result = acc.finalize(n, float(eps))
         si = np.concatenate(sample_i) if sample_i else np.empty(0, np.int64)
         sj = np.concatenate(sample_j) if sample_j else np.empty(0, np.int64)
-        # Compact the sampled pair indices so the profile touches only the
-        # sampled rows, never the dataset.
-        uniq, inv = np.unique(np.concatenate((si, sj)), return_inverse=True)
-        profile = short_circuit_profile(
-            take_rows(uniq),
-            eps,
-            (inv[: si.size], inv[si.size :]),
-            order=index.order,
-        )
         return GdsJoinResult(
             result=result,
             total_candidates=total_candidates,
-            profile=profile,
+            sample=ProfileSample(si, sj, take_rows, eps, order=index.order),
             n_indexed_dims=index.r,
         )
 

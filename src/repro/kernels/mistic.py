@@ -35,10 +35,10 @@ from repro.kernels.base import (
 )
 from repro.gpusim.timing import KernelCost
 from repro.kernels.cudacore import (
+    ProfileSample,
     ShortCircuitProfile,
     cuda_candidate_cost,
     cuda_kernel_seconds,
-    short_circuit_profile,
 )
 
 #: Effective fraction of FP32 peak; higher than GDS-Join's because of the
@@ -56,8 +56,13 @@ class MisticResult:
 
     result: NeighborResult
     total_candidates: int
-    profile: ShortCircuitProfile
+    sample: ProfileSample
     construction_evaluations: int
+
+    @property
+    def profile(self) -> ShortCircuitProfile:
+        """Measured on first read (see :class:`ProfileSample`)."""
+        return self.sample.profile
 
 
 class MisticKernel:
@@ -109,16 +114,10 @@ class MisticKernel:
             cand_j.append(cm)
         si = np.concatenate(cand_i) if cand_i else np.empty(0, np.int64)
         sj = np.concatenate(cand_j) if cand_j else np.empty(0, np.int64)
-        # Compact the sampled pair indices so the profile gathers only the
-        # sampled rows, never the dataset.
-        uniq, inv = np.unique(np.concatenate((si, sj)), return_inverse=True)
-        profile = short_circuit_profile(
-            take_rows(uniq), eps, (inv[: si.size], inv[si.size :])
-        )
         return MisticResult(
             result=result,
             total_candidates=tree.total_candidates(),
-            profile=profile,
+            sample=ProfileSample(si, sj, take_rows, eps),
             construction_evaluations=tree.construction_evaluations,
         )
 

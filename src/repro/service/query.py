@@ -57,7 +57,7 @@ from repro.core.engine import (
     WorkerPlan,
     candidate_join,
     group_chunk,
-    group_sq_dists,
+    group_gram,
     norm_expansion_sq_dists,
 )
 from repro.core.results import JoinResult, PairAccumulator
@@ -434,10 +434,15 @@ class QueryEngine:
                 rows_m, norms_m = wq[gm], sq[gm]
                 for c0 in range(0, candidates.size, chunk):
                     cand = candidates[c0 : c0 + chunk]
-                    d2 = group_sq_dists(
-                        rows_m, norms_m, self._data, cand, hooks
-                    ).astype(np.float64, copy=False)
+                    gram, norms_c = group_gram(rows_m, self._data, cand, hooks)
+                    tz = time.perf_counter()
+                    # kNN ranks every candidate: the full block is the product.
+                    d2 = norm_expansion_sq_dists(norms_m, norms_c, gram).astype(
+                        np.float64, copy=False
+                    )
                     tm = time.perf_counter()
+                    if hooks is not None:
+                        hooks.record("rz", tm - tz)
                     cat_d = np.concatenate([best_d, d2], axis=1)
                     cat_i = np.concatenate(
                         [best_i, np.broadcast_to(cand, d2.shape)], axis=1

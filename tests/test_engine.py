@@ -9,8 +9,12 @@ baseline cannot drift), giving the engine an independent executor to be
 checked against.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import trace
 from repro.core import engine
@@ -19,6 +23,7 @@ from repro.core.engine import (
     SourceOperand,
     candidate_join,
     norm_expansion_sq_dists,
+    threshold_epilogue,
     tile_join,
 )
 from repro.core.results import NeighborResult, PairAccumulator
@@ -327,6 +332,148 @@ class TestNormExpansion:
                 naive.view(np.uint32 if dt is np.float32 else np.uint64),
                 got.view(np.uint32 if dt is np.float32 else np.uint64),
             )
+
+
+# ----------------------------------------------------------------------
+# threshold_epilogue: the one Step-3 + eps^2 filter behind every block
+# ----------------------------------------------------------------------
+
+
+def _naive_epilogue(gram, s_row, s_col, eps2, clear_diagonal=False):
+    """Reference (kept here, not in src/): full distance block, clamp,
+    boolean mask, 2-D ``nonzero``, fancy-indexed float32 distances."""
+    with np.errstate(all="ignore"):
+        d2 = np.maximum((s_row[:, None] + s_col[None, :]) - 2.0 * gram, 0)
+    mask = d2 <= eps2
+    if clear_diagonal:
+        np.fill_diagonal(mask, False)
+    ii, jj = np.nonzero(mask)
+    return ii, jj, d2[ii, jj].astype(np.float32)
+
+
+def _strip_height(rows, c, dtype):
+    """Patch the strip budget so a strip holds ``rows`` rows of width ``c``."""
+    per_row = c * (2 * np.dtype(dtype).itemsize + 1)
+    return mock.patch.object(engine, "TILE_CACHE_BUDGET_BYTES", rows * per_row)
+
+
+def _assert_same_hits(got, want):
+    """Equal positions *in order* and bitwise-equal float32 distances."""
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2].dtype == np.float32
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def _block(m, c, dtype, seed=0, d=6):
+    """Gram block + norms of two small-integer point sets: exact
+    arithmetic, many ties at each radius, and one coincident pair (0, 0)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(m, d)).astype(dtype)
+    b = rng.integers(-3, 4, size=(c, d)).astype(dtype)
+    b[0] = a[0]
+    return a @ b.T, (a * a).sum(axis=1), (b * b).sum(axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestThresholdEpilogue:
+    @pytest.mark.parametrize("m,c", [(1, 1), (23, 10), (5, 31)])
+    @pytest.mark.parametrize("eps2", [-1.0, 0.0, 9.0, 40.0, 1e9])
+    def test_matches_naive_at_every_strip_height(self, dtype, m, c, eps2):
+        """Zero hits (eps2 < 0), eps2 = 0, some hits, all hits; strip
+        heights 1, 7 (dividing neither m) and >= m, and the default."""
+        gram, sr, sc = _block(m, c, dtype, seed=m + c)
+        want = _naive_epilogue(gram.copy(), sr, sc, dtype(eps2))
+        assert (want[0].size == 0) == (eps2 < 0)  # eps2 = 0 keeps (0, 0)
+        assert (want[0].size == m * c) == (eps2 == 1e9 or m * c == 1 and eps2 >= 0)
+        _assert_same_hits(threshold_epilogue(gram.copy(), sr, sc, dtype(eps2)), want)
+        for rows in (1, 7, m + 3):
+            with _strip_height(rows, c, dtype):
+                got = threshold_epilogue(gram.copy(), sr, sc, dtype(eps2))
+            _assert_same_hits(got, want)
+
+    @pytest.mark.parametrize("m,c", [(9, 13), (13, 9), (8, 8)])
+    def test_clipped_diagonal_tile_clears_its_diagonal(self, dtype, m, c):
+        rng = np.random.default_rng(3)
+        pts = rng.integers(-2, 3, size=(max(m, c), 4)).astype(dtype)
+        norms = (pts * pts).sum(axis=1)
+        gram = pts[:m] @ pts[:c].T
+        want = _naive_epilogue(gram.copy(), norms[:m], norms[:c], dtype(6.0), True)
+        assert not np.any(want[0] == want[1]) and want[0].size
+        for rows in (1, 4, m):
+            with _strip_height(rows, c, dtype):
+                got = threshold_epilogue(
+                    gram.copy(), norms[:m], norms[:c], dtype(6.0), clear_diagonal=True
+                )
+            _assert_same_hits(got, want)
+
+    def test_negative_recombination_is_stored_as_positive_zero(self, dtype):
+        # (1 + 1) - 2 * 1.5 = -1: in range for eps2 >= 0 only after the clamp.
+        gram = np.array([[1.5, 0.0]], dtype=dtype)
+        ones = np.ones(2, dtype=dtype)
+        rows, cols, dd = threshold_epilogue(gram.copy(), ones[:1], ones, dtype(0.5))
+        assert (rows.tolist(), cols.tolist()) == ([0], [0])
+        assert dd.tobytes() == np.float32(0.0).tobytes()  # +0.0, not -0.0 / -1
+        # ... and a negative radius keeps nothing: max(-1, 0) > -0.5.
+        assert threshold_epilogue(gram, ones[:1], ones, dtype(-0.5))[0].size == 0
+
+    def test_nan_and_inf_norms_never_emit(self, dtype):
+        gram, sr, sc = _block(6, 7, dtype, seed=5)
+        sr[1], sr[4], sc[2], sc[6] = np.inf, np.nan, np.nan, np.inf
+        want = _naive_epilogue(gram.copy(), sr, sc, dtype(1e9))
+        assert want[0].size == 4 * 5
+        with _strip_height(4, 7, dtype):
+            _assert_same_hits(threshold_epilogue(gram.copy(), sr, sc, dtype(1e9)), want)
+
+    def test_padded_batch_block_with_mixed_group_sizes(self, dtype):
+        """The 3-D block: rows index the (g*m, c) view, inf-norm padding
+        never emits, whatever number of groups a strip holds."""
+        sizes = [(3, 5), (1, 2), (4, 1), (2, 5)]
+        g, pad_m, pad_c = len(sizes), 4, 5
+        gram = np.zeros((g, pad_m, pad_c), dtype=dtype)
+        sm = np.full((g, pad_m), np.inf, dtype=dtype)
+        sc = np.full((g, pad_c), np.inf, dtype=dtype)
+        want = [[], [], []]
+        for k, (m, c) in enumerate(sizes):
+            gram[k, :m, :c], sm[k, :m], sc[k, :c] = _block(m, c, dtype, seed=k)
+            ii, jj, dd = _naive_epilogue(gram[k, :m, :c].copy(), sm[k, :m], sc[k, :c], dtype(20.0))
+            want[0].append(ii + k * pad_m), want[1].append(jj), want[2].append(dd)
+        want = [np.concatenate(w) for w in want]
+        assert want[0].size
+        for rows in (1, 3, pad_m, 2 * pad_m + 1, g * pad_m):
+            with _strip_height(rows, pad_c, dtype):
+                got = threshold_epilogue(gram.copy(), sm, sc, dtype(20.0))
+            _assert_same_hits(got, want)
+
+    def test_store_distances_off_and_stage_hooks(self, dtype):
+        gram, sr, sc = _block(12, 9, dtype, seed=8)
+        want = _naive_epilogue(gram.copy(), sr, sc, dtype(12.0))
+        hooks = trace.TraceHooks()
+        rows, cols, dd = threshold_epilogue(
+            gram.copy(), sr, sc, dtype(12.0), store_distances=False, hooks=hooks
+        )
+        assert dd is None and set(hooks.stages) == {"rz", "commit"}
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(cols, want[1])
+
+
+@given(
+    m=st.integers(1, 24), c=st.integers(1, 24), rows=st.integers(1, 30),
+    quantile=st.floats(0.0, 1.0), f32=st.booleans(), diagonal=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_threshold_epilogue_shape_value_sweep(m, c, rows, quantile, f32, diagonal, seed):
+    dtype = np.float32 if f32 else np.float64
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(m, 5)).astype(dtype), rng.normal(size=(c, 5)).astype(dtype)
+    gram, sr, sc = a @ b.T, (a * a).sum(axis=1), (b * b).sum(axis=1)
+    # A radius that is itself one of the block's distances: ties included.
+    eps2 = dtype(np.quantile(norm_expansion_sq_dists(sr, sc, gram.copy()), quantile))
+    want = _naive_epilogue(gram.copy(), sr, sc, eps2, diagonal)
+    with _strip_height(rows, c, dtype):
+        got = threshold_epilogue(gram.copy(), sr, sc, eps2, clear_diagonal=diagonal)
+    _assert_same_hits(got, want)
 
 
 class TestPairAccumulator:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim.spec import A100_PCIE
+from repro.index.grid import GridIndex
+from repro.kernels import cudacore
 from repro.kernels.cudacore import (
     cuda_kernel_seconds,
     grid_build_seconds,
@@ -204,6 +206,37 @@ class TestShortCircuitProfile:
             np.zeros((4, 4)), 1.0, (np.empty(0, int), np.empty(0, int))
         )
         assert prof.mean_fraction == 1.0
+
+    @pytest.mark.parametrize("kernel", [GdsJoinKernel(), MisticKernel()], ids=["gds", "mistic"])
+    def test_join_measures_its_profile_on_first_read_only(self, kernel, monkeypatch):
+        calls = []
+        real = cudacore.short_circuit_profile
+        monkeypatch.setattr(
+            cudacore, "short_circuit_profile",
+            lambda *a, **kw: calls.append(1) or real(*a, **kw),
+        )
+        out = kernel.self_join(_clustered(seed=13), 2.0)
+        assert not calls  # the functional join never pays the FP64 pass
+        first = out.profile
+        assert out.profile is first and len(calls) == 1
+
+    def test_lazy_gds_profile_equals_eager_call_on_the_dataset(self):
+        """Same sample (first 64 nonempty cells in lex order, <= 32
+        candidates each), same order, same seed as the eager profile the
+        join used to end with -- measured on the dataset itself here."""
+        data, eps = _clustered(seed=14), 2.0
+        index = GridIndex(data, eps, n_dims=6)
+        si, sj = [], []
+        for members, cands in index.iter_cells():
+            if len(si) < 64 and members.size and cands.size:
+                take = min(cands.size, 32)
+                si.append(np.repeat(members, take))
+                sj.append(np.tile(cands[:take], members.size))
+        eager = short_circuit_profile(
+            data, eps, (np.concatenate(si), np.concatenate(sj)), order=index.order
+        )
+        for batched in (False, True):
+            assert GdsJoinKernel().self_join(data, eps, batched=batched).profile == eager
 
     def test_kernel_seconds_scaling(self):
         prof = short_circuit_profile(
