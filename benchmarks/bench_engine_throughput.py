@@ -206,17 +206,12 @@ def bench_kernels(data: np.ndarray, eps: float) -> dict:
     return out
 
 
-def bench_stage_seconds(data: np.ndarray, eps: float) -> dict:
-    """Where a FaSTED self-join's seconds go: GEMM vs the Step-3 epilogue.
+#: The second ``stage_seconds`` shape: ``join_batch`` op1 of the e2e
+#: benchmark, where prose quotes the GEMM-vs-epilogue split.
+JOIN_BATCH_SHAPE = (16384, 128)
 
-    ``gemm`` is the tile products, ``rz`` the epilogue's norm sum +
-    recombination + compare, ``commit`` its pair extraction, distance
-    gather and the accumulator appends -- read from ``trace.use_hooks``
-    over the serial tile loop, median of the reps per stage.
-    ``epilogue_over_gemm`` is the number the strip-mined epilogue exists
-    to keep near 1; ``bit_identical`` pins that an armed run returns the
-    same arrays, in the same order, as an unarmed one.
-    """
+
+def _stage_split(data: np.ndarray, eps: float) -> dict:
     kern = FastedKernel()
     plain = kern.self_join(data, eps)
     reps: dict[str, list[float]] = {"gemm": [], "rz": [], "commit": []}
@@ -230,7 +225,6 @@ def bench_stage_seconds(data: np.ndarray, eps: float) -> dict:
     return {
         "n": data.shape[0],
         "d": data.shape[1],
-        "kernel": "fasted",
         "row_block": kern.auto_row_block(*data.shape),
         "join_seconds": median_seconds(lambda: kern.self_join(data, eps)),
         **stages,
@@ -241,6 +235,30 @@ def bench_stage_seconds(data: np.ndarray, eps: float) -> dict:
             and plain.sq_dists.tobytes() == armed.sq_dists.tobytes()
         ),
         "result_pairs": int(plain.pairs_i.size),
+    }
+
+
+def bench_stage_seconds(data: np.ndarray, eps: float) -> dict:
+    """Where a FaSTED self-join's seconds go: GEMM vs the Step-3 epilogue.
+
+    ``gemm`` is the tile products, ``rz`` the epilogue's recombination +
+    compare + compaction (the fused C pass when ``native_epilogue``, else
+    the NumPy strips), ``commit`` its copy-out and the accumulator appends
+    -- read from ``trace.use_hooks`` over the serial tile loop, median of
+    the reps per stage.  ``epilogue_over_gemm`` is the number the fused
+    epilogue exists to keep well under 1; ``bit_identical`` pins that an
+    armed run returns the same arrays, in the same order, as an unarmed
+    one.  Taken at the script's shape and, under ``join_batch_shape``, at
+    :data:`JOIN_BATCH_SHAPE` (same generator and target selectivity).
+    """
+    big = np.random.default_rng(0).normal(size=JOIN_BATCH_SHAPE)
+    return {
+        "kernel": "fasted",
+        "native_epilogue": native.available(),
+        **_stage_split(data, eps),
+        "join_batch_shape": _stage_split(
+            big, float(epsilon_for_selectivity(big, SELECTIVITY))
+        ),
     }
 
 

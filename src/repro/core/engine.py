@@ -49,20 +49,27 @@ commit strictly in tile / group order whatever the parallelism
 is bit-identical to serial (pair-set-equal in batched mode, where batch
 boundaries move with the partitioning).  Under ``repro.trace.use_hooks``
 both attribute their time to the same stages -- ``adjacency`` (index group
-iteration), ``gather``, ``gemm``, ``rz`` (norm sum + recombination +
-compare), ``commit`` (pair extraction, distance gather, append) and
-``worker`` (pool wait) -- with one ContextVar read per call.
+iteration), ``gather``, ``gemm``, ``rz`` (recombination + compare +
+compaction), ``commit`` (copy-out, append) and ``worker`` (pool wait) --
+with one ContextVar read per call.
 
 **Epilogue**: every distance block -- a tile, a group's candidate chunk, a
 padded batch -- goes through :func:`threshold_epilogue`: Step 3 fused with
-the ``eps^2`` filter and strip-mined, so no full-tile pass follows the GEMM.
-A strip is as many rows of the gram block as fit
+the ``eps^2`` filter, so no full-tile pass follows the GEMM.  It tries one
+native pass first (:func:`repro.fp.native.threshold_epilogue_native`, the
+host analogue of FaSTED running Step 3 in the accumulator's registers): per
+row of the ``(g*m, c)`` view it forms ``(s_i + s_j) - 2*g`` in the block's
+dtype, compares, and writes the survivors' ``(row, col, float32 d2)``
+compactly into caller-owned scratch -- the gram is read once and not
+written, and the call resumes where a full scratch stopped it.  Without a
+compiler, or for inputs the C loop does not take (mixed dtypes, a strided
+gram), the NumPy strips run instead and are the reference the tests compare
+bits against: a strip is as many rows of the gram block as fit
 :data:`TILE_CACHE_BUDGET_BYTES` together with one norm-sum and one compare
 buffer, both reused from strip to strip (whole groups at a time in a batch
-of small ones).  Per strip the recombination runs in place in
-:func:`norm_expansion_sq_dists`' elementwise order ``(s_i + s_j) - 2*g``;
-the hits come from a row-major ``flatnonzero`` + one ``divmod``, which lists
-the positions of a 2-D/3-D ``nonzero`` in its order; and only they are
+of small ones); per strip the recombination runs in place in
+:func:`norm_expansion_sq_dists`' elementwise order and the hits come from a
+row-major ``flatnonzero`` + one ``divmod``.  Either way only the hits are
 clamped, because for ``eps2 >= 0``, ``max(x, 0) <= eps2`` iff ``x <= eps2``
 (NaN compares false either way).  Hence bit-identical to thresholding the
 full distance block, which :func:`norm_expansion_sq_dists` still builds
@@ -95,6 +102,7 @@ import numpy as np
 from repro import faults
 from repro import trace as trace_mod
 from repro.core.results import PairAccumulator
+from repro.fp import native
 
 #: ``prepare(raw_block)`` turns float64 rows into ``(rows in the kernel's
 #: working precision, their squared norms)``.  Must be row-local (a row's
@@ -111,9 +119,10 @@ GROUP_CHUNK_ELEMS = 2_000_000
 #: Per-core cache byte budget (the last-level-cache slice of current
 #: server parts).  Sizes the default GEMM tile edge
 #: (:meth:`WorkerPlan.tile_rows`: d2 block + two operand panels;
-#: ``WorkerPlan(tile_budget_bytes=...)`` overrides that use) and the row
-#: strips of :func:`threshold_epilogue`, whose passes over a strip then
-#: read cache whatever the tile edge.
+#: ``WorkerPlan(tile_budget_bytes=...)`` overrides that use) and, in
+#: :func:`threshold_epilogue`, the native pass's survivor scratch and the
+#: NumPy fallback's row strips, whose passes over a strip then read cache
+#: whatever the tile edge.
 TILE_CACHE_BUDGET_BYTES = 3 << 19  # 1.5 MiB
 
 #: Environment variables consulted (in order) for the BLAS thread count.
@@ -295,8 +304,9 @@ def threshold_epilogue(
     gram: np.ndarray, s_row: np.ndarray, s_col: np.ndarray, eps2: float, *,
     clear_diagonal: bool = False, store_distances: bool = True, hooks=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Step 3 fused with the ``eps2`` filter, strip by strip (see the
-    module docstring): a gram block's in-range positions and distances.
+    """Step 3 fused with the ``eps2`` filter, one native pass or strip by
+    strip (see the module docstring): a gram block's in-range positions and
+    distances.
 
     ``gram`` is ``(m, c)`` with norms ``(m,)`` / ``(c,)`` or a padded batch
     ``(g, m, c)`` with norms ``(g, m)`` / ``(g, c)``, and is consumed.
@@ -309,6 +319,12 @@ def threshold_epilogue(
     block = gram.reshape((-1,) + gram.shape[-2:])
     g, m, c = block.shape
     s_row, s_col = s_row.reshape(g, m, 1), s_col.reshape(g, 1, c)
+    if eps2 >= 0:
+        fused = _native_epilogue(
+            block, s_row, s_col, eps2, clear_diagonal, store_distances, hooks
+        )
+        if fused is not None:
+            return fused
     sum_dtype = np.result_type(s_row, s_col)
     per_row = max(1, c * (block.itemsize + sum_dtype.itemsize + 1))
     height = max(1, TILE_CACHE_BUDGET_BYTES // per_row)
@@ -350,6 +366,41 @@ def threshold_epilogue(
         hooks.record("rz", rz_s)
         hooks.record("commit", commit_s + time.perf_counter() - t1)
     return rows, cols, dd
+
+
+def _native_epilogue(
+    block, s_row, s_col, eps2, clear_diagonal, store_distances, hooks
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """:func:`threshold_epilogue` as fills of the fused C pass, or ``None``
+    where :func:`repro.fp.native.threshold_epilogue_native` does not apply
+    (no compiler, mixed dtypes, a strided or empty gram)."""
+    if not block.size:
+        return None
+    n_rows, c = block.shape[0] * block.shape[1], block.shape[2]
+    # Survivor scratch per fill, owned by this call (tile threads run
+    # concurrently): a cache budget's worth of 20-byte (int64 row, int64
+    # col, float32 d2) slots, but at least one block row (the C pass stops
+    # before a row that might not fit) and at most the block, so a 131-row
+    # serving block does not allocate a megabyte.
+    cap = max(c, min(TILE_CACHE_BUDGET_BYTES // 20, block.size))
+    dtypes = (np.int64, np.int64) + ((np.float32,) if store_distances else ())
+    fills: list[list[np.ndarray]] = []
+    row, t0 = 0, time.perf_counter()
+    while row < n_rows:
+        scratch = [np.empty(cap, dtype) for dtype in dtypes]
+        filled = native.threshold_epilogue_native(
+            block, s_row, s_col, eps2, clear_diagonal, row, *scratch
+        )
+        if filled is None:
+            return None
+        row, n = filled
+        fills.append([buf[:n] for buf in scratch])
+    t1 = time.perf_counter()
+    rows, cols, *dd = (np.concatenate(parts) for parts in zip(*fills))
+    if hooks is not None:
+        hooks.record("rz", t1 - t0)
+        hooks.record("commit", time.perf_counter() - t1)
+    return rows, cols, dd[0] if dd else None
 
 
 # ----------------------------------------------------------------------

@@ -122,3 +122,81 @@ long long rz_sum_f64(const double *vals, long long n, long long d,
     }
     return 1;
 }
+
+/* Fused FaSTED Step 3 + eps^2 filter over rows [row0, n_rows) of a
+ * contiguous (n_rows, c) gram view made of (m, c) groups: row r of group
+ * k = r / m pairs norm s_row[r] with column norms s_col[k * c ...].  The
+ * survivors of x = (s_i + s_j) - 2*g <= eps2 -- minus (r, r) when
+ * `diagonal` -- land compactly, in row-major order, in rows[], cols[] and
+ * (unless NULL) dd[] = (float)max(x, 0); the gram is read once, never
+ * written.  Resumable, no allocation: the caller owns the `cap`-slot
+ * outputs; the pass stops before a row when fewer than c slots remain,
+ * stores the survivor count in *n_out and returns the next row.
+ *
+ * Bit-exactness contract with the NumPy strips of
+ * repro.core.engine.threshold_epilogue (tests/test_engine.py):
+ * - dtype-local arithmetic: sum, doubling and subtraction each round once
+ *   in T, in NumPy's elementwise order; eps2 arrives already rounded to T.
+ * - no contraction: 2*g must overflow to inf as NumPy's separate multiply
+ *   does, so this file is built with -ffp-contract=off.
+ * - clamp after select: the caller guarantees eps2 >= 0, where x <= eps2
+ *   iff max(x, 0) <= eps2 (NaN compares false); -0.0 and negatives store
+ *   +0.0 like np.maximum(x, 0.0).
+ * - the float32 cast is the default round-to-nearest-even conversion.
+ *
+ * Per <= 256-column chunk the loop computing x[] and a 0/1 byte mask is
+ * branch-free (gcc vectorizes it); a chunk without a hit is skipped, else
+ * the bytes are packed 64 to a word and the set bits walked with ctz: one
+ * branch per hit, none per miss. */
+#define EPILOGUE_CHUNK 256
+
+#define DEFINE_THRESHOLD_EPILOGUE(NAME, T)                                    \
+    long long NAME(const T *gram, const T *s_row, const T *s_col,             \
+                   long long row0, long long n_rows, long long m,             \
+                   long long c, double eps2, long long diagonal,              \
+                   long long cap, long long *rows, long long *cols,           \
+                   float *dd, long long *n_out) {                             \
+        const T eps = (T)eps2;                                                \
+        long long n = 0, r = row0, k = row0 / m; /* r in group k */           \
+        for (; r < n_rows && cap - n >= c; r++) {                             \
+            k += r == (k + 1) * m;                                            \
+            const T *g = gram + r * c, *sj = s_col + k * c;                   \
+            const T si = s_row[r];                                            \
+            for (long long j0 = 0; j0 < c; j0 += EPILOGUE_CHUNK) {            \
+                const long long w =                                           \
+                    c - j0 < EPILOGUE_CHUNK ? c - j0 : EPILOGUE_CHUNK;        \
+                T x[EPILOGUE_CHUNK];                                          \
+                uint64_t words[EPILOGUE_CHUNK / 8] = {0};                     \
+                uint8_t *hit = (uint8_t *)words;                              \
+                uint8_t any = 0;                                              \
+                for (long long j = 0; j < w; j++) {                           \
+                    x[j] = (si + sj[j0 + j]) - (T)2 * g[j0 + j];              \
+                    hit[j] = x[j] <= eps;                                     \
+                    any |= hit[j];                                            \
+                }                                                             \
+                if (!any)                                                     \
+                    continue;                                                 \
+                if (diagonal && r >= j0 && r < j0 + w)                        \
+                    hit[r - j0] = 0;                                          \
+                for (long long j64 = 0; j64 < w; j64 += 64) {                 \
+                    uint64_t bits = 0; /* byte k of a word -> bit k */        \
+                    for (int k = 0; k < 8; k++)                               \
+                        bits |= (words[j64 / 8 + k] * 0x0102040810204080ULL   \
+                                 >> 56) << (8 * k);                           \
+                    for (; bits; bits &= bits - 1) {                          \
+                        const long long j = j64 + __builtin_ctzll(bits);      \
+                        rows[n] = r;                                          \
+                        cols[n] = j0 + j;                                     \
+                        if (dd)                                               \
+                            dd[n] = (float)(x[j] > 0 ? x[j] : 0);             \
+                        n++;                                                  \
+                    }                                                         \
+                }                                                             \
+            }                                                                 \
+        }                                                                     \
+        *n_out = n;                                                           \
+        return r;                                                             \
+    }
+
+DEFINE_THRESHOLD_EPILOGUE(threshold_epilogue_f32, float)
+DEFINE_THRESHOLD_EPILOGUE(threshold_epilogue_f64, double)

@@ -1,27 +1,33 @@
-"""Optional native (C) fast path for the RZ squared-norm precompute.
+"""Optional native (C) fast paths: the RZ squared-norm precompute and the
+fused Step-3 threshold epilogue.
 
 The NumPy implementations of :func:`repro.fp.rounding.rz_sum_squares` and
 the general :func:`repro.fp.rounding.rz_sum` are vectorized but still pay
 several full-array passes (FP16 cast, widening, chunk sums, truncation
-chain).  This module JIT-builds ``_rz_native.c`` -- one fused pass over
+chain), and :func:`repro.core.engine.threshold_epilogue` pays four per
+strip.  This module JIT-builds ``_rz_native.c`` -- one fused pass over
 the data per kernel -- with whatever C compiler the host has, and exposes
-the kernels through :func:`rz_sum_squares_native` and
-:func:`rz_sum_native` (the latter additionally bails back to NumPy when
-its masked-truncation preconditions fail; see the C header comment).
+the kernels through :func:`rz_sum_squares_native`,
+:func:`rz_sum_native` (which additionally bails back to NumPy when
+its masked-truncation preconditions fail; see the C header comment) and
+:func:`threshold_epilogue_native`.
 
 Design rules:
 
 * **Always optional.**  Any failure (no compiler, sandboxed tmp, odd
-  platform) degrades silently to ``None`` and callers fall back to the
-  NumPy path.  ``REPRO_NATIVE=0`` disables the build outright.
+  platform) degrades to ``None`` and callers fall back to the NumPy path
+  -- with one structured warning per process, because the fallback is
+  correct but slower.  ``REPRO_NATIVE=0`` disables the build outright
+  (and silently: it was asked for).
 * **Bit-exact or absent.**  The C kernel implements the same verified bit
   algorithm as the NumPy path (see the header comment in ``_rz_native.c``);
   tests/test_fp_rounding.py cross-checks it against the oracle whenever the
   build succeeds.
 * **Cached.**  The shared object lands in a private (0700, ownership
   checked) per-user cache directory, keyed by a hash of the C source and
-  the compile environment, so rebuilds only happen when either changes and
-  no attacker-controlled path is ever dlopen'ed.
+  the compile environment (compiler, flags, CPU), so rebuilds only happen
+  when one of them changes and no attacker-controlled path is ever
+  dlopen'ed.
 """
 
 from __future__ import annotations
@@ -36,7 +42,19 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import log as _log
+
+_logger = _log.get_logger("repro.fp.native")
+
 _SOURCE = Path(__file__).with_name("_rz_native.c")
+
+#: Compiler flags, part of the cache key.  ``-ffp-contract=off``: GCC's
+#: default (``fast``) may fuse the epilogue's ``t - 2*g`` into an FMA, which
+#: differs from NumPy's separately rounded multiply when ``2*g`` overflows.
+_CFLAGS = (
+    "-O3", "-march=native", "-fno-math-errno", "-ffp-contract=off",
+    "-shared", "-fPIC",
+)
 
 #: Build/load attempted (the result may be None).
 _tried = False
@@ -65,20 +83,10 @@ def _cache_dir() -> Path | None:
     return base
 
 
-def _build() -> ctypes.CDLL | None:
-    if os.environ.get("REPRO_NATIVE", "1") == "0":
-        return None
-    try:
-        src = _SOURCE.read_text()
-    except OSError:
-        return None
-    cache = _cache_dir()
-    if cache is None:
-        return None
-    # Key on source AND the compile environment: -march=native objects are
-    # not portable across machines sharing a filesystem, and 'x86_64' alone
-    # does not distinguish microarchitectures -- fold in the host's CPU
-    # identity (/proc/cpuinfo model+flags) and hostname so heterogeneous
+def _cpu_identity() -> str:
+    # -march=native objects are not portable across machines sharing a
+    # filesystem, and 'x86_64' alone does not distinguish microarchitectures:
+    # fold in /proc/cpuinfo model+flags and the hostname so heterogeneous
     # nodes sharing a tempdir never dlopen each other's builds.
     cpu = f"{platform.machine()}\0{platform.node()}"
     try:
@@ -90,34 +98,61 @@ def _build() -> ctypes.CDLL | None:
                     cpu += "\0" + line.strip()
     except OSError:
         pass
-    tag = hashlib.sha256(
-        f"{src}\0{os.environ.get('CC', 'cc')}\0{cpu}".encode()
-    ).hexdigest()[:16]
-    so_path = cache / f"rz_native_{tag}.so"
+    return cpu
+
+
+def _command(source: str, out: str, flags: tuple[str, ...] = _CFLAGS) -> list[str]:
+    return [os.environ.get("CC", "cc"), *flags, source, "-o", out, "-lm"]
+
+
+def _so_path(cache: Path, src: str, command: list[str]) -> Path:
+    """Cache path of the object ``command`` (the full compiler line, file
+    paths blanked) builds from ``src`` on this CPU: a flags-only change must
+    never dlopen the object an older flag list built."""
+    key = "\0".join((src, *command, _cpu_identity()))
+    return cache / f"rz_native_{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+
+
+def _warn_unavailable(reason: str, detail: str = "") -> None:
+    _logger.warning(
+        "native kernels unavailable, using the NumPy fallbacks (slower, "
+        "bit-identical); set REPRO_NATIVE=0 to silence",
+        extra={"reason": reason, "detail": detail[-500:]},
+    )
+
+
+def _build() -> ctypes.CDLL | None:
+    """Build (once per cache key) and load the kernels; called once per
+    process by :func:`_get`, so a failure warns once."""
+    if os.environ.get("REPRO_NATIVE", "1") == "0":
+        return None
+    try:
+        src = _SOURCE.read_text()
+    except OSError as exc:
+        _warn_unavailable("source unreadable", str(exc))
+        return None
+    cache = _cache_dir()
+    if cache is None:
+        _warn_unavailable("no private build cache directory")
+        return None
+    so_path = _so_path(cache, src, _command("", ""))
     if not so_path.exists():
         tmp = so_path.with_suffix(f".{os.getpid()}.tmp")
-        cmd = [
-            os.environ.get("CC", "cc"),
-            "-O3",
-            "-march=native",
-            "-fno-math-errno",
-            "-shared",
-            "-fPIC",
-            str(_SOURCE),
-            "-o",
-            str(tmp),
-            "-lm",
-        ]
         try:
             subprocess.run(
-                cmd, check=True, capture_output=True, timeout=60
+                _command(str(_SOURCE), str(tmp)),
+                check=True, capture_output=True, timeout=60,
             )
             os.replace(tmp, so_path)  # atomic: concurrent builders agree
-        except (OSError, subprocess.SubprocessError):
+        except (OSError, subprocess.SubprocessError) as exc:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
+            stderr = getattr(exc, "stderr", None) or b""
+            _warn_unavailable(
+                f"build failed: {exc}", stderr.decode(errors="replace")
+            )
             return None
     try:
         lib = ctypes.CDLL(str(so_path))
@@ -139,8 +174,18 @@ def _build() -> ctypes.CDLL | None:
             ctypes.c_longlong,
             ctypes.POINTER(ctypes.c_float),
         ]
+        for epilogue in (lib.threshold_epilogue_f32, lib.threshold_epilogue_f64):
+            epilogue.restype = ctypes.c_longlong
+            epilogue.argtypes = (
+                [ctypes.c_void_p] * 3  # gram, s_row, s_col
+                + [ctypes.c_longlong] * 4  # row0, n_rows, m, c
+                + [ctypes.c_double, ctypes.c_longlong, ctypes.c_longlong]
+                + [ctypes.c_void_p] * 3  # rows, cols, dd (NULL: no distances)
+                + [ctypes.POINTER(ctypes.c_longlong)]  # n_out
+            )
         return lib
-    except (OSError, AttributeError):
+    except (OSError, AttributeError) as exc:
+        _warn_unavailable("load failed", str(exc))
         return None
 
 
@@ -219,3 +264,47 @@ def rz_sum_native(values: np.ndarray, step: int) -> np.ndarray | None:
         if not ok:
             return None
     return out.reshape(lead_shape)
+
+
+def threshold_epilogue_native(
+    block: np.ndarray, s_row: np.ndarray, s_col: np.ndarray, eps2,
+    clear_diagonal: bool, row0: int,
+    rows: np.ndarray, cols: np.ndarray, dd: np.ndarray | None = None,
+) -> tuple[int, int] | None:
+    """One resumable fill of the fused Step-3 epilogue, or ``None``.
+
+    Scans rows of the ``(g*m, c)`` view of ``block`` (``(g, m, c)``, norms
+    ``(g, m, 1)`` / ``(g, 1, c)``) from ``row0`` and writes the survivors of
+    ``(s_i + s_j) - 2*g <= eps2`` (the caller checks ``eps2 >= 0``) into its
+    int64 ``rows`` / ``cols`` and float32 ``dd`` scratch of at least ``c``
+    slots.  Returns ``(next_row, n_written)``; done at ``next_row == g*m``.
+
+    ``None`` -- the caller runs its NumPy strips -- when the kernel is
+    absent or NumPy would not do this arithmetic in the block's own dtype
+    on contiguous memory: not float32/float64, norms of another dtype, an
+    ``eps2`` that promotes the comparison (a float64 scalar on a float32
+    block; a Python float is weak and does not), a strided view, or a
+    diagonal on a batched block.
+    """
+    lib = _get()
+    g, m, c = block.shape
+    if (
+        lib is None
+        or block.dtype not in (np.float32, np.float64)
+        or s_row.dtype != block.dtype
+        or s_col.dtype != block.dtype
+        or np.result_type(block.dtype, eps2) != block.dtype
+        or not (block.flags.c_contiguous and s_row.flags.c_contiguous
+                and s_col.flags.c_contiguous)
+        or (clear_diagonal and g != 1)
+    ):
+        return None
+    fn = lib.threshold_epilogue_f32 if block.dtype == np.float32 else lib.threshold_epilogue_f64
+    n_out = ctypes.c_longlong(0)
+    next_row = fn(
+        block.ctypes.data, s_row.ctypes.data, s_col.ctypes.data,
+        row0, g * m, m, c, float(block.dtype.type(eps2)), bool(clear_diagonal),
+        rows.size, rows.ctypes.data, cols.ctypes.data,
+        None if dd is None else dd.ctypes.data, ctypes.byref(n_out),
+    )
+    return next_row, n_out.value

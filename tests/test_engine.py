@@ -9,6 +9,7 @@ baseline cannot drift), giving the engine an independent executor to be
 checked against.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core.engine import (
 from repro.core.results import NeighborResult, PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import ArraySource
+from repro.fp import native
 from repro.index.grid import GridIndex
 from repro.index.mstree import MultiSpaceTree
 from repro.kernels.fasted import FastedKernel
@@ -357,6 +359,14 @@ def _strip_height(rows, c, dtype):
     return mock.patch.object(engine, "TILE_CACHE_BUDGET_BYTES", rows * per_row)
 
 
+def _numpy_strips(on=True):
+    """Make the native binding answer ``None`` (what it does with no
+    compiler), so ``threshold_epilogue`` runs its NumPy strips."""
+    if not on:
+        return contextlib.nullcontext()
+    return mock.patch.object(native, "threshold_epilogue_native", lambda *a, **k: None)
+
+
 def _assert_same_hits(got, want):
     """Equal positions *in order* and bitwise-equal float32 distances."""
     np.testing.assert_array_equal(got[0], want[0])
@@ -464,6 +474,9 @@ class TestThresholdEpilogue:
 )
 @settings(max_examples=150, deadline=None)
 def test_threshold_epilogue_shape_value_sweep(m, c, rows, quantile, f32, diagonal, seed):
+    """Both implementations: the fused C pass (when it built; the patched
+    budget also shrinks its scratch, so fills resume mid-block) and the
+    NumPy strips."""
     dtype = np.float32 if f32 else np.float64
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(m, 5)).astype(dtype), rng.normal(size=(c, 5)).astype(dtype)
@@ -471,9 +484,157 @@ def test_threshold_epilogue_shape_value_sweep(m, c, rows, quantile, f32, diagona
     # A radius that is itself one of the block's distances: ties included.
     eps2 = dtype(np.quantile(norm_expansion_sq_dists(sr, sc, gram.copy()), quantile))
     want = _naive_epilogue(gram.copy(), sr, sc, eps2, diagonal)
-    with _strip_height(rows, c, dtype):
-        got = threshold_epilogue(gram.copy(), sr, sc, eps2, clear_diagonal=diagonal)
-    _assert_same_hits(got, want)
+    for numpy_only in (False, True):
+        with _strip_height(rows, c, dtype), _numpy_strips(numpy_only):
+            got = threshold_epilogue(gram.copy(), sr, sc, eps2, clear_diagonal=diagonal)
+        _assert_same_hits(got, want)
+
+
+needs_native = pytest.mark.skipif(not native.available(), reason="no C compiler")
+
+
+@needs_native
+class TestThresholdEpilogueNumpyStrips(TestThresholdEpilogue):
+    """Every case above again with the native binding answering ``None``:
+    there they ran the fused C pass (their patched budgets shrink its
+    scratch, so fills resume mid-block), here the NumPy strips it must
+    match bit for bit.  Skipped without a compiler: the same run twice."""
+
+    @pytest.fixture(autouse=True)
+    def _no_native(self):
+        with _numpy_strips():
+            yield
+
+
+@contextlib.contextmanager
+def _native_answers():
+    """Record what the native binding answers, fill by fill."""
+    answers, real = [], native.threshold_epilogue_native
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    with mock.patch.object(native, "threshold_epilogue_native", spy):
+        yield answers
+
+
+@needs_native
+class TestNativeEpilogue:
+    """What the fused C pass must get right beyond the shared cases."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "m,c,slots,fills",
+        [(37, 11, 50, 10), (3, 200, 50, 3), (5, 8, 8, 5)],
+        ids=["four-rows-a-fill", "row-wider-than-the-scratch", "one-row-scratch"],
+    )
+    def test_all_hit_block_resumes_across_scratch_fills(self, dtype, m, c, slots, fills):
+        gram, sr, sc = _block(m, c, dtype, seed=1)
+        want = _naive_epilogue(gram.copy(), sr, sc, dtype(1e9), clear_diagonal=True)
+        assert want[0].size == m * c - min(m, c)
+        with mock.patch.object(engine, "TILE_CACHE_BUDGET_BYTES", 20 * slots):
+            with _native_answers() as answers:
+                got = threshold_epilogue(gram.copy(), sr, sc, dtype(1e9), clear_diagonal=True)
+        assert len(answers) == fills and None not in answers
+        assert [row for row, _ in answers][-1] == m
+        _assert_same_hits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_padded_batch_fills_straddle_group_boundaries(self, dtype):
+        g, m, c = 4, 3, 6
+        gram = np.zeros((g, m, c), dtype=dtype)
+        sm = np.full((g, m), np.inf, dtype=dtype)
+        sc = np.full((g, c), np.inf, dtype=dtype)
+        for k in range(g):
+            gram[k, :, : c - k], sm[k], sc[k, : c - k] = _block(m, c - k, dtype, seed=k)
+        with _numpy_strips():
+            want = threshold_epilogue(gram.copy(), sm, sc, dtype(1e9))
+        assert want[0].size == sum(m * (c - k) for k in range(g))
+        # 15 slots: a fill ends when fewer than c = 6 are left, i.e. after
+        # two full rows (more once padding thins them) -- inside a group.
+        with mock.patch.object(engine, "TILE_CACHE_BUDGET_BYTES", 20 * 15):
+            with _native_answers() as answers:
+                got = threshold_epilogue(gram.copy(), sm, sc, dtype(1e9))
+        assert [row for row, _ in answers] == [2, 4, 6, 9, 12]
+        _assert_same_hits(got, want)
+
+    def test_python_float_radius_is_weak_like_numpy(self):
+        """``x <= 0.1`` on a float32 block compares against float32(0.1),
+        which is above 0.1: the value float32(0.1) itself is a hit."""
+        tenth = np.float32(0.1)
+        assert float(tenth) > 0.1
+        sc = np.array([tenth, np.nextafter(tenth, np.float32(1))], dtype=np.float32)
+        gram, sr = np.zeros((1, 2), np.float32), np.zeros(1, np.float32)
+        for eps2 in (0.1, tenth):
+            with _native_answers() as answers:
+                got = threshold_epilogue(gram.copy(), sr, sc, eps2)
+            assert answers == [(1, 1)]
+            _assert_same_hits(got, _naive_epilogue(gram, sr, sc, eps2))
+        # A float64 scalar promotes the comparison: NumPy's to answer.
+        with _native_answers() as answers:
+            got = threshold_epilogue(gram.copy(), sr, sc, np.float64(0.1))
+        assert answers == [None] and got[0].size == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_and_nan_radius(self, dtype):
+        gram, sr, sc = _block(4, 5, dtype, seed=2)  # (0, 0) is coincident
+        with _native_answers() as answers:
+            got = threshold_epilogue(gram.copy(), sr, sc, dtype(-0.0))
+            assert threshold_epilogue(gram.copy(), sr, sc, dtype(np.nan))[0].size == 0
+            assert threshold_epilogue(gram.copy(), sr, sc, dtype(-1e-30))[0].size == 0
+        assert answers == [(4, 1)]  # NaN / negative: nothing to scan for
+        _assert_same_hits(got, _naive_epilogue(gram, sr, sc, dtype(-0.0)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overflowing_doubling_is_not_contracted(self, dtype):
+        """``t - 2*g`` with ``2*g`` overflowing: -inf + ... = inf, a miss;
+        a fused multiply-add would keep it finite and report a hit."""
+        big = np.finfo(dtype).max
+        gram = np.array([[-0.6 * big, 0.0]], dtype=dtype)
+        sr, sc = np.array([-0.5 * big], dtype=dtype), np.zeros(2, dtype=dtype)
+        with np.errstate(over="ignore"), _native_answers() as answers:
+            got = threshold_epilogue(gram.copy(), sr, sc, dtype(0.9 * big))
+            want = _naive_epilogue(gram, sr, sc, dtype(0.9 * big))
+        assert answers == [(1, 1)] and want[1].tolist() == [1]
+        _assert_same_hits(got, want)
+
+    def test_inputs_the_c_loop_does_not_take_fall_back(self):
+        gram, sr, sc = _block(9, 7, np.float64, seed=4)
+        wide = np.zeros((9, 14))
+        wide[:, ::2] = gram
+        cases = {
+            "float16": (gram.astype(np.float16), sr.astype(np.float16), sc.astype(np.float16)),
+            "strided gram": (wide[:, ::2], sr, sc),
+            "strided norms": (gram, np.repeat(sr, 2)[::2], sc),
+            "float32 gram, float64 norms": (gram.astype(np.float32), sr, sc),
+        }
+        for name, (gm, s_row, s_col) in cases.items():
+            eps2 = gm.dtype.type(12.0)
+            with _native_answers() as answers:
+                got = threshold_epilogue(gm.copy() if gm.base is None else gm, s_row, s_col, eps2)
+            assert answers == [None], name
+            # Small integers: exact in every one of these precisions.
+            _assert_same_hits(got, _naive_epilogue(gram, sr, sc, 12.0))
+
+    def test_threaded_tiles_equal_serial_and_numpy(self):
+        """Tile threads run the C pass concurrently, each on its own
+        scratch: same arrays, in the same order, as serial and as NumPy."""
+        data = _dataset(32, n=700, seed=14)
+        state = FastedKernel()._block_state(data)
+        eps2 = np.float32(epsilon_for_selectivity(data, 24) ** 2)
+
+        def run(**kwargs):
+            acc, _ = tile_join(ResidentOperand(*state), eps2, row_block=96, **kwargs)
+            return acc.arrays()
+
+        serial = run()
+        assert serial[0].size
+        with _numpy_strips():
+            others = [run(), run(workers=2)]
+        for other in others + [run(workers=2)]:
+            for a, b in zip(serial, other):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestPairAccumulator:

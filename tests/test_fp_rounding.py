@@ -6,6 +6,8 @@ reduction, native kernel) are all validated against
 implementation kept as the oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,38 @@ class TestNativeKernel:
         q = to_fp16(pts).astype(np.float64)
         want = TestRzSumFastPaths._oracle_rz_sum(q * q, 4)
         _assert_bits_equal(got, want)
+
+    def test_compiler_flags_are_part_of_the_cache_key(self, tmp_path):
+        """A flags-only change must not dlopen the object the old flags built."""
+        assert "-ffp-contract=off" in native._CFLAGS
+        o2, o3 = (native._command("", "", flags) for flags in (("-O2",), ("-O3",)))
+        assert native._so_path(tmp_path, "src", o2) != native._so_path(tmp_path, "src", o3)
+        assert native._so_path(tmp_path, "src", o3) == native._so_path(tmp_path, "src", list(o3))
+        assert native._so_path(tmp_path, "src", o3) != native._so_path(tmp_path, "other", o3)
+
+    def test_failed_build_warns_once_with_the_compiler_stderr(self, monkeypatch, tmp_path):
+        cc = tmp_path / "cc"
+        cc.write_text("#!/bin/sh\necho 'cc: boom' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_tried", False)
+        with mock.patch.object(native._logger, "warning") as warning:
+            assert not native.available() and not native.available()
+            assert native.rz_sum_squares_native(np.ones((2, 4)), 4) is None
+        assert warning.call_count == 1
+        extra = warning.call_args.kwargs["extra"]
+        assert "build failed" in extra["reason"] and "cc: boom" in extra["detail"]
+
+    def test_disabling_by_env_does_not_warn(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_tried", False)
+        with mock.patch.object(native._logger, "warning") as warning:
+            assert not native.available()
+        assert not warning.called
 
     def test_disabled_by_env(self, monkeypatch):
         # The public entry must work regardless of native availability.
