@@ -22,8 +22,9 @@ Measures, at the standard working point (n=4096):
 * The source-backed index join (``GridIndex.from_source`` build + row
   gathers) vs the in-memory grid-indexed self-join (bit-identity).
 * The topology-resolved worker plan (``workers="auto"``: WorkerPlan
-  worker count + cache-fit tile edge) vs the former fixed serial
-  configuration, per kernel, with a bit-identity check.
+  thread count + cache-fit tile edge) vs the former fixed serial
+  configuration, per brute kernel (the index-backed kernels run
+  serially), with a bit-identity check.
 * The query-serving layer: cached persisted-index range queries
   (``repro.service``) vs rebuild-per-query, with the cached answers
   checked bitwise against the dense brute-force reference.
@@ -490,14 +491,6 @@ def bench_workers(data: np.ndarray, eps: float) -> dict:
             "auto_row_block": TedJoinKernel(variant="brute").auto_row_block(
                 n, d, wp
             ),
-        },
-        "gds-join": {
-            "serial": lambda: GdsJoinKernel().self_join(data, eps, workers=0).result,
-            "auto": lambda: GdsJoinKernel()
-            .self_join(data, eps, workers="auto")
-            .result,
-            "serial_row_block": None,  # candidate executor: no tile edge
-            "auto_row_block": None,
         },
     }
     for name, cfg in runs.items():

@@ -28,9 +28,8 @@ join ``A x B`` (each a ``.npy`` file or chunk directory) -- optionally
 out-of-core (``--stream`` / ``--memory-budget``, in MiB) or, for
 self-joins on the index-backed methods, with the batched candidate
 executor (``--batched``).  ``--workers N`` (or ``--workers auto``) runs
-the join on the engine's worker pool -- bit-identical to serial for
-every method (``--batched --workers`` keeps batching's pair-set
-contract instead).
+the brute methods' tiles on a thread pool -- bit-identical to serial;
+the index-backed methods run serially and reject it.
 
 The query-serving layer (``repro.service``) is driven by three more
 subcommands: ``index build`` persists a grid or multi-space-tree index
@@ -205,6 +204,11 @@ def _cmd_join(args) -> str:
             "(ted-join-index, gds-join, mistic)"
         )
     workers = args.workers
+    if workers and args.method not in STREAMABLE_METHODS:
+        raise SystemExit(
+            f"error: --workers applies to {', '.join(STREAMABLE_METHODS)} "
+            f"(tile threads); {args.method} runs serially"
+        )
     wp = None
     if workers:
         # Resolve up front (covers "auto", whose REPRO_WORKERS override
@@ -568,18 +572,8 @@ def _cmd_query(args) -> str:
         raise SystemExit("error: pass --eps (range query) or --k (kNN), not both")
     if args.server is not None:
         return _cmd_query_remote(args)
-    workers = args.workers
-    if workers:
-        from repro.core.engine import WorkerPlan
-
-        try:
-            WorkerPlan.resolve(workers)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
     try:
-        engine = open_index(
-            args.index, workers=workers, cache=False, verify=args.verify
-        )
+        engine = open_index(args.index, cache=False, verify=args.verify)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
     if args.queries is not None:
@@ -661,7 +655,7 @@ def _cmd_serve(args) -> str:
         )
     try:
         server = make_server(
-            registry, host=args.host, port=args.port, workers=args.workers,
+            registry, host=args.host, port=args.port,
             max_queue_depth=args.max_queue_depth, verify=args.verify,
             frontend=args.frontend, trace_sample=args.trace_sample,
             trace_log=args.trace_log, slow_ms=args.slow_ms,
@@ -972,8 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     j.add_argument(
         "--workers", type=_workers_arg, default=0, metavar="N",
-        help="engine worker pool: a count, or 'auto' for the topology-"
-        "derived WorkerPlan (default: serial; results are bit-identical)",
+        help="tile threads for fasted / ted-join-brute: a count, or 'auto' "
+        "for the topology-derived WorkerPlan (default: serial; results are "
+        "bit-identical; index-backed methods run serially)",
     )
     j.set_defaults(fn=_cmd_join)
 
@@ -1077,10 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="padded-batch-GEMM executor for the range query (pair-set contract)",
     )
     qp.add_argument(
-        "--workers", type=_workers_arg, default=0, metavar="N",
-        help="engine worker pool for range queries (resident datasets)",
-    )
-    qp.add_argument(
         "--verify", choices=("off", "header", "full"), default="header",
         help="integrity level applied when loading the index (default: "
         "header byte-size checks; full re-hashes every payload)",
@@ -1103,10 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=8787)
-    sv.add_argument(
-        "--workers", type=_workers_arg, default=0, metavar="N",
-        help="engine worker pool behind the dispatch loop",
-    )
     sv.add_argument(
         "--self-test", action="store_true",
         help="one-shot smoke: serve on an ephemeral port, hammer it with "

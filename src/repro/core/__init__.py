@@ -27,7 +27,6 @@ from repro.core.engine import (
     batch_params_from_stats,
     candidate_join,
     norm_expansion_sq_dists,
-    resolve_start_method,
     tile_join,
 )
 from repro.core.results import (
@@ -66,7 +65,6 @@ __all__ = [
     "candidate_join",
     "batch_params_from_stats",
     "auto_batched_from_stats",
-    "resolve_start_method",
     "norm_expansion_sq_dists",
     "epsilon_for_selectivity",
     "measured_selectivity",

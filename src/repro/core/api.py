@@ -26,14 +26,13 @@ suite that way.  The index-backed methods materialize here; their
 out-of-core modes (streamed grid/tree build + source row gathers) are the
 kernel-level ``self_join_source`` entry points.
 
-Every join accepts ``workers=`` -- ``0`` (serial, the default), an
+The brute methods accept ``workers=`` -- ``0`` (serial, the default), an
 explicit count, or ``"auto"`` to resolve a topology-aware
 :class:`repro.core.engine.WorkerPlan` (cores, BLAS pinning,
-``REPRO_WORKERS`` override, cache-fit tile edges).  Parallel execution is
-bit-identical to serial for every method, with one set-level exception:
-``batched=True`` combined with workers carries the batched mode's
-pair-set contract (batch boundaries move with the partitioning).  The
-CLI exposes the same knob as ``--workers``.
+``REPRO_WORKERS`` override, cache-fit tile edges) -- and dispatch tiles to
+threads, bit-identical to serial.  The index-backed methods run serially
+and raise ``ValueError`` for any other ``workers`` than ``0``/``None``.
+The CLI exposes the same knob as ``--workers``.
 """
 
 from __future__ import annotations
@@ -57,6 +56,15 @@ METHODS = ("fasted", "ted-join-brute", "ted-join-index", "gds-join", "mistic")
 #: (out-of-core grid/tree build via ``GridIndex.from_source`` /
 #: ``MultiSpaceTree.from_source`` + on-demand source row gathers).
 STREAMABLE_METHODS = ("fasted", "ted-join-brute")
+
+
+def _check_workers(method: str, workers) -> None:
+    """Index-backed methods run serially: reject a worker request."""
+    if method not in STREAMABLE_METHODS and workers not in (0, None):
+        raise ValueError(
+            f"workers applies to {STREAMABLE_METHODS} (tile threads); "
+            f"{method!r} runs serially (got workers={workers!r})"
+        )
 
 
 def self_join(
@@ -111,16 +119,11 @@ def self_join(
         Index-backed methods only: fuse small candidate groups into padded
         batch GEMMs (same pair set, faster at small eps).
     workers:
-        Engine worker-pool request (``repro.core.engine.WorkerPlan``):
-        ``0`` serial (the default), ``N`` for exactly N workers,
+        Brute methods only (``repro.core.engine.WorkerPlan``): ``0``
+        serial (the default), ``N`` for exactly N tile threads,
         ``"auto"`` to resolve from core topology / BLAS pinning /
-        ``REPRO_WORKERS``.  Brute methods dispatch tiles to threads;
-        index-backed methods fan candidate groups to a fork-based process
-        pool.  Results are bit-identical to serial -- except combined
-        with ``batched=True``, which keeps the batched mode's
-        pair-*set* contract (batch boundaries move with the
-        partitioning, so FP32 low-order distance bits and pair order may
-        differ).
+        ``REPRO_WORKERS``; bit-identical to serial.  The index-backed
+        methods run serially and raise for anything but ``0``/``None``.
 
     Returns
     -------
@@ -147,6 +150,7 @@ def self_join(
         )
     if batched and streamable:
         raise ValueError("batched=True applies to index-backed methods only")
+    _check_workers(method, workers)
 
     if stream:
         result, _stats = self_join_stream(
@@ -177,16 +181,15 @@ def self_join(
         if precision not in (None, "fp64"):
             raise ValueError("TED-Join is FP64 only")
         variant = "brute" if method.endswith("brute") else "index"
+        kwargs = {"workers": workers} if variant == "brute" else {"batched": batched}
         return TedJoinKernel(spec, variant=variant).self_join(
-            data, eps, store_distances=store_distances, workers=workers,
-            **({"batched": batched} if variant == "index" else {}),
+            data, eps, store_distances=store_distances, **kwargs
         ).result
     if method == "gds-join":
         from repro.kernels.gdsjoin import GdsJoinKernel
 
         return GdsJoinKernel(spec, precision=precision or "fp32").self_join(
             data, eps, store_distances=store_distances, batched=batched,
-            workers=workers,
         ).result
     from repro.kernels.mistic import MisticKernel
 
@@ -194,7 +197,6 @@ def self_join(
         raise ValueError("MiSTIC is FP32 only")
     return MisticKernel(spec, seed=seed).self_join(
         data, eps, store_distances=store_distances, batched=batched,
-        workers=workers,
     ).result
 
 
@@ -318,9 +320,8 @@ def join(
         (:meth:`repro.core.engine.TilePlan.from_budget`); implies
         ``stream=True``.
     workers:
-        Engine worker-pool request, as for :func:`self_join` (brute
-        methods: thread tiles; index-backed: process-pool candidate
-        groups; bit-identical to serial).
+        Tile threads for the brute methods, as for :func:`self_join`;
+        index-backed methods raise for anything but ``0``/``None``.
 
     Returns
     -------
@@ -345,6 +346,7 @@ def join(
             f"{STREAMABLE_METHODS}; index-backed methods materialize here "
             "(their out-of-core mode is the kernel-level self_join_source)"
         )
+    _check_workers(method, workers)
 
     if stream:
         result, _stats = join_stream(
@@ -385,14 +387,14 @@ def join(
         from repro.kernels.gdsjoin import GdsJoinKernel
 
         return GdsJoinKernel(spec, precision=precision or "fp32").join(
-            a, b, eps, store_distances=store_distances, workers=workers
+            a, b, eps, store_distances=store_distances
         )
     from repro.kernels.mistic import MisticKernel
 
     if precision not in (None, "fp32"):
         raise ValueError("MiSTIC is FP32 only")
     return MisticKernel(spec, seed=seed).join(
-        a, b, eps, store_distances=store_distances, workers=workers
+        a, b, eps, store_distances=store_distances
     )
 
 
@@ -597,7 +599,6 @@ def open_index(
     *,
     mmap: bool = True,
     precision: str = "fp64",
-    workers: int | str = 0,
     cache: bool = True,
     verify: str = "header",
 ):
@@ -614,7 +615,7 @@ def open_index(
     addressed by path -- reuse the loaded, mmap-backed index instead of
     re-reading it; this is the cached-index fast path the
     ``query_service`` benchmark entry measures.  Non-default
-    ``mmap``/``precision``/``workers``/``verify`` requests construct a
+    ``mmap``/``precision``/``verify`` requests construct a
     private engine instead (the shared cache stays at the default
     serving configuration).
 
@@ -628,19 +629,10 @@ def open_index(
     from repro.index.delta import MutableIndex, is_mutable_index
     from repro.service import IndexCache, QueryEngine
 
-    default_config = (
-        mmap and precision == "fp64" and workers == 0 and verify == "header"
-    )
+    default_config = mmap and precision == "fp64" and verify == "header"
     if not cache or not default_config:
-        if is_mutable_index(path):
-            return MutableIndex(
-                path, precision=precision, workers=workers, mmap=mmap,
-                verify=verify,
-            )
-        return QueryEngine(
-            path, precision=precision, workers=workers, mmap=mmap,
-            verify=verify,
-        )
+        engine_cls = MutableIndex if is_mutable_index(path) else QueryEngine
+        return engine_cls(path, precision=precision, mmap=mmap, verify=verify)
     global _INDEX_CACHE
     if _INDEX_CACHE is None:
         _INDEX_CACHE = IndexCache()
@@ -653,7 +645,6 @@ def query(
     *,
     eps: float | None = None,
     k: int | None = None,
-    workers: int | str | None = None,
     batched: bool = False,
 ):
     """Answer a batched range or kNN query against a (persisted) index.
@@ -667,9 +658,8 @@ def query(
     ``k`` set it returns the k nearest neighbors per query
     (``repro.service.KnnResult``) via the expanding-eps search.
     ``batched=True`` routes range queries through the padded-batch-GEMM
-    executor (pair-set contract); ``workers``/``batched`` are
-    range-query knobs -- requesting them for a kNN query raises rather
-    than being silently ignored (the expanding search runs serially).
+    executor (pair-set contract); it is a range-query knob -- requesting
+    it for a kNN query raises rather than being silently ignored.
     """
     from repro.index.delta import MutableIndex
     from repro.service import QueryEngine
@@ -682,13 +672,10 @@ def query(
     if k is not None:
         if eps is not None:
             raise ValueError("pass eps (range query) or k (kNN), not both")
-        if batched or workers:
-            raise ValueError(
-                "workers/batched apply to range queries; the kNN "
-                "expanding search runs serially"
-            )
+        if batched:
+            raise ValueError("batched applies to range queries, not kNN")
         return engine.knn_query(queries, k)
-    return engine.range_query(queries, eps, workers=workers, batched=batched)
+    return engine.range_query(queries, eps, batched=batched)
 
 
 def pairwise_sq_dists(

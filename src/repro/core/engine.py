@@ -36,22 +36,19 @@ pair bookkeeping exactly once, and a kernel supplies only **operands** and a
   Iterates ``(members, candidates)`` groups from a grid/tree index and
   evaluates each group's distance block (candidate axis chunked from ``d``
   so a temporary stays bounded).  ``right=None`` drops self pairs; a second
-  operand keeps equal indices (they address different points).  Two *modes*
-  of the same executor: ``batched=True`` fuses small groups into padded
-  batch GEMMs -- the host analogue of the GPU kernels' fixed 8x8 dispatch
-  tiles, a win where per-group GEMMs degenerate to call overhead -- and
-  ``workers=`` fans group batches out to a process pool (fork-COW or
-  spawn + shared memory; resident operands only).
+  operand keeps equal indices (they address different points).  It runs
+  serially on the calling thread, in one of two *modes*: per group, or
+  ``batched=True``, which fuses small groups into padded batch GEMMs --
+  the host analogue of the GPU kernels' fixed 8x8 dispatch tiles, a win
+  where per-group GEMMs degenerate to call overhead.
 
 Both executors emit into a :class:`repro.core.results.PairAccumulator` and
-commit strictly in tile / group order whatever the parallelism
-(:class:`WorkerPlan`: thread tiles, process-pool groups), so parallel output
-is bit-identical to serial (pair-set-equal in batched mode, where batch
-boundaries move with the partitioning).  Under ``repro.trace.use_hooks``
-both attribute their time to the same stages -- ``adjacency`` (index group
-iteration), ``gather``, ``gemm``, ``rz`` (recombination + compare +
-compaction), ``commit`` (copy-out, append) and ``worker`` (pool wait) --
-with one ContextVar read per call.
+commit strictly in tile / group order; the tile executor's thread workers
+(:class:`WorkerPlan`) keep that order, so parallel output is bit-identical
+to serial.  Under ``repro.trace.use_hooks`` both attribute their time to
+the same stages -- ``adjacency`` (index group iteration), ``gather``,
+``gemm``, ``rz`` (recombination + compare + compaction) and ``commit``
+(copy-out, append) -- with one ContextVar read per call.
 
 **Epilogue**: every distance block -- a tile, a group's candidate chunk, a
 padded batch -- goes through :func:`threshold_epilogue`: Step 3 fused with
@@ -86,20 +83,16 @@ device plan and asserts the equality.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import resource_tracker, shared_memory
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro import faults
 from repro import trace as trace_mod
 from repro.core.results import PairAccumulator
 from repro.fp import native
@@ -159,7 +152,7 @@ def blas_thread_count() -> int | None:
 class WorkerPlan:
     """Resolved parallel-execution plan: worker count + tile sizing.
 
-    Every executor takes ``workers`` as an int (0/None = serial, N > 0 =
+    :func:`tile_join` takes ``workers`` as an int (0/None = serial, N > 0 =
     exactly N workers), the string ``"auto"`` / the int ``-1`` (resolve
     from topology), or an already-resolved plan.  Resolution order for
     ``"auto"``:
@@ -187,12 +180,6 @@ class WorkerPlan:
     blas_threads: int | None
     source: str  # "serial" | "explicit" | "env" | "auto"
     tile_budget_bytes: int = TILE_CACHE_BUDGET_BYTES
-    #: Process-pool start method preference: ``"auto"`` (fork where the
-    #: platform offers it, else spawn), ``"fork"``, or ``"spawn"``.  Kept
-    #: as the *preference* -- :meth:`resolved_start_method` consults
-    #: ``REPRO_START_METHOD`` at use time, so an env override set after
-    #: the plan was resolved still takes effect.
-    start_method: str = "auto"
 
     #: Cap on topology-derived worker counts (explicit requests and the
     #: REPRO_WORKERS override are taken verbatim).
@@ -268,10 +255,6 @@ class WorkerPlan:
             rows -= rows % quantum
         return max(1, min(rows, max(n, 1)))
 
-    def resolved_start_method(self) -> str:
-        """The concrete pool start method (:func:`resolve_start_method`)."""
-        return resolve_start_method(self.start_method)
-
     def as_dict(self) -> dict:
         """JSON-friendly view (benchmarks and the CLI report this)."""
         return {
@@ -280,7 +263,6 @@ class WorkerPlan:
             "blas_threads": self.blas_threads,
             "source": self.source,
             "tile_budget_bytes": self.tile_budget_bytes,
-            "start_method": self.resolved_start_method(),
         }
 
 
@@ -1137,11 +1119,9 @@ def _run_groups(
 ) -> None:
     """Evaluate nonempty groups serially into ``acc``.
 
-    The numeric core of :func:`candidate_join` -- run by the calling
-    thread in serial mode, by each pool worker on its batch, and by the
-    parent when it recovers a dead worker's batch -- so every mode shares
-    the same gathers, GEMM shapes and extraction.  ``batch_params=None``
-    is the per-group mode; a dict of padded-batch knobs
+    The numeric core of :func:`candidate_join`; both modes share its
+    gathers, GEMM shapes and extraction.  ``batch_params=None`` is the
+    per-group mode; a dict of padded-batch knobs
     (:data:`DEFAULT_BATCH_PARAMS` keys) is the batched mode.
     """
     chunk = group_chunk(left.dim)
@@ -1259,8 +1239,6 @@ def candidate_join(
     *,
     batched: bool = False,
     batch_params: dict | None = None,
-    workers: "int | str | WorkerPlan | None" = 0,
-    group_batch: int = 64,
     on_group: Callable[[np.ndarray, np.ndarray], None] | None = None,
     store_distances: bool = True,
     acc: PairAccumulator | None = None,
@@ -1305,19 +1283,10 @@ def candidate_join(
         on the tile executor.
     batch_params:
         Overrides for :data:`DEFAULT_BATCH_PARAMS` in batched mode.
-    workers:
-        Worker request (:meth:`WorkerPlan.resolve`).  With more than one
-        worker and resident operands, groups are buffered into batches of
-        ``group_batch`` and evaluated on a process pool -- the per-group
-        work (tiny gathers + a microscopic GEMM + mask extraction) is
-        dominated by GIL-held time, so threads cannot help.  Batches are
-        committed in submission order, bit-identical to serial
-        (pair-set-equal in batched mode).  Source-backed operands run
-        serial whatever ``workers`` says.
     on_group:
         Statistics hook invoked once per nonempty group, in group order,
-        on the calling process, *before* evaluation -- kernels use it to
-        tally candidate counts / sampling without a second index pass.
+        *before* evaluation -- kernels use it to tally candidate counts /
+        sampling without a second index pass.
     store_distances:
         Track per-pair squared distances (ignored when ``acc`` is given).
     acc:
@@ -1326,358 +1295,13 @@ def candidate_join(
         Where source-backed operands account their transient gathers.
     """
     cols = _check_operands(left, right)
-    wp = WorkerPlan.resolve(workers)
     if acc is None:
         acc = PairAccumulator(store_distances=store_distances)
     hooks = trace_mod.current_hooks()
-    live = _live_groups(groups, on_group, hooks)
     params = {**DEFAULT_BATCH_PARAMS, **(batch_params or {})} if batched else None
-    if wp.parallel and left.resident and cols.resident:
-        _pool_groups(
-            live, left, cols, eps2, acc, wp, int(group_batch),
-            drop_self=right is None, batch_params=params, hooks=hooks,
-        )
-    else:
-        _run_groups(
-            live, left, cols, eps2, acc,
-            drop_self=right is None, batch_params=params,
-            hooks=hooks, stats=stats,
-        )
+    _run_groups(
+        _live_groups(groups, on_group, hooks), left, cols, eps2, acc,
+        drop_self=right is None, batch_params=params, hooks=hooks, stats=stats,
+    )
     return acc
 
-
-# ----------------------------------------------------------------------
-# Process-pool mode of the candidate executor
-# ----------------------------------------------------------------------
-#
-# Two flavors share :func:`_run_groups` and one submit/commit loop:
-#
-# * **fork** -- the operands are inherited copy-on-write through the
-#   module-global fork state below;
-# * **spawn** -- each operand's rows + norms are written once into named
-#   ``multiprocessing.shared_memory`` segments, each worker attaches
-#   read-only views in its initializer, and the parent unlinks the
-#   segments when the pool closes (spawn-only platforms -- macOS
-#   default, Windows -- get pool execution too).
-#
-# Either way tasks carry only batches of group index arrays and results
-# carry only the extracted pairs.  :func:`resolve_start_method` picks the
-# flavor: ``REPRO_START_METHOD`` env override, else fork where available.
-
-#: Operand state inherited by forked candidate workers.  Set immediately
-#: before the pool forks and cleared afterwards, under ``_FORK_LOCK``.
-_FORK_STATE: dict[str, Any] | None = None
-
-#: Serializes fork-pool candidate joins within one parent process:
-#: ``ProcessPoolExecutor`` forks lazily at first submit, so without the
-#: lock a concurrent join could overwrite ``_FORK_STATE`` before this
-#: join's children fork and they would inherit the wrong operands.
-_FORK_LOCK = threading.Lock()
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_start_method(preference: str | None = None) -> str:
-    """Resolve a pool start-method preference to ``"fork"`` or ``"spawn"``.
-
-    The ``REPRO_START_METHOD`` environment variable overrides
-    ``preference`` when set; ``"auto"`` (the default) picks fork where
-    the platform offers it and spawn otherwise.  Requesting fork on a
-    platform without it is an error -- silently substituting spawn would
-    hide a large per-child start-up cost behind an identical-looking
-    run.
-    """
-    env = os.environ.get("REPRO_START_METHOD", "").strip().lower()
-    raw = env or (preference or "auto").strip().lower()
-    if raw not in ("auto", "fork", "spawn"):
-        raise ValueError(
-            f"start method must be 'auto', 'fork', or 'spawn'; got {raw!r}"
-        )
-    if raw == "auto":
-        return "fork" if _fork_available() else "spawn"
-    if raw == "fork" and not _fork_available():
-        raise ValueError(
-            "the 'fork' start method is unavailable on this platform"
-        )
-    return raw
-
-
-#: Count of group batches recovered inline after pool child death
-#: (observability hook; tests assert recovery actually engaged).  Shared
-#: by the fork and spawn flavors -- what it counts is the recovery, not
-#: the start method.
-FORK_RECOVERIES = 0
-
-#: Cumulative spawn-pool shared-memory traffic: segments created by
-#: :func:`_share_array` and the bytes they held.  Like
-#: :data:`FORK_RECOVERIES` these are plain module counters the serving
-#: layer surfaces as registry gauges (``repro_spawn_shm_segments`` /
-#: ``repro_spawn_shm_bytes``) so ``/metrics`` covers worker-pool health.
-SPAWN_SHM_SEGMENTS = 0
-SPAWN_SHM_BYTES = 0
-
-
-def _eval_candidate_batch(st: dict, batch: list) -> tuple:
-    """Evaluate one batch of ``(members, candidates)`` against ``st``.
-
-    Runs in pool workers of both flavors *and* on the parent's inline
-    recovery path -- always :func:`_run_groups`, which is why pooled
-    results are bit-identical to serial.
-    """
-    acc = PairAccumulator(store_distances=st["store_distances"])
-    _run_groups(
-        batch, st["left"], st["cols"], st["eps2"], acc,
-        drop_self=st["drop_self"], batch_params=st["batch_params"],
-    )
-    return acc.arrays()
-
-
-def _candidate_fork_worker(batch: list) -> tuple:
-    """Fork-pool worker entry: the operands arrive copy-on-write through
-    ``_FORK_STATE``."""
-    if faults.ARMED:
-        faults.check("worker.exec")
-    return _eval_candidate_batch(_FORK_STATE, batch)
-
-
-#: Operand state attached by spawned candidate workers: task-meta scalars
-#: plus operands over read-only views of the parent's shared-memory
-#: segments.  Set once per worker by :func:`_spawn_initializer`.
-_SPAWN_STATE: dict[str, Any] | None = None
-
-
-def _attach_shared(name: str) -> shared_memory.SharedMemory:
-    """Attach to a named segment without resource-tracker ownership.
-
-    Attaching would register the segment with the resource tracker the
-    pool workers share with the parent; since the tracker's cache is a
-    plain per-name set, the worker's registration would collide with the
-    parent's and the segment could be unlinked out from under its
-    siblings.  The parent owns each segment and unlinks it exactly once
-    when the pool closes, so worker-side registration is suppressed for
-    the duration of the attach (3.13's ``track=False`` argument, done by
-    hand for 3.11/3.12).
-    """
-    original = resource_tracker.register
-    resource_tracker.register = lambda *a, **k: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _share_array(arr: np.ndarray) -> tuple[shared_memory.SharedMemory, tuple]:
-    """Copy ``arr`` into a fresh named segment; returns (segment, meta).
-
-    The meta triple ``(name, shape, dtype_str)`` is what the task
-    protocol ships to workers -- never the array itself.
-    """
-    global SPAWN_SHM_SEGMENTS, SPAWN_SHM_BYTES
-    arr = np.ascontiguousarray(arr)
-    seg = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-    view[...] = arr
-    SPAWN_SHM_SEGMENTS += 1
-    SPAWN_SHM_BYTES += seg.size
-    return seg, (seg.name, arr.shape, arr.dtype.str)
-
-
-def _spawn_initializer(meta: dict) -> None:
-    """Spawn-pool worker initializer: map the shared segments once.
-
-    Runs once per worker; every task afterwards ships only group index
-    arrays.  Views are marked read-only so a kernel bug cannot scribble
-    on the dataset every sibling worker is reading.  Segment handles are
-    kept on the state dict so the mappings outlive this call.
-    """
-    global _SPAWN_STATE
-    st = dict(meta["scalars"])
-    segments = []
-
-    def attach(spec: tuple) -> np.ndarray:
-        seg_name, shape, dtype = spec
-        seg = _attach_shared(seg_name)
-        segments.append(seg)
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-        view.flags.writeable = False
-        return view
-
-    st["left"] = ResidentOperand(*(attach(s) for s in meta["left"]))
-    st["cols"] = (
-        st["left"]
-        if meta["cols"] is None
-        else ResidentOperand(*(attach(s) for s in meta["cols"]))
-    )
-    st["_segments"] = segments
-    _SPAWN_STATE = st
-
-
-def _candidate_spawn_worker(batch: list) -> tuple:
-    """Spawn-pool worker entry: evaluate one batch against the mapped
-    shared-memory operands.  Faults arm from ``REPRO_FAULTS`` at import,
-    so the ``worker.exec`` point fires in spawned children exactly as it
-    does in forked ones."""
-    if faults.ARMED:
-        faults.check("worker.exec")
-    return _eval_candidate_batch(_SPAWN_STATE, batch)
-
-
-def _drive_pool(
-    pool: ProcessPoolExecutor,
-    worker_fn: Callable[[list], tuple],
-    state: dict,
-    groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    group_batch: int,
-    n_workers: int,
-    acc: PairAccumulator,
-    hooks,
-) -> None:
-    """Submit group batches to ``pool`` and commit results in order.
-
-    Each pending entry keeps its batch next to its future: if a child
-    dies (SIGKILL, OOM-kill), the pool breaks and every in-flight future
-    raises BrokenProcessPool -- the batch is then re-evaluated *inline*
-    on the parent via :func:`_eval_candidate_batch` over ``state`` (the
-    parent's own operands, for either flavor; the ``worker.exec`` fault
-    point lives in the worker entries, so the recovery cannot re-trip
-    the fault that killed the child), and commits stay in submission
-    order, so the recovered result is bit-identical to the no-failure
-    run (and to serial).
-    """
-    store_distances = acc.store_distances
-    pending: deque = deque()
-    batch: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def retry_inline(items: list) -> tuple:
-        global FORK_RECOVERIES
-        FORK_RECOVERIES += 1
-        return _eval_candidate_batch(state, items)
-
-    def commit_head() -> None:
-        fut, items = pending.popleft()
-        t0 = time.perf_counter()
-        if fut is None:
-            i, j, d = retry_inline(items)
-        else:
-            try:
-                i, j, d = fut.result()
-            except BrokenProcessPool:
-                i, j, d = retry_inline(items)
-        # Wall time blocked on (or recovering) the worker batch -- the
-        # parent-side view of pool execution for this request.
-        t1 = time.perf_counter()
-        acc.append(i, j, d if store_distances else None)
-        if hooks is not None:
-            hooks.record("worker", t1 - t0)
-            hooks.record("commit", time.perf_counter() - t1)
-
-    def flush() -> None:
-        if batch:
-            items = list(batch)
-            try:
-                fut = pool.submit(worker_fn, items)
-            except (BrokenProcessPool, RuntimeError):
-                # Pool already broken/shut: queue the batch for lazy
-                # inline evaluation at commit time (keeps commit order
-                # and memory bounded).
-                fut = None
-            pending.append((fut, items))
-            batch.clear()
-
-    for group in groups:
-        batch.append(group)
-        if len(batch) >= group_batch:
-            flush()
-            while len(pending) > 2 * n_workers:
-                commit_head()
-    flush()
-    while pending:
-        commit_head()
-
-
-def _pool_groups(
-    groups: Iterable[tuple[np.ndarray, np.ndarray]],
-    left: ResidentOperand,
-    cols: ResidentOperand,
-    eps2: float,
-    acc: PairAccumulator,
-    wp: WorkerPlan,
-    group_batch: int,
-    *,
-    drop_self: bool,
-    batch_params: dict | None,
-    hooks,
-) -> None:
-    """Fan nonempty groups out to a process pool, committing in order."""
-    state = {
-        "left": left,
-        "cols": cols,
-        "eps2": eps2,
-        "store_distances": acc.store_distances,
-        "drop_self": drop_self,
-        "batch_params": batch_params,
-        # Task metadata, not numerics: workers inherit the originating
-        # request's trace id (fork: via _FORK_STATE, spawn: via the
-        # initializer scalars) so a pool batch is attributable to the
-        # request that spawned it.
-        "trace_id": hooks.trace_id if hooks is not None else None,
-    }
-    if wp.resolved_start_method() == "fork":
-        global _FORK_STATE
-        ctx = multiprocessing.get_context("fork")
-        with _FORK_LOCK:
-            _FORK_STATE = state
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=wp.n_workers, mp_context=ctx
-                ) as pool:
-                    _drive_pool(
-                        pool, _candidate_fork_worker, state, groups,
-                        group_batch, wp.n_workers, acc, hooks,
-                    )
-            finally:
-                _FORK_STATE = None
-        return
-
-    # Spawn flavor: write each operand's arrays into named shared-memory
-    # segments exactly once (a self-join's column side aliases its row
-    # side rather than being copied again), ship only the segment names
-    # + scalars to the pool initializer, and unlink the segments when
-    # the pool is done.  No module-global handoff, so no _FORK_LOCK:
-    # concurrent spawn joins each own their segments.
-    segments: list[shared_memory.SharedMemory] = []
-
-    def share(op: ResidentOperand) -> tuple:
-        specs = []
-        for arr in (op.rows, op.norms):
-            seg, spec = _share_array(arr)
-            segments.append(seg)
-            specs.append(spec)
-        return tuple(specs)
-
-    try:
-        meta = {
-            "scalars": {
-                k: v for k, v in state.items() if k not in ("left", "cols")
-            },
-            "left": share(left),
-            "cols": None if cols is left else share(cols),
-        }
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=wp.n_workers, mp_context=ctx,
-            initializer=_spawn_initializer, initargs=(meta,),
-        ) as pool:
-            _drive_pool(
-                pool, _candidate_spawn_worker, state, groups,
-                group_batch, wp.n_workers, acc, hooks,
-            )
-    finally:
-        for seg in segments:
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover -- already gone
-                pass

@@ -3,8 +3,8 @@
 Production systems earn trust by *injecting* failures deliberately and
 measuring that they degrade predictably -- the discipline the muBench-style
 replication studies apply to service topologies, applied here to our own
-stack.  This module is the arming panel: the persistence, source, executor
-and service layers each expose a **named fault point**, and tests (or the
+stack.  This module is the arming panel: the persistence, source and
+service layers each expose a **named fault point**, and tests (or the
 ``REPRO_FAULTS`` environment variable) arm those points with a failure
 kind and probability.  ``tests/test_faults.py`` is the chaos suite that
 drives every scenario to a typed error or a bit-identical recovery.
@@ -15,7 +15,6 @@ Fault points
 ``persist.write``   ``save_index``, immediately before the atomic commit
 ``persist.payload`` ``save_index``, once per payload file written
 ``source.read``     every ``DatasetSource`` block load / row gather
-``worker.exec``     fork-pool candidate worker, per batch (child only)
 ``service.dispatch``  ``QueryService`` dispatcher, per engine batch
 ==================  ====================================================
 
@@ -25,19 +24,16 @@ Failure kinds
 * ``corrupt`` -- the point's *site* corrupts its payload (e.g. a byte is
   flipped in the file just written); only data-carrying points honor it.
 * ``delay`` -- sleep ``param`` seconds (default 0.01) at the point.
-* ``kill`` -- ``SIGKILL`` the process that evaluates the point.  Sites
-  that *recover* from killed children (the fork pool's inline retry)
-  skip their fault point on the recovery path, so arming
-  ``worker.exec:kill`` kills fork children without shooting the parent
-  that re-executes the batch.
+* ``kill`` -- ``SIGKILL`` the process that evaluates the point (the
+  crash-safety tests arm it on the persist points in a child process).
 
 Arming
 ------
 Programmatic (tests): :func:`arm` / :func:`disarm` / :func:`reset`.
 Environmental: set
 ``REPRO_FAULTS=point:kind:prob[:param][,point:kind:prob[:param]...]``
-before the process starts -- parsed at import time, so CLI subcommands,
-spawned servers, and forked workers all inherit the arming.
+before the process starts -- parsed at import time, so CLI subcommands
+and spawned servers inherit the arming.
 
 Overhead
 --------
@@ -65,7 +61,6 @@ FAULT_POINTS = (
     "persist.write",
     "persist.payload",
     "source.read",
-    "worker.exec",
     "service.dispatch",
 )
 
@@ -169,7 +164,7 @@ def configure_from_env(value: str | None = None) -> list[FaultSpec]:
     """Arm from ``REPRO_FAULTS`` (or an explicit spec string).
 
     Format: comma-separated ``point:kind:prob[:param]`` entries, e.g.
-    ``service.dispatch:delay:0.5:0.02,worker.exec:kill:0.25``.  An empty
+    ``service.dispatch:delay:0.5:0.02,source.read:error:0.25``.  An empty
     / unset variable arms nothing.  Raises :class:`ValueError` on a
     malformed entry -- a typo'd chaos run must fail loudly, not run
     silently fault-free.
@@ -247,8 +242,8 @@ def corrupt_file(path, *, offset: int | None = None) -> None:
 
 
 # Environment arming happens at import so every entry point -- CLI
-# subcommands, spawned serve processes, fork children (which inherit the
-# parent's armed state anyway) -- honors REPRO_FAULTS without plumbing.
+# subcommands, spawned serve processes -- honors REPRO_FAULTS without
+# plumbing.
 if os.environ.get(ENV_VAR, "").strip():
     configure_from_env()
 

@@ -323,7 +323,6 @@ class MutableIndex:
         *,
         mmap: bool = True,
         precision: str = "fp64",
-        workers=0,
         verify: str = "header",
         seal_threshold: int | None = None,
     ) -> None:
@@ -338,7 +337,6 @@ class MutableIndex:
             np.float32 if precision == "fp32" else np.float64
         )
         self._mmap = mmap
-        self._workers = workers
         self._verify = verify
         self._params = dict(manifest.get("params", {}))
         self.seal_threshold = int(
@@ -366,9 +364,7 @@ class MutableIndex:
                 f"{path}: base {self._base_dir} disagrees with the manifest "
                 f"(kind/eps)"
             )
-        self._base_engine = engine_cls(
-            loaded, precision=precision, workers=workers
-        )
+        self._base_engine = engine_cls(loaded, precision=precision)
         self._base_n = int(self._base_engine.n_points)
         entry = manifest.get("base_ids")
         if entry is None:
@@ -393,9 +389,7 @@ class MutableIndex:
                     "dir": seg["dir"],
                     "start_id": int(seg["start_id"]),
                     "n": int(seg["n"]),
-                    "engine": engine_cls(
-                        seg_loaded, precision=precision, workers=workers
-                    ),
+                    "engine": engine_cls(seg_loaded, precision=precision),
                 }
             )
         self.next_id = int(manifest["next_id"])
@@ -432,7 +426,6 @@ class MutableIndex:
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         mmap: bool = True,
         precision: str = "fp64",
-        workers=0,
         verify: str = "header",
     ) -> "MutableIndex":
         """Create a mutable store over ``data`` at ``path`` and open it.
@@ -510,7 +503,7 @@ class MutableIndex:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
         return cls(
-            path, mmap=mmap, precision=precision, workers=workers,
+            path, mmap=mmap, precision=precision,
             verify=verify, seal_threshold=seal_threshold,
         )
 
@@ -779,9 +772,7 @@ class MutableIndex:
         rel = f"segments/seg-{secrets.token_hex(4)}"
         (self.path / "segments").mkdir(exist_ok=True)
         save_index(index, self.path / rel, data=data)
-        engine = _engine_cls()(
-            index, data, precision=self.precision, workers=self._workers
-        )
+        engine = _engine_cls()(index, data, precision=self.precision)
         self._segments.append(
             {
                 "dir": rel,
@@ -877,9 +868,7 @@ class MutableIndex:
                     self.path / new_base_dir,
                     mmap=self._mmap, verify=self._verify,
                 )
-                new_engine = _engine_cls()(
-                    loaded, precision=self.precision, workers=self._workers
-                )
+                new_engine = _engine_cls()(loaded, precision=self.precision)
                 with self._lock:
                     folded = {id(s) for s in snap_segments}
                     self._segments = [
@@ -947,8 +936,7 @@ class MutableIndex:
                         n_dims=int(self._params.get("n_dims", 6)),
                     )
                     self._buffer_engine = _engine_cls()(
-                        index, data,
-                        precision=self.precision, workers=self._workers,
+                        index, data, precision=self.precision
                     )
                 layers.append(
                     _Layer(
@@ -982,7 +970,6 @@ class MutableIndex:
         queries,
         eps: float | None = None,
         *,
-        workers=None,
         batched: bool = False,
         store_distances: bool = True,
     ) -> JoinResult:
@@ -1003,8 +990,7 @@ class MutableIndex:
         parts_i, parts_g, parts_d = [], [], []
         for layer in gen.layers:
             res = layer.engine.range_query(
-                q, eps, workers=workers, batched=batched,
-                store_distances=store_distances,
+                q, eps, batched=batched, store_distances=store_distances,
             )
             gid = layer.gids[res.pairs_j]
             if gen.tomb.size and gid.size:

@@ -26,7 +26,6 @@ from repro.core.engine import (
     SourceOperand,
     StreamStats,
     TilePlan,
-    WorkerPlan,
     candidate_join,
     resolve_batching,
 )
@@ -108,7 +107,7 @@ class GdsJoinKernel:
 
     def _index_self_join(
         self, index: GridIndex, operand, n: int, take_rows, eps: float, *,
-        store_distances, batched, batch_params, workers=0, stats=None,
+        store_distances, batched, batch_params, stats=None,
     ) -> GdsJoinResult:
         """Candidate pass over the grid's cells + the measured statistics.
 
@@ -154,7 +153,6 @@ class GdsJoinKernel:
             self._dtype.type(float(eps) ** 2),
             batched=batched,
             batch_params=params,
-            workers=workers,
             on_group=on_group,
             store_distances=store_distances,
             stats=stats,
@@ -177,7 +175,6 @@ class GdsJoinKernel:
         store_distances: bool = True,
         batched: bool | None = None,
         batch_params: dict | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> GdsJoinResult:
         """Index-supported self-join; returns result + cost statistics.
 
@@ -189,13 +186,8 @@ class GdsJoinKernel:
         per index shape: the grid's measured group-size moments decide
         whether the typical group is call-overhead-bound
         (:func:`repro.core.engine.auto_batched_from_stats`); explicit
-        ``True`` / ``False`` forces.  ``workers`` fans the candidate
-        groups out to the executor's process pool (the per-group work is
-        too fine-grained for threads); commit order is group order, so
-        the parallel result is bit-identical to serial (pair-set-equal in
-        batched mode, as for batching itself).  The candidate tally and
-        profiling sample ride along via the ``on_group`` hook in every
-        mode.  Batched-mode knobs are derived from the grid's measured
+        ``True`` / ``False`` forces.  The candidate tally and profiling
+        sample ride along via the ``on_group`` hook in both modes.  Batched-mode knobs are derived from the grid's measured
         group-size moments
         (:func:`repro.core.engine.batch_params_from_stats` over
         ``GridIndex.stats()``); ``batch_params`` overrides any of them
@@ -208,7 +200,7 @@ class GdsJoinKernel:
             index, ResidentOperand(*self._block_state(data)),
             data.shape[0], data.__getitem__, eps,
             store_distances=store_distances, batched=batched,
-            batch_params=batch_params, workers=workers,
+            batch_params=batch_params,
         )
 
     def self_join_source(
@@ -277,7 +269,6 @@ class GdsJoinKernel:
         eps: float,
         *,
         store_distances: bool = True,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> JoinResult:
         """Two-source grid join: pairs ``(i in A, j in B)`` within ``eps``.
 
@@ -285,9 +276,7 @@ class GdsJoinKernel:
         variance order and cell width (``GridIndex.iter_join_groups``) and
         each query group is evaluated against the 3^r adjacent cells'
         B points by the candidate executor with a second operand (no
-        self pairs exist to drop), fanned out to its process pool when
-        ``workers`` asks for one (bit-identical, in-order commit).
-        Functional path only; timing stays self-join-scoped.
+        self pairs exist to drop).  Functional path only; timing stays self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -300,7 +289,6 @@ class GdsJoinKernel:
             self._dtype.type(float(eps) ** 2),
             ResidentOperand(*self._block_state(b)),
             store_distances=store_distances,
-            workers=workers,
         )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
 

@@ -20,7 +20,6 @@ from repro.core.engine import (
     SourceOperand,
     StreamStats,
     TilePlan,
-    WorkerPlan,
     candidate_join,
     resolve_batching,
 )
@@ -81,8 +80,7 @@ class MisticKernel:
 
     def _tree_self_join(
         self, tree: MultiSpaceTree, operand, n: int, eps: float, take_rows, *,
-        store_distances, group, batched, batch_params=None, workers=0,
-        stats=None,
+        store_distances, group, batched, batch_params=None, stats=None,
     ) -> MisticResult:
         """Candidate pass over the tree's groups + the profiling sample.
 
@@ -100,7 +98,6 @@ class MisticKernel:
             np.float32(float(eps) ** 2),
             batched=batched,
             batch_params=params,
-            workers=workers,
             store_distances=store_distances,
             stats=stats,
         )
@@ -129,7 +126,6 @@ class MisticKernel:
         store_distances: bool = True,
         group: int = 512,
         batched: bool | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> MisticResult:
         """Index-supported self-join; returns result + cost statistics.
 
@@ -139,9 +135,7 @@ class MisticKernel:
         faster when ``group`` is small or eps prunes hard; ``None`` (the
         default) resolves from the tree's measured group-shape moments
         (:func:`repro.core.engine.auto_batched_from_stats` over
-        ``MultiSpaceTree.stats``).  ``workers`` fans the tree groups out
-        to the executor's process pool (in-order commit, bit-identical
-        to serial -- pair-set-equal when combined with ``batched``).
+        ``MultiSpaceTree.stats``).
         """
         data = np.ascontiguousarray(data, dtype=np.float64)
         tree = MultiSpaceTree(
@@ -152,7 +146,6 @@ class MisticKernel:
             tree, ResidentOperand(*self._block_state(data)), data.shape[0],
             eps, data.__getitem__,
             store_distances=store_distances, group=group, batched=batched,
-            workers=workers,
         )
 
     def self_join_source(
@@ -216,7 +209,6 @@ class MisticKernel:
         *,
         store_distances: bool = True,
         group: int = 512,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> JoinResult:
         """Two-source tree join: pairs ``(i in A, j in B)`` within ``eps``.
 
@@ -224,9 +216,8 @@ class MisticKernel:
         (``MultiSpaceTree.iter_join_groups`` -- coordinate floor-divides
         plus pivot rings, both valid for external points) and evaluated
         against the +-1 window candidates by the candidate executor with
-        a second operand, fanned out to its process pool when ``workers``
-        asks for one (bit-identical, in-order commit).  Functional path
-        only; timing stays self-join-scoped.
+        a second operand.  Functional path only; timing stays
+        self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -242,7 +233,6 @@ class MisticKernel:
             np.float32(float(eps) ** 2),
             ResidentOperand(*self._block_state(b)),
             store_distances=store_distances,
-            workers=workers,
         )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
 

@@ -162,6 +162,13 @@ class TedJoinKernel:
                 f"exceeds shared memory at d={d}"
             )
 
+    def _check_workers(self, workers) -> None:
+        if self.variant == "index" and workers not in (0, None):
+            raise ValueError(
+                "workers applies to the brute variant's tiles; the index "
+                f"variant runs serially (got workers={workers!r})"
+            )
+
     def self_join_stream(
         self,
         source: DatasetSource,
@@ -229,11 +236,9 @@ class TedJoinKernel:
         in BLAS, so this is bit-identical to evaluating the full matrix
         at half the GEMM work), the index variant on the candidate-group
         executor (:func:`repro.core.engine.candidate_join`).  ``workers``
-        parallelizes both variants: thread-pool tile dispatch for the
-        brute variant, and the executor's process pool for the index
-        variant's candidate groups, whose per-group work is too
-        fine-grained for threads -- results are bit-identical to serial
-        either way.  ``batched`` runs the index variant in the executor's
+        dispatches the brute variant's tiles to a thread pool
+        (bit-identical to serial); the index variant runs serially and
+        rejects it.  ``batched`` runs the index variant in the executor's
         padded batch-GEMM mode -- same pair set, faster at small eps,
         with knobs derived from the grid's measured group moments
         (:func:`repro.core.engine.batch_params_from_stats`; override any
@@ -252,9 +257,10 @@ class TedJoinKernel:
         data = np.ascontiguousarray(data, dtype=np.float64)
         n, d = data.shape
         self._check_capacity(d)
-        wp = WorkerPlan.resolve(workers)
+        self._check_workers(workers)
         operand = ResidentOperand(*self._block_state(data))
         if self.variant == "brute":
+            wp = WorkerPlan.resolve(workers)
             if row_block is None:
                 row_block = self.auto_row_block(n, d, wp)
             acc, _stats = tile_join(
@@ -272,13 +278,13 @@ class TedJoinKernel:
             )
         return self._index_self_join(
             GridIndex(data, eps), operand, n, eps,
-            store_distances=store_distances, workers=wp,
+            store_distances=store_distances,
             batched=batched, batch_params=batch_params,
         )
 
     def _index_self_join(
         self, index: GridIndex, operand, n: int, eps: float, *,
-        store_distances, batched, batch_params, workers=0, stats=None,
+        store_distances, batched, batch_params, stats=None,
     ) -> TedJoinResult:
         """Index variant: grid candidates, FP64 distances, 8x8 tile padding."""
         batched, params = resolve_batching(batched, index.stats, batch_params)
@@ -296,7 +302,6 @@ class TedJoinKernel:
             float(eps) ** 2,
             batched=batched,
             batch_params=params,
-            workers=workers,
             on_group=on_group,
             store_distances=store_distances,
             stats=stats,
@@ -329,11 +334,10 @@ class TedJoinKernel:
         Index variant: grid built over **B**, A's points dropped into it
         (``GridIndex.iter_join_groups``), candidates evaluated by the
         candidate executor with a second operand (no self-pair drop --
-        equal indices address different points).  ``workers``
-        parallelizes both: thread tiles for brute, the candidate
-        executor's process pool for index (bit-identical to serial
-        either way).  Functional path only; the timing models remain
-        self-join-scoped.
+        equal indices address different points).  ``workers`` dispatches
+        the brute variant's tiles to threads (bit-identical to serial);
+        the index variant runs serially and rejects it.  Functional path
+        only; the timing models remain self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -342,10 +346,11 @@ class TedJoinKernel:
         d = a.shape[1]
         self._check_capacity(d)
         eps2 = float(eps) ** 2
-        wp = WorkerPlan.resolve(workers)
+        self._check_workers(workers)
         left = ResidentOperand(*self._block_state(a))
         right = ResidentOperand(*self._block_state(b))
         if self.variant == "brute":
+            wp = WorkerPlan.resolve(workers)
             if row_block is None:
                 row_block = self.auto_row_block(
                     max(a.shape[0], b.shape[0]), d, wp
@@ -360,7 +365,7 @@ class TedJoinKernel:
         else:
             acc = candidate_join(
                 GridIndex(b, eps).iter_join_groups(a), left, eps2, right,
-                store_distances=store_distances, workers=wp,
+                store_distances=store_distances,
             )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
 

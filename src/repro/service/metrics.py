@@ -245,7 +245,7 @@ class Gauge(_Metric):
     """Settable instantaneous value, or a callback evaluated at read time.
 
     Callback gauges (``fn=...``) mirror live state -- queue depth, cache
-    residency, the module-level fork-recovery counter -- without the
+    residency, tracer retention counts -- without the
     owner having to push updates through the registry.
     """
 

@@ -33,9 +33,8 @@ The dataset side can stay **out of core**: a mmap-backed
 back) serves candidate rows through ``take`` gathers, touching only the
 rows queries actually hit -- the engine's dataset operand is then a
 :class:`~repro.core.engine.SourceOperand` with a hot-cell LRU in front
-of its gather.  ``workers=`` follows the engine convention
-(:class:`~repro.core.engine.WorkerPlan`; the candidate pool needs
-resident operands and is ignored for source-backed data).
+of its gather.  Queries run serially on the calling thread; concurrent
+requests are served by the caller's threads (the HTTP server's).
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro import trace as trace_mod
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
-    WorkerPlan,
     candidate_join,
     group_chunk,
     group_gram,
@@ -229,10 +227,6 @@ class QueryEngine:
         ``"fp64"`` (default -- range queries bit-identical to the brute
         reference) or ``"fp32"`` (pair-set contract, half the memory
         traffic).
-    workers:
-        Default engine worker request for queries
-        (:meth:`~repro.core.engine.WorkerPlan.resolve`); per-call
-        ``workers=`` overrides it.
     mmap, verify:
         Only used when ``index`` is a path: forwarded to
         :func:`~repro.index.persist.load_index` (``verify`` is the
@@ -256,7 +250,6 @@ class QueryEngine:
         data=None,
         *,
         precision: str = "fp64",
-        workers: "int | str | WorkerPlan | None" = 0,
         mmap: bool = True,
         verify: str = "header",
         candidate_cache_bytes: int = 64 << 20,
@@ -286,7 +279,6 @@ class QueryEngine:
         # A partial, not a bound method: the dataset operand keeps its
         # prepare function, and must not keep the engine alive in a cycle.
         self._prepare = partial(_cast_with_norms, self.dtype)
-        self.workers = workers
         self.source = source
         n = int(source.n)
         if n != int(index.n_points):
@@ -327,7 +319,6 @@ class QueryEngine:
         queries,
         eps: float | None = None,
         *,
-        workers: "int | str | WorkerPlan | None" = None,
         batched: bool = False,
         store_distances: bool = True,
     ) -> JoinResult:
@@ -339,10 +330,7 @@ class QueryEngine:
         is why the serving cache keys on the eps grid).  ``batched=True``
         runs the candidate executor's padded-batch-GEMM mode (pair-set
         contract); the default per-group mode is bit-identical to
-        :func:`brute_range_query` at FP64.  ``workers`` fans groups out
-        to the executor's process pool -- resident datasets only
-        (source-backed data stays on the gather path); in-order commit,
-        bit-identical to serial (pair-set-equal with ``batched=True``).
+        :func:`brute_range_query` at FP64.
         """
         q = self._check_queries(queries)
         eps = self.eps if eps is None else float(eps)
@@ -362,7 +350,6 @@ class QueryEngine:
             eps2,
             self._data,
             batched=batched,
-            workers=self.workers if workers is None else workers,
             store_distances=store_distances,
         )
         return acc.finalize_join(q.shape[0], self.n_points, eps)

@@ -28,8 +28,7 @@ Three pieces stack into the serving path:
   ``max_delay_s`` while requests queue behind the dispatcher and decays
   to zero when traffic is sparse, so an idle service adds no latency
   and a loaded one amortizes engine calls.  Dispatch runs on one
-  background thread; the engine call itself fans out on the existing
-  :class:`~repro.core.engine.WorkerPlan`.
+  background thread, which makes each engine call serially.
 
 * :func:`make_server` -- stdlib-only JSON-over-HTTP behind one of two
   interchangeable front ends (``frontend="thread" | "async"``): the
@@ -86,8 +85,6 @@ import numpy as np
 from repro import faults
 from repro import log as _log
 from repro import trace as trace_mod
-from repro.core import engine as _engine_mod
-from repro.core.engine import WorkerPlan
 from repro.core.results import JoinResult
 from repro.index.delta import (
     MANIFEST_NAME,
@@ -140,7 +137,7 @@ class IndexCache:
         Maximum simultaneously loaded engines; the least recently used is
         evicted past that (its mmap-backed arrays simply lose their last
         reference).
-    mmap, precision, workers, verify:
+    mmap, precision, verify:
         Forwarded to every :class:`QueryEngine` the cache constructs
         (``verify`` is the :func:`~repro.index.persist.load_index`
         integrity level applied on each cache miss).
@@ -157,7 +154,6 @@ class IndexCache:
         *,
         mmap: bool = True,
         precision: str = "fp64",
-        workers: "int | str | WorkerPlan | None" = 0,
         verify: str = "header",
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -166,7 +162,6 @@ class IndexCache:
         self.capacity = int(capacity)
         self._mmap = mmap
         self._precision = precision
-        self._workers = workers
         self._verify = verify
         self._entries: "OrderedDict[tuple, QueryEngine]" = OrderedDict()
         # Memo of header digest -> eps so cache hits pay one small file
@@ -266,7 +261,6 @@ class IndexCache:
         engine = QueryEngine(
             key[0],
             precision=self._precision,
-            workers=self._workers,
             mmap=self._mmap,
             verify=self._verify,
         )
@@ -316,7 +310,6 @@ class IndexCache:
         engine = MutableIndex(
             resolved,
             precision=self._precision,
-            workers=self._workers,
             mmap=self._mmap,
             verify=self._verify,
         )
@@ -549,7 +542,6 @@ class QueryService:
         *,
         max_batch_points: int = 4096,
         max_delay_s: float = 0.002,
-        workers: "int | str | WorkerPlan | None" = 0,
         precision: str = "fp64",
         mmap: bool = True,
         batched: bool = False,
@@ -569,7 +561,7 @@ class QueryService:
         else:
             self.metrics = metrics if metrics is not None else MetricsRegistry()
             self.cache = IndexCache(
-                precision=precision, workers=workers, mmap=mmap,
+                precision=precision, mmap=mmap,
                 verify=verify, metrics=self.metrics,
             )
         # The tracer is always present: request ids are echoed and stage
@@ -585,7 +577,6 @@ class QueryService:
         self.adaptive_window = bool(adaptive_window)
         #: The live coalescing-window controller (dispatcher-thread only).
         self.window = AdaptiveWindow(self.max_delay_s)
-        self.workers = workers
         self.batched = batched
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -698,24 +689,6 @@ class QueryService:
                 if isinstance(e, MutableIndex)
             )),
         )
-        m.gauge(
-            "repro_fork_recoveries",
-            "Group batches recovered inline after fork-pool child death",
-            fn=lambda: float(_engine_mod.FORK_RECOVERIES),
-        )
-        # Engine-level counters that live outside the registry (module
-        # globals bumped by the spawn pool) surfaced as gauges -- plain
-        # int reads are GIL-atomic, no lock coupling with the engine.
-        m.gauge(
-            "repro_spawn_shm_segments",
-            "Shared-memory segments created for spawn-pool workers",
-            fn=lambda: float(_engine_mod.SPAWN_SHM_SEGMENTS),
-        )
-        m.gauge(
-            "repro_spawn_shm_bytes",
-            "Bytes written into spawn-pool shared-memory segments",
-            fn=lambda: float(_engine_mod.SPAWN_SHM_BYTES),
-        )
         # Per-stage engine time aggregated across every dispatched batch
         # (fed from TraceHooks regardless of trace retention).
         self._h_stage = m.histogram(
@@ -724,7 +697,7 @@ class QueryService:
             labels=("stage",),
         )
         # Tracer retention counters (ints under the tracer lock; reads
-        # here are GIL-atomic snapshots, same pattern as fork recoveries).
+        # here are GIL-atomic snapshots).
         m.gauge(
             "repro_traces_started",
             "Root spans opened since process start",
@@ -1277,8 +1250,7 @@ class QueryService:
             return
         t_exec = time.perf_counter()
         with trace_mod.use_hooks(hooks):
-            res = engine.range_query(cat, reqs[0].eps, workers=self.workers,
-                                     batched=self.batched)
+            res = engine.range_query(cat, reqs[0].eps, batched=self.batched)
         exec_s = time.perf_counter() - t_exec
         stages = hooks.snapshot()
         self._observe_stages(stages)
@@ -1891,7 +1863,6 @@ def make_server(
     port: int = 8787,
     *,
     service: QueryService | None = None,
-    workers: "int | str | WorkerPlan | None" = 0,
     precision: str = "fp64",
     max_queue_depth: int = 256,
     verify: str = "header",
@@ -1953,7 +1924,6 @@ def make_server(
         else:
             read_header(path)
     svc = service or QueryService(
-        workers=workers,
         precision=precision,
         max_queue_depth=max_queue_depth,
         verify=verify,

@@ -31,9 +31,7 @@ Design points, all stdlib:
 
 The engine side of the contract is :class:`TraceHooks`: executors in
 :mod:`repro.core.engine` fetch the ambient hooks object once per call
-and accumulate per-stage seconds into it (no-op when absent), and the
-process pools copy ``hooks.trace_id`` into worker task metadata so a
-pool batch is attributable to the request that spawned it.
+and accumulate per-stage seconds into it (no-op when absent).
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ __all__ = [
 #: vocabulary: these become ``repro_stage_seconds{stage=...}`` label
 #: values and per-stage load-report columns, so the set must stay
 #: bounded and stable.
-STAGES = ("adjacency", "gather", "gemm", "rz", "commit", "worker")
+STAGES = ("adjacency", "gather", "gemm", "rz", "commit")
 
 #: Inbound request ids are echoed into headers, logs, and metrics;
 #: anything not matching this conservative shape is replaced with a

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import trace
-from repro.core import engine
+from repro.core import api, engine
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
@@ -234,15 +234,22 @@ def test_candidate_join_modes_match_brute_force(two_source, streamed, mode):
             return SourceOperand(ArraySource(x), TedJoinKernel._block_state)
         return _fp64_operand(x)
 
-    got = candidate_join(
-        index.iter_join_groups(queries) if two_source else index.iter_cells(),
-        operand(queries),
-        eps * eps,
-        operand(data) if two_source else None,
-        batched="batched" in mode,
-        workers=2 if "pooled" in mode else 0,  # source-backed: runs serial
-        group_batch=8,
-    )
+    def run(**kwargs):
+        return candidate_join(
+            index.iter_join_groups(queries) if two_source else index.iter_cells(),
+            operand(queries),
+            eps * eps,
+            operand(data) if two_source else None,
+            batched="batched" in mode,
+            **kwargs,
+        )
+
+    if "pooled" in mode:
+        # candidate_join runs serially: a worker request is not a
+        # parameter it takes.
+        with pytest.raises(TypeError):
+            run(workers=2)
+    got = run()
     brute, _ = tile_join(
         _fp64_operand(queries), eps * eps,
         _fp64_operand(data) if two_source else None, row_block=64,
@@ -287,6 +294,10 @@ def _hook_cases():
 
         return run
 
+    def api_gds():
+        res = api.self_join(data, eps, method="gds-join", precision="fp64", workers=None)
+        return res.pairs_i, res.pairs_j, res.sq_dists
+
     cases = [
         (
             f"tile-{'axb' if two else 'self'}-{'streamed' if st else 'resident'}",
@@ -299,7 +310,9 @@ def _hook_cases():
     candidate = {"adjacency", "gather", "gemm", "rz", "commit"}
     cases.append(("gds-per-group", gds(batched=False), candidate))
     cases.append(("gds-batched", gds(batched=True), candidate))
-    cases.append(("gds-pooled", gds(batched=False, workers=2), {"adjacency", "worker"}))
+    # The API route with an explicit serial worker request runs the
+    # candidate loop and reports that loop's stages.
+    cases.append(("gds-pooled", api_gds, candidate))
     return cases
 
 

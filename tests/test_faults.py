@@ -9,8 +9,7 @@ pins the fault-tolerance contracts end to end:
   directory); corruption and truncation are caught by ``verify=`` levels
   *before* any payload is handed to a query engine, as typed
   :class:`~repro.index.persist.CorruptIndexError`.
-* **Execution** -- a killed fork-pool child is retried inline with
-  bit-identical results; a mid-stream source fault aborts the streaming
+* **Execution** -- a mid-stream source fault aborts the streaming
   executors without leaking spill chunks.
 * **Serving** -- a full admission queue answers
   :class:`~repro.service.ServiceOverloaded` / HTTP 429 within 50 ms,
@@ -42,14 +41,8 @@ import pytest
 
 import repro
 from repro import faults
-from repro.core import engine
 from repro.core.api import build_index, open_index
-from repro.core.engine import (
-    ResidentOperand,
-    SourceOperand,
-    candidate_join,
-    tile_join,
-)
+from repro.core.engine import SourceOperand, tile_join
 from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import ArraySource
@@ -181,7 +174,7 @@ class TestHarness:
 
     def test_env_arms_at_import_in_subprocess(self):
         env = _subprocess_env()
-        env[faults.ENV_VAR] = "worker.exec:error:0.25"
+        env[faults.ENV_VAR] = "source.read:error:0.25"
         out = subprocess.run(
             [
                 sys.executable,
@@ -196,7 +189,7 @@ class TestHarness:
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == {"worker.exec": ["error", 0.25]}
+        assert json.loads(out.stdout) == {"source.read": ["error", 0.25]}
 
     def test_malformed_env_fails_loudly_in_subprocess(self):
         env = _subprocess_env()
@@ -398,39 +391,7 @@ def _chaos_dataset(seed, n=600, d=8):
     return np.ascontiguousarray(data), eps
 
 
-def _grid_join(data, eps, **kwargs):
-    idx = GridIndex(data, eps, n_dims=4)
-    operand = ResidentOperand(*TedJoinKernel._block_state(data))
-    return candidate_join(idx.iter_cells(), operand, eps * eps, **kwargs)
-
-
 class TestExecutorRecovery:
-    @pytest.mark.skipif(
-        not engine._fork_available(), reason="fork start method unavailable"
-    )
-    def test_killed_fork_children_recover_bit_identical(self):
-        data, eps = _chaos_dataset(11)
-        serial = _grid_join(data, eps, workers=0)
-        before = engine.FORK_RECOVERIES
-        faults.arm("worker.exec", "kill", prob=0.3, seed=123)
-        chaotic = _grid_join(data, eps, workers=2, group_batch=8)
-        faults.disarm()
-        assert engine.FORK_RECOVERIES > before  # children actually died
-        si, sj, sd = serial.arrays()
-        ci, cj, cd = chaotic.arrays()
-        np.testing.assert_array_equal(si, ci)
-        np.testing.assert_array_equal(sj, cj)
-        assert np.array_equal(sd.view(np.uint64), cd.view(np.uint64))
-
-    @pytest.mark.skipif(
-        not engine._fork_available(), reason="fork start method unavailable"
-    )
-    def test_worker_error_fault_propagates(self):
-        data, eps = _chaos_dataset(12, n=300)
-        faults.arm("worker.exec", "error")
-        with pytest.raises(faults.FaultError):
-            _grid_join(data, eps, workers=2, group_batch=8)
-
     def test_source_read_fault_propagates_and_clears(self):
         data, _ = _chaos_dataset(13, n=200)
         src = ArraySource(data)

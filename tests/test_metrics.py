@@ -467,7 +467,7 @@ class TestMetricsEndpoint:
         fams = parse_prometheus_text(text)
         assert "repro_service_queue_depth" in fams
         assert "repro_cache_hits_total" in fams
-        assert "repro_fork_recoveries" in fams
+        assert "repro_service_draining" in fams  # a callback gauge
 
     def test_http_requests_counted_per_endpoint(self, server):
         srv, data, eps = server

@@ -272,9 +272,13 @@ class TestRangeQuery:
         data, eps = data_eps
         q = _queries(data, eps)
         eng = QueryEngine(GridIndex(data, eps), data)
-        serial = eng.range_query(q, workers=0)
-        parallel = eng.range_query(q, workers=2)
-        assert_joins_bit_identical(serial, parallel)
+        # Range queries run serially: the answer is the brute reference
+        # bit for bit, and a worker request is refused.
+        assert_joins_bit_identical(
+            eng.range_query(q), brute_range_query(data, q, eps)
+        )
+        with pytest.raises(TypeError):
+            eng.range_query(q, workers=2)
 
     def test_mmap_source_matches_resident(self, data_eps, tmp_path):
         """Source-backed (gathered) evaluation == resident arrays."""

@@ -487,7 +487,6 @@ class TestHttpTracing:
         for stage in ("adjacency", "gather", "gemm", "rz", "commit"):
             assert f'repro_stage_seconds_count{{stage="{stage}"}}' in text
         assert "repro_traces_started" in text
-        assert "repro_spawn_shm_segments" in text
 
 
 # ----------------------------------------------------------------------
@@ -527,21 +526,23 @@ class TestChaos:
                 conn.close()
 
     def test_worker_fault_recovery_keeps_traces_clean(self, indexed):
-        """A worker.exec fault is absorbed by pool recovery: the request
-        still succeeds and its trace closes ok."""
+        """There is no worker fault point (arming one is a typo and
+        raises), and a served query's trace closes ok with the serial
+        engine's stages only."""
         path, data, _eps = indexed
         q = _queries(data, nq=4)
+        with pytest.raises(ValueError, match="unknown fault point"):
+            faults.arm("worker.exec", "error", 1.0)
         tracer = trace_mod.Tracer(sample=1.0)
-        with QueryService(tracer=tracer, workers=2) as svc:
-            faults.arm("worker.exec", "error", 1.0, count=2)
+        with QueryService(tracer=tracer) as svc:
             root = tracer.start_trace("worker-chaos")
             with trace_mod.activate(root):
                 res = svc.query(path, q)
             root.finish()
-            faults.disarm()
         assert res.n_left == q.shape[0]
         got = tracer.get_trace(root.trace_id)
         assert got is not None and got["status"] == "ok"
+        assert "worker" not in trace_mod.STAGES
 
     def test_rejections_and_timeouts_echo_request_id(self, indexed):
         """429 (admission), 504 (deadline), 503 (draining) all carry

@@ -3,10 +3,10 @@ concurrency, and the unified timing-path tile plans.
 
 The engine's contract is that parallel execution may only change *how
 fast* the answer is produced: every worker configuration -- thread tiles,
-process-pool candidate groups, streaming overlap, spill-enabled
-accumulators -- must be bit-identical to serial execution (pair set AND
-distance bits), and every kernel's modeled tile schedule must equal the
-one the functional path executes.
+streaming overlap, spill-enabled accumulators -- must be bit-identical to
+serial execution (pair set AND distance bits), the index-backed methods
+run serially and reject a worker request, and every kernel's modeled tile
+schedule must equal the one the functional path executes.
 """
 
 import threading
@@ -21,15 +21,18 @@ from repro.core.engine import (
     SourceOperand,
     TilePlan,
     WorkerPlan,
+    candidate_join,
     tile_join,
 )
 from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import ArraySource
+from repro.index.grid import GridIndex
+from repro.index.mstree import MultiSpaceTree
 from repro.kernels.fasted import FastedKernel
 from repro.kernels.gdsjoin import GdsJoinKernel
-from repro.kernels.mistic import MisticKernel
-from repro.kernels.reference import joins_bit_identical
+from repro.kernels.mistic import MISTIC_CANDIDATES, MISTIC_LEVELS, MisticKernel
+from repro.kernels.reference import canon, joins_bit_identical
 from repro.kernels.tedjoin import TedJoinKernel
 
 
@@ -149,41 +152,59 @@ class TestWorkerDeterminism:
             serial, kern.self_join(data, eps, workers=workers).result
         )
 
+    # The index-backed kernels have no process pool: they run serially
+    # (the API answer is the kernel's answer, bit for bit) and a worker
+    # request is an error, never a silently serial run.
+
     @pytest.mark.parametrize("workers", [2, 4])
     def test_ted_index_process_pool(self, dataset, workers):
         data, eps = dataset
         kern = TedJoinKernel(variant="index")
-        serial = kern.self_join(data, eps)
-        parallel = kern.self_join(data, eps, workers=workers)
-        assert joins_bit_identical(serial.result, parallel.result)
-        # The timing statistics ride along unchanged.
-        assert serial.total_candidates == parallel.total_candidates
+        serial = kern.self_join(data, eps, batched=False)
+        via_api = api.self_join(data, eps, method="ted-join-index")
+        assert joins_bit_identical(serial.result, via_api)
+        assert serial.total_candidates == kern.self_join(data, eps).total_candidates
+        with pytest.raises(ValueError, match="runs serially"):
+            kern.self_join(data, eps, workers=workers)
+        with pytest.raises(ValueError, match="runs serially"):
+            kern.join(data, data, eps, workers=workers)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_gds_process_pool(self, dataset, workers):
         data, eps = dataset
-        serial = GdsJoinKernel().self_join(data, eps)
-        parallel = GdsJoinKernel().self_join(data, eps, workers=workers)
-        assert joins_bit_identical(serial.result, parallel.result)
-        assert serial.total_candidates == parallel.total_candidates
+        serial = GdsJoinKernel().self_join(data, eps, batched=False)
+        assert joins_bit_identical(
+            serial.result, api.self_join(data, eps, method="gds-join")
+        )
+        with pytest.raises(ValueError, match="runs serially"):
+            api.self_join(data, eps, method="gds-join", workers=workers)
+        with pytest.raises(TypeError):
+            GdsJoinKernel().self_join(data, eps, workers=workers)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_mistic_process_pool(self, dataset, workers):
         data, eps = dataset
-        serial = MisticKernel().self_join(data, eps)
-        parallel = MisticKernel().self_join(data, eps, workers=workers)
-        assert joins_bit_identical(serial.result, parallel.result)
-        assert serial.total_candidates == parallel.total_candidates
+        serial = MisticKernel().self_join(data, eps, batched=False)
+        assert joins_bit_identical(
+            serial.result, api.self_join(data, eps, method="mistic")
+        )
+        with pytest.raises(ValueError, match="runs serially"):
+            api.self_join(data, eps, method="mistic", workers=workers)
+        with pytest.raises(TypeError):
+            MisticKernel().self_join(data, eps, workers=workers)
 
     def test_gds_batched_process_pool_pair_set(self, dataset):
-        # Batched + process pool carries the batched executor's contract:
-        # pair-set equality (batch boundaries move with the partitioning).
+        # Batched mode keeps the per-group mode's pair set (batch
+        # boundaries reassociate nothing at the pair level), and asking
+        # for workers on top is refused rather than ignored.
         data, eps = dataset
-        a = GdsJoinKernel().self_join(data, eps, batched=True).result
-        b = GdsJoinKernel().self_join(data, eps, batched=True, workers=2).result
+        a = GdsJoinKernel().self_join(data, eps, batched=False).result
+        b = GdsJoinKernel().self_join(data, eps, batched=True).result
         sa = set(zip(a.pairs_i.tolist(), a.pairs_j.tolist()))
         sb = set(zip(b.pairs_i.tolist(), b.pairs_j.tolist()))
         assert sa == sb
+        with pytest.raises(ValueError, match="runs serially"):
+            api.self_join(data, eps, method="gds-join", batched=True, workers=2)
 
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_streaming_fasted(self, dataset, workers):
@@ -230,8 +251,17 @@ class TestWorkerDeterminism:
         data, eps = dataset
         for method in api.METHODS:
             serial = api.join(queries, data, eps, method=method)
-            parallel = api.join(queries, data, eps, method=method, workers=workers)
-            assert joins_bit_identical(serial, parallel), method
+            if method in api.STREAMABLE_METHODS:
+                parallel = api.join(
+                    queries, data, eps, method=method, workers=workers
+                )
+                assert joins_bit_identical(serial, parallel), method
+                continue
+            assert joins_bit_identical(
+                serial, api.join(queries, data, eps, method=method, workers=0)
+            ), method
+            with pytest.raises(ValueError, match="runs serially"):
+                api.join(queries, data, eps, method=method, workers=workers)
 
     def test_two_source_streaming_with_spill(self, dataset, queries):
         data, eps = dataset
@@ -245,18 +275,98 @@ class TestWorkerDeterminism:
     def test_api_self_join_workers(self, dataset, method):
         data, eps = dataset
         serial = api.self_join(data, eps, method=method)
-        parallel = api.self_join(data, eps, method=method, workers=2)
-        assert joins_bit_identical(serial, parallel)
+        if method in api.STREAMABLE_METHODS:
+            parallel = api.self_join(data, eps, method=method, workers=2)
+            assert joins_bit_identical(serial, parallel)
+            return
+        assert joins_bit_identical(
+            serial, api.self_join(data, eps, method=method, workers=None)
+        )
+        with pytest.raises(ValueError, match="runs serially"):
+            api.self_join(data, eps, method=method, workers=2)
 
     def test_store_distances_false_paths(self, dataset):
         data, eps = dataset
-        a = GdsJoinKernel().self_join(data, eps, store_distances=False).result
-        b = GdsJoinKernel().self_join(
-            data, eps, store_distances=False, workers=2
-        ).result
+        a = GdsJoinKernel().self_join(data, eps).result
+        b = GdsJoinKernel().self_join(data, eps, store_distances=False).result
         assert np.array_equal(a.pairs_i, b.pairs_i)
         assert np.array_equal(a.pairs_j, b.pairs_j)
         assert b.sq_dists.size == 0
+
+
+# ----------------------------------------------------------------------
+# The one candidate loop: resident and source-backed operands
+# ----------------------------------------------------------------------
+
+
+INDEX_METHODS = ("gds-join", "mistic", "ted-join-index")
+
+
+def _index_groups(method, data, eps, queries=None):
+    """``(groups, prepare, eps2)`` as the method's kernel builds them:
+    its index over ``data``, self groups or ``queries`` dropped into it,
+    its row preparation and its working-precision squared radius."""
+    if method == "mistic":
+        tree = MultiSpaceTree(
+            data, eps, n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES
+        )
+        groups = (
+            tree.iter_groups(group=512) if queries is None
+            else tree.iter_join_groups(queries, group=512)
+        )
+        return groups, MisticKernel._block_state, np.float32(eps ** 2)
+    if method == "gds-join":
+        kern = GdsJoinKernel()
+        index = GridIndex(data, eps, n_dims=kern.n_index_dims)
+        prepare, eps2 = kern._block_state, np.float32(eps ** 2)
+    else:
+        index = GridIndex(data, eps)
+        prepare, eps2 = TedJoinKernel._block_state, float(eps) ** 2
+    groups = (
+        index.iter_cells() if queries is None
+        else index.iter_join_groups(queries)
+    )
+    return groups, prepare, eps2
+
+
+class TestSerialCandidateJoin:
+    """Every index-backed join runs one serial candidate loop, whether its
+    operands are resident arrays or sources gathered with ``take``: the
+    two backings commit the same pairs in the same order with the same
+    distance bits, self-join and A x B, per-group and batched, and the
+    loop's pair set is the public API's answer."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-group", "batched"])
+    @pytest.mark.parametrize("two_source", [False, True], ids=["self", "a-x-b"])
+    @pytest.mark.parametrize("method", INDEX_METHODS)
+    def test_source_backed_bit_identical(
+        self, dataset, queries, method, two_source, batched
+    ):
+        data, eps = dataset
+        q = queries if two_source else None
+
+        def run(operand):
+            groups, prepare, eps2 = _index_groups(method, data, eps, q)
+            left = operand(q if two_source else data, prepare)
+            right = operand(data, prepare) if two_source else None
+            return candidate_join(groups, left, eps2, right, batched=batched)
+
+        resident = run(lambda x, prep: ResidentOperand(*prep(x)))
+        sourced = run(lambda x, prep: SourceOperand(ArraySource(x), prep))
+        r_arrays, s_arrays = resident.arrays(), sourced.arrays()
+        assert r_arrays[0].size > 0
+        for r, s in zip(r_arrays, s_arrays):
+            assert r.dtype == s.dtype and r.tobytes() == s.tobytes()
+
+        if two_source:
+            got = resident.finalize_join(q.shape[0], data.shape[0], eps)
+            public = api.join(q, data, eps, method=method)
+        else:
+            got = resident.finalize(data.shape[0], eps)
+            public = api.self_join(data, eps, method=method, batched=batched)
+        gi, gj, _ = canon(got)
+        pi, pj, _ = canon(public)
+        assert np.array_equal(gi, pi) and np.array_equal(gj, pj)
 
 
 # ----------------------------------------------------------------------
@@ -510,3 +620,24 @@ class TestCli:
 
         with pytest.raises(SystemExit, match="error:"):
             main(["join", "--n", "200", "--d", "8", "--workers", "auto"])
+
+    def test_workers_on_index_method_is_clean_cli_error(self):
+        # Index-backed methods run serially: --workers is refused up front
+        # with a CLI `error:` (exit status 1), not a traceback and not a
+        # silently serial run.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "join", "--method", "gds-join",
+             "--workers", "2", "--n", "200", "--d", "8"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 1
+        assert "error: --workers applies to fasted, ted-join-brute" in out.stderr
+        assert "Traceback" not in out.stderr
