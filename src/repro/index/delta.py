@@ -89,6 +89,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
+from repro import trace as trace_mod
 from repro.core.results import JoinResult
 from repro.data.source import DatasetSource, as_source
 from repro.index.grid import GridIndex
@@ -292,6 +293,22 @@ def _knn_result_cls():
     from repro.service.query import KnnResult
 
     return KnnResult
+
+
+def _layer_span(depth: int, layer: _Layer, t0: float) -> None:
+    """One ``delta.layer`` span: a layer's engine pass plus its id map
+    (``layer`` 0 is the base, then segments oldest first, then the buffer)."""
+    trace_mod.record_ambient_span(
+        "delta.layer", time.perf_counter() - t0,
+        attrs={"layer": depth, "rows": int(layer.gids.size)},
+    )
+
+
+def _merge_span(n_layers: int, t0: float) -> None:
+    """The ``delta.merge`` span: the cross-layer merge of one query."""
+    trace_mod.record_ambient_span(
+        "delta.merge", time.perf_counter() - t0, attrs={"layers": n_layers},
+    )
 
 
 class MutableIndex:
@@ -589,6 +606,20 @@ class MutableIndex:
         return mask
 
     # -- manifest commit ------------------------------------------------
+
+    def manifest_is_current(self) -> bool:
+        """Whether ``state.json`` on disk is the manifest this handle committed.
+
+        False means another handle rewrote the store.  Compared under the
+        writer lock: a commit swaps the file in before it records the new
+        digest, so an unlocked compare in that window would call this
+        handle -- and the unsealed rows only it holds -- stale.
+        """
+        with self._lock:
+            return (
+                _digest_of(self.path / MANIFEST_NAME)
+                == self.committed_state_digest
+            )
 
     def _commit_manifest_locked(self) -> None:
         """Atomically publish the current in-memory state to ``state.json``.
@@ -987,8 +1018,10 @@ class MutableIndex:
         q = _as_rows(queries, self.dim)
         eps = self.eps if eps is None else float(eps)
         gen = self._generation()
+        traced = trace_mod.current_span() is not None
         parts_i, parts_g, parts_d = [], [], []
-        for layer in gen.layers:
+        for depth, layer in enumerate(gen.layers):
+            t0 = time.perf_counter() if traced else 0.0
             res = layer.engine.range_query(
                 q, eps, batched=batched, store_distances=store_distances,
             )
@@ -1004,6 +1037,9 @@ class MutableIndex:
                 parts_g.append(gid)
                 if store_distances:
                     parts_d.append(res.sq_dists)
+            if traced:
+                _layer_span(depth, layer, t0)
+        t0 = time.perf_counter() if traced else 0.0
         pi = (
             np.concatenate(parts_i)
             if parts_i
@@ -1018,6 +1054,8 @@ class MutableIndex:
         sd = np.empty(0, dtype=np.float32)
         if store_distances and parts_d:
             sd = np.concatenate(parts_d)[order]
+        if traced:
+            _merge_span(len(gen.layers), t0)
         return JoinResult(
             n_left=q.shape[0],
             n_right=int(gen.next_id),
@@ -1057,8 +1095,10 @@ class MutableIndex:
         wq = q.astype(self.dtype)
         sq = (wq * wq).sum(axis=1)
         rows = np.arange(nq)[:, None]
+        traced = trace_mod.current_span() is not None
         parts_d, parts_g = [], []
-        for layer in gen.layers:
+        for depth, layer in enumerate(gen.layers):
+            t0 = time.perf_counter() if traced else 0.0
             n_layer = layer.gids.size
             dead = (
                 int(np.isin(layer.gids, gen.tomb).sum())
@@ -1091,6 +1131,9 @@ class MutableIndex:
                 d_part = np.where(alive, d2[rows, pos], np.inf)
             parts_d.append(d_part)
             parts_g.append(np.where(alive, gid, -1))
+            if traced:
+                _layer_span(depth, layer, t0)
+        t0 = time.perf_counter() if traced else 0.0
         cat_d = np.concatenate(parts_d, axis=1)
         cat_g = np.concatenate(parts_g, axis=1)
         # Stable sort on the ascending-id column layout: every distance
@@ -1103,6 +1146,8 @@ class MutableIndex:
         finite = np.isfinite(best_d)
         out_idx[:, :kk] = np.where(finite, best_g, -1)
         out_d[:, :kk] = np.where(finite, best_d, np.inf).astype(np.float32)
+        if traced:
+            _merge_span(len(gen.layers), t0)
         return _knn_result_cls()(
             k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
         )

@@ -14,13 +14,19 @@ The implementation is fully vectorized: cell ids are computed with one
 ``floordiv`` + row hashing, points are grouped by sorting, and candidates
 are produced per *cell* (every point in a cell shares its candidate set),
 which is exactly how the GPU algorithms batch their work.  Neighbor-cell
-adjacency is resolved in one batched pass: occupied cells are encoded to
-scalar keys whose numeric order equals the lexicographic cell order, and
-all ``cells x 3^r`` neighbor probes become a single ``np.searchsorted``
-over the sorted keys (chunked to bound temporaries) instead of 3^r Python
-dict lookups per cell.  The adjacency is built once and shared by
-candidate generation and :meth:`GridIndex.stats`, and per-cell candidate
-arrays requested through :meth:`GridIndex.candidates_of_cell` are cached.
+adjacency is resolved by binary search, as GDS-Join does over its sorted
+non-empty cells: occupied cells are encoded once per index to scalar keys
+whose numeric order equals the lexicographic cell order, and all
+``cells x 3^r`` neighbor probes become a single ``np.searchsorted`` over
+the sorted keys (chunked to bound temporaries).  The occupied-cell
+adjacency is built once and shared by candidate generation and
+:meth:`GridIndex.stats`; per-cell candidate arrays of occupied cells are
+cached.  External query cells -- occupied or not -- are resolved by the
+same probe, one batch per request (:meth:`GridIndex.iter_join_groups`),
+so a query landing in an *empty* cell (the common case on a small delta
+layer) costs a share of one vectorized probe, not 3^r Python dict
+lookups.  Only geometry too wide for the int64 key encoding falls back
+to per-cell dict probes.
 
 The grid can also be built **out of core** (:meth:`GridIndex.from_source`):
 the dataset streams through in row blocks -- variance, cell-coordinate
@@ -52,6 +58,27 @@ _ADJACENCY_CHUNK_ELEMS = 4_000_000
 #: O(n^2); the cache keeps hot cells fast without letting a scan over
 #: every cell pin that much memory.
 _CAND_CACHE_MAX_ELEMS = 4_000_000
+
+_I64 = np.iinfo(np.int64)
+
+
+@dataclass(frozen=True)
+class _KeyCodec:
+    """Mixed-radix cell-key encoding of one grid's occupied cells.
+
+    One digit per indexed dimension, each with a one-slot margin below
+    ``mins`` and above ``maxs``: a cell inside ``[mins - 1, maxs + 1]``
+    has a unique key, and numeric key order is lexicographic cell order.
+    A coordinate outside that band aliases into the neighbouring digit,
+    so probes are only trusted while they stay inside ``[mins, maxs]``.
+    """
+
+    keys: np.ndarray  # (C,) ascending keys of the occupied cells
+    strides: np.ndarray  # (r,) digit weights
+    mins: np.ndarray  # (r,) occupied span per indexed dimension
+    maxs: np.ndarray
+    offsets: np.ndarray  # (3^r, r) neighbor offsets, product((-1, 0, 1)) order
+    deltas: np.ndarray  # (3^r,) key delta of each offset
 
 
 def variance_order(data: np.ndarray) -> np.ndarray:
@@ -233,6 +260,8 @@ class GridIndex:
         #: Single key -> occupied-cell-index mapping; slices come from
         #: _starts/_ends so there is one source of truth for cell extents.
         self._cell_id = {key: i for i, key in enumerate(self._cell_keys)}
+        #: Cell-key encoding every probe searches (None: unencodable).
+        self._codec = self._encode()
         # Lazily built batched adjacency (CSR over occupied-cell indices)
         # and the per-cell candidate-array cache it feeds.
         self._nbr_indptr: np.ndarray | None = None
@@ -393,83 +422,168 @@ class GridIndex:
     # Batched neighbor-cell adjacency
     # ------------------------------------------------------------------
 
-    def _encode(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Scalar cell keys preserving lexicographic order, or None.
+    def _encode(self) -> _KeyCodec | None:
+        """The grid's cell-key encoding (built once, at install), or None.
 
-        Encodes each occupied cell as a mixed-radix integer with one digit
-        per indexed dimension; digit ranges leave one-slot margins so every
-        ±1 neighbor offset stays a valid (collision-free) encoding.  Returns
-        ``(keys, offset_deltas)`` or None when the coordinate spans are so
-        wide the encoding would overflow int64 (pathological eps).
+        Returns None when there are no occupied cells or the coordinate
+        spans are so wide the encoding would overflow int64 (pathological
+        eps); callers then fall back to :meth:`_dict_probe`.
         """
         unique = self._unique
+        if not unique.shape[0]:
+            return None
         mins = unique.min(axis=0)
         maxs = unique.max(axis=0)
         # Overflow guard must run in float64 *before* any int64 span math:
         # extreme coordinate ranges (|cell| ~ 2**62) would wrap the int64
-        # subtraction itself and corrupt the keys silently.
+        # subtraction itself and corrupt the keys silently.  Probes also
+        # step two past the span, so its ends must leave that much room.
         spans_f = maxs.astype(np.float64) - mins.astype(np.float64) + 3.0
-        if float(np.prod(spans_f)) >= 2.0**62:
+        if float(np.prod(spans_f)) >= 2.0**62 or (
+            self.r and (mins.min() < _I64.min + 2 or maxs.max() > _I64.max - 2)
+        ):
             return None
         spans = maxs - mins + 3  # +2: margin for +-1 probes (now wrap-safe)
         strides = np.ones(self.r, dtype=np.int64)
         for k in range(self.r - 2, -1, -1):
             strides[k] = strides[k + 1] * spans[k + 1]
-        keys = ((unique - mins + 1) * strides).sum(axis=1)
         offsets = np.array(
             list(product((-1, 0, 1), repeat=self.r)), dtype=np.int64
-        ).reshape(-1, self.r)
-        deltas = (offsets * strides).sum(axis=1)
-        return keys, deltas
+        ).reshape(3**self.r, self.r)
+        return _KeyCodec(
+            keys=((unique - mins + 1) * strides).sum(axis=1),
+            strides=strides,
+            mins=mins,
+            maxs=maxs,
+            offsets=offsets,
+            deltas=(offsets * strides).sum(axis=1),
+        )
+
+    def _dict_probe(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_probe` by 3^r dict lookups per cell key, same output.
+
+        Only for geometry :meth:`_encode` cannot encode.
+        """
+        rows = []
+        for key in keys:
+            hits = []
+            for offset in product((-1, 0, 1), repeat=self.r):
+                nb = self._cell_id.get(tuple(k + o for k, o in zip(key, offset)))
+                if nb is not None:
+                    hits.append(nb)
+            rows.append(hits)
+        counts = np.array([len(h) for h in rows], dtype=np.int64)
+        return counts, np.array([c for h in rows for c in h], dtype=np.int64)
+
+    def _probe(
+        self, codec: _KeyCodec, cells: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve every 3^r neighbor probe of ``cells`` by binary search.
+
+        ``cells`` (coordinates inside ``[mins - 1, maxs + 1]``) and their
+        ``keys``.  Returns ``(counts, hits)``: per cell, how many occupied
+        neighbors it has, and those neighbors' occupied-cell indices
+        concatenated in cell order and, within a cell, in probe order.
+        Chunked so one chunk's ``cells x 3^r`` probe block stays small.
+        """
+        n_cells = codec.keys.size
+        fan = codec.deltas.size
+        chunk = max(1, _ADJACENCY_CHUNK_ELEMS // fan)
+        counts = np.empty(cells.shape[0], dtype=np.int64)
+        hit_chunks: list[np.ndarray] = [np.empty(0, np.int64)]
+        for b0 in range(0, cells.shape[0], chunk):
+            b1 = min(b0 + chunk, cells.shape[0])
+            probes = keys[b0:b1, None] + codec.deltas[None, :]
+            idx = np.searchsorted(codec.keys, probes)
+            np.minimum(idx, n_cells - 1, out=idx)
+            valid = codec.keys[idx] == probes
+            block = cells[b0:b1]
+            outside = np.any(
+                (block < codec.mins) | (block > codec.maxs), axis=1
+            )
+            if outside.any():
+                # A cell on the margin probes two steps past the span,
+                # where its key borrows from (or carries into) the
+                # neighbouring digit.  The alias lands on a margin digit
+                # no occupied key has, but mask every probe that leaves
+                # [mins, maxs] (it hits nothing) rather than lean on that.
+                e = np.nonzero(outside)[0]
+                for k in range(self.r):
+                    col = block[e, k, None] + np.array([-1, 0, 1])
+                    inside = (col >= codec.mins[k]) & (col <= codec.maxs[k])
+                    valid[e] &= inside[:, codec.offsets[:, k] + 1]
+            counts[b0:b1] = valid.sum(axis=1)
+            # Row-major selection keeps the probe (offset-product) order
+            # within each cell, matching the reference iteration order.
+            hit_chunks.append(idx[valid])
+        return counts, np.concatenate(hit_chunks)
 
     def _build_adjacency(self) -> None:
         """One vectorized pass resolving every cell's 3^r neighbor probes."""
         if self._nbr_indptr is not None:
             return
-        n_cells = len(self._cell_keys)
-        encoded = self._encode() if n_cells else None
-        if encoded is None:
-            # Fallback for degenerate geometry: per-cell dict probes in the
-            # same (-1, 0, 1)-product order.
-            rows: list[list[int]] = []
-            for key in self._cell_keys:
-                hits = []
-                for offset in product((-1, 0, 1), repeat=self.r):
-                    nkey = tuple(k + o for k, o in zip(key, offset))
-                    ci = self._cell_id.get(nkey)
-                    if ci is not None:
-                        hits.append(ci)
-                rows.append(hits)
-            counts = np.array([len(h) for h in rows], dtype=np.int64)
-            # _nbr_cells first: the build guard checks _nbr_indptr, so a
-            # concurrent reader (serving engines share one index across
-            # threads) must never see indptr published before cells.
-            self._nbr_cells = np.array(
-                [c for h in rows for c in h], dtype=np.int64
-            )
-            self._nbr_indptr = np.concatenate(([0], np.cumsum(counts)))
-            return
-        keys, deltas = encoded
-        fan = deltas.size
-        chunk = max(1, _ADJACENCY_CHUNK_ELEMS // fan)
-        counts = np.empty(n_cells, dtype=np.int64)
-        hit_chunks: list[np.ndarray] = []
-        for b0 in range(0, n_cells, chunk):
-            b1 = min(b0 + chunk, n_cells)
-            probes = keys[b0:b1, None] + deltas[None, :]
-            idx = np.searchsorted(keys, probes.ravel())
-            np.clip(idx, 0, n_cells - 1, out=idx)
-            valid = (keys[idx] == probes.ravel()).reshape(b1 - b0, fan)
-            counts[b0:b1] = valid.sum(axis=1)
-            # Row-major selection keeps the probe (offset-product) order
-            # within each cell, matching the reference iteration order.
-            hit_chunks.append(idx.reshape(b1 - b0, fan)[valid])
-        # Same publication order as the fallback branch: cells before
-        # indptr, so the lazy-build guard stays race-free for readers.
-        self._nbr_cells = (
-            np.concatenate(hit_chunks) if hit_chunks else np.empty(0, np.int64)
-        )
+        codec = self._codec
+        if codec is None:
+            counts, hits = self._dict_probe(self._cell_keys)
+        else:
+            counts, hits = self._probe(codec, self._unique, codec.keys)
+        # _nbr_cells first: the build guard checks _nbr_indptr, so a
+        # concurrent reader (serving engines share one index across
+        # threads) must never see indptr published before cells.
+        self._nbr_cells = hits
         self._nbr_indptr = np.concatenate(([0], np.cumsum(counts)))
+
+    def _resolve_cells(
+        self, cells: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reach-1 neighbor cells of external query cells, in one pass.
+
+        ``cells`` is ``(G, r)`` query cell coordinates.  Returns
+        ``(occupied, indptr, hits)``: ``occupied[g]`` is the occupied-cell
+        index of query cell ``g`` (its candidates come from the cached
+        adjacency) or -1; an unoccupied cell's adjacent occupied cells
+        are ``hits[indptr[g]:indptr[g + 1]]`` in probe order.
+        """
+        g = cells.shape[0]
+        occupied = np.full(g, -1, dtype=np.int64)
+        counts = np.zeros(g, dtype=np.int64)
+        codec = self._codec if g else None
+        if codec is None:
+            keys = [tuple(key) for key in cells.tolist()]
+            occupied[:] = [self._cell_id.get(key, -1) for key in keys]
+            empty = np.nonzero(occupied < 0)[0]
+            counts[empty], hits = self._dict_probe([keys[i] for i in empty])
+        else:
+            # A cell more than one step outside the span reaches no
+            # occupied cell; the rest have unique keys (inside the digit
+            # margins).
+            near = np.nonzero(
+                np.all(
+                    (cells >= codec.mins - 1) & (cells <= codec.maxs + 1),
+                    axis=1,
+                )
+            )[0]
+            near_cells = cells[near]
+            keys = ((near_cells - codec.mins + 1) * codec.strides).sum(axis=1)
+            pos = np.searchsorted(codec.keys, keys)
+            np.minimum(pos, codec.keys.size - 1, out=pos)
+            found = codec.keys[pos] == keys
+            occupied[near[found]] = pos[found]
+            empty = ~found
+            counts[near[empty]], hits = self._probe(
+                codec, near_cells[empty], keys[empty]
+            )
+        return occupied, np.concatenate(([0], np.cumsum(counts))), hits
+
+    def _cell_candidates(
+        self, resolved: tuple[np.ndarray, np.ndarray, np.ndarray], g: int
+    ) -> np.ndarray:
+        """Candidates of query cell ``g`` of a :meth:`_resolve_cells` result."""
+        occupied, indptr, hits = resolved
+        ci = int(occupied[g])
+        if ci >= 0:
+            return self._candidates_of_index(ci, cache=True)
+        return self._gather(hits[indptr[g] : indptr[g + 1]])
 
     def _neighbor_cells(self, cell_index: int) -> np.ndarray:
         """Occupied-cell indices adjacent to one cell (itself included)."""
@@ -486,14 +600,19 @@ class GridIndex:
             return np.empty(0, dtype=np.int64)
         return self._sort[self._starts[ci] : self._ends[ci]]
 
+    def _gather(self, cells: np.ndarray) -> np.ndarray:
+        """Fresh array of the points in ``cells``, cell by cell in order."""
+        if not cells.size:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(
+            [self._sort[self._starts[b] : self._ends[b]] for b in cells]
+        )
+
     def _candidates_of_index(self, cell_index: int, *, cache: bool) -> np.ndarray:
         cached = self._cand_cache.get(cell_index)
         if cached is not None:
             return cached
-        nbrs = self._neighbor_cells(cell_index)
-        out = np.concatenate(
-            [self._sort[self._starts[b] : self._ends[b]] for b in nbrs]
-        ) if nbrs.size else np.empty(0, dtype=np.int64)
+        out = self._gather(self._neighbor_cells(cell_index))
         if cache and self._cand_cache_elems + out.size <= _CAND_CACHE_MAX_ELEMS:
             # Cached arrays are handed out on every later query: freeze
             # them so an in-place edit by a caller fails loudly instead of
@@ -520,10 +639,12 @@ class GridIndex:
         an empty cell whose neighbors hold points.  Occupied-cell
         ``reach=1`` queries are cached and reuse the batched adjacency;
         the returned array may be that shared cache entry and is then
-        read-only (copy it before mutating).  Empty-cell and ``reach>1``
-        queries return fresh arrays (candidate *order* may differ between
-        the two paths -- probe order vs lexicographic cell order -- which
-        no consumer depends on for ``reach>1``).
+        read-only (copy it before mutating).  Empty-cell ``reach=1``
+        queries are resolved by the same key-encoded binary-search probe
+        (:meth:`iter_join_groups` batches it over a whole request) and,
+        like ``reach>1`` queries, return fresh arrays.  ``reach=1``
+        candidates come in probe (offset-product) order, ``reach>1`` in
+        lexicographic cell order, which no consumer depends on.
         """
         key = tuple(key)
         if reach < 1:
@@ -536,23 +657,11 @@ class GridIndex:
             # order): O(C * r) per queried cell, no (2m+1)^r probe blowup.
             key_arr = np.asarray(key, dtype=np.int64)
             near = np.abs(self._unique - key_arr).max(axis=1) <= reach
-            hits = np.nonzero(near)[0]
-            if hits.size == 0:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(
-                [self._sort[self._starts[b] : self._ends[b]] for b in hits]
-            )
-        ci = self._cell_id.get(key)
-        if ci is not None:
-            return self._candidates_of_index(ci, cache=True)
-        chunks = []
-        for offset in product((-1, 0, 1), repeat=self.r):
-            nb = self._cell_id.get(tuple(k + o for k, o in zip(key, offset)))
-            if nb is not None:
-                chunks.append(self._sort[self._starts[nb] : self._ends[nb]])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+            return self._gather(np.nonzero(near)[0])
+        resolved = self._resolve_cells(
+            np.asarray(key, dtype=np.int64).reshape(1, self.r)
+        )
+        return self._cell_candidates(resolved, 0)
 
     def iter_cells(self, *, order: str = "lex"):
         """Yield ``(members, candidates)`` index arrays per nonempty cell.
@@ -594,9 +703,13 @@ class GridIndex:
         set A (an ndarray, a ``DatasetSource``, or a path).  Each query
         point is dropped into B's grid -- projected with **B's** variance
         order and cell width -- queries sharing a cell are grouped, and
-        the group's candidates are the B points of the 3^r adjacent cells
-        (:meth:`candidates_of_cell`, which handles unoccupied query cells).
-        Yields ``(A-index array, B-index array)`` groups for
+        the group's candidates are the B points of the 3^r adjacent cells,
+        exactly :meth:`candidates_of_cell`'s arrays.  At ``reach=1`` all
+        of the request's query cells are resolved in one binary-search
+        probe (:meth:`_resolve_cells`): occupied ones reuse the cached
+        adjacency, unoccupied ones -- most of them, on a small index --
+        gather their hit cells in probe order.  Yields ``(A-index array,
+        B-index array)`` groups for
         :func:`repro.core.engine.candidate_join`; query cell coordinates
         are computed in streamed row blocks, so A never has to be resident
         (the ``O(n_A)`` cell/permutation state is).  ``reach`` widens the
@@ -622,11 +735,15 @@ class GridIndex:
                 np.int64
             )
         qsort, starts, ends, sorted_cells = _group_by_cells(qcells)
-        for s, e in zip(starts, ends):
-            members = qsort[s:e]
-            yield members, self.candidates_of_cell(
-                tuple(sorted_cells[s]), reach=reach
-            )
+        if reach != 1:
+            for s, e in zip(starts, ends):
+                yield qsort[s:e], self.candidates_of_cell(
+                    tuple(sorted_cells[s]), reach=reach
+                )
+            return
+        resolved = self._resolve_cells(sorted_cells[starts])
+        for g, (s, e) in enumerate(zip(starts, ends)):
+            yield qsort[s:e], self._cell_candidates(resolved, g)
 
     def stats(self) -> GridStats:
         """Candidate-count statistics (drives the baselines' cost models).

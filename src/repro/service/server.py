@@ -168,6 +168,8 @@ class IndexCache:
         # read + hash, not a JSON parse + validation per request.
         self._eps_memo: dict[str, float] = {}
         self._lock = threading.Lock()
+        # Per-store load locks: one mutable-store load in flight per key.
+        self._loading: dict[tuple, threading.Lock] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_hits = self.metrics.counter(
             "repro_cache_hits_total",
@@ -282,48 +284,64 @@ class IndexCache:
         """Atomic generation swap for mutable stores.
 
         The entry is keyed by path alone and stays **hit** as long as the
-        engine's own last-committed manifest digest matches the on-disk
-        one -- a live writer engine keeps serving through its own seals,
-        deletes and compactions (its unsealed buffer must not be dropped
-        by a reload).  When the digests diverge (the store was rewritten
-        externally), the stale engine is swapped out atomically: requests
-        already holding it finish on the old generation, new lookups load
-        and see the new one.
+        on-disk manifest is the one the engine itself last committed
+        (:meth:`MutableIndex.manifest_is_current`) -- a live writer
+        engine keeps serving through its own seals, deletes and
+        compactions (its unsealed buffer must not be dropped by a
+        reload).  When the store was rewritten externally, the stale
+        engine is swapped out atomically: requests already holding it
+        finish on the old generation, new lookups load and see the new
+        one.  Loads are single-flight per store: concurrent cold requests
+        share one engine, so no append lands in a buffer a second load
+        is about to replace.
         """
-        digest = hashlib.blake2b(
-            (resolved / MANIFEST_NAME).read_bytes(), digest_size=16
-        ).hexdigest()
         key = (str(resolved), "mutable")
+        engine = self._current_mutable(key)
+        if engine is not None:
+            return engine
+        with self._lock:
+            flight = self._loading.setdefault(key, threading.Lock())
+        with flight:
+            engine = self._current_mutable(key)
+            if engine is not None:
+                return engine  # a concurrent request loaded it
+            self._c_misses.inc()
+            t0 = time.perf_counter()
+            engine = MutableIndex(
+                resolved,
+                precision=self._precision,
+                mmap=self._mmap,
+                verify=self._verify,
+            )
+            trace_mod.record_ambient_span(
+                "cache.load", time.perf_counter() - t0,
+                attrs={"path": str(resolved), "verify": self._verify},
+            )
+            with self._lock:
+                self._entries[key] = engine
+                self._entries.move_to_end(key)
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self._c_evictions.inc()
+        return engine
+
+    def _current_mutable(self, key: tuple) -> "MutableIndex | None":
+        """The cached engine for ``key`` if it is still current, else None
+        (a stale engine is dropped from the cache)."""
         with self._lock:
             engine = self._entries.get(key)
-            if (
-                engine is not None
-                and engine.committed_state_digest == digest
-            ):
-                self._entries.move_to_end(key)
-                self._c_hits.inc()
-                return engine
-            if engine is not None:
-                del self._entries[key]
-            self._c_misses.inc()
-        t0 = time.perf_counter()
-        engine = MutableIndex(
-            resolved,
-            precision=self._precision,
-            mmap=self._mmap,
-            verify=self._verify,
-        )
-        trace_mod.record_ambient_span(
-            "cache.load", time.perf_counter() - t0,
-            attrs={"path": str(resolved), "verify": self._verify},
-        )
+        if engine is None:
+            return None
+        current = engine.manifest_is_current()
         with self._lock:
-            self._entries[key] = engine
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._c_evictions.inc()
-        return engine
+            if self._entries.get(key) is engine:
+                if not current:
+                    del self._entries[key]
+                else:
+                    self._entries.move_to_end(key)
+            if current:
+                self._c_hits.inc()
+        return engine if current else None
 
     def __len__(self) -> int:
         with self._lock:
@@ -1100,8 +1118,23 @@ class QueryService:
                         "queue.wait", t0 - req.submit_t, parent=req.span,
                         attrs={"batch_size": len(reqs)},
                     )
+            # A read runs with its first traced request's engine.dispatch
+            # span ambient, so spans the engine records itself (a mutable
+            # store's per-layer passes) nest under that request.
+            lead = None
+            if reqs[0].kind in ("range", "knn"):
+                lead = next((r for r in reqs if r.span is not None), None)
+            dispatch = (
+                self.tracer.start_span(
+                    "engine.dispatch", parent=lead.span,
+                    attrs={"batch_size": len(reqs)},
+                )
+                if lead is not None
+                else None
+            )
             try:
-                self._run_group(reqs)
+                with trace_mod.activate(dispatch):
+                    self._run_group(reqs, dispatch)
             except BaseException as exc:  # propagate to every waiter
                 dt = time.perf_counter() - t0
                 for req in reqs:
@@ -1110,9 +1143,13 @@ class QueryService:
                         # exception (injected faults carry their fault
                         # tag), and it flips on-error retention even if
                         # the front end never records the failure.
-                        sp = self.tracer.start_span(
-                            "engine.dispatch", parent=req.span,
-                            attrs={"batch_size": len(reqs)},
+                        sp = (
+                            dispatch
+                            if req is lead and dispatch.duration_s is None
+                            else self.tracer.start_span(
+                                "engine.dispatch", parent=req.span,
+                                attrs={"batch_size": len(reqs)},
+                            )
                         )
                         sp.record_error(exc)
                         sp.duration_s = dt
@@ -1130,13 +1167,15 @@ class QueryService:
 
     def _trace_exec(
         self, reqs: list[_Pending], cat_rows: int, exec_s: float,
-        stages: dict[str, float],
+        stages: dict[str, float], dispatch: "trace_mod.Span | None",
     ) -> None:
         """Attribute one engine dispatch to every traced request in it.
 
         Stage seconds are batch-wide (one engine call served the whole
         group), so coalesced requests share the same numbers -- the
-        ``batch_size`` attribute says so.
+        ``batch_size`` attribute says so.  ``dispatch`` is the span opened
+        for the first traced request (the one engine-internal spans hang
+        under); the others get a recorded copy.
         """
         for req in reqs:
             if req.span is None:
@@ -1146,6 +1185,13 @@ class QueryService:
             }
             for stage, seconds in sorted(stages.items()):
                 attrs[f"stage.{stage}_s"] = seconds
+            if dispatch is not None:
+                for key, value in attrs.items():
+                    dispatch.set_attr(key, value)
+                dispatch.duration_s = exec_s
+                dispatch.finish()
+                dispatch = None
+                continue
             self.tracer.record_span(
                 "engine.dispatch", exec_s, parent=req.span, attrs=attrs
             )
@@ -1157,7 +1203,9 @@ class QueryService:
             for stage, seconds in stages.items():
                 self._h_stage.observe(seconds, stage=stage)
 
-    def _run_group(self, reqs: list[_Pending]) -> None:
+    def _run_group(
+        self, reqs: list[_Pending], dispatch: "trace_mod.Span | None" = None
+    ) -> None:
         if faults.ARMED:
             faults.check("service.dispatch")
         engine = reqs[0].engine
@@ -1227,7 +1275,9 @@ class QueryService:
             exec_s = time.perf_counter() - t_exec
             stages = hooks.snapshot()
             self._observe_stages(stages)
-            self._trace_exec(reqs, int(cat.shape[0]), exec_s, stages)
+            self._trace_exec(
+                reqs, int(cat.shape[0]), exec_s, stages, dispatch
+            )
             off = 0
             for req in reqs:
                 m = req.queries.shape[0]
@@ -1254,7 +1304,7 @@ class QueryService:
         exec_s = time.perf_counter() - t_exec
         stages = hooks.snapshot()
         self._observe_stages(stages)
-        self._trace_exec(reqs, int(cat.shape[0]), exec_s, stages)
+        self._trace_exec(reqs, int(cat.shape[0]), exec_s, stages, dispatch)
         off = 0
         for req in reqs:
             m = req.queries.shape[0]

@@ -147,6 +147,17 @@ def test_mutable_bench_entry():
     )
 
 
+def test_mutable_bench_depth_overhead():
+    """README quotes the depth-16 read overhead of the mutable store; the
+    committed entry must stay in that regime.  Each delta layer is one
+    more engine pass whose mostly empty query cells resolve through the
+    grid's batched binary-search probe."""
+    bench = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
+    assert bench["mutable"]["overhead_depth16_vs_0"] <= 20.0
+    readme = (REPO_ROOT / "README.md").read_text()
+    assert "`overhead_depth16_vs_0`" in readme
+
+
 def test_checker_resolves_nested_cli_commands():
     """`index build` must check against the nested parser's flags."""
     checker = _load_checker()

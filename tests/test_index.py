@@ -1,5 +1,7 @@
 """Tests for the grid index and multi-space tree (repro.index)."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,105 @@ class TestGridIndex:
         for key in index._cell_keys[:5]:
             index.candidates_of_cell(key)
         assert index.stats().total_candidates == before
+
+
+def _dict_loop_candidates(index, key):
+    """The per-cell reference: 3^r dict probes in offset-product order."""
+    chunks = []
+    for offset in product((-1, 0, 1), repeat=index.r):
+        nb = index._cell_id.get(tuple(k + o for k, o in zip(key, offset)))
+        if nb is not None:
+            chunks.append(index._sort[index._starts[nb] : index._ends[nb]])
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks)
+
+
+def _probe_keys(index, rng, n_random=40):
+    """Unoccupied query cells: random ones around the occupied span, and
+    ones exactly on, one outside and two outside the span per dimension."""
+    lo = index._unique.min(axis=0)
+    hi = index._unique.max(axis=0)
+    keys = {tuple(rng.integers(lo - 2, hi + 3)) for _ in range(n_random)}
+    for k in range(index.r):
+        for v in (lo[k] - 2, lo[k] - 1, lo[k], hi[k], hi[k] + 1, hi[k] + 2):
+            key = rng.integers(lo, hi + 1)
+            key[k] = v
+            keys.add(tuple(key))
+    keys.update({tuple(lo - 1), tuple(hi + 1), tuple(lo - 2), tuple(hi + 2)})
+    return sorted(k for k in keys if k not in index._cell_id)
+
+
+class TestEmptyCellProbe:
+    """Unoccupied query cells resolve through the key-encoded binary
+    search; the answers must equal the dict loop's, element for element."""
+
+    def _check(self, index, keys):
+        for key in keys:
+            want = _dict_loop_candidates(index, key)
+            got = index.candidates_of_cell(key)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            # Fresh and writable: never a view of the index or a cache entry.
+            assert got.flags.writeable
+            assert not np.shares_memory(got, index._sort)
+            assert index.candidates_of_cell(key) is not got
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    def test_matches_dict_loop(self, r, n):
+        rng = np.random.default_rng(100 * r + n)
+        data = rng.uniform(0.0, 5.0, size=(n, r + 2))
+        index = GridIndex(data, 1.0, n_dims=r)
+        assert index._encode() is not None
+        keys = _probe_keys(index, rng)
+        assert keys
+        self._check(index, keys)
+
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_join_groups_match_dict_loop(self, r):
+        """The per-request batched probe yields the same arrays as the
+        per-cell path, occupied and unoccupied query cells alike."""
+        rng = np.random.default_rng(7 + r)
+        data = rng.uniform(0.0, 5.0, size=(64, r + 2))
+        index = GridIndex(data, 1.0, n_dims=r)
+        queries = np.vstack(
+            [rng.uniform(-2.5, 7.5, size=(400, r + 2)), data[:20]]
+        )
+        cells = np.floor(queries[:, index.order[:r]]).astype(np.int64)
+        seen_empty = seen_occupied = 0
+        for members, got in index.iter_join_groups(queries):
+            key = tuple(cells[members[0]])
+            assert (cells[members] == key).all()
+            np.testing.assert_array_equal(got, _dict_loop_candidates(index, key))
+            if key in index._cell_id:
+                seen_occupied += 1
+            else:
+                seen_empty += 1
+                assert got.flags.writeable
+        assert seen_empty and seen_occupied
+
+    def test_unencodable_geometry_falls_back(self):
+        data = np.array(
+            [[-9.0e18, 0.0], [-9.0e18 + 0.6, 1.0], [9.0e18, 2.0], [9.0e18, 4.0]]
+        )
+        index = GridIndex(data, 1.0, n_dims=2, reorder=False)
+        assert index._encode() is None
+        occupied = index._cell_keys
+        keys = [
+            (c[0] + dx, c[1] + dy)
+            for c in occupied
+            for dx, dy in ((0, 1), (1, 0), (-1, -1), (0, 3))
+        ]
+        self._check(index, [k for k in keys if k not in index._cell_id])
+        queries = data + np.array([[0.0, 1.0]])
+        groups = list(index.iter_join_groups(queries))
+        assert len(groups) == 4
+        for members, got in groups:
+            key = tuple(
+                np.floor(queries[members[0]]).astype(np.int64).tolist()
+            )
+            np.testing.assert_array_equal(got, _dict_loop_candidates(index, key))
 
 
 class TestMultiSpaceTree:

@@ -20,7 +20,9 @@ ways:
   handle rewrites the manifest.
 """
 
+import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ import pytest
 
 from repro.index.delta import (
     DEFAULT_SEAL_THRESHOLD,
+    MANIFEST_NAME,
     MutableIndex,
     is_mutable_index,
     read_manifest,
@@ -251,6 +254,44 @@ def test_create_rejects_existing_and_empty(tmp_path):
     assert m["next_id"] == 10 and m["kind"] == "grid"
 
 
+def test_serve_mutable_shape_deep_deltas(tmp_path):
+    """A miniature of the served mutable workload: tight clusters, small
+    seals, queries at cluster centres.  Most query cells of a 64-row
+    delta layer are unoccupied, so this drives the empty-cell probe on
+    every layer; answers stay bitwise equal to a rebuild at every depth."""
+    d, n0, k_clusters = 16, 512, 16
+    rng = np.random.default_rng(29)
+    centres = rng.uniform(0.0, 40.0, size=(k_clusters, d))
+
+    def near_centres(count):
+        picks = rng.integers(0, k_clusters, size=count)
+        return centres[picks] + rng.normal(0.0, 0.15, size=(count, d))
+
+    data = near_centres(n0)
+    eps = _eps_for(data)
+    root = tmp_path / "serve-mutable"
+    MutableIndex.create(root, data, eps, seal_threshold=64)
+    mut = MutableIndex(root)
+    model = _Model(data)
+    own = []
+    max_depth = 0
+    for step in range(40):
+        rows = near_centres(16)
+        ids = mut.append(rows)
+        assert ids.tolist() == model.append(rows)
+        own.extend(ids.tolist())
+        if step % 3 == 2:
+            gone = [own.pop(0), int(rng.integers(0, n0))]
+            gone = [g for g in dict.fromkeys(gone) if g in model.live]
+            assert mut.delete(gone) == len(gone)
+            model.delete(gone)
+        max_depth = max(max_depth, mut.delta_depth)
+        if step % 5 == 4:
+            _assert_bit_identical(mut, model, near_centres(8))
+    assert max_depth >= 6
+    _assert_bit_identical(mut, model, near_centres(8))
+
+
 # ----------------------------------------------------------------------
 # Concurrency hammer through the QueryService
 # ----------------------------------------------------------------------
@@ -396,6 +437,74 @@ def test_cache_swaps_on_external_rewrite(tmp_path):
     # In-flight requests on the old generation still complete.
     res = old.range_query(data[:4])
     assert res.pairs_i.size >= 0
+
+
+def test_cache_lookup_inside_commit_window_keeps_writer(tmp_path, monkeypatch):
+    """A lookup racing a manifest commit -- after the new manifest is
+    swapped in, before the writer records its digest -- must get the
+    writer back, not a reload that drops the writer's unsealed rows."""
+    data = _dataset(40, 5, 25)
+    root = tmp_path / "window"
+    MutableIndex.create(root, data, _eps_for(data), seal_threshold=1000)
+    cache = IndexCache(capacity=4)
+    writer = cache.get(root)
+    buffered = writer.append(_dataset(3, 5, 26))  # only `writer` holds them
+
+    looked = []
+    lookup = threading.Thread(target=lambda: looked.append(cache.get(root)))
+    real_replace = os.replace
+
+    def replace_then_look(src, dst):
+        real_replace(src, dst)
+        if Path(dst).name == MANIFEST_NAME and lookup.ident is None:
+            # Open the window: another request looks the store up now.
+            # A correct cache makes it wait for the commit to finish.
+            lookup.start()
+            lookup.join(timeout=0.5)
+
+    monkeypatch.setattr(os, "replace", replace_then_look)
+    assert writer.delete([0]) == 1  # commits the manifest
+    monkeypatch.undo()
+    lookup.join(timeout=30)
+    assert not lookup.is_alive()
+    assert looked == [writer]
+    assert cache.get(root) is writer
+    assert writer.delete(buffered) == buffered.size
+
+
+def test_cold_lookups_load_a_store_once(tmp_path, monkeypatch):
+    """Concurrent first requests share one engine (single-flight load)."""
+    import repro.service.server as server_mod
+
+    data = _dataset(40, 5, 27)
+    root = tmp_path / "cold"
+    MutableIndex.create(root, data, _eps_for(data))
+    loads = []
+
+    class SlowLoad(MutableIndex):
+        def __init__(self, *args, **kwargs):
+            loads.append(1)
+            time.sleep(0.2)  # both lookups are in flight before one ends
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "MutableIndex", SlowLoad)
+    cache = IndexCache(capacity=4)
+    barrier = threading.Barrier(2)
+    got = []
+
+    def cold():
+        barrier.wait()
+        got.append(cache.get(root))
+
+    threads = [threading.Thread(target=cold) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert len(loads) == 1
+    assert got[0] is got[1]
+    assert cache.misses == 1 and cache.hits == 1
 
 
 # ----------------------------------------------------------------------

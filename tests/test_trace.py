@@ -470,6 +470,50 @@ class TestHttpTracing:
         got = tracer.get_trace(root.trace_id)
         assert got is not None
 
+    def test_mutable_read_names_its_layers(self, tmp_path, monkeypatch):
+        """A traced read on a mutable store records one ``delta.layer``
+        span per layer pass and one ``delta.merge``, nested under the
+        request's engine.dispatch; untraced reads record nothing."""
+        from repro.index.delta import MutableIndex
+
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(300, 8))
+        eps = float(epsilon_for_selectivity(data, 8))
+        root_dir = tmp_path / "mut"
+        MutableIndex.create(root_dir, data, eps, seal_threshold=16)
+        q = _queries(data, nq=4)
+        tracer = trace_mod.Tracer(sample=1.0, slow_threshold_s=0.0)
+        with QueryService(tracer=tracer) as svc:
+            svc.append(root_dir, rng.normal(size=(16, 8)))  # one segment
+            svc.append(root_dir, rng.normal(size=(4, 8)))  # + the buffer
+            assert svc.engine_for(root_dir).delta_depth == 2
+            calls = []
+            real = trace_mod.record_ambient_span
+            monkeypatch.setattr(
+                trace_mod, "record_ambient_span",
+                lambda *a, **kw: calls.append(a[0]) or real(*a, **kw),
+            )
+            svc.query(root_dir, q)
+            svc.query(root_dir, q, k=3)
+            assert calls == []  # tracing off: no span work at all
+            for kind in ({}, {"k": 3}):
+                root = tracer.start_trace("mutable-read")
+                with trace_mod.activate(root):
+                    svc.query(root_dir, q, **kind)
+                root.finish()
+                spans = tracer.get_trace(root.trace_id)["spans"]
+                (dispatch,) = [s for s in spans if s["name"] == "engine.dispatch"]
+                layers = [s for s in spans if s["name"] == "delta.layer"]
+                merges = [s for s in spans if s["name"] == "delta.merge"]
+                assert [s["attrs"]["layer"] for s in layers] == [0, 1, 2]
+                assert [s["attrs"]["rows"] for s in layers] == [300, 16, 4]
+                assert len(merges) == 1
+                for s in layers + merges:
+                    assert s["parent_id"] == dispatch["span_id"]
+                assert sum(s["duration_s"] for s in layers + merges) <= (
+                    dispatch["duration_s"]
+                )
+
     def test_stage_histogram_populated(self, indexed):
         path, data, eps = indexed
         q = _queries(data, nq=6)
