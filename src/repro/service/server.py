@@ -44,7 +44,11 @@ Three pieces stack into the serving path:
   :class:`~repro.service.metrics.MetricsRegistry` (cache/batch/queue
   counters plus per-endpoint HTTP totals and latency histograms).  Only
   **registered** index names are served -- requests cannot make the
-  process open arbitrary filesystem paths.
+  process open arbitrary filesystem paths.  The stdlib handler writes
+  headers and body as separate sends, so the threaded handler disables
+  Nagle (``TCP_NODELAY``) to keep the body off the client's 40-ms
+  delayed-ACK timer; the async front end writes each response as one
+  buffer.
 
 Fault tolerance (see docs/ARCHITECTURE.md "Fault tolerance"):
 
@@ -2000,6 +2004,11 @@ def make_server(
         # Content-Length is always sent, so response framing is explicit
         # (HTTP/1.0 would close the socket after every response).
         protocol_version = "HTTP/1.1"
+        # The stdlib handler writes headers and body as separate sends;
+        # with Nagle on, the body waits for the client's delayed ACK of
+        # the headers (up to 40 ms).  StreamRequestHandler.setup() sets
+        # TCP_NODELAY on every accepted socket when this is true.
+        disable_nagle_algorithm = True
 
         # Serving diagnostics go through the return payloads; the default
         # per-request stderr line would swamp concurrent smoke runs.

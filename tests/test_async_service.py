@@ -11,7 +11,9 @@ executor batches.
 
 import http.client
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +56,47 @@ def _stop(server, thread):
     server.shutdown()
     server.server_close()
     thread.join(timeout=5.0)
+
+
+class _RawConnection:
+    """One keep-alive HTTP/1.1 connection over a raw socket, written the
+    way a latency-minded client writes: ``TCP_NODELAY`` and one
+    ``sendall`` per request, so any wait it sees is the server's."""
+
+    def __init__(self, host, port):
+        self.sock = socket.create_connection((host, port), timeout=30)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._buf = b""
+
+    def _fill(self):
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        self._buf += chunk
+
+    def request(self, method, path, payload=None):
+        body = b"" if payload is None else json.dumps(payload).encode()
+        self.sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+        )
+        while b"\r\n\r\n" not in self._buf:
+            self._fill()
+        head, _, self._buf = self._buf.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        length = 0
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        while len(self._buf) < length:
+            self._fill()
+        got, self._buf = self._buf[:length], self._buf[length:]
+        return int(lines[0].split()[1]), got
+
+    def close(self):
+        self.sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +347,37 @@ class TestFrontendConformance:
             # must say so and actually hang up.
             assert (resp.getheader("Connection") or "").lower() == "close"
             conn.close()
+        finally:
+            _stop(server, thread)
+
+    def test_back_to_back_requests_skip_delayed_ack(
+        self, data_eps, index_dir, frontend
+    ):
+        """Every write site (answers, 404s, Prometheus text) reaches a
+        no-delay client without waiting out its delayed-ACK timer: 20
+        back-to-back keep-alive requests cost a few ms each, not 40+."""
+        data, _ = data_eps
+        q = np.ascontiguousarray(data[:8] + 0.01).tolist()
+        mix = [
+            ("POST", "/range", {"queries": q}, 200),
+            ("POST", "/knn", {"queries": q, "k": 5}, 200),
+            ("POST", "/range", {"index": "nope"}, 404),
+            ("GET", "/metrics", None, 200),
+        ]
+        server, thread = _serve(index_dir, frontend)
+        try:
+            conn = _RawConnection(*server.server_address[:2])
+            # Warm up: the first request opens the index.
+            assert conn.request(*mix[0][:3])[0] == 200
+            t0 = time.perf_counter()
+            statuses = [
+                conn.request(method, path, payload)[0]
+                for method, path, payload, _ in mix * 5
+            ]
+            elapsed = time.perf_counter() - t0
+            conn.close()
+            assert statuses == [want for *_, want in mix] * 5
+            assert elapsed < 0.4, f"20 requests took {elapsed * 1e3:.0f} ms"
         finally:
             _stop(server, thread)
 

@@ -718,6 +718,51 @@ class TestHttpServer:
             server.server_close()
             thread.join(timeout=5)
 
+    def test_accepted_socket_disables_nagle(self, tmp_path):
+        """The threaded handler writes headers and body as separate
+        sends; with Nagle on, the body waits for the client's delayed
+        ACK of the headers (up to 40 ms per response)."""
+        import http.client
+        import socket
+
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(64, 6))
+        build_index(data, 1.0, tmp_path / "g")
+        server = make_server({"default": tmp_path / "g"}, port=0)
+        accepted = []
+        get_request = server.get_request
+
+        def capture():
+            sock, addr = get_request()
+            accepted.append(sock)
+            return sock, addr
+
+        server.get_request = capture
+        host, port = server.server_address[:2]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            conn.request(
+                "POST", "/range", json.dumps({"queries": data[:2].tolist()}),
+                {"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+            # Keep-alive: the accepted socket is still open and is the
+            # one that answered.
+            assert len(accepted) == 1
+            nodelay = accepted[0].getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            assert nodelay != 0
+            conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
     def test_run_self_test(self, data_eps, tmp_path):
         data, eps = data_eps
         build_index(data, eps, tmp_path / "g")
