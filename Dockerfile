@@ -1,4 +1,4 @@
-# Query-serving container: one process, one event loop, one volume.
+# Query-serving container: one process, one volume.
 #
 # The image holds the code only; indexes live on the /data volume so a
 # rebuilt image never invalidates them.  Build an index with a one-off
@@ -35,5 +35,4 @@ HEALTHCHECK --interval=10s --timeout=3s --start-period=20s --retries=3 \
 
 CMD ["python", "-m", "repro", "serve", \
      "--index", "/data/index", \
-     "--host", "0.0.0.0", "--port", "8787", \
-     "--frontend", "async"]
+     "--host", "0.0.0.0", "--port", "8787"]

@@ -13,10 +13,6 @@ d=64, selectivity 64) and records:
   endpoint, then ``/metrics`` parsed as Prometheus text and
   cross-checked against ``/stats`` (two views of one registry: the
   counters must agree).
-* **Front-end comparison** -- the threaded and asyncio HTTP front ends
-  swept open-loop at matched offered rates over live servers: both
-  saturation knees plus p99 paired per rate (the async front end must
-  sustain >= the threaded knee with no p99 regression).
 * **Tracing overhead** -- the same live server with tracing off vs
   fully armed (sample=1.0 + JSONL export + slow-query log), open-loop
   at the 100 RPS knee: p99 regression must stay within 5% and a traced
@@ -42,7 +38,7 @@ import numpy as np
 from repro.core.api import build_index
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.synthetic import synth_dataset
-from repro.loadgen import run_experiment, run_load, saturation_knee
+from repro.loadgen import run_experiment, run_load
 from repro.loadgen.generator import (
     HttpTarget,
     QuerySampler,
@@ -70,13 +66,6 @@ SWEEP_DURATION_S = 1.5
 #: Closed loop: fixed in-flight concurrency, offered load adapts.
 CLOSED_CONCURRENCY = 4
 CLOSED_DURATION_S = 3.0
-
-#: Front-end comparison: both HTTP front ends swept open-loop at the
-#: same offered rates over live servers, each with its natural driver
-#: (worker threads for the threaded server, the asyncio driver for the
-#: event-loop server).
-FRONTEND_SWEEP_RPS = [50.0, 100.0, 200.0]
-FRONTEND_DURATION_S = 2.0
 
 #: Tracing overhead: open-loop at the saturation knee (nominally 100
 #: RPS, clamped to the knee this host actually measured -- past the
@@ -142,89 +131,6 @@ def bench_closed_loop(index: Path) -> dict:
     )
     result = run_against_service(index, config)
     return result.summary()
-
-
-def bench_frontend_comparison(index: Path) -> dict:
-    """Async vs threaded front end: knee + p99 at matched open-loop RPS.
-
-    Each front end runs as a live server on an ephemeral port and is
-    driven at the same offered rates; the report pairs the per-rate p99
-    values and records both saturation knees.  The acceptance bar the
-    CI-committed file documents: the async front end sustains at least
-    the threaded knee with no p99 regression at matched load.
-    """
-    per_frontend: dict[str, dict] = {}
-    for frontend, driver in (("thread", "thread"), ("async", "async")):
-        server = make_server(
-            {"default": index}, host="127.0.0.1", port=0, frontend=frontend
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[0], server.server_address[1]
-            # Untimed warm-up: the first requests pay engine load + kNN
-            # reach calibration + candidate-LRU fill; the comparison is
-            # about the front ends, not who got the cold cache.
-            engine = QueryEngine(index)
-            warm = QuerySampler(
-                engine,
-                WorkloadConfig(mode="closed", duration_s=0.1, batch_size=8,
-                               range_fraction=0.5, k=5, seed=1),
-            )
-            warm_rng = np.random.default_rng(1)
-            with ServiceClient(host, port) as client:
-                for _ in range(8):
-                    kind, queries, eps_w, k_w = warm.make_request(warm_rng)
-                    if kind == "range":
-                        client.range_query(queries.tolist(), eps=eps_w)
-                    else:
-                        client.knn_query(queries.tolist(), k_w)
-            rows = []
-            for rps in FRONTEND_SWEEP_RPS:
-                config = WorkloadConfig(
-                    mode="open",
-                    duration_s=FRONTEND_DURATION_S,
-                    target_rps=rps,
-                    concurrency=64,
-                    batch_size=8,
-                    range_fraction=0.75,
-                    k=5,
-                    zipf_s=1.1,
-                    seed=0,
-                )
-                result = run_against_server(
-                    index, host, port, config, driver=driver
-                )
-                rows.append({"target_rps": rps, **result.summary()})
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
-        per_frontend[frontend] = {
-            "driver": driver,
-            "rows": rows,
-            "saturation_knee_rps": saturation_knee(rows),
-        }
-    matched = [
-        {
-            "target_rps": rps,
-            "thread_p99_ms": per_frontend["thread"]["rows"][i]["p99_ms"],
-            "async_p99_ms": per_frontend["async"]["rows"][i]["p99_ms"],
-        }
-        for i, rps in enumerate(FRONTEND_SWEEP_RPS)
-    ]
-    thread_knee = per_frontend["thread"]["saturation_knee_rps"]
-    async_knee = per_frontend["async"]["saturation_knee_rps"]
-    return {
-        "swept_rps": FRONTEND_SWEEP_RPS,
-        "duration_s": FRONTEND_DURATION_S,
-        "thread": per_frontend["thread"],
-        "async": per_frontend["async"],
-        "p99_at_matched_rps": matched,
-        "async_knee_not_below_thread": bool(
-            (async_knee or 0.0) >= (thread_knee or 0.0)
-        ),
-    }
 
 
 def bench_tracing_overhead(
@@ -382,10 +288,8 @@ def main() -> dict:
         sweep = bench_rps_sweep(index)
         closed = bench_closed_loop(index)
         http = bench_http_observability(index)
-        frontends = bench_frontend_comparison(index)
         tracing = bench_tracing_overhead(
-            index, Path(td),
-            knee_rps=frontends["thread"]["saturation_knee_rps"],
+            index, Path(td), knee_rps=sweep["saturation_knee_rps"],
         )
     report: dict = {}
     if OUT_PATH.exists():  # extend, never replace (docs/BENCHMARKS.md)
@@ -403,7 +307,9 @@ def main() -> dict:
     report["rps_sweep"] = sweep
     report["closed_loop"] = closed
     report["http_observability"] = http
-    report["frontend_comparison"] = frontends
+    # No longer measured: drop the entry an older run of this script
+    # wrote, which the extend-only merge would otherwise keep.
+    report.pop("frontend_comparison", None)
     report["tracing_overhead"] = tracing
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

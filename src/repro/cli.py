@@ -635,14 +635,13 @@ def _cmd_serve(args) -> str:
             first,
             max_queue_depth=args.max_queue_depth,
             verify=args.verify,
-            frontend=args.frontend,
             trace_sample=args.trace_sample,
             trace_log=args.trace_log,
             slow_ms=args.slow_ms,
         )
         stats = out["stats"]
         return (
-            f"self-test OK ({out['frontend']} front end): "
+            "self-test OK: "
             f"{out['clients']} concurrent clients x "
             f"{out['queries_per_client']} queries (range + kNN) matched the "
             f"serial engine\n"
@@ -657,15 +656,14 @@ def _cmd_serve(args) -> str:
         server = make_server(
             registry, host=args.host, port=args.port,
             max_queue_depth=args.max_queue_depth, verify=args.verify,
-            frontend=args.frontend, trace_sample=args.trace_sample,
-            trace_log=args.trace_log, slow_ms=args.slow_ms,
+            trace_sample=args.trace_sample, trace_log=args.trace_log,
+            slow_ms=args.slow_ms,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
     host, port = server.server_address[:2]
     print(
         f"serving {sorted(registry)} on http://{host}:{port} "
-        f"[{args.frontend} front end] "
         "(POST /range | /knn, GET /healthz | /stats | /trace/recent; "
         f"trace sample {args.trace_sample:g}; Ctrl-C to stop)"
     )
@@ -748,7 +746,7 @@ def _cmd_loadtest(args) -> str:
 
         try:
             http_server = make_server(
-                {"default": args.index}, port=0, frontend=args.frontend,
+                {"default": args.index}, port=0,
                 trace_sample=args.trace_sample, trace_log=args.trace_log,
                 slow_ms=args.slow_ms,
             )
@@ -762,11 +760,6 @@ def _cmd_loadtest(args) -> str:
         http_thread.start()
         client = ServiceClient(host, port)
 
-    if args.driver == "async" and server is None:
-        raise SystemExit(
-            "error: --driver async drives a live HTTP endpoint; "
-            "add --http or --server HOST:PORT"
-        )
     lines = []
     try:
         try:
@@ -774,7 +767,6 @@ def _cmd_loadtest(args) -> str:
                 config,
                 index=args.index,
                 server=server,
-                driver=args.driver,
                 out_json=args.out,
                 out_csv=args.csv,
             )
@@ -1110,12 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: header byte-size checks; full re-hashes every payload)",
     )
     sv.add_argument(
-        "--frontend", choices=("thread", "async"), default="thread",
-        help="HTTP front end: 'thread' (one thread per connection) or "
-        "'async' (one event loop; waiting requests hold no thread). "
-        "Identical routes, contracts, and bit-identical answers",
-    )
-    sv.add_argument(
         "--trace-sample", type=float, default=0.0, metavar="P",
         help="probability of retaining a request's span tree in the "
         "in-memory ring served by /trace/recent and /trace/<id> "
@@ -1204,16 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--http", action="store_true",
         help="spin up the HTTP server on an ephemeral port and drive it "
         "over the wire; checks /metrics parses and no 5xx afterwards",
-    )
-    lt.add_argument(
-        "--frontend", choices=("thread", "async"), default="thread",
-        help="HTTP front end for the --http server (see `serve --frontend`)",
-    )
-    lt.add_argument(
-        "--driver", choices=("thread", "async"), default="thread",
-        help="load-generator engine for HTTP runs: 'thread' (one worker "
-        "thread per in-flight request) or 'async' (open-loop coroutines; "
-        "hundreds in flight from one thread)",
     )
     lt.add_argument(
         "--out", default=None, metavar="PATH",

@@ -21,7 +21,6 @@ from repro.loadgen.generator import (
     run_against_server,
     run_against_service,
     run_load,
-    run_load_async,
     saturation_knee,
 )
 from repro.loadgen.runner import (
@@ -38,7 +37,6 @@ __all__ = [
     "InProcessTarget",
     "HttpTarget",
     "run_load",
-    "run_load_async",
     "run_against_service",
     "run_against_server",
     "saturation_knee",

@@ -31,7 +31,6 @@ per-request retention unless records are requested.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import threading
@@ -633,258 +632,6 @@ def _run_open(config, target_factory, sampler, *, clock, sleep,
 
 
 # ----------------------------------------------------------------------
-# Asyncio open-loop driver (HTTP targets only)
-# ----------------------------------------------------------------------
-
-
-class _AsyncConn:
-    """Minimal asyncio HTTP/1.1 keep-alive client for the async driver.
-
-    One instance per worker coroutine, mirroring the thread driver's
-    one-``ServiceClient``-per-worker shape -- except a worker here costs
-    an open socket and a coroutine frame, not an OS thread, which is
-    what lets the open-loop driver hold hundreds of requests in flight.
-    Stale keep-alive reuse (the server closed the idle socket between
-    requests) gets one transparent reconnect, same policy as
-    :meth:`~repro.service.client.ServiceClient.request_once`.
-    """
-
-    def __init__(self, host: str, port: int, *,
-                 timeout_s: float = 30.0) -> None:
-        self.host = host
-        self.port = int(port)
-        self.timeout_s = float(timeout_s)
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
-        self._uses = 0
-        #: ``X-Request-Id`` from the most recent response on this conn.
-        self.last_request_id: "str | None" = None
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-            self._uses = 0
-
-    async def post(self, path: str, payload: dict):
-        """``(status, parsed_body)``; raises on connection failure."""
-        body = json.dumps(payload).encode()
-        head = (
-            f"POST {path} HTTP/1.1\r\n"
-            f"Host: {self.host}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("latin-1")
-        for _ in range(2):
-            reused = self._writer is not None and self._uses > 0
-            try:
-                if self._writer is None:
-                    self._reader, self._writer = await asyncio.open_connection(
-                        self.host, self.port
-                    )
-                    self._uses = 0
-                self._writer.write(head + body)
-                await self._writer.drain()
-                return await asyncio.wait_for(
-                    self._read_response(), self.timeout_s
-                )
-            except TimeoutError:
-                # (TimeoutError subclasses OSError: catch it first.)  A
-                # response that never came is NOT safely retriable --
-                # the request may have executed.  Surface it.
-                await self.close()
-                raise
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                await self.close()
-                if not reused:
-                    raise
-                # Stale keep-alive socket: retry once on a fresh one.
-        raise ConnectionError("reconnect failed")  # pragma: no cover
-
-    async def _read_response(self):
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionResetError("server closed the connection")
-        status = int(line.split(None, 2)[1])
-        headers: dict[str, str] = {}
-        while True:
-            hline = await self._reader.readline()
-            if hline in (b"\r\n", b"\n"):
-                break
-            if not hline:
-                raise ConnectionResetError("truncated response headers")
-            key, sep, value = hline.decode("latin-1", "replace").partition(":")
-            if sep:
-                headers[key.strip().lower()] = value.strip()
-        self.last_request_id = headers.get("x-request-id")
-        length = int(headers.get("content-length", "0"))
-        raw = await self._reader.readexactly(length) if length else b""
-        if "close" in headers.get("connection", "").lower():
-            await self.close()
-        else:
-            self._uses += 1
-        if raw and "application/json" in headers.get("content-type", ""):
-            return status, json.loads(raw)
-        return status, raw.decode()
-
-
-class _AsyncHttpWorker:
-    """Per-coroutine request issuer: :class:`HttpTarget` semantics
-    (one attempt, no retries, 429/503/504 *counted*) over an
-    :class:`_AsyncConn`."""
-
-    def __init__(self, host: str, port: int, index: str, *,
-                 timeout_s: float = 30.0) -> None:
-        self.conn = _AsyncConn(host, port, timeout_s=timeout_s)
-        self.index = index
-        self._ids: list[int] = []  # appended-and-not-deleted (this worker)
-
-    @property
-    def last_request_id(self) -> "str | None":
-        return self.conn.last_request_id
-
-    async def issue(self, kind, queries, eps, k) -> str:
-        if kind in ("append", "delete"):
-            return await self._issue_mutation(kind, queries)
-        payload: dict = {"index": self.index, "queries": queries.tolist()}
-        if kind == "knn":
-            payload["k"] = int(k)
-            path = "/knn"
-        else:
-            if eps is not None:
-                payload["eps"] = float(eps)
-            path = "/range"
-        try:
-            status, _parsed = await self.conn.post(path, payload)
-        except Exception:  # noqa: BLE001 -- connection-level failure
-            self.conn.last_request_id = None
-            return "error"
-        if status == 200:
-            return "ok"
-        if status in (429, 503, 504):
-            return str(status)
-        return "error"
-
-    async def _issue_mutation(self, kind, queries) -> str:
-        if kind == "delete" and self._ids:
-            ids = [
-                self._ids.pop()
-                for _ in range(min(len(self._ids), queries.shape[0]))
-            ]
-            path, payload = "/delete", {"index": self.index, "ids": ids}
-        else:  # append, or a delete with nothing owned yet
-            path = "/append"
-            payload = {"index": self.index, "rows": queries.tolist()}
-        try:
-            status, parsed = await self.conn.post(path, payload)
-        except Exception:  # noqa: BLE001 -- connection-level failure
-            self.conn.last_request_id = None
-            return "error"
-        if status == 200:
-            if path == "/append" and isinstance(parsed, dict):
-                self._ids.extend(int(i) for i in parsed.get("ids", ()))
-            return "ok"
-        if status in (429, 503, 504):
-            return str(status)
-        return "error"
-
-    async def close(self) -> None:
-        await self.conn.close()
-
-
-async def _run_open_async(config, host, port, index_name, sampler,
-                          record_limit) -> LoadResult:
-    n_sched = (
-        int(config.max_requests)
-        if config.max_requests is not None
-        else max(1, int(config.duration_s * config.target_rps))
-    )
-    interval = 1.0 / config.target_rps
-    col = _Collector(record_limit)  # single loop thread: lock is uncontended
-    loop = asyncio.get_running_loop()
-    next_i = [0]  # loop-confined: workers interleave only at awaits
-    start = loop.time()
-    late_cancel_s = config.duration_s
-
-    async def worker() -> None:
-        target = _AsyncHttpWorker(host, port, index_name)
-        try:
-            while True:
-                i = next_i[0]
-                if i >= n_sched:
-                    return
-                next_i[0] += 1
-                t_sched = start + i * interval
-                now = loop.time()
-                if now < t_sched:
-                    await asyncio.sleep(t_sched - now)
-                elif now - t_sched > late_cancel_s:
-                    col.add(RequestRecord(i * interval, 0.0, "dropped",
-                                          "range", 0))
-                    continue
-                rng = np.random.default_rng((config.seed, 1 << 32, i))
-                kind, queries, eps, k = sampler.make_request(rng)
-                status = await target.issue(kind, queries, eps, k)
-                done = loop.time()
-                # Same rule as the thread driver: open-loop latency runs
-                # from the *scheduled* arrival, charging queueing delay
-                # to the request.
-                col.add(RequestRecord(
-                    i * interval, done - t_sched, status, kind,
-                    queries.shape[0],
-                    request_id=target.last_request_id,
-                ))
-        finally:
-            await target.close()
-
-    n_workers = min(max(config.concurrency, 1), n_sched)
-    results = await asyncio.gather(
-        *(worker() for _ in range(n_workers)), return_exceptions=True
-    )
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r  # harness failure, not a request outcome
-    return LoadResult(
-        config=config,
-        duration_s=max(loop.time() - start, 1e-9),
-        offered=col.offered,
-        statuses=col.statuses,
-        latency=col.latency,
-        records=col.records,
-    )
-
-
-def run_load_async(
-    config: WorkloadConfig,
-    host: str,
-    port: int,
-    sampler: QuerySampler,
-    *,
-    index_name: str = "default",
-    record_limit: int = 10_000,
-) -> LoadResult:
-    """Asyncio open-loop driver against a live HTTP endpoint.
-
-    Same schedule, same request content (request ``i`` draws from
-    ``default_rng((seed, 1 << 32, i))``), same scheduled-arrival latency
-    and shedding rules as the threaded open loop -- but ``concurrency``
-    buys coroutines holding keep-alive sockets instead of OS threads,
-    so hundreds of requests can be in flight from one driver thread.
-    Open mode only: a closed loop blocks each worker on its own answer
-    by definition, which threads already model faithfully.
-    """
-    if config.mode != "open":
-        raise ValueError("run_load_async supports mode='open' only")
-    return asyncio.run(_run_open_async(
-        config, host, port, index_name, sampler, record_limit
-    ))
-
-
-# ----------------------------------------------------------------------
 # Convenience drivers + sweep analysis
 # ----------------------------------------------------------------------
 
@@ -973,21 +720,16 @@ def run_against_server(
     *,
     index_name: str = "default",
     record_limit: int = 10_000,
-    driver: str = "thread",
 ) -> LoadResult:
     """Load-test a live ``serve`` endpoint over HTTP.
 
     The sampler still needs the dataset, so ``index_path`` is opened
     locally (read-only) to build the query pool; requests themselves go
     over the wire through one non-retrying connection per worker.
-    ``driver="async"`` swaps the worker threads for the asyncio
-    open-loop driver (:func:`run_load_async`; open mode only).
     """
     from repro.index.delta import MutableIndex, is_mutable_index
     from repro.service.query import QueryEngine
 
-    if driver not in ("thread", "async"):
-        raise ValueError(f"driver must be 'thread' or 'async'; got {driver!r}")
     engine = (
         MutableIndex(index_path)
         if is_mutable_index(index_path)
@@ -1008,18 +750,12 @@ def run_against_server(
             return {}
 
     before = _scrape()
-    if driver == "async":
-        result = run_load_async(
-            config, host, port, sampler,
-            index_name=index_name, record_limit=record_limit,
-        )
-    else:
-        result = run_load(
-            config,
-            lambda: HttpTarget(host, port, index=index_name),
-            sampler,
-            record_limit=record_limit,
-        )
+    result = run_load(
+        config,
+        lambda: HttpTarget(host, port, index=index_name),
+        sampler,
+        record_limit=record_limit,
+    )
     result.stages = _stage_delta(before, _scrape())
     return result
 
@@ -1057,7 +793,6 @@ __all__ = [
     "RequestRecord",
     "LoadResult",
     "run_load",
-    "run_load_async",
     "run_against_service",
     "run_against_server",
     "stage_seconds_from_snapshot",

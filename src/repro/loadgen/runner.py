@@ -115,7 +115,6 @@ def run_experiment(
     service=None,
     server: "tuple[str, int] | None" = None,
     index_name: str = "default",
-    driver: str = "thread",
     out_json=None,
     out_csv=None,
     progress=None,
@@ -127,10 +126,8 @@ def run_experiment(
     :class:`~repro.service.server.QueryService` (so the index loads
     once); pass ``server=(host, port)`` to drive a live ``serve``
     endpoint instead, or ``service=`` to reuse an existing one.
-    ``driver="async"`` (HTTP runs only) swaps the worker threads for
-    the asyncio open-loop driver.  ``progress(row)`` is called after
-    each run.  ``out_json`` / ``out_csv`` write the full report / the
-    flat rows.
+    ``progress(row)`` is called after each run.  ``out_json`` /
+    ``out_csv`` write the full report / the flat rows.
     """
     from repro.service.server import QueryService
 
@@ -144,7 +141,7 @@ def run_experiment(
             if server is not None:
                 result = run_against_server(
                     index, server[0], server[1], workload,
-                    index_name=index_name, driver=driver,
+                    index_name=index_name,
                 )
             else:
                 result = run_against_service(index, workload, service=svc)

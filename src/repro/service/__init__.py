@@ -7,11 +7,9 @@ kNN queries against a persisted or in-memory index
 (:mod:`repro.index.persist`), :class:`IndexCache` keeps loaded indexes
 hot behind an LRU, and :class:`QueryService` coalesces concurrent small
 queries into single executor batches under an adaptive micro-batch
-window.  Two interchangeable HTTP front ends expose it over JSON
-(``python -m repro serve [--frontend thread|async]``): a keep-alive
-``ThreadingHTTPServer`` and the event-loop :class:`AsyncHTTPServer`.
-See the "Query serving" and "Async serving" sections of
-docs/ARCHITECTURE.md.
+window.  A keep-alive ``ThreadingHTTPServer`` exposes it over JSON
+(``python -m repro serve``).  See the "Query serving" and "HTTP
+serving" sections of docs/ARCHITECTURE.md.
 """
 
 from repro.service.client import ServiceClient, ServiceUnavailable
@@ -29,7 +27,6 @@ from repro.service.query import (
 )
 from repro.service.server import (
     AdaptiveWindow,
-    AsyncHTTPServer,
     DeadlineExceeded,
     IndexCache,
     QueryService,
@@ -46,7 +43,6 @@ __all__ = [
     "brute_range_query",
     "sample_queries",
     "AdaptiveWindow",
-    "AsyncHTTPServer",
     "IndexCache",
     "QueryService",
     "ServiceError",

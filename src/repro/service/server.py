@@ -30,25 +30,18 @@ Three pieces stack into the serving path:
   and a loaded one amortizes engine calls.  Dispatch runs on one
   background thread, which makes each engine call serially.
 
-* :func:`make_server` -- stdlib-only JSON-over-HTTP behind one of two
-  interchangeable front ends (``frontend="thread" | "async"``): the
-  classic ``http.server.ThreadingHTTPServer`` (one thread per
-  connection, now speaking keep-alive HTTP/1.1) and an
-  ``asyncio``-based server (:class:`AsyncHTTPServer`) that holds
-  hundreds of in-flight requests on one event loop -- a request waiting
-  on the micro-batcher costs a pending callback, not a blocked thread.
-  Both serve the same routes with the same JSON contracts: ``POST
-  /range`` and ``POST /knn`` submit through the service, ``GET
-  /healthz`` reports liveness, and ``GET /stats`` / ``GET /metrics``
-  are the JSON and Prometheus-text views of the same
-  :class:`~repro.service.metrics.MetricsRegistry` (cache/batch/queue
-  counters plus per-endpoint HTTP totals and latency histograms).  Only
-  **registered** index names are served -- requests cannot make the
-  process open arbitrary filesystem paths.  The stdlib handler writes
-  headers and body as separate sends, so the threaded handler disables
+* :func:`make_server` -- stdlib-only JSON-over-HTTP on
+  ``http.server.ThreadingHTTPServer`` (one thread per connection,
+  speaking keep-alive HTTP/1.1).  ``POST /range`` and ``POST /knn``
+  submit through the service, ``GET /healthz`` reports liveness, and
+  ``GET /stats`` / ``GET /metrics`` are the JSON and Prometheus-text
+  views of the same :class:`~repro.service.metrics.MetricsRegistry`
+  (cache/batch/queue counters plus per-endpoint HTTP totals and latency
+  histograms).  Only **registered** index names are served -- requests
+  cannot make the process open arbitrary filesystem paths.  The stdlib
+  handler writes headers and body as separate sends, so it disables
   Nagle (``TCP_NODELAY``) to keep the body off the client's 40-ms
-  delayed-ACK timer; the async front end writes each response as one
-  buffer.
+  delayed-ACK timer.
 
 Fault tolerance (see docs/ARCHITECTURE.md "Fault tolerance"):
 
@@ -72,12 +65,9 @@ Fault tolerance (see docs/ARCHITECTURE.md "Fault tolerance"):
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import hashlib
 import json
 import queue
-import socket
 import threading
 import time
 from collections import OrderedDict
@@ -377,7 +367,7 @@ class _Pending:
     __slots__ = (
         "engine", "queries", "eps", "kind", "k", "deadline",
         "span", "submit_t",
-        "_event", "_result", "_error", "_callbacks", "_cb_lock",
+        "_event", "_result", "_error",
     )
 
     def __init__(self, engine, queries, eps, kind, k, deadline=None) -> None:
@@ -387,7 +377,7 @@ class _Pending:
         self.kind = kind  # "range" | "knn"
         self.k = k
         self.deadline = deadline
-        # Trace attribution: the submitting thread/task's ambient span
+        # Trace attribution: the submitting thread's ambient span
         # (the HTTP root, or None for direct library use) rides along so
         # the dispatcher thread can attach queue-wait / dispatch / split
         # child spans to the originating request.
@@ -396,48 +386,14 @@ class _Pending:
         self._event = threading.Event()
         self._result = None
         self._error: BaseException | None = None
-        self._callbacks: list = []
-        self._cb_lock = threading.Lock()
 
     def _fulfill(self, result) -> None:
         self._result = result
         self._event.set()
-        self._run_callbacks()
 
     def _fail(self, exc: BaseException) -> None:
         self._error = exc
         self._event.set()
-        self._run_callbacks()
-
-    def _run_callbacks(self) -> None:
-        with self._cb_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        # Run outside the lock; a callback must never take down the
-        # dispatcher thread.
-        for fn in callbacks:
-            try:
-                fn(self)
-            except Exception:  # noqa: BLE001 -- isolate the dispatcher
-                pass
-
-    def add_done_callback(self, fn) -> None:
-        """Run ``fn(self)`` when the dispatcher answers (or now, if done).
-
-        This is the threadless completion hook the asyncio front end
-        rides: instead of parking a thread in :meth:`result`, it
-        registers a callback that trampolines into the event loop via
-        ``call_soon_threadsafe``.  Each callback fires exactly once, on
-        the dispatcher thread -- or inline here when the request is
-        already answered; exceptions it raises are swallowed.
-        """
-        with self._cb_lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        try:
-            fn(self)
-        except Exception:  # noqa: BLE001 -- same isolation as above
-            pass
 
     def result(self, timeout: float | None = None):
         """Block until the dispatcher answers; re-raises its exception."""
@@ -1399,11 +1355,11 @@ def _endpoint_label(path: str) -> str:
 
 
 def _get_route(svc: QueryService, registry: dict, path: str):
-    """Shared GET routing: ``(status, payload)`` for the JSON endpoints.
+    """GET routing: ``(status, payload)`` for the JSON endpoints.
 
-    ``/metrics`` is not handled here: its body is Prometheus text and
-    the order it is counted in is transport-specific (rendered strictly
-    before the request is counted, so scrapes stay monotonic).
+    ``/metrics`` is not handled here: its body is Prometheus text,
+    rendered strictly before the request is counted so scrapes stay
+    monotonic.
     """
     if path == "/healthz":
         if svc.draining:
@@ -1428,60 +1384,42 @@ def _get_route(svc: QueryService, registry: dict, path: str):
     return 404, {"error": f"unknown path {path}"}
 
 
-def _post_action(svc: QueryService, registry: dict, path: str, raw: bytes):
-    """Shared POST routing: validate ``raw`` and stage the service call.
+def _post_route(svc: QueryService, registry: dict, path: str, raw: bytes):
+    """POST routing: ``(status, payload, headers)`` for one request body.
 
-    Returns one of::
-
-        ("send", status, payload, headers)   # answer immediately
-        ("compact", index_path)              # run svc.compact (blocking)
-        ("wait", kind, pending)              # await the _Pending handle
-
-    The staging split is what lets both front ends share every
-    validation and error contract while waiting their own way: the
-    threaded handler blocks in ``pending.result``, the asyncio handler
-    bridges :meth:`_Pending.add_done_callback` into its event loop.
-    Service-typed errors (overload, draining, malformed input) raise to
-    the caller, which maps them through :func:`_error_response`.
+    Validates ``raw``, runs the service call -- blocking in
+    ``pending.result`` for queries and writes, or in the compaction
+    itself -- and formats the 200 payload.  Service-typed errors
+    (overload, draining, malformed input) raise to the caller, which
+    maps them through :func:`_error_response`.
     """
     req = json.loads(raw or b"{}")
     if not isinstance(req, dict):
-        return ("send", 400,
-                {"error": "request body must be a JSON object"}, None)
+        return 400, {"error": "request body must be a JSON object"}, None
     name = req.get("index", "default")
     if name not in registry:
-        return ("send", 404,
-                {"error": f"unknown index {name!r}",
-                 "indexes": sorted(registry)}, None)
+        return (404, {"error": f"unknown index {name!r}",
+                      "indexes": sorted(registry)}, None)
+    index = registry[name]
     if path == "/compact":
-        return ("compact", registry[name])
+        return 200, {"compacted": True, **svc.compact(index)}, None
     if path == "/append":
-        return ("wait", "append", svc.submit_append(
-            registry[name], np.asarray(req["rows"], dtype=np.float64)
-        ))
-    if path == "/delete":
-        return ("wait", "delete", svc.submit_delete(
-            registry[name], req["ids"]
-        ))
-    queries = np.asarray(req["queries"], dtype=np.float64)
-    if path == "/knn":
-        return ("wait", "knn", svc.submit(
-            registry[name], queries, k=int(req.get("k", 1))
-        ))
-    return ("wait", "range", svc.submit(
-        registry[name], queries, eps=req.get("eps")
-    ))
-
-
-def _format_result(kind: str, res) -> dict:
-    """Shared 200-payload formatting for an awaited service result."""
-    if kind == "append":
-        return {"ids": res.tolist()}
-    if kind == "delete":
-        return {"deleted": int(res)}
-    if kind == "knn":
-        return _knn_payload(res)
-    return _range_payload(res)
+        pending = svc.submit_append(
+            index, np.asarray(req["rows"], dtype=np.float64)
+        )
+        to_payload = lambda ids: {"ids": ids.tolist()}
+    elif path == "/delete":
+        pending = svc.submit_delete(index, req["ids"])
+        to_payload = lambda deleted: {"deleted": int(deleted)}
+    else:
+        queries = np.asarray(req["queries"], dtype=np.float64)
+        if path == "/knn":
+            pending = svc.submit(index, queries, k=int(req.get("k", 1)))
+            to_payload = _knn_payload
+        else:
+            pending = svc.submit(index, queries, eps=req.get("eps"))
+            to_payload = _range_payload
+    return 200, to_payload(pending.result(timeout=30.0)), None
 
 
 def _error_response(exc: BaseException):
@@ -1504,413 +1442,6 @@ def _error_response(exc: BaseException):
     return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
 
 
-_HTTP_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    413: "Content Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-class AsyncHTTPServer:
-    """asyncio HTTP/1.1 front end with the threaded server's surface.
-
-    A stdlib-only server (``asyncio.start_server`` plus a hand-rolled
-    HTTP/1.1 parser with keep-alive) answering the exact same routes,
-    JSON contracts, and bit-identical payloads as the threaded front
-    end.  The difference is what a *waiting* request costs: the threaded
-    server parks one OS thread per in-flight request inside
-    ``_Pending.result``; here the handler coroutine registers a
-    :meth:`_Pending.add_done_callback` that trampolines the answer back
-    into the event loop, so hundreds of requests can sit in the
-    micro-batcher while the process holds a handful of threads.
-    Blocking service calls that do not ride a callback -- admission
-    itself (which may load an index from disk on a cache miss) and
-    ``/compact`` -- hop through ``loop.run_in_executor``.
-
-    The lifecycle mirrors ``ThreadingHTTPServer`` so callers stay
-    agnostic: the listening socket binds in the constructor
-    (``server_address`` is final immediately, ephemeral port included),
-    ``serve_forever()`` runs the event loop on the calling thread,
-    ``shutdown()`` is thread-safe and blocks until the loop exits, and
-    ``server_close()`` releases the socket.  On shutdown, in-flight
-    handler tasks are cancelled by the loop teardown (their sockets
-    close with it).
-
-    ``max_inflight`` bounds concurrently admitted POSTs *at the front
-    door*: past it, requests are answered 429 + ``Retry-After`` before
-    any service work, so an open-loop flood cannot pile unbounded
-    decode/dispatch work behind the event loop.
-    """
-
-    def __init__(
-        self,
-        registry: "dict[str, Path]",
-        service: QueryService,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 8787,
-        max_body_bytes: int = 8 << 20,
-        max_inflight: int = 512,
-    ) -> None:
-        self.registry = dict(registry)
-        self.service = service
-        self.max_body_bytes = int(max_body_bytes)
-        self.max_inflight = int(max_inflight)
-        # Bind eagerly so server_address is usable before serve_forever
-        # (tests and the CLI read the ephemeral port right after build).
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._sock.bind((host, port))
-            self._sock.listen(128)
-        except OSError:
-            self._sock.close()
-            raise
-        self._sock.setblocking(False)
-        self.server_address = self._sock.getsockname()
-        self._lifecycle = threading.Lock()
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._stop_event: "asyncio.Event | None" = None
-        self._shutdown_requested = False
-        self._stopped = threading.Event()
-        self._stopped.set()  # not serving yet
-        # Loop-confined counters (only the event loop mutates them).
-        self._inflight = 0
-        self._open_connections = 0
-        m = service.metrics
-        self._http_requests = m.counter(
-            "repro_http_requests_total",
-            "HTTP requests answered, by endpoint and status code",
-            labels=("endpoint", "status"),
-        )
-        self._http_latency = m.histogram(
-            "repro_http_request_seconds",
-            "HTTP request handling latency, by endpoint",
-            labels=("endpoint",),
-        )
-        m.gauge(
-            "repro_http_open_connections",
-            "TCP connections currently open on the async front end",
-            fn=lambda: float(self._open_connections),
-        )
-        m.gauge(
-            "repro_http_inflight_requests",
-            "POST requests currently admitted on the async front end",
-            fn=lambda: float(self._inflight),
-        )
-
-    # -- lifecycle (ThreadingHTTPServer-compatible) --------------------
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Run the event loop on this thread until :meth:`shutdown`."""
-        self._stopped.clear()
-        try:
-            asyncio.run(self._serve())
-        finally:
-            with self._lifecycle:
-                self._loop = None
-                self._stop_event = None
-            self._stopped.set()
-
-    async def _serve(self) -> None:
-        with self._lifecycle:
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
-            if self._shutdown_requested:
-                self._stop_event.set()
-        server = await asyncio.start_server(
-            self._handle_connection, sock=self._sock
-        )
-        try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            # Returns once the listener closes; in-flight handler tasks
-            # are cancelled by asyncio.run's teardown right after.
-            await server.wait_closed()
-
-    def shutdown(self) -> None:
-        """Thread-safe stop; blocks until ``serve_forever`` returns."""
-        with self._lifecycle:
-            self._shutdown_requested = True
-            loop, stop = self._loop, self._stop_event
-        if loop is not None and stop is not None:
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:
-                pass  # the loop tore down between the check and the call
-        self._stopped.wait(timeout=10.0)
-
-    def server_close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    # -- connection handling -------------------------------------------
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._open_connections += 1
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break  # clean EOF between requests
-                if line in (b"\r\n", b"\n"):
-                    continue  # stray blank line, tolerate like stdlib
-                t0 = time.perf_counter()
-                parts = line.decode("latin-1", "replace").split()
-                if len(parts) != 3 or not parts[2].upper().startswith(
-                    "HTTP/"
-                ):
-                    await self._write(
-                        writer, 400, {"error": "malformed request line"},
-                        close=True, request_id=trace_mod.new_id(),
-                    )
-                    break
-                method, target, version = parts
-                headers: dict[str, str] = {}
-                truncated = False
-                while True:
-                    hline = await reader.readline()
-                    if hline in (b"\r\n", b"\n"):
-                        break
-                    if not hline:
-                        truncated = True
-                        break
-                    key, sep, value = (
-                        hline.decode("latin-1", "replace").partition(":")
-                    )
-                    if sep:
-                        headers[key.strip().lower()] = value.strip()
-                if truncated:
-                    break
-                conn_tokens = headers.get("connection", "").lower()
-                keep_alive = (
-                    "close" not in conn_tokens
-                    if version.upper() == "HTTP/1.1"
-                    else "keep-alive" in conn_tokens
-                )
-                must_close = await self._handle_request(
-                    reader, writer, method, target, headers, t0, keep_alive
-                )
-                if must_close or not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            # Server shutdown: loop teardown cancels connection tasks.
-            # Finish quietly -- a cancelled-state task trips a noisy
-            # done-callback in Python 3.11's asyncio.streams.
-            pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # the peer went away mid-request
-        finally:
-            self._open_connections -= 1
-            writer.close()
-
-    async def _handle_request(
-        self, reader, writer, method, target, headers, t0, keep_alive
-    ) -> bool:
-        """Serve one parsed request.
-
-        Returns True when the connection must close afterwards (an
-        unread body after a 413 leaves the stream unframeable).
-        """
-        endpoint = _endpoint_label(target)
-        # Root span per request: honors an inbound X-Request-Id (or a
-        # W3C traceparent) and is the id echoed on the response.
-        span = self.service.tracer.start_trace(
-            f"{method} {endpoint}",
-            request_id=headers.get("x-request-id"),
-            traceparent=headers.get("traceparent"),
-            attrs={"method": method, "path": target},
-        )
-        rid = span.trace_id
-        with trace_mod.activate(span):
-            if method == "GET" and target == "/metrics":
-                body = self.service.metrics.render().encode()
-                await self._write(
-                    writer, 200, body, content_type=PROMETHEUS_CONTENT_TYPE,
-                    close=not keep_alive, request_id=rid,
-                )
-                # Counted after the write, mirroring the threaded front
-                # end: the text is a snapshot from strictly before this
-                # request was counted, so scraped counters stay
-                # monotonic.
-                self._count(endpoint, 200, t0)
-                span.set_attr("http.status", 200)
-                span.finish()
-                return False
-            extra: "dict[str, str] | None" = None
-            must_close = False
-            if method == "GET":
-                code, payload = _get_route(
-                    self.service, self.registry, target
-                )
-            elif method == "POST":
-                code, payload, extra, must_close = await self._handle_post(
-                    reader, target, headers, span
-                )
-            else:
-                code, payload = 501, {"error": f"unsupported method {method}"}
-            # Counted before the body is written -- same guarantee as the
-            # threaded front end: a client holding the response always
-            # finds its request in /metrics.
-            self._count(endpoint, code, t0)
-            await self._write(
-                writer, code, payload, headers=extra,
-                close=must_close or not keep_alive, request_id=rid,
-            )
-        span.set_attr("http.status", code)
-        span.finish()
-        return must_close
-
-    async def _handle_post(self, reader, target, headers, span):
-        """Returns ``(status, payload, extra_headers, must_close)``."""
-        try:
-            length = int(headers.get("content-length", "0"))
-            if length > self.max_body_bytes:
-                # Body left unread: the stream cannot be re-framed.
-                return (
-                    413,
-                    {"error": f"request body of {length} bytes exceeds "
-                              f"the {self.max_body_bytes} byte limit"},
-                    None,
-                    True,
-                )
-            raw = await reader.readexactly(length) if length else b""
-            # Body drained first: under keep-alive, even a 404 must
-            # leave the stream positioned at the next request line.
-            if target not in _POST_ENDPOINTS:
-                return 404, {"error": f"unknown path {target}"}, None, False
-            if self._inflight >= self.max_inflight:
-                # Front-door admission: shed before any service work so
-                # a flood cannot queue unbounded decode/dispatch jobs.
-                retry_after = 0.05
-                return (
-                    429,
-                    {"error": f"{self.max_inflight} requests already in "
-                              "flight; back off and retry",
-                     "retry_after": retry_after},
-                    {"Retry-After": f"{retry_after:.3f}"},
-                    False,
-                )
-            self._inflight += 1
-            try:
-                loop = asyncio.get_running_loop()
-                # Validation + admission may decode megabytes of JSON
-                # and load an index from disk on a cache miss: off-loop.
-                # run_in_executor does NOT propagate contextvars, so the
-                # copied context carries the root span into submit()
-                # (where _Pending captures it).
-                ctx = contextvars.copy_context()
-                action = await loop.run_in_executor(
-                    None, ctx.run, _post_action, self.service,
-                    self.registry, target, raw,
-                )
-                if action[0] == "send":
-                    return action[1], action[2], action[3], False
-                if action[0] == "compact":
-                    out = await loop.run_in_executor(
-                        None, self.service.compact, action[1]
-                    )
-                    return 200, {"compacted": True, **out}, None, False
-                _, kind, pending = action
-                res = await self._await_pending(pending)
-                return 200, _format_result(kind, res), None, False
-            finally:
-                self._inflight -= 1
-        except (ConnectionError, asyncio.IncompleteReadError):
-            raise  # the peer died; unwind to the connection loop
-        except Exception as exc:  # noqa: BLE001 -- shared JSON contract
-            span.record_error(exc)
-            code, payload, extra = _error_response(exc)
-            return code, payload, extra, False
-
-    async def _await_pending(self, pending: _Pending):
-        """Threadless wait on a :class:`_Pending`.
-
-        The pending's done-callback (dispatcher thread) resolves an
-        asyncio future via ``call_soon_threadsafe`` -- the asyncio
-        mirror of the 30 s ``pending.result`` the threaded handler
-        blocks in, raising the same typed errors.
-        """
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-
-        def _resolve(p: _Pending) -> None:
-            if fut.cancelled():
-                return
-            if p._error is not None:
-                fut.set_exception(p._error)
-            else:
-                fut.set_result(p._result)
-
-        def _bridge(p: _Pending) -> None:
-            try:
-                loop.call_soon_threadsafe(_resolve, p)
-            except RuntimeError:
-                pass  # loop already closed (shutdown mid-request)
-
-        pending.add_done_callback(_bridge)
-        try:
-            return await asyncio.wait_for(fut, timeout=30.0)
-        except TimeoutError as exc:
-            if isinstance(exc, ServiceError):
-                raise  # the service's own DeadlineExceeded -> 504
-            raise TimeoutError(
-                "query not answered within the timeout"
-            ) from None
-
-    # -- response plumbing ---------------------------------------------
-
-    def _count(self, endpoint: str, code: int, t0: float) -> None:
-        self._http_requests.inc(endpoint=endpoint, status=str(code))
-        self._http_latency.observe(
-            time.perf_counter() - t0, endpoint=endpoint
-        )
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        code: int,
-        payload,
-        *,
-        content_type: str = "application/json",
-        headers: "dict[str, str] | None" = None,
-        close: bool = False,
-        request_id: "str | None" = None,
-    ) -> None:
-        body = (
-            payload if isinstance(payload, bytes)
-            else json.dumps(payload).encode()
-        )
-        head = [
-            f"HTTP/1.1 {code} {_HTTP_REASONS.get(code, 'OK')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-        ]
-        if request_id is not None:
-            head.append(f"X-Request-Id: {request_id}")
-        for key, value in (headers or {}).items():
-            head.append(f"{key}: {value}")
-        if close:
-            head.append("Connection: close")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-        )
-        await writer.drain()
-
-
 def make_server(
     indexes: "dict[str, str | Path]",
     host: str = "127.0.0.1",
@@ -1921,8 +1452,6 @@ def make_server(
     max_queue_depth: int = 256,
     verify: str = "header",
     max_body_bytes: int = 8 << 20,
-    frontend: str = "thread",
-    max_inflight: "int | None" = None,
     trace_sample: float = 0.0,
     trace_log: "str | Path | None" = None,
     slow_ms: float | None = None,
@@ -1936,22 +1465,14 @@ def make_server(
     attached :class:`QueryService` is started with the server and
     stopped when the server closes.
 
-    ``frontend`` selects the transport: ``"thread"`` (the default) is
-    the keep-alive ``ThreadingHTTPServer`` -- one thread per connection;
-    ``"async"`` is :class:`AsyncHTTPServer` -- one event loop for every
-    connection, with in-flight requests parked on callbacks instead of
-    threads.  Both serve identical routes, contracts, and bit-identical
-    answers; ``serve_forever``/``shutdown``/``server_close`` behave the
-    same on either.  ``max_inflight`` bounds concurrently admitted POSTs
-    on the async front end (default ``2 * max_queue_depth + 16``);
-    ignored for the threaded one, whose thread-per-connection model is
-    bounded by the service's own admission queue.
+    The server is a keep-alive ``ThreadingHTTPServer`` -- one thread
+    per connection, bounded by the service's own admission queue.
 
     Every failure mode answers with well-formed JSON, never a stack
-    trace: 400 (malformed request), 404 (unknown path/index), 413 (body
-    over ``max_body_bytes``), 429 + ``Retry-After`` (admission queue
-    full), 503 (draining), 500 (anything unexpected, as
-    ``{"error": ...}``).
+    trace: 400 (malformed request or ``Content-Length``), 404 (unknown
+    path/index), 413 (body over ``max_body_bytes``), 429 +
+    ``Retry-After`` (admission queue full), 503 (draining), 500
+    (anything unexpected, as ``{"error": ...}``).
 
     Tracing: every request opens a root span and every response --
     errors included -- echoes its trace id as ``X-Request-Id``.
@@ -1963,10 +1484,6 @@ def make_server(
     log).  These knobs are ignored when an explicit ``service`` (with
     its own tracer) is passed.
     """
-    if frontend not in ("thread", "async"):
-        raise ValueError(
-            f"frontend must be 'thread' or 'async'; got {frontend!r}"
-        )
     registry = {name: Path(p) for name, p in indexes.items()}
     if not registry:
         raise ValueError("at least one index must be registered")
@@ -2081,69 +1598,60 @@ def make_server(
         def do_POST(self) -> None:  # noqa: N802 (stdlib casing)
             self._begin()
             # The root span is ambient for the whole handling block, so
-            # submit() (via _post_action) attributes the request's
+            # submit() (via _post_route) attributes the request's
             # queue/dispatch/split child spans to it.
             with trace_mod.activate(self._span):
+                declared = self.headers.get("Content-Length", "0")
                 try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    if length > max_body_bytes:
-                        # The oversized body is deliberately left unread,
-                        # so the connection cannot be re-framed: close it
-                        # rather than desync keep-alive parsing on the
-                        # leftovers.
-                        self.close_connection = True
-                        self._send(
-                            413,
-                            {"error": f"request body of {length} bytes "
-                                      f"exceeds the {max_body_bytes} byte "
-                                      "limit"},
-                            headers={"Connection": "close"},
+                    length = int(declared)
+                except ValueError:
+                    length = -1
+                if not 0 <= length <= max_body_bytes:
+                    # The body is deliberately left unread (a negative
+                    # length would read to EOF), so the connection cannot
+                    # be re-framed: close it rather than desync keep-alive
+                    # parsing on the leftovers.
+                    self.close_connection = True
+                    if length < 0:
+                        code = 400
+                        error = f"invalid Content-Length {declared!r}"
+                    else:
+                        code = 413
+                        error = (
+                            f"request body of {length} bytes exceeds the "
+                            f"{max_body_bytes} byte limit"
                         )
-                        return
+                    self._send(
+                        code, {"error": error},
+                        headers={"Connection": "close"},
+                    )
+                    return
+                try:
                     raw = self.rfile.read(length)
                     # Body drained first: under keep-alive, even a 404
                     # must leave the stream positioned at the next
                     # request line.
                     if self.path not in _POST_ENDPOINTS:
-                        self._send(
-                            404, {"error": f"unknown path {self.path}"}
+                        code, payload, headers = (
+                            404, {"error": f"unknown path {self.path}"}, None
                         )
-                        return
-                    action = _post_action(svc, registry, self.path, raw)
-                    if action[0] == "send":
-                        _, code, payload, headers = action
-                        self._send(code, payload, headers)
-                    elif action[0] == "compact":
-                        out = svc.compact(action[1])
-                        self._send(200, {"compacted": True, **out})
                     else:
-                        _, kind, pending = action
-                        res = pending.result(timeout=30.0)
-                        self._send(200, _format_result(kind, res))
+                        code, payload, headers = _post_route(
+                            svc, registry, self.path, raw
+                        )
                 except Exception as exc:  # noqa: BLE001 -- a JSON error
                     # beats a dropped connection (e.g. a dispatch
                     # TimeoutError).
                     self._span.record_error(exc)
                     code, payload, headers = _error_response(exc)
-                    self._send(code, payload, headers)
+                self._send(code, payload, headers)
 
-    if frontend == "async":
-        server: "ThreadingHTTPServer | AsyncHTTPServer" = AsyncHTTPServer(
-            registry, svc, host=host, port=port,
-            max_body_bytes=max_body_bytes,
-            max_inflight=(
-                max_inflight if max_inflight is not None
-                else 2 * max_queue_depth + 16
-            ),
-        )
-    else:
-        server = ThreadingHTTPServer((host, port), Handler)
+    server = ThreadingHTTPServer((host, port), Handler)
     server.service = svc  # type: ignore[attr-defined]
     svc.start()
     _logger.info(
         "server built",
         extra={
-            "frontend": frontend,
             "indexes": ",".join(sorted(registry)),
             "host": server.server_address[0],
             "port": int(server.server_address[1]),
@@ -2168,15 +1676,13 @@ def run_self_test(
     queries_per_client: int = 8,
     max_queue_depth: int = 256,
     verify: str = "header",
-    frontend: str = "thread",
     trace_sample: float = 0.0,
     trace_log: "str | Path | None" = None,
     slow_ms: "float | None" = None,
 ) -> dict:
     """One-shot serve smoke: spin up, hammer, verify, shut down.
 
-    Starts the HTTP server (threaded or async ``frontend``) on an
-    ephemeral port, fires ``n_clients``
+    Starts the HTTP server on an ephemeral port, fires ``n_clients``
     concurrent :class:`~repro.service.client.ServiceClient` threads at
     ``/range`` and ``/knn`` for one cached index, and verifies every
     HTTP answer against a direct serial :class:`QueryEngine` call on the
@@ -2192,7 +1698,7 @@ def run_self_test(
     index_path = Path(index_path)
     server = make_server(
         {"default": index_path}, port=0,
-        max_queue_depth=max_queue_depth, verify=verify, frontend=frontend,
+        max_queue_depth=max_queue_depth, verify=verify,
         trace_sample=trace_sample, trace_log=trace_log, slow_ms=slow_ms,
     )
     host, port = server.server_address[:2]
@@ -2247,14 +1753,12 @@ def run_self_test(
         "clients": n_clients,
         "queries_per_client": queries_per_client,
         "client_retries": sum(retries),
-        "frontend": frontend,
         "stats": stats,
     }
 
 
 __all__ = [
     "AdaptiveWindow",
-    "AsyncHTTPServer",
     "IndexCache",
     "QueryService",
     "ServiceError",

@@ -1,11 +1,12 @@
-"""Async serving pipeline: front-end conformance, adaptive micro-batch
-window, cross-k kNN coalescing, and client connection reuse.
+"""HTTP serving pipeline: front-end conformance, adaptive micro-batch
+window, cross-k kNN coalescing, client connection reuse, and the
+open-loop load driver against a live server.
 
-The contract under test is interchangeability: the asyncio front end
-(``make_server(..., frontend="async")``) must serve the exact same
-routes, status codes, JSON error shapes, and bit-identical answer
-payloads as the threaded front end, and the adaptive coalescing window
-must never change *what* a request answers -- only how requests share
+The contracts under test: one keep-alive connection serves a mixed
+sequence of answers and error responses without losing its framing,
+a request the server cannot frame closes the connection, no response
+waits on the client's delayed ACK, and the adaptive coalescing window
+never changes *what* a request answers -- only how requests share
 executor batches.
 """
 
@@ -43,10 +44,8 @@ def index_dir(data_eps, tmp_path_factory):
     return path
 
 
-def _serve(index_dir, frontend, **kwargs):
-    server = make_server(
-        {"default": index_dir}, port=0, frontend=frontend, **kwargs
-    )
+def _serve(index_dir, **kwargs):
+    server = make_server({"default": index_dir}, port=0, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -74,13 +73,21 @@ class _RawConnection:
             raise ConnectionError("server closed the connection")
         self._buf += chunk
 
-    def request(self, method, path, payload=None):
+    @staticmethod
+    def encode(method, path, payload=None):
         body = b"" if payload is None else json.dumps(payload).encode()
-        self.sock.sendall(
+        return (
             f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
         )
+
+    def request(self, method, path, payload=None):
+        self.sock.sendall(self.encode(method, path, payload))
+        return self.response()
+
+    def response(self):
+        """Read one response off the stream: ``(status, body)``."""
         while b"\r\n\r\n" not in self._buf:
             self._fill()
         head, _, self._buf = self._buf.partition(b"\r\n\r\n")
@@ -260,17 +267,19 @@ class TestCrossKCoalescing:
 
 
 # ----------------------------------------------------------------------
-# Front-end conformance (threaded and async must be interchangeable)
+# Front-end conformance
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("frontend", ["thread", "async"])
+# The threaded server is the only front end; the parameter keeps the
+# test ids stable.
+@pytest.mark.parametrize("frontend", ["thread"])
 class TestFrontendConformance:
     def test_keep_alive_request_sequence(self, data_eps, index_dir, frontend):
         """One TCP connection serves a whole mixed sequence -- including
         error responses, which must not desync keep-alive framing."""
         data, eps = data_eps
-        server, thread = _serve(index_dir, frontend)
+        server, thread = _serve(index_dir)
         try:
             host, port = server.server_address[:2]
             engine = QueryEngine(index_dir)
@@ -330,7 +339,7 @@ class TestFrontendConformance:
     def test_oversized_body_is_413_and_closes(
         self, index_dir, frontend
     ):
-        server, thread = _serve(index_dir, frontend, max_body_bytes=4096)
+        server, thread = _serve(index_dir, max_body_bytes=4096)
         try:
             host, port = server.server_address[:2]
             conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -364,7 +373,7 @@ class TestFrontendConformance:
             ("POST", "/range", {"index": "nope"}, 404),
             ("GET", "/metrics", None, 200),
         ]
-        server, thread = _serve(index_dir, frontend)
+        server, thread = _serve(index_dir)
         try:
             conn = _RawConnection(*server.server_address[:2])
             # Warm up: the first request opens the index.
@@ -384,45 +393,156 @@ class TestFrontendConformance:
     def test_self_test_passes(self, index_dir, frontend):
         from repro.service.server import run_self_test
 
-        out = run_self_test(
-            index_dir, n_clients=2, queries_per_client=4, frontend=frontend
-        )
-        assert out["frontend"] == frontend
+        out = run_self_test(index_dir, n_clients=2, queries_per_client=4)
         assert out["stats"]["requests_served"] >= 4
 
 
-class TestFrontendEquivalence:
-    def test_payloads_bitwise_equal_across_frontends(
+class TestBadContentLength:
+    @pytest.mark.parametrize("declared", ["-1", "abc"])
+    def test_is_400_and_closes(self, data_eps, index_dir, declared):
+        """A length the server cannot frame the body by is refused unread
+        and the connection closed: a negative one would read to EOF, a
+        non-integer one would leave the body to parse as the next
+        request line."""
+        data, _ = data_eps
+        body = json.dumps({"queries": data[:1].tolist()}).encode()
+        server, thread = _serve(index_dir)
+        try:
+            sock = socket.create_connection(
+                server.server_address[:2], timeout=1.0
+            )
+            try:
+                sock.sendall(
+                    b"POST /range HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {declared}\r\n\r\n".encode()
+                    + body
+                    + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+                )
+                reply = b""
+                while True:  # recv times out unless the server hangs up
+                    try:
+                        chunk = sock.recv(65536)
+                    except ConnectionResetError:
+                        break  # closed with the body still unread
+                    if not chunk:
+                        break
+                    reply += chunk
+            finally:
+                sock.close()
+        finally:
+            _stop(server, thread)
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nconnection: close" in head.lower()
+        assert b"HTTP/" not in rest  # the pipelined GET went unanswered
+
+
+class TestRequestFraming:
+    def test_pipelined_requests_answered_in_order(self, data_eps, index_dir):
+        """Requests written back to back in one send, before any answer
+        is read, are each answered, in the order they were sent."""
+        data, _ = data_eps
+        q = data[:2].tolist()
+        server, thread = _serve(index_dir)
+        try:
+            conn = _RawConnection(*server.server_address[:2])
+            conn.sock.sendall(
+                conn.encode("GET", "/healthz")
+                + conn.encode("POST", "/knn", {"queries": q, "k": 2})
+                + conn.encode("POST", "/nope", {})
+                + conn.encode("POST", "/range", {"queries": q})
+            )
+            got = [conn.response() for _ in range(4)]
+            conn.close()
+        finally:
+            _stop(server, thread)
+        assert [status for status, _ in got] == [200, 200, 404, 200]
+        assert json.loads(got[0][1])["status"] == "ok"
+        assert json.loads(got[1][1])["k"] == 2
+        assert len(json.loads(got[3][1])["neighbors"]) == 2
+
+    def test_post_without_content_length_is_400_and_keeps_alive(
+        self, index_dir
+    ):
+        """A POST with no Content-Length has an empty body: the request
+        is malformed (no queries), but it is framed, so the connection
+        stays open for the next request."""
+        server, thread = _serve(index_dir)
+        try:
+            conn = _RawConnection(*server.server_address[:2])
+            conn.sock.sendall(b"POST /range HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, body = conn.response()
+            assert status == 400
+            assert "queries" in json.loads(body)["error"]
+            assert conn.request("GET", "/healthz")[0] == 200
+            conn.close()
+        finally:
+            _stop(server, thread)
+
+    def test_body_at_the_limit_is_accepted(self, data_eps, index_dir):
+        """``max_body_bytes`` is inclusive: a body of exactly that many
+        bytes is read and answered; one byte more is a 413."""
+        data, _ = data_eps
+        payload = {"queries": data[:1].tolist()}
+        limit = len(json.dumps(payload).encode())
+        server, thread = _serve(index_dir, max_body_bytes=limit)
+        try:
+            conn = _RawConnection(*server.server_address[:2])
+            status, body = conn.request("POST", "/range", payload)
+            assert status == 200
+            assert json.loads(body)["n_queries"] == 1
+            payload["eps"] = None  # a few bytes over the limit
+            status, body = conn.request("POST", "/range", payload)
+            assert status == 413
+            conn.close()
+        finally:
+            _stop(server, thread)
+
+
+class TestPayloadBytes:
+    def test_http_bodies_bitwise_equal_to_engine_payloads(
         self, data_eps, index_dir
     ):
-        """The two front ends must return byte-identical JSON bodies for
-        the same queries (same engine, same formatting helpers)."""
-        data, eps = data_eps
-        q = np.ascontiguousarray(data[10:16] + 0.02)
-        bodies = {}
-        for frontend in ("thread", "async"):
-            server, thread = _serve(index_dir, frontend)
-            try:
-                host, port = server.server_address[:2]
-                conn = http.client.HTTPConnection(host, port, timeout=30)
-                per = []
-                for path, payload in (
-                    ("/range", {"queries": q.tolist()}),
-                    ("/knn", {"queries": q.tolist(), "k": 4}),
-                ):
-                    conn.request("POST", path, json.dumps(payload),
-                                 {"Content-Type": "application/json"})
-                    resp = conn.getresponse()
-                    per.append((resp.status, resp.read()))
-                conn.close()
-                bodies[frontend] = per
-            finally:
-                _stop(server, thread)
-        assert bodies["thread"] == bodies["async"]
+        """The HTTP body is exactly the JSON of the serial engine's
+        answer run through the payload helpers: batching and transport
+        change no byte."""
+        from repro.service.server import _knn_payload, _range_payload
 
-    def test_unknown_frontend_rejected(self, index_dir):
-        with pytest.raises(ValueError):
-            make_server({"default": index_dir}, port=0, frontend="gevent")
+        data, _ = data_eps
+        q = np.ascontiguousarray(data[10:16] + 0.02)
+        server, thread = _serve(index_dir)
+        try:
+            engine = server.service.cache.get(index_dir)
+            conn = _RawConnection(*server.server_address[:2])
+            got_range = conn.request("POST", "/range", {"queries": q.tolist()})
+            got_knn = conn.request(
+                "POST", "/knn", {"queries": q.tolist(), "k": 4}
+            )
+            conn.close()
+        finally:
+            _stop(server, thread)
+        assert got_range == (
+            200, json.dumps(_range_payload(engine.range_query(q))).encode()
+        )
+        assert got_knn == (
+            200, json.dumps(_knn_payload(engine.knn_query(q, 4))).encode()
+        )
+
+
+class TestRemovedFrontendKnob:
+    def test_frontend_is_not_accepted(self, index_dir):
+        """The server has one front end: neither ``make_server`` nor
+        ``serve`` takes a choice of one, so a caller still passing it
+        fails loudly instead of being silently ignored."""
+        from repro.cli import build_parser
+
+        with pytest.raises(TypeError):
+            make_server({"default": index_dir}, port=0, frontend="thread")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--index", str(index_dir), "--frontend", "async"]
+            )
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +568,7 @@ class TestClientConnectionReuse:
         monkeypatch.setattr(
             http.client.HTTPConnection, "connect", counting_connect
         )
-        server, thread = _serve(index_dir, "thread")
+        server, thread = _serve(index_dir)
         try:
             host, port = server.server_address[:2]
             with ServiceClient(host, port) as client:
@@ -468,13 +588,13 @@ class TestClientConnectionReuse:
         """A keep-alive socket the server closed between requests gets
         one silent reconnect -- not an error, not a counted retry."""
         data, eps = data_eps
-        server, thread = _serve(index_dir, "thread")
+        server, thread = _serve(index_dir)
         host, port = server.server_address[:2]
         client = ServiceClient(host, port)
         try:
             client.range_query(data[:2].tolist())
             _stop(server, thread)  # server goes away; client holds a socket
-            server, thread = _serve(index_dir, "thread")
+            server, thread = _serve(index_dir)
             client.host, client.port = server.server_address[:2]
             # Stale-reuse detection kicks in: the request succeeds on a
             # fresh connection without burning a backoff retry.
@@ -487,24 +607,24 @@ class TestClientConnectionReuse:
 
 
 # ----------------------------------------------------------------------
-# Asyncio load-generator driver
+# Open-loop load driver against a live server
 # ----------------------------------------------------------------------
 
 
 class TestAsyncLoadgenDriver:
     def test_open_loop_against_async_frontend(self, index_dir):
+        """The threaded open-loop driver issues its whole schedule over
+        HTTP and every request lands."""
         from repro.loadgen.generator import WorkloadConfig, run_against_server
 
-        server, thread = _serve(index_dir, "async")
+        server, thread = _serve(index_dir)
         try:
             host, port = server.server_address[:2]
             cfg = WorkloadConfig(
                 mode="open", duration_s=0.5, target_rps=60.0,
                 concurrency=32, batch_size=2, range_fraction=0.5, seed=5,
             )
-            res = run_against_server(
-                index_dir, host, port, cfg, driver="async"
-            )
+            res = run_against_server(index_dir, host, port, cfg)
             s = res.summary()
             assert s["offered"] == 30  # the full schedule was issued
             assert s["ok"] == 30
@@ -513,15 +633,21 @@ class TestAsyncLoadgenDriver:
         finally:
             _stop(server, thread)
 
-    def test_async_driver_is_open_loop_only(self, index_dir):
-        from repro.loadgen.generator import (
-            QuerySampler,
-            WorkloadConfig,
-            run_load_async,
-        )
+    def test_closed_loop_against_live_server(self, index_dir):
+        """The closed-loop driver runs its whole request budget over
+        HTTP and every request lands."""
+        from repro.loadgen.generator import WorkloadConfig, run_against_server
 
-        engine = QueryEngine(index_dir)
-        cfg = WorkloadConfig(mode="closed", duration_s=0.1)
-        sampler = QuerySampler(engine, cfg)
-        with pytest.raises(ValueError):
-            run_load_async(cfg, "127.0.0.1", 1, sampler)
+        server, thread = _serve(index_dir)
+        try:
+            host, port = server.server_address[:2]
+            cfg = WorkloadConfig(
+                mode="closed", concurrency=2, max_requests=12,
+                batch_size=2, range_fraction=0.5, seed=5,
+            )
+            res = run_against_server(index_dir, host, port, cfg)
+            s = res.summary()
+            assert s["ok"] == 12
+            assert s["err_other"] == 0 and s["dropped"] == 0
+        finally:
+            _stop(server, thread)

@@ -231,3 +231,26 @@ def test_docs_cli_invocations_valid():
     for doc in checker.default_docs():
         errors.extend(checker.check_cli_invocations(doc, commands))
     assert not errors, "\n".join(errors)
+
+
+def test_dockerfile_cmd_parses():
+    """The container's start command parses with the live CLI, so a flag
+    removed later fails here instead of at `docker compose up`."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.cli import build_parser
+    finally:
+        sys.path.pop(0)
+    text = (REPO_ROOT / "Dockerfile").read_text().replace("\\\n", " ")
+    # Continuations joined, the exec-form CMD is the one line opening
+    # with it (the HEALTHCHECK's CMD rides on the HEALTHCHECK line).
+    cmd = next(line for line in text.splitlines() if line.startswith("CMD "))
+    argv = json.loads(cmd[len("CMD "):])
+    assert argv[:3] == ["python", "-m", "repro"]
+    try:
+        args = build_parser().parse_args(argv[3:])
+    except SystemExit:
+        raise AssertionError(
+            f"Dockerfile CMD does not parse: {argv}"
+        ) from None
+    assert args.command == "serve"
