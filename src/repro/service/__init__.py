@@ -6,8 +6,8 @@ same bit-exact machinery: :class:`QueryEngine` answers batched range and
 kNN queries against a persisted or in-memory index
 (:mod:`repro.index.persist`), :class:`IndexCache` keeps loaded indexes
 hot behind an LRU, and :class:`QueryService` coalesces concurrent small
-queries into single executor batches under an adaptive micro-batch
-window.  A keep-alive ``ThreadingHTTPServer`` exposes it over JSON
+queries that queue behind a running engine call into single executor
+batches.  A keep-alive ``ThreadingHTTPServer`` exposes it over JSON
 (``python -m repro serve``).  See the "Query serving" and "HTTP
 serving" sections of docs/ARCHITECTURE.md.
 """
@@ -26,7 +26,6 @@ from repro.service.query import (
     sample_queries,
 )
 from repro.service.server import (
-    AdaptiveWindow,
     DeadlineExceeded,
     IndexCache,
     QueryService,
@@ -42,7 +41,6 @@ __all__ = [
     "KnnResult",
     "brute_range_query",
     "sample_queries",
-    "AdaptiveWindow",
     "IndexCache",
     "QueryService",
     "ServiceError",

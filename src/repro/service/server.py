@@ -12,23 +12,23 @@ Three pieces stack into the serving path:
   rebuild-per-query).
 
 * :class:`QueryService` -- the **micro-batching queue**.  Concurrent
-  small queries against the same ``(engine, eps, kind)`` are drained
-  from one queue inside a short coalescing window, concatenated into a
-  single query matrix, answered by **one** executor batch, and split
-  back per request.  kNN requests coalesce *across different k*: the
-  batch runs once at the largest requested k and each request takes the
-  leading columns of its rows (the kNN kernel breaks distance ties by
-  index with a stable sort and pads positionally, so every smaller-k
-  answer is a strict prefix of the max-k answer).  Batching changes
-  only how many engine calls run -- at FP64 the split results are
-  bit-identical to per-request serial calls (same contract the join
-  executors carry; tests/test_service.py hammers one cached index from
-  N threads and compares against serial).  The coalescing window is
-  **adaptive** (:class:`AdaptiveWindow`): it widens toward
-  ``max_delay_s`` while requests queue behind the dispatcher and decays
-  to zero when traffic is sparse, so an idle service adds no latency
-  and a loaded one amortizes engine calls.  Dispatch runs on one
-  background thread, which makes each engine call serially.
+  small queries against the same ``(engine, eps, kind)`` that queued
+  while the engine was busy are drained from one queue together,
+  concatenated into a single query matrix, answered by **one** executor
+  batch, and split back per request.  kNN requests coalesce *across
+  different k*: the batch runs once at the largest requested k and each
+  request takes the leading columns of its rows (the kNN kernel breaks
+  distance ties by index with a stable sort and pads positionally, so
+  every smaller-k answer is a strict prefix of the max-k answer).
+  Batching changes only how many engine calls run -- at FP64 the split
+  results are bit-identical to per-request serial calls (same contract
+  the join executors carry; tests/test_service.py hammers one cached
+  index from N threads and compares against serial).  No timer holds a
+  batch open: the dispatcher blocks for the first request, takes
+  whatever else is already queued, and dispatches at once, so an idle
+  service adds no latency and a loaded one coalesces exactly the
+  requests that arrived during the previous engine call.  Dispatch runs
+  on one background thread, which makes each engine call serially.
 
 * :func:`make_server` -- stdlib-only JSON-over-HTTP on
   ``http.server.ThreadingHTTPServer`` (one thread per connection,
@@ -396,99 +396,17 @@ class _Pending:
         self._event.set()
 
     def result(self, timeout: float | None = None):
-        """Block until the dispatcher answers; re-raises its exception."""
+        """Block until the dispatcher answers; re-raises its exception.
+
+        A wait that runs out raises :class:`DeadlineExceeded` (a
+        :class:`TimeoutError`), so the HTTP layer answers it with the
+        typed 504 like any other missed deadline.
+        """
         if not self._event.wait(timeout):
-            raise TimeoutError("query not answered within the timeout")
+            raise DeadlineExceeded("query not answered within the timeout")
         if self._error is not None:
             raise self._error
         return self._result
-
-
-class AdaptiveWindow:
-    """Adaptive micro-batch coalescing window: pressure widens, idle decays.
-
-    The fixed ``max_delay_s`` window taxes every sparse-traffic request
-    with the full delay while capping how much a loaded service can
-    amortize.  This controller keeps the window between 0 and ``cap_s``
-    (the configured ``max_delay_s``), steering on what each drained
-    batch *observed*:
-
-    * **widen** (x2, floored at ``cap_s / 16``) when the batch coalesced
-      two or more requests or left requests queued behind it -- arrivals
-      are outpacing dispatch, so a longer window converts queueing delay
-      into batching;
-    * **shrink** (x0.5) when a batch carried a single request with an
-      empty queue -- nobody was waiting, the window was pure added
-      latency; below ``cap_s / 64`` it snaps to 0 so an idle service
-      dispatches immediately;
-    * **reset to 0** when more than ``idle_reset_s`` passed since the
-      previous batch -- the first request after a lull never pays a
-      window tuned for a burst that ended long ago.
-
-    ``clock`` is injectable for deterministic tests.  The controller is
-    only touched from the dispatcher thread; reads of :attr:`window_s`
-    from other threads are GIL-atomic float reads.
-    """
-
-    def __init__(
-        self,
-        cap_s: float,
-        *,
-        idle_reset_s: float | None = None,
-        clock=time.monotonic,
-    ) -> None:
-        if cap_s < 0:
-            raise ValueError("cap_s must be >= 0")
-        self.cap_s = float(cap_s)
-        #: A gap this long since the previous batch counts as a lull.
-        self.idle_reset_s = (
-            float(idle_reset_s) if idle_reset_s is not None
-            else max(50.0 * self.cap_s, 0.25)
-        )
-        self._clock = clock
-        self._window = self.cap_s
-        self._last_batch_t: float | None = None
-
-    @property
-    def window_s(self) -> float:
-        """Last computed window in seconds (0 = dispatch at once)."""
-        return self._window
-
-    def current(self) -> float:
-        """Window to apply to the batch starting *now* (idle-reset aware).
-
-        Called by the dispatcher when the first request of a batch
-        arrives: a lull longer than ``idle_reset_s`` since the previous
-        batch zeroes the window before it is paid, so the request that
-        ends an idle period dispatches immediately.
-        """
-        if self.cap_s <= 0.0:
-            return 0.0
-        if (
-            self._last_batch_t is not None
-            and self._clock() - self._last_batch_t > self.idle_reset_s
-        ):
-            self._window = 0.0
-        return self._window
-
-    def observe(self, n_requests: int, queue_depth: int) -> float:
-        """Account one drained batch; returns the window for the next one.
-
-        ``n_requests`` is how many requests the batch carried and
-        ``queue_depth`` how many were still queued when it dispatched.
-        """
-        if self.cap_s <= 0.0:
-            return 0.0
-        self._last_batch_t = self._clock()
-        if n_requests >= 2 or queue_depth > 0:
-            self._window = min(
-                self.cap_s, max(self._window * 2.0, self.cap_s / 16.0)
-            )
-        elif self._window > 0.0:
-            self._window *= 0.5
-            if self._window < self.cap_s / 64.0:
-                self._window = 0.0
-        return self._window
 
 
 class QueryService:
@@ -498,13 +416,11 @@ class QueryService:
     background thread drains the queue, coalesces compatible requests
     (same engine, eps, and query kind -- kNN requests coalesce across
     different k, served once at the largest k and split as per-request
-    prefixes) that arrive within the current coalescing window of the
-    first -- or until ``max_batch_points`` query rows are buffered --
-    into **one** engine call, and splits the answer back per request.
-    The window adapts between 0 and ``max_delay_s`` (see
-    :class:`AdaptiveWindow`; ``adaptive_window=False`` pins it at
-    ``max_delay_s``); its live value is exported as the
-    ``repro_service_batch_window_seconds`` gauge.  Use as a context
+    prefixes) into **one** engine call, and splits the answer back per
+    request.  A batch is the first request plus whatever is already
+    queued behind it (up to ``max_batch_points`` query rows): nothing
+    waits on a timer, so the requests that coalesce are the ones that
+    arrived while the previous engine call ran.  Use as a context
     manager, or call :meth:`start` / :meth:`stop`.
 
     The submission queue is bounded at ``max_queue_depth`` requests: a
@@ -519,7 +435,6 @@ class QueryService:
         cache: IndexCache | None = None,
         *,
         max_batch_points: int = 4096,
-        max_delay_s: float = 0.002,
         precision: str = "fp64",
         mmap: bool = True,
         batched: bool = False,
@@ -527,7 +442,6 @@ class QueryService:
         default_deadline_s: float | None = None,
         verify: str = "header",
         metrics: "MetricsRegistry | None" = None,
-        adaptive_window: bool = True,
         tracer: "trace_mod.Tracer | None" = None,
     ) -> None:
         # One registry backs service + cache: adopt an explicit one, else
@@ -551,10 +465,6 @@ class QueryService:
             tracer if tracer is not None else trace_mod.Tracer(sample=0.0)
         )
         self.max_batch_points = int(max_batch_points)
-        self.max_delay_s = float(max_delay_s)
-        self.adaptive_window = bool(adaptive_window)
-        #: The live coalescing-window controller (dispatcher-thread only).
-        self.window = AdaptiveWindow(self.max_delay_s)
         self.batched = batched
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -600,11 +510,6 @@ class QueryService:
             "repro_service_queue_capacity",
             "Admission-control bound on queued requests",
         ).set(float(self.max_queue_depth))
-        self._g_window = m.gauge(
-            "repro_service_batch_window_seconds",
-            "Micro-batch coalescing window (adaptive; 0 = immediate)",
-        )
-        self._g_window.set(self.max_delay_s)
         m.gauge(
             "repro_service_draining",
             "1 while stop() is refusing new submissions",
@@ -733,7 +638,14 @@ class QueryService:
         # Locked: concurrent first submits must not each spawn a
         # dispatcher (two loops would split batches that should coalesce).
         with self._lifecycle_lock:
-            if self._thread is None or not self._thread.is_alive():
+            if self._thread is not None and self._thread.is_alive():
+                # A dispatcher that outlived stop()'s join (still inside
+                # a batch) carries on rather than gaining a twin --
+                # mutations stay serialized on one thread.  Checked
+                # first so a running service's submits take no extra lock.
+                if self._stop.is_set() and not self._draining:
+                    self._stop.clear()
+            else:
                 self._stop.clear()
                 self._thread = threading.Thread(
                     target=self._loop, name="repro-query-service", daemon=True
@@ -767,9 +679,12 @@ class QueryService:
                         break
                     time.sleep(0.001)
             self._stop.set()
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
+            # The loop drops its own reference when it exits; one that
+            # is still inside a batch when the join times out stays the
+            # service's dispatcher, so a later start() revives it.
+            thread = self._thread
+            if thread is not None:
+                thread.join(timeout=5.0)
             # Fail anything still queued rather than leaving its waiters
             # blocked until their own timeouts.
             while True:
@@ -832,9 +747,13 @@ class QueryService:
             raise ValueError(
                 f"queries must be (q, {engine.dim}); got shape {q.shape}"
             )
+        if k is not None and int(k) < 1:
+            # Alone, a bad k fails in the engine; coalesced with a valid
+            # one it would be sliced out of the max-k answer instead.
+            raise ValueError("k must be positive")
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        pending = _Pending(
+        return self._enqueue(_Pending(
             engine,
             q,
             float(eps) if eps is not None else None,
@@ -843,17 +762,7 @@ class QueryService:
             time.monotonic() + float(deadline_s)
             if deadline_s is not None
             else None,
-        )
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            self._c_rejected.inc()
-            raise ServiceOverloaded(
-                f"submission queue is full ({self.max_queue_depth} requests "
-                "queued); back off and retry",
-                retry_after=max(self.max_delay_s * 2, 0.05),
-            ) from None
-        return pending
+        ))
 
     def query(self, index, queries, *, eps=None, k=None, timeout=30.0):
         """Blocking convenience: ``submit(...).result(timeout)``."""
@@ -878,7 +787,6 @@ class QueryService:
             raise ServiceOverloaded(
                 f"submission queue is full ({self.max_queue_depth} requests "
                 "queued); back off and retry",
-                retry_after=max(self.max_delay_s * 2, 0.05),
             ) from None
         return pending
 
@@ -999,37 +907,40 @@ class QueryService:
     # -- dispatch loop --------------------------------------------------
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
+        while not self._exiting():
             try:
                 first = self._queue.get(timeout=0.05)
             except queue.Empty:
                 continue
-            window = (
-                self.window.current() if self.adaptive_window
-                else self.max_delay_s
-            )
             batch = [first]
             points = first.queries.shape[0]
-            deadline = time.monotonic() + window
-            # Coalescing window: whatever lands in the queue while the
-            # window is open rides in this dispatch.
+            # No timer: the batch is whatever queued while the previous
+            # one ran, so an idle service dispatches a lone request at
+            # once and a busy one coalesces what its engine call held up.
             while points < self.max_batch_points:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 batch.append(nxt)
                 points += nxt.queries.shape[0]
-            if self.adaptive_window:
-                # Steer on what this drain saw, then export the window
-                # the *next* batch will pay.
-                self._g_window.set(
-                    self.window.observe(len(batch), self._queue.qsize())
-                )
             self._dispatch(batch)
+
+    def _exiting(self) -> bool:
+        """True once this loop should return (it then forgets itself).
+
+        Decided under the lifecycle lock, so a :meth:`start` racing the
+        exit either revives this loop or finds no dispatcher and spawns
+        one -- never neither, and never a second loop beside this one.
+        """
+        if not self._stop.is_set():
+            return False
+        with self._lifecycle_lock:
+            if not self._stop.is_set():
+                return False
+            if self._thread is threading.current_thread():
+                self._thread = None
+            return True
 
     def _dispatch(self, batch: list[_Pending]) -> None:
         now = time.monotonic()
@@ -1070,8 +981,8 @@ class QueryService:
                 self._h_fill.observe(float(len(reqs)))
             t0 = time.perf_counter()
             # The time between submit and dispatch is the queue wait
-            # (admission queue + coalescing window), attributed to each
-            # request before the engine runs.
+            # (the engine calls ahead of it), attributed to each request
+            # before the engine runs.
             for req in reqs:
                 if req.span is not None:
                     self.tracer.record_span(
@@ -1758,7 +1669,6 @@ def run_self_test(
 
 
 __all__ = [
-    "AdaptiveWindow",
     "IndexCache",
     "QueryService",
     "ServiceError",

@@ -3,7 +3,7 @@
 The serving stack's metrics (:mod:`repro.service.metrics`) say *that*
 p99 moved; this module says *where*.  A **trace** is the tree of timed
 **spans** one request produces on its way through the stack -- HTTP
-front end, admission queue, adaptive batch window, engine dispatch,
+front end, admission queue, micro-batch assembly, engine dispatch,
 per-stage kernel work -- identified by a ``trace_id`` that doubles as
 the request id echoed in every ``X-Request-Id`` response header.
 

@@ -1,13 +1,16 @@
-"""HTTP serving pipeline: front-end conformance, adaptive micro-batch
-window, cross-k kNN coalescing, client connection reuse, and the
+"""HTTP serving pipeline: front-end conformance, drain-the-queue
+micro-batching, cross-k kNN coalescing, client connection reuse, and the
 open-loop load driver against a live server.
 
 The contracts under test: one keep-alive connection serves a mixed
 sequence of answers and error responses without losing its framing,
 a request the server cannot frame closes the connection, no response
-waits on the client's delayed ACK, and the adaptive coalescing window
-never changes *what* a request answers -- only how requests share
-executor batches.
+waits on the client's delayed ACK, and the dispatcher -- which batches
+whatever queued while the engine was busy, never waiting on a timer --
+never changes *what* a request answers, only how requests share
+executor batches.  Tests that need requests to coalesce hold the
+dispatcher inside one batch with an injected ``service.dispatch``
+delay, so the requests submitted meanwhile queue behind it.
 """
 
 import http.client
@@ -19,9 +22,10 @@ import time
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.api import build_index
 from repro.core.selectivity import epsilon_for_selectivity
-from repro.service import AdaptiveWindow, QueryService, ServiceClient
+from repro.service import QueryService, ServiceClient
 from repro.service.query import QueryEngine
 from repro.service.server import _Pending, make_server
 
@@ -107,85 +111,110 @@ class _RawConnection:
 
 
 # ----------------------------------------------------------------------
-# AdaptiveWindow (pure controller, fake clock)
+# Drain-the-queue batching
 # ----------------------------------------------------------------------
 
-
-class FakeClock:
-    def __init__(self):
-        self.t = 100.0
-
-    def __call__(self):
-        return self.t
+#: How long a held batch keeps the dispatcher busy.
+HOLD_S = 0.2
 
 
-class TestAdaptiveWindow:
-    def test_negative_cap_raises(self):
-        with pytest.raises(ValueError):
-            AdaptiveWindow(-0.001)
+def _hold(svc, engine, rows):
+    """Park ``svc``'s dispatcher inside one batch for ``HOLD_S``.
 
-    def test_zero_cap_is_always_immediate(self):
-        w = AdaptiveWindow(0.0, clock=FakeClock())
-        assert w.current() == 0.0
-        assert w.observe(10, 50) == 0.0
-        assert w.current() == 0.0
+    Returns the held request's handle once the dispatcher has taken it:
+    everything submitted before the hold ends queues behind that batch
+    and comes out together in the next one.
+    """
+    faults.arm("service.dispatch", "delay", param=HOLD_S, count=1)
+    before = svc.batches_dispatched
+    held = svc.submit(engine, rows)
+    give_up = time.monotonic() + 5.0
+    while svc.batches_dispatched == before:
+        assert time.monotonic() < give_up, "the held batch never dispatched"
+        time.sleep(0.001)
+    return held
 
-    def test_solo_batches_shrink_to_zero(self):
-        clk = FakeClock()
-        w = AdaptiveWindow(0.002, clock=clk)
-        assert w.current() == pytest.approx(0.002)  # starts at the cap
-        seen = []
-        for _ in range(12):
-            clk.t += 0.01
-            seen.append(w.observe(1, 0))
-        assert seen[0] == pytest.approx(0.001)  # halved
-        assert seen[-1] == 0.0  # snapped to zero below cap/64
-        assert w.current() == 0.0  # and the next batch pays nothing
 
-    def test_pressure_widens_up_to_cap(self):
-        clk = FakeClock()
-        w = AdaptiveWindow(0.002, clock=clk)
-        for _ in range(12):  # drive it to zero first
-            clk.t += 0.01
-            w.observe(1, 0)
-        assert w.current() == 0.0
-        first = w.observe(4, 0)  # coalesced batch: reopen the window
-        assert first == pytest.approx(0.002 / 16)  # floor = cap/16
-        prev, widened = first, [first]
-        for _ in range(8):
-            clk.t += 0.001
-            prev = w.observe(4, 0)
-            widened.append(prev)
-        assert prev == pytest.approx(0.002)  # doubled up to the cap...
-        assert max(widened) <= 0.002 + 1e-12  # ...and never past it
+def _dispatcher_threads():
+    return {
+        t for t in threading.enumerate()
+        if t.name == "repro-query-service" and t.is_alive()
+    }
 
-    def test_queue_depth_counts_as_pressure(self):
-        clk = FakeClock()
-        w = AdaptiveWindow(0.002, clock=clk)
-        for _ in range(12):
-            clk.t += 0.01
-            w.observe(1, 0)
-        assert w.observe(1, 3) > 0.0  # solo batch, but a backlog exists
 
-    def test_idle_reset_zeroes_stale_window(self):
-        clk = FakeClock()
-        w = AdaptiveWindow(0.002, idle_reset_s=1.0, clock=clk)
-        w.observe(8, 4)
-        assert w.window_s > 0.0
-        clk.t += 0.5
-        assert w.current() > 0.0  # not idle yet
-        clk.t += 10.0
-        # The first request after a lull must not pay a window tuned
-        # for a burst that ended seconds ago.
-        assert w.current() == 0.0
+def _canonical_range(res):
+    """``(i, j, distance bits)`` in ``(i, j)`` order, for bitwise compares."""
+    order = np.lexsort((res.pairs_j, res.pairs_i))
+    return (
+        res.pairs_i[order], res.pairs_j[order],
+        res.sq_dists[order].view(np.uint32),
+    )
 
-    def test_service_exposes_controller_and_flag(self, index_dir):
-        svc = QueryService(max_delay_s=0.004)
-        assert svc.adaptive_window is True
-        assert isinstance(svc.window, AdaptiveWindow)
-        assert svc.window.cap_s == pytest.approx(0.004)
-        pinned = QueryService(max_delay_s=0.004, adaptive_window=False)
-        assert pinned.adaptive_window is False
+
+class TestDrainBatching:
+    def test_requests_queued_behind_a_batch_ride_the_next_one(
+        self, data_eps, index_dir
+    ):
+        """Three compatible requests submitted while the engine is busy
+        come out as exactly one following batch, each answer bitwise
+        equal to its serial call."""
+        data, _ = data_eps
+        rng = np.random.default_rng(5)
+        qs = [
+            np.ascontiguousarray(
+                data[rng.integers(0, len(data), nq)]
+                + rng.normal(0, 0.05, size=(nq, data.shape[1]))
+            )
+            for nq in (2, 3, 4)
+        ]
+        svc = QueryService()
+        try:
+            engine = svc.engine_for(index_dir)
+            before = svc.stats()
+            held = _hold(svc, engine, data[:1])
+            pendings = [svc.submit(engine, q) for q in qs]
+            got = [p.result(timeout=10.0) for p in pendings]
+            held.result(timeout=10.0)
+            after = svc.stats()
+        finally:
+            faults.disarm()
+            svc.stop()
+        assert after["batches_dispatched"] - before["batches_dispatched"] == 2
+        assert after["requests_coalesced"] - before["requests_coalesced"] == 3
+        for res, q in zip(got, qs):
+            for a, b in zip(
+                _canonical_range(res), _canonical_range(engine.range_query(q))
+            ):
+                np.testing.assert_array_equal(a, b)
+
+    def test_stop_whose_join_times_out_keeps_one_dispatcher(
+        self, data_eps, index_dir
+    ):
+        """A stop() that gives up on a dispatcher still inside a batch
+        must not let the next submit start a second loop beside it."""
+        data, _ = data_eps
+        existing = _dispatcher_threads()
+        svc = QueryService()
+        try:
+            engine = svc.engine_for(index_dir)
+            _hold(svc, engine, data[:1])
+            # The join "times out": the dispatcher is still mid-batch.
+            svc._thread.join = lambda timeout=None: None
+            svc.stop()
+            res = svc.query(engine, data[:2], timeout=10.0)
+            assert res.n_left == 2
+            assert len(_dispatcher_threads() - existing) == 1
+        finally:
+            faults.disarm()
+            svc.stop()
+
+
+class TestRemovedBatchWindowKnob:
+    def test_max_delay_s_is_not_accepted(self):
+        """The service has no coalescing window to size: a caller still
+        passing one fails loudly instead of being silently ignored."""
+        with pytest.raises(TypeError):
+            QueryService(max_delay_s=0.002)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +262,7 @@ class TestCrossKCoalescing:
 
     def test_live_coalesced_cross_k_matches_serial(self, data_eps, index_dir):
         data, eps = data_eps
-        svc = QueryService(max_delay_s=0.25)
+        svc = QueryService()
         try:
             engine = svc.engine_for(index_dir)  # warm the cache first
             rng = np.random.default_rng(4)
@@ -245,7 +274,7 @@ class TestCrossKCoalescing:
                 for _ in range(6)
             ]
             ks = (1, 2, 3, 4, 5, 8)
-            svc.start()
+            held = _hold(svc, engine, data[:1])
             pendings = [
                 svc.submit(engine, q, k=k) for q, k in zip(qs, ks)
             ]
@@ -258,12 +287,52 @@ class TestCrossKCoalescing:
                     got.sq_dists.view(np.uint32),
                     want.sq_dists.view(np.uint32),
                 )
-            # Different-k requests landed in shared engine batches: the
-            # coalesced counter moved (the 0.25 s window makes this
-            # deterministic in practice -- submissions take microseconds).
-            assert svc.stats()["requests_coalesced"] > 0
+            held.result(timeout=10.0)
+            # Every different-k request queued behind the held batch and
+            # shared the next engine call.
+            assert svc.stats()["requests_coalesced"] == len(ks)
         finally:
+            faults.disarm()
             svc.stop()
+
+    def test_bad_k_is_400_even_beside_a_valid_k(self, data_eps, index_dir):
+        """``k=-2`` queued next to a ``k=5`` request must not be served
+        as a slice of the shared k=5 answer: it is refused at submit."""
+        data, _ = data_eps
+        q = data[:3].tolist()
+        server, thread = _serve(index_dir)
+        out = {}
+
+        def post(name, path, payload):
+            conn = _RawConnection(*server.server_address[:2])
+            try:
+                out[name] = conn.request("POST", path, payload)
+            finally:
+                conn.close()
+
+        try:
+            svc = server.service
+            engine = svc.engine_for(index_dir)
+            held = _hold(svc, engine, data[:1])
+            posts = [
+                threading.Thread(target=post, args=(name, "/knn", body))
+                for name, body in (
+                    ("good", {"queries": q, "k": 5}),
+                    ("bad", {"queries": q, "k": -2}),
+                )
+            ]
+            for t in posts:
+                t.start()
+            for t in posts:
+                t.join(timeout=10.0)
+            held.result(timeout=10.0)
+        finally:
+            faults.disarm()
+            _stop(server, thread)
+        assert out["good"][0] == 200
+        status, body = out["bad"]
+        assert status == 400, body
+        assert "k must be positive" in json.loads(body)["error"]
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +398,7 @@ class TestFrontendConformance:
             status, text = roundtrip("GET", "/metrics")
             assert status == 200
             assert "repro_http_requests_total" in text
-            assert "repro_service_batch_window_seconds" in text
+            assert "repro_service_batch_fill" in text
             status, stats = roundtrip("GET", "/stats")
             assert status == 200 and stats["requests_served"] >= 2
             conn.close()

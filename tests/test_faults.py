@@ -424,7 +424,7 @@ class TestAdmissionControl:
     def test_overload_rejects_within_50ms(self, served_index):
         path, data, eps = served_index
         q = data[:4]
-        svc = QueryService(max_queue_depth=2, max_delay_s=0.001)
+        svc = QueryService(max_queue_depth=2)
         faults.arm("service.dispatch", "delay", param=0.3)
         try:
             handles = [svc.submit(path, q, eps=eps)]
@@ -472,6 +472,18 @@ class TestAdmissionControl:
         res = svc.query(path, q, eps=eps, timeout=10)
         assert res.n_left == 4
         svc.stop()
+
+    def test_wait_that_runs_out_is_a_typed_504(self):
+        """A waiter giving up on an unanswered request gets the typed
+        deadline error -- still a ``TimeoutError`` -- which the HTTP
+        layer maps to 504, not a generic 500."""
+        from repro.service.server import _Pending, _error_response
+
+        pending = _Pending(None, np.zeros((1, 2)), None, "range", None)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            pending.result(timeout=0.01)
+        assert isinstance(excinfo.value, TimeoutError)
+        assert _error_response(excinfo.value)[0] == 504
 
     def test_stale_requests_fail_with_deadline_exceeded(self, served_index):
         path, data, eps = served_index

@@ -485,7 +485,7 @@ class TestStatusAccounting:
                 mode="open", target_rps=400.0, duration_s=0.4,
                 concurrency=8, deadline_s=0.005, seed=3,
             )
-            svc = QueryService(max_delay_s=0.001)
+            svc = QueryService()
             try:
                 from repro.loadgen.generator import run_against_service
 
@@ -507,7 +507,7 @@ class TestStatusAccounting:
                 mode="open", target_rps=800.0, duration_s=0.3,
                 concurrency=12, seed=4,
             )
-            svc = QueryService(max_queue_depth=1, max_delay_s=0.001)
+            svc = QueryService(max_queue_depth=1)
             try:
                 from repro.loadgen.generator import run_against_service
 

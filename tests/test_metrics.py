@@ -355,7 +355,7 @@ class TestServiceMetrics:
         the registry lock, so no interleaving may expose served without
         its batch or coalesced > served."""
         path, data, eps = index_path
-        svc = QueryService(max_delay_s=0.001)
+        svc = QueryService()
         bad = []
         stop = threading.Event()
 

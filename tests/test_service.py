@@ -632,6 +632,19 @@ class TestQueryService:
             res = svc.query(tmp_path / "g", _queries(data, eps, nq=4))
             assert res.n_left == 4
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_bad_k_fails_its_own_submit(self, data_eps, tmp_path, k):
+        """A non-positive k is refused before it can join a kNN batch
+        (served at the group's largest k, it would be sliced, not
+        refused)."""
+        data, eps = data_eps
+        build_index(data, eps, tmp_path / "g")
+        with QueryService() as svc:
+            depth = svc.stats()["queue_depth"]
+            with pytest.raises(ValueError, match="k must be positive"):
+                svc.submit(tmp_path / "g", _queries(data, eps, nq=2), k=k)
+            assert svc.stats()["queue_depth"] == depth
+
 
 class TestHttpServer:
     def test_endpoints(self, data_eps, tmp_path):
