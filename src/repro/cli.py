@@ -650,6 +650,9 @@ def _cmd_serve(args) -> str:
             f"({stats['requests_coalesced']} coalesced, "
             f"{stats['requests_rejected']} rejected, "
             f"{out['client_retries']} client retries absorbed)\n"
+            f"/metrics: {out['metrics_series']} series parsed, "
+            f"server 5xx responses: {out['http_5xx']}\n"
+            f"/trace/recent: {out['traces_retained']} retained query traces\n"
             f"cache: {stats['cache']}"
         )
     try:
@@ -675,202 +678,6 @@ def _cmd_serve(args) -> str:
         server.shutdown()
         server.server_close()
     return "server stopped"
-
-
-def _cmd_loadtest(args) -> str:
-    from repro import log as _log
-    from repro.loadgen import load_config, run_experiment
-    from repro.service.metrics import parse_prometheus_text
-
-    _log.setup()  # structured JSON logs on stderr for the serving path
-    if args.config is not None:
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError, RuntimeError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-    else:
-        base = {
-            "mode": args.mode,
-            "duration_s": args.duration,
-            "concurrency": args.concurrency,
-            "batch_size": args.batch_size,
-            "range_fraction": args.range_fraction,
-            "append_fraction": args.append_fraction,
-            "delete_fraction": args.delete_fraction,
-            "k": args.k,
-            "zipf_s": args.zipf,
-            "seed": args.seed,
-        }
-        if args.deadline is not None:
-            base["deadline_s"] = args.deadline
-        factors = {}
-        if args.sweep is not None:
-            base["mode"] = "open"
-            try:
-                factors["target_rps"] = [
-                    float(x) for x in args.sweep.split(",") if x.strip()
-                ]
-            except ValueError as exc:
-                raise SystemExit(
-                    f"error: --sweep takes comma-separated rates: {exc}"
-                ) from exc
-        elif args.mode == "open":
-            base["target_rps"] = args.rps
-        config = {
-            "name": "loadtest",
-            "base": base,
-            "factors": factors,
-            "repetitions": args.repetitions,
-        }
-
-    server = None
-    http_server = None
-    http_thread = None
-    client = None
-    if args.server is not None and args.http:
-        raise SystemExit("error: pass --server or --http, not both")
-    if args.server is not None:
-        host, _, port = args.server.rpartition(":")
-        if not port.isdigit():
-            raise SystemExit(
-                f"error: --server must be HOST:PORT, got {args.server!r}"
-            )
-        server = (host or "127.0.0.1", int(port))
-    elif args.http:
-        # Spin up the real HTTP server on an ephemeral port and drive it
-        # over the wire -- the CI smoke path: exercises admission
-        # control, /metrics, and the JSON layer, not just the service.
-        import threading
-
-        from repro.service import ServiceClient, make_server
-
-        try:
-            http_server = make_server(
-                {"default": args.index}, port=0,
-                trace_sample=args.trace_sample, trace_log=args.trace_log,
-                slow_ms=args.slow_ms,
-            )
-        except (ValueError, OSError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        host, port = http_server.server_address[:2]
-        server = (host, port)
-        http_thread = threading.Thread(
-            target=http_server.serve_forever, daemon=True
-        )
-        http_thread.start()
-        client = ServiceClient(host, port)
-
-    lines = []
-    try:
-        try:
-            report = run_experiment(
-                config,
-                index=args.index,
-                server=server,
-                out_json=args.out,
-                out_csv=args.csv,
-            )
-        except (ValueError, OSError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        lines.append(
-            f"loadtest {report['name']!r}: {report['n_runs']} runs "
-            f"(factors {report['factors'] or '{}'}"
-            f" x {report['repetitions']} reps)"
-        )
-        header = (
-            "run", "mode", "offered_rps", "ok", "429", "504", "err",
-            "drop", "rps", "p50 ms", "p95 ms", "p99 ms",
-        )
-        lines.append("  ".join(f"{h:>11}" for h in header))
-        for row in report["rows"]:
-            def fmt(v, nd=1):
-                return "-" if v is None else f"{v:.{nd}f}"
-
-            lines.append("  ".join(
-                f"{str(c):>11}" for c in (
-                    row["run_id"], row["mode"], fmt(row["offered_rps"]),
-                    row["ok"], row["err_429"], row["err_504"],
-                    row["err_other"], row["dropped"],
-                    fmt(row["throughput_rps"]), fmt(row["p50_ms"], 2),
-                    fmt(row["p95_ms"], 2), fmt(row["p99_ms"], 2),
-                )
-            ))
-        if report.get("saturation_knee_rps") is not None:
-            lines.append(
-                f"saturation knee: {report['saturation_knee_rps']:.0f} RPS "
-                "(last offered rate with throughput >= 85% of offered)"
-            )
-        if args.out:
-            lines.append(f"report written to {args.out}")
-        if args.csv:
-            lines.append(f"rows written to {args.csv}")
-
-        problems = []
-        if client is not None:
-            # The smoke contract: /metrics parses, and the server
-            # answered no 5xx (the generator's "error" bucket would
-            # also catch them from the client side).
-            try:
-                samples = parse_prometheus_text(client.metrics_text())
-            except (ValueError, RuntimeError, OSError) as exc:
-                samples = None
-                problems.append(f"/metrics failed to parse: {exc}")
-            if samples is not None:
-                totals = samples.get("repro_http_requests_total", {})
-                n5xx = sum(
-                    v for key, v in totals.items()
-                    for lk, lv in key
-                    if lk == "status" and lv.startswith("5")
-                )
-                lines.append(
-                    f"/metrics: {len(samples)} series parsed, "
-                    f"server 5xx responses: {int(n5xx)}"
-                )
-                if n5xx:
-                    problems.append(f"server answered {int(n5xx)} 5xx")
-            if args.trace_sample > 0:
-                # Tracing smoke: the retained-trace ring must have
-                # caught the bout when sampling is armed.
-                try:
-                    status, body, _ = client.request_once(
-                        "GET", "/trace/recent"
-                    )
-                except (OSError, ValueError) as exc:
-                    status, body = None, None
-                    problems.append(f"/trace/recent failed: {exc}")
-                if isinstance(body, dict) and status == 200:
-                    n_traces = len(body.get("traces", []))
-                    lines.append(
-                        f"/trace/recent: {n_traces} retained traces "
-                        f"({body.get('traces_started', 0)} started, "
-                        f"{body.get('traces_dropped', 0)} dropped)"
-                    )
-                    if not n_traces:
-                        problems.append(
-                            "tracing armed but no traces retained"
-                        )
-                elif status is not None:
-                    problems.append(f"/trace/recent returned HTTP {status}")
-            if args.trace_log is not None:
-                lines.append(f"trace spans exported to {args.trace_log}")
-        for row in report["rows"]:
-            if row["err_other"]:
-                problems.append(
-                    f"run {row['run_id']}: {row['err_other']} failed requests"
-                )
-            if row["ok"] and row["p99_ms"] is None:
-                problems.append(f"run {row['run_id']}: p99 undefined")
-        if args.assert_healthy and problems:
-            raise SystemExit("error: unhealthy loadtest: " + "; ".join(problems))
-    finally:
-        if client is not None:
-            client.close()
-        if http_server is not None:
-            http_server.shutdown()
-            http_server.server_close()
-        if http_thread is not None:
-            http_thread.join(timeout=5.0)
-    return "\n".join(lines)
 
 
 def _cmd_trace_report(args) -> str:
@@ -1118,106 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
         "at least this long, regardless of the sampling coin",
     )
     sv.set_defaults(fn=_cmd_serve)
-
-    lt = sub.add_parser(
-        "loadtest",
-        help="load-test the query service: open/closed-loop generator, "
-        "factors x repetitions run table, latency percentiles",
-    )
-    lt.add_argument("index", help="persisted index directory")
-    lt.add_argument(
-        "--config", default=None, metavar="PATH",
-        help="TOML/JSON experiment config (base + factors + repetitions); "
-        "overrides the quick flags below",
-    )
-    lt.add_argument(
-        "--mode", choices=("closed", "open"), default="closed",
-        help="closed: fixed concurrency; open: fixed arrival rate",
-    )
-    lt.add_argument(
-        "--rps", type=float, default=100.0,
-        help="open-loop target arrival rate (requests/s)",
-    )
-    lt.add_argument(
-        "--sweep", default=None, metavar="R1,R2,...",
-        help="comma-separated open-loop RPS levels to sweep (implies "
-        "--mode open; enables saturation-knee detection)",
-    )
-    lt.add_argument(
-        "--duration", type=float, default=5.0, metavar="S",
-        help="seconds per run",
-    )
-    lt.add_argument(
-        "--concurrency", type=int, default=4, metavar="N",
-        help="closed-loop workers / open-loop in-flight cap",
-    )
-    lt.add_argument(
-        "--batch-size", type=int, default=8, metavar="Q",
-        help="query rows per request",
-    )
-    lt.add_argument(
-        "--range-fraction", type=float, default=1.0, metavar="F",
-        help="share of read requests going to range (the rest are kNN)",
-    )
-    lt.add_argument(
-        "--append-fraction", type=float, default=0.0, metavar="F",
-        help="share of requests appending rows (mutable index only)",
-    )
-    lt.add_argument(
-        "--delete-fraction", type=float, default=0.0, metavar="F",
-        help="share of requests deleting own appended rows (mutable only)",
-    )
-    lt.add_argument("--k", type=int, default=5, help="kNN neighbor count")
-    lt.add_argument(
-        "--zipf", type=float, default=0.0, metavar="S",
-        help="Zipf skew over grid-cell popularity (0 = uniform)",
-    )
-    lt.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="per-request deadline in seconds (in-process mode)",
-    )
-    lt.add_argument("--seed", type=int, default=0)
-    lt.add_argument(
-        "--repetitions", type=int, default=1, metavar="R",
-        help="repetitions per factor cell (seed advances per rep)",
-    )
-    lt.add_argument(
-        "--server", default=None, metavar="HOST:PORT",
-        help="drive a running `serve` instance instead of an in-process "
-        "service (the index path still builds the local query pool)",
-    )
-    lt.add_argument(
-        "--http", action="store_true",
-        help="spin up the HTTP server on an ephemeral port and drive it "
-        "over the wire; checks /metrics parses and no 5xx afterwards",
-    )
-    lt.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the full JSON report here",
-    )
-    lt.add_argument(
-        "--csv", default=None, metavar="PATH",
-        help="write the flat run-table rows as CSV here",
-    )
-    lt.add_argument(
-        "--trace-sample", type=float, default=0.0, metavar="P",
-        help="trace sampling probability for the --http server; also "
-        "checks /trace/recent retained at least one trace afterwards",
-    )
-    lt.add_argument(
-        "--trace-log", default=None, metavar="PATH",
-        help="JSONL span export for the --http server (see serve)",
-    )
-    lt.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
-        help="slow-query retention threshold for the --http server",
-    )
-    lt.add_argument(
-        "--assert-healthy", action="store_true",
-        help="exit non-zero on failed requests, undefined p99, unparsable "
-        "/metrics, or any server 5xx (the CI smoke contract)",
-    )
-    lt.set_defaults(fn=_cmd_loadtest)
 
     tr = sub.add_parser(
         "trace",

@@ -319,7 +319,7 @@ class MutableIndex:
     :class:`~repro.service.query.QueryEngine` (``range_query`` /
     ``knn_query`` / ``eps`` / ``dim`` / ``n_points``), so the whole
     serving stack -- :class:`~repro.service.server.QueryService`
-    micro-batching, the HTTP front end, the load generator -- works on it
+    micro-batching and the HTTP front end -- works on it
     unchanged, with ``n_points`` reporting the **live** row count.
 
     Query answers index rows by **global id**: the dense ``0..n-1``

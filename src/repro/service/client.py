@@ -116,10 +116,9 @@ class ServiceClient:
                      payload: dict | None = None):
         """One attempt, **no** retries: ``(status, body, retry_after)``.
 
-        The load generator uses this to *count* every 429/503 the
-        admission layer emits instead of absorbing them the way
-        :meth:`request` does -- a generator that silently retried would
-        measure the post-backoff world and hide the saturation knee.
+        The building block of :meth:`request`, and the way to observe a
+        429/503 instead of absorbing it (``/trace/recent`` and
+        ``/metrics`` scrapes use it directly).
         The body is parsed JSON when the response says it is JSON, the
         raw decoded text otherwise (``/metrics`` is Prometheus text).
         Connection-level failures propagate (the stale connection is

@@ -26,8 +26,8 @@ Design constraints:
   bucket math exactly testable.
 * **Stdlib only.**  Rendering follows the Prometheus text format
   (``text/plain; version=0.0.4``); :func:`parse_prometheus_text` is the
-  matching reader used by tests, the load generator's health check, and
-  the service benchmark.
+  matching reader used by tests and by the serve self-test's health
+  check.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ BATCH_FILL_BUCKETS = tuple(float(1 << i) for i in range(12))
 class LogHistogram:
     """Streaming histogram over fixed bucket upper bounds.
 
-    Standalone-usable (the load generator aggregates latencies through
-    one shared instance across worker threads); inside a
+    Standalone-usable with its own lock; inside a
     :class:`MetricsRegistry` the registry's lock is shared instead so
     histogram observations participate in atomic snapshots.
     """

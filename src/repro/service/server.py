@@ -92,6 +92,7 @@ from repro.service.metrics import (
     BATCH_FILL_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
+    parse_prometheus_text,
 )
 from repro.service.query import KnnResult, QueryEngine
 
@@ -1580,6 +1581,49 @@ def make_server(
     return server
 
 
+def _health_check(host: str, port: int, trace_sample: float) -> dict:
+    """Scrape a live server's observability surface after a smoke.
+
+    Returns ``metrics_series`` (samples parsed from ``/metrics``),
+    ``http_5xx`` (5xx answers counted in ``repro_http_requests_total``),
+    ``traces_retained`` (``POST`` query traces in the ``/trace/recent``
+    ring; the scrapes' own GETs do not count) and ``problems``:
+    ``/metrics`` that does not parse, any 5xx, or -- with tracing armed
+    -- no retained query trace.
+    """
+    from repro.service.client import ServiceClient
+
+    problems: list[str] = []
+    out = {"metrics_series": 0, "http_5xx": 0, "traces_retained": 0}
+    with ServiceClient(host, port, timeout=30.0) as sc:
+        try:
+            samples = parse_prometheus_text(sc.metrics_text())
+        except (ValueError, RuntimeError) as exc:
+            problems.append(f"/metrics failed to parse: {exc}")
+        else:
+            out["metrics_series"] = len(samples)
+            out["http_5xx"] = int(sum(
+                v for key, v in samples.get(
+                    "repro_http_requests_total", {}
+                ).items()
+                if dict(key).get("status", "").startswith("5")
+            ))
+            if out["http_5xx"]:
+                problems.append(f"server answered {out['http_5xx']} 5xx")
+        status, body, _ = sc.request_once("GET", "/trace/recent")
+        if status == 200 and isinstance(body, dict):
+            out["traces_retained"] = sum(
+                1 for t in body.get("traces", [])
+                if str(t.get("root", "")).startswith("POST ")
+            )
+        else:
+            problems.append(f"/trace/recent returned HTTP {status}")
+    if trace_sample > 0 and not out["traces_retained"]:
+        problems.append("tracing armed but no traces retained")
+    out["problems"] = problems
+    return out
+
+
 def run_self_test(
     index_path: str | Path,
     *,
@@ -1591,7 +1635,7 @@ def run_self_test(
     trace_log: "str | Path | None" = None,
     slow_ms: "float | None" = None,
 ) -> dict:
-    """One-shot serve smoke: spin up, hammer, verify, shut down.
+    """One-shot serve smoke: spin up, hammer, verify, check, shut down.
 
     Starts the HTTP server on an ephemeral port, fires ``n_clients``
     concurrent :class:`~repro.service.client.ServiceClient` threads at
@@ -1599,12 +1643,18 @@ def run_self_test(
     HTTP answer against a direct serial :class:`QueryEngine` call on the
     same points.  The retrying client absorbs any 429s the admission
     queue emits (CI runs this with ``service.dispatch`` delay faults
-    armed and a small ``max_queue_depth`` to force exactly that), so the
-    smoke passes iff every request ultimately lands bit-exact.  Returns
-    a summary dict (raises on any mismatch) -- the CI
+    armed and a small ``max_queue_depth`` to force exactly that).
+    Before shutting down it scrapes the server's own health surface:
+    ``/metrics`` must parse, no request may have been answered 5xx, and
+    with ``trace_sample > 0`` the ``/trace/recent`` ring must hold at
+    least one query trace.  The smoke passes iff every request lands bit-exact
+    and the health check is clean; otherwise it raises
+    :class:`AssertionError`.  The server is shut down on every path,
+    setup failures included.  Returns a summary dict -- the CI
     ``serve --self-test`` path.
     """
     from repro.service.client import ServiceClient
+    from repro.service.query import sample_queries
 
     index_path = Path(index_path)
     server = make_server(
@@ -1615,55 +1665,61 @@ def run_self_test(
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    engine = server.service.cache.get(index_path)  # type: ignore[attr-defined]
-    from repro.service.query import sample_queries
+    try:
+        engine = server.service.cache.get(index_path)  # type: ignore[attr-defined]
+        all_queries = sample_queries(
+            engine.source, engine.eps, n_clients * queries_per_client, seed=0
+        )
+        errors: list[str] = []
+        retries = [0] * n_clients
 
-    all_queries = sample_queries(
-        engine.source, engine.eps, n_clients * queries_per_client, seed=0
-    )
-    errors: list[str] = []
-    retries = [0] * n_clients
+        def client(ci: int) -> None:
+            rows = all_queries[
+                ci * queries_per_client : (ci + 1) * queries_per_client
+            ]
+            try:
+                sc = ServiceClient(host, port, timeout=30.0, max_attempts=8)
+                got = sc.range_query(rows.tolist(), index="default")
+                want = engine.range_query(rows)
+                want_sets = [set() for _ in range(rows.shape[0])]
+                for i, j in zip(want.pairs_i.tolist(), want.pairs_j.tolist()):
+                    want_sets[i].add(j)
+                for i, neigh in enumerate(got["neighbors"]):
+                    if set(neigh) != want_sets[i]:
+                        errors.append(
+                            f"client {ci}: range mismatch on query {i}"
+                        )
+                got_knn = sc.knn_query(rows.tolist(), k=3, index="default")
+                want_knn = engine.knn_query(rows, 3)
+                if got_knn["indices"] != want_knn.indices.tolist():
+                    errors.append(f"client {ci}: knn mismatch")
+                retries[ci] = sc.retries
+                sc.close()
+            except Exception as exc:  # noqa: BLE001 -- surfaced in the summary
+                errors.append(f"client {ci}: {exc!r}")
 
-    def client(ci: int) -> None:
-        rows = all_queries[
-            ci * queries_per_client : (ci + 1) * queries_per_client
+        threads = [
+            threading.Thread(target=client, args=(ci,))
+            for ci in range(n_clients)
         ]
-        try:
-            sc = ServiceClient(host, port, timeout=30.0, max_attempts=8)
-            got = sc.range_query(rows.tolist(), index="default")
-            want = engine.range_query(rows)
-            want_sets = [set() for _ in range(rows.shape[0])]
-            for i, j in zip(want.pairs_i.tolist(), want.pairs_j.tolist()):
-                want_sets[i].add(j)
-            for i, neigh in enumerate(got["neighbors"]):
-                if set(neigh) != want_sets[i]:
-                    errors.append(f"client {ci}: range mismatch on query {i}")
-            got_knn = sc.knn_query(rows.tolist(), k=3, index="default")
-            want_knn = engine.knn_query(rows, 3)
-            if got_knn["indices"] != want_knn.indices.tolist():
-                errors.append(f"client {ci}: knn mismatch")
-            retries[ci] = sc.retries
-            sc.close()
-        except Exception as exc:  # noqa: BLE001 -- surfaced in the summary
-            errors.append(f"client {ci}: {exc!r}")
-
-    threads = [
-        threading.Thread(target=client, args=(ci,)) for ci in range(n_clients)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    stats = server.service.stats()  # type: ignore[attr-defined]
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5.0)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        stats = server.service.stats()  # type: ignore[attr-defined]
+        health = _health_check(host, port, trace_sample)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+    errors.extend(health.pop("problems"))
     if errors:
         raise AssertionError("; ".join(errors))
     return {
         "clients": n_clients,
         "queries_per_client": queries_per_client,
         "client_retries": sum(retries),
+        **health,
         "stats": stats,
     }
 

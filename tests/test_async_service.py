@@ -1,6 +1,5 @@
 """HTTP serving pipeline: front-end conformance, drain-the-queue
-micro-batching, cross-k kNN coalescing, client connection reuse, and the
-open-loop load driver against a live server.
+micro-batching, cross-k kNN coalescing and client connection reuse.
 
 The contracts under test: one keep-alive connection serves a mixed
 sequence of answers and error responses without losing its framing,
@@ -672,51 +671,4 @@ class TestClientConnectionReuse:
             assert client.retries == 0
         finally:
             client.close()
-            _stop(server, thread)
-
-
-# ----------------------------------------------------------------------
-# Open-loop load driver against a live server
-# ----------------------------------------------------------------------
-
-
-class TestAsyncLoadgenDriver:
-    def test_open_loop_against_async_frontend(self, index_dir):
-        """The threaded open-loop driver issues its whole schedule over
-        HTTP and every request lands."""
-        from repro.loadgen.generator import WorkloadConfig, run_against_server
-
-        server, thread = _serve(index_dir)
-        try:
-            host, port = server.server_address[:2]
-            cfg = WorkloadConfig(
-                mode="open", duration_s=0.5, target_rps=60.0,
-                concurrency=32, batch_size=2, range_fraction=0.5, seed=5,
-            )
-            res = run_against_server(index_dir, host, port, cfg)
-            s = res.summary()
-            assert s["offered"] == 30  # the full schedule was issued
-            assert s["ok"] == 30
-            assert s["err_other"] == 0 and s["dropped"] == 0
-            assert s["p99_ms"] is not None
-        finally:
-            _stop(server, thread)
-
-    def test_closed_loop_against_live_server(self, index_dir):
-        """The closed-loop driver runs its whole request budget over
-        HTTP and every request lands."""
-        from repro.loadgen.generator import WorkloadConfig, run_against_server
-
-        server, thread = _serve(index_dir)
-        try:
-            host, port = server.server_address[:2]
-            cfg = WorkloadConfig(
-                mode="closed", concurrency=2, max_requests=12,
-                batch_size=2, range_fraction=0.5, seed=5,
-            )
-            res = run_against_server(index_dir, host, port, cfg)
-            s = res.summary()
-            assert s["ok"] == 12
-            assert s["err_other"] == 0 and s["dropped"] == 0
-        finally:
             _stop(server, thread)

@@ -16,8 +16,8 @@ pins the fault-tolerance contracts end to end:
   ``stop(drain=True)`` fails queued waiters fast with
   :class:`~repro.service.ServiceShuttingDown` (never abandons them), stale
   requests die as :class:`~repro.service.DeadlineExceeded`, every HTTP
-  failure mode is well-formed JSON, and the retrying client rides out
-  transient 429s.
+  failure mode is well-formed JSON booked once under its own status in
+  ``/metrics``, and the retrying client rides out transient 429s.
 
 Faults are armed programmatically per test (an autouse fixture disarms
 between tests) or via ``REPRO_FAULTS`` in subprocesses -- the same knob
@@ -66,6 +66,7 @@ from repro.service import (
     ServiceShuttingDown,
     ServiceUnavailable,
     make_server,
+    parse_prometheus_text,
 )
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -620,6 +621,20 @@ class TestHttpFaults:
             assert res["n_queries"] == 2
             assert client.retries > 0  # it was actually turned away first
 
+    def test_self_test_health_check_flags_5xx(self, served_index):
+        """A server that answered 5xx fails the self-test's health check."""
+        from repro.service.server import _health_check
+
+        path, data, eps = served_index
+        payload = json.dumps({"queries": data[:2].tolist(), "eps": eps}).encode()
+        with _serve(path) as port:
+            faults.arm("service.dispatch", "error", count=1)
+            status, _, body = _raw_post(port, "/range", payload)
+            assert status == 500 and "error" in body
+            health = _health_check("127.0.0.1", port, trace_sample=0.0)
+        assert health["http_5xx"] == 1
+        assert health["problems"] == ["server answered 1 5xx"]
+
     def test_client_gives_up_with_typed_error(self):
         with socket.socket() as s:  # grab a port nothing listens on
             s.bind(("127.0.0.1", 0))
@@ -630,6 +645,100 @@ class TestHttpFaults:
         with pytest.raises(ServiceUnavailable):
             client.healthz()
         assert client.retries >= 1
+
+
+def _range_statuses(port):
+    """``{status: count}`` of ``/range`` answers in the live ``/metrics``."""
+    with ServiceClient(port=port) as client:
+        fams = parse_prometheus_text(client.metrics_text())
+    return {
+        dict(labels)["status"]: value
+        for labels, value in fams["repro_http_requests_total"].items()
+        if dict(labels)["endpoint"] == "range"
+    }
+
+
+class TestHttpStatusAccounting:
+    """Every typed rejection leaves the wire as its own status and is
+    booked exactly once under that status in ``/metrics``."""
+
+    @pytest.mark.parametrize("exc,status", [
+        (ServiceOverloaded("full"), 429),
+        (ServiceShuttingDown("bye"), 503),
+        (DeadlineExceeded("late"), 504),
+        (KeyError("queries"), 400),
+        (TypeError("bad type"), 400),
+        (ValueError("bad value"), 400),
+        (RuntimeError("boom"), 500),
+    ])
+    def test_error_response_mapping(self, exc, status):
+        from repro.service.server import _error_response
+
+        got, payload, headers = _error_response(exc)
+        assert got == status
+        assert "error" in payload and isinstance(payload["error"], str)
+        assert (headers is not None) == (status == 429)
+
+    def test_unexpected_errors_name_their_type(self):
+        from repro.service.server import _error_response
+
+        _, payload, _ = _error_response(RuntimeError("boom"))
+        assert payload == {"error": "RuntimeError: boom"}
+
+    def test_overload_forwards_retry_after(self):
+        from repro.service.server import _error_response
+
+        _, payload, headers = _error_response(
+            ServiceOverloaded("full", retry_after=0.1234)
+        )
+        assert payload["retry_after"] == pytest.approx(0.1234)
+        assert headers == {"Retry-After": "0.123"}
+
+    def test_admission_rejections_counted_as_429(self, served_index):
+        path, data, eps = served_index
+        payload = json.dumps({"queries": data[:2].tolist(), "eps": eps}).encode()
+        with _serve(path, max_queue_depth=1) as port:
+            faults.arm("service.dispatch", "delay", param=0.3)
+            results = []
+            background = []
+            for _ in range(2):  # one in flight + one filling the queue
+                t = threading.Thread(
+                    target=lambda: results.append(_raw_post(port, "/range", payload))
+                )
+                t.start()
+                background.append(t)
+                time.sleep(0.05)
+            rejected = [_raw_post(port, "/range", payload, timeout=5)[0]
+                        for _ in range(3)]
+            faults.disarm()
+            for t in background:
+                t.join(timeout=30)
+            booked = _range_statuses(port)
+        assert rejected == [429, 429, 429]
+        assert [s for s, _, _ in results] == [200, 200]
+        assert booked == {"200": 2.0, "429": 3.0}
+
+    def test_deadline_expiry_counted_as_504_under_dispatch_delay(
+        self, served_index
+    ):
+        path, data, eps = served_index
+        payload = json.dumps({"queries": data[:2].tolist(), "eps": eps}).encode()
+        svc = QueryService(default_deadline_s=0.05)
+        with _serve(path, service=svc) as port:
+            faults.arm("service.dispatch", "delay", param=0.3, count=1)
+            results = []
+            first = threading.Thread(
+                target=lambda: results.append(_raw_post(port, "/range", payload))
+            )
+            first.start()
+            time.sleep(0.05)  # the first request is now inside the delay
+            status, _, body = _raw_post(port, "/range", payload)
+            first.join(timeout=30)
+            booked = _range_statuses(port)
+        assert status == 504 and "deadline" in body["error"]
+        assert [s for s, _, _ in results] == [200]
+        assert booked == {"200": 1.0, "504": 1.0}
+        assert svc.stats()["requests_expired"] == 1
 
 
 # ----------------------------------------------------------------------

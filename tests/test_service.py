@@ -30,6 +30,7 @@ from repro.index.mstree import MultiSpaceTree
 from repro.index.persist import (
     FORMAT_VERSION,
     HEADER_NAME,
+    CorruptIndexError,
     load_index,
     read_header,
     save_index,
@@ -786,6 +787,83 @@ class TestHttpServer:
     def test_requires_registration(self):
         with pytest.raises(ValueError, match="at least one index"):
             make_server({}, port=0)
+
+
+class TestSelfTestHealth:
+    """``run_self_test`` ends with a health check of the server it drove
+    (``/metrics`` parses, no 5xx, armed tracing retained a query trace)
+    and shuts that server down on every path, setup failures included."""
+
+    def test_traced_summary_reports_retained_query_traces(
+        self, data_eps, tmp_path
+    ):
+        data, eps = data_eps
+        build_index(data, eps, tmp_path / "g")
+        log = tmp_path / "traces.jsonl"
+        out = run_self_test(
+            tmp_path / "g", n_clients=2, queries_per_client=4,
+            trace_sample=1.0, trace_log=log,
+        )
+        assert out["traces_retained"] >= 1
+        assert out["http_5xx"] == 0
+        assert out["metrics_series"] > 0
+        assert log.stat().st_size > 0
+
+    def test_armed_tracing_without_query_traces_is_a_problem(
+        self, data_eps, tmp_path
+    ):
+        from repro.service.server import _health_check
+
+        data, eps = data_eps
+        build_index(data, eps, tmp_path / "g")
+        server = make_server({"default": tmp_path / "g"}, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            quiet = _health_check(host, port, trace_sample=0.0)
+            armed = _health_check(host, port, trace_sample=1.0)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert quiet["problems"] == [] and quiet["metrics_series"] > 0
+        assert armed["traces_retained"] == 0
+        assert armed["problems"] == ["tracing armed but no traces retained"]
+
+    def test_setup_failure_leaves_no_live_server(self, data_eps, tmp_path):
+        data, eps = data_eps
+        path = tmp_path / "g"
+        build_index(data, eps, path)
+        header = read_header(path)
+        victim = path / next(iter(header["arrays"].values()))["file"]
+        with open(victim, "r+b") as fh:
+            fh.truncate(victim.stat().st_size - 8)
+        before = set(threading.enumerate())
+        with pytest.raises(CorruptIndexError):
+            run_self_test(path, n_clients=2, queries_per_client=4)
+        leaked = [
+            t.name for t in threading.enumerate()
+            if t not in before and t.is_alive()
+        ]
+        assert leaked == []
+
+    def test_cli_prints_health_lines(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out_dir = str(tmp_path / "idx")
+        assert main([
+            "index", "build", out_dir, "--n", "600", "--d", "12",
+            "--selectivity", "8",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "serve", "--index", out_dir, "--self-test", "--trace-sample", "1",
+        ]) == 0
+        text = capsys.readouterr().out
+        assert "server 5xx responses: 0" in text
+        retained = text.split("/trace/recent: ", 1)[1].split()[0]
+        assert int(retained) >= 1
 
 
 # ----------------------------------------------------------------------
