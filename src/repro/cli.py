@@ -32,8 +32,8 @@ the brute methods' tiles on a thread pool -- bit-identical to serial;
 the index-backed methods run serially and reject it.
 
 The query-serving layer (``repro.service``) is driven by three more
-subcommands: ``index build`` persists a grid or multi-space-tree index
-(plus an embedded dataset copy) to a directory, ``index info`` inspects
+subcommands: ``index build`` persists an epsilon-grid index (plus an
+embedded dataset copy) to a directory, ``index info`` inspects
 one, ``query`` answers batched range (``--eps``) or kNN (``--k``)
 queries against it, and ``serve`` exposes cached indexes over
 JSON-HTTP with micro-batched dispatch (``--self-test`` runs the
@@ -344,9 +344,7 @@ def _cmd_index_build(args) -> str:
         source,
         eps,
         args.out,
-        kind=args.kind,
         n_dims=args.n_dims,
-        seed=args.seed,
         include_data=None if args.mutable else not args.no_data,
         mutable=args.mutable,
         seal_threshold=args.seal_threshold,
@@ -359,7 +357,7 @@ def _cmd_index_build(args) -> str:
         [
             f"dataset: n={source.n} d={source.dim} "
             f"({source.nbytes / (1 << 20):.1f} MiB as float64)",
-            f"index: kind={args.kind}  eps={eps:.4f}"
+            f"index: grid  eps={eps:.4f}"
             + (f"  (calibrated for S={args.selectivity})" if calibrated else "")
             + ("  [mutable]" if args.mutable else ""),
             f"persisted: {path} ({total_bytes / (1 << 20):.2f} MiB"
@@ -373,28 +371,21 @@ def _cmd_index_info(args) -> str:
     from repro.index.delta import is_mutable_index
     from repro.index.persist import load_index
 
-    if is_mutable_index(args.path):
-        return _index_info_mutable(args.path)
-    loaded = load_index(args.path)
+    try:
+        if is_mutable_index(args.path):
+            return _index_info_mutable(args.path)
+        loaded = load_index(args.path)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    scalars = loaded.header["scalars"]
     lines = [
         f"index: {loaded.path}",
-        f"kind: {loaded.kind}  format v{loaded.header['version']}",
+        f"kind: grid  format v{loaded.header['version']}",
         f"eps: {loaded.eps:.6g}",
+        f"points: {scalars['n_points']}  dims: {scalars['n_dims_data']} "
+        f"(indexed prefix r={scalars['r']})",
+        f"occupied cells: {loaded.index._starts.size}",
     ]
-    scalars = loaded.header["scalars"]
-    if loaded.kind == "grid":
-        lines.append(
-            f"points: {scalars['n_points']}  dims: {scalars['n_dims_data']} "
-            f"(indexed prefix r={scalars['r']})"
-        )
-        lines.append(f"occupied cells: {loaded.index._starts.size}")
-    else:
-        lines.append(f"points: {scalars['n_points']}  dims: {scalars['dims']}")
-        kinds = [lvl.kind for lvl in loaded.index.levels]
-        lines.append(
-            f"levels: {len(kinds)} ({kinds.count('coord')} coord, "
-            f"{kinds.count('metric')} metric)"
-        )
     payload = sum(p.stat().st_size for p in loaded.path.iterdir())
     lines.append(
         "dataset: "
@@ -421,7 +412,7 @@ def _index_info_mutable(path) -> str:
     return "\n".join(
         [
             f"index: {idx.path} [mutable]",
-            f"kind: {s['kind']}  eps: {s['eps']:.6g}  dim: {s['dim']}",
+            f"kind: grid  eps: {s['eps']:.6g}  dim: {s['dim']}",
             f"live rows: {s['n_live']} of {s['n_rows']} "
             f"({s['n_tombstones']} tombstones)  next id: {s['next_id']}",
             f"delta: {s['n_segments']} sealed segments, "
@@ -583,7 +574,7 @@ def _cmd_query(args) -> str:
     else:
         queries = _make_queries(engine, args.n_queries, args.seed)
     lines = [
-        f"index: {args.index} (kind={engine.kind}, n={engine.n_points}, "
+        f"index: {args.index} (n={engine.n_points}, "
         f"d={engine.dim}, eps={engine.eps:.4f})",
         f"queries: {queries.shape[0]}"
         + ("" if args.queries is not None else f" synthetic (seed {args.seed})"),
@@ -602,7 +593,7 @@ def _cmd_query(args) -> str:
         )
     else:
         try:
-            res = engine.range_query(queries, args.eps, batched=args.batched)
+            res = engine.range_query(queries, args.eps)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}") from exc
         elapsed = time.perf_counter() - t0
@@ -631,14 +622,17 @@ def _cmd_serve(args) -> str:
             registry["default"] = item
     if args.self_test:
         first = next(iter(registry.values()))
-        out = run_self_test(
-            first,
-            max_queue_depth=args.max_queue_depth,
-            verify=args.verify,
-            trace_sample=args.trace_sample,
-            trace_log=args.trace_log,
-            slow_ms=args.slow_ms,
-        )
+        try:
+            out = run_self_test(
+                first,
+                max_queue_depth=args.max_queue_depth,
+                verify=args.verify,
+                trace_sample=args.trace_sample,
+                trace_log=args.trace_log,
+                slow_ms=args.slow_ms,
+            )
+        except (ValueError, AssertionError) as exc:
+            raise SystemExit(f"error: {exc}") from exc
         stats = out["stats"]
         return (
             "self-test OK: "
@@ -777,14 +771,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     idx_sub = idx.add_subparsers(dest="index_command", required=True)
     ib = idx_sub.add_parser(
-        "build", help="build a grid/mstree index and persist it to a directory"
+        "build", help="build a grid index and persist it to a directory"
     )
     ib.add_argument("out", help="target index directory")
     ib.add_argument(
         "--data", default=None,
         help="dataset (.npy file or chunk directory; default: synthetic)",
     )
-    ib.add_argument("--kind", choices=("grid", "mstree"), default="grid")
     ib.add_argument("--n", type=int, default=8192, help="synthetic dataset size")
     ib.add_argument("--d", type=int, default=64, help="synthetic dimensionality")
     ib.add_argument("--seed", type=int, default=0)
@@ -794,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target mean neighbors used to calibrate eps when --eps is absent",
     )
     ib.add_argument(
-        "--n-dims", type=int, default=6, help="indexed dimension count (grid)"
+        "--n-dims", type=int, default=6, help="indexed dimension count"
     )
     ib.add_argument(
         "--no-data", action="store_true",
@@ -865,10 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     qp.add_argument(
         "--k", type=int, default=None, help="run a kNN query instead of range"
-    )
-    qp.add_argument(
-        "--batched", action="store_true",
-        help="padded-batch-GEMM executor for the range query (pair-set contract)",
     )
     qp.add_argument(
         "--verify", choices=("off", "header", "full"), default="header",

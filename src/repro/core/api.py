@@ -486,40 +486,33 @@ def build_index(
     eps: float,
     path: str | Path,
     *,
-    kind: str = "grid",
     n_dims: int = 6,
-    seed: int = 0,
     include_data: bool | None = None,
     data_path: str | Path | None = None,
     mutable: bool = False,
     seal_threshold: int | None = None,
 ) -> Path:
-    """Build a query index over ``data`` and persist it to ``path``.
+    """Build an epsilon-grid query index over ``data`` and persist it.
 
     The build-once half of the serving lifecycle: the resulting directory
     (see :mod:`repro.index.persist` for the format) is what
     :func:`open_index`, ``python -m repro query`` and ``python -m repro
     serve`` answer queries from.  Non-resident inputs (paths, sources)
-    build **out of core** (``GridIndex.from_source`` /
-    ``MultiSpaceTree.from_source``) and the dataset is embedded by a
-    streamed copy, so the ``(n, d)`` array never materializes here.
+    build **out of core** (``GridIndex.from_source``) and the dataset is
+    embedded by a streamed copy, so the ``(n, d)`` array never
+    materializes here.
 
     Parameters
     ----------
     data:
         Dataset -- ndarray, source, or path.
     eps:
-        Grid cell width / bin width; queries at radii up to this are
-        served (the serving cache keys indexes by this eps grid).
+        Grid cell width; queries at radii up to this are served (the
+        serving cache keys indexes by this eps grid).
     path:
         Target directory.
-    kind:
-        ``"grid"`` (GDS-style epsilon grid, the default) or ``"mstree"``
-        (MiSTIC multi-space tree).
     n_dims:
-        Indexed dimension count (grid only).
-    seed:
-        Pivot RNG seed (mstree only).
+        Indexed dimension count.
     include_data:
         Embed a streamed dataset copy so the index directory is
         self-contained.  Defaults to True -- unless ``data_path`` is
@@ -543,11 +536,8 @@ def build_index(
         past this row count.
     """
     from repro.index.grid import GridIndex
-    from repro.index.mstree import MultiSpaceTree
     from repro.index.persist import save_index
 
-    if kind not in ("grid", "mstree"):
-        raise ValueError("kind must be 'grid' or 'mstree'")
     if mutable:
         from repro.index.delta import MutableIndex
 
@@ -556,7 +546,7 @@ def build_index(
                 "mutable stores embed their data; data_path/"
                 "include_data=False do not apply"
             )
-        kwargs = {"kind": kind, "n_dims": n_dims, "seed": seed}
+        kwargs = {"n_dims": n_dims}
         if seal_threshold is not None:
             kwargs["seal_threshold"] = int(seal_threshold)
         MutableIndex.create(path, data, eps, **kwargs)
@@ -572,20 +562,12 @@ def build_index(
         include_data = False
     elif include_data is None:
         include_data = True
-    resident = isinstance(data, np.ndarray)
     source = as_source(data)
-    if kind == "grid":
-        index = (
-            GridIndex(data, eps, n_dims=n_dims)
-            if resident
-            else GridIndex.from_source(source, eps, n_dims=n_dims)
-        )
-    else:
-        index = (
-            MultiSpaceTree(data, eps, seed=seed)
-            if resident
-            else MultiSpaceTree.from_source(source, eps, seed=seed)
-        )
+    index = (
+        GridIndex(data, eps, n_dims=n_dims)
+        if isinstance(data, np.ndarray)
+        else GridIndex.from_source(source, eps, n_dims=n_dims)
+    )
     return save_index(
         index,
         path,
@@ -645,7 +627,6 @@ def query(
     *,
     eps: float | None = None,
     k: int | None = None,
-    batched: bool = False,
 ):
     """Answer a batched range or kNN query against a (persisted) index.
 
@@ -657,9 +638,6 @@ def query(
     brute-force reference at the default FP64 serving precision.  With
     ``k`` set it returns the k nearest neighbors per query
     (``repro.service.KnnResult``) via the expanding-eps search.
-    ``batched=True`` routes range queries through the padded-batch-GEMM
-    executor (pair-set contract); it is a range-query knob -- requesting
-    it for a kNN query raises rather than being silently ignored.
     """
     from repro.index.delta import MutableIndex
     from repro.service import QueryEngine
@@ -672,10 +650,8 @@ def query(
     if k is not None:
         if eps is not None:
             raise ValueError("pass eps (range query) or k (kNN), not both")
-        if batched:
-            raise ValueError("batched applies to range queries, not kNN")
         return engine.knn_query(queries, k)
-    return engine.range_query(queries, eps, batched=batched)
+    return engine.range_query(queries, eps)
 
 
 def pairwise_sq_dists(

@@ -18,20 +18,22 @@ log-structured layering:
   out.  Tombstones are durable -- every ``delete`` commits the manifest.
 * **Compaction** streams the live rows (base + sealed segments, minus
   tombstones, in ascending global-id order) through the existing
-  ``GridIndex.from_source`` / ``MultiSpaceTree.from_source`` out-of-core
-  builds into a **new versioned base snapshot** (``base-<token>/``),
-  then commits.  Appends/deletes that race a compaction are preserved:
-  segments sealed after the snapshot stay layered on the new base, and
-  only the tombstones the snapshot already folded out are pruned.
+  ``GridIndex.from_source`` out-of-core build into a **new versioned
+  base snapshot** (``base-<token>/``), then commits.  Appends/deletes
+  that race a compaction are preserved: segments sealed after the
+  snapshot stay layered on the new base, and only the tombstones the
+  snapshot already folded out are pruned.
 
 **Commit point.**  The store is a directory holding ``state.json`` (the
 manifest: base directory name, base-row global ids, tombstone payload,
-segment list, ``next_id``) next to the base and segment index
+segment list, ``next_id``) next to the base and segment grid index
 directories.  Every state change is committed by staging the side
-payloads (``ids-<token>.npy``, ``tomb-<token>.npy``, fsynced and
-SHA-256-checksummed like index payloads), writing the new manifest to a
-temp sibling, and swinging it in with one atomic ``os.replace`` -- the
-exact v2 header-replacement discipline, sharing the ``persist.write`` /
+payloads (``ids-<token>.npy``, ``tomb-<token>.npy``) through
+:mod:`repro.index.persist`'s payload staging (fsynced and
+SHA-256-checksummed; on open, checked by the same per-payload verifier
+as index payloads), writing the new manifest to a temp sibling, and
+swinging it in with one atomic ``os.replace`` -- the exact v2
+header-replacement discipline, sharing the ``persist.write`` /
 ``persist.payload`` fault points.  A ``SIGKILL`` at any instant
 therefore leaves the previous *or* the new manifest in place, each
 referencing only fully-committed payloads: the store always reloads as
@@ -81,6 +83,7 @@ import hashlib
 import json
 import os
 import secrets
+import shutil
 import threading
 import time
 from dataclasses import dataclass
@@ -93,12 +96,13 @@ from repro import trace as trace_mod
 from repro.core.results import JoinResult
 from repro.data.source import DatasetSource, as_source
 from repro.index.grid import GridIndex
-from repro.index.mstree import MultiSpaceTree
 from repro.index.persist import (
+    SAVING_SUFFIX,
     CorruptIndexError,
-    _fsync_dir,
-    _fsync_file,
-    _sha256_file,
+    _fsync,
+    _gc_interrupted_saves,
+    _stage_payload,
+    _verify_payload,
     load_index,
     save_index,
 )
@@ -153,7 +157,7 @@ def read_manifest(path) -> dict:
             f"{manifest.get('version')!r} (this reader understands "
             f"{MUTABLE_VERSION})"
         )
-    if manifest.get("kind") not in ("grid", "mstree"):
+    if manifest.get("kind") != "grid":
         raise ValueError(
             f"{path}: unknown index kind {manifest.get('kind')!r}"
         )
@@ -165,45 +169,6 @@ def read_manifest(path) -> dict:
 
 def _digest_of(mpath: Path) -> str:
     return hashlib.blake2b(mpath.read_bytes(), digest_size=16).hexdigest()
-
-
-def _verify_side_payload(path: Path, entry: dict, *, level: str) -> None:
-    """Size/hash-check one manifest side payload (ids/tombstones)."""
-    if level == "off":
-        return
-    fpath = path / entry["file"]
-    if not fpath.is_file():
-        raise CorruptIndexError(f"{path}: missing payload {entry['file']}")
-    if fpath.stat().st_size != entry["nbytes"]:
-        raise CorruptIndexError(
-            f"{path}: payload {entry['file']} is {fpath.stat().st_size} "
-            f"bytes, manifest recorded {entry['nbytes']}"
-        )
-    if level == "full" and _sha256_file(fpath) != entry["sha256"]:
-        raise CorruptIndexError(
-            f"{path}: payload {entry['file']} failed its SHA-256 check"
-        )
-
-
-def _stage_side_payload(path: Path, fname: str, arr: np.ndarray) -> dict:
-    """Write one manifest side payload, fsynced + checksummed.
-
-    Same contract as the index payload staging: the ``persist.payload``
-    corrupt fault fires after the checksum is recorded, so verification
-    is exactly what must catch it.
-    """
-    fpath = path / fname
-    np.save(fpath, np.ascontiguousarray(arr))
-    _fsync_file(fpath)
-    entry = {
-        "file": fname,
-        "sha256": _sha256_file(fpath),
-        "nbytes": fpath.stat().st_size,
-    }
-    if faults.ARMED:
-        if faults.check("persist.payload") == "corrupt":
-            faults.corrupt_file(fpath)
-    return entry
 
 
 def _as_rows(rows, dim: int | None = None) -> np.ndarray:
@@ -346,7 +311,6 @@ class MutableIndex:
         path = Path(path)
         manifest = read_manifest(path)
         self.path = path
-        self.kind = manifest["kind"]
         self.eps = float(manifest["eps"])
         self.dim = int(manifest["dim"])
         self.precision = precision
@@ -376,10 +340,10 @@ class MutableIndex:
         engine_cls = _engine_cls()
         self._base_dir = manifest["base"]
         loaded = load_index(path / self._base_dir, mmap=mmap, verify=verify)
-        if loaded.kind != self.kind or float(loaded.eps) != self.eps:
+        if float(loaded.eps) != self.eps:
             raise CorruptIndexError(
                 f"{path}: base {self._base_dir} disagrees with the manifest "
-                f"(kind/eps)"
+                f"(eps)"
             )
         self._base_engine = engine_cls(loaded, precision=precision)
         self._base_n = int(self._base_engine.n_points)
@@ -387,7 +351,7 @@ class MutableIndex:
         if entry is None:
             self._base_gids = None  # identity: arange(base_n)
         else:
-            _verify_side_payload(path, entry, level=verify)
+            _verify_payload(path, "base_ids", entry, verify)
             self._base_gids = np.load(path / entry["file"]).astype(
                 np.int64, copy=False
             )
@@ -415,7 +379,7 @@ class MutableIndex:
         if entry is None:
             self._tombstones: set[int] = set()
         else:
-            _verify_side_payload(path, entry, level=verify)
+            _verify_payload(path, "tombstones", entry, verify)
             tomb = np.load(path / entry["file"]).astype(np.int64, copy=False)
             # Tombstones at ids that no longer exist (buffer rows lost to
             # a crash before their seal) are dangling; prune them.
@@ -435,11 +399,7 @@ class MutableIndex:
         data,
         eps: float,
         *,
-        kind: str = "grid",
         n_dims: int = 6,
-        n_levels: int = 6,
-        n_candidates: int = 38,
-        seed: int = 0,
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         mmap: bool = True,
         precision: str = "fp64",
@@ -447,43 +407,28 @@ class MutableIndex:
     ) -> "MutableIndex":
         """Create a mutable store over ``data`` at ``path`` and open it.
 
-        The initial base index is built like :func:`repro.core.api.build_index`
-        (in-memory for resident arrays, out-of-core otherwise) with the
-        dataset embedded; row ``i`` of ``data`` gets global id ``i``.
-        The whole store is staged in a ``<name>.saving-<token>`` sibling
-        and published by one atomic ``rename`` -- a crash mid-create
-        leaves no partial store behind.
+        The initial base grid index is built like
+        :func:`repro.core.api.build_index` (in-memory for resident arrays,
+        out-of-core otherwise) with the dataset embedded; row ``i`` of
+        ``data`` gets global id ``i``.  The whole store is staged in a
+        ``<name>.saving-<token>`` sibling and published by one atomic
+        ``rename`` -- a crash mid-create leaves no partial store behind,
+        and the next create at that path removes the staging leftovers.
         """
-        if kind not in ("grid", "mstree"):
-            raise ValueError("kind must be 'grid' or 'mstree'")
         path = Path(path)
         if path.exists():
             raise ValueError(f"{path} already exists")
         source = as_source(data)
         if source.n < 1:
             raise ValueError("a mutable index needs at least one initial row")
-        resident = isinstance(data, np.ndarray)
-        if kind == "grid":
-            index = (
-                GridIndex(data, eps, n_dims=n_dims)
-                if resident
-                else GridIndex.from_source(source, eps, n_dims=n_dims)
-            )
-        else:
-            index = (
-                MultiSpaceTree(
-                    data, eps, n_levels=n_levels,
-                    n_candidates=n_candidates, seed=seed,
-                )
-                if resident
-                else MultiSpaceTree.from_source(
-                    source, eps, n_levels=n_levels,
-                    n_candidates=n_candidates, seed=seed,
-                )
-            )
+        index = (
+            GridIndex(data, eps, n_dims=n_dims)
+            if isinstance(data, np.ndarray)
+            else GridIndex.from_source(source, eps, n_dims=n_dims)
+        )
         path.parent.mkdir(parents=True, exist_ok=True)
-        token = secrets.token_hex(4)
-        tmp = path.parent / f"{path.name}.saving-{token}"
+        _gc_interrupted_saves(path)
+        tmp = path.parent / f"{path.name}{SAVING_SUFFIX}{secrets.token_hex(4)}"
         tmp.mkdir()
         try:
             base_dir = f"base-{secrets.token_hex(4)}"
@@ -492,7 +437,7 @@ class MutableIndex:
             manifest = {
                 "magic": MUTABLE_MAGIC,
                 "version": MUTABLE_VERSION,
-                "kind": kind,
+                "kind": "grid",
                 "eps": float(eps),
                 "dim": int(source.dim),
                 "next_id": int(source.n),
@@ -500,23 +445,16 @@ class MutableIndex:
                 "base_ids": None,
                 "tombstones": None,
                 "segments": [],
-                "params": {
-                    "n_dims": int(n_dims),
-                    "n_levels": int(n_levels),
-                    "n_candidates": int(n_candidates),
-                    "seed": int(seed),
-                },
+                "params": {"n_dims": int(n_dims)},
                 "seal_threshold": int(seal_threshold),
             }
             mpath = tmp / MANIFEST_NAME
             mpath.write_text(json.dumps(manifest, indent=2) + "\n")
-            _fsync_file(mpath)
-            _fsync_dir(tmp)
+            _fsync(mpath)
+            _fsync(tmp)
             os.rename(tmp, path)
-            _fsync_dir(path.parent)
+            _fsync(path.parent)
         except BaseException:
-            import shutil
-
             shutil.rmtree(tmp, ignore_errors=True)
             raise
         return cls(
@@ -632,7 +570,7 @@ class MutableIndex:
         token = secrets.token_hex(4)
         base_ids_entry = None
         if self._base_gids is not None:
-            base_ids_entry = _stage_side_payload(
+            base_ids_entry = _stage_payload(
                 self.path, f"ids-{token}.npy", self._base_gids
             )
         tomb_entry = None
@@ -641,13 +579,13 @@ class MutableIndex:
                 sorted(self._tombstones), dtype=np.int64,
                 count=len(self._tombstones),
             )
-            tomb_entry = _stage_side_payload(
+            tomb_entry = _stage_payload(
                 self.path, f"tomb-{token}.npy", tomb
             )
         manifest = {
             "magic": MUTABLE_MAGIC,
             "version": MUTABLE_VERSION,
-            "kind": self.kind,
+            "kind": "grid",
             "eps": self.eps,
             "dim": self.dim,
             "next_id": int(self.next_id),
@@ -662,13 +600,13 @@ class MutableIndex:
             "seal_threshold": int(self.seal_threshold),
         }
         body = json.dumps(manifest, indent=2) + "\n"
-        tmp = self.path / f"{MANIFEST_NAME}.saving-{token}"
+        tmp = self.path / f"{MANIFEST_NAME}{SAVING_SUFFIX}{token}"
         tmp.write_text(body)
-        _fsync_file(tmp)
+        _fsync(tmp)
         if faults.ARMED:
             faults.check("persist.write")
         os.replace(tmp, self.path / MANIFEST_NAME)
-        _fsync_dir(self.path)
+        _fsync(self.path)
         self._manifest = manifest
         self.committed_state_digest = hashlib.blake2b(
             body.encode(), digest_size=16
@@ -684,8 +622,6 @@ class MutableIndex:
         inodes).  Directories an in-flight compaction is staging are
         protected by name.
         """
-        import shutil
-
         manifest = self._manifest
         keep_files = {MANIFEST_NAME}
         for entry in (manifest.get("base_ids"), manifest.get("tombstones")):
@@ -880,18 +816,10 @@ class MutableIndex:
                         live_gid_parts.append(gids[local])
                 live_src = _LiveRowsSource(parts)
                 live_gids = np.concatenate(live_gid_parts)
-                if self.kind == "grid":
-                    new_index = GridIndex.from_source(
-                        live_src, self.eps,
-                        n_dims=int(self._params.get("n_dims", 6)),
-                    )
-                else:
-                    new_index = MultiSpaceTree.from_source(
-                        live_src, self.eps,
-                        n_levels=int(self._params.get("n_levels", 6)),
-                        n_candidates=int(self._params.get("n_candidates", 38)),
-                        seed=int(self._params.get("seed", 0)),
-                    )
+                new_index = GridIndex.from_source(
+                    live_src, self.eps,
+                    n_dims=int(self._params.get("n_dims", 6)),
+                )
                 save_index(
                     new_index, self.path / new_base_dir, data=live_src
                 )
@@ -1001,7 +929,6 @@ class MutableIndex:
         queries,
         eps: float | None = None,
         *,
-        batched: bool = False,
         store_distances: bool = True,
     ) -> JoinResult:
         """eps-neighbors over the live rows; ``pairs_j`` are global ids.
@@ -1023,7 +950,7 @@ class MutableIndex:
         for depth, layer in enumerate(gen.layers):
             t0 = time.perf_counter() if traced else 0.0
             res = layer.engine.range_query(
-                q, eps, batched=batched, store_distances=store_distances,
+                q, eps, store_distances=store_distances
             )
             gid = layer.gids[res.pairs_j]
             if gen.tomb.size and gid.size:
@@ -1152,31 +1079,12 @@ class MutableIndex:
             k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
         )
 
-    def iter_join_groups(self, queries, *, reach: int = 1):
-        """Candidate groups over the live rows, candidates as global ids.
-
-        Chains each layer's group stream with ids mapped and tombstones
-        masked -- the same soundness contract the per-layer indexes
-        carry: every live row within ``reach * eps`` of a member query
-        appears among that query's candidates (tests/test_mutable.py
-        checks coverage against the brute pair set).
-        """
-        q = _as_rows(queries, self.dim)
-        gen = self._generation()
-        for layer in gen.layers:
-            for members, cand in layer.engine._iter_groups(q, reach=reach):
-                gid = layer.gids[np.asarray(cand, dtype=np.int64)]
-                if gen.tomb.size and gid.size:
-                    gid = gid[~np.isin(gid, gen.tomb)]
-                yield members, gid
-
     # -- info -----------------------------------------------------------
 
     def stats(self) -> dict:
         """Store-shape summary (the CLI ``index info`` view)."""
         with self._lock:
             return {
-                "kind": self.kind,
                 "eps": self.eps,
                 "dim": self.dim,
                 "n_live": self._n_rows_locked() - len(self._tombstones),
@@ -1192,7 +1100,7 @@ class MutableIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         s = self.stats()
         return (
-            f"MutableIndex({str(self.path)!r}, kind={s['kind']!r}, "
+            f"MutableIndex({str(self.path)!r}, "
             f"live={s['n_live']}, segments={s['n_segments']}, "
             f"tombstones={s['n_tombstones']})"
         )

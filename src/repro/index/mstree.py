@@ -319,7 +319,6 @@ class MultiSpaceTree:
         group: int = 1024,
         *,
         row_block: int = _SOURCE_ROW_BLOCK,
-        reach: int = 1,
     ):
         """Yield ``(query_members, candidates)`` for an external query set.
 
@@ -330,10 +329,6 @@ class MultiSpaceTree:
         block's candidates are the B points inside the block's +-1 bin
         window at every level -- a superset of the exact union, with the
         exact filter happening in the join's distance computation.
-        ``reach=m`` widens the window to ``+-m`` bins, sound for query
-        radii up to ``m * eps`` (eps-width bins for coordinate levels; the
-        triangle inequality bounds ring-index drift by ``m`` for metric
-        levels) -- the expanding search the query-serving kNN uses.
         """
         from repro.data.source import as_source
 
@@ -348,14 +343,12 @@ class MultiSpaceTree:
             r1 = min(r0 + row_block, nq)
             for dst, qb in zip(qbins, self.query_bins(src.load_block(r0, r1))):
                 dst[r0:r1] = qb
-        if reach < 1:
-            raise ValueError("reach must be >= 1")
         for start in range(0, nq, group):
             members = np.arange(start, min(start + group, nq))
             block_mask = np.ones(self.n_points, dtype=bool)
             for level, qb in zip(self.levels, qbins):
                 b = qb[members]
-                block_mask &= (level.bins >= b.min() - reach) & (
-                    level.bins <= b.max() + reach
+                block_mask &= (level.bins >= b.min() - 1) & (
+                    level.bins <= b.max() + 1
                 )
             yield members, np.nonzero(block_mask)[0]

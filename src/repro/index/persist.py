@@ -1,17 +1,19 @@
-"""Versioned, crash-safe on-disk persistence for the query indexes.
+"""Versioned, crash-safe on-disk persistence for the epsilon-grid index.
 
-The batch engine rebuilds its :class:`~repro.index.grid.GridIndex` /
-:class:`~repro.index.mstree.MultiSpaceTree` from the dataset on every
-invocation -- fine for one join, hopeless for a serving workload where the
-same index answers thousands of queries.  This module gives both index
-types a build-once / query-many lifecycle:
+The batch engine rebuilds its :class:`~repro.index.grid.GridIndex` from
+the dataset on every invocation -- fine for one join, hopeless for a
+serving workload where the same index answers thousands of queries.
+This module gives the grid a build-once / query-many lifecycle (the
+serving layer is grid-only: MiSTIC's multi-space tree is rebuilt by its
+baseline kernel and never persisted):
 
 * :func:`save_index` writes an index as a **directory**: one JSON header
-  (``header.json`` -- magic, format version, index kind, scalars, and a
-  per-payload SHA-256 checksum + byte size) plus one ``.npy`` payload per
-  index array.  The arrays saved are exactly the grouped state the
-  constructors install, so nothing is recomputed on load.  A dataset can
-  ride along -- embedded as a ``data-*.npy`` payload (streamed through
+  (``header.json`` -- magic, format version, index kind ``"grid"``,
+  scalars, and a per-payload SHA-256 checksum + byte size) plus one
+  ``.npy`` payload per index array.  The arrays saved are exactly the
+  grouped state the constructor installs, so nothing is recomputed on
+  load.  A dataset can ride along -- embedded as a ``data-*.npy``
+  payload (streamed through
   :meth:`~repro.data.source.DatasetSource.write_npy`, never materialized)
   or referenced by path -- because answering distance queries needs the
   points themselves, not just the grouping.
@@ -28,7 +30,9 @@ types a build-once / query-many lifecycle:
   memory maps of the previous generation keep reading valid bytes.
   Orphans of interrupted or superseded saves (stale ``.saving-*``
   siblings, unreferenced ``*.npy``) are detected and garbage-collected by
-  the next save.
+  the next save.  The mutable store (:mod:`repro.index.delta`) stages
+  and verifies its manifest side payloads through the same
+  :func:`_stage_payload` / :func:`_verify_payload`.
 
 * :func:`load_index` **verifies before it touches payloads**:
   ``verify="header"`` (the default) checks that every payload exists with
@@ -41,15 +45,16 @@ types a build-once / query-many lifecycle:
   (tests/test_service.py pins mmap vs in-RAM and loaded vs freshly
   built; tests/test_faults.py drives the corruption and kill paths).
 
-* **Versioning**: the header's ``magic`` / ``version`` are checked before
-  anything else; unknown versions (and non-index directories) are
+* **Versioning**: the header's ``magic`` / ``version`` / ``kind`` are
+  checked before anything else; unknown versions, other index kinds
+  (a multi-space tree header included) and non-index directories are
   rejected with :class:`ValueError` rather than misinterpreted.
 
 Bit-identity argument: the saved arrays *are* the index state (the stable
-sort permutation, cell extents, cell coordinates; per-level bins and
-pivots for the tree).  Loading installs them verbatim, so candidate
-iteration -- and therefore every query routed through the engine's
-candidate executors -- is exactly what the freshly built index yields.
+sort permutation, cell extents, cell coordinates).  Loading installs them
+verbatim, so candidate iteration -- and therefore every query routed
+through the engine's candidate executors -- is exactly what the freshly
+built index yields.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ import numpy as np
 from repro import faults
 from repro.data.source import DatasetSource, as_source
 from repro.index.grid import GridIndex
-from repro.index.mstree import MultiSpaceTree, _Level
 
 #: Directory-format identification; bump ``FORMAT_VERSION`` on layout
 #: changes (readers reject versions they do not understand).  Version 2
@@ -106,16 +110,15 @@ class CorruptIndexError(ValueError):
 class LoadedIndex:
     """A persisted index restored from disk, plus its dataset binding.
 
-    ``index`` is a ready-to-query :class:`GridIndex` or
-    :class:`MultiSpaceTree`; ``source`` is the dataset it was built over
+    ``index`` is a ready-to-query :class:`GridIndex`; ``source`` is the
+    dataset it was built over
     (embedded copy or referenced path) as a block/gather-addressable
     :class:`~repro.data.source.DatasetSource`, or None when the index was
     saved without one (the caller must then supply the data to the query
     engine itself).
     """
 
-    index: "GridIndex | MultiSpaceTree"
-    kind: str  # "grid" | "mstree"
+    index: GridIndex
     eps: float
     path: Path
     source: DatasetSource | None
@@ -130,7 +133,8 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _fsync_file(path: Path) -> None:
+def _fsync(path: Path) -> None:
+    """fsync a file or a directory (both open read-only on POSIX)."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -138,38 +142,34 @@ def _fsync_file(path: Path) -> None:
         os.close(fd)
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _payload_entry(path: Path) -> dict:
-    """Header record for one staged payload: file name + integrity facts."""
-    return {
-        "file": path.name,
-        "sha256": _sha256_file(path),
-        "nbytes": path.stat().st_size,
-    }
-
-
-def _stage_payload(directory: Path, fname: str, arr: np.ndarray) -> dict:
-    """Write one payload array into the staging dir, fsynced + checksummed.
+def _seal_payload(fpath: Path) -> dict:
+    """fsync one written payload and return its header/manifest record.
 
     The ``persist.payload`` fault point fires after the checksum is
     recorded, so an injected corruption is exactly what ``verify`` must
     catch: bytes that no longer match the header.
     """
-    fpath = directory / fname
-    np.save(fpath, np.ascontiguousarray(arr))
-    _fsync_file(fpath)
-    entry = _payload_entry(fpath)
+    _fsync(fpath)
+    entry = {
+        "file": fpath.name,
+        "sha256": _sha256_file(fpath),
+        "nbytes": fpath.stat().st_size,
+    }
     if faults.ARMED:
         if faults.check("persist.payload") == "corrupt":
             faults.corrupt_file(fpath)
     return entry
+
+
+def _stage_payload(directory: Path, fname: str, arr: np.ndarray) -> dict:
+    """Write one payload array, fsynced + checksummed (:func:`_seal_payload`).
+
+    Index payloads and the mutable store's manifest side payloads (base
+    ids, tombstones) are all staged here.
+    """
+    fpath = directory / fname
+    np.save(fpath, np.ascontiguousarray(arr))
+    return _seal_payload(fpath)
 
 
 def _gc_interrupted_saves(path: Path, *, keep: Path | None = None) -> None:
@@ -204,13 +204,13 @@ def _gc_unreferenced_payloads(path: Path, header: dict) -> None:
 
 
 def save_index(
-    index: "GridIndex | MultiSpaceTree",
+    index: GridIndex,
     path: str | Path,
     *,
     data=None,
     data_path: str | Path | None = None,
 ) -> Path:
-    """Persist an index (and optionally its dataset) to a directory.
+    """Persist a grid index (and optionally its dataset) to a directory.
 
     The save is **atomic**: payloads and header are staged in a
     ``<name>.saving-<token>`` sibling directory, fsynced, and committed
@@ -223,7 +223,7 @@ def save_index(
     Parameters
     ----------
     index:
-        A built :class:`GridIndex` or :class:`MultiSpaceTree`.
+        A built :class:`GridIndex`.
     path:
         Target directory (created; an existing index there is replaced).
     data:
@@ -236,6 +236,8 @@ def save_index(
         verbatim; relative paths resolve against the index directory at
         load time).  Mutually exclusive with ``data``.
     """
+    if not isinstance(index, GridIndex):
+        raise TypeError(f"cannot persist index of type {type(index).__name__}")
     if data is not None and data_path is not None:
         raise ValueError("pass data (embed) or data_path (reference), not both")
     path = Path(path)
@@ -252,63 +254,32 @@ def save_index(
         return f"{name}-{token}.npy"
 
     try:
-        header: dict = {"magic": MAGIC, "version": FORMAT_VERSION}
-        if isinstance(index, GridIndex):
-            header["kind"] = "grid"
-            header["scalars"] = {
+        header: dict = {
+            "magic": MAGIC,
+            "version": FORMAT_VERSION,
+            "kind": "grid",
+            "scalars": {
                 "eps": float(index.eps),
                 "n_points": int(index.n_points),
                 "n_dims_data": int(index.n_dims_data),
                 "r": int(index.r),
-            }
-            to_save = {
-                "order": index.order,
-                "sort": index._sort,
-                "starts": index._starts,
-                "ends": index._ends,
-                "unique": index._unique,
-            }
-            header["arrays"] = {
-                name: _stage_payload(tmp, fname(name), arr)
-                for name, arr in to_save.items()
-            }
-        elif isinstance(index, MultiSpaceTree):
-            header["kind"] = "mstree"
-            header["scalars"] = {
-                "eps": float(index.eps),
-                "n_points": int(index.n_points),
-                "dims": int(index.dims),
-                "construction_evaluations": int(
-                    index.construction_evaluations
-                ),
-            }
-            arrays: dict[str, np.ndarray] = {}
-            levels = []
-            for k, level in enumerate(index.levels):
-                arrays[f"level_{k:02d}_bins"] = level.bins
-                entry = {"kind": level.kind, "param": int(level.param)}
-                if level.pivot_point is not None:
-                    arrays[f"level_{k:02d}_pivot"] = level.pivot_point
-                    entry["pivot"] = f"level_{k:02d}_pivot"
-                levels.append(entry)
-            header["levels"] = levels
-            header["arrays"] = {
-                name: _stage_payload(tmp, fname(name), arr)
-                for name, arr in arrays.items()
-            }
-        else:
-            raise TypeError(
-                f"cannot persist index of type {type(index).__name__}"
-            )
-
+            },
+        }
+        to_save = {
+            "order": index.order,
+            "sort": index._sort,
+            "starts": index._starts,
+            "ends": index._ends,
+            "unique": index._unique,
+        }
+        header["arrays"] = {
+            name: _stage_payload(tmp, fname(name), arr)
+            for name, arr in to_save.items()
+        }
         if data is not None:
             data_file = tmp / fname(DATA_STEM)
             as_source(data).write_npy(data_file)
-            _fsync_file(data_file)
-            entry = _payload_entry(data_file)
-            if faults.ARMED:
-                if faults.check("persist.payload") == "corrupt":
-                    faults.corrupt_file(data_file)
+            entry = _seal_payload(data_file)
             header["data"] = entry["file"]
             header["data_embedded"] = True
             header["data_sha256"] = entry["sha256"]
@@ -318,8 +289,8 @@ def save_index(
 
         header_tmp = tmp / HEADER_NAME
         header_tmp.write_text(json.dumps(header, indent=2) + "\n")
-        _fsync_file(header_tmp)
-        _fsync_dir(tmp)
+        _fsync(header_tmp)
+        _fsync(tmp)
 
         # ---- commit point ------------------------------------------------
         if faults.ARMED:
@@ -327,7 +298,7 @@ def save_index(
         if not path.exists():
             # Fresh save: one atomic rename publishes the whole directory.
             os.rename(tmp, path)
-            _fsync_dir(path.parent)
+            _fsync(path.parent)
         else:
             # Replacement: move the tagged payloads in (the live header
             # cannot reference them, so readers still see the old index
@@ -336,9 +307,9 @@ def save_index(
                 if staged.name == HEADER_NAME:
                     continue
                 os.rename(staged, path / staged.name)
-            _fsync_dir(path)
+            _fsync(path)
             os.replace(header_tmp, path / HEADER_NAME)
-            _fsync_dir(path)
+            _fsync(path)
             tmp.rmdir()
             _gc_unreferenced_payloads(path, header)
     except BaseException:
@@ -352,8 +323,9 @@ def read_header(path: str | Path) -> dict:
 
     Raises :class:`ValueError` for anything that is not a compatible
     persisted index (missing header, wrong magic, unknown format
-    version) and :class:`CorruptIndexError` -- a ValueError subclass --
-    when the header file itself is unreadable garbage.
+    version, any kind but ``"grid"``) and :class:`CorruptIndexError` --
+    a ValueError subclass -- when the header file itself is unreadable
+    garbage.
     """
     path = Path(path)
     header_path = path / HEADER_NAME
@@ -377,11 +349,55 @@ def read_header(path: str | Path) -> dict:
             f"{path}: unsupported index format version {version!r} "
             f"(this reader understands {FORMAT_VERSION})"
         )
-    if header.get("kind") not in ("grid", "mstree"):
+    if header.get("kind") != "grid":
         raise ValueError(f"{path}: unknown index kind {header.get('kind')!r}")
     if not isinstance(header.get("arrays"), dict):
         raise CorruptIndexError(f"{path}: header lost its arrays map")
     return header
+
+
+def _verify_payload(path: Path, name: str, entry, level: str) -> None:
+    """Check one payload against its header or manifest record.
+
+    The one per-payload check behind :func:`verify_index` and the mutable
+    store's side payloads: ``entry`` must be an object naming its
+    ``file``; at ``level="header"`` the file must exist with the recorded
+    ``nbytes``, and ``level="full"`` also compares its SHA-256.  Every
+    failure, a malformed record included, raises
+    :class:`CorruptIndexError`.
+    """
+    if not isinstance(entry, dict) or "file" not in entry:
+        raise CorruptIndexError(
+            f"{path}: malformed entry for payload {name!r}"
+        )
+    if level == "off":
+        return
+    fpath = path / entry["file"]
+    if not fpath.is_file():
+        raise CorruptIndexError(
+            f"{path}: payload {entry['file']} ({name}) is missing"
+        )
+    nbytes = entry.get("nbytes")
+    actual = fpath.stat().st_size
+    if nbytes is not None and actual != nbytes:
+        raise CorruptIndexError(
+            f"{path}: payload {entry['file']} ({name}) is {actual} bytes, "
+            f"{nbytes} recorded (truncated or partially written)"
+        )
+    if level == "full":
+        digest = entry.get("sha256")
+        if digest is None:
+            raise CorruptIndexError(
+                f"{path}: payload {entry['file']} ({name}) has no "
+                "recorded checksum"
+            )
+        actual_digest = _sha256_file(fpath)
+        if actual_digest != digest:
+            raise CorruptIndexError(
+                f"{path}: payload {entry['file']} ({name}) failed its "
+                f"SHA-256 check (got {actual_digest[:12]}..., "
+                f"recorded {digest[:12]}...)"
+            )
 
 
 def verify_index(
@@ -413,36 +429,7 @@ def verify_index(
             "nbytes": header.get("data_nbytes"),
         }
     for name, entry in entries.items():
-        if not isinstance(entry, dict) or "file" not in entry:
-            raise CorruptIndexError(
-                f"{path}: malformed header entry for payload {name!r}"
-            )
-        fpath = path / entry["file"]
-        if not fpath.is_file():
-            raise CorruptIndexError(
-                f"{path}: payload {entry['file']} ({name}) is missing"
-            )
-        nbytes = entry.get("nbytes")
-        actual = fpath.stat().st_size
-        if nbytes is not None and actual != nbytes:
-            raise CorruptIndexError(
-                f"{path}: payload {entry['file']} ({name}) is {actual} bytes, "
-                f"header recorded {nbytes} (truncated or partially written)"
-            )
-        if level == "full":
-            digest = entry.get("sha256")
-            if digest is None:
-                raise CorruptIndexError(
-                    f"{path}: payload {entry['file']} ({name}) has no "
-                    "recorded checksum"
-                )
-            actual_digest = _sha256_file(fpath)
-            if actual_digest != digest:
-                raise CorruptIndexError(
-                    f"{path}: payload {entry['file']} ({name}) failed its "
-                    f"SHA-256 check (got {actual_digest[:12]}..., header "
-                    f"recorded {digest[:12]}...)"
-                )
+        _verify_payload(path, name, entry, level)
 
 
 def load_index(
@@ -481,40 +468,18 @@ def load_index(
             ) from exc
 
     scalars = header["scalars"]
-    if header["kind"] == "grid":
-        index = GridIndex.__new__(GridIndex)
-        index._install(
-            eps=float(scalars["eps"]),
-            n_points=int(scalars["n_points"]),
-            n_dims_data=int(scalars["n_dims_data"]),
-            order=arr("order"),
-            r=int(scalars["r"]),
-            sort=arr("sort"),
-            starts=arr("starts"),
-            ends=arr("ends"),
-            unique=np.ascontiguousarray(arr("unique")),
-        )
-    else:
-        index = MultiSpaceTree.__new__(MultiSpaceTree)
-        index.eps = float(scalars["eps"])
-        index.n_points = int(scalars["n_points"])
-        index.dims = int(scalars["dims"])
-        index.construction_evaluations = int(
-            scalars["construction_evaluations"]
-        )
-        index.levels = []
-        for k, entry in enumerate(header["levels"]):
-            pivot = None
-            if "pivot" in entry:
-                pivot = np.asarray(arr(entry["pivot"]), dtype=np.float64)
-            index.levels.append(
-                _Level(
-                    kind=entry["kind"],
-                    param=int(entry["param"]),
-                    bins=arr(f"level_{k:02d}_bins"),
-                    pivot_point=pivot,
-                )
-            )
+    index = GridIndex.__new__(GridIndex)
+    index._install(
+        eps=float(scalars["eps"]),
+        n_points=int(scalars["n_points"]),
+        n_dims_data=int(scalars["n_dims_data"]),
+        order=arr("order"),
+        r=int(scalars["r"]),
+        sort=arr("sort"),
+        starts=arr("starts"),
+        ends=arr("ends"),
+        unique=np.ascontiguousarray(arr("unique")),
+    )
 
     source: DatasetSource | None = None
     if "data" in header:
@@ -531,7 +496,6 @@ def load_index(
 
     return LoadedIndex(
         index=index,
-        kind=header["kind"],
         eps=float(scalars["eps"]),
         path=path,
         source=source,

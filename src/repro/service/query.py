@@ -1,17 +1,17 @@
 """Batched range/kNN query engine over a persisted or in-memory index.
 
 The serving counterpart of the batch join API: a :class:`QueryEngine`
-binds one index (grid or multi-space tree -- freshly built, or restored
-by :mod:`repro.index.persist`) to the dataset it was built over and
-answers **external** queries through the same engine executors the joins
-run on:
+binds one epsilon-grid index (freshly built, or restored by
+:mod:`repro.index.persist`) to the dataset it was built over and answers
+**external** queries through the same engine executors the joins run
+on:
 
 * :meth:`QueryEngine.range_query` -- eps-neighbors of a batch of query
-  points.  Queries are grouped by index cell (``iter_join_groups``) and
-  evaluated by :func:`repro.core.engine.candidate_join` (per-group GEMMs,
-  or padded batch GEMMs with ``batched=True``) with the query batch as
-  the left operand and the dataset as the right one, emitting into a
-  :class:`~repro.core.results.PairAccumulator`.
+  points.  Queries are grouped by grid cell
+  (``GridIndex.iter_join_groups``) and evaluated by
+  :func:`repro.core.engine.candidate_join` (per-group GEMMs) with the
+  query batch as the left operand and the dataset as the right one,
+  emitting into a :class:`~repro.core.results.PairAccumulator`.
   At the default FP64 precision the result is **bit-identical** to the
   dense brute-force reference (:func:`brute_range_query`) -- the same
   contract the index-backed two-source joins carry
@@ -61,11 +61,7 @@ from repro.core.engine import (
 from repro.core.results import JoinResult, PairAccumulator
 from repro.data.source import ArraySource, DatasetSource, as_source
 from repro.index.grid import GridIndex
-from repro.index.mstree import MultiSpaceTree
 from repro.index.persist import LoadedIndex, load_index
-
-#: Query rows per tree group (mirrors MultiSpaceTree.iter_join_groups).
-_TREE_GROUP = 1024
 
 #: kNN expansion cap on the derived starting reach (the loop still
 #: doubles past it when needed).
@@ -215,7 +211,7 @@ class QueryEngine:
     Parameters
     ----------
     index:
-        A built :class:`GridIndex` or :class:`MultiSpaceTree`, a
+        A built :class:`GridIndex`, a
         :class:`~repro.index.persist.LoadedIndex`, or a path to a
         persisted index directory (loaded mmap-backed).
     data:
@@ -262,7 +258,7 @@ class QueryEngine:
         if isinstance(index, LoadedIndex):
             source = index.source
             index = index.index
-        if not isinstance(index, (GridIndex, MultiSpaceTree)):
+        if not isinstance(index, GridIndex):
             raise TypeError(f"unsupported index type {type(index).__name__}")
         if data is not None:
             source = as_source(data)
@@ -272,7 +268,6 @@ class QueryEngine:
                 "data= (array, source, or path)"
             )
         self.index = index
-        self.kind = "grid" if isinstance(index, GridIndex) else "mstree"
         self.eps = float(index.eps)
         self.precision = precision
         self.dtype = np.dtype(np.float32 if precision == "fp32" else np.float64)
@@ -300,12 +295,6 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
 
-    def _iter_groups(self, q: np.ndarray, reach: int = 1):
-        if self.kind == "grid":
-            return self.index.iter_join_groups(q, reach=reach)
-        return self.index.iter_join_groups(q, group=_TREE_GROUP, reach=reach)
-
-
     def _check_queries(self, queries) -> np.ndarray:
         q = _as_queries(queries)
         if q.shape[1] != self.dim:
@@ -319,18 +308,15 @@ class QueryEngine:
         queries,
         eps: float | None = None,
         *,
-        batched: bool = False,
         store_distances: bool = True,
     ) -> JoinResult:
         """eps-neighbors of each query point: pairs ``(query, data row)``.
 
         ``eps`` defaults to the index's cell width and must not exceed it
-        (the +-1 cell / +-1 bin candidate window is only sound up to
-        there -- larger radii belong to an index built at that eps, which
-        is why the serving cache keys on the eps grid).  ``batched=True``
-        runs the candidate executor's padded-batch-GEMM mode (pair-set
-        contract); the default per-group mode is bit-identical to
-        :func:`brute_range_query` at FP64.
+        (the +-1 cell candidate window is only sound up to there --
+        larger radii belong to an index built at that eps, which is why
+        the serving cache keys on the eps grid).  At FP64 the answer is
+        bit-identical to :func:`brute_range_query`.
         """
         q = self._check_queries(queries)
         eps = self.eps if eps is None else float(eps)
@@ -345,11 +331,10 @@ class QueryEngine:
         # boundary-tie convention).
         eps2 = self.dtype.type(float(eps) ** 2)
         acc = candidate_join(
-            self._iter_groups(q),
+            self.index.iter_join_groups(q),
             ResidentOperand(*self._prepare(q)),
             eps2,
             self._data,
-            batched=batched,
             store_distances=store_distances,
         )
         return acc.finalize_join(q.shape[0], self.n_points, eps)
@@ -359,13 +344,10 @@ class QueryEngine:
     def _initial_reach(self, k: int) -> int:
         """Smallest probe reach expected to cover ``k`` neighbors.
 
-        Grid indexes extrapolate the measured per-point candidate mean at
-        reach 1 (``GridIndex.stats()``) by the ``((2m+1)/3)^r`` growth of
-        the probe volume; trees start at 1 (their window intersection has
-        no comparable closed form).
+        Extrapolates the measured per-point candidate mean at reach 1
+        (``GridIndex.stats()``) by the ``((2m+1)/3)^r`` growth of the
+        probe volume.
         """
-        if self.kind != "grid":
-            return 1
         if self._stats is None:
             self._stats = self.index.stats()
         mean = max(self._stats.mean_candidates, 1e-9)
@@ -406,7 +388,7 @@ class QueryEngine:
         while unresolved.size:
             radius2 = float(reach * self.eps) ** 2
             still: list[np.ndarray] = []
-            for members, candidates in self._iter_groups(
+            for members, candidates in self.index.iter_join_groups(
                 q[unresolved], reach=reach
             ):
                 gm = unresolved[members]  # global query rows

@@ -438,7 +438,6 @@ class QueryService:
         max_batch_points: int = 4096,
         precision: str = "fp64",
         mmap: bool = True,
-        batched: bool = False,
         max_queue_depth: int = 256,
         default_deadline_s: float | None = None,
         verify: str = "header",
@@ -466,7 +465,6 @@ class QueryService:
             tracer if tracer is not None else trace_mod.Tracer(sample=0.0)
         )
         self.max_batch_points = int(max_batch_points)
-        self.batched = batched
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         self.max_queue_depth = int(max_queue_depth)
@@ -1172,7 +1170,7 @@ class QueryService:
             return
         t_exec = time.perf_counter()
         with trace_mod.use_hooks(hooks):
-            res = engine.range_query(cat, reqs[0].eps, batched=self.batched)
+            res = engine.range_query(cat, reqs[0].eps)
         exec_s = time.perf_counter() - t_exec
         stages = hooks.snapshot()
         self._observe_stages(stages)

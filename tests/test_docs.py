@@ -163,15 +163,15 @@ def test_checker_resolves_nested_cli_commands():
     checker = _load_checker()
     commands = checker._load_cli_commands()
     assert "index build" in commands and "index info" in commands
-    assert "--kind" in commands["index build"]
+    assert "--n-dims" in commands["index build"]
     nested = tuple({k.split()[0] for k in commands if " " in k})
     calls = list(checker.iter_cli_invocations(
-        "run `python -m repro index build out --kind grid` then\n"
+        "run `python -m repro index build out --n-dims 4` then\n"
         "`python -m repro index info out`\n",
         nested,
     ))
     assert calls == [
-        (1, "index build", ["--kind"]),
+        (1, "index build", ["--n-dims"]),
         (2, "index info", []),
     ]
 

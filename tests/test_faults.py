@@ -302,13 +302,14 @@ class TestCrashSafePersistence:
         on_disk = {p.name for p in path.iterdir()} - {HEADER_NAME}
         assert on_disk == referenced
 
-    @pytest.mark.parametrize("kind", ["grid", "mstree"])
+    # One kind persists; the parameter keeps the test id stable.
+    @pytest.mark.parametrize("kind", ["grid"])
     def test_corrupt_payload_caught_by_full_verify(self, tmp_path, kind):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(300, 8))
         eps = float(epsilon_for_selectivity(data, 8))
         path = tmp_path / kind
-        build_index(data, eps, path, kind=kind)
+        build_index(data, eps, path)
         header = read_header(path)
         victim = path / next(iter(header["arrays"].values()))["file"]
         # Flip a byte of real array data (the npy payload tail), past the
@@ -322,13 +323,14 @@ class TestCrashSafePersistence:
         with pytest.raises(CorruptIndexError):
             open_index(path, verify="full")
 
-    @pytest.mark.parametrize("kind", ["grid", "mstree"])
+    # One kind persists; the parameter keeps the test id stable.
+    @pytest.mark.parametrize("kind", ["grid"])
     def test_truncated_payload_caught_by_header_verify(self, tmp_path, kind):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(300, 8))
         eps = float(epsilon_for_selectivity(data, 8))
         path = tmp_path / kind
-        build_index(data, eps, path, kind=kind)
+        build_index(data, eps, path)
         header = read_header(path)
         victim = path / next(iter(header["arrays"].values()))["file"]
         with open(victim, "r+b") as fh:
@@ -337,6 +339,29 @@ class TestCrashSafePersistence:
             load_index(path, verify="header")
         with pytest.raises(CorruptIndexError):
             load_index(path, verify="full")
+
+    def test_cli_reports_truncated_payload_without_traceback(self, tmp_path):
+        """``index info`` and ``serve --self-test`` map a corrupt index to
+        one ``error:`` line and a non-zero exit, like ``query`` does."""
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(300, 8))
+        path = tmp_path / "idx"
+        build_index(data, float(epsilon_for_selectivity(data, 8)), path)
+        victim = path / read_header(path)["data"]
+        with open(victim, "r+b") as fh:
+            fh.truncate(victim.stat().st_size - 8)
+        for argv in (
+            ["index", "info", str(path)],
+            ["serve", "--index", str(path), "--self-test"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                env=_subprocess_env(), capture_output=True, text=True,
+                timeout=120,
+            )
+            out = proc.stdout + proc.stderr
+            assert proc.returncode != 0, (argv, out)
+            assert "error:" in out and "Traceback" not in out, (argv, out)
 
     def test_header_corruption_is_typed(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -937,3 +962,25 @@ class TestMutableStoreChaos:
         faults.disarm()
         with pytest.raises(CorruptIndexError):
             MutableIndex(root, verify="full")
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(
+                lambda e: {k: v for k, v in e.items() if k != "file"},
+                id="no-file",
+            ),
+            pytest.param(lambda e: e["file"], id="not-object"),
+        ],
+    )
+    def test_malformed_side_payload_entry_is_typed(self, tmp_path, mangle):
+        """A manifest side-payload record without a ``file``, or one that
+        is not an object at all, is corruption -- not a bare KeyError."""
+        root, _data, _eps = _mutable_store(tmp_path)
+        MutableIndex(root).delete([0])
+        mpath = root / "state.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["tombstones"] = mangle(manifest["tombstones"])
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptIndexError, match="tombstones"):
+            MutableIndex(root)

@@ -50,7 +50,7 @@ def _dataset(n=400, d=8, seed=0):
 def index_path(tmp_path_factory):
     data, eps = _dataset()
     path = tmp_path_factory.mktemp("metrics-idx") / "index"
-    build_index(data, eps, path, kind="grid")
+    build_index(data, eps, path)
     return path, data, eps
 
 

@@ -2,12 +2,12 @@
 
 The serving contracts, executable:
 
-* **Persistence round-trips** -- save/load for both index types, loaded
-  (mmap and in-RAM) indexes answering bit-identically to freshly built
-  ones, version/magic rejection.
+* **Persistence round-trips** -- grid save/load, loaded (mmap and
+  in-RAM) indexes answering bit-identically to freshly built ones,
+  version/magic/kind rejection.
 * **Query engine** -- ``range_query`` bit-identical to the dense
   brute-force reference at FP64 (on loaded-from-disk indexes -- the
-  acceptance contract), pair-set at FP32/batched; ``knn_query`` exact
+  acceptance contract), pair-set at FP32; ``knn_query`` exact
   against a brute argsort, including the expanding-reach path.
 * **Serving layer** -- LRU cache accounting, micro-batch splitting, and
   the concurrent smoke: N threads hammering one cached index through
@@ -105,7 +105,7 @@ class TestPersistence:
         fresh = GridIndex(data, eps)
         save_index(fresh, tmp_path / "g", data=data)
         loaded = load_index(tmp_path / "g")
-        assert loaded.kind == "grid"
+        assert loaded.header["kind"] == "grid"
         assert loaded.eps == eps
         idx = loaded.index
         np.testing.assert_array_equal(idx._sort, fresh._sort)
@@ -115,30 +115,14 @@ class TestPersistence:
             np.testing.assert_array_equal(ma, mb)
             np.testing.assert_array_equal(ca, cb)
 
-    def test_mstree_roundtrip_state(self, data_eps, tmp_path):
-        data, eps = data_eps
-        fresh = MultiSpaceTree(data, eps)
-        save_index(fresh, tmp_path / "t", data=data)
-        loaded = load_index(tmp_path / "t")
-        assert loaded.kind == "mstree"
-        assert len(loaded.index.levels) == len(fresh.levels)
-        for la, lb in zip(fresh.levels, loaded.index.levels):
-            assert la.kind == lb.kind and la.param == lb.param
-            np.testing.assert_array_equal(la.bins, lb.bins)
-            if la.pivot_point is not None:
-                np.testing.assert_array_equal(la.pivot_point, lb.pivot_point)
-
     def test_loaded_query_bit_identical_to_fresh(self, data_eps, tmp_path):
         data, eps = data_eps
         q = _queries(data, eps)
-        for kind, index in (
-            ("grid", GridIndex(data, eps)),
-            ("mstree", MultiSpaceTree(data, eps)),
-        ):
-            save_index(index, tmp_path / kind, data=data)
-            fresh = QueryEngine(index, data).range_query(q)
-            loaded = QueryEngine(tmp_path / kind).range_query(q)
-            assert_joins_bit_identical(fresh, loaded)
+        index = GridIndex(data, eps)
+        save_index(index, tmp_path / "grid", data=data)
+        fresh = QueryEngine(index, data).range_query(q)
+        loaded = QueryEngine(tmp_path / "grid").range_query(q)
+        assert_joins_bit_identical(fresh, loaded)
 
     def test_mmap_vs_in_ram_equivalence(self, data_eps, tmp_path):
         data, eps = data_eps
@@ -173,6 +157,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a persisted index"):
             load_index(tmp_path)  # a directory without a header
 
+    def test_tree_header_rejected(self, data_eps, tmp_path):
+        """Only grids persist: a multi-space-tree header is refused typed."""
+        data, eps = data_eps
+        path = save_index(GridIndex(data, eps), tmp_path / "g", data=data)
+        header = json.loads((path / HEADER_NAME).read_text())
+        header["kind"] = "mstree"
+        (path / HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="unknown index kind 'mstree'"):
+            load_index(path)
+
     def test_saved_without_data_requires_data(self, data_eps, tmp_path):
         data, eps = data_eps
         save_index(GridIndex(data, eps), tmp_path / "g")
@@ -196,14 +190,15 @@ class TestPersistence:
         assert loaded.source.n == data.shape[0]
 
     def test_resave_removes_stale_payloads(self, data_eps, tmp_path):
-        """Replacing an index of a different shape leaves no dead .npy."""
+        """Replacing an index leaves no dead .npy of the old generation."""
         data, eps = data_eps
-        save_index(MultiSpaceTree(data, eps), tmp_path / "g", data=data)
+        save_index(GridIndex(data, eps * 0.7), tmp_path / "g", data=data)
         save_index(GridIndex(data, eps), tmp_path / "g", data=data)
-        names = {p.name for p in (tmp_path / "g").glob("*.npy")}
-        assert not any(n.startswith("level_") for n in names)
         loaded = load_index(tmp_path / "g")
-        assert loaded.kind == "grid"
+        names = {p.name for p in (tmp_path / "g").glob("*.npy")}
+        referenced = {e["file"] for e in loaded.header["arrays"].values()}
+        assert names == referenced | {loaded.header["data"]}
+        assert loaded.eps == eps
         q = _queries(data, eps, nq=20)
         assert_joins_bit_identical(
             QueryEngine(loaded).range_query(q), brute_range_query(data, q, eps)
@@ -225,13 +220,14 @@ class TestPersistence:
 
 
 class TestRangeQuery:
-    @pytest.mark.parametrize("kind", ["grid", "mstree"])
+    # One kind persists; the parameter keeps the test id stable.
+    @pytest.mark.parametrize("kind", ["grid"])
     def test_loaded_bit_identical_to_brute(self, data_eps, tmp_path, kind):
         """The acceptance contract: range_query on a loaded-from-disk
         index == dense FP64 brute force, bitwise."""
         data, eps = data_eps
         q = _queries(data, eps)
-        build_index(data, eps, tmp_path / kind, kind=kind)
+        build_index(data, eps, tmp_path / kind)
         res = QueryEngine(tmp_path / kind).range_query(q)
         assert res.pairs_i.size > 0  # a vacuous comparison proves nothing
         assert_joins_bit_identical(res, brute_range_query(data, q, eps))
@@ -251,15 +247,6 @@ class TestRangeQuery:
             eng.range_query(q, -1.0)
         with pytest.raises(ValueError, match="dimensionality"):
             eng.range_query(q[:, :-1])
-
-    def test_batched_pair_set(self, data_eps, tmp_path):
-        data, eps = data_eps
-        q = _queries(data, eps)
-        build_index(data, eps, tmp_path / "g")
-        eng = QueryEngine(tmp_path / "g")
-        assert_pair_sets_equal(
-            eng.range_query(q), eng.range_query(q, batched=True)
-        )
 
     def test_fp32_pair_set(self, data_eps, tmp_path):
         data, eps = data_eps
@@ -300,11 +287,12 @@ class TestRangeQuery:
 
 
 class TestKnnQuery:
-    @pytest.mark.parametrize("kind", ["grid", "mstree"])
+    # One kind persists; the parameter keeps the test id stable.
+    @pytest.mark.parametrize("kind", ["grid"])
     def test_exact_vs_brute(self, data_eps, tmp_path, kind):
         data, eps = data_eps
         q = _queries(data, eps, nq=60)
-        build_index(data, eps, tmp_path / kind, kind=kind)
+        build_index(data, eps, tmp_path / kind)
         eng = QueryEngine(tmp_path / kind)
         for k in (1, 5):
             res = eng.knn_query(q, k)
@@ -381,12 +369,13 @@ class TestKnnQuery:
         res = eng.knn_query(data, 1)
         np.testing.assert_array_equal(res.indices[:, 0], np.arange(25))
 
-    @pytest.mark.parametrize("kind", ["grid", "mstree"])
+    # One kind persists; the parameter keeps the test id stable.
+    @pytest.mark.parametrize("kind", ["grid"])
     def test_k_equals_n_exact(self, data_eps, tmp_path, kind):
         """k == n returns the full stable distance ordering, no -1 pads."""
         rng = np.random.default_rng(13)
         data = rng.normal(size=(30, 8))
-        build_index(data, 1.0, tmp_path / f"kn-{kind}", kind=kind)
+        build_index(data, 1.0, tmp_path / f"kn-{kind}")
         eng = QueryEngine(tmp_path / f"kn-{kind}")
         q = data[:6]
         res = eng.knn_query(q, 30)
@@ -899,11 +888,6 @@ class TestApi:
         assert_joins_bit_identical(
             QueryEngine(loaded).range_query(q), brute_range_query(data, q, eps)
         )
-
-    def test_build_index_validates_kind(self, data_eps, tmp_path):
-        data, eps = data_eps
-        with pytest.raises(ValueError, match="kind"):
-            build_index(data, eps, tmp_path / "g", kind="btree")
 
     def test_build_index_data_path_reference(self, data_eps, tmp_path):
         """data_path implies a reference; embed+reference together is a
