@@ -363,6 +363,32 @@ class TestCrashSafePersistence:
             assert proc.returncode != 0, (argv, out)
             assert "error:" in out and "Traceback" not in out, (argv, out)
 
+    def test_cli_reports_tree_header_without_traceback(self, tmp_path):
+        """A header of a kind the store no longer persists is a loader
+        ``ValueError``; ``index info``, ``query`` and ``serve --self-test``
+        report it as one ``error:`` line and a non-zero exit."""
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=(200, 6))
+        path = tmp_path / "idx"
+        build_index(data, float(epsilon_for_selectivity(data, 8)), path)
+        header = json.loads((path / HEADER_NAME).read_text())
+        header["kind"] = "mstree"
+        (path / HEADER_NAME).write_text(json.dumps(header))
+        for argv in (
+            ["index", "info", str(path)],
+            ["query", str(path), "--n-queries", "4"],
+            ["serve", "--index", str(path), "--self-test"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                env=_subprocess_env(), capture_output=True, text=True,
+                timeout=120,
+            )
+            out = proc.stdout + proc.stderr
+            assert proc.returncode != 0, (argv, out)
+            assert "error:" in out and "Traceback" not in out, (argv, out)
+            assert "unknown index kind 'mstree'" in out, (argv, out)
+
     def test_header_corruption_is_typed(self, tmp_path):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(200, 6))
@@ -961,6 +987,27 @@ class TestMutableStoreChaos:
         mut.delete([0])  # commits a manifest with a tombstone side payload
         faults.disarm()
         with pytest.raises(CorruptIndexError):
+            MutableIndex(root, verify="full")
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_damaged_side_payload_caught_by_header_verify(
+        self, tmp_path, damage
+    ):
+        """The store checks its side payloads with the index's own
+        per-payload verifier: the default header level already refuses a
+        tombstone file that is short or gone."""
+        root, _data, _eps = _mutable_store(tmp_path)
+        MutableIndex(root).delete([0])
+        entry = json.loads((root / "state.json").read_text())["tombstones"]
+        victim = root / entry["file"]
+        if damage == "truncated":
+            with open(victim, "r+b") as fh:
+                fh.truncate(victim.stat().st_size - 8)
+        else:
+            victim.unlink()
+        with pytest.raises(CorruptIndexError, match="tombstones"):
+            MutableIndex(root)
+        with pytest.raises(CorruptIndexError, match="tombstones"):
             MutableIndex(root, verify="full")
 
     @pytest.mark.parametrize(
