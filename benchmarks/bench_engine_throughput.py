@@ -21,10 +21,8 @@ Measures, at the standard working point (n=4096):
   resident one at the same rectangular tile plan (bit-identity + budget).
 * The source-backed index join (``GridIndex.from_source`` build + row
   gathers) vs the in-memory grid-indexed self-join (bit-identity).
-* The topology-resolved worker plan (``workers="auto"``: WorkerPlan
-  thread count + cache-fit tile edge) vs the former fixed serial
-  configuration, per brute kernel (the index-backed kernels run
-  serially), with a bit-identity check.
+* The cache-fit default tile edge (``row_block=None``) vs each brute
+  kernel's former fixed edge, with a bit-identity check.
 * The query-serving layer: cached persisted-index range queries
   (``repro.service``) vs rebuild-per-query, with the cached answers
   checked bitwise against the dense brute-force reference.
@@ -53,7 +51,7 @@ import numpy as np
 
 from repro import trace
 from repro.core.accuracy import overlap_accuracy
-from repro.core.engine import TilePlan, WorkerPlan
+from repro.core.engine import TILE_CACHE_BUDGET_BYTES, TilePlan
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import MmapNpySource, write_chunked_npy
 from repro.data.synthetic import fine_grid_dataset
@@ -448,66 +446,54 @@ def bench_candidate_batched() -> dict:
     return out
 
 
-def bench_workers(data: np.ndarray, eps: float) -> dict:
-    """Auto worker plan vs the former fixed serial configuration.
+def bench_tile_edge(data: np.ndarray, eps: float) -> dict:
+    """Cache-fit default tile edge vs each brute kernel's old fixed edge.
 
-    ``workers="auto"`` resolves a :class:`~repro.core.engine.WorkerPlan`
-    from the host topology: a worker count (cores / BLAS pinning /
-    ``REPRO_WORKERS``) *and* a cache-fit tile edge for kernels whose
-    callers leave ``row_block`` unset.  The baseline is each kernel's
-    former fixed engine configuration (the PR-1 ``row_block`` defaults,
-    serial dispatch), so the entry records exactly what the topology plan
-    buys on this host -- on a single-core runner the worker count
-    degenerates to 1 and the gain is the cache-fit tile edge alone.
-    ``bit_identical`` must hold: parallel dispatch commits in tile order
-    and the tile edge never changes the pair set (observed bitwise-equal
-    on the seed datasets; tests/test_workers.py pins it).
+    The host analogue of FaSTED's hierarchical data reuse: a kernel whose
+    caller leaves ``row_block=None`` runs tiles of the edge
+    :func:`repro.core.engine.tile_rows` fits into
+    ``TILE_CACHE_BUDGET_BYTES`` (distance block + two operand panels), in
+    place of the fixed edges the kernels used before (FaSTED 2048,
+    TED-Join-Brute 1024).  Both sides run the same serial tile loop, so
+    the entry isolates what the edge buys.  ``bit_identical`` must hold:
+    the edge never changes the pair set, and on the seed datasets the
+    distance bits are equal too (tests/test_workers.py pins the edges).
     """
-    wp = WorkerPlan.resolve("auto")
     n, d = data.shape
+    ted = TedJoinKernel(variant="brute")
+    runs = {
+        "fasted": (
+            2048,
+            FastedKernel().auto_row_block(n, d),
+            lambda rb: FastedKernel().self_join(data, eps, row_block=rb),
+        ),
+        "ted-join-brute": (
+            1024,
+            ted.auto_row_block(n, d),
+            lambda rb: ted.self_join(data, eps, row_block=rb).result,
+        ),
+    }
     out: dict = {
         "n": n,
         "d": d,
-        "worker_plan": wp.as_dict(),
+        "tile_cache_budget_bytes": TILE_CACHE_BUDGET_BYTES,
         "kernels": {},
     }
-    runs = {
-        "fasted": {
-            "serial": lambda: FastedKernel().self_join(
-                data, eps, row_block=2048, workers=0
-            ),
-            "auto": lambda: FastedKernel().self_join(data, eps, workers="auto"),
-            "serial_row_block": 2048,
-            "auto_row_block": FastedKernel().auto_row_block(n, d, wp),
-        },
-        "ted-join-brute": {
-            "serial": lambda: TedJoinKernel(variant="brute")
-            .self_join(data, eps, row_block=1024, workers=0)
-            .result,
-            "auto": lambda: TedJoinKernel(variant="brute")
-            .self_join(data, eps, workers="auto")
-            .result,
-            "serial_row_block": 1024,
-            "auto_row_block": TedJoinKernel(variant="brute").auto_row_block(
-                n, d, wp
-            ),
-        },
-    }
-    for name, cfg in runs.items():
-        serial_res = cfg["serial"]()
-        auto_res = cfg["auto"]()
-        identical = joins_bit_identical(serial_res, auto_res)
-        pairs = int(serial_res.pairs_i.size)
-        t_serial, t_auto = interleaved_medians(cfg["serial"], cfg["auto"], reps=5)
+    for name, (fixed_rb, fit_rb, run) in runs.items():
+        fixed_res, fit_res = run(fixed_rb), run(None)
+        pairs = int(fixed_res.pairs_i.size)
+        t_fixed, t_fit = interleaved_medians(
+            lambda: run(fixed_rb), lambda: run(None), reps=5
+        )
         out["kernels"][name] = {
-            "serial_seconds": t_serial,
-            "auto_seconds": t_auto,
-            "speedup": t_serial / t_auto,
-            "serial_pairs_per_sec": pairs / t_serial,
-            "auto_pairs_per_sec": pairs / t_auto,
-            "serial_row_block": cfg["serial_row_block"],
-            "auto_row_block": cfg["auto_row_block"],
-            "bit_identical": identical,
+            "fixed_seconds": t_fixed,
+            "cache_fit_seconds": t_fit,
+            "speedup": t_fixed / t_fit,
+            "fixed_pairs_per_sec": pairs / t_fixed,
+            "cache_fit_pairs_per_sec": pairs / t_fit,
+            "fixed_row_block": fixed_rb,
+            "cache_fit_row_block": fit_rb,
+            "bit_identical": joins_bit_identical(fixed_res, fit_res),
             "result_pairs": pairs,
         }
     return out
@@ -713,7 +699,7 @@ def main() -> dict:
         "candidate_batched": bench_candidate_batched(),
         "two_source": bench_two_source(rng, eps),
         "streaming_index": bench_streaming_index(data, eps),
-        "workers": bench_workers(data, eps),
+        "tile_edge": bench_tile_edge(data, eps),
         "query_service": bench_query_service(),
         "mutable": bench_mutable(),
     }

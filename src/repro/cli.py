@@ -13,7 +13,6 @@ Exposes the experiment drivers without writing any Python:
     $ python -m repro join --n 20000 --d 64 --stream --memory-budget 4
     $ python -m repro join --method gds-join --batched --selectivity 8
     $ python -m repro join A.npy B_chunks/ --stream --memory-budget 4
-    $ python -m repro join --n 20000 --workers auto
     $ python -m repro index build my_index --data data.npy --selectivity 64
     $ python -m repro index info my_index
     $ python -m repro query my_index --n-queries 256
@@ -27,9 +26,8 @@ self-join on that dataset, and with two positionals the **two-source**
 join ``A x B`` (each a ``.npy`` file or chunk directory) -- optionally
 out-of-core (``--stream`` / ``--memory-budget``, in MiB) or, for
 self-joins on the index-backed methods, with the batched candidate
-executor (``--batched``).  ``--workers N`` (or ``--workers auto``) runs
-the brute methods' tiles on a thread pool -- bit-identical to serial;
-the index-backed methods run serially and reject it.
+executor (``--batched``).  Every join runs serially; the brute methods
+size their tiles to the per-core cache.
 
 The query-serving layer (``repro.service``) is driven by three more
 subcommands: ``index build`` persists an epsilon-grid index (plus an
@@ -203,23 +201,6 @@ def _cmd_join(args) -> str:
             "error: --batched applies to index-backed self-joins "
             "(ted-join-index, gds-join, mistic)"
         )
-    workers = args.workers
-    if workers and args.method not in STREAMABLE_METHODS:
-        raise SystemExit(
-            f"error: --workers applies to {', '.join(STREAMABLE_METHODS)} "
-            f"(tile threads); {args.method} runs serially"
-        )
-    wp = None
-    if workers:
-        # Resolve up front (covers "auto", whose REPRO_WORKERS override
-        # is read here) so a bad request fails as a clean CLI error, not
-        # a traceback mid-join; the resolved plan feeds the report line.
-        from repro.core.engine import WorkerPlan
-
-        try:
-            wp = WorkerPlan.resolve(workers)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
     # Calibrate against the set being searched: B for a two-source join
     # (the target is matches per A point in B's density), the dataset
     # itself for a self-join.
@@ -235,17 +216,12 @@ def _cmd_join(args) -> str:
         f"method: {args.method}  eps={eps:.4f}"
         + (f"  (calibrated for S={args.selectivity})" if args.eps is None else ""),
     ]
-    if wp is not None:
-        lines.append(
-            f"workers: {wp.n_workers} ({wp.source}; cpu_count={wp.cpu_count}, "
-            f"blas_threads={wp.blas_threads if wp.blas_threads is not None else 'unknown'})"
-        )
     t0 = time.perf_counter()
     if stream:
         if two_source:
             result, stats = join_stream(
                 source, source_b, eps, method=args.method,
-                memory_budget_bytes=budget, workers=workers,
+                memory_budget_bytes=budget,
             )
             plan = stats.plan
             geometry = (
@@ -256,7 +232,6 @@ def _cmd_join(args) -> str:
         else:
             result, stats = self_join_stream(
                 source, eps, method=args.method, memory_budget_bytes=budget,
-                workers=workers,
             )
             plan = stats.plan
             geometry = (
@@ -281,12 +256,12 @@ def _cmd_join(args) -> str:
         if two_source:
             result = join(
                 source.materialize(), source_b.materialize(), eps,
-                method=args.method, stream=False, workers=workers,
+                method=args.method, stream=False,
             )
         else:
             result = self_join(
                 source.materialize(), eps, method=args.method,
-                batched=args.batched, stream=False, workers=workers,
+                batched=args.batched, stream=False,
             )
         elapsed = time.perf_counter() - t0
         if args.batched:
@@ -686,18 +661,6 @@ def _cmd_trace_report(args) -> str:
     )
 
 
-def _workers_arg(value: str):
-    """``--workers`` accepts a count or the literal ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers takes an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -756,12 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument(
         "--batched", action="store_true",
         help="batched candidate executor (index-backed methods)",
-    )
-    j.add_argument(
-        "--workers", type=_workers_arg, default=0, metavar="N",
-        help="tile threads for fasted / ted-join-brute: a count, or 'auto' "
-        "for the topology-derived WorkerPlan (default: serial; results are "
-        "bit-identical; index-backed methods run serially)",
     )
     j.set_defaults(fn=_cmd_join)
 

@@ -26,13 +26,9 @@ suite that way.  The index-backed methods materialize here; their
 out-of-core modes (streamed grid/tree build + source row gathers) are the
 kernel-level ``self_join_source`` entry points.
 
-The brute methods accept ``workers=`` -- ``0`` (serial, the default), an
-explicit count, or ``"auto"`` to resolve a topology-aware
-:class:`repro.core.engine.WorkerPlan` (cores, BLAS pinning,
-``REPRO_WORKERS`` override, cache-fit tile edges) -- and dispatch tiles to
-threads, bit-identical to serial.  The index-backed methods run serially
-and raise ``ValueError`` for any other ``workers`` than ``0``/``None``.
-The CLI exposes the same knob as ``--workers``.
+Every method runs its tiles or candidate groups serially on the calling
+thread; the brute methods size their default tile edge to the per-core
+cache (:func:`repro.core.engine.tile_rows`).
 """
 
 from __future__ import annotations
@@ -58,15 +54,6 @@ METHODS = ("fasted", "ted-join-brute", "ted-join-index", "gds-join", "mistic")
 STREAMABLE_METHODS = ("fasted", "ted-join-brute")
 
 
-def _check_workers(method: str, workers) -> None:
-    """Index-backed methods run serially: reject a worker request."""
-    if method not in STREAMABLE_METHODS and workers not in (0, None):
-        raise ValueError(
-            f"workers applies to {STREAMABLE_METHODS} (tile threads); "
-            f"{method!r} runs serially (got workers={workers!r})"
-        )
-
-
 def self_join(
     data: np.ndarray | DatasetSource | str | Path,
     eps: float,
@@ -79,7 +66,6 @@ def self_join(
     stream: bool | None = None,
     memory_budget_bytes: int | None = None,
     batched: bool = False,
-    workers: int | str = 0,
 ) -> NeighborResult:
     """Distance-similarity self-join: all pairs within ``eps``.
 
@@ -118,12 +104,6 @@ def self_join(
     batched:
         Index-backed methods only: fuse small candidate groups into padded
         batch GEMMs (same pair set, faster at small eps).
-    workers:
-        Brute methods only (``repro.core.engine.WorkerPlan``): ``0``
-        serial (the default), ``N`` for exactly N tile threads,
-        ``"auto"`` to resolve from core topology / BLAS pinning /
-        ``REPRO_WORKERS``; bit-identical to serial.  The index-backed
-        methods run serially and raise for anything but ``0``/``None``.
 
     Returns
     -------
@@ -150,7 +130,6 @@ def self_join(
         )
     if batched and streamable:
         raise ValueError("batched=True applies to index-backed methods only")
-    _check_workers(method, workers)
 
     if stream:
         result, _stats = self_join_stream(
@@ -161,7 +140,6 @@ def self_join(
             spec=spec,
             store_distances=store_distances,
             memory_budget_bytes=memory_budget_bytes,
-            workers=workers,
         )
         return result
     if not isinstance(data, np.ndarray):
@@ -173,7 +151,7 @@ def self_join(
         if precision not in (None, "fp16-32"):
             raise ValueError("FaSTED is FP16-32 only")
         return FastedKernel(spec).self_join(
-            data, eps, store_distances=store_distances, workers=workers
+            data, eps, store_distances=store_distances
         )
     if method in ("ted-join-brute", "ted-join-index"):
         from repro.kernels.tedjoin import TedJoinKernel
@@ -181,7 +159,7 @@ def self_join(
         if precision not in (None, "fp64"):
             raise ValueError("TED-Join is FP64 only")
         variant = "brute" if method.endswith("brute") else "index"
-        kwargs = {"workers": workers} if variant == "brute" else {"batched": batched}
+        kwargs = {} if variant == "brute" else {"batched": batched}
         return TedJoinKernel(spec, variant=variant).self_join(
             data, eps, store_distances=store_distances, **kwargs
         ).result
@@ -211,7 +189,6 @@ def self_join_stream(
     memory_budget_bytes: int | None = None,
     spill_threshold_bytes: int | None = None,
     spill_dir: str | Path | None = None,
-    workers: int | str = 0,
 ):
     """Out-of-core self-join returning ``(NeighborResult, StreamStats)``.
 
@@ -226,8 +203,7 @@ def self_join_stream(
     :class:`~repro.core.results.PairAccumulator`, bounding resident
     *result* memory during accumulation exactly as :func:`join_stream`
     does for two-source joins (the returned ``NeighborResult`` still
-    materializes).  ``workers`` overlaps tile GEMMs with the block
-    prefetch (bit-identical; see :func:`self_join`).
+    materializes).
     """
     if method not in STREAMABLE_METHODS:
         raise ValueError(
@@ -253,8 +229,7 @@ def self_join_stream(
                 store_distances=store_distances,
                 memory_budget_bytes=memory_budget_bytes,
                 acc=acc,
-                workers=workers,
-            )
+                )
         from repro.kernels.tedjoin import TedJoinKernel
 
         if precision not in (None, "fp64"):
@@ -265,7 +240,6 @@ def self_join_stream(
             store_distances=store_distances,
             memory_budget_bytes=memory_budget_bytes,
             acc=acc,
-            workers=workers,
         )
         return joined.result, stats
     except BaseException:
@@ -289,7 +263,6 @@ def join(
     seed: int = 0,
     stream: bool | None = None,
     memory_budget_bytes: int | None = None,
-    workers: int | str = 0,
 ) -> JoinResult:
     """Two-source distance-similarity join: pairs ``(i in A, j in B)``.
 
@@ -319,9 +292,6 @@ def join(
         Bound on resident streamed-block bytes
         (:meth:`repro.core.engine.TilePlan.from_budget`); implies
         ``stream=True``.
-    workers:
-        Tile threads for the brute methods, as for :func:`self_join`;
-        index-backed methods raise for anything but ``0``/``None``.
 
     Returns
     -------
@@ -346,7 +316,6 @@ def join(
             f"{STREAMABLE_METHODS}; index-backed methods materialize here "
             "(their out-of-core mode is the kernel-level self_join_source)"
         )
-    _check_workers(method, workers)
 
     if stream:
         result, _stats = join_stream(
@@ -358,7 +327,6 @@ def join(
             spec=spec,
             store_distances=store_distances,
             memory_budget_bytes=memory_budget_bytes,
-            workers=workers,
         )
         return result
     if not isinstance(a, np.ndarray):
@@ -372,7 +340,7 @@ def join(
         if precision not in (None, "fp16-32"):
             raise ValueError("FaSTED is FP16-32 only")
         return FastedKernel(spec).join(
-            a, b, eps, store_distances=store_distances, workers=workers
+            a, b, eps, store_distances=store_distances
         )
     if method in ("ted-join-brute", "ted-join-index"):
         from repro.kernels.tedjoin import TedJoinKernel
@@ -381,7 +349,7 @@ def join(
             raise ValueError("TED-Join is FP64 only")
         variant = "brute" if method.endswith("brute") else "index"
         return TedJoinKernel(spec, variant=variant).join(
-            a, b, eps, store_distances=store_distances, workers=workers
+            a, b, eps, store_distances=store_distances
         )
     if method == "gds-join":
         from repro.kernels.gdsjoin import GdsJoinKernel
@@ -410,7 +378,6 @@ def join_stream(
     memory_budget_bytes: int | None = None,
     spill_threshold_bytes: int | None = None,
     spill_dir: str | Path | None = None,
-    workers: int | str = 0,
 ):
     """Out-of-core two-source join returning ``(JoinResult, StreamStats)``.
 
@@ -452,8 +419,7 @@ def join_stream(
                 store_distances=store_distances,
                 memory_budget_bytes=memory_budget_bytes,
                 acc=acc,
-                workers=workers,
-            )
+                )
         from repro.kernels.tedjoin import TedJoinKernel
 
         if precision not in (None, "fp64"):
@@ -465,7 +431,6 @@ def join_stream(
             store_distances=store_distances,
             memory_budget_bytes=memory_budget_bytes,
             acc=acc,
-            workers=workers,
         )
     except BaseException:
         # Never strand spill chunks when the stream dies mid-join (I/O

@@ -43,9 +43,8 @@ pair bookkeeping exactly once, and a kernel supplies only **operands** and a
   where per-group GEMMs degenerate to call overhead.
 
 Both executors emit into a :class:`repro.core.results.PairAccumulator` and
-commit strictly in tile / group order; the tile executor's thread workers
-(:class:`WorkerPlan`) keep that order, so parallel output is bit-identical
-to serial.  Under ``repro.trace.use_hooks`` both attribute their time to
+commit strictly in tile / group order on the calling thread; the only
+other thread is the tile executor's one-block prefetch loader.  Under ``repro.trace.use_hooks`` both attribute their time to
 the same stages -- ``adjacency`` (index group iteration), ``gather``,
 ``gemm``, ``rz`` (recombination + compare + compaction) and ``commit``
 (copy-out, append) -- with one ContextVar read per call.
@@ -83,10 +82,8 @@ device plan and asserts the equality.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -110,160 +107,41 @@ PrepareFn = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 GROUP_CHUNK_ELEMS = 2_000_000
 
 #: Per-core cache byte budget (the last-level-cache slice of current
-#: server parts).  Sizes the default GEMM tile edge
-#: (:meth:`WorkerPlan.tile_rows`: d2 block + two operand panels;
-#: ``WorkerPlan(tile_budget_bytes=...)`` overrides that use) and, in
-#: :func:`threshold_epilogue`, the native pass's survivor scratch and the
-#: NumPy fallback's row strips, whose passes over a strip then read cache
-#: whatever the tile edge.
+#: server parts).  Sizes the default GEMM tile edge (:func:`tile_rows`:
+#: d2 block + two operand panels) and, in :func:`threshold_epilogue`, the
+#: native pass's survivor scratch and the NumPy fallback's row strips,
+#: whose passes over a strip then read cache whatever the tile edge.
 TILE_CACHE_BUDGET_BYTES = 3 << 19  # 1.5 MiB
 
-#: Environment variables consulted (in order) for the BLAS thread count.
-_BLAS_THREAD_ENV = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
+def tile_rows(
+    n: int,
+    dim: int,
+    *,
+    d2_itemsize: int = 8,
+    work_itemsize: int = 8,
+    quantum: int = 128,
+) -> int:
+    """Cache-fit tile edge: largest ``rows`` with
+    ``rows^2 * d2_itemsize + 2 * rows * dim * work_itemsize`` under
+    :data:`TILE_CACHE_BUDGET_BYTES`, rounded down to a multiple of
+    ``quantum`` (a kernel's natural dispatch granule) and clamped to
+    ``[1, n]``.
 
-def blas_thread_count() -> int | None:
-    """BLAS thread-pool width, from the pinning env vars (None: unknown).
-
-    NumPy's BLAS reads these variables at import time; when none is set
-    the library typically claims every core, which is exactly the case
-    where adding engine-level workers would oversubscribe -- the
-    :class:`WorkerPlan` heuristic keys off this distinction.
+    The GEMM shape per tile -- the host analogue of FaSTED's hierarchical
+    data reuse; the epilogue strip-mines any tile, so its cache residency
+    does not depend on it.  Kernels use it whenever the caller leaves
+    ``row_block=None``; the choice never changes the pair set, and on the
+    seed datasets it is bit-identical distance-for-distance too
+    (tests/test_workers.py).
     """
-    for name in _BLAS_THREAD_ENV:
-        raw = os.environ.get(name, "").strip()
-        if raw:
-            # OMP_NUM_THREADS accepts a per-nesting-level list ("4,2");
-            # the outermost level is the one the BLAS pool uses.
-            head = raw.split(",")[0].strip()
-            try:
-                return max(1, int(head))
-            except ValueError:
-                continue
-    return None
-
-
-@dataclass(frozen=True)
-class WorkerPlan:
-    """Resolved parallel-execution plan: worker count + tile sizing.
-
-    :func:`tile_join` takes ``workers`` as an int (0/None = serial, N > 0 =
-    exactly N workers), the string ``"auto"`` / the int ``-1`` (resolve
-    from topology), or an already-resolved plan.  Resolution order for
-    ``"auto"``:
-
-    1. ``REPRO_WORKERS`` environment variable, when set (``source="env"``);
-    2. core topology: with BLAS pinned to ``t`` threads (see
-       :func:`blas_thread_count`), ``cpu_count // t`` tile workers keep
-       every core busy without oversubscribing the GEMMs; with BLAS
-       thread count unknown the library is assumed to own the cores
-       already, and at most two workers are used purely to overlap the
-       GIL-held extraction pass with the next tile's GEMM
-       (``source="auto"``).
-
-    The plan also owns **tile sizing**: :meth:`tile_rows` picks the
-    largest tile edge whose distance block plus operand panels fit
-    ``tile_budget_bytes`` -- the GEMM shape per tile; the epilogue
-    strip-mines any tile, so its cache residency does not depend on it.
-    Kernels use it whenever the caller leaves ``row_block=None``; the
-    choice never changes the pair set, and on the seed datasets it is
-    bit-identical distance-for-distance too (tests/test_workers.py).
-    """
-
-    n_workers: int
-    cpu_count: int
-    blas_threads: int | None
-    source: str  # "serial" | "explicit" | "env" | "auto"
-    tile_budget_bytes: int = TILE_CACHE_BUDGET_BYTES
-
-    #: Cap on topology-derived worker counts (explicit requests and the
-    #: REPRO_WORKERS override are taken verbatim).
-    MAX_AUTO_WORKERS = 8
-
-    @property
-    def parallel(self) -> bool:
-        return self.n_workers > 1
-
-    @classmethod
-    def resolve(cls, workers: "int | str | WorkerPlan | None" = 0) -> "WorkerPlan":
-        """Normalize a ``workers`` argument into a :class:`WorkerPlan`."""
-        if isinstance(workers, WorkerPlan):
-            return workers
-        cpu = os.cpu_count() or 1
-        blas = blas_thread_count()
-        if workers is None or workers == 0:
-            return cls(1, cpu, blas, "serial")
-        if isinstance(workers, str):
-            if workers != "auto":
-                raise ValueError(
-                    f"workers must be an int, 'auto', or a WorkerPlan; got {workers!r}"
-                )
-            workers = -1
-        workers = int(workers)
-        if workers > 0:
-            return cls(workers, cpu, blas, "explicit")
-        if workers != -1:
-            # Only -1 means "auto"; other negatives are almost certainly
-            # sign typos or failed arithmetic and must not silently
-            # resolve to a topology-derived count.
-            raise ValueError(
-                f"workers must be >= 0, -1/'auto', or a WorkerPlan; got {workers}"
-            )
-        env = os.environ.get("REPRO_WORKERS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}") from exc
-            if n < 1:
-                # Same reasoning as the explicit-argument check: a
-                # negative override is a typo, not a request for serial.
-                raise ValueError(
-                    f"REPRO_WORKERS must be a positive integer, got {env!r}"
-                )
-            return cls(n, cpu, blas, "env")
-        if blas is not None:
-            n = max(1, cpu // blas)
-        else:
-            n = 2 if cpu >= 4 else 1
-        return cls(min(n, cls.MAX_AUTO_WORKERS), cpu, blas, "auto")
-
-    def tile_rows(
-        self,
-        n: int,
-        dim: int,
-        *,
-        d2_itemsize: int = 8,
-        work_itemsize: int = 8,
-        quantum: int = 128,
-    ) -> int:
-        """Cache-fit tile edge: largest ``rows`` with
-        ``rows^2 * d2_itemsize + 2 * rows * dim * work_itemsize`` under
-        the budget, rounded down to a multiple of ``quantum`` (a kernel's
-        natural dispatch granule) and clamped to ``[1, n]``.
-        """
-        a = float(max(d2_itemsize, 1))
-        b = 2.0 * max(dim, 1) * max(work_itemsize, 1)
-        budget = float(max(self.tile_budget_bytes, 1))
-        rows = int(((b * b + 4.0 * a * budget) ** 0.5 - b) / (2.0 * a))
-        if rows >= quantum:
-            rows -= rows % quantum
-        return max(1, min(rows, max(n, 1)))
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view (benchmarks and the CLI report this)."""
-        return {
-            "n_workers": self.n_workers,
-            "cpu_count": self.cpu_count,
-            "blas_threads": self.blas_threads,
-            "source": self.source,
-            "tile_budget_bytes": self.tile_budget_bytes,
-        }
+    a = float(max(d2_itemsize, 1))
+    b = 2.0 * max(dim, 1) * max(work_itemsize, 1)
+    budget = float(TILE_CACHE_BUDGET_BYTES)
+    rows = int(((b * b + 4.0 * a * budget) ** 0.5 - b) / (2.0 * a))
+    if rows >= quantum:
+        rows -= rows % quantum
+    return max(1, min(rows, max(n, 1)))
 
 
 def norm_expansion_sq_dists(
@@ -359,11 +237,11 @@ def _native_epilogue(
     if not block.size:
         return None
     n_rows, c = block.shape[0] * block.shape[1], block.shape[2]
-    # Survivor scratch per fill, owned by this call (tile threads run
-    # concurrently): a cache budget's worth of 20-byte (int64 row, int64
-    # col, float32 d2) slots, but at least one block row (the C pass stops
-    # before a row that might not fit) and at most the block, so a 131-row
-    # serving block does not allocate a megabyte.
+    # Survivor scratch per fill, owned by this call: a cache budget's worth
+    # of 20-byte (int64 row, int64 col, float32 d2) slots, but at least one
+    # block row (the C pass stops before a row that might not fit) and at
+    # most the block, so a 131-row serving block does not allocate a
+    # megabyte.
     cap = max(c, min(TILE_CACHE_BUDGET_BYTES // 20, block.size))
     dtypes = (np.int64, np.int64) + ((np.float32,) if store_distances else ())
     fills: list[list[np.ndarray]] = []
@@ -408,9 +286,7 @@ class TilePlan:
     it for the whole stripe while the stripe's column blocks stream
     through, each discarded after its tile -- the left set is read once
     and the right set once per row stripe -- so peak residency is bounded
-    by :data:`RESIDENT_BLOCKS` blocks regardless of either size
-    (``workers > 1`` keeps up to one extra column block in flight per
-    worker; see :func:`tile_join`).
+    by :data:`RESIDENT_BLOCKS` blocks regardless of either size.
     """
 
     n_rows: int
@@ -449,7 +325,6 @@ class TilePlan:
         *,
         symmetric: bool = False,
         itemsize: int = 8,
-        extra_blocks: int = 0,
     ) -> "TilePlan":
         """Choose equal block edges so peak resident data fits the budget.
 
@@ -457,16 +332,11 @@ class TilePlan:
         float64 blocks, plus one spare column per row for the per-block
         norm vectors); the result pairs themselves grow with the join's
         output and are accounted separately by ``PairAccumulator.nbytes``.
-        ``extra_blocks`` widens the accounting for blocks kept alive
-        beyond that -- :func:`tile_join` passes its in-flight worker
-        window here, so a ``memory_budget_bytes`` stays honored with
-        ``workers > 1``.
         """
         if memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
         per_row = max(1, (dim + 1) * itemsize)
-        blocks = cls.RESIDENT_BLOCKS + max(0, int(extra_blocks))
-        block = int(max(1, memory_budget_bytes // (blocks * per_row)))
+        block = int(max(1, memory_budget_bytes // (cls.RESIDENT_BLOCKS * per_row)))
         return cls(
             n_rows,
             n_cols,
@@ -486,7 +356,6 @@ class TilePlan:
         col_block: int | None = None,
         memory_budget_bytes: int | None = None,
         symmetric: bool = False,
-        extra_blocks: int = 0,
     ) -> "TilePlan":
         """The plan a join runs when the caller gave block edges or a budget.
 
@@ -497,7 +366,7 @@ class TilePlan:
         if memory_budget_bytes is not None:
             return cls.from_budget(
                 n_rows, n_cols, dim, int(memory_budget_bytes),
-                symmetric=symmetric, extra_blocks=extra_blocks,
+                symmetric=symmetric,
             )
         rb = int(row_block)
         cb = rb if symmetric or col_block is None else int(col_block)
@@ -690,36 +559,6 @@ def _check_operands(left: Operand, right: "Operand | None") -> Operand:
 # ----------------------------------------------------------------------
 
 
-class _InFlightWindow:
-    """Bounded in-flight tile window with in-order commit.
-
-    Tiles are evaluated on ``pool`` (or inline when ``pool`` is None)
-    while commits run on the calling thread in strict submission order,
-    with at most ``limit`` results outstanding so finished-but-uncommitted
-    results never pile up -- the determinism lever that makes parallel
-    output bit-identical to serial.  ``commit(result, *payload)`` receives
-    whatever payload rode along with the submission.
-    """
-
-    def __init__(self, pool: ThreadPoolExecutor | None, limit: int, commit) -> None:
-        self._pool = pool
-        self._limit = limit
-        self._commit = commit
-        self._pending: deque = deque()
-
-    def run(self, fn, args: tuple, payload: tuple) -> None:
-        if self._pool is None:
-            self._commit(fn(*args), *payload)
-            return
-        self._pending.append((self._pool.submit(fn, *args), payload))
-        self.drain(self._limit)
-
-    def drain(self, limit: int = 0) -> None:
-        while len(self._pending) > limit:
-            fut, payload = self._pending.popleft()
-            self._commit(fut.result(), *payload)
-
-
 def _prefetched(requests: Iterable, fetch: Callable, pool: ThreadPoolExecutor | None):
     """Yield ``fetch(req)`` per request, one request ahead on ``pool``.
 
@@ -753,7 +592,6 @@ def tile_join(
     memory_budget_bytes: int | None = None,
     store_distances: bool = True,
     acc: PairAccumulator | None = None,
-    workers: "int | str | WorkerPlan | None" = 0,
 ) -> tuple[PairAccumulator, StreamStats]:
     """Tiled join over the block grid of a :class:`TilePlan`.
 
@@ -802,15 +640,6 @@ def tile_join(
         disk-spilling accumulators
         (``PairAccumulator(spill_threshold_bytes=...)``) when the output
         itself outgrows memory.  A failed run cleans its spill files up.
-    workers:
-        Worker-pool request (:meth:`WorkerPlan.resolve`): with more than
-        one worker, tile GEMMs + extraction run on a thread pool (NumPy /
-        BLAS release the GIL for the heavy ops) and overlap the block
-        prefetch, with pairs committed in strict tile order.  Each
-        in-flight tile keeps its column block alive; budget-derived plans
-        fold those blocks into the accounting
-        (``from_budget(extra_blocks=...)``), explicit plans accept the
-        up-to-``workers``-blocks residency growth.
 
     Returns
     -------
@@ -819,15 +648,11 @@ def tile_join(
     """
     self_join = right is None
     cols = _check_operands(left, right)
-    wp = WorkerPlan.resolve(workers)
     if plan is None:
-        # In-flight worker tiles each pin an extra column block; widen a
-        # budget's residency accounting so it stays honored.
         plan = TilePlan.for_join(
             left.n, cols.n, left.dim,
             row_block=row_block, col_block=col_block,
             memory_budget_bytes=memory_budget_bytes, symmetric=self_join,
-            extra_blocks=wp.n_workers if wp.parallel else 0,
         )
     elif (plan.n_rows, plan.n_cols) != (left.n, cols.n):
         raise ValueError(
@@ -857,8 +682,7 @@ def tile_join(
         op, lo, hi = req
         return op.block(lo, hi, stats)
 
-    def eval_tile(row, col, r0: int, c0: int, diagonal: bool):
-        # May run on pool threads: hooks ride the closure, not the context.
+    def run_tile(row, col, r0: int, c0: int, diagonal: bool) -> None:
         t0 = time.perf_counter()
         gram = row[0] @ col[0].T
         if hooks is not None:
@@ -867,46 +691,28 @@ def tile_join(
             gram, row[1], col[1], eps2, clear_diagonal=diagonal,
             store_distances=store_distances, hooks=hooks,
         )
-        return gi + r0, gj + c0, dd
-
-    def commit_tile(extracted, mirror: bool, col) -> None:
+        gi, gj = gi + r0, gj + c0
         t0 = time.perf_counter()
-        gi, gj, dd = extracted
         acc.append(gi, gj, dd)
-        if mirror:
+        if plan.symmetric and not diagonal:
             acc.append(gj, gi, dd)
         stats.tiles_evaluated += 1
-        if col is not None:
+        if not diagonal:
             cols.release(*col, stats)
         if hooks is not None:
             hooks.record("commit", time.perf_counter() - t0)
 
     streamed = not (left.resident and cols.resident)
     loader = ThreadPoolExecutor(max_workers=1) if streamed else None
-    gemm_pool = (
-        ThreadPoolExecutor(max_workers=wp.n_workers)
-        if wp.parallel and plan.n_tiles > 1
-        else None
-    )
     try:
         blocks = _prefetched(loads(), fetch, loader)
-        # In-flight tiles keep their column block alive until commit, and
-        # commits run here in submission order.
-        window = _InFlightWindow(gemm_pool, wp.n_workers, commit_tile)
         for ri in range(plan.n_row_blocks):
             row = next(blocks)
             r0, _r1 = plan.row_bounds(ri)
             for cj in plan.stripe(ri):
                 diagonal = self_join and cj == ri
                 col = row if diagonal else next(blocks)
-                c0, _c1 = plan.col_bounds(cj)
-                window.run(
-                    eval_tile, (row, col, r0, c0, diagonal),
-                    (plan.symmetric and not diagonal, None if diagonal else col),
-                )
-            # The stripe's tiles all read the pinned row block: finish
-            # them before its bytes are released.
-            window.drain()
+                run_tile(row, col, r0, plan.col_bounds(cj)[0], diagonal)
             left.release(*row, stats)
     except BaseException:
         # A failed run's partial output is garbage; drop any spilled
@@ -914,8 +720,6 @@ def tile_join(
         acc.cleanup()
         raise
     finally:
-        if gemm_pool is not None:
-            gemm_pool.shutdown(wait=True, cancel_futures=True)
         if loader is not None:
             loader.shutdown(wait=True, cancel_futures=True)
     return acc, stats

@@ -197,8 +197,7 @@ class PairAccumulator:
     Spilled files are removed by :meth:`cleanup` (called automatically by
     the finalizers); the directory itself is removed only when the
     accumulator created it.  :meth:`append` is thread-safe -- spill
-    rotation included -- so the accumulator can sit behind the engine's
-    multi-worker executors.
+    rotation included -- so callers may append from several threads.
 
     Parameters
     ----------
@@ -243,9 +242,9 @@ class PairAccumulator:
         self._chunks: list[tuple[Path, Path, Path | None, int]] = []
         self._spilled_pairs = 0
         # Appends mutate the buffer cursor and, past the spill threshold,
-        # rotate the whole buffer out to disk.  The engine's multi-worker
-        # executors commit from one thread, but nothing stops a caller
-        # from appending out of pool threads -- an unlocked append racing
+        # rotate the whole buffer out to disk.  The engine's executors
+        # commit from one thread, but nothing stops a caller from
+        # appending out of several threads -- an unlocked append racing
         # a spill rotation would interleave half-written chunks, so every
         # append (including its potential spill) is serialized here.
         # Uncontended lock acquisition is noise next to the bulk copies.

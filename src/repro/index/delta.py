@@ -71,14 +71,18 @@ an internal lock, queries capture an immutable generation snapshot (the
 layer list + tombstone array) and run lock-free on it, and a compaction
 swaps the base atomically under the lock -- in-flight queries finish on
 the old generation (their mmaps stay valid; POSIX keeps unlinked
-payload inodes readable) while new queries see the new one.  The
-serving layer (:class:`repro.service.server.IndexCache`) keys cached
-mutable engines on the manifest digest for the same old-or-new swap
-across processes.
+payload inodes readable) while new queries see the new one.  A
+compaction also holds the store's ``compact.lock`` exclusively, and GC
+(run at open and after every commit) skips while any other handle --
+in this process or another -- holds it, so opening a store never
+deletes another handle's in-flight base.  The serving layer
+(:class:`repro.service.server.IndexCache`) keys cached mutable engines
+on the manifest digest for the same old-or-new swap across processes.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -116,6 +120,10 @@ MANIFEST_NAME = "state.json"
 
 #: Default buffer size (rows) past which an append seals a segment.
 DEFAULT_SEAL_THRESHOLD = 4096
+
+#: Lock file a compaction holds exclusively (``flock``) for its whole run;
+#: GC on every other handle takes it shared and skips while it cannot.
+COMPACT_LOCK_NAME = "compact.lock"
 
 
 class CompactionInProgress(RuntimeError):
@@ -331,6 +339,7 @@ class MutableIndex:
         self._lock = threading.RLock()
         self._compact_lock = threading.Lock()
         self._protected: set[str] = set()  # dirs an in-flight compaction owns
+        self._compact_fd: int | None = None  # held compact.lock, if compacting
         self._gen: _Generation | None = None
         self._buffer_rows: list[np.ndarray] = []
         self._buffer_n = 0
@@ -619,11 +628,30 @@ class MutableIndex:
         Superseded bases, folded segments, stale side payloads, and
         interrupted staging leftovers all become garbage the moment a
         new manifest commits (live mmaps keep reading the unlinked
-        inodes).  Directories an in-flight compaction is staging are
-        protected by name.
+        inodes).  Directories this handle's in-flight compaction is
+        staging are protected by name; another handle's compaction is
+        invisible by name, so GC skips while :data:`COMPACT_LOCK_NAME` is
+        held exclusively elsewhere.
         """
+        if self._compact_fd is not None:
+            self._sweep_locked()
+            return
+        try:
+            fd = self._open_compact_lock()
+        except OSError:
+            return  # a store this handle cannot write is not its to sweep
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return  # another handle is compacting
+        else:
+            self._sweep_locked()
+        finally:
+            os.close(fd)  # drops the shared lock
+
+    def _sweep_locked(self) -> None:
         manifest = self._manifest
-        keep_files = {MANIFEST_NAME}
+        keep_files = {MANIFEST_NAME, COMPACT_LOCK_NAME}
         for entry in (manifest.get("base_ids"), manifest.get("tombstones")):
             if entry:
                 keep_files.add(entry["file"])
@@ -779,6 +807,7 @@ class MutableIndex:
             )
         t0 = time.perf_counter()
         try:
+            self._hold_compact_flock(wait)
             with self._lock:
                 self._seal_locked()
                 if self._n_rows_locked() - len(self._tombstones) == 0:
@@ -850,12 +879,35 @@ class MutableIndex:
             finally:
                 self._protected.discard(new_base_dir)
         finally:
+            fd, self._compact_fd = self._compact_fd, None
+            if fd is not None:
+                os.close(fd)  # drops the exclusive lock
             self._compact_lock.release()
         return {
             "duration_s": time.perf_counter() - t0,
             "n_live": int(live_gids.size),
             "segments_folded": len(snap_segments),
         }
+
+    def _open_compact_lock(self) -> int:
+        return os.open(
+            self.path / COMPACT_LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644
+        )
+
+    def _hold_compact_flock(self, wait: bool) -> None:
+        """Take :data:`COMPACT_LOCK_NAME` exclusively for this compaction."""
+        fd = self._open_compact_lock()
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+        except BlockingIOError:
+            os.close(fd)
+            raise CompactionInProgress(
+                f"{self.path}: a compaction is already running"
+            ) from None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._compact_fd = fd
 
     # -- query snapshot -------------------------------------------------
 

@@ -31,9 +31,9 @@ from repro.core.engine import (
     SourceOperand,
     StreamStats,
     TilePlan,
-    WorkerPlan,
     norm_expansion_sq_dists,
     tile_join,
+    tile_rows,
 )
 from repro.core.results import JoinResult, NeighborResult, PairAccumulator
 from repro.data.source import DatasetSource, as_source
@@ -193,18 +193,16 @@ class FastedKernel:
         """
         return norm_expansion_sq_dists(s_p, s_q, gemm_fp16_32(p_block, q_block))
 
-    def auto_row_block(
-        self, n: int, dim: int, workers: "int | str | WorkerPlan | None" = 0
-    ) -> int:
+    def auto_row_block(self, n: int, dim: int) -> int:
         """Functional tile edge resolved when ``row_block=None``.
 
-        The worker plan's cache-fit edge at this kernel's working
-        itemsizes (FP32 distance tile, FP32 quantized operands) and
-        dispatch quantum (``block_points``) -- the single source of truth
-        shared by :meth:`self_join`, :meth:`join`, and the ``workers``
-        benchmark entry.
+        The cache-fit edge (:func:`repro.core.engine.tile_rows`) at this
+        kernel's working itemsizes (FP32 distance tile, FP32 quantized
+        operands) and dispatch quantum (``block_points``) -- the single
+        source of truth shared by :meth:`self_join`, :meth:`join`, and the
+        ``tile_edge`` benchmark entry.
         """
-        return WorkerPlan.resolve(workers).tile_rows(
+        return tile_rows(
             n, dim, d2_itemsize=4, work_itemsize=4,
             quantum=self.config.block_points,
         )
@@ -226,7 +224,6 @@ class FastedKernel:
         *,
         store_distances: bool = True,
         row_block: int | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
         plan: TilePlan | None = None,
     ) -> NeighborResult:
         """Compute the distance-similarity self-join with FaSTED numerics.
@@ -250,13 +247,8 @@ class FastedKernel:
             Functional blocking factor for the NumPy GEMM -- a performance
             knob only: the pair set is identical for any value (low-order
             distance bits can vary with BLAS tile-shape specialization).
-            ``None`` (the default) lets the resolved
-            :class:`~repro.core.engine.WorkerPlan` pick a cache-fit edge.
-        workers:
-            Worker-pool request resolved via
-            :meth:`~repro.core.engine.WorkerPlan.resolve` (0 serial, N
-            threads, ``"auto"`` for the topology plan); results are
-            bit-identical either way.
+            ``None`` (the default) picks the cache-fit edge of
+            :meth:`auto_row_block`.
         plan:
             Explicit :class:`~repro.core.engine.TilePlan` to execute
             (overrides ``row_block``); used by the timing-unification
@@ -264,16 +256,14 @@ class FastedKernel:
         """
         data = np.ascontiguousarray(data, dtype=np.float64)
         n, d = data.shape
-        wp = WorkerPlan.resolve(workers)
         if row_block is None:
-            row_block = self.auto_row_block(n, d, wp)
+            row_block = self.auto_row_block(n, d)
         acc, _stats = tile_join(
             ResidentOperand(*self._block_state(data)),
             self._eps2(eps),
             plan=plan,
             row_block=row_block,
             store_distances=store_distances,
-            workers=wp,
         )
         return acc.finalize(n, float(eps))
 
@@ -292,7 +282,6 @@ class FastedKernel:
         row_block: int = 2048,
         memory_budget_bytes: int | None = None,
         acc: PairAccumulator | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[NeighborResult, StreamStats]:
         """Out-of-core self-join with FaSTED numerics (bit-identical).
 
@@ -303,9 +292,7 @@ class FastedKernel:
         ``O(row_block * d)`` rows stay in memory.  Pass
         ``memory_budget_bytes`` to have the tile plan derived from a
         resident-set budget instead of a block size, ``acc`` (e.g. a
-        disk-spilling accumulator) when the output itself outgrows memory,
-        and ``workers`` to overlap tile GEMMs with the block prefetch
-        (in-order commit; bit-identical to serial).
+        disk-spilling accumulator) when the output itself outgrows memory.
 
         Returns the result plus the :class:`~repro.core.engine.StreamStats`
         (blocks loaded, observed peak resident bytes).
@@ -318,7 +305,6 @@ class FastedKernel:
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
             acc=acc,
-            workers=workers,
         )
         return out.finalize(source.n, float(eps)), stats
 
@@ -335,7 +321,6 @@ class FastedKernel:
         store_distances: bool = True,
         row_block: int | None = None,
         col_block: int | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> JoinResult:
         """Two-source join with FaSTED numerics: pairs ``(i in A, j in B)``.
 
@@ -344,19 +329,15 @@ class FastedKernel:
         diagonal is cleared -- equal indices address different points.
         ``row_block``/``col_block`` are performance knobs only for the
         pair set (FP32 low-order distance bits vary with BLAS tile
-        shapes, as for the self-join); ``None`` lets the resolved worker
-        plan pick a cache-fit edge.  ``workers`` dispatches tiles to a
-        thread pool with in-order commit (bit-identical to serial).
+        shapes, as for the self-join); ``None`` picks the cache-fit edge
+        of :meth:`auto_row_block`.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         if a.shape[1] != b.shape[1]:
             raise ValueError("A and B dimensionalities must match")
-        wp = WorkerPlan.resolve(workers)
         if row_block is None:
-            row_block = self.auto_row_block(
-                max(a.shape[0], b.shape[0]), a.shape[1], wp
-            )
+            row_block = self.auto_row_block(max(a.shape[0], b.shape[0]), a.shape[1])
         acc, _stats = tile_join(
             ResidentOperand(*self._block_state(a)),
             self._eps2(eps),
@@ -364,7 +345,6 @@ class FastedKernel:
             row_block=row_block,
             col_block=col_block,
             store_distances=store_distances,
-            workers=wp,
         )
         return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
 
@@ -379,7 +359,6 @@ class FastedKernel:
         col_block: int | None = None,
         memory_budget_bytes: int | None = None,
         acc: PairAccumulator | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[JoinResult, StreamStats]:
         """Out-of-core two-source join (bit-identical to :meth:`join` at
         the same tile plan).
@@ -388,8 +367,7 @@ class FastedKernel:
         blocks stream through, with prefetch spanning both sources.  Pass
         ``acc`` (e.g. a disk-spilling
         :class:`~repro.core.results.PairAccumulator`) when the output
-        itself outgrows memory, and ``workers`` to overlap tile GEMMs
-        with the prefetch (in-order commit; bit-identical).
+        itself outgrows memory.
         """
         source_a, source_b = as_source(source_a), as_source(source_b)
         out, stats = tile_join(
@@ -401,7 +379,6 @@ class FastedKernel:
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
             acc=acc,
-            workers=workers,
         )
         return out.finalize_join(source_a.n, source_b.n, float(eps)), stats
 

@@ -31,10 +31,10 @@ from repro.core.engine import (
     SourceOperand,
     StreamStats,
     TilePlan,
-    WorkerPlan,
     candidate_join,
     resolve_batching,
     tile_join,
+    tile_rows,
 )
 from repro.core.results import JoinResult, NeighborResult, PairAccumulator
 from repro.data.source import DatasetSource, as_source
@@ -135,19 +135,15 @@ class TedJoinKernel:
     # Functional path (exact FP64)
     # ------------------------------------------------------------------
 
-    def auto_row_block(
-        self, n: int, dim: int, workers: "int | str | WorkerPlan | None" = 0
-    ) -> int:
+    def auto_row_block(self, n: int, dim: int) -> int:
         """Functional tile edge resolved when ``row_block=None`` (brute).
 
-        The worker plan's cache-fit edge at FP64 itemsizes, quantized to
-        the 8-point WMMA granule -- the single source of truth shared by
-        :meth:`self_join`, :meth:`join`, and the ``workers`` benchmark
-        entry.
+        The cache-fit edge (:func:`repro.core.engine.tile_rows`) at FP64
+        itemsizes, quantized to the 8-point WMMA granule -- the single
+        source of truth shared by :meth:`self_join`, :meth:`join`, and the
+        ``tile_edge`` benchmark entry.
         """
-        return WorkerPlan.resolve(workers).tile_rows(
-            n, dim, d2_itemsize=8, work_itemsize=8, quantum=8
-        )
+        return tile_rows(n, dim, d2_itemsize=8, work_itemsize=8, quantum=8)
 
     @staticmethod
     def _block_state(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,13 +158,6 @@ class TedJoinKernel:
                 f"exceeds shared memory at d={d}"
             )
 
-    def _check_workers(self, workers) -> None:
-        if self.variant == "index" and workers not in (0, None):
-            raise ValueError(
-                "workers applies to the brute variant's tiles; the index "
-                f"variant runs serially (got workers={workers!r})"
-            )
-
     def self_join_stream(
         self,
         source: DatasetSource,
@@ -178,7 +167,6 @@ class TedJoinKernel:
         row_block: int = 1024,
         memory_budget_bytes: int | None = None,
         acc: PairAccumulator | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[TedJoinResult, StreamStats]:
         """Out-of-core FP64 brute self-join (bit-identical to resident).
 
@@ -189,8 +177,7 @@ class TedJoinKernel:
         (per-block state is the contiguous FP64 block plus its row
         norms); peak residency is bounded by the
         :class:`~repro.core.engine.TilePlan`.  ``acc`` admits a
-        disk-spilling accumulator; ``workers`` overlaps tile GEMMs with
-        the block prefetch (in-order commit, bit-identical).
+        disk-spilling accumulator.
         """
         if self.variant != "brute":
             raise ValueError(
@@ -206,7 +193,6 @@ class TedJoinKernel:
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
             acc=acc,
-            workers=workers,
         )
         n = source.n
         result = TedJoinResult(
@@ -222,7 +208,6 @@ class TedJoinKernel:
         eps: float,
         *,
         store_distances: bool = True,
-        workers: "int | str | WorkerPlan | None" = 0,
         batched: bool | None = None,
         batch_params: dict | None = None,
         row_block: int | None = None,
@@ -235,10 +220,8 @@ class TedJoinKernel:
         r0`` tiles mirrored -- FP64 dot products are position-independent
         in BLAS, so this is bit-identical to evaluating the full matrix
         at half the GEMM work), the index variant on the candidate-group
-        executor (:func:`repro.core.engine.candidate_join`).  ``workers``
-        dispatches the brute variant's tiles to a thread pool
-        (bit-identical to serial); the index variant runs serially and
-        rejects it.  ``batched`` runs the index variant in the executor's
+        executor (:func:`repro.core.engine.candidate_join`); both run
+        serially on the calling thread.  ``batched`` runs the index variant in the executor's
         padded batch-GEMM mode -- same pair set, faster at small eps,
         with knobs derived from the grid's measured group moments
         (:func:`repro.core.engine.batch_params_from_stats`; override any
@@ -246,7 +229,7 @@ class TedJoinKernel:
         resolves from those same moments
         (:func:`repro.core.engine.auto_batched_from_stats`), and the
         brute variant ignores it.  ``row_block`` (brute) defaults to
-        the worker plan's cache-fit edge; ``plan`` overrides the brute
+        the cache-fit edge of :meth:`auto_row_block`; ``plan`` overrides the brute
         tile geometry outright (e.g. the device schedule from
         :meth:`tile_plan`).  The modeled hardware cost is unchanged:
         TED-Join itself evaluates all ``n^2`` candidates.
@@ -257,19 +240,16 @@ class TedJoinKernel:
         data = np.ascontiguousarray(data, dtype=np.float64)
         n, d = data.shape
         self._check_capacity(d)
-        self._check_workers(workers)
         operand = ResidentOperand(*self._block_state(data))
         if self.variant == "brute":
-            wp = WorkerPlan.resolve(workers)
             if row_block is None:
-                row_block = self.auto_row_block(n, d, wp)
+                row_block = self.auto_row_block(n, d)
             acc, _stats = tile_join(
                 operand,
                 float(eps) ** 2,
                 plan=plan,
                 row_block=row_block,
                 store_distances=store_distances,
-                workers=wp,
             )
             return TedJoinResult(
                 result=acc.finalize(n, float(eps)),
@@ -325,7 +305,6 @@ class TedJoinKernel:
         store_distances: bool = True,
         row_block: int | None = None,
         col_block: int | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> JoinResult:
         """Two-source FP64 join: pairs ``(i in A, j in B)`` within ``eps``.
 
@@ -334,10 +313,7 @@ class TedJoinKernel:
         Index variant: grid built over **B**, A's points dropped into it
         (``GridIndex.iter_join_groups``), candidates evaluated by the
         candidate executor with a second operand (no self-pair drop --
-        equal indices address different points).  ``workers`` dispatches
-        the brute variant's tiles to threads (bit-identical to serial);
-        the index variant runs serially and rejects it.  Functional path
-        only; the timing models remain self-join-scoped.
+        equal indices address different points).  Functional path only; the timing models remain self-join-scoped.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -346,21 +322,16 @@ class TedJoinKernel:
         d = a.shape[1]
         self._check_capacity(d)
         eps2 = float(eps) ** 2
-        self._check_workers(workers)
         left = ResidentOperand(*self._block_state(a))
         right = ResidentOperand(*self._block_state(b))
         if self.variant == "brute":
-            wp = WorkerPlan.resolve(workers)
             if row_block is None:
-                row_block = self.auto_row_block(
-                    max(a.shape[0], b.shape[0]), d, wp
-                )
+                row_block = self.auto_row_block(max(a.shape[0], b.shape[0]), d)
             acc, _stats = tile_join(
                 left, eps2, right,
                 row_block=row_block,
                 col_block=col_block,
                 store_distances=store_distances,
-                workers=wp,
             )
         else:
             acc = candidate_join(
@@ -380,16 +351,14 @@ class TedJoinKernel:
         col_block: int | None = None,
         memory_budget_bytes: int | None = None,
         acc: PairAccumulator | None = None,
-        workers: "int | str | WorkerPlan | None" = 0,
     ) -> tuple[JoinResult, StreamStats]:
         """Out-of-core two-source FP64 join (brute variant; bit-identical
         to :meth:`join` at the same tile plan).
 
         A's row blocks pin stripe by stripe while B's column blocks stream
-        through the tile executor; ``acc`` admits a disk-spilling
-        accumulator for outputs larger than RAM, and ``workers`` overlaps
-        tile GEMMs with the cross-source prefetch (in-order commit,
-        bit-identical).
+        through the tile executor, with prefetch spanning both sources;
+        ``acc`` admits a disk-spilling accumulator for outputs larger than
+        RAM.
         """
         if self.variant != "brute":
             raise ValueError(
@@ -407,7 +376,6 @@ class TedJoinKernel:
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
             acc=acc,
-            workers=workers,
         )
         return out.finalize_join(source_a.n, source_b.n, float(eps)), stats
 

@@ -73,7 +73,7 @@ def test_readme_mentions_committed_bench_entries():
     assert "rz_sum_squares" in readme and "rz_sum_squares" in bench
     for key in (
         "streaming", "candidate_batched", "two_source", "streaming_index",
-        "workers", "query_service", "mutable",
+        "tile_edge", "query_service", "mutable",
     ):
         assert key in bench, f"BENCH_engine.json lost its `{key}` entry"
     assert bench["streaming"]["bit_identical"] is True
@@ -84,17 +84,18 @@ def test_readme_mentions_committed_bench_entries():
     assert max(speedups) >= 1.3, "batched executor no longer lifts any kernel"
 
 
-def test_workers_bench_entry():
-    """The auto worker plan keeps its contracts: bit-identity everywhere,
-    and a real (>1.3x) pairs/sec lift on at least one kernel."""
+def test_tile_edge_bench_entry():
+    """The cache-fit tile edge keeps its contracts: bit-identity against
+    the old fixed edge everywhere, and a real (>1.3x) pairs/sec lift on at
+    least one kernel."""
     bench = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
-    entry = bench["workers"]
-    assert entry["worker_plan"]["n_workers"] >= 1
-    assert entry["worker_plan"]["source"] in ("auto", "env")
+    entry = bench["tile_edge"]
+    assert entry["tile_cache_budget_bytes"] > 0
     for name, k in entry["kernels"].items():
-        assert k["bit_identical"] is True, f"{name} lost worker bit-identity"
+        assert k["bit_identical"] is True, f"{name} lost tile-edge bit-identity"
+        assert k["cache_fit_row_block"] < k["fixed_row_block"], name
     assert max(k["speedup"] for k in entry["kernels"].values()) > 1.3, (
-        "the auto worker plan no longer lifts any kernel"
+        "the cache-fit tile edge no longer lifts any kernel"
     )
 
 
@@ -192,7 +193,7 @@ def test_cli_two_source_help():
     assert positionals == ["data_a", "data_b"]
     help_text = join.format_help()
     assert "two-source join A x B" in " ".join(help_text.split())
-    for flag in ("--stream", "--memory-budget", "--batched", "--method", "--workers"):
+    for flag in ("--stream", "--memory-budget", "--batched", "--method"):
         assert flag in help_text
 
 

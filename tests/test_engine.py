@@ -143,27 +143,6 @@ class TestEngineExecution:
             acc, _ = tile_join(_fp64_operand(data), float(eps) ** 2, row_block=rb)
             assert_bit_identical(base, acc.finalize(len(data), float(eps)))
 
-    def test_workers_identical_to_serial(self):
-        data = _dataset(32, n=600, seed=6)
-        eps = epsilon_for_selectivity(data, 16)
-        serial = FastedKernel().self_join(data, eps, row_block=128)
-        threaded = FastedKernel().self_join(
-            data, eps, row_block=128, workers=4
-        )
-        # Deterministic commit order: identical arrays, not just same set.
-        np.testing.assert_array_equal(serial.pairs_i, threaded.pairs_i)
-        np.testing.assert_array_equal(serial.pairs_j, threaded.pairs_j)
-        assert np.array_equal(
-            serial.sq_dists.view(np.uint32), threaded.sq_dists.view(np.uint32)
-        )
-
-    def test_ted_brute_workers(self):
-        data = _dataset(32, n=500, seed=7)
-        eps = epsilon_for_selectivity(data, 16)
-        a = TedJoinKernel(variant="brute").self_join(data, eps).result
-        b = TedJoinKernel(variant="brute").self_join(data, eps, workers=3).result
-        assert_bit_identical(a, b)
-
     def test_store_distances_off(self):
         data = _dataset(32, n=200, seed=8)
         eps = epsilon_for_selectivity(data, 8)
@@ -295,7 +274,7 @@ def _hook_cases():
         return run
 
     def api_gds():
-        res = api.self_join(data, eps, method="gds-join", precision="fp64", workers=None)
+        res = api.self_join(data, eps, method="gds-join", precision="fp64")
         return res.pairs_i, res.pairs_j, res.sq_dists
 
     cases = [
@@ -631,8 +610,8 @@ class TestNativeEpilogue:
             _assert_same_hits(got, _naive_epilogue(gram, sr, sc, 12.0))
 
     def test_threaded_tiles_equal_serial_and_numpy(self):
-        """Tile threads run the C pass concurrently, each on its own
-        scratch: same arrays, in the same order, as serial and as NumPy."""
+        """The tile loop's C pass gives the same arrays, in the same order,
+        as the NumPy strips and as a repeat run."""
         data = _dataset(32, n=700, seed=14)
         state = FastedKernel()._block_state(data)
         eps2 = np.float32(epsilon_for_selectivity(data, 24) ** 2)
@@ -644,8 +623,8 @@ class TestNativeEpilogue:
         serial = run()
         assert serial[0].size
         with _numpy_strips():
-            others = [run(), run(workers=2)]
-        for other in others + [run(workers=2)]:
+            numpy_strips = run()
+        for other in (numpy_strips, run()):
             for a, b in zip(serial, other):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

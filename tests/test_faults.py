@@ -46,7 +46,12 @@ from repro.core.engine import SourceOperand, tile_join
 from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import ArraySource
-from repro.index.delta import MutableIndex, read_manifest
+from repro.index.delta import (
+    COMPACT_LOCK_NAME,
+    CompactionInProgress,
+    MutableIndex,
+    read_manifest,
+)
 from repro.index.grid import GridIndex
 from repro.index.persist import (
     HEADER_NAME,
@@ -947,6 +952,82 @@ class TestMutableStoreChaos:
             else set()
         )
         assert segs == {Path(s["dir"]).name for s in m["segments"]}
+
+    def test_open_mid_compaction_keeps_the_staging_base(self, tmp_path):
+        """Opening a second handle while the first compacts must not GC
+        the first handle's staging base: the compaction's lock file makes
+        every other handle's GC stand down until the commit."""
+        root, data, _eps = _mutable_store(tmp_path)
+        mut = MutableIndex(root)
+        mut.delete([0, 1, 2])
+        old_base = read_manifest(root)["base"]
+        faults.arm("persist.payload", "delay", param=0.2)
+        errors = []
+
+        def compact():
+            try:
+                mut.compact()
+            except BaseException as exc:  # re-raised on the test thread
+                errors.append(exc)
+
+        worker = threading.Thread(target=compact)
+        worker.start()
+        deadline = time.monotonic() + 30
+        while not any(SAVING_SUFFIX in p.name for p in root.glob("base-*")):
+            assert worker.is_alive() and time.monotonic() < deadline
+            time.sleep(0.01)
+        MutableIndex(root)  # a reader opening mid-compaction runs GC
+        worker.join(timeout=60)
+        faults.disarm()
+        assert not worker.is_alive()
+        if errors:
+            raise errors[0]
+        new_base = read_manifest(root)["base"]
+        assert new_base != old_base
+        reopened = MutableIndex(root, verify="full")
+        assert reopened.n_segments == 0
+        np.testing.assert_array_equal(
+            reopened.live_ids(), np.arange(3, data.shape[0], dtype=np.int64)
+        )
+        res = reopened.range_query(data[:5])
+        assert res.pairs_i.size and not np.isin(res.pairs_j, [0, 1, 2]).any()
+        dirs = {p.name for p in root.iterdir() if p.is_dir()}
+        assert dirs - {"segments"} == {new_base}
+
+    @contextmanager
+    def _compaction_elsewhere(self, root):
+        """Hold ``compact.lock`` the way another process's compaction does."""
+        import fcntl
+
+        fd = os.open(root / COMPACT_LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
+
+    def test_gc_stands_down_while_compact_lock_held(self, tmp_path):
+        """A handle opened while another holds the compaction lock leaves
+        the children its manifest does not name alone; the next open
+        after the lock drops sweeps them and keeps the lock file."""
+        root, _data, _eps = _mutable_store(tmp_path)
+        staging = root / f"base-0badf00d{SAVING_SUFFIX}12345678"
+        staging.mkdir()
+        with self._compaction_elsewhere(root):
+            MutableIndex(root)
+            assert staging.is_dir()
+        MutableIndex(root)
+        assert not staging.exists()
+        assert (root / COMPACT_LOCK_NAME).is_file()
+
+    def test_nonwaiting_compact_refused_across_handles(self, tmp_path):
+        root, _data, _eps = _mutable_store(tmp_path)
+        mut = MutableIndex(root)
+        mut.delete([0])
+        with self._compaction_elsewhere(root):
+            with pytest.raises(CompactionInProgress):
+                mut.compact(wait=False)
+        assert mut.compact(wait=False)["n_live"] == 149
 
     def test_corrupt_segment_payload_refused_by_full_verify(self, tmp_path):
         root, _data, _eps = _mutable_store(tmp_path)

@@ -1,28 +1,34 @@
-"""Parallel execution subsystem: WorkerPlan, worker determinism, spill
-concurrency, and the unified timing-path tile plans.
+"""Execution contracts: the cache-fit tile edge, serial determinism,
+spill concurrency, and the unified timing-path tile plans.
 
-The engine's contract is that parallel execution may only change *how
-fast* the answer is produced: every worker configuration -- thread tiles,
-streaming overlap, spill-enabled accumulators -- must be bit-identical to
-serial execution (pair set AND distance bits), the index-backed methods
-run serially and reject a worker request, and every kernel's modeled tile
-schedule must equal the one the functional path executes.
+Every join runs its tiles or candidate groups serially on the calling
+thread (a streamed tile join adds only its one-block prefetch loader), so
+no entry point takes a worker count: a ``workers=`` argument or a
+``--workers`` flag is refused, never silently ignored.  Streaming and
+spill-enabled accumulators must be bit-identical to the resident run
+(pair set AND distance bits), and every kernel's modeled tile schedule
+must equal the one the functional path executes.
 """
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import api
+import repro
+from repro.core import api, engine
 from repro.core.engine import (
     TILE_CACHE_BUDGET_BYTES,
     ResidentOperand,
     SourceOperand,
     TilePlan,
-    WorkerPlan,
     candidate_join,
     tile_join,
+    tile_rows,
 )
 from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
@@ -50,113 +56,50 @@ def queries():
 
 
 # ----------------------------------------------------------------------
-# WorkerPlan resolution
+# The cache-fit tile edge
 # ----------------------------------------------------------------------
 
 
-class TestWorkerPlan:
-    def test_serial_default(self):
-        wp = WorkerPlan.resolve(0)
-        assert wp.n_workers == 1 and wp.source == "serial"
-        assert not wp.parallel
-        assert WorkerPlan.resolve(None).n_workers == 1
-
-    def test_explicit_counts(self):
-        assert WorkerPlan.resolve(4).n_workers == 4
-        assert WorkerPlan.resolve(4).source == "explicit"
-        assert WorkerPlan.resolve(1).parallel is False
-        assert WorkerPlan.resolve(2).parallel is True
-
-    def test_resolve_is_idempotent(self):
-        wp = WorkerPlan.resolve(3)
-        assert WorkerPlan.resolve(wp) is wp
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        wp = WorkerPlan.resolve("auto")
-        assert wp.n_workers == 3 and wp.source == "env"
-        # The override only governs "auto": explicit counts win.
-        assert WorkerPlan.resolve(5).n_workers == 5
-
-    def test_env_override_junk_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            WorkerPlan.resolve("auto")
-
-    def test_env_override_negative_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "-4")
-        with pytest.raises(ValueError, match="positive"):
-            WorkerPlan.resolve("auto")
-
-    def test_auto_from_topology(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        wp = WorkerPlan.resolve("auto")
-        assert wp.source == "auto"
-        assert 1 <= wp.n_workers <= WorkerPlan.MAX_AUTO_WORKERS
-        if wp.blas_threads is not None:
-            assert wp.n_workers <= max(1, wp.cpu_count // wp.blas_threads)
-        assert WorkerPlan.resolve(-1).source in ("auto", "env")
-
-    def test_blas_pinning_is_read(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        wp = WorkerPlan.resolve("auto")
-        assert wp.blas_threads == 1
-        assert wp.n_workers == min(wp.cpu_count, WorkerPlan.MAX_AUTO_WORKERS)
-
-    def test_bad_string_raises(self):
-        with pytest.raises(ValueError, match="auto"):
-            WorkerPlan.resolve("fast")
-
-    def test_negative_counts_other_than_minus_one_raise(self):
-        # -1 is "auto"; any other negative is a sign typo, not a plan.
-        with pytest.raises(ValueError, match="workers must be"):
-            WorkerPlan.resolve(-4)
-
+class TestTileRows:
     def test_tile_rows_fits_budget_and_quantum(self):
-        wp = WorkerPlan.resolve(0)
-        rows = wp.tile_rows(1 << 20, 64, d2_itemsize=4, work_itemsize=4)
+        rows = tile_rows(1 << 20, 64, d2_itemsize=4, work_itemsize=4)
         assert rows % 128 == 0
         assert rows * rows * 4 + 2 * rows * 64 * 4 <= TILE_CACHE_BUDGET_BYTES
         # Caps at n; never returns zero.
-        assert wp.tile_rows(100, 64, d2_itemsize=4, work_itemsize=4) == 100
-        assert wp.tile_rows(1, 4096, d2_itemsize=8, work_itemsize=8) == 1
+        assert tile_rows(100, 64, d2_itemsize=4, work_itemsize=4) == 100
+        assert tile_rows(1, 4096, d2_itemsize=8, work_itemsize=8) == 1
         # FP64 tiles are smaller than FP32 tiles at the same budget.
-        assert wp.tile_rows(1 << 20, 64, d2_itemsize=8, work_itemsize=8) < rows
+        assert tile_rows(1 << 20, 64, d2_itemsize=8, work_itemsize=8) < rows
 
-    def test_as_dict_round_trip(self):
-        d = WorkerPlan.resolve(2).as_dict()
-        assert d["n_workers"] == 2 and d["source"] == "explicit"
+    @pytest.mark.parametrize(
+        "n,dim,fasted,ted",
+        [
+            (100, 64, 100, 100),
+            (600, 32, 512, 408),
+            (4096, 64, 512, 384),
+            (16384, 128, 512, 328),
+            (20000, 384, 256, 200),
+            (1 << 20, 4096, 47, 16),
+        ],
+    )
+    def test_default_edges_pinned(self, n, dim, fasted, ted):
+        """The ``row_block=None`` edges every default answer's bits hang
+        on (FP32 low-order bits follow the BLAS tile shape)."""
+        assert FastedKernel().auto_row_block(n, dim) == fasted
+        assert TedJoinKernel(variant="brute").auto_row_block(n, dim) == ted
 
 
 # ----------------------------------------------------------------------
-# Worker determinism: every kernel, every executor shape
+# Serial determinism: every kernel, every executor shape
 # ----------------------------------------------------------------------
 
 
 class TestWorkerDeterminism:
-    @pytest.mark.parametrize("workers", [2, 4, "auto"])
-    def test_fasted_threads(self, dataset, workers):
-        data, eps = dataset
-        serial = FastedKernel().self_join(data, eps)
-        assert joins_bit_identical(
-            serial, FastedKernel().self_join(data, eps, workers=workers)
-        )
+    # Every method runs serially and refuses a worker request.  The class
+    # name and the one-value ``workers`` parameters keep the ids of the
+    # tests whose contracts outlived the tile threads stable.
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_ted_brute_threads(self, dataset, workers):
-        data, eps = dataset
-        kern = TedJoinKernel(variant="brute")
-        serial = kern.self_join(data, eps).result
-        assert joins_bit_identical(
-            serial, kern.self_join(data, eps, workers=workers).result
-        )
-
-    # The index-backed kernels have no process pool: they run serially
-    # (the API answer is the kernel's answer, bit for bit) and a worker
-    # request is an error, never a silently serial run.
-
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [2])
     def test_ted_index_process_pool(self, dataset, workers):
         data, eps = dataset
         kern = TedJoinKernel(variant="index")
@@ -164,31 +107,31 @@ class TestWorkerDeterminism:
         via_api = api.self_join(data, eps, method="ted-join-index")
         assert joins_bit_identical(serial.result, via_api)
         assert serial.total_candidates == kern.self_join(data, eps).total_candidates
-        with pytest.raises(ValueError, match="runs serially"):
+        with pytest.raises(TypeError):
             kern.self_join(data, eps, workers=workers)
-        with pytest.raises(ValueError, match="runs serially"):
+        with pytest.raises(TypeError):
             kern.join(data, data, eps, workers=workers)
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [2])
     def test_gds_process_pool(self, dataset, workers):
         data, eps = dataset
         serial = GdsJoinKernel().self_join(data, eps, batched=False)
         assert joins_bit_identical(
             serial.result, api.self_join(data, eps, method="gds-join")
         )
-        with pytest.raises(ValueError, match="runs serially"):
+        with pytest.raises(TypeError):
             api.self_join(data, eps, method="gds-join", workers=workers)
         with pytest.raises(TypeError):
             GdsJoinKernel().self_join(data, eps, workers=workers)
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [2])
     def test_mistic_process_pool(self, dataset, workers):
         data, eps = dataset
         serial = MisticKernel().self_join(data, eps, batched=False)
         assert joins_bit_identical(
             serial.result, api.self_join(data, eps, method="mistic")
         )
-        with pytest.raises(ValueError, match="runs serially"):
+        with pytest.raises(TypeError):
             api.self_join(data, eps, method="mistic", workers=workers)
         with pytest.raises(TypeError):
             MisticKernel().self_join(data, eps, workers=workers)
@@ -203,71 +146,44 @@ class TestWorkerDeterminism:
         sa = set(zip(a.pairs_i.tolist(), a.pairs_j.tolist()))
         sb = set(zip(b.pairs_i.tolist(), b.pairs_j.tolist()))
         assert sa == sb
-        with pytest.raises(ValueError, match="runs serially"):
+        with pytest.raises(TypeError):
             api.self_join(data, eps, method="gds-join", batched=True, workers=2)
 
-    @pytest.mark.parametrize("workers", [0, 2, 4])
+    @pytest.mark.parametrize("workers", [0])
     def test_streaming_fasted(self, dataset, workers):
         data, eps = dataset
         serial = FastedKernel().self_join(data, eps, row_block=150)
         streamed, stats = FastedKernel().self_join_stream(
-            ArraySource(data), eps, row_block=150, workers=workers
+            ArraySource(data), eps, row_block=150
         )
         assert joins_bit_identical(serial, streamed)
         assert stats.tiles_evaluated == stats.plan.n_tiles
 
-    def test_memory_budget_honored_with_workers(self, dataset):
-        """Budget-derived plans fold the in-flight worker blocks into the
-        residency accounting, so workers cannot break the budget."""
-        data, eps = dataset
-        budget = 64 << 10
-        serial, s0 = api.self_join_stream(data, eps, memory_budget_bytes=budget)
-        parallel, s4 = api.self_join_stream(
-            data, eps, memory_budget_bytes=budget, workers=4
-        )
-        assert s0.peak_resident_bytes <= budget
-        assert s4.peak_resident_bytes <= budget
-        # The worker plan pays for its window with a smaller block edge.
-        assert s4.plan.row_block < s0.plan.row_block
-        assert np.array_equal(
-            np.sort(serial.pairs_i), np.sort(parallel.pairs_i)
-        )
-
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [0])
     def test_streaming_ted_brute_with_spill(self, dataset, workers, tmp_path):
         data, eps = dataset
         kern = TedJoinKernel(variant="brute")
         serial = kern.self_join(data, eps, row_block=150).result
-        acc = PairAccumulator(
-            spill_threshold_bytes=4096, spill_dir=tmp_path / f"sp{workers}"
-        )
+        acc = PairAccumulator(spill_threshold_bytes=4096, spill_dir=tmp_path / "sp")
         streamed, _ = kern.self_join_stream(
-            ArraySource(data), eps, row_block=150, workers=workers, acc=acc
+            ArraySource(data), eps, row_block=150, acc=acc
         )
         assert joins_bit_identical(serial, streamed.result)
 
-    @pytest.mark.parametrize("workers", [2, "auto"])
+    @pytest.mark.parametrize("workers", [2])
     def test_two_source_all_methods(self, dataset, queries, workers):
         data, eps = dataset
         for method in api.METHODS:
             serial = api.join(queries, data, eps, method=method)
-            if method in api.STREAMABLE_METHODS:
-                parallel = api.join(
-                    queries, data, eps, method=method, workers=workers
-                )
-                assert joins_bit_identical(serial, parallel), method
-                continue
-            assert joins_bit_identical(
-                serial, api.join(queries, data, eps, method=method, workers=0)
-            ), method
-            with pytest.raises(ValueError, match="runs serially"):
+            assert serial.pairs_i.size, method
+            with pytest.raises(TypeError):
                 api.join(queries, data, eps, method=method, workers=workers)
 
     def test_two_source_streaming_with_spill(self, dataset, queries):
         data, eps = dataset
         base, _ = api.join_stream(queries, data, eps)
         streamed, _ = api.join_stream(
-            queries, data, eps, workers=2, spill_threshold_bytes=4096,
+            queries, data, eps, spill_threshold_bytes=4096,
         )
         assert joins_bit_identical(base, streamed)
 
@@ -275,15 +191,10 @@ class TestWorkerDeterminism:
     def test_api_self_join_workers(self, dataset, method):
         data, eps = dataset
         serial = api.self_join(data, eps, method=method)
-        if method in api.STREAMABLE_METHODS:
-            parallel = api.self_join(data, eps, method=method, workers=2)
-            assert joins_bit_identical(serial, parallel)
-            return
-        assert joins_bit_identical(
-            serial, api.self_join(data, eps, method=method, workers=None)
-        )
-        with pytest.raises(ValueError, match="runs serially"):
-            api.self_join(data, eps, method=method, workers=2)
+        assert joins_bit_identical(serial, api.self_join(data, eps, method=method))
+        for workers in (None, 2):
+            with pytest.raises(TypeError):
+                api.self_join(data, eps, method=method, workers=workers)
 
     def test_store_distances_false_paths(self, dataset):
         data, eps = dataset
@@ -292,6 +203,142 @@ class TestWorkerDeterminism:
         assert np.array_equal(a.pairs_i, b.pairs_i)
         assert np.array_equal(a.pairs_j, b.pairs_j)
         assert b.sq_dists.size == 0
+
+
+class TestRemovedWorkersKnob:
+    """No entry point takes a tile-thread count any more: the library
+    raises ``TypeError`` and the CLI exits with a usage error."""
+
+    @pytest.mark.parametrize(
+        "entry", ["self_join", "join", "self_join_stream", "join_stream"]
+    )
+    def test_api_entry_points_refuse_workers(self, dataset, queries, entry):
+        data, eps = dataset
+        args = (data, eps) if entry.startswith("self") else (queries, data, eps)
+        with pytest.raises(TypeError, match="workers"):
+            getattr(repro, entry)(*args, workers=2)
+
+    @pytest.mark.parametrize(
+        "kern", [FastedKernel(), TedJoinKernel(variant="brute")],
+        ids=["fasted", "ted-join-brute"],
+    )
+    def test_brute_kernels_refuse_workers(self, dataset, kern):
+        data, eps = dataset
+        with pytest.raises(TypeError, match="workers"):
+            kern.self_join(data, eps, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            kern.join(data, data, eps, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            kern.self_join_stream(ArraySource(data), eps, workers=2)
+        with pytest.raises(TypeError):
+            kern.auto_row_block(600, 32, 2)
+
+    def test_engine_has_no_worker_plan(self, dataset):
+        data, eps = dataset
+        operand = ResidentOperand(*TedJoinKernel._block_state(data))
+        with pytest.raises(TypeError, match="workers"):
+            tile_join(operand, eps ** 2, workers=2)
+        with pytest.raises(TypeError, match="extra_blocks"):
+            TilePlan.from_budget(600, 600, 32, 1 << 16, extra_blocks=2)
+        for name in ("WorkerPlan", "blas_thread_count", "_InFlightWindow"):
+            assert not hasattr(engine, name), name
+
+    def test_repro_workers_env_is_not_read(self, dataset, monkeypatch):
+        # Nothing reads the variable: even a malformed value is inert.
+        data, eps = dataset
+        base = FastedKernel().self_join(data, eps)
+        monkeypatch.setenv("REPRO_WORKERS", "lots")
+        assert joins_bit_identical(base, FastedKernel().self_join(data, eps))
+
+    @pytest.mark.parametrize("value", ["2", "auto"])
+    def test_cli_workers_flag_is_a_usage_error(self, value):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "join", "--workers", value,
+             "--n", "200", "--d", "8"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 2
+        assert "unrecognized arguments: --workers" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+class TestSerialTileLoop:
+    """The tile executor evaluates and commits every tile on the calling
+    thread; a source-backed operand adds only the one-block loader."""
+
+    @staticmethod
+    def _operands(data, queries, two_source, streamed):
+        prep = TedJoinKernel._block_state
+
+        def operand(x):
+            if streamed:
+                return SourceOperand(ArraySource(x), prep)
+            return ResidentOperand(*prep(x))
+
+        if two_source:
+            return operand(queries), operand(data)
+        return operand(data), None
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["resident", "streamed"])
+    @pytest.mark.parametrize("two_source", [False, True], ids=["self", "a-x-b"])
+    def test_pools_started(self, dataset, queries, monkeypatch, two_source, streamed):
+        data, eps = dataset
+        started = []
+        real = engine.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            started.append(kwargs.get("max_workers", args[0] if args else None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", recording)
+        left, right = self._operands(data, queries, two_source, streamed)
+        acc, stats = tile_join(left, eps ** 2, right, row_block=100)
+        assert stats.tiles_evaluated == stats.plan.n_tiles > 1
+        assert len(acc) > 0
+        assert started == ([1] if streamed else [])
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["resident", "streamed"])
+    @pytest.mark.parametrize("two_source", [False, True], ids=["self", "a-x-b"])
+    def test_commit_order_is_tile_order(self, dataset, queries, two_source, streamed):
+        """Pairs land tile by tile in the plan's row-major order (a
+        symmetric tile's mirrored pairs right after its own)."""
+        data, eps = dataset
+        left, right = self._operands(data, queries, two_source, streamed)
+        acc, stats = tile_join(left, eps ** 2, right, row_block=100)
+        i, j, _ = acc.arrays()
+        bi, bj = i // 100, j // 100
+        if stats.plan.symmetric:
+            bi, bj = np.minimum(bi, bj), np.maximum(bi, bj)
+        key = bi * stats.plan.n_col_blocks + bj
+        assert i.size and np.all(np.diff(key) >= 0)
+        visited = [ri * stats.plan.n_col_blocks + cj for ri, cj in stats.plan.tiles()]
+        assert set(np.unique(key).tolist()) <= set(visited)
+
+    @pytest.mark.parametrize("two_source", [False, True], ids=["self", "a-x-b"])
+    @pytest.mark.parametrize(
+        "kern,fixed",
+        [(FastedKernel(), 2048), (TedJoinKernel(variant="brute"), 1024)],
+        ids=["fasted", "ted-join-brute"],
+    )
+    def test_default_edge_bits_equal_old_fixed_edge(self, kern, fixed, two_source):
+        """What the ``tile_edge`` bench entry's bit claims, on a seed-style
+        dataset: the cache-fit default (512 / 384 rows here) answers with
+        the same pairs and distance bits as the old fixed edge."""
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(1500, 64))
+        eps = float(epsilon_for_selectivity(data, 16))
+        assert kern.auto_row_block(*data.shape) < min(fixed, data.shape[0])
+
+        def run(row_block):
+            if two_source:
+                return kern.join(data[:500], data, eps, row_block=row_block)
+            res = kern.self_join(data, eps, row_block=row_block)
+            return getattr(res, "result", res)
+
+        assert joins_bit_identical(run(fixed), run(None))
 
 
 # ----------------------------------------------------------------------
@@ -411,12 +458,11 @@ class TestSpillConcurrency:
         acc.cleanup()
 
     def test_join_with_workers_and_tiny_spill(self, dataset, tmp_path):
-        """The satellite regression: workers=2 + a tiny spill threshold."""
+        """A streamed FaSTED join through a tiny spill threshold."""
         data, eps = dataset
         serial, _ = api.self_join_stream(data, eps)
         spilled, _ = api.self_join_stream(
-            data, eps, workers=2,
-            spill_threshold_bytes=2048, spill_dir=tmp_path / "sp",
+            data, eps, spill_threshold_bytes=2048, spill_dir=tmp_path / "sp",
         )
         assert joins_bit_identical(serial, spilled)
         # finalize() cleaned the chunks up behind itself.
@@ -592,52 +638,10 @@ class TestPlanGuards:
 
 
 class TestCli:
-    def test_workers_flag(self, capsys):
-        from repro.cli import main
-
-        main(["join", "--n", "400", "--d", "16", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert "workers: 2 (explicit" in out
-
-    def test_workers_auto(self, capsys):
-        from repro.cli import main
-
-        main(["join", "--n", "400", "--d", "16", "--workers", "auto", "--stream"])
-        out = capsys.readouterr().out
-        assert "workers:" in out and "cpu_count=" in out
-
     def test_workers_junk_rejected(self):
+        # The flag is gone: any value is an unknown argument.
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["join", "--workers", "many"])
-
-    def test_workers_auto_bad_env_is_clean_cli_error(self, monkeypatch):
-        # A malformed REPRO_WORKERS must surface as a CLI `error:`, not a
-        # mid-join ValueError traceback.
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="error:"):
-            main(["join", "--n", "200", "--d", "8", "--workers", "auto"])
-
-    def test_workers_on_index_method_is_clean_cli_error(self):
-        # Index-backed methods run serially: --workers is refused up front
-        # with a CLI `error:` (exit status 1), not a traceback and not a
-        # silently serial run.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-m", "repro", "join", "--method", "gds-join",
-             "--workers", "2", "--n", "200", "--d", "8"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert out.returncode == 1
-        assert "error: --workers applies to fasted, ted-join-brute" in out.stderr
-        assert "Traceback" not in out.stderr
+        for value in ("many", "2", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["join", "--workers", value])
