@@ -572,6 +572,111 @@ def bench_query_service() -> dict:
     }
 
 
+def _v2_copy(src: Path, dst: Path) -> None:
+    """Rewrite a cell-ordered (v3) index directory in the v2 layout.
+
+    The v2 layout is what the v2 writer produced: rows in original order
+    beside a ``sort`` payload (the v3 ``ids``), no stored norms.  The
+    current reader loads it through its v2 path -- identity ids, norms
+    computed once at open, candidate rows not contiguous.
+    """
+    from repro.index.persist import (
+        HEADER_NAME, _stage_payload, load_index, read_header,
+    )
+
+    header = read_header(src)
+    loaded = load_index(src)
+    ids = np.asarray(loaded.ids)
+    dst.mkdir()
+    arrays = {}
+    for name in ("order", "starts", "ends", "unique"):
+        arrays[name] = _stage_payload(
+            dst, f"{name}-v2.npy", np.load(src / header["arrays"][name]["file"])
+        )
+    arrays["sort"] = _stage_payload(dst, "sort-v2.npy", ids)
+    rows = np.empty(loaded.source.shape)
+    rows[ids] = loaded.source.materialize()
+    data = _stage_payload(dst, "data-v2.npy", rows)
+    v2 = {
+        key: header[key] for key in ("magic", "kind", "scalars")
+    } | {
+        "version": 2, "arrays": arrays, "data": data["file"],
+        "data_embedded": True, "data_sha256": data["sha256"],
+        "data_nbytes": data["nbytes"],
+    }
+    (dst / HEADER_NAME).write_text(json.dumps(v2, indent=2) + "\n")
+
+
+def bench_cell_order() -> dict:
+    """Serving reads on a cell-ordered (v3) index against its v2 copy.
+
+    One persisted index over a tight Gaussian mixture (the serving
+    regime: a query's candidates are its cluster's cells), answered by a
+    32-query ``range_query`` from a v3 directory -- rows stored in cell
+    order with FP64 norms, so candidate sets are contiguous runs read in
+    place -- and from a v2 copy of the same index -- original row order,
+    candidates gathered row by row.  ``bit_identical`` pins the v3
+    answers, pairs in order and distance bits, against the v2 ones;
+    ``pair_set_equal`` pins their pair sets against the dense brute-force
+    reference (whose one large GEMM may round a d=128 dot product
+    differently from the per-group GEMMs in the last bit).
+    """
+    from repro.core.api import build_index
+    from repro.service import QueryEngine, brute_range_query
+
+    n, d, clusters, nq = 32768, 128, 256, 32
+    rng = np.random.default_rng(40)
+    centres = rng.uniform(0.0, 40.0, size=(clusters, d))
+    data = centres[rng.integers(0, clusters, n)] + rng.normal(0.0, 0.15, (n, d))
+    eps = float(epsilon_for_selectivity(data, 32))
+    requests = [
+        centres[rng.integers(0, clusters, nq)] + rng.normal(0.0, 0.15, (nq, d))
+        for _ in range(16)
+    ]
+    with tempfile.TemporaryDirectory() as td:
+        v3_path = build_index(data, eps, Path(td) / "v3")
+        _v2_copy(v3_path, Path(td) / "v2")
+        v3, v2 = QueryEngine(v3_path), QueryEngine(Path(td) / "v2")
+
+        def serve(engine):
+            return lambda: [engine.range_query(q) for q in requests]
+
+        identical = pair_sets = True
+        for q in requests:
+            a, b = v3.range_query(q), v2.range_query(q)
+            identical = identical and bool(
+                np.array_equal(a.pairs_i, b.pairs_i)
+                and np.array_equal(a.pairs_j, b.pairs_j)
+                and np.array_equal(
+                    a.sq_dists.view(np.uint32), b.sq_dists.view(np.uint32)
+                )
+            )
+            want = canon(brute_range_query(data, q, eps))
+            pair_sets = pair_sets and all(
+                np.array_equal(x, y) for x, y in zip(canon(a)[:2], want[:2])
+            )
+        t_v2, t_v3 = interleaved_medians(serve(v2), serve(v3))
+        runs = [
+            1 + int((np.diff(c) != 1).sum())
+            for q in requests
+            for _, c in v3.index.iter_join_groups(q)
+        ]
+    return {
+        "n": n,
+        "d": d,
+        "clusters": clusters,
+        "eps": eps,
+        "queries_per_request": nq,
+        "v2_seconds_per_request": t_v2 / len(requests),
+        "v3_seconds_per_request": t_v3 / len(requests),
+        "speedup": t_v2 / t_v3,
+        "v3_runs_per_candidate_set": float(np.mean(runs)),
+        "v3_one_run_share": float(np.mean(np.array(runs) == 1)),
+        "bit_identical": identical,
+        "pair_set_equal": pair_sets,
+    }
+
+
 def bench_mutable() -> dict:
     """Query latency vs delta depth, and compaction throughput.
 
@@ -702,6 +807,7 @@ def main() -> dict:
         "tile_edge": bench_tile_edge(data, eps),
         "query_service": bench_query_service(),
         "mutable": bench_mutable(),
+        "cell_order": bench_cell_order(),
     }
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

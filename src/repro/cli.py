@@ -410,7 +410,7 @@ def _cmd_index_append(args) -> str:
     else:
         from repro.service import sample_queries
 
-        rows = sample_queries(idx.source, idx.eps, args.n, seed=args.seed)
+        rows = sample_queries(idx, idx.eps, args.n, seed=args.seed)
     t0 = time.perf_counter()
     ids = idx.append(rows)
     # The in-memory buffer is volatile; a CLI append must outlive the
@@ -468,7 +468,7 @@ def _make_queries(engine, n_queries: int, seed: int):
     """Synthetic query points near the indexed data's density."""
     from repro.service import sample_queries
 
-    return sample_queries(engine.source, engine.eps, n_queries, seed=seed)
+    return sample_queries(engine, engine.eps, n_queries, seed=seed)
 
 
 def _cmd_query_remote(args) -> str:

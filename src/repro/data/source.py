@@ -101,34 +101,6 @@ class DatasetSource:
         """Load the entire dataset (for the non-streaming / index paths)."""
         return self.load_block(0, self.n)
 
-    def write_npy(self, path: str | Path, *, row_block: int = 65536) -> Path:
-        """Stream the dataset into one float64 ``.npy`` file.
-
-        Blocks are copied through a writable memory map
-        (``numpy.lib.format.open_memmap``), so only ``row_block`` rows are
-        ever resident no matter how large the source is.  Used by the
-        index-persistence layer (:mod:`repro.index.persist`) to embed a
-        dataset copy next to a saved index, where a later
-        :class:`MmapNpySource` serves it back without loading it into RAM.
-        """
-        from numpy.lib.format import open_memmap
-
-        path = Path(path)
-        if self.n == 0:  # zero-length memory maps are platform-dependent
-            np.save(path, np.empty((0, self.dim), dtype=np.float64))
-            return path
-        out = open_memmap(
-            path, mode="w+", dtype=np.float64, shape=(self.n, self.dim)
-        )
-        try:
-            for r0 in range(0, self.n, row_block):
-                r1 = min(r0 + row_block, self.n)
-                out[r0:r1] = self.load_block(r0, r1)
-            out.flush()
-        finally:
-            del out  # close the map promptly (Windows holds the handle)
-        return path
-
     # Every concrete load_block/take funnels through one of these two
     # validators, so they double as the `source.read` fault point: one
     # gate covers every source kind (in-memory, mmap, chunked).
@@ -178,6 +150,16 @@ class MmapNpySource(DatasetSource):
         if self._mmap.ndim != 2:
             raise ValueError(f"{self.path} must hold a 2-D array")
         self.n, self.dim = self._mmap.shape
+
+    @property
+    def mapped(self) -> np.ndarray | None:
+        """The mapped rows themselves, read-only and in place, when they
+        are C-contiguous native float64 (what an in-place reader can
+        slice and multiply without a copy); None otherwise."""
+        m = self._mmap
+        if m.dtype == np.float64 and m.flags.c_contiguous:
+            return np.asarray(m)
+        return None
 
     def load_block(self, r0: int, r1: int) -> np.ndarray:
         self._check_block(r0, r1)

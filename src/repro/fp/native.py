@@ -266,18 +266,36 @@ def rz_sum_native(values: np.ndarray, step: int) -> np.ndarray | None:
     return out.reshape(lead_shape)
 
 
+class FillScratch:
+    """Survivor buffers for epilogue fills, data pointers extracted once.
+
+    ``cap`` slots of int64 ``rows`` / ``cols`` and float32 ``dd``.  A
+    scratch reused across calls (one per thread) spares each call three
+    allocations and three ``ctypes`` pointer extractions.
+    """
+
+    __slots__ = ("cap", "rows", "cols", "dd", "ptrs")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = int(cap)
+        self.rows = np.empty(self.cap, dtype=np.int64)
+        self.cols = np.empty(self.cap, dtype=np.int64)
+        self.dd = np.empty(self.cap, dtype=np.float32)
+        self.ptrs = tuple(a.ctypes.data for a in (self.rows, self.cols, self.dd))
+
+
 def threshold_epilogue_native(
     block: np.ndarray, s_row: np.ndarray, s_col: np.ndarray, eps2,
-    clear_diagonal: bool, row0: int,
-    rows: np.ndarray, cols: np.ndarray, dd: np.ndarray | None = None,
+    clear_diagonal: bool, row0: int, scratch: FillScratch, distances: bool,
 ) -> tuple[int, int] | None:
     """One resumable fill of the fused Step-3 epilogue, or ``None``.
 
     Scans rows of the ``(g*m, c)`` view of ``block`` (``(g, m, c)``, norms
     ``(g, m, 1)`` / ``(g, 1, c)``) from ``row0`` and writes the survivors of
-    ``(s_i + s_j) - 2*g <= eps2`` (the caller checks ``eps2 >= 0``) into its
-    int64 ``rows`` / ``cols`` and float32 ``dd`` scratch of at least ``c``
-    slots.  Returns ``(next_row, n_written)``; done at ``next_row == g*m``.
+    ``(s_i + s_j) - 2*g <= eps2`` (the caller checks ``eps2 >= 0``) into
+    the ``scratch`` buffers (at least ``c`` slots; float32 distances only
+    when ``distances``).  Returns ``(next_row, n_written)``; done at
+    ``next_row == g*m``.
 
     ``None`` -- the caller runs its NumPy strips -- when the kernel is
     absent or NumPy would not do this arithmetic in the block's own dtype
@@ -300,11 +318,12 @@ def threshold_epilogue_native(
     ):
         return None
     fn = lib.threshold_epilogue_f32 if block.dtype == np.float32 else lib.threshold_epilogue_f64
+    rows_p, cols_p, dd_p = scratch.ptrs
     n_out = ctypes.c_longlong(0)
     next_row = fn(
         block.ctypes.data, s_row.ctypes.data, s_col.ctypes.data,
         row0, g * m, m, c, float(block.dtype.type(eps2)), bool(clear_diagonal),
-        rows.size, rows.ctypes.data, cols.ctypes.data,
-        None if dd is None else dd.ctypes.data, ctypes.byref(n_out),
+        scratch.cap, rows_p, cols_p, dd_p if distances else None,
+        ctypes.byref(n_out),
     )
     return next_row, n_out.value

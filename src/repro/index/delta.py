@@ -10,7 +10,8 @@ log-structured layering:
   query arrives).  Past ``seal_threshold`` rows the buffer is *sealed*:
   saved as an immutable on-disk **delta segment** -- an ordinary
   :func:`~repro.index.persist.save_index` directory with its rows
-  embedded, so sealing inherits the v2 atomic-staging crash safety
+  embedded -- cell-ordered with stored ``ids`` and ``norms``, like every
+  v3 index -- so sealing inherits the atomic-staging crash safety
   (stage + fsync + one ``rename``) and its fault points unchanged.
 * **Deletes** write **tombstones**: global row ids masked out of every
   query answer.  Rows are never rewritten in place; a tombstoned row
@@ -51,7 +52,12 @@ that rebuild).  The argument:
 * Global ids are minted monotonically and each layer covers an
   ascending id block (base ids < every later segment's < the buffer's;
   a compacted base inherits the sorted live ids), so "position in the
-  rebuilt dataset" and "global id" order rows identically.
+  rebuilt dataset" and "global id" order rows identically.  A layer
+  stores its rows in cell order; its engine answers in the layer's
+  original row numbers (mapping stored rows through the layer's
+  ``ids``), and the store maps those through the layer's ascending
+  gids -- so a global id is ``gids[ids[stored row]]``, and stored
+  rows are found again by :meth:`QueryEngine.rows_of`.
 * Range: each layer is itself a full index at the same eps, so the
   per-layer ``range_query`` is bit-identical to brute force over that
   layer's rows (the engine's FP64 contract); squared distances are
@@ -76,14 +82,15 @@ compaction also holds the store's ``compact.lock`` exclusively, and GC
 (run at open and after every commit) skips while any other handle --
 in this process or another -- holds it, so opening a store never
 deletes another handle's in-flight base.  The serving layer
-(:class:`repro.service.server.IndexCache`) keys cached mutable engines
-on the manifest digest for the same old-or-new swap across processes.
+(:class:`repro.service.server.IndexCache`) keeps a cached mutable
+engine while the manifest on disk still has the ``stat`` signature the
+engine recorded at its own last commit, for the same old-or-new swap
+across processes.
 """
 
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import os
 import secrets
@@ -109,6 +116,7 @@ from repro.index.persist import (
     _verify_payload,
     load_index,
     save_index,
+    stat_signature,
 )
 
 #: Manifest identification; readers reject unknown magic/version.
@@ -175,10 +183,6 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def _digest_of(mpath: Path) -> str:
-    return hashlib.blake2b(mpath.read_bytes(), digest_size=16).hexdigest()
-
-
 def _as_rows(rows, dim: int | None = None) -> np.ndarray:
     q = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
     if q.ndim == 1:
@@ -193,8 +197,9 @@ def _as_rows(rows, dim: int | None = None) -> np.ndarray:
 class _LiveRowsSource(DatasetSource):
     """Live rows of a generation, in ascending global-id order.
 
-    ``parts`` is a list of ``(source, local_indices)``: each layer's
-    dataset plus the sorted local rows that survive the tombstone mask.
+    ``parts`` is a list of ``(source, rows)``: each layer's dataset plus
+    the stored rows that survive the tombstone mask, in ascending
+    global-id order.
     This is what a compaction streams through ``from_source`` and
     ``save_index`` -- the rows a from-scratch rebuild over the live
     dataset would see, in the same order, so the built index is
@@ -317,6 +322,10 @@ class MutableIndex:
         seal_threshold: int | None = None,
     ) -> None:
         path = Path(path)
+        # Signature before the read: a commit racing this open leaves a
+        # signature older than the manifest read, which only makes the
+        # serving cache reload once -- never serve a stale generation.
+        self._committed_sig = stat_signature(path / MANIFEST_NAME)
         manifest = read_manifest(path)
         self.path = path
         self.eps = float(manifest["eps"])
@@ -394,7 +403,6 @@ class MutableIndex:
             # a crash before their seal) are dangling; prune them.
             exists = self._exists_mask_locked(tomb)
             self._tombstones = set(int(t) for t in tomb[exists])
-        self.committed_state_digest = _digest_of(path / MANIFEST_NAME)
         self._manifest = manifest
         with self._lock:
             self._gc_locked()
@@ -480,8 +488,13 @@ class MutableIndex:
 
     @property
     def source(self):
-        """The base layer's dataset source (samplers draw from it)."""
+        """The base layer's dataset source, in stored order (samplers
+        draw from it through :meth:`rows_of`)."""
         return self._base_engine.source
+
+    def rows_of(self, ids) -> np.ndarray:
+        """Stored base-layer rows of base-layer original row numbers."""
+        return self._base_engine.rows_of(ids)
 
     @property
     def index(self):
@@ -557,16 +570,23 @@ class MutableIndex:
     def manifest_is_current(self) -> bool:
         """Whether ``state.json`` on disk is the manifest this handle committed.
 
-        False means another handle rewrote the store.  Compared under the
-        writer lock: a commit swaps the file in before it records the new
-        digest, so an unlocked compare in that window would call this
-        handle -- and the unsealed rows only it holds -- stale.
+        One ``stat``: the manifest's signature against the one this
+        handle recorded at its own last commit (or at open).  Every commit
+        renames a fresh file into place, so another handle's commit always
+        changes it.  False means another handle rewrote the store (or
+        removed it).  Compared under the writer lock: a commit swaps the
+        file in before it records the new signature, so an unlocked
+        compare in that window would call this handle -- and the unsealed
+        rows only it holds -- stale.
         """
         with self._lock:
-            return (
-                _digest_of(self.path / MANIFEST_NAME)
-                == self.committed_state_digest
-            )
+            try:
+                return (
+                    stat_signature(self.path / MANIFEST_NAME)
+                    == self._committed_sig
+                )
+            except OSError:
+                return False
 
     def _commit_manifest_locked(self) -> None:
         """Atomically publish the current in-memory state to ``state.json``.
@@ -615,11 +635,9 @@ class MutableIndex:
         if faults.ARMED:
             faults.check("persist.write")
         os.replace(tmp, self.path / MANIFEST_NAME)
+        self._committed_sig = stat_signature(self.path / MANIFEST_NAME)
         _fsync(self.path)
         self._manifest = manifest
-        self.committed_state_digest = hashlib.blake2b(
-            body.encode(), digest_size=16
-        ).hexdigest()
         self._gc_locked()
 
     def _gc_locked(self) -> None:
@@ -841,7 +859,7 @@ class MutableIndex:
                     )
                     local = np.nonzero(alive)[0]
                     if local.size:
-                        parts.append((engine.source, local))
+                        parts.append((engine.source, engine.rows_of(local)))
                         live_gid_parts.append(gids[local])
                 live_src = _LiveRowsSource(parts)
                 live_gids = np.concatenate(live_gid_parts)
@@ -1097,9 +1115,9 @@ class MutableIndex:
             d_part = np.full(idx.shape, np.inf)
             if alive.any():
                 uniq = np.unique(idx[alive])
-                wc = layer.engine.source.take(uniq).astype(
-                    self.dtype, copy=False
-                )
+                wc = layer.engine.source.take(
+                    layer.engine.rows_of(uniq)
+                ).astype(self.dtype, copy=False)
                 sc = (wc * wc).sum(axis=1)
                 d2 = norm_expansion_sq_dists(sq, sc, wq @ wc.T).astype(
                     np.float64, copy=False

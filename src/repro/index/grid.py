@@ -240,12 +240,17 @@ class GridIndex:
         n_dims_data: int,
         order: np.ndarray,
         r: int,
-        sort: np.ndarray,
+        sort: np.ndarray | None,
         starts: np.ndarray,
         ends: np.ndarray,
         unique: np.ndarray,
     ) -> None:
-        """Common tail of both constructors: grouped state + lazy caches."""
+        """Common tail of both constructors: grouped state + lazy caches.
+
+        ``sort=None`` is the identity member order: the rows are already
+        stored cell by cell (a loaded cell-ordered index), so cell ``ci``
+        holds rows ``[starts[ci], ends[ci])``.
+        """
         self.eps = eps
         self.n_points = n_points
         self.n_dims_data = n_dims_data
@@ -593,20 +598,32 @@ class GridIndex:
 
     # ------------------------------------------------------------------
 
+    def members_order(self) -> np.ndarray:
+        """The row of every cell-order position: the stable sort
+        permutation (the identity when rows are stored in cell order)."""
+        if self._sort is None:
+            return np.arange(self.n_points, dtype=np.int64)
+        return self._sort
+
+    def _members(self, ci: int) -> np.ndarray:
+        """Row indices of the points in occupied cell ``ci``."""
+        s, e = self._starts[ci], self._ends[ci]
+        if self._sort is None:
+            return np.arange(s, e, dtype=np.int64)
+        return self._sort[s:e]
+
     def points_in_cell(self, key: tuple[int, ...]) -> np.ndarray:
-        """Original indices of the points in one cell."""
+        """Row indices of the points in one cell."""
         ci = self._cell_id.get(tuple(key))
         if ci is None:
             return np.empty(0, dtype=np.int64)
-        return self._sort[self._starts[ci] : self._ends[ci]]
+        return self._members(ci)
 
     def _gather(self, cells: np.ndarray) -> np.ndarray:
         """Fresh array of the points in ``cells``, cell by cell in order."""
         if not cells.size:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(
-            [self._sort[self._starts[b] : self._ends[b]] for b in cells]
-        )
+        return np.concatenate([self._members(b) for b in cells])
 
     def _candidates_of_index(self, cell_index: int, *, cache: bool) -> np.ndarray:
         cached = self._cand_cache.get(cell_index)
@@ -652,7 +669,7 @@ class GridIndex:
         if reach > 1:
             if self.r == 0 or not len(self._cell_keys):
                 # Zero indexed dims: one cell holds everything.
-                return self._sort.copy() if len(self._cell_keys) else np.empty(0, np.int64)
+                return self.members_order().copy() if len(self._cell_keys) else np.empty(0, np.int64)
             # Chebyshev filter over the occupied cells (lexicographic
             # order): O(C * r) per queried cell, no (2m+1)^r probe blowup.
             key_arr = np.asarray(key, dtype=np.int64)
@@ -690,8 +707,7 @@ class GridIndex:
         elif order != "lex":
             raise ValueError("order must be 'lex' or 'size'")
         for ci in cells:
-            members = self._sort[self._starts[ci] : self._ends[ci]]
-            yield members, self._candidates_of_index(ci, cache=False)
+            yield self._members(ci), self._candidates_of_index(ci, cache=False)
 
     def iter_join_groups(
         self, queries, *, row_block: int = _SOURCE_ROW_BLOCK, reach: int = 1

@@ -10,13 +10,25 @@ baseline kernel and never persisted):
 * :func:`save_index` writes an index as a **directory**: one JSON header
   (``header.json`` -- magic, format version, index kind ``"grid"``,
   scalars, and a per-payload SHA-256 checksum + byte size) plus one
-  ``.npy`` payload per index array.  The arrays saved are exactly the
-  grouped state the constructor installs, so nothing is recomputed on
-  load.  A dataset can ride along -- embedded as a ``data-*.npy``
-  payload (streamed through
-  :meth:`~repro.data.source.DatasetSource.write_npy`, never materialized)
-  or referenced by path -- because answering distance queries needs the
-  points themselves, not just the grouping.
+  ``.npy`` payload per index array.  A dataset can ride along --
+  embedded as a ``data-*.npy`` payload or referenced by path -- because
+  answering distance queries needs the points themselves, not just the
+  grouping.
+
+* **Format v3: cell-ordered rows.**  An embedded dataset is written in
+  the grid's cell order (GDS-Join's sorted-by-cell layout), streamed
+  block by block through ``source.take`` of the grid's sort permutation,
+  never materialized.  Beside it go an ``ids`` payload -- the original
+  row id of every stored row, i.e. that permutation -- and a ``norms``
+  payload, the FP64 squared norm ``(w * w).sum(axis=1)`` of every
+  stored row.  The saved grid then needs no permutation: its member
+  order is the identity, each cell is the stored row range ``[start,
+  end)``, and a query's candidate set is one or a few contiguous slices
+  of rows and norms.  An index saved without data, or referencing its
+  dataset by path, cannot reorder those rows and keeps the permutation
+  as a ``sort`` payload instead (no ``ids``, no ``norms``) -- which is
+  also exactly the v2 layout, so a v2 directory loads through the same
+  code: identity ``ids``, norms computed once when an engine opens it.
 
 * **Crash safety**: a save stages everything in a temp sibling directory
   (``<name>.saving-<token>``), fsyncs files and directories, and commits
@@ -50,11 +62,16 @@ baseline kernel and never persisted):
   (a multi-space tree header included) and non-index directories are
   rejected with :class:`ValueError` rather than misinterpreted.
 
-Bit-identity argument: the saved arrays *are* the index state (the stable
-sort permutation, cell extents, cell coordinates).  Loading installs them
-verbatim, so candidate iteration -- and therefore every query routed
-through the engine's candidate executors -- is exactly what the freshly
-built index yields.
+Bit-identity argument: the saved arrays *are* the index state (cell
+extents, cell coordinates, and the stable sort permutation -- as
+``sort``, or as ``ids`` beside cell-ordered rows).  Loading installs them
+verbatim, so a query's candidates are the freshly built index's, in the
+same order: on a v3 index candidate ``p`` is stored row ``p`` and
+``ids[p]`` is the fresh index's candidate at that position, holding the
+same float64 values.  Every distance is therefore computed from the same
+operands in the same order, and the stored norms are the same row-local
+expression the engine would evaluate over the gathered rows, so answers
+mapped through ``ids`` are bitwise the fresh index's.
 """
 
 from __future__ import annotations
@@ -76,9 +93,13 @@ from repro.index.grid import GridIndex
 #: Directory-format identification; bump ``FORMAT_VERSION`` on layout
 #: changes (readers reject versions they do not understand).  Version 2
 #: added per-payload SHA-256 checksums / byte sizes and generation-tagged
-#: payload file names.
+#: payload file names; version 3 stores embedded rows in cell order with
+#: ``ids`` and ``norms`` payloads.
 MAGIC = "repro-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: Versions :func:`read_header` accepts (v2 loads as identity-``ids``).
+READABLE_VERSIONS = (2, 3)
 
 #: Header file name inside an index directory.
 HEADER_NAME = "header.json"
@@ -115,7 +136,11 @@ class LoadedIndex:
     (embedded copy or referenced path) as a block/gather-addressable
     :class:`~repro.data.source.DatasetSource`, or None when the index was
     saved without one (the caller must then supply the data to the query
-    engine itself).
+    engine itself).  ``source`` rows are in *stored* order: ``ids[p]`` is
+    the original id of stored row ``p`` and ``norms[p]`` its FP64
+    squared norm -- both None when rows are stored in original order
+    (a v2 directory, or a dataset not embedded), where the ids are the
+    identity and norms are computed by whoever needs them.
     """
 
     index: GridIndex
@@ -123,6 +148,20 @@ class LoadedIndex:
     path: Path
     source: DatasetSource | None
     header: dict
+    ids: np.ndarray | None = None
+    norms: np.ndarray | None = None
+
+
+def stat_signature(path: str | Path) -> tuple[int, int, int, int, int]:
+    """``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)`` of one file.
+
+    Every writer of a header or manifest commits by renaming a freshly
+    written file into place, so a new generation always has a new inode:
+    an unchanged signature means an unchanged file, for one ``stat``.
+    Raises :class:`OSError` when the file is gone.
+    """
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 def _sha256_file(path: Path) -> str:
@@ -170,6 +209,33 @@ def _stage_payload(directory: Path, fname: str, arr: np.ndarray) -> dict:
     fpath = directory / fname
     np.save(fpath, np.ascontiguousarray(arr))
     return _seal_payload(fpath)
+
+
+def _write_rows(
+    source: DatasetSource, rows: np.ndarray, fpath: Path,
+    *, row_block: int = 8192,
+) -> np.ndarray:
+    """Stream ``source`` rows ``rows`` (in that order) into one float64
+    ``.npy``; returns their FP64 squared norms.
+
+    Only ``row_block`` rows are ever resident.  Each block's norms are
+    the engine's row-local ``(w * w).sum(axis=1)`` over the same float64
+    rows, hence bitwise what a gather of those rows would compute.
+    """
+    from numpy.lib import format as npy_format
+
+    n, dim = int(rows.size), int(source.dim)
+    norms = np.empty(n, dtype=np.float64)
+    with open(fpath, "wb") as fh:
+        npy_format.write_array_header_1_0(
+            fh, {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
+                 "fortran_order": False, "shape": (n, dim)},
+        )
+        for r0 in range(0, n, row_block):
+            block = source.take(rows[r0 : r0 + row_block])
+            norms[r0 : r0 + block.shape[0]] = (block * block).sum(axis=1)
+            fh.write(block.data)
+    return norms
 
 
 def _gc_interrupted_saves(path: Path, *, keep: Path | None = None) -> None:
@@ -265,27 +331,32 @@ def save_index(
                 "r": int(index.r),
             },
         }
+        sort = index.members_order()
         to_save = {
             "order": index.order,
-            "sort": index._sort,
             "starts": index._starts,
             "ends": index._ends,
             "unique": index._unique,
         }
-        header["arrays"] = {
-            name: _stage_payload(tmp, fname(name), arr)
-            for name, arr in to_save.items()
-        }
         if data is not None:
+            # Cell order: stored row p is original row sort[p].
             data_file = tmp / fname(DATA_STEM)
-            as_source(data).write_npy(data_file)
+            norms = _write_rows(as_source(data), sort, data_file)
             entry = _seal_payload(data_file)
             header["data"] = entry["file"]
             header["data_embedded"] = True
             header["data_sha256"] = entry["sha256"]
             header["data_nbytes"] = entry["nbytes"]
-        elif data_path is not None:
-            header["data"] = str(data_path)
+            to_save["ids"] = sort
+            to_save["norms"] = norms
+        else:
+            to_save["sort"] = sort
+            if data_path is not None:
+                header["data"] = str(data_path)
+        header["arrays"] = {
+            name: _stage_payload(tmp, fname(name), arr)
+            for name, arr in to_save.items()
+        }
 
         header_tmp = tmp / HEADER_NAME
         header_tmp.write_text(json.dumps(header, indent=2) + "\n")
@@ -344,10 +415,10 @@ def read_header(path: str | Path) -> dict:
             f"{path}: bad magic {header.get('magic')!r} (expected {MAGIC!r})"
         )
     version = header.get("version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise ValueError(
             f"{path}: unsupported index format version {version!r} "
-            f"(this reader understands {FORMAT_VERSION})"
+            f"(this reader understands {READABLE_VERSIONS})"
         )
     if header.get("kind") != "grid":
         raise ValueError(f"{path}: unknown index kind {header.get('kind')!r}")
@@ -468,14 +539,36 @@ def load_index(
             ) from exc
 
     scalars = header["scalars"]
+    n_points = int(scalars["n_points"])
+    arrays = header["arrays"]
+    ids = norms = sort = None
+    if "ids" in arrays:
+        # Cell-ordered rows: the grid's member order is the identity.
+        if "norms" not in arrays or not header.get("data_embedded"):
+            raise CorruptIndexError(
+                f"{path}: cell-ordered index lost its norms or its data"
+            )
+        ids, norms = arr("ids"), arr("norms")
+        for name, got, dtype in (
+            ("ids", ids, np.int64), ("norms", norms, np.float64)
+        ):
+            if got.shape != (n_points,) or got.dtype != dtype:
+                raise CorruptIndexError(
+                    f"{path}: payload {name} is {got.dtype}{got.shape}, "
+                    f"expected {np.dtype(dtype)}({n_points},)"
+                )
+    elif "sort" in arrays:
+        sort = arr("sort")
+    else:
+        raise CorruptIndexError(f"{path}: header lost its sort/ids payload")
     index = GridIndex.__new__(GridIndex)
     index._install(
         eps=float(scalars["eps"]),
-        n_points=int(scalars["n_points"]),
+        n_points=n_points,
         n_dims_data=int(scalars["n_dims_data"]),
         order=arr("order"),
         r=int(scalars["r"]),
-        sort=arr("sort"),
+        sort=sort,
         starts=arr("starts"),
         ends=arr("ends"),
         unique=np.ascontiguousarray(arr("unique")),
@@ -500,12 +593,15 @@ def load_index(
         path=path,
         source=source,
         header=header,
+        ids=ids,
+        norms=norms,
     )
 
 
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "READABLE_VERSIONS",
     "HEADER_NAME",
     "DATA_STEM",
     "SAVING_SUFFIX",
@@ -516,4 +612,5 @@ __all__ = [
     "load_index",
     "read_header",
     "verify_index",
+    "stat_signature",
 ]

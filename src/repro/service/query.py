@@ -28,21 +28,26 @@ on:
   candidate count at reach 1 is extrapolated by the ``(2m+1)^r / 3^r``
   cell fan-out to the smallest reach expected to cover ``k``.
 
-The dataset side can stay **out of core**: a mmap-backed
-:class:`~repro.data.source.DatasetSource` (what ``load_index`` hands
-back) serves candidate rows through ``take`` gathers, touching only the
-rows queries actually hit -- the engine's dataset operand is then a
-:class:`~repro.core.engine.SourceOperand` with a hot-cell LRU in front
-of its gather.  Queries run serially on the calling thread; concurrent
-requests are served by the caller's threads (the HTTP server's).
+The dataset side stays **out of core**: at FP64 a memory-mapped
+dataset (what ``load_index`` hands back) is read in place, rows and
+their FP64 norms -- stored beside a cell-ordered (format v3) index,
+computed once at open otherwise.  On a cell-ordered index a candidate
+set is stored rows in a few contiguous runs, and a single run is served
+as a slice view of rows and norms; any other set costs one gather of
+each.  Only the pages queries touch are read, and nothing is cached per
+candidate set, so a request pays for its own rows and no lock, hash or
+norm recompute.  Answers are in **original ids**: range pairs map their
+stored rows through the index's ``ids``, and kNN ranks each candidate
+set in original-id order so ties break exactly as on the original
+layout.  Other sources (chunked datasets, FP32 engines) gather and
+prepare per candidate set.  Queries run serially on the calling thread;
+concurrent requests are served by the caller's threads (the HTTP
+server's).
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -59,7 +64,7 @@ from repro.core.engine import (
     norm_expansion_sq_dists,
 )
 from repro.core.results import JoinResult, PairAccumulator
-from repro.data.source import ArraySource, DatasetSource, as_source
+from repro.data.source import ArraySource, DatasetSource, MmapNpySource, as_source
 from repro.index.grid import GridIndex
 from repro.index.persist import LoadedIndex, load_index
 
@@ -107,10 +112,17 @@ def sample_queries(data, eps: float, n_queries: int, *, seed: int = 0) -> np.nda
     and displaced by a Gaussian whose per-dimension scale shrinks with
     ``sqrt(d)``, so queries land inside their seed row's neighborhood
     and range answers are non-trivial.
+
+    ``data`` is a dataset (array, source or path) or an engine
+    (:class:`QueryEngine` or a mutable store): an engine's seed rows are
+    drawn by original id and mapped to its stored rows, so one seed
+    draws the same points from every layout of the same dataset.
     """
-    src = as_source(data)
+    rows_of = getattr(data, "rows_of", None)
+    src = data.source if rows_of is not None else as_source(data)
     rng = np.random.default_rng(seed)
-    base = src.take(rng.integers(0, src.n, size=int(n_queries)))
+    picks = rng.integers(0, src.n, size=int(n_queries))
+    base = src.take(picks if rows_of is None else rows_of(picks))
     scale = float(eps) / (4.0 * max(int(src.dim), 1) ** 0.5)
     return base + rng.normal(0, scale, size=base.shape)
 
@@ -159,50 +171,34 @@ def _cast_with_norms(dtype: np.dtype, block: np.ndarray):
     return w, (w * w).sum(axis=1)
 
 
-class _CachedSourceOperand(SourceOperand):
-    """Source-backed dataset operand with an LRU in front of ``take``.
+def _row_norms(rows: np.ndarray, *, row_block: int = 65536) -> np.ndarray:
+    """FP64 squared norms of float64 ``rows``, a block at a time: the
+    row-local :func:`_cast_with_norms` expression, so bitwise what a
+    gather of any of those rows computes."""
+    norms = np.empty(rows.shape[0], dtype=np.float64)
+    for r0 in range(0, rows.shape[0], row_block):
+        w = rows[r0 : r0 + row_block]
+        norms[r0 : r0 + w.shape[0]] = (w * w).sum(axis=1)
+    return norms
 
-    Serving workloads hit the same hot cells over and over; keying the
-    gathered ``(rows, norms)`` block on a digest of the candidate index
-    bytes makes a repeat skip both the ``take`` gather and the norm
-    recompute, which is most of a warm query's cost.  Values are bitwise
-    what a fresh gather yields (row-local ops), so caching never changes
-    an answer.  Engines are shared across threads (IndexCache + the HTTP
-    server's connection threads), so every cache mutation holds the lock;
-    the gather itself runs outside it (a racing duplicate gather is
-    wasted work, not corruption).  The engine never tracks residency
-    (no ``StreamStats``), so gathers here are unaccounted.
+
+class _StoredRowsOperand(ResidentOperand):
+    """FP64 dataset operand over memory-mapped rows and their norms.
+
+    ``take`` of one contiguous run of rows -- a cell-ordered index's
+    candidate set is often exactly that -- returns slice views of the
+    mapped rows and norms; any other index set is one gather of each.
+    Either way the values are bitwise the gathered rows and the
+    :func:`_cast_with_norms` norms a per-group gather would compute, so
+    every answer is unchanged, and nothing is cached, locked or hashed.
     """
 
-    def __init__(self, source, prepare, cache_bytes: int) -> None:
-        super().__init__(source, prepare)
-        self._budget = int(cache_bytes)
-        self._cache: "OrderedDict[bytes, tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
-        self._used = 0
-        self._lock = threading.Lock()
-
     def take(self, idx, stats=None):
-        if self._budget <= 0:
-            return super().take(idx)
-        key = hashlib.blake2b(
-            np.ascontiguousarray(idx).tobytes(), digest_size=16
-        ).digest()
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                return hit
-        rows, norms = super().take(idx)
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = (rows, norms)
-                self._used += rows.nbytes + norms.nbytes
-            while self._used > self._budget and self._cache:
-                _, (old_rows, old_norms) = self._cache.popitem(last=False)
-                self._used -= old_rows.nbytes + old_norms.nbytes
-        return rows, norms
+        n = idx.size
+        if n and idx[-1] - idx[0] == n - 1 and (np.diff(idx) == 1).all():
+            a = int(idx[0])
+            return self.rows[a : a + n], self.norms[a : a + n]
+        return self.rows[idx], self.norms[idx]
 
 
 class QueryEngine:
@@ -230,14 +226,10 @@ class QueryEngine:
         a failed check raises
         :class:`~repro.index.persist.CorruptIndexError` before any query
         can run).
-    candidate_cache_bytes:
-        Source-backed (mmap/chunked) datasets only: budget for the
-        engine's LRU of gathered candidate blocks (rows + norms, keyed by
-        the candidate index set).  Serving workloads hit the same hot
-        cells over and over; a hit skips the ``take`` gather and the norm
-        recompute entirely, which is most of a warm query's cost.  The
-        cached values are exactly what a fresh gather produces (row-local
-        ops), so results are unchanged.  ``0`` disables the cache.
+
+    ``source`` is the dataset in stored order and ``ids`` the original
+    id of each stored row (None: the identity); answers are always in
+    original ids, and :meth:`rows_of` maps them back to stored rows.
     """
 
     def __init__(
@@ -248,15 +240,20 @@ class QueryEngine:
         precision: str = "fp64",
         mmap: bool = True,
         verify: str = "header",
-        candidate_cache_bytes: int = 64 << 20,
     ) -> None:
         if precision not in ("fp32", "fp64"):
             raise ValueError("precision must be 'fp32' or 'fp64'")
         if isinstance(index, (str, Path)):
             index = load_index(index, mmap=mmap, verify=verify)
         source: DatasetSource | None = None
+        ids = norms = None
         if isinstance(index, LoadedIndex):
-            source = index.source
+            if data is not None and index.ids is not None:
+                raise ValueError(
+                    "this index stores its embedded rows in cell order; "
+                    "query it with that dataset (do not pass data=)"
+                )
+            source, ids, norms = index.source, index.ids, index.norms
             index = index.index
         if not isinstance(index, GridIndex):
             raise TypeError(f"unsupported index type {type(index).__name__}")
@@ -282,16 +279,34 @@ class QueryEngine:
             )
         self.n_points = n
         self.dim = int(source.dim)
+        self.ids = None if ids is None else np.asarray(ids)
+        self._rows_of_id: np.ndarray | None = None
         # Resident fast path: an in-memory dataset is prepared once and
-        # candidate rows are sliced; mmap/chunked sources stay on disk and
-        # are gathered per group (touched rows only) through the LRU.
+        # candidate rows are sliced.  A mapped float64 dataset is read in
+        # place at FP64 (stored norms, else computed once here); anything
+        # else is gathered and prepared per candidate set.
+        mapped = source.mapped if isinstance(source, MmapNpySource) else None
         if isinstance(source, ArraySource):
             self._data = ResidentOperand(*self._prepare(source.materialize()))
-        else:
-            self._data = _CachedSourceOperand(
-                source, self._prepare, candidate_cache_bytes
+        elif self.dtype == np.float64 and mapped is not None:
+            self._data = _StoredRowsOperand(
+                mapped, _row_norms(mapped) if norms is None else np.asarray(norms)
             )
+        else:
+            self._data = SourceOperand(source, self._prepare)
         self._stats = None  # lazy GridIndex.stats() (kNN starting reach)
+
+    def rows_of(self, ids) -> np.ndarray:
+        """Stored rows of original ids (the ids themselves unless the
+        index stores its rows in cell order)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if self.ids is None:
+            return ids
+        if self._rows_of_id is None:
+            inverse = np.empty(self.n_points, dtype=np.int64)
+            inverse[self.ids] = np.arange(self.n_points, dtype=np.int64)
+            self._rows_of_id = inverse
+        return self._rows_of_id[ids]
 
     # ------------------------------------------------------------------
 
@@ -337,7 +352,10 @@ class QueryEngine:
             self._data,
             store_distances=store_distances,
         )
-        return acc.finalize_join(q.shape[0], self.n_points, eps)
+        res = acc.finalize_join(q.shape[0], self.n_points, eps)
+        if self.ids is not None:
+            res.pairs_j = self.ids[res.pairs_j]
+        return res
 
     # ------------------------------------------------------------------
 
@@ -364,7 +382,7 @@ class QueryEngine:
         """k nearest neighbors of each query point, expanding-eps search.
 
         Distances are squared Euclidean in the engine's working precision;
-        ties break deterministically by dataset index.  Queries resolve
+        ties break deterministically by original dataset id.  Queries resolve
         as soon as the probed reach provably covers their k-th neighbor
         (see the module docstring); the rest re-probe at double reach,
         degenerating to an exact brute pass when the probe reaches the
@@ -395,9 +413,15 @@ class QueryEngine:
                 if candidates.size == 0:
                     still.append(gm)
                     continue
-                # Ascending candidate order: a stable distance sort
-                # then breaks ties by dataset index.
-                candidates = np.sort(candidates)
+                # Ascending original-id order: a stable distance sort
+                # then breaks ties by original id on every layout.
+                if self.ids is None:
+                    candidates = np.sort(candidates)
+                    cand_ids = candidates
+                else:
+                    cand_ids = self.ids[candidates]
+                    by_id = np.argsort(cand_ids)
+                    candidates, cand_ids = candidates[by_id], cand_ids[by_id]
                 best_d = np.full((gm.size, kk), np.inf)
                 best_i = np.full((gm.size, kk), -1, dtype=np.int64)
                 rows_m, norms_m = wq[gm], sq[gm]
@@ -414,7 +438,8 @@ class QueryEngine:
                         hooks.record("rz", tm - tz)
                     cat_d = np.concatenate([best_d, d2], axis=1)
                     cat_i = np.concatenate(
-                        [best_i, np.broadcast_to(cand, d2.shape)], axis=1
+                        [best_i, np.broadcast_to(cand_ids[c0 : c0 + chunk], d2.shape)],
+                        axis=1,
                     )
                     order = np.argsort(cat_d, axis=1, kind="stable")[:, :kk]
                     rows = np.arange(gm.size)[:, None]

@@ -3,13 +3,13 @@
 Three pieces stack into the serving path:
 
 * :class:`IndexCache` -- a thread-safe LRU of loaded
-  :class:`~repro.service.query.QueryEngine`\\ s keyed by ``(resolved
-  path, eps)``: the eps ties the cache entry to the grid the index was
-  built at, so two indexes over the same dataset at different radii are
-  distinct entries.  Hits hand back the live engine (loading an index is
-  the expensive part a serving layer must amortize -- the
-  ``query_service`` benchmark entry measures exactly this against
-  rebuild-per-query).
+  :class:`~repro.service.query.QueryEngine`\\ s, one per index
+  directory.  A hit costs one ``stat`` of the index's header (or a
+  mutable store's manifest) against the signature recorded at load;
+  a rewritten index has a new signature and is loaded again.  Hits hand
+  back the live engine (loading an index is the expensive part a
+  serving layer must amortize -- the ``query_service`` benchmark entry
+  measures exactly this against rebuild-per-query).
 
 * :class:`QueryService` -- the **micro-batching queue**.  Concurrent
   small queries against the same ``(engine, eps, kind)`` that queued
@@ -65,7 +65,6 @@ Fault tolerance (see docs/ARCHITECTURE.md "Fault tolerance"):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import queue
 import threading
@@ -87,7 +86,7 @@ from repro.index.delta import (
     is_mutable_index,
     read_manifest,
 )
-from repro.index.persist import HEADER_NAME, read_header
+from repro.index.persist import HEADER_NAME, read_header, stat_signature
 from repro.service.metrics import (
     BATCH_FILL_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
@@ -126,6 +125,17 @@ class DeadlineExceeded(ServiceError, TimeoutError):
 class IndexCache:
     """Thread-safe LRU cache of :class:`QueryEngine`\\ s for persisted indexes.
 
+    One entry per index directory (its resolved path).  A hit costs one
+    ``os.stat``: an immutable index's ``header.json`` signature
+    (:func:`~repro.index.persist.stat_signature`) against the one
+    recorded when the engine was loaded, a mutable store's
+    :meth:`~repro.index.delta.MutableIndex.manifest_is_current`.  Every
+    writer commits by renaming a fresh file into place, so a rebuilt or
+    rewritten index always changes the signature -- even within mtime
+    granularity -- and the header is only read again on a miss.  The
+    path spelling a caller uses is remembered, so a hit does not resolve
+    it again.
+
     Parameters
     ----------
     capacity:
@@ -158,13 +168,17 @@ class IndexCache:
         self._mmap = mmap
         self._precision = precision
         self._verify = verify
-        self._entries: "OrderedDict[tuple, QueryEngine]" = OrderedDict()
-        # Memo of header digest -> eps so cache hits pay one small file
-        # read + hash, not a JSON parse + validation per request.
-        self._eps_memo: dict[str, float] = {}
+        # Resolved path -> engine, LRU order.
+        self._entries: "OrderedDict[str, QueryEngine | MutableIndex]" = (
+            OrderedDict()
+        )
+        # Resolved path -> header signature at load (immutable engines).
+        self._signatures: dict[str, tuple] = {}
+        # Path as the caller spelled it -> (resolved path, header path).
+        self._aliases: dict[str, tuple[str, str]] = {}
         self._lock = threading.Lock()
         # Per-store load locks: one mutable-store load in flight per key.
-        self._loading: dict[tuple, threading.Lock] = {}
+        self._loading: dict[str, threading.Lock] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_hits = self.metrics.counter(
             "repro_cache_hits_total",
@@ -202,52 +216,69 @@ class IndexCache:
     def evictions(self) -> int:
         return int(self._c_evictions.value())
 
-    def _key(self, path: str | Path) -> tuple[str, float, str]:
-        """Cache key ``(resolved path, eps, header digest)``.
+    def get(self, path: str | Path) -> QueryEngine:
+        """Return the cached engine for a persisted index, loading on miss.
 
-        The digest of the header *bytes* makes the key exact: rebuilding
-        an index at the same path commits a new header (new payload
-        checksums and generation tags), so a rewritten index is never
-        served stale -- including re-saves that land within mtime
-        granularity, which an mtime-based key would miss.  The eps comes
-        from a digest-keyed memo: the full header parse (which also
-        validates magic/version) only happens the first time a given
-        on-disk state is seen.
+        The hit path is one ``stat`` (see the class docstring).  Anything
+        else -- an unknown spelling, an evicted entry, a changed
+        signature -- resolves the path and goes through :meth:`_get_index`
+        or, for a mutable store root, :meth:`_get_mutable`.
         """
+        spelled = str(path)
+        with self._lock:
+            key, header = self._aliases.get(spelled, (None, None))
+            engine = self._entries.get(key)
+            sig = self._signatures.get(key)
+        if engine is not None:
+            if isinstance(engine, MutableIndex):
+                current = engine.manifest_is_current()
+            else:
+                try:
+                    current = stat_signature(header) == sig
+                except OSError:
+                    current = False
+            if current:
+                with self._lock:
+                    if self._entries.get(key) is engine:
+                        self._entries.move_to_end(key)
+                    self._c_hits.inc()
+                return engine
         resolved = Path(path).resolve()
+        if (resolved / MANIFEST_NAME).is_file():
+            engine = self._get_mutable(resolved)
+        else:
+            engine = self._get_index(resolved)
+        with self._lock:
+            if len(self._aliases) > 64 * self.capacity:
+                self._aliases.clear()  # spellings of evicted entries
+            self._aliases[spelled] = (
+                str(resolved), str(Path(path) / HEADER_NAME)
+            )
+        return engine
+
+    def _insert_locked(self, key: str, engine, sig=None) -> None:
+        self._entries[key] = engine
+        self._entries.move_to_end(key)
+        self._signatures[key] = sig
+        while len(self._entries) > self.capacity:
+            old, _ = self._entries.popitem(last=False)
+            self._signatures.pop(old, None)
+            self._c_evictions.inc()
+
+    def _get_index(self, resolved: Path) -> QueryEngine:
+        """Immutable index: reuse the entry while its header signature
+        holds, else load (stat first, so a racing rewrite can only cause
+        one extra reload, never a stale hit)."""
+        key = str(resolved)
         try:
-            header_bytes = (resolved / HEADER_NAME).read_bytes()
+            sig = stat_signature(resolved / HEADER_NAME)
         except OSError as exc:
             raise ValueError(
                 f"{resolved} is not a persisted index (no {HEADER_NAME})"
             ) from exc
-        digest = hashlib.blake2b(header_bytes, digest_size=16).hexdigest()
-        # GIL-atomic read; the memo is only written under the lock, and a
-        # racing miss merely re-parses the header.
-        eps = self._eps_memo.get(digest)
-        if eps is None:
-            header = read_header(resolved)
-            eps = float(header["scalars"]["eps"])
-            with self._lock:
-                if len(self._eps_memo) > 64 * max(self.capacity, 1):
-                    self._eps_memo.clear()  # stale-state entries, rebuild
-                self._eps_memo[digest] = eps
-        return str(resolved), eps, digest
-
-    def get(self, path: str | Path) -> QueryEngine:
-        """Return the cached engine for a persisted index, loading on miss.
-
-        A mutable store (a :class:`~repro.index.delta.MutableIndex`
-        root) is served through :meth:`_get_mutable` -- same LRU, but
-        with the generation-swap staleness rule instead of a digest key.
-        """
-        resolved = Path(path).resolve()
-        if (resolved / MANIFEST_NAME).is_file():
-            return self._get_mutable(resolved)
-        key = self._key(path)
         with self._lock:
             engine = self._entries.get(key)
-            if engine is not None:
+            if engine is not None and self._signatures.get(key) == sig:
                 self._entries.move_to_end(key)
                 self._c_hits.inc()
                 return engine
@@ -256,7 +287,7 @@ class IndexCache:
         # load is harmless (last writer wins, both engines are valid).
         t0 = time.perf_counter()
         engine = QueryEngine(
-            key[0],
+            key,
             precision=self._precision,
             mmap=self._mmap,
             verify=self._verify,
@@ -265,21 +296,17 @@ class IndexCache:
         # load+verify time is usually the whole cold-start story.
         trace_mod.record_ambient_span(
             "cache.load", time.perf_counter() - t0,
-            attrs={"path": key[0], "verify": self._verify},
+            attrs={"path": key, "verify": self._verify},
         )
         with self._lock:
-            self._entries[key] = engine
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._c_evictions.inc()
+            self._insert_locked(key, engine, sig)
         return engine
 
     def _get_mutable(self, resolved: Path) -> MutableIndex:
         """Atomic generation swap for mutable stores.
 
-        The entry is keyed by path alone and stays **hit** as long as the
-        on-disk manifest is the one the engine itself last committed
+        The entry stays **hit** as long as the on-disk manifest is the one
+        the engine itself last committed
         (:meth:`MutableIndex.manifest_is_current`) -- a live writer
         engine keeps serving through its own seals, deletes and
         compactions (its unsealed buffer must not be dropped by a
@@ -290,7 +317,7 @@ class IndexCache:
         share one engine, so no append lands in a buffer a second load
         is about to replace.
         """
-        key = (str(resolved), "mutable")
+        key = str(resolved)
         engine = self._current_mutable(key)
         if engine is not None:
             return engine
@@ -310,28 +337,25 @@ class IndexCache:
             )
             trace_mod.record_ambient_span(
                 "cache.load", time.perf_counter() - t0,
-                attrs={"path": str(resolved), "verify": self._verify},
+                attrs={"path": key, "verify": self._verify},
             )
             with self._lock:
-                self._entries[key] = engine
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._c_evictions.inc()
+                self._insert_locked(key, engine)
         return engine
 
-    def _current_mutable(self, key: tuple) -> "MutableIndex | None":
-        """The cached engine for ``key`` if it is still current, else None
-        (a stale engine is dropped from the cache)."""
+    def _current_mutable(self, key: str) -> "MutableIndex | None":
+        """The cached store for ``key`` if it is still current, else None
+        (a stale store is dropped from the cache)."""
         with self._lock:
             engine = self._entries.get(key)
-        if engine is None:
+        if not isinstance(engine, MutableIndex):
             return None
         current = engine.manifest_is_current()
         with self._lock:
             if self._entries.get(key) is engine:
                 if not current:
                     del self._entries[key]
+                    self._signatures.pop(key, None)
                 else:
                     self._entries.move_to_end(key)
             if current:
@@ -1666,7 +1690,7 @@ def run_self_test(
     try:
         engine = server.service.cache.get(index_path)  # type: ignore[attr-defined]
         all_queries = sample_queries(
-            engine.source, engine.eps, n_clients * queries_per_client, seed=0
+            engine, engine.eps, n_clients * queries_per_client, seed=0
         )
         errors: list[str] = []
         retries = [0] * n_clients

@@ -148,6 +148,20 @@ def test_mutable_bench_entry():
     )
 
 
+def test_cell_order_bench_entry():
+    """The layout entry keeps its contracts: a 32-query range request on a
+    cell-ordered (v3) index answers bitwise like its v2 copy, pair sets
+    match the brute reference, and both layouts were timed."""
+    bench = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
+    entry = bench["cell_order"]
+    assert entry["bit_identical"] is True
+    assert entry["pair_set_equal"] is True
+    assert entry["queries_per_request"] == 32
+    assert entry["v2_seconds_per_request"] > 0
+    assert entry["v3_seconds_per_request"] > 0
+    assert 0.0 <= entry["v3_one_run_share"] <= 1.0
+
+
 def test_mutable_bench_depth_overhead():
     """README quotes the depth-16 read overhead of the mutable store; the
     committed entry must stay in that regime.  Each delta layer is one

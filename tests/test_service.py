@@ -108,12 +108,18 @@ class TestPersistence:
         assert loaded.header["kind"] == "grid"
         assert loaded.eps == eps
         idx = loaded.index
-        np.testing.assert_array_equal(idx._sort, fresh._sort)
+        # Format v3 stores the rows in cell order: the fresh sort
+        # permutation becomes the ids payload and the loaded grid's
+        # member order is the identity.
+        np.testing.assert_array_equal(loaded.ids, fresh._sort)
+        np.testing.assert_array_equal(
+            idx.members_order(), np.arange(data.shape[0])
+        )
         np.testing.assert_array_equal(idx._unique, fresh._unique)
         np.testing.assert_array_equal(idx.order, fresh.order)
         for (ma, ca), (mb, cb) in zip(fresh.iter_cells(), idx.iter_cells()):
-            np.testing.assert_array_equal(ma, mb)
-            np.testing.assert_array_equal(ca, cb)
+            np.testing.assert_array_equal(ma, loaded.ids[mb])
+            np.testing.assert_array_equal(ca, loaded.ids[cb])
 
     def test_loaded_query_bit_identical_to_fresh(self, data_eps, tmp_path):
         data, eps = data_eps
@@ -205,13 +211,16 @@ class TestPersistence:
         )
 
     def test_streamed_data_embed(self, data_eps, tmp_path):
-        """Embedding from a source streams through write_npy."""
+        """Embedding from a source streams it in row blocks, cell order."""
         data, eps = data_eps
         np.save(tmp_path / "ds.npy", data)
         src = as_source(tmp_path / "ds.npy")
         save_index(GridIndex(data, eps), tmp_path / "g", data=src)
         loaded = load_index(tmp_path / "g")
-        np.testing.assert_array_equal(loaded.source.materialize(), data)
+        # Stored row p is original row ids[p] (cell order, format v3).
+        np.testing.assert_array_equal(
+            loaded.source.materialize(), data[loaded.ids]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -883,7 +892,7 @@ class TestApi:
         build_index(tmp_path / "ds.npy", eps, tmp_path / "g")
         loaded = load_index(tmp_path / "g")
         fresh = GridIndex(data, eps)
-        np.testing.assert_array_equal(loaded.index._sort, fresh._sort)
+        np.testing.assert_array_equal(loaded.ids, fresh._sort)
         q = _queries(data, eps, nq=30)
         assert_joins_bit_identical(
             QueryEngine(loaded).range_query(q), brute_range_query(data, q, eps)
