@@ -295,8 +295,9 @@ def save_index(
     data:
         Dataset to **embed** as a ``data-<token>.npy`` payload -- an
         ndarray, a :class:`~repro.data.source.DatasetSource`, or a path
-        coercible by :func:`~repro.data.source.as_source`.  Sources are
-        streamed in row blocks, never materialized.
+        coercible by :func:`~repro.data.source.as_source`.  Rows are
+        written in the grid's cell order (with ``ids`` and ``norms``
+        payloads), streamed in row blocks, never materialized.
     data_path:
         Dataset to **reference** by path instead of copying (stored
         verbatim; relative paths resolve against the index directory at
@@ -516,10 +517,12 @@ def load_index(
 
     ``mmap=True`` (the default) memory-maps every payload and serves an
     embedded/referenced dataset through a mmap-backed
-    :class:`~repro.data.source.DatasetSource` -- queries gather only the
+    :class:`~repro.data.source.DatasetSource` -- queries read only the
     rows they touch, so the dataset is never re-read into RAM wholesale.
     ``mmap=False`` loads everything resident.  Results are bit-identical
-    either way, and to the freshly built index.
+    either way, and to the freshly built index.  A v3 index's source is
+    in stored (cell) order and comes with ``ids`` and ``norms``; a v2
+    index, or one whose dataset is not embedded, has neither.
     """
     path = Path(path)
     header = read_header(path)
@@ -529,7 +532,9 @@ def load_index(
     def arr(name: str) -> np.ndarray:
         fname = header["arrays"][name]["file"]
         try:
-            return np.load(path / fname, mmap_mode=mode)
+            # A plain ndarray view of the map: np.memmap's Python-level
+            # __getitem__ would tax every scalar cell-extent lookup.
+            return np.asarray(np.load(path / fname, mmap_mode=mode))
         except (ValueError, OSError) as exc:
             # Size-preserving corruption inside the npy format header
             # slips past verify="header"; surface it typed, not as a raw

@@ -279,7 +279,7 @@ class QueryEngine:
             )
         self.n_points = n
         self.dim = int(source.dim)
-        self.ids = None if ids is None else np.asarray(ids)
+        self.ids = ids
         self._rows_of_id: np.ndarray | None = None
         # Resident fast path: an in-memory dataset is prepared once and
         # candidate rows are sliced.  A mapped float64 dataset is read in
@@ -290,7 +290,7 @@ class QueryEngine:
             self._data = ResidentOperand(*self._prepare(source.materialize()))
         elif self.dtype == np.float64 and mapped is not None:
             self._data = _StoredRowsOperand(
-                mapped, _row_norms(mapped) if norms is None else np.asarray(norms)
+                mapped, _row_norms(mapped) if norms is None else norms
             )
         else:
             self._data = SourceOperand(source, self._prepare)
