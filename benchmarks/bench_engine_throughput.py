@@ -509,9 +509,9 @@ def bench_query_service() -> dict:
     dataset from disk, rebuild the grid, set up the engine, answer.  The
     **cached** side persists the index once (``repro.index.persist``)
     and serves every request from the warm
-    :class:`~repro.service.IndexCache` engine, whose hot-cell candidate
-    LRU also skips repeat gathers.  Both sides run the identical FP64
-    engine path, and ``bit_identical`` pins the cached,
+    :class:`~repro.service.IndexCache` engine, which reads the
+    cell-ordered rows and stored norms in place.  Both sides run the
+    identical FP64 engine path, and ``bit_identical`` pins the cached,
     loaded-from-disk answers against the dense brute-force reference.
     """
     from repro.data.synthetic import synth_dataset

@@ -557,10 +557,10 @@ def open_index(
     ``compact``.
 
     With ``cache=True`` (the default) engines come from a module-level
-    LRU (``repro.service.IndexCache``) keyed by ``(path, eps, header
-    digest)``, so repeated opens -- and every :func:`query` call
-    addressed by path -- reuse the loaded, mmap-backed index instead of
-    re-reading it; this is the cached-index fast path the
+    LRU (``repro.service.IndexCache``, one engine per index directory,
+    a hit checked by one ``stat`` of its header), so repeated opens --
+    and every :func:`query` call addressed by path -- reuse the loaded,
+    mmap-backed index instead of re-reading it; this is the cached-index fast path the
     ``query_service`` benchmark entry measures.  Non-default
     ``mmap``/``precision``/``verify`` requests construct a
     private engine instead (the shared cache stays at the default
