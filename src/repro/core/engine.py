@@ -56,11 +56,10 @@ native pass first (:func:`repro.fp.native.threshold_epilogue_native`, the
 host analogue of FaSTED running Step 3 in the accumulator's registers): per
 row of the ``(g*m, c)`` view it forms ``(s_i + s_j) - 2*g`` in the block's
 dtype, compares, and writes the survivors' ``(row, col, float32 d2)``
-compactly into caller-owned scratch -- the gram is read once and not
-written, and the call resumes where a full scratch stopped it.  A
-serving-size block (:data:`ONE_FILL_ELEMS`) takes one fill into a
-per-thread scratch reused across calls and copies its survivors out, so
-it allocates no scratch and concatenates nothing.  Without a
+compactly into scratch -- the gram is read once and not written, and
+the call resumes where a full scratch stopped it.  The first fill uses
+a per-thread scratch reused across calls, so a serving-size block
+allocates none; each survivor is copied out once.  Without a
 compiler, or for inputs the C loop does not take (mixed dtypes, a strided
 gram), the NumPy strips run instead and are the reference the tests compare
 bits against: a strip is as many rows of the gram block as fit
@@ -231,11 +230,6 @@ def threshold_epilogue(
     return rows, cols, dd
 
 
-#: Blocks up to this many elements -- serving-size candidate blocks --
-#: take the one-fill epilogue path: one native call into the thread's
-#: reused :class:`~repro.fp.native.FillScratch`, survivors copied out.
-ONE_FILL_ELEMS = 1 << 14
-
 _fill_scratch = threading.local()
 
 
@@ -250,50 +244,39 @@ def _native_epilogue(
     n_rows, c = block.shape[0] * block.shape[1], block.shape[2]
     # Survivor scratch per fill: a cache budget's worth of 20-byte (int64
     # row, int64 col, float32 d2) slots, but at least one block row (the C
-    # pass stops before a row that might not fit) and at most the block.
-    cap = max(c, min(TILE_CACHE_BUDGET_BYTES // 20, block.size))
+    # pass stops before a row that might not fit).  The first fill goes
+    # into the thread's scratch, reused across calls; a block that needs
+    # more fills gives each later one its own, and every survivor is
+    # copied out exactly once.
+    cap = max(c, TILE_CACHE_BUDGET_BYTES // 20)
+    scratch = getattr(_fill_scratch, "buf", None)
+    if scratch is None or scratch.cap != cap:
+        scratch = _fill_scratch.buf = native.FillScratch(cap)
     t0 = time.perf_counter()
-    if block.size <= min(cap, ONE_FILL_ELEMS):
-        # One fill covers the block: no per-call scratch or concatenation.
-        scratch = getattr(_fill_scratch, "buf", None)
-        if scratch is None or scratch.cap < block.size:
-            scratch = _fill_scratch.buf = native.FillScratch(ONE_FILL_ELEMS)
+    fills: list[tuple[native.FillScratch, int]] = []
+    row = 0
+    while row < n_rows:
+        if fills:
+            scratch = native.FillScratch(cap)
         filled = native.threshold_epilogue_native(
-            block, s_row, s_col, eps2, clear_diagonal, 0, scratch,
+            block, s_row, s_col, eps2, clear_diagonal, row, scratch,
             store_distances,
         )
         if filled is None:
             return None
-        n = filled[1]
-        t1 = time.perf_counter()
-        out = (
-            scratch.rows[:n].copy(), scratch.cols[:n].copy(),
-            scratch.dd[:n].copy() if store_distances else None,
-        )
-    else:
-        # Each fill owns its scratch: the results are views of it.
-        fills: list[tuple[native.FillScratch, int]] = []
-        row = 0
-        while row < n_rows:
-            scratch = native.FillScratch(cap)
-            filled = native.threshold_epilogue_native(
-                block, s_row, s_col, eps2, clear_diagonal, row, scratch,
-                store_distances,
-            )
-            if filled is None:
-                return None
-            row, n = filled
-            fills.append((scratch, n))
-        t1 = time.perf_counter()
+        row, n = filled
+        fills.append((scratch, n))
+    t1 = time.perf_counter()
 
-        def cat(name: str) -> np.ndarray:
-            return np.concatenate([getattr(f, name)[:n] for f, n in fills])
+    def out(name: str) -> np.ndarray:
+        parts = [getattr(f, name)[:n] for f, n in fills]
+        return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
 
-        out = (cat("rows"), cat("cols"), cat("dd") if store_distances else None)
+    result = (out("rows"), out("cols"), out("dd") if store_distances else None)
     if hooks is not None:
         hooks.record("rz", t1 - t0)
         hooks.record("commit", time.perf_counter() - t1)
-    return out
+    return result
 
 
 # ----------------------------------------------------------------------
