@@ -577,8 +577,8 @@ def _v2_copy(src: Path, dst: Path) -> None:
 
     The v2 layout is what the v2 writer produced: rows in original order
     beside a ``sort`` payload (the v3 ``ids``), no stored norms.  The
-    current reader loads it through its v2 path -- identity ids, norms
-    computed once at open, candidate rows not contiguous.
+    current reader loads it through its v2 path -- identity ids, each
+    candidate set gathered and normed per request.
     """
     from repro.index.persist import (
         HEADER_NAME, _stage_payload, load_index, read_header,

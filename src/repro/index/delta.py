@@ -83,9 +83,11 @@ compaction also holds the store's ``compact.lock`` exclusively, and GC
 in this process or another -- holds it, so opening a store never
 deletes another handle's in-flight base.  The serving layer
 (:class:`repro.service.server.IndexCache`) keeps a cached mutable
-engine while the manifest on disk still has the ``stat`` signature the
-engine recorded at its own last commit, for the same old-or-new swap
-across processes.
+engine while the manifest on disk is still the generation the engine
+recorded at its own last commit (a
+:class:`~repro.index.persist.FileGeneration`: one ``stat``, plus a
+digest compare while the commit is racily recent), for the same
+old-or-new swap across processes.
 """
 
 from __future__ import annotations
@@ -110,13 +112,13 @@ from repro.index.grid import GridIndex
 from repro.index.persist import (
     SAVING_SUFFIX,
     CorruptIndexError,
+    FileGeneration,
     _fsync,
     _gc_interrupted_saves,
     _stage_payload,
     _verify_payload,
     load_index,
     save_index,
-    stat_signature,
 )
 
 #: Manifest identification; readers reject unknown magic/version.
@@ -143,19 +145,28 @@ def is_mutable_index(path) -> bool:
     return (Path(path) / MANIFEST_NAME).is_file()
 
 
-def read_manifest(path) -> dict:
+def _manifest_bytes(path: Path) -> bytes:
+    mpath = path / MANIFEST_NAME
+    if not mpath.is_file():
+        raise ValueError(f"{path} is not a mutable index (no {MANIFEST_NAME})")
+    return mpath.read_bytes()
+
+
+def read_manifest(path, raw: bytes | None = None) -> dict:
     """Read and validate a mutable store's manifest.
 
     Mirrors :func:`repro.index.persist.read_header`: anything that is
     not a compatible manifest raises :class:`ValueError`; unreadable
     garbage raises :class:`~repro.index.persist.CorruptIndexError`.
+    ``raw`` is the manifest's bytes when the caller has already read
+    them.
     """
     path = Path(path)
     mpath = path / MANIFEST_NAME
-    if not mpath.is_file():
-        raise ValueError(f"{path} is not a mutable index (no {MANIFEST_NAME})")
+    if raw is None:
+        raw = _manifest_bytes(path)
     try:
-        manifest = json.loads(mpath.read_text())
+        manifest = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptIndexError(
             f"{mpath} is not valid JSON (truncated or garbled manifest)"
@@ -322,11 +333,18 @@ class MutableIndex:
         seal_threshold: int | None = None,
     ) -> None:
         path = Path(path)
-        # Signature before the read: a commit racing this open leaves a
-        # signature older than the manifest read, which only makes the
-        # serving cache reload once -- never serve a stale generation.
-        self._committed_sig = stat_signature(path / MANIFEST_NAME)
-        manifest = read_manifest(path)
+        raw = _manifest_bytes(path)
+        # The generation is taken after the read: a commit racing this
+        # open leaves a fresh ctime, so the generation is racy and the
+        # digest of the bytes read here tells the two apart -- the
+        # serving cache reloads once, never serves a stale generation.
+        try:
+            self._committed = FileGeneration(path / MANIFEST_NAME, raw)
+        except OSError as exc:
+            raise ValueError(
+                f"{path} is not a mutable index (no {MANIFEST_NAME})"
+            ) from exc
+        manifest = read_manifest(path, raw)
         self.path = path
         self.eps = float(manifest["eps"])
         self.dim = int(manifest["dim"])
@@ -567,26 +585,26 @@ class MutableIndex:
 
     # -- manifest commit ------------------------------------------------
 
-    def manifest_is_current(self) -> bool:
-        """Whether ``state.json`` on disk is the manifest this handle committed.
+    def manifest_is_current(self, path=None) -> bool:
+        """Whether ``state.json`` under ``path`` (default: this handle's
+        own path) is the manifest this handle committed.
 
-        One ``stat``: the manifest's signature against the one this
-        handle recorded at its own last commit (or at open).  Every commit
-        renames a fresh file into place, so another handle's commit always
-        changes it.  False means another handle rewrote the store (or
-        removed it).  Compared under the writer lock: a commit swaps the
-        file in before it records the new signature, so an unlocked
-        compare in that window would call this handle -- and the unsealed
-        rows only it holds -- stale.
+        :meth:`FileGeneration.matches
+        <repro.index.persist.FileGeneration.matches>` against the
+        generation this handle recorded at its own last commit (or at
+        open): one ``stat``, plus one read while that commit is racily
+        recent.  Every commit renames a fresh file into place, so
+        another handle's commit is another generation, and a ``path``
+        spelled through a symlink that now leads to another store finds
+        another file.  False means another handle rewrote the store (or
+        removed it), or ``path`` no longer leads here.  Compared under
+        the writer lock: a commit swaps the file in before it records
+        the new generation, so an unlocked compare in that window would
+        call this handle -- and the unsealed rows only it holds -- stale.
         """
+        target = Path(self.path if path is None else path) / MANIFEST_NAME
         with self._lock:
-            try:
-                return (
-                    stat_signature(self.path / MANIFEST_NAME)
-                    == self._committed_sig
-                )
-            except OSError:
-                return False
+            return self._committed.matches(target)
 
     def _commit_manifest_locked(self) -> None:
         """Atomically publish the current in-memory state to ``state.json``.
@@ -628,14 +646,14 @@ class MutableIndex:
             "params": self._params,
             "seal_threshold": int(self.seal_threshold),
         }
-        body = json.dumps(manifest, indent=2) + "\n"
+        raw = (json.dumps(manifest, indent=2) + "\n").encode()
         tmp = self.path / f"{MANIFEST_NAME}{SAVING_SUFFIX}{token}"
-        tmp.write_text(body)
+        tmp.write_bytes(raw)
         _fsync(tmp)
         if faults.ARMED:
             faults.check("persist.write")
         os.replace(tmp, self.path / MANIFEST_NAME)
-        self._committed_sig = stat_signature(self.path / MANIFEST_NAME)
+        self._committed = FileGeneration(self.path / MANIFEST_NAME, raw)
         _fsync(self.path)
         self._manifest = manifest
         self._gc_locked()

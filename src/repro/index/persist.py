@@ -28,7 +28,9 @@ baseline kernel and never persisted):
   dataset by path, cannot reorder those rows and keeps the permutation
   as a ``sort`` payload instead (no ``ids``, no ``norms``) -- which is
   also exactly the v2 layout, so a v2 directory loads through the same
-  code: identity ``ids``, norms computed once when an engine opens it.
+  code: identity ``ids``, and an engine gathers its candidate rows and
+  their norms per request, as it serves any dataset stored in original
+  order.
 
 * **Crash safety**: a save stages everything in a temp sibling directory
   (``<name>.saving-<token>``), fsyncs files and directories, and commits
@@ -81,6 +83,7 @@ import json
 import os
 import secrets
 import shutil
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,14 +155,77 @@ class LoadedIndex:
     norms: np.ndarray | None = None
 
 
-def stat_signature(path: str | Path) -> tuple[int, int, int, int, int]:
-    """``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)`` of one file.
+#: How far a header's or manifest's timestamps must lag the clock before
+#: its ``stat`` signature alone identifies it.  A freed inode can be
+#: reused by a later generation of the same size, and a generation
+#: written within the same filesystem timestamp tick then matches the
+#: earlier signature field for field; once the clock has moved this far
+#: past a file's mtime and ctime, every later write gets newer ones.
+#: One second covers local filesystems' timestamp granularity (a kernel
+#: tick, or whole seconds on the coarsest); the rule assumes the file's
+#: timestamps come from this host's clock.
+RACY_NS = 1_000_000_000
 
-    Every writer of a header or manifest commits by renaming a freshly
-    written file into place, so a new generation always has a new inode:
-    an unchanged signature means an unchanged file, for one ``stat``.
-    Raises :class:`OSError` when the file is gone.
+
+def _digest(raw: bytes) -> bytes:
+    return hashlib.blake2b(raw, digest_size=16).digest()
+
+
+class FileGeneration:
+    """One generation of a header or manifest, recognised by a ``stat``.
+
+    The signature is ``(st_dev, st_ino, st_size, st_mtime_ns,
+    st_ctime_ns)``.  Every writer of a header or manifest commits by
+    renaming a freshly written file into place, so the generation that
+    replaces a file always has another inode and a fresh ctime.  Only a
+    *racily clean* signature -- the file's timestamps were within
+    :data:`RACY_NS` of the clock when it was taken, so a later
+    generation reusing the freed inode could repeat it -- is not trusted
+    alone: it carries a digest of the file's bytes, and :meth:`matches`
+    re-reads the file until the clock has moved past the ambiguity
+    (git's rule for its index).
+
+    ``raw`` is the file's content when the caller has it -- the bytes it
+    just wrote, or read just before this ``stat``.  A replacement landing
+    in between has a fresh ctime, so the generation is racy and the
+    digest of ``raw`` tells it apart.  Without ``raw`` a racy file is
+    read after the ``stat``.  Raises :class:`OSError` when the file is
+    gone.
     """
+
+    __slots__ = ("sig", "digest")
+
+    def __init__(self, path: str | Path, raw: bytes | None = None) -> None:
+        taken = time.time_ns()
+        self.sig = _stat_signature(path)
+        if taken - max(self.sig[3], self.sig[4]) >= RACY_NS:
+            self.digest = None
+        else:
+            self.digest = _digest(raw if raw is not None else Path(path).read_bytes())
+
+    def matches(self, path: str | Path) -> bool:
+        """Whether ``path`` still holds this generation: one ``stat``,
+        plus one read while the signature is racily clean.  A racy match
+        whose timestamps have since settled drops its digest, so later
+        checks are one ``stat`` again.  False when the file is gone."""
+        try:
+            taken = time.time_ns()
+            sig = _stat_signature(path)
+            if sig != self.sig:
+                return False
+            digest = self.digest
+            if digest is None:
+                return True
+            if _digest(Path(path).read_bytes()) != digest:
+                return False
+        except OSError:
+            return False
+        if taken - max(sig[3], sig[4]) >= RACY_NS:
+            self.digest = None
+        return True
+
+
+def _stat_signature(path: str | Path) -> tuple[int, int, int, int, int]:
     st = os.stat(path)
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
@@ -617,5 +683,6 @@ __all__ = [
     "load_index",
     "read_header",
     "verify_index",
-    "stat_signature",
+    "RACY_NS",
+    "FileGeneration",
 ]

@@ -28,21 +28,21 @@ on:
   candidate count at reach 1 is extrapolated by the ``(2m+1)^r / 3^r``
   cell fan-out to the smallest reach expected to cover ``k``.
 
-The dataset side stays **out of core**: at FP64 a memory-mapped
-dataset (what ``load_index`` hands back) is read in place, rows and
-their FP64 norms -- stored beside a cell-ordered (format v3) index,
-computed once at open otherwise.  On a cell-ordered index a candidate
-set is stored rows in a few contiguous runs, and a single run is served
-as a slice view of rows and norms; any other set costs one gather of
-each.  Only the pages queries touch are read, and nothing is cached per
-candidate set, so a request pays for its own rows and no lock, hash or
-norm recompute.  Answers are in **original ids**: range pairs map their
-stored rows through the index's ``ids``, and kNN ranks each candidate
-set in original-id order so ties break exactly as on the original
-layout.  Other sources (chunked datasets, FP32 engines) gather and
-prepare per candidate set.  Queries run serially on the calling thread;
-concurrent requests are served by the caller's threads (the HTTP
-server's).
+The dataset side stays **out of core**: at FP64 the memory-mapped rows
+of a cell-ordered (format v3) index are read in place beside their
+stored FP64 norms.  A candidate set there is stored rows in a few
+contiguous runs, and a single run is served as a slice view of rows and
+norms; any other set costs one gather of each.  Only the pages queries
+touch are read, and nothing is cached per candidate set, so a request
+pays for its own rows and no lock, hash or norm recompute.  Other
+sources -- rows in original order (a v2 index, a dataset referenced by
+path), chunked datasets, FP32 engines -- gather each candidate set and
+compute its norms row by row, bitwise the stored ones.  Answers are in
+**original ids**: range pairs map their stored rows through the index's
+``ids``, and kNN ranks each candidate set in original-id order so ties
+break exactly as on the original layout.  Queries run serially on the
+calling thread; concurrent requests are served by the caller's threads
+(the HTTP server's).
 """
 
 from __future__ import annotations
@@ -171,17 +171,6 @@ def _cast_with_norms(dtype: np.dtype, block: np.ndarray):
     return w, (w * w).sum(axis=1)
 
 
-def _row_norms(rows: np.ndarray, *, row_block: int = 65536) -> np.ndarray:
-    """FP64 squared norms of float64 ``rows``, a block at a time: the
-    row-local :func:`_cast_with_norms` expression, so bitwise what a
-    gather of any of those rows computes."""
-    norms = np.empty(rows.shape[0], dtype=np.float64)
-    for r0 in range(0, rows.shape[0], row_block):
-        w = rows[r0 : r0 + row_block]
-        norms[r0 : r0 + w.shape[0]] = (w * w).sum(axis=1)
-    return norms
-
-
 class _StoredRowsOperand(ResidentOperand):
     """FP64 dataset operand over memory-mapped rows and their norms.
 
@@ -282,16 +271,17 @@ class QueryEngine:
         self.ids = ids
         self._rows_of_id: np.ndarray | None = None
         # Resident fast path: an in-memory dataset is prepared once and
-        # candidate rows are sliced.  A mapped float64 dataset is read in
-        # place at FP64 (stored norms, else computed once here); anything
-        # else is gathered and prepared per candidate set.
+        # candidate rows are sliced.  Cell-ordered mapped rows are read in
+        # place at FP64 beside their stored norms; anything else is
+        # gathered and prepared per candidate set.
         mapped = source.mapped if isinstance(source, MmapNpySource) else None
         if isinstance(source, ArraySource):
             self._data = ResidentOperand(*self._prepare(source.materialize()))
-        elif self.dtype == np.float64 and mapped is not None:
-            self._data = _StoredRowsOperand(
-                mapped, _row_norms(mapped) if norms is None else norms
-            )
+        elif (
+            self.dtype == np.float64 and mapped is not None
+            and norms is not None
+        ):
+            self._data = _StoredRowsOperand(mapped, norms)
         else:
             self._data = SourceOperand(source, self._prepare)
         self._stats = None  # lazy GridIndex.stats() (kNN starting reach)

@@ -86,7 +86,7 @@ from repro.index.delta import (
     is_mutable_index,
     read_manifest,
 )
-from repro.index.persist import HEADER_NAME, read_header, stat_signature
+from repro.index.persist import FileGeneration, HEADER_NAME, read_header
 from repro.service.metrics import (
     BATCH_FILL_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
@@ -126,15 +126,18 @@ class IndexCache:
     """Thread-safe LRU cache of :class:`QueryEngine`\\ s for persisted indexes.
 
     One entry per index directory (its resolved path).  A hit costs one
-    ``os.stat``: an immutable index's ``header.json`` signature
-    (:func:`~repro.index.persist.stat_signature`) against the one
-    recorded when the engine was loaded, a mutable store's
+    ``os.stat`` of the file under the path *as the caller spelled it*:
+    an immutable index's ``header.json`` against the
+    :class:`~repro.index.persist.FileGeneration` recorded when the
+    engine was loaded, a mutable store's ``state.json`` through
     :meth:`~repro.index.delta.MutableIndex.manifest_is_current`.  Every
     writer commits by renaming a fresh file into place, so a rebuilt or
-    rewritten index always changes the signature -- even within mtime
-    granularity -- and the header is only read again on a miss.  The
-    path spelling a caller uses is remembered, so a hit does not resolve
-    it again.
+    rewritten index changes the signature, and a spelling that now
+    leads elsewhere (a retargeted symlink, a relative path after a
+    ``chdir``) finds another file; either way the path is resolved and
+    looked up again.  While a signature is racily clean -- written
+    within :data:`~repro.index.persist.RACY_NS` of when it was taken --
+    a hit also reads the file and compares its digest.
 
     Parameters
     ----------
@@ -172,10 +175,10 @@ class IndexCache:
         self._entries: "OrderedDict[str, QueryEngine | MutableIndex]" = (
             OrderedDict()
         )
-        # Resolved path -> header signature at load (immutable engines).
-        self._signatures: dict[str, tuple] = {}
-        # Path as the caller spelled it -> (resolved path, header path).
-        self._aliases: dict[str, tuple[str, str]] = {}
+        # Resolved path -> header generation at load (immutable engines).
+        self._generations: dict[str, FileGeneration] = {}
+        # Path as the caller spelled it -> resolved path.
+        self._aliases: dict[str, str] = {}
         self._lock = threading.Lock()
         # Per-store load locks: one mutable-store load in flight per key.
         self._loading: dict[str, threading.Lock] = {}
@@ -226,17 +229,14 @@ class IndexCache:
         """
         spelled = str(path)
         with self._lock:
-            key, header = self._aliases.get(spelled, (None, None))
+            key = self._aliases.get(spelled)
             engine = self._entries.get(key)
-            sig = self._signatures.get(key)
+            generation = self._generations.get(key)
         if engine is not None:
             if isinstance(engine, MutableIndex):
-                current = engine.manifest_is_current()
+                current = engine.manifest_is_current(spelled)
             else:
-                try:
-                    current = stat_signature(header) == sig
-                except OSError:
-                    current = False
+                current = generation.matches(Path(spelled) / HEADER_NAME)
             if current:
                 with self._lock:
                     if self._entries.get(key) is engine:
@@ -251,37 +251,40 @@ class IndexCache:
         with self._lock:
             if len(self._aliases) > 64 * self.capacity:
                 self._aliases.clear()  # spellings of evicted entries
-            self._aliases[spelled] = (
-                str(resolved), str(Path(path) / HEADER_NAME)
-            )
+            self._aliases[spelled] = str(resolved)
         return engine
 
-    def _insert_locked(self, key: str, engine, sig=None) -> None:
+    def _insert_locked(self, key: str, engine, generation=None) -> None:
         self._entries[key] = engine
         self._entries.move_to_end(key)
-        self._signatures[key] = sig
+        self._generations[key] = generation
         while len(self._entries) > self.capacity:
             old, _ = self._entries.popitem(last=False)
-            self._signatures.pop(old, None)
+            self._generations.pop(old, None)
             self._c_evictions.inc()
 
     def _get_index(self, resolved: Path) -> QueryEngine:
-        """Immutable index: reuse the entry while its header signature
-        holds, else load (stat first, so a racing rewrite can only cause
-        one extra reload, never a stale hit)."""
+        """Immutable index: reuse the entry while its header generation
+        holds, else load (the generation is taken first, so a racing
+        rewrite can only cause one extra reload, never a stale hit)."""
         key = str(resolved)
+        header = resolved / HEADER_NAME
+        with self._lock:
+            engine = self._entries.get(key)
+            cached = self._generations.get(key)
+        if cached is not None and cached.matches(header):
+            with self._lock:
+                if self._entries.get(key) is engine:
+                    self._entries.move_to_end(key)
+                self._c_hits.inc()
+            return engine
         try:
-            sig = stat_signature(resolved / HEADER_NAME)
+            generation = FileGeneration(header)
         except OSError as exc:
             raise ValueError(
                 f"{resolved} is not a persisted index (no {HEADER_NAME})"
             ) from exc
         with self._lock:
-            engine = self._entries.get(key)
-            if engine is not None and self._signatures.get(key) == sig:
-                self._entries.move_to_end(key)
-                self._c_hits.inc()
-                return engine
             self._c_misses.inc()
         # Load outside the lock -- the expensive part; a racing duplicate
         # load is harmless (last writer wins, both engines are valid).
@@ -299,7 +302,7 @@ class IndexCache:
             attrs={"path": key, "verify": self._verify},
         )
         with self._lock:
-            self._insert_locked(key, engine, sig)
+            self._insert_locked(key, engine, generation)
         return engine
 
     def _get_mutable(self, resolved: Path) -> MutableIndex:
@@ -355,7 +358,7 @@ class IndexCache:
             if self._entries.get(key) is engine:
                 if not current:
                     del self._entries[key]
-                    self._signatures.pop(key, None)
+                    self._generations.pop(key, None)
                 else:
                     self._entries.move_to_end(key)
             if current:

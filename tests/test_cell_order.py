@@ -12,8 +12,11 @@ The layout contracts, executable:
   typed at every verify level; seals and compactions write v3.
 * **Operand** -- one run of candidate rows is served as a view, any
   other set by one gather, both bitwise the gathered values.
-* **Lookup** -- an ``IndexCache`` hit makes exactly one ``os.stat`` and
-  opens nothing.
+* **Lookup** -- an ``IndexCache`` hit on a settled generation makes
+  exactly one ``os.stat`` and opens nothing; a racily clean one also
+  reads the file, so a later generation repeating its signature is
+  still told apart; a spelling that now leads to another index or store
+  finds it.
 * **Sampling** -- ``sample_queries`` draws the same points from the v2
   and v3 layouts of one dataset.
 """
@@ -28,10 +31,12 @@ import numpy as np
 import pytest
 
 from repro.core.api import build_index
-from repro.core.engine import threshold_epilogue
+from repro.core.engine import SourceOperand, threshold_epilogue
 from repro.index.delta import MutableIndex
 from repro.index.grid import GridIndex
+from repro.index import persist
 from repro.index.persist import (
+    HEADER_NAME,
     CorruptIndexError,
     load_index,
     read_header,
@@ -219,6 +224,19 @@ class TestStoredRowsOperand:
             np.testing.assert_array_equal(r, rows[idx])
             np.testing.assert_array_equal(n, norms[idx])
 
+    def test_original_order_rows_are_gathered_per_request(self):
+        """A v2 index has no stored norms: its engine computes none at
+        open, and each candidate set is gathered and normed row by row."""
+        engine = QueryEngine(FIXTURE_V2)
+        assert type(engine._data) is SourceOperand
+        rows = engine.source.materialize()
+        idx = np.array([3, 9, 10, 40])
+        r, n = engine._data.take(idx)
+        np.testing.assert_array_equal(r, rows[idx])
+        np.testing.assert_array_equal(
+            n.view(np.uint64), (rows[idx] * rows[idx]).sum(axis=1).view(np.uint64)
+        )
+
     def test_one_fill_epilogue_results_survive_the_next_call(self):
         rng = np.random.default_rng(2)
         first_gram = rng.normal(size=(3, 40))
@@ -260,6 +278,7 @@ class TestOneStatLookup:
         return calls
 
     def test_index_hit_is_one_stat_and_no_open(self, v3_path, monkeypatch):
+        monkeypatch.setattr(persist, "RACY_NS", 0)  # a settled header
         cache = IndexCache()
         engine = cache.get(v3_path)
         calls = self._count_io(monkeypatch)
@@ -270,6 +289,7 @@ class TestOneStatLookup:
 
     def test_mutable_hit_is_one_stat_and_no_open(self, v2_data, tmp_path, monkeypatch):
         data, eps = v2_data
+        monkeypatch.setattr(persist, "RACY_NS", 0)  # a settled manifest
         root = tmp_path / "store"
         MutableIndex.create(root, data, eps)
         cache = IndexCache()
@@ -278,6 +298,98 @@ class TestOneStatLookup:
         assert cache.get(root) is store
         monkeypatch.undo()
         assert calls == {"stat": 1, "open": 0}
+
+    def test_racy_hit_reads_until_the_header_settles(self, v3_path, monkeypatch):
+        monkeypatch.setattr(persist, "RACY_NS", 10**18)  # always racy
+        cache = IndexCache()
+        engine = cache.get(v3_path)
+        calls = self._count_io(monkeypatch)
+        assert cache.get(v3_path) is engine
+        assert calls == {"stat": 1, "open": 1}
+        monkeypatch.setattr(persist, "RACY_NS", 0)  # the clock moved on
+        assert cache.get(v3_path) is engine  # verifies once more, settles
+        calls.update(stat=0, open=0)
+        assert cache.get(v3_path) is engine
+        monkeypatch.undo()
+        assert calls == {"stat": 1, "open": 0}
+
+    @pytest.mark.parametrize("kind", ["index", "store"])
+    def test_racy_signature_repeated_by_a_new_generation(
+        self, v2_data, tmp_path, monkeypatch, kind
+    ):
+        """A later generation that reuses the freed inode within one
+        timestamp tick repeats the signature field for field; the digest
+        of a racily clean generation still tells the two apart."""
+        data, eps = v2_data
+        root = tmp_path / kind
+        if kind == "index":
+            build_index(data, eps, root)
+            watched = root / HEADER_NAME
+        else:
+            MutableIndex.create(root, data, eps)
+            watched = root / "state.json"
+        cache = IndexCache()
+        first = cache.get(root)
+        before = os.stat(watched)
+        if kind == "index":
+            build_index(data[:300], eps, root)
+        else:
+            other = MutableIndex(root)
+            other.delete(np.arange(data.shape[0] - 300))
+            other.compact()
+        real_stat = os.stat
+
+        def repeated(path, *args, **kwargs):
+            if Path(path) == watched:
+                return before
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", repeated)
+        second = cache.get(root)
+        monkeypatch.undo()
+        assert second is not first and second.n_points == 300
+
+    def test_retargeted_symlink_finds_the_new_index(self, v2_data, tmp_path):
+        data, eps = v2_data
+        build_index(data, eps, tmp_path / "blue")
+        build_index(data[:300], eps, tmp_path / "green")
+        live = tmp_path / "live"
+        live.symlink_to("blue")
+        cache = IndexCache()
+        assert cache.get(live).n_points == data.shape[0]
+        (tmp_path / "next").symlink_to("green")
+        os.replace(tmp_path / "next", live)
+        assert cache.get(live).n_points == 300
+
+    def test_retargeted_symlink_finds_the_new_store(self, v2_data, tmp_path):
+        data, eps = v2_data
+        blue = MutableIndex.create(tmp_path / "blue", data, eps)
+        green = MutableIndex.create(tmp_path / "green", data[:300], eps)
+        live = tmp_path / "live"
+        live.symlink_to("blue")
+        cache = IndexCache()
+        served = cache.get(live)
+        assert served.n_points == blue.n_points
+        (tmp_path / "next").symlink_to("green")
+        os.replace(tmp_path / "next", live)
+        served = cache.get(live)
+        assert served.n_points == green.n_points == 300
+        assert served.path.resolve() == (tmp_path / "green").resolve()
+
+    def test_relative_store_path_follows_the_cwd(self, v2_data, tmp_path, monkeypatch):
+        data, eps = v2_data
+        for name, rows in (("a", data), ("b", data[:300])):
+            (tmp_path / name).mkdir()
+            MutableIndex.create(tmp_path / name / "store", rows, eps)
+        cache = IndexCache()
+        monkeypatch.chdir(tmp_path / "a")
+        assert cache.get("store").n_points == data.shape[0]
+        monkeypatch.chdir(tmp_path / "b")
+        assert cache.get("store").n_points == 300
+
+    def test_opening_a_non_store_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="not a mutable index"):
+            MutableIndex(tmp_path)
 
     def test_other_spelling_shares_the_entry(self, v3_path, monkeypatch):
         cache = IndexCache()
