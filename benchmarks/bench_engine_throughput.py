@@ -680,20 +680,29 @@ def bench_cell_order() -> dict:
 def bench_mutable() -> dict:
     """Query latency vs delta depth, and compaction throughput.
 
-    A mutable store answers every query by merging its base with the
-    live delta segments, so each sealed segment adds one more layer of
-    per-query work.  The entry charts range-query latency at delta depth
-    0/1/4/16 (segments of ``seg_rows`` appended rows, sealed manually so
-    depth is exact), then folds all 16 segments into a new base
-    generation and records the compaction's row throughput plus the
-    post-compaction latency (which must return to the depth-0 regime of
-    the grown store).  ``bit_identical`` pins the depth-16 *and*
+    A mutable store answers every query from its base engine plus one
+    brute GEMM over the delta block (every sealed-segment and buffer
+    row), so depth costs only the block's extra rows.  The entry charts
+    range-query latency at delta depth 0/1/4/16 (segments of
+    ``seg_rows`` appended rows, sealed manually so depth is exact), then
+    folds all 16 segments into a new base generation and records the
+    compaction's row throughput plus the post-compaction latency (which
+    stays within 2x of depth 0).  ``bit_identical`` pins the depth-16 *and*
     post-compaction answers against a :class:`~repro.service.QueryEngine`
     rebuilt from scratch over the live rows -- the differential contract
     tests/test_mutable.py enforces op-by-op.
+
+    ``large_segment`` then bulk-appends twice the initial rows as one
+    sealed segment -- past ``BLOCK_SEGMENT_ROWS``, so it is read through
+    its own grid engine rather than the block -- with its latency and its
+    own bitwise pin.  ``segment_read_crossover`` times one segment of
+    ``n`` such rows both ways a store can read it: the block's
+    ``tile_join`` of the queries against the resident rows, and a grid
+    engine over them (interleaved medians).
     """
+    from repro.core.engine import GROUP_CHUNK_ELEMS, ResidentOperand, tile_join
     from repro.data.synthetic import synth_dataset
-    from repro.index.delta import MutableIndex
+    from repro.index.delta import BLOCK_SEGMENT_ROWS, MutableIndex
     from repro.index.grid import GridIndex
     from repro.service import QueryEngine, sample_queries
 
@@ -777,6 +786,53 @@ def bench_mutable() -> dict:
         identical = identical and _matches(mut.range_query(queries))
         out["bit_identical"] = identical
         out["result_pairs"] = int(got.pairs_i.size)
+
+        n_bulk = 2 * n0
+        bulk = data[rng.integers(0, n0, n_bulk)] + rng.uniform(
+            -eps / 4, eps / 4, (n_bulk, d)
+        )
+        mut.append(bulk)
+        mut.seal()
+        live_rows = np.concatenate([live_rows, bulk])
+        ref = QueryEngine(GridIndex(live_rows, eps), live_rows)
+        want = ref.range_query(queries)
+        order = np.lexsort((want.pairs_j, want.pairs_i))
+        out["large_segment"] = {
+            "rows": n_bulk,
+            "delta_rows": int(mut.delta_rows),
+            "range_seconds": median_seconds(
+                lambda: mut.range_query(queries), reps=5
+            ),
+            "bit_identical": _matches(mut.range_query(queries)),
+        }
+
+    crossover: dict = {}
+    wq, sq = queries, (queries * queries).sum(axis=1)
+    for n in (1024, 4096, 16384, 65536):
+        rows = data[rng.integers(0, n0, n)] + rng.uniform(
+            -eps / 4, eps / 4, (n, d)
+        )
+        norms = (rows * rows).sum(axis=1)
+        engine = QueryEngine(GridIndex(rows, eps), rows)
+
+        def block_read():
+            acc, _ = tile_join(
+                ResidentOperand(wq, sq), eps**2, ResidentOperand(rows, norms),
+                row_block=nq, col_block=GROUP_CHUNK_ELEMS // nq,
+            )
+            return acc.arrays()
+
+        t_block, t_engine = interleaved_medians(
+            block_read, lambda: engine.range_query(queries), reps=9
+        )
+        crossover[str(n)] = {
+            "block_seconds": t_block,
+            "engine_seconds": t_engine,
+        }
+    out["segment_read_crossover"] = {
+        "block_segment_rows": BLOCK_SEGMENT_ROWS,
+        "by_rows": crossover,
+    }
     return out
 
 

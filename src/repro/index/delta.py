@@ -1,29 +1,67 @@
-"""LSM-style mutable indexes: delta segments + tombstones over a base.
+"""LSM-style mutable indexes: one base + one delta block + tombstones.
 
 The persisted indexes of :mod:`repro.index.persist` are read-only: any
 new point means a full out-of-core rebuild.  :class:`MutableIndex` turns
 one persisted index directory into a **live store** with the classic
-log-structured layering:
+log-structured layering, read as a base and one delta block:
 
-* **Appends** land in a small in-memory buffer (a resident
-  :class:`~repro.index.grid.GridIndex` is built over it lazily when a
-  query arrives).  Past ``seal_threshold`` rows the buffer is *sealed*:
-  saved as an immutable on-disk **delta segment** -- an ordinary
-  :func:`~repro.index.persist.save_index` directory with its rows
-  embedded -- cell-ordered with stored ``ids`` and ``norms``, like every
-  v3 index -- so sealing inherits the atomic-staging crash safety
-  (stage + fsync + one ``rename``) and its fault points unchanged.
+* The **base**: a persisted grid index, queried through its
+  :class:`~repro.service.query.QueryEngine`.
+* The **delta block**: the rows of the unsealed buffer and of every
+  sealed segment of at most :data:`BLOCK_SEGMENT_ROWS` rows -- every
+  delta row unless a bulk append sealed a larger segment -- resident as
+  working-precision rows, their squared norms and their global ids, in
+  ascending id order.  A read is one
+  :func:`~repro.core.engine.tile_join` of its queries against the block,
+  one GEMM per column chunk (a chunk bounds the temporary) through the
+  engine's ``threshold_epilogue``; kNN builds the same distance block
+  and keeps each row's top-k by ``(distance, global id)``.  For small
+  segments brute force beats the index -- the paper's trade-off: a grid
+  probe per small segment costs more than the distances it saves.
+  **Residency:** ``n_block x d x itemsize`` bytes of rows plus
+  ``n_block x (itemsize + 8)`` of norms and ids; capacity doubles when
+  full, so at most twice that is allocated.  The FP64 originals stay on
+  disk in the segments (compaction reads them back), apart from the
+  buffer's until it is sealed.
+* **Large segments**: a sealed segment past :data:`BLOCK_SEGMENT_ROWS`
+  rows keeps its own grid engine over its memory-mapped rows, like the
+  base -- past that size the index can beat brute force (see the
+  constant's measurements and the ``segment_read_crossover`` table of
+  BENCH_engine.json), and ``mmap`` keeps bounding what such a store
+  holds resident.
+
+``delta_depth`` counts sealed segments plus a nonempty buffer (what a
+compaction folds); ``delta_rows`` counts the block's rows (what a read
+multiplies its queries against).  A traced read records one
+``delta.layer`` span per part -- ``layer`` 0 the base, 1 the block, 2
+and up each large segment, each with its ``rows`` -- and one
+``delta.merge``.
+
+Writes:
+
+* **Appends** extend the block in place and are the in-memory
+  **buffer** (FP64 rows) until sealed.  Past ``seal_threshold`` buffered rows the
+  buffer is *sealed*: saved as an immutable on-disk **delta segment** --
+  an ordinary :func:`~repro.index.persist.save_index` directory with its
+  rows embedded, cell-ordered with stored ``ids`` and ``norms`` like
+  every v3 index -- so sealing inherits the atomic-staging crash safety
+  (stage + fsync + one ``rename``) and its fault points unchanged.  The
+  block keeps the sealed rows as they are (a large segment's rows leave
+  it for the segment's engine); opening a store reads each small
+  segment's rows once, into id order through its stored ``ids``.
 * **Deletes** write **tombstones**: global row ids masked out of every
   query answer.  Rows are never rewritten in place; a tombstoned row
   physically persists in its base/segment until a compaction folds it
   out.  Tombstones are durable -- every ``delete`` commits the manifest.
-* **Compaction** streams the live rows (base + sealed segments, minus
-  tombstones, in ascending global-id order) through the existing
+* **Compaction** streams the live rows (base + every sealed segment
+  read back from disk, minus tombstones, in ascending global-id order)
+  through the existing
   ``GridIndex.from_source`` out-of-core build into a **new versioned
   base snapshot** (``base-<token>/``), then commits.  Appends/deletes
   that race a compaction are preserved: segments sealed after the
-  snapshot stay layered on the new base, and only the tombstones the
-  snapshot already folded out are pruned.
+  snapshot stay, the block keeps its rows past the snapshot, and only
+  the tombstones
+  the snapshot already folded out are pruned.
 
 **Commit point.**  The store is a directory holding ``state.json`` (the
 manifest: base directory name, base-row global ids, tombstone payload,
@@ -44,44 +82,49 @@ rows are the deliberate exception -- like any memtable without a WAL
 they are volatile until sealed; a crash simply loses them, and reopen
 prunes any tombstones left dangling at the vanished ids.
 
-**Bit-identity.**  Queries merge the layers and must be bit-identical to
-an index *rebuilt from scratch* over the equivalent live dataset
+**Answers equal a rebuild's.**  A query answers what an index *rebuilt
+from scratch* over the equivalent live dataset answers
 (tests/test_mutable.py drives randomized op sequences against exactly
-that rebuild).  The argument:
+that rebuild):
 
-* Global ids are minted monotonically and each layer covers an
-  ascending id block (base ids < every later segment's < the buffer's;
-  a compacted base inherits the sorted live ids), so "position in the
-  rebuilt dataset" and "global id" order rows identically.  A layer
-  stores its rows in cell order; its engine answers in the layer's
-  original row numbers (mapping stored rows through the layer's
-  ``ids``), and the store maps those through the layer's ascending
-  gids -- so a global id is ``gids[ids[stored row]]``, and stored
-  rows are found again by :meth:`QueryEngine.rows_of`.
-* Range: each layer is itself a full index at the same eps, so the
-  per-layer ``range_query`` is bit-identical to brute force over that
-  layer's rows (the engine's FP64 contract); squared distances are
-  row-local (norm expansion over per-element-stable GEMM products), so
-  masking tombstones and concatenating layers yields exactly the
-  rebuilt pair set, and the canonical ``(query, global id)`` lexsort
-  makes the ordering equal too.
-* kNN: each layer answers an *exact* top-``k + dead(layer)`` (padding by
-  the layer's tombstone count guarantees ``k`` live survivors), the
-  survivors' distances are recomputed in the working precision (bitwise
-  what the rebuilt engine computes, by row-locality), and a stable merge
-  over the ascending-id layout reproduces the rebuilt engine's strict
-  ``(distance, index)`` tie-break.
+* Global ids are minted monotonically; base ids < every delta id, the
+  block is in id order, a segment's ids are one ascending run, and a
+  compacted base inherits the sorted live ids, so "position in the
+  rebuilt dataset" and "global id" order rows identically.  Each engine
+  answers in its original row numbers, which the store maps through
+  that part's ascending gids.
+* Pair sets are always equal: every part evaluates the same
+  norm-expansion distance against the same ``eps^2`` in the working
+  precision.  Distance *bits* are equal where BLAS rounds each dot
+  product alike in the engines' group GEMMs, the block's GEMM and the
+  rebuild's group GEMMs -- the store never matched a rebuild's GEMM
+  shapes, and the shapes tests/test_mutable.py pins round alike.  One
+  fixed-order FP64 distance per reported pair (planned in ROADMAP.md)
+  makes this hold by construction.
+* Range: tombstones are masked once per part and the union is
+  canonicalized by the ``(query, global id)`` lexsort.
+* kNN: each engine part answers an exact top-``k + dead(part)`` (the
+  padding guarantees ``k`` live survivors) whose distances are
+  recomputed in the working precision; the block's dead columns are set
+  to ``+inf`` and it keeps the least ``(distance, global id)``.  The
+  merge breaks distance ties by id -- the part holding the lower ids
+  first, then the engine's own order within a part -- which reproduces
+  the rebuilt engine's ``(distance, index)`` tie-break.
 
 **Concurrency.**  One writer process; within it, mutations serialize on
 an internal lock, queries capture an immutable generation snapshot (the
-layer list + tombstone array) and run lock-free on it, and a compaction
-swaps the base atomically under the lock -- in-flight queries finish on
-the old generation (their mmaps stay valid; POSIX keeps unlinked
-payload inodes readable) while new queries see the new one.  A
-compaction also holds the store's ``compact.lock`` exclusively, and GC
-(run at open and after every commit) skips while any other handle --
-in this process or another -- holds it, so opening a store never
-deletes another handle's in-flight base.  The serving layer
+base and large-segment engines, a view of the block's first ``n`` rows,
+the tombstone array) and run lock-free on it.  Appends only write past a
+snapshot's ``n`` (or into a grown copy), and a compaction or a large
+seal replaces the block with a fresh copy of the rows it keeps, so no
+write lands under an in-flight read.  A
+compaction swaps the base atomically under the lock -- in-flight
+queries finish on the old generation (their mmaps stay valid; POSIX
+keeps unlinked payload inodes readable) while new queries see the new
+one.  A compaction also holds the store's ``compact.lock`` exclusively,
+and GC (run at open and after every commit) skips while any other
+handle -- in this process or another -- holds it, so opening a store
+never deletes another handle's in-flight base.  The serving layer
 (:class:`repro.service.server.IndexCache`) keeps a cached mutable
 engine while the manifest on disk is still the generation the engine
 recorded at its own last commit (a
@@ -106,8 +149,14 @@ import numpy as np
 
 from repro import faults
 from repro import trace as trace_mod
+from repro.core.engine import (
+    GROUP_CHUNK_ELEMS,
+    ResidentOperand,
+    norm_expansion_sq_dists,
+    tile_join,
+)
 from repro.core.results import JoinResult
-from repro.data.source import DatasetSource, as_source
+from repro.data.source import ArraySource, DatasetSource, as_source
 from repro.index.grid import GridIndex
 from repro.index.persist import (
     SAVING_SUFFIX,
@@ -117,6 +166,7 @@ from repro.index.persist import (
     _gc_interrupted_saves,
     _stage_payload,
     _verify_payload,
+    load_embedded_rows,
     load_index,
     save_index,
 )
@@ -130,6 +180,16 @@ MANIFEST_NAME = "state.json"
 
 #: Default buffer size (rows) past which an append seals a segment.
 DEFAULT_SEAL_THRESHOLD = 4096
+
+#: Largest sealed segment (rows) the delta block takes in.  A larger one
+#: -- a bulk append sealed whole -- is read through its own grid engine
+#: over its memory-mapped rows.  Measured on a 2-core x86 VM for one
+#: segment of clustered rows at ~8 range neighbours per query: at 8
+#: queries the block's GEMM beats the segment's grid engine up to 8192
+#: rows at d=64 (0.48 vs 0.57 ms; 0.89 vs 0.46 ms at 16384) and ties at
+#: 4096 rows at d=128 (0.38 vs 0.34 ms), and its kNN selection beats the
+#: engine's up to 8192 rows at d=64 (0.73 vs 0.89 ms).
+BLOCK_SEGMENT_ROWS = 4096
 
 #: Lock file a compaction holds exclusively (``flock``) for its whole run;
 #: GC on every other handle takes it shared and skips while it cannot.
@@ -208,10 +268,11 @@ def _as_rows(rows, dim: int | None = None) -> np.ndarray:
 class _LiveRowsSource(DatasetSource):
     """Live rows of a generation, in ascending global-id order.
 
-    ``parts`` is a list of ``(source, rows)``: each layer's dataset plus
-    the stored rows that survive the tombstone mask, in ascending
-    global-id order.
-    This is what a compaction streams through ``from_source`` and
+    ``parts`` is a list of ``(source, rows)``: the base's and each
+    sealed segment's source plus the stored rows that survive the
+    tombstone mask, in ascending global-id order (empty parts are
+    dropped).  This is
+    what a compaction streams through ``from_source`` and
     ``save_index`` -- the rows a from-scratch rebuild over the live
     dataset would see, in the same order, so the built index is
     bit-identical to that rebuild.
@@ -250,22 +311,103 @@ class _LiveRowsSource(DatasetSource):
         return out
 
 
+class _DeltaBlock:
+    """Small-segment and buffer rows, resident, in ascending global-id order.
+
+    ``rows`` are the working-precision rows, ``norms`` their squared
+    norms (:func:`~repro.service.query._cast_with_norms`: row-local,
+    bitwise what the engine's operand preparation computes) and
+    ``gids`` their global ids.  The first ``n`` rows of each array are
+    filled.  :meth:`extend` writes only past ``n``, or into a doubled
+    copy when the capacity is spent, and :meth:`snapshot` /
+    :meth:`select` are views and copies that no later write touches --
+    what lets a query run on its generation's block without the lock.
+    """
+
+    def __init__(self, dim: int, dtype: np.dtype, cap: int = 0) -> None:
+        self.dtype = np.dtype(dtype)
+        self.rows = np.empty((cap, dim), dtype=self.dtype)
+        self.norms = np.empty(cap, dtype=self.dtype)
+        self.gids = np.empty(cap, dtype=np.int64)
+        self.n = 0
+
+    def extend(
+        self, raw: np.ndarray, gids: np.ndarray, order: np.ndarray | None = None
+    ) -> "_DeltaBlock":
+        """Append FP64 rows and their (ascending, larger) global ids;
+        returns the block holding them -- this one, or a copy with
+        doubled capacity when this one is full.  ``order`` places row
+        ``p`` of ``raw`` at new row ``order[p]`` (a segment's stored
+        rows back into id order) on the way in."""
+        m = raw.shape[0]
+        block = self
+        if self.n + m > self.gids.size:
+            block = self._copy(0, self.n, max(2 * self.gids.size, self.n + m))
+        lo, hi = block.n, block.n + m
+        if order is None:
+            block.rows[lo:hi] = raw  # the working-precision cast
+        else:
+            block.rows[lo + order] = raw
+        _, block.norms[lo:hi] = _prepare(self.dtype, block.rows[lo:hi])
+        block.gids[lo:hi] = gids
+        block.n = hi
+        return block
+
+    def _copy(self, start: int, stop: int, cap: int) -> "_DeltaBlock":
+        """A fresh block of capacity ``cap`` holding rows ``start:stop``."""
+        block = _DeltaBlock(self.rows.shape[1], self.dtype, cap)
+        m, filled = stop - start, slice(start, stop)
+        block.rows[:m] = self.rows[filled]
+        block.norms[:m] = self.norms[filled]
+        block.gids[:m] = self.gids[filled]
+        block.n = m
+        return block
+
+    def snapshot(self) -> "_DeltaBlock":
+        """Views of the filled rows: full, so nothing ever extends them
+        in place."""
+        snap = _DeltaBlock.__new__(_DeltaBlock)
+        snap.dtype, snap.n = self.dtype, self.n
+        snap.rows, snap.norms = self.rows[: self.n], self.norms[: self.n]
+        snap.gids = self.gids[: self.n]
+        return snap
+
+    def select(self, lo: int, hi: int) -> "_DeltaBlock":
+        """The rows with ``lo <= gid < hi``: this block when that is all
+        of them, else a fresh copy (a compaction keeps the rows past its
+        snapshot; a large seal drops the buffer's rows)."""
+        start, stop = np.searchsorted(self.gids[: self.n], [lo, hi])
+        if (start, stop) == (0, self.n):
+            return self
+        return self._copy(int(start), int(stop), int(stop - start))
+
+    def contains(self, ids: np.ndarray) -> np.ndarray:
+        """Which of ``ids`` are rows of the block."""
+        gids = self.gids[: self.n]
+        if not gids.size:
+            return np.zeros(ids.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(gids, ids), gids.size - 1)
+        return gids[pos] == ids
+
+
 @dataclass
-class _Layer:
-    """One immutable query layer: an engine plus its global-id mapping."""
+class _EnginePart:
+    """A part read through a grid engine: the base, or one sealed segment
+    too large for the block (see :data:`BLOCK_SEGMENT_ROWS`)."""
 
     engine: object  # QueryEngine (imported lazily -- see _engine_cls)
-    gids: np.ndarray  # (n,) int64, ascending
-    dir_name: str | None  # store-relative directory; None for the buffer
+    gids: np.ndarray  # (n,) int64 ascending: global id of engine row j
+    dead: int = 0  # tombstoned rows (set per generation)
 
 
 @dataclass
 class _Generation:
     """Immutable snapshot a query runs against (captured under the lock)."""
 
-    layers: tuple
+    parts: list  # _EnginePart: the base, then large segments in id order
+    block: _DeltaBlock  # snapshot: small-segment and buffer rows, by id
+    block_dead: np.ndarray | None  # (block.n,) bool, None when none is dead
     tomb: np.ndarray  # sorted int64 global ids
-    n_rows: int
     n_live: int
     next_id: int
 
@@ -284,17 +426,68 @@ def _knn_result_cls():
     return KnnResult
 
 
-def _layer_span(depth: int, layer: _Layer, t0: float) -> None:
-    """One ``delta.layer`` span: a layer's engine pass plus its id map
-    (``layer`` 0 is the base, then segments oldest first, then the buffer)."""
+def _prepare(dtype: np.dtype, rows: np.ndarray):
+    """Rows in the working precision and their squared norms: the query
+    engine's own operand preparation, for queries and block rows alike."""
+    from repro.service.query import _cast_with_norms
+
+    return _cast_with_norms(dtype, rows)
+
+
+def _stored_positions(ids: np.ndarray) -> np.ndarray:
+    """Stored row of each original row, given the original row of each
+    stored row (a v3 segment's ``ids``)."""
+    inverse = np.empty(ids.size, dtype=np.int64)
+    inverse[ids] = np.arange(ids.size, dtype=np.int64)
+    return inverse
+
+
+def _segment_gids(seg: dict) -> np.ndarray:
+    """Global ids of a sealed segment's rows, in its original row order."""
+    return np.arange(
+        seg["start_id"], seg["start_id"] + seg["n"], dtype=np.int64
+    )
+
+
+def _block_chunk(n_queries: int) -> int:
+    """Block columns per GEMM: a ``(queries x chunk)`` temporary stays
+    within the engine's :data:`~repro.core.engine.GROUP_CHUNK_ELEMS`."""
+    return max(1, GROUP_CHUNK_ELEMS // max(n_queries, 1))
+
+
+def _least(d: np.ndarray, keys: tuple, k: int) -> np.ndarray:
+    """Per row, the columns of the ``k`` entries of least ``(distance,
+    *keys)``, in that order: ``(rows, min(k, columns))`` positions.
+
+    A partition finds each row's ``k``-th distance; only the entries at
+    or under it (ties included) are sorted.
+    """
+    nq, c = d.shape
+    if c > k:
+        cut = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+        r, col = np.nonzero(d <= cut)
+    else:
+        r, col = np.divmod(np.arange(nq * c), max(c, 1))
+    order = np.lexsort(
+        tuple(key[r, col] for key in reversed(keys)) + (d[r, col], r)
+    )
+    r, col = r[order], col[order]
+    keep = np.arange(r.size) - np.searchsorted(r, r) < k
+    return col[keep].reshape(nq, -1)
+
+
+def _layer_span(layer: int, rows: int, t0: float) -> None:
+    """One ``delta.layer`` span: ``layer`` 0 is the base engine's pass,
+    1 the delta block's GEMM, 2 and up each large segment's engine;
+    ``rows`` the rows that part holds."""
     trace_mod.record_ambient_span(
         "delta.layer", time.perf_counter() - t0,
-        attrs={"layer": depth, "rows": int(layer.gids.size)},
+        attrs={"layer": layer, "rows": int(rows)},
     )
 
 
 def _merge_span(n_layers: int, t0: float) -> None:
-    """The ``delta.merge`` span: the cross-layer merge of one query."""
+    """The ``delta.merge`` span: the merge of one query's parts."""
     trace_mod.record_ambient_span(
         "delta.merge", time.perf_counter() - t0, attrs={"layers": n_layers},
     )
@@ -368,10 +561,12 @@ class MutableIndex:
         self._protected: set[str] = set()  # dirs an in-flight compaction owns
         self._compact_fd: int | None = None  # held compact.lock, if compacting
         self._gen: _Generation | None = None
+        # The buffer: FP64 rows appended since the last seal (what a seal
+        # writes), also the block's last ``_buffer_n`` rows unless they
+        # are bound for a segment of their own (see ``append``).
         self._buffer_rows: list[np.ndarray] = []
         self._buffer_n = 0
         self._buffer_start = 0
-        self._buffer_engine = None
 
         engine_cls = _engine_cls()
         self._base_dir = manifest["base"]
@@ -396,19 +591,24 @@ class MutableIndex:
                     f"{path}: base_ids covers {self._base_gids.size} rows, "
                     f"base holds {self._base_n}"
                 )
-        self._segments: list[dict] = []
-        for seg in manifest["segments"]:
-            seg_loaded = load_index(
-                path / seg["dir"], mmap=mmap, verify=verify
-            )
-            self._segments.append(
-                {
-                    "dir": seg["dir"],
-                    "start_id": int(seg["start_id"]),
-                    "n": int(seg["n"]),
-                    "engine": engine_cls(seg_loaded, precision=precision),
-                }
-            )
+        self._segments = [
+            {"dir": seg["dir"], "start_id": int(seg["start_id"]),
+             "n": int(seg["n"])}
+            for seg in manifest["segments"]
+        ]
+        # Sealed segments past BLOCK_SEGMENT_ROWS, by directory.
+        self._large: dict[str, _EnginePart] = {}
+        small = [s for s in self._segments if s["n"] <= BLOCK_SEGMENT_ROWS]
+        self._block = _DeltaBlock(
+            self.dim, self.dtype, sum(seg["n"] for seg in small)
+        )
+        for seg in self._segments:
+            if seg["n"] > BLOCK_SEGMENT_ROWS:
+                self._large[seg["dir"]] = self._engine_part(seg)
+                continue
+            # Straight from the map into id order, through ``ids``.
+            rows, ids = self._segment_rows(seg)
+            self._block = self._block.extend(rows, _segment_gids(seg), ids)
         self.next_id = int(manifest["next_id"])
         self._buffer_start = self.next_id
         entry = manifest.get("tombstones")
@@ -527,9 +727,18 @@ class MutableIndex:
 
     @property
     def delta_depth(self) -> int:
-        """Delta layers above the base: sealed segments + live buffer."""
+        """Sealed segments plus a nonempty buffer: what a compaction
+        folds (a read pays for :attr:`delta_rows`, not for depth)."""
         with self._lock:
             return len(self._segments) + (1 if self._buffer_n else 0)
+
+    @property
+    def delta_rows(self) -> int:
+        """Rows in the delta block: every buffer row and every row of a
+        sealed segment of at most :data:`BLOCK_SEGMENT_ROWS`, dead or
+        live (what a read multiplies its queries against)."""
+        with self._lock:
+            return self._block.n
 
     @property
     def n_tombstones(self) -> int:
@@ -542,21 +751,53 @@ class MutableIndex:
             return len(self._segments)
 
     def _n_rows_locked(self) -> int:
-        return (
-            self._base_n
-            + sum(s["n"] for s in self._segments)
-            + self._buffer_n
+        return self._base_n + self._block.n + sum(
+            part.gids.size for part in self._large.values()
         )
 
     def live_ids(self) -> np.ndarray:
         """Sorted global ids of every live row."""
         gen = self._generation()
-        if not gen.layers:
-            return np.empty(0, dtype=np.int64)
-        gids = np.concatenate([layer.gids for layer in gen.layers])
+        gids = np.sort(np.concatenate(
+            [part.gids for part in gen.parts] + [gen.block.gids]
+        ))
         if gen.tomb.size:
             gids = gids[~np.isin(gids, gen.tomb)]
         return gids
+
+    def _check_segment(self, seg: dict, shape: tuple) -> None:
+        if shape != (seg["n"], self.dim):
+            raise CorruptIndexError(
+                f"{self.path}: segment {seg['dir']} holds rows of shape "
+                f"{shape}, its manifest record names {seg['n']} of dim "
+                f"{self.dim}"
+            )
+
+    def _segment_rows(self, seg: dict):
+        """A sealed segment's stored rows (mapped) and their original row
+        numbers (``ids``, None when stored in original order): only those
+        payloads are opened, checked at this handle's ``verify`` level;
+        a damaged one raises
+        :class:`~repro.index.persist.CorruptIndexError`."""
+        rows, ids = load_embedded_rows(
+            self.path / seg["dir"], verify=self._verify
+        )
+        self._check_segment(seg, rows.shape)
+        return rows, ids
+
+    def _engine_part(self, seg: dict) -> _EnginePart:
+        """A large sealed segment's grid engine over its (mapped) rows."""
+        loaded = load_index(
+            self.path / seg["dir"], mmap=self._mmap, verify=self._verify
+        )
+        if loaded.source is None:
+            raise CorruptIndexError(
+                f"{self.path}: segment {seg['dir']} has no embedded rows"
+            )
+        self._check_segment(seg, (loaded.source.n, loaded.source.dim))
+        return _EnginePart(
+            _engine_cls()(loaded, precision=self.precision), _segment_gids(seg)
+        )
 
     def _base_gids_locked(self) -> np.ndarray:
         if self._base_gids is not None:
@@ -575,13 +816,9 @@ class MutableIndex:
                 pos = np.searchsorted(bg, ids)
                 inb = pos < bg.size
                 mask |= inb & (bg[np.minimum(pos, bg.size - 1)] == ids)
-        for seg in self._segments:
-            mask |= (ids >= seg["start_id"]) & (ids < seg["start_id"] + seg["n"])
-        if self._buffer_n:
-            mask |= (ids >= self._buffer_start) & (
-                ids < self._buffer_start + self._buffer_n
-            )
-        return mask
+        for part in self._large.values():
+            mask |= (ids >= part.gids[0]) & (ids <= part.gids[-1])
+        return mask | self._block.contains(ids)
 
     # -- manifest commit ------------------------------------------------
 
@@ -723,9 +960,11 @@ class MutableIndex:
     def append(self, rows) -> np.ndarray:
         """Add rows; returns their newly minted global ids (ascending).
 
-        Rows land in the in-memory buffer -- **volatile until sealed**
-        (see the module docstring).  Crossing ``seal_threshold`` buffered
-        rows triggers an automatic :meth:`seal`.
+        Rows join the in-memory buffer -- **volatile until sealed** (see
+        the module docstring) -- and extend the delta block.  Crossing
+        ``seal_threshold`` buffered rows triggers an automatic
+        :meth:`seal`; rows that seal at once into a segment too large
+        for the block never enter it.
         """
         rows = _as_rows(rows, self.dim)
         if rows.shape[0] == 0:
@@ -737,12 +976,20 @@ class MutableIndex:
                 self.next_id, self.next_id + rows.shape[0], dtype=np.int64
             )
             self.next_id += rows.shape[0]
-            self._buffer_rows.append(rows.copy())
+            self._buffer_rows.append(rows)
             self._buffer_n += rows.shape[0]
-            self._buffer_engine = None
             self._gen = None
-            if self._buffer_n >= self.seal_threshold:
-                self._seal_locked()
+            sealing = self._buffer_n >= self.seal_threshold
+            bulk = sealing and self._buffer_n > BLOCK_SEGMENT_ROWS
+            if not bulk:
+                self._block = self._block.extend(rows, ids)
+            try:
+                if sealing:
+                    self._seal_locked()
+            except BaseException:
+                if bulk and self._buffer_n:  # unsealed: the block answers
+                    self._block = self._block.extend(rows, ids)
+                raise
             return ids
 
     def delete(self, ids, *, missing: str = "error") -> int:
@@ -785,6 +1032,9 @@ class MutableIndex:
         index with its rows embedded, written with the atomic staging
         discipline; the manifest commit that follows makes it (and every
         tombstone/append fact accumulated since the last commit) durable.
+        The delta block keeps the rows as they are, unless the segment is
+        larger than :data:`BLOCK_SEGMENT_ROWS`: then its rows leave the
+        block and the segment is read through its own grid engine.
         """
         with self._lock:
             return self._seal_locked()
@@ -793,8 +1043,7 @@ class MutableIndex:
         if self._buffer_n == 0:
             return None
         data = (
-            self._buffer_rows[0]
-            if len(self._buffer_rows) == 1
+            self._buffer_rows[0] if len(self._buffer_rows) == 1
             else np.concatenate(self._buffer_rows)
         )
         index = GridIndex(
@@ -803,33 +1052,35 @@ class MutableIndex:
         rel = f"segments/seg-{secrets.token_hex(4)}"
         (self.path / "segments").mkdir(exist_ok=True)
         save_index(index, self.path / rel, data=data)
-        engine = _engine_cls()(index, data, precision=self.precision)
-        self._segments.append(
-            {
-                "dir": rel,
-                "start_id": int(self._buffer_start),
-                "n": int(self._buffer_n),
-                "engine": engine,
-            }
-        )
-        self._buffer_rows = []
-        self._buffer_n = 0
-        self._buffer_engine = None
+        seg = {
+            "dir": rel,
+            "start_id": int(self._buffer_start),
+            "n": int(self._buffer_n),
+        }
+        if seg["n"] > BLOCK_SEGMENT_ROWS:
+            self._large[rel] = self._engine_part(seg)
+            self._block = self._block.select(0, self._buffer_start)
+            self._gen = None
+        self._segments.append(seg)
+        self._buffer_rows, self._buffer_n = [], 0
         self._buffer_start = self.next_id
-        self._gen = None
         self._commit_manifest_locked()
         return rel
 
     def compact(self, *, wait: bool = True) -> dict:
-        """Fold base + sealed segments into a fresh base snapshot.
+        """Fold base + delta block into a fresh base snapshot.
 
-        Seals the buffer first, snapshots the layer list and tombstone
-        set, streams the surviving rows through the out-of-core builder
+        Seals the buffer first, snapshots the segment list and the
+        tombstone set, streams the surviving rows -- the base's, then
+        each sealed segment's FP64 rows read back from disk, in id order
+        -- through the out-of-core builder
         into a new versioned ``base-<token>/`` directory, and commits a
         manifest that references it -- pruning exactly the tombstones the
         snapshot folded out.  Appends and deletes that land *during* the
-        build are preserved: segments sealed after the snapshot stay
-        layered on the new base, and their tombstones stay masked.  The
+        build are preserved: segments sealed after the snapshot stay on
+        disk, their rows stay in the block (which keeps only its rows past
+        the snapshot) or in their own engines, and their tombstones stay
+        masked.  The
         commit is the single atomic manifest replace; a crash at any
         point leaves the old generation intact.
 
@@ -858,29 +1109,24 @@ class MutableIndex:
                 )
                 base_engine = self._base_engine
                 base_gids = self._base_gids_locked()
+                snap_next = int(self.next_id)  # every id below is sealed
                 new_base_dir = f"base-{secrets.token_hex(4)}"
                 self._protected.add(new_base_dir)
             try:
-                parts = []
-                live_gid_parts = []
-                layers = [(base_engine, base_gids)] + [
-                    (s["engine"], np.arange(
-                        s["start_id"], s["start_id"] + s["n"], dtype=np.int64
-                    ))
-                    for s in snap_segments
-                ]
-                for engine, gids in layers:
-                    alive = (
-                        ~np.isin(gids, snap_tomb)
-                        if snap_tomb.size
-                        else np.ones(gids.size, dtype=bool)
-                    )
-                    local = np.nonzero(alive)[0]
-                    if local.size:
-                        parts.append((engine.source, engine.rows_of(local)))
-                        live_gid_parts.append(gids[local])
+                base_live = np.nonzero(~np.isin(base_gids, snap_tomb))[0]
+                parts = [(base_engine.source, base_engine.rows_of(base_live))]
+                gid_parts = [base_gids[base_live]]
+                for seg in snap_segments:
+                    gids = _segment_gids(seg)
+                    live = np.nonzero(~np.isin(gids, snap_tomb))[0]
+                    if not live.size:
+                        continue
+                    rows, ids = self._segment_rows(seg)
+                    pos = live if ids is None else _stored_positions(ids)[live]
+                    parts.append((ArraySource(rows), pos))
+                    gid_parts.append(gids[live])
                 live_src = _LiveRowsSource(parts)
-                live_gids = np.concatenate(live_gid_parts)
+                live_gids = np.concatenate(gid_parts)
                 new_index = GridIndex.from_source(
                     live_src, self.eps,
                     n_dims=int(self._params.get("n_dims", 6)),
@@ -898,6 +1144,11 @@ class MutableIndex:
                     self._segments = [
                         s for s in self._segments if id(s) not in folded
                     ]
+                    for seg in snap_segments:
+                        self._large.pop(seg["dir"], None)
+                    self._block = self._block.select(
+                        snap_next, np.iinfo(np.int64).max
+                    )
                     self._base_engine = new_engine
                     self._base_dir = new_base_dir
                     self._base_n = int(live_gids.size)
@@ -951,64 +1202,50 @@ class MutableIndex:
         with self._lock:
             if self._gen is not None:
                 return self._gen
-            layers = []
-            if self._base_n:
-                layers.append(
-                    _Layer(
-                        engine=self._base_engine,
-                        gids=self._base_gids_locked(),
-                        dir_name=self._base_dir,
-                    )
-                )
-            for seg in self._segments:
-                layers.append(
-                    _Layer(
-                        engine=seg["engine"],
-                        gids=np.arange(
-                            seg["start_id"], seg["start_id"] + seg["n"],
-                            dtype=np.int64,
-                        ),
-                        dir_name=seg["dir"],
-                    )
-                )
-            if self._buffer_n:
-                if self._buffer_engine is None:
-                    data = (
-                        self._buffer_rows[0]
-                        if len(self._buffer_rows) == 1
-                        else np.concatenate(self._buffer_rows)
-                    )
-                    index = GridIndex(
-                        data, self.eps,
-                        n_dims=int(self._params.get("n_dims", 6)),
-                    )
-                    self._buffer_engine = _engine_cls()(
-                        index, data, precision=self.precision
-                    )
-                layers.append(
-                    _Layer(
-                        engine=self._buffer_engine,
-                        gids=np.arange(
-                            self._buffer_start,
-                            self._buffer_start + self._buffer_n,
-                            dtype=np.int64,
-                        ),
-                        dir_name=None,
-                    )
-                )
             tomb = np.fromiter(
                 sorted(self._tombstones), dtype=np.int64,
                 count=len(self._tombstones),
             )
-            n_rows = self._n_rows_locked()
+            block = self._block.snapshot()
+            block_dead = np.isin(block.gids, tomb) if tomb.size else None
+            n_dead = 0 if block_dead is None else int(block_dead.sum())
+            large = []
+            for seg in self._segments:
+                part = self._large.get(seg["dir"])
+                if part is not None:
+                    # A segment's ids are one contiguous run.
+                    lo, hi = np.searchsorted(
+                        tomb, [part.gids[0], part.gids[-1] + 1]
+                    )
+                    large.append(
+                        _EnginePart(part.engine, part.gids, int(hi - lo))
+                    )
+                    n_dead += int(hi - lo)
+            # Every tombstone names a present row (delete checks, reopen
+            # prunes), so those in no other part are the base's.
+            base = _EnginePart(
+                self._base_engine, self._base_gids_locked(),
+                int(tomb.size) - n_dead,
+            )
             self._gen = _Generation(
-                layers=tuple(layers),
+                parts=[base] + large,
+                block=block,
+                block_dead=(
+                    block_dead
+                    if block_dead is not None and block_dead.any() else None
+                ),
                 tomb=tomb,
-                n_rows=n_rows,
-                n_live=n_rows - tomb.size,
+                n_live=self._n_rows_locked() - tomb.size,
                 next_id=int(self.next_id),
             )
             return self._gen
+
+    @staticmethod
+    def _layers(gen: _Generation):
+        """``(span layer, part)`` of a generation's engine parts: the base
+        is layer 0, large segments 2 and up (1 is the block)."""
+        yield 0, gen.parts[0]
+        yield from enumerate(gen.parts[1:], start=2)
 
     # -- queries --------------------------------------------------------
 
@@ -1021,56 +1258,69 @@ class MutableIndex:
     ) -> JoinResult:
         """eps-neighbors over the live rows; ``pairs_j`` are global ids.
 
-        Each layer answers through its own engine (the per-layer FP64
-        answers are bit-identical to brute force over that layer's rows),
-        tombstoned ids are masked, and the union is canonicalized by an
-        ascending ``(query, global id)`` lexsort -- making the result
-        bit-identical, pairs and distances, to an engine rebuilt over the
-        live dataset with rows renumbered through the live-id order.
-        ``n_right`` reports the id-space bound (``next_id``), not the
-        live count: global ids are sparse after deletions.
+        The base and each large segment answer through their engines;
+        the delta block through :func:`~repro.core.engine.tile_join` of
+        the queries against its rows, one GEMM per column chunk.
+        Tombstoned ids are masked once per part, and the union is
+        canonicalized by an ascending ``(query, global id)`` lexsort: the
+        pair set of an engine rebuilt over the live dataset with rows
+        renumbered through the live-id order, with its distance bits
+        wherever BLAS rounds the dot products alike (see the module
+        docstring).  ``n_right`` reports the id-space bound
+        (``next_id``), not the live count: global ids are sparse after
+        deletions.
         """
         q = _as_rows(queries, self.dim)
         eps = self.eps if eps is None else float(eps)
         gen = self._generation()
         traced = trace_mod.current_span() is not None
         parts_i, parts_g, parts_d = [], [], []
-        for depth, layer in enumerate(gen.layers):
+        for layer, part in self._layers(gen):
             t0 = time.perf_counter() if traced else 0.0
-            res = layer.engine.range_query(
+            res = part.engine.range_query(
                 q, eps, store_distances=store_distances
             )
-            gid = layer.gids[res.pairs_j]
-            if gen.tomb.size and gid.size:
-                alive = ~np.isin(gid, gen.tomb)
-                parts_i.append(res.pairs_i[alive])
-                parts_g.append(gid[alive])
-                if store_distances:
-                    parts_d.append(res.sq_dists[alive])
-            else:
-                parts_i.append(res.pairs_i)
-                parts_g.append(gid)
-                if store_distances:
-                    parts_d.append(res.sq_dists)
+            pi, pg, pd = res.pairs_i, part.gids[res.pairs_j], res.sq_dists
+            if part.dead and pg.size:
+                alive = ~np.isin(pg, gen.tomb)
+                pi, pg = pi[alive], pg[alive]
+                pd = pd[alive] if store_distances else pd
+            parts_i.append(pi)
+            parts_g.append(pg)
+            parts_d.append(pd)
             if traced:
-                _layer_span(depth, layer, t0)
+                _layer_span(layer, part.gids.size, t0)
+        block = gen.block
+        if block.n and q.shape[0]:
+            t0 = time.perf_counter() if traced else 0.0
+            wq, sq = _prepare(self.dtype, q)
+            # Squared in float64 before the precision cast, as the engine.
+            eps2 = self.dtype.type(eps**2)
+            acc, _ = tile_join(
+                ResidentOperand(wq, sq), eps2,
+                ResidentOperand(block.rows, block.norms),
+                row_block=q.shape[0], col_block=_block_chunk(q.shape[0]),
+                store_distances=store_distances,
+            )
+            ii, jj, dd = acc.arrays()
+            if gen.block_dead is not None:
+                alive = ~gen.block_dead[jj]
+                ii, jj = ii[alive], jj[alive]
+                dd = dd[alive] if store_distances else dd
+            parts_i.append(ii)
+            parts_g.append(block.gids[jj])
+            parts_d.append(dd)
+            if traced:
+                _layer_span(1, block.n, t0)
         t0 = time.perf_counter() if traced else 0.0
-        pi = (
-            np.concatenate(parts_i)
-            if parts_i
-            else np.empty(0, dtype=np.int64)
-        )
-        pg = (
-            np.concatenate(parts_g)
-            if parts_g
-            else np.empty(0, dtype=np.int64)
-        )
+        pi, pg = np.concatenate(parts_i), np.concatenate(parts_g)
         order = np.lexsort((pg, pi))
-        sd = np.empty(0, dtype=np.float32)
-        if store_distances and parts_d:
-            sd = np.concatenate(parts_d)[order]
+        sd = (
+            np.concatenate(parts_d)[order] if store_distances
+            else np.empty(0, dtype=np.float32)
+        )
         if traced:
-            _merge_span(len(gen.layers), t0)
+            _merge_span(len(parts_i), t0)
         return JoinResult(
             n_left=q.shape[0],
             n_right=int(gen.next_id),
@@ -1083,17 +1333,21 @@ class MutableIndex:
     def knn_query(self, queries, k: int):
         """k nearest live rows per query; indices are global ids.
 
-        Per layer, an exact top-``min(n_layer, k + dead(layer))`` is
-        fetched (the padding guarantees ``k`` live survivors), survivors'
-        squared distances are recomputed in the working precision --
-        row-local, hence bitwise what a rebuilt engine computes -- and a
-        stable merge over the ascending-global-id layer layout selects
-        the final top-k with the engine's exact ``(distance, index)``
-        tie-break.  Padding follows the engine convention: ``-1`` /
-        ``+inf`` when fewer than ``k`` live rows exist.
+        The base and each large segment answer an exact
+        top-``min(n, k + dead)`` (the padding guarantees ``k`` live
+        survivors) whose survivors' squared distances are recomputed in
+        the working precision.  The delta block's distance block is built
+        in column chunks with its dead columns at ``+inf``, and each
+        chunk keeps its top-k by ``(distance, global id)``.  The parts'
+        candidates are then merged by distance, ties going to the part
+        with the lower ids (an engine part's ids are one run, or all
+        below the delta's) and within an engine part to its own order --
+        the rebuilt engine's ``(distance, index)`` tie-break, since
+        global ids order rows as the rebuilt dataset does.  Padding
+        follows the engine
+        convention: ``-1`` / ``+inf`` when fewer than ``k`` live rows
+        exist.
         """
-        from repro.core.engine import norm_expansion_sq_dists
-
         q = _as_rows(queries, self.dim)
         k = int(k)
         if k <= 0:
@@ -1107,62 +1361,78 @@ class MutableIndex:
                 k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
             )
         kk = min(k, gen.n_live)
-        wq = q.astype(self.dtype)
-        sq = (wq * wq).sum(axis=1)
+        wq, sq = _prepare(self.dtype, q)
         rows = np.arange(nq)[:, None]
         traced = trace_mod.current_span() is not None
-        parts_d, parts_g = [], []
-        for depth, layer in enumerate(gen.layers):
+        parts_d, parts_g, parts_key = [], [], []
+        for layer, part in self._layers(gen):
             t0 = time.perf_counter() if traced else 0.0
-            n_layer = layer.gids.size
-            dead = (
-                int(np.isin(layer.gids, gen.tomb).sum())
-                if gen.tomb.size
-                else 0
-            )
-            k_layer = min(n_layer, kk + dead)
-            res = layer.engine.knn_query(q, k_layer)
+            engine = part.engine
+            res = engine.knn_query(q, min(part.gids.size, kk + part.dead))
             idx = res.indices
             valid = idx >= 0
             safe = np.clip(idx, 0, None)
-            gid = np.where(valid, layer.gids[safe], -1)
-            if gen.tomb.size:
-                alive = valid & ~np.isin(gid, gen.tomb)
-            else:
-                alive = valid
-            d_part = np.full(idx.shape, np.inf)
+            gid = np.where(valid, part.gids[safe], -1)
+            alive = valid & ~np.isin(gid, gen.tomb) if part.dead else valid
+            d = np.full(idx.shape, np.inf)
             if alive.any():
                 uniq = np.unique(idx[alive])
-                wc = layer.engine.source.take(
-                    layer.engine.rows_of(uniq)
-                ).astype(self.dtype, copy=False)
-                sc = (wc * wc).sum(axis=1)
+                wc, sc = _prepare(
+                    self.dtype, engine.source.take(engine.rows_of(uniq))
+                )
                 d2 = norm_expansion_sq_dists(sq, sc, wq @ wc.T).astype(
                     np.float64, copy=False
                 )
                 # Dead/padded slots may map past the end of ``uniq``;
                 # clamp before gathering -- ``where`` discards them.
                 pos = np.minimum(np.searchsorted(uniq, safe), uniq.size - 1)
-                d_part = np.where(alive, d2[rows, pos], np.inf)
-            parts_d.append(d_part)
-            parts_g.append(np.where(alive, gid, -1))
+                d = np.where(alive, d2[rows, pos], np.inf)
+            parts_d.append(d)
+            parts_g.append(gid)
+            # Below every id of another part, above none: ties break on
+            # the part's first id, then the engine's own order.
+            parts_key.append((
+                np.full(idx.shape, part.gids[0]),
+                np.broadcast_to(np.arange(idx.shape[1]), idx.shape),
+            ))
             if traced:
-                _layer_span(depth, layer, t0)
+                _layer_span(layer, part.gids.size, t0)
+        block = gen.block
+        if block.n:
+            t0 = time.perf_counter() if traced else 0.0
+            kb = min(kk, block.n)
+            chunk = max(kb, _block_chunk(nq))
+            for c0 in range(0, block.n, chunk):
+                gram = wq @ block.rows[c0 : c0 + chunk].T
+                d2 = norm_expansion_sq_dists(
+                    sq, block.norms[c0 : c0 + chunk], gram
+                ).astype(np.float64, copy=False)
+                if gen.block_dead is not None:
+                    d2[:, gen.block_dead[c0 : c0 + chunk]] = np.inf
+                g2 = np.broadcast_to(block.gids[c0 : c0 + chunk], d2.shape)
+                if c0:
+                    d2 = np.concatenate([best_d, d2], axis=1)
+                    g2 = np.concatenate([best_g, g2], axis=1)
+                pos = _least(d2, (g2,), kb)
+                best_d, best_g = d2[rows, pos], g2[rows, pos]
+            parts_d.append(best_d)
+            parts_g.append(best_g)
+            parts_key.append((best_g, np.zeros_like(best_g)))
+            if traced:
+                _layer_span(1, block.n, t0)
         t0 = time.perf_counter() if traced else 0.0
         cat_d = np.concatenate(parts_d, axis=1)
-        cat_g = np.concatenate(parts_g, axis=1)
-        # Stable sort on the ascending-id column layout: every distance
-        # tie resolves to the lower global id, exactly the rebuilt
-        # engine's tie-break (its candidate order is its row order, which
-        # maps monotonically to global ids).
-        order = np.argsort(cat_d, axis=1, kind="stable")[:, :kk]
-        best_d = cat_d[rows, order]
-        best_g = cat_g[rows, order]
+        pos = _least(cat_d, tuple(
+            np.concatenate([key[i] for key in parts_key], axis=1)
+            for i in (0, 1)
+        ), kk)
+        best_d = cat_d[rows, pos]
+        best_g = np.concatenate(parts_g, axis=1)[rows, pos]
         finite = np.isfinite(best_d)
         out_idx[:, :kk] = np.where(finite, best_g, -1)
         out_d[:, :kk] = np.where(finite, best_d, np.inf).astype(np.float32)
         if traced:
-            _merge_span(len(gen.layers), t0)
+            _merge_span(len(parts_d), t0)
         return _knn_result_cls()(
             k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
         )
@@ -1199,6 +1469,7 @@ __all__ = [
     "MUTABLE_MAGIC",
     "MUTABLE_VERSION",
     "DEFAULT_SEAL_THRESHOLD",
+    "BLOCK_SEGMENT_ROWS",
     "CompactionInProgress",
     "MutableIndex",
     "is_mutable_index",

@@ -561,13 +561,73 @@ def verify_index(
         header = read_header(path)
     entries = dict(header["arrays"])
     if header.get("data_embedded"):
-        entries["<data>"] = {
-            "file": header["data"],
-            "sha256": header.get("data_sha256"),
-            "nbytes": header.get("data_nbytes"),
-        }
+        entries["<data>"] = _data_entry(header)
     for name, entry in entries.items():
         _verify_payload(path, name, entry, level)
+
+
+def _data_entry(header: dict) -> dict:
+    """The embedded dataset's payload record, in the per-payload form."""
+    return {
+        "file": header["data"],
+        "sha256": header.get("data_sha256"),
+        "nbytes": header.get("data_nbytes"),
+    }
+
+
+def _load_payload(path: Path, fname: str, mmap: bool) -> np.ndarray:
+    try:
+        # A plain ndarray view of the map: np.memmap's Python-level
+        # __getitem__ would tax every scalar cell-extent lookup.
+        return np.asarray(np.load(path / fname, mmap_mode="r" if mmap else None))
+    except (ValueError, OSError) as exc:
+        # Size-preserving corruption inside the npy format header
+        # slips past verify="header"; surface it typed, not as a raw
+        # numpy parse error.
+        raise CorruptIndexError(
+            f"{path}: payload {fname} is unreadable: {exc}"
+        ) from exc
+
+
+def load_embedded_rows(
+    path: str | Path, *, verify: str = "header"
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """An index's embedded rows, memory-mapped, without its grid.
+
+    Returns ``(rows, ids)``: the stored rows and, for a cell-ordered
+    (v3) index, the original id of each stored row (``None`` when rows
+    are stored in original order).  Only the header and those two
+    payloads are opened, each checked at ``verify`` like
+    :func:`load_index` checks it; an index without an embedded dataset,
+    or a payload of the wrong shape, raises :class:`CorruptIndexError`.
+    """
+    if verify not in VERIFY_LEVELS:
+        raise ValueError(
+            f"verify must be one of {VERIFY_LEVELS}, got {verify!r}"
+        )
+    path = Path(path)
+    header = read_header(path)
+    if not header.get("data_embedded"):
+        raise CorruptIndexError(f"{path}: no embedded rows")
+    _verify_payload(path, "<data>", _data_entry(header), verify)
+    rows = _load_payload(path, header["data"], True)
+    n_points = int(header["scalars"]["n_points"])
+    ids = None
+    entry = header["arrays"].get("ids")
+    if entry is not None:
+        _verify_payload(path, "ids", entry, verify)
+        ids = _load_payload(path, entry["file"], True)
+        if ids.shape != (n_points,) or ids.dtype != np.int64:
+            raise CorruptIndexError(
+                f"{path}: payload ids is {ids.dtype}{ids.shape}, "
+                f"expected int64({n_points},)"
+            )
+    if rows.ndim != 2 or rows.shape[0] != n_points:
+        raise CorruptIndexError(
+            f"{path}: embedded rows are {rows.shape}, expected "
+            f"{n_points} rows"
+        )
+    return rows, ids
 
 
 def load_index(
@@ -593,21 +653,9 @@ def load_index(
     path = Path(path)
     header = read_header(path)
     verify_index(path, header, level=verify)
-    mode = "r" if mmap else None
 
     def arr(name: str) -> np.ndarray:
-        fname = header["arrays"][name]["file"]
-        try:
-            # A plain ndarray view of the map: np.memmap's Python-level
-            # __getitem__ would tax every scalar cell-extent lookup.
-            return np.asarray(np.load(path / fname, mmap_mode=mode))
-        except (ValueError, OSError) as exc:
-            # Size-preserving corruption inside the npy format header
-            # slips past verify="header"; surface it typed, not as a raw
-            # numpy parse error.
-            raise CorruptIndexError(
-                f"{path}: payload {fname} is unreadable: {exc}"
-            ) from exc
+        return _load_payload(path, header["arrays"][name]["file"], mmap)
 
     scalars = header["scalars"]
     n_points = int(scalars["n_points"])
@@ -681,6 +729,7 @@ __all__ = [
     "LoadedIndex",
     "save_index",
     "load_index",
+    "load_embedded_rows",
     "read_header",
     "verify_index",
     "RACY_NS",

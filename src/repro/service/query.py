@@ -12,11 +12,16 @@ on:
   :func:`repro.core.engine.candidate_join` (per-group GEMMs) with the
   query batch as the left operand and the dataset as the right one,
   emitting into a :class:`~repro.core.results.PairAccumulator`.
-  At the default FP64 precision the result is **bit-identical** to the
-  dense brute-force reference (:func:`brute_range_query`) -- the same
-  contract the index-backed two-source joins carry
-  (tests/test_service.py pins it, loaded-from-disk indexes included);
-  FP32 carries the usual pair-set contract.
+  At the default FP64 precision the pair set always equals the dense
+  brute-force reference's (:func:`brute_range_query`), and the distance
+  bits are equal where BLAS rounds a dot product alike in the per-group
+  GEMMs and the reference's one ``(q x n)`` GEMM -- which blocking
+  decides, so it is pinned at the tested shapes (tests/test_service.py,
+  loaded-from-disk indexes included), not promised everywhere: at
+  d=128, 1 of 16,359 pairs of the ``cell_order`` bench data differs in
+  its float32 bits.  One fixed-order FP64 distance per reported pair
+  (planned in ROADMAP.md) makes the bits equal by construction.  FP32
+  carries the usual pair-set contract.
 
 * :meth:`QueryEngine.knn_query` -- k nearest neighbors via **expanding
   radius**: candidates are probed at grid reach ``m`` (sound for radius
@@ -141,7 +146,8 @@ def brute_range_query(
     Computes each query block's distances to **every** dataset point via
     the shared norm-expansion recombination in the requested working
     precision -- the ground truth :meth:`QueryEngine.range_query` is
-    pinned against (bit-identical at FP64, pair-set at FP32).  Intended
+    pinned against (pair sets always; at FP64 also distance bits, where
+    BLAS rounds a dot product alike -- see the module docstring).  Intended
     for tests, benchmarks and small validation runs; it is O(q * n * d).
     """
     data = np.ascontiguousarray(as_source(data).materialize())
@@ -205,9 +211,10 @@ class QueryEngine:
         when a persisted index carries its dataset; passing it overrides
         the embedded one.
     precision:
-        ``"fp64"`` (default -- range queries bit-identical to the brute
-        reference) or ``"fp32"`` (pair-set contract, half the memory
-        traffic).
+        ``"fp64"`` (default -- range queries carry the brute reference's
+        pair set and, where BLAS rounds alike, its distance bits; see the
+        module docstring) or ``"fp32"`` (pair-set contract, half the
+        memory traffic).
     mmap, verify:
         Only used when ``index`` is a path: forwarded to
         :func:`~repro.index.persist.load_index` (``verify`` is the
@@ -320,8 +327,11 @@ class QueryEngine:
         ``eps`` defaults to the index's cell width and must not exceed it
         (the +-1 cell candidate window is only sound up to there --
         larger radii belong to an index built at that eps, which is why
-        the serving cache keys on the eps grid).  At FP64 the answer is
-        bit-identical to :func:`brute_range_query`.
+        the serving cache keys on the eps grid).  The pair set is always
+        :func:`brute_range_query`'s; at FP64 the distance bits are too
+        wherever BLAS rounds a dot product alike in both GEMM shapes
+        (pinned at the tested shapes, not guaranteed -- see the module
+        docstring).
         """
         q = self._check_queries(queries)
         eps = self.eps if eps is None else float(eps)

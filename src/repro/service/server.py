@@ -590,6 +590,16 @@ class QueryService:
             )),
         )
         m.gauge(
+            "repro_mutable_delta_rows",
+            "Delta-block rows (every non-base row a read multiplies its "
+            "queries against) summed over cached mutable indexes",
+            fn=lambda: float(sum(
+                e.delta_rows
+                for e in list(self.cache._entries.values())
+                if isinstance(e, MutableIndex)
+            )),
+        )
+        m.gauge(
             "repro_mutable_tombstones",
             "Live tombstones summed over cached mutable indexes",
             fn=lambda: float(sum(

@@ -326,6 +326,419 @@ def test_serve_mutable_shape_deep_deltas(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# The delta block's lifecycle
+# ----------------------------------------------------------------------
+
+
+def _range_answer(mut, queries):
+    res = mut.range_query(queries)
+    return [res.pairs_i, res.pairs_j, res.sq_dists.view(np.uint32)]
+
+
+def _knn_answer(mut, queries, k=5):
+    knn = mut.knn_query(queries, k)
+    return [knn.indices, knn.sq_dists.view(np.uint32)]
+
+
+def _answers(mut, queries, k=5):
+    """Range pairs + distance bits and kNN indices + distance bits."""
+    return _range_answer(mut, queries) + _knn_answer(mut, queries, k)
+
+
+def _assert_same_answers(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_snapshot_reads_survive_block_growth(tmp_path, monkeypatch):
+    """Reads that captured their generation before appends forced the
+    delta block to grow -- or before a compaction replaced it -- answer
+    range and kNN with the same bits as before those writes."""
+    import repro.index.delta as delta_mod
+
+    d = 6
+    data = _dataset(200, d, 41)
+    eps = _eps_for(data)
+    root = tmp_path / "grow"
+    MutableIndex.create(root, data, eps, seal_threshold=24)
+    mut = MutableIndex(root)
+    rng = np.random.default_rng(42)
+
+    def near_data(n):  # rows among the base's, so answers mix both parts
+        return data[rng.integers(0, 200, n)] + rng.normal(0, eps / 4, (n, d))
+
+    mut.append(near_data(30))
+    mut.delete([3, 201])
+    queries = near_data(8)
+    reads = {
+        "range": lambda: _range_answer(mut, queries),
+        "knn": lambda: _knn_answer(mut, queries),
+    }
+    # Each reader pauses once inside its block pass -- after it captured
+    # its generation -- until the writes below are done.
+    pending: set = set()
+    arrived, release = threading.Semaphore(0), threading.Event()
+
+    def pause(real):
+        def wrapped(*args, **kwargs):
+            me = threading.current_thread()
+            if me in pending:
+                pending.discard(me)
+                arrived.release()
+                assert release.wait(timeout=30)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("tile_join", "norm_expansion_sq_dists"):
+        monkeypatch.setattr(delta_mod, name, pause(getattr(delta_mod, name)))
+
+    for mutate in ("grow", "compact"):
+        want = {name: read() for name, read in reads.items()}
+        got, errors = {}, []
+
+        def reader(name):
+            try:
+                got[name] = reads[name]()
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        release.clear()
+        threads = [
+            threading.Thread(target=reader, args=(name,)) for name in reads
+        ]
+        pending.update(threads)
+        for t in threads:
+            t.start()
+        for _ in threads:
+            assert arrived.acquire(timeout=30)  # both hold a generation
+        rows_before = mut._block.rows
+        if mutate == "grow":
+            for _ in range(6):
+                mut.append(near_data(17))
+            assert mut._block.rows is not rows_before  # capacity grew
+        else:
+            # Rows appended while the compaction builds are the block's
+            # suffix the commit keeps.
+            def build_after_append(cls, *args, **kwargs):
+                mut.append(near_data(5))
+                return real_from_source(cls, *args, **kwargs)
+
+            real_from_source = GridIndex.from_source.__func__
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    GridIndex, "from_source", classmethod(build_after_append)
+                )
+                mut.compact()
+            assert mut.delta_rows == 5
+        release.set()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert not errors, errors
+        for name in reads:
+            _assert_same_answers(got[name], want[name])
+
+
+def test_appends_during_compaction_are_answered(tmp_path, monkeypatch):
+    """Rows appended (sealed and buffered) and deleted while a compaction
+    builds its new base are answered after its commit, bitwise like a
+    rebuild, and survive a reopen."""
+    d = 5
+    data = _dataset(120, d, 51)
+    eps = _eps_for(data)
+    root = tmp_path / "race"
+    MutableIndex.create(root, data, eps, seal_threshold=16)
+    mut = MutableIndex(root)
+    model = _Model(data)
+    rows = _dataset(20, d, 52)
+    assert mut.append(rows).tolist() == model.append(rows)
+    mut.delete([7])
+    model.delete([7])
+
+    real_from_source = GridIndex.from_source.__func__
+    late = []
+
+    def from_source_with_writes(cls, *args, **kwargs):
+        if not late:  # once: while the compaction builds, outside its lock
+            more = _dataset(21, d, 53)  # seals one segment, buffers 5
+            ids = mut.append(more)
+            assert ids.tolist() == model.append(more)
+            late.extend(ids.tolist())
+            gone = [late[2], 11]  # a late row and a folded base row
+            assert mut.delete(gone) == 2
+            model.delete(gone)
+        return real_from_source(cls, *args, **kwargs)
+
+    monkeypatch.setattr(
+        GridIndex, "from_source", classmethod(from_source_with_writes)
+    )
+    mut.compact()
+    monkeypatch.undo()
+    assert late
+    assert mut.n_segments == 1 and mut.delta_rows == 21
+    queries = np.concatenate([data[:4], _dataset(21, d, 53)[:4]])
+    queries = queries + np.random.default_rng(54).normal(0, eps / 8, queries.shape)
+    _assert_bit_identical(mut, model, queries)
+    hits = set(mut.range_query(queries).pairs_j.tolist())
+    assert hits & set(late)  # the late rows are really answered
+    mut.seal()
+    _assert_bit_identical(MutableIndex(root), model, queries)
+
+
+@pytest.mark.parametrize("mmap", [True, False])
+def test_reopen_answers_like_the_handle(tmp_path, mmap):
+    """A store reopened with sealed segments and tombstones (base and
+    delta rows) answers range and kNN bitwise like the handle before."""
+    d = 7
+    data = _dataset(150, d, 61)
+    eps = _eps_for(data)
+    root = tmp_path / "reopen"
+    MutableIndex.create(root, data, eps, seal_threshold=20)
+    mut = MutableIndex(root, mmap=mmap)
+    for seed in range(62, 67):
+        mut.append(_dataset(13, d, seed))
+    mut.delete([0, 5, 151, 170, 205])
+    mut.seal()
+    assert mut.n_segments == 3 and mut.n_tombstones == 5
+    queries = data[::25] + np.random.default_rng(68).normal(0, eps / 8, (6, d))
+    for k in (1, 5, 40):
+        want = _answers(mut, queries, k)
+        reopened = MutableIndex(root, mmap=mmap)
+        assert reopened.delta_rows == mut.delta_rows == 65
+        _assert_same_answers(_answers(reopened, queries, k), want)
+
+
+def test_delta_rows_gauge_tracks_the_block(tmp_path):
+    """``delta_rows`` counts every sealed and buffered row; the service
+    exports it beside the delta depth, and compaction empties it."""
+    data = _dataset(50, 4, 73)
+    root = tmp_path / "gauge"
+    MutableIndex.create(root, data, _eps_for(data), seal_threshold=8)
+    with QueryService() as svc:
+        svc.append(root, _dataset(9, 4, 74))  # sealed: one segment
+        svc.append(root, _dataset(2, 4, 75))  # + the buffer
+        svc.delete(root, [50])  # a dead block row still takes a column
+        snap = svc.metrics.snapshot()
+        assert snap["repro_mutable_delta_rows"] == 11
+        assert snap["repro_mutable_delta_depth"] == 2
+        assert svc.engine_for(root).delta_rows == 11
+        svc.compact(root)
+        snap = svc.metrics.snapshot()
+        assert snap["repro_mutable_delta_rows"] == 0
+        assert snap["repro_mutable_delta_depth"] == 0
+
+
+def test_truncated_segment_payload_raises_at_open(tmp_path):
+    """Opening reads every segment's rows into the delta block; a short
+    segment payload is refused as corruption, not read as rows."""
+    from repro.index.persist import CorruptIndexError
+
+    data = _dataset(60, 4, 71)
+    root = tmp_path / "trunc"
+    MutableIndex.create(root, data, _eps_for(data), seal_threshold=10)
+    MutableIndex(root).append(_dataset(10, 4, 72))  # seals one segment
+    (seg,) = read_manifest(root)["segments"]
+    victim = max((root / seg["dir"]).glob("data-*.npy"))
+    with open(victim, "r+b") as fh:
+        fh.truncate(victim.stat().st_size - 8)
+    with pytest.raises(CorruptIndexError):
+        MutableIndex(root)
+
+
+def _assert_matches_fp32_rebuild(mut, model, queries, k=5):
+    """An FP32 store keeps the pair-set contract against an FP32 rebuild:
+    the same range pairs and kNN indices, distances within FP32 rounding
+    (its GEMM shapes differ from the rebuild's)."""
+    gids = model.live_gids()
+    rows = model.live_rows()
+    ref = QueryEngine(GridIndex(rows, mut.eps), rows, precision="fp32")
+    got, want = mut.range_query(queries), ref.range_query(queries)
+    order = np.lexsort((want.pairs_j, want.pairs_i))
+    np.testing.assert_array_equal(got.pairs_i, want.pairs_i[order])
+    np.testing.assert_array_equal(got.pairs_j, gids[want.pairs_j[order]])
+    np.testing.assert_allclose(
+        got.sq_dists, want.sq_dists[order], rtol=1e-5, atol=1e-6
+    )
+    got_k, want_k = mut.knn_query(queries, k), ref.knn_query(queries, k)
+    pad = want_k.indices < 0
+    mapped = np.where(pad, -1, gids[np.clip(want_k.indices, 0, None)])
+    np.testing.assert_array_equal(got_k.indices, mapped)
+    np.testing.assert_allclose(
+        got_k.sq_dists, want_k.sq_dists, rtol=1e-5, atol=1e-6
+    )
+
+
+@pytest.mark.parametrize("mmap", [True, False])
+def test_fp32_store_matches_an_fp32_rebuild(tmp_path, monkeypatch, mmap):
+    """An FP32 store -- block rows cast once, large segments and the base
+    through FP32 engines -- answers like an FP32 rebuild across appends,
+    deletes, seals, a reopen and a compaction racing appends; the
+    compacted base stores the FP64 originals bitwise."""
+    import repro.index.delta as delta_mod
+
+    monkeypatch.setattr(delta_mod, "BLOCK_SEGMENT_ROWS", 24)
+    d = 6
+    data = _dataset(160, d, 81)
+    eps = _eps_for(data)
+    root = tmp_path / "fp32"
+    MutableIndex.create(root, data, eps, seal_threshold=16)
+    mut = MutableIndex(root, precision="fp32", mmap=mmap)
+    assert mut.dtype == np.float32
+    model = _Model(data)
+    rng = np.random.default_rng(82)
+    queries = data[rng.integers(0, 160, 9)] + rng.normal(0, eps / 8, (9, d))
+
+    def append(n, seed):
+        rows = _dataset(n, d, seed)
+        assert mut.append(rows).tolist() == model.append(rows)
+
+    append(18, 83)  # sealed: a small segment, in the block
+    append(30, 84)  # sealed whole: a large segment with its own engine
+    append(7, 85)  # the buffer
+    assert mut.n_segments == 2 and mut.delta_rows == 25
+    assert mut._block.rows.dtype == np.float32
+    for gone in ([3, 170, 190, 210], [0, 161]):
+        assert mut.delete(gone) == len(gone)
+        model.delete(gone)
+        _assert_matches_fp32_rebuild(mut, model, queries)
+    mut.seal()
+    mut = MutableIndex(root, precision="fp32", mmap=mmap)
+    assert mut.delta_rows == 25
+    _assert_matches_fp32_rebuild(mut, model, queries, k=9)
+
+    real_from_source = GridIndex.from_source.__func__
+
+    def from_source_with_appends(cls, *args, **kwargs):
+        monkeypatch.setattr(
+            GridIndex, "from_source", classmethod(real_from_source)
+        )
+        append(9, 86)  # lands while the new base builds
+        return real_from_source(cls, *args, **kwargs)
+
+    monkeypatch.setattr(
+        GridIndex, "from_source", classmethod(from_source_with_appends)
+    )
+    mut.compact()
+    assert mut.delta_rows == 9
+    _assert_matches_fp32_rebuild(mut, model, queries, k=9)
+    # The new base holds the FP64 originals of the folded rows, not
+    # their FP32 casts.
+    folded = model.live_gids() < 215
+    stored = mut.source.take(mut.rows_of(np.arange(int(folded.sum()))))
+    np.testing.assert_array_equal(
+        stored.view(np.uint64), model.live_rows()[folded].view(np.uint64)
+    )
+
+
+def test_large_segments_keep_their_own_engine(tmp_path, monkeypatch):
+    """A sealed segment past ``BLOCK_SEGMENT_ROWS`` -- a bulk append --
+    is read through its own grid engine over its mapped rows, not copied
+    into the block; ids on both sides of it stay in the block, and
+    answers (duplicate-row ties included) equal a rebuild's through
+    deletes, a reopen and a compaction."""
+    import repro.index.delta as delta_mod
+
+    monkeypatch.setattr(delta_mod, "BLOCK_SEGMENT_ROWS", 24)
+    d = 5
+    data = _dataset(120, d, 91)
+    eps = _eps_for(data)
+    root = tmp_path / "large"
+    MutableIndex.create(root, data, eps, seal_threshold=16)
+    mut = MutableIndex(root)
+    model = _Model(data)
+
+    def append(rows):
+        assert mut.append(rows).tolist() == model.append(rows)
+
+    # ids 120..135: a small segment, in the block; 120..123 duplicate
+    # base rows, as 136..145 and 176..183 do, so kNN ties span parts.
+    append(np.concatenate([data[:4], _dataset(12, d, 92)]))
+    bulk = np.concatenate([data[:10], _dataset(30, d, 93)])
+    append(bulk[:6])  # buffered, then sealed with the bulk below
+    append(bulk[6:])  # ids 136..175: one large segment
+    append(data[:8])  # ids 176..183: the buffer, duplicates of base rows
+    assert mut.n_segments == 2 and mut.delta_rows == 24
+    assert mut.delta_depth == 3
+    (large,) = mut._large.values()
+    assert large.gids.tolist() == list(range(136, 176))
+    assert not mut._block.contains(large.gids).any()
+    assert isinstance(large.engine.source.load_block(0, 1), np.ndarray)
+    queries = data[:10] + np.random.default_rng(94).normal(0, eps / 8, (10, d))
+    _assert_bit_identical(mut, model, queries, k=7, atol=1e-12)
+    gone = [2, 125, 140, 141, 180]
+    assert mut.delete(gone) == 5
+    model.delete(gone)
+    _assert_bit_identical(mut, model, queries, k=7, atol=1e-12)
+    with pytest.raises(ValueError):
+        mut.delete([176 + 40])  # past next_id: not a row anywhere
+    mut.seal()
+    reopened = MutableIndex(root)
+    assert reopened.delta_rows == 24 and len(reopened._large) == 1
+    _assert_same_answers(
+        _answers(reopened, queries, 7), _answers(mut, queries, 7)
+    )
+    reopened.compact()
+    assert reopened.delta_rows == 0 and not reopened._large
+    _assert_bit_identical(reopened, model, queries, k=7, atol=1e-12)
+
+
+def test_failed_bulk_seal_keeps_rows_answered(tmp_path, monkeypatch):
+    """A bulk append whose seal fails leaves its rows buffered -- in the
+    block, so still answered -- and the next seal writes them."""
+    import repro.index.delta as delta_mod
+
+    monkeypatch.setattr(delta_mod, "BLOCK_SEGMENT_ROWS", 24)
+    d = 4
+    data = _dataset(80, d, 95)
+    root = tmp_path / "failseal"
+    MutableIndex.create(root, data, _eps_for(data), seal_threshold=16)
+    mut = MutableIndex(root)
+    model = _Model(data)
+    rows = _dataset(5, d, 96)
+    mut.append(rows)
+    model.append(rows)
+    real_save = delta_mod.save_index
+
+    def failing_save(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(delta_mod, "save_index", failing_save)
+    bulk = _dataset(30, d, 97)
+    with pytest.raises(OSError):
+        mut.append(bulk)
+    model.append(bulk)
+    assert mut.n_segments == 0 and mut.delta_rows == 35
+    queries = bulk[:6]
+    _assert_bit_identical(mut, model, queries)
+    monkeypatch.setattr(delta_mod, "save_index", real_save)
+    mut.seal()
+    assert mut.n_segments == 1 and mut.delta_rows == 0
+    _assert_bit_identical(MutableIndex(root), model, queries)
+
+    # A commit that fails after the segment is written: the rows are
+    # sealed (read through the segment's engine) and not also in the block.
+    real_commit = MutableIndex._commit_manifest_locked
+
+    def failing_commit(self):
+        monkeypatch.setattr(
+            MutableIndex, "_commit_manifest_locked", real_commit
+        )
+        raise OSError("disk full")
+
+    monkeypatch.setattr(MutableIndex, "_commit_manifest_locked", failing_commit)
+    bulk = _dataset(30, d, 98)
+    with pytest.raises(OSError):
+        mut.append(bulk)
+    model.append(bulk)
+    assert mut.n_segments == 2 and mut.delta_rows == 0
+    _assert_bit_identical(mut, model, bulk[:6])
+    mut.delete([0])  # the next commit writes the segment's record
+    model.delete([0])
+    _assert_bit_identical(MutableIndex(root), model, bulk[:6])
+
+
+# ----------------------------------------------------------------------
 # Concurrency hammer through the QueryService
 # ----------------------------------------------------------------------
 

@@ -474,8 +474,10 @@ class TestHttpTracing:
 
     def test_mutable_read_names_its_layers(self, tmp_path, monkeypatch):
         """A traced read on a mutable store records one ``delta.layer``
-        span per layer pass and one ``delta.merge``, nested under the
-        request's engine.dispatch; untraced reads record nothing."""
+        span per part -- the base pass, then the delta block holding the
+        sealed segment and the buffer -- and one ``delta.merge``, nested
+        under the request's engine.dispatch; untraced reads record
+        nothing."""
         from repro.index.delta import MutableIndex
 
         rng = np.random.default_rng(12)
@@ -507,8 +509,8 @@ class TestHttpTracing:
                 (dispatch,) = [s for s in spans if s["name"] == "engine.dispatch"]
                 layers = [s for s in spans if s["name"] == "delta.layer"]
                 merges = [s for s in spans if s["name"] == "delta.merge"]
-                assert [s["attrs"]["layer"] for s in layers] == [0, 1, 2]
-                assert [s["attrs"]["rows"] for s in layers] == [300, 16, 4]
+                assert [s["attrs"]["layer"] for s in layers] == [0, 1]
+                assert [s["attrs"]["rows"] for s in layers] == [300, 20]
                 assert len(merges) == 1
                 for s in layers + merges:
                     assert s["parent_id"] == dispatch["span_id"]
