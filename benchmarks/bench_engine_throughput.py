@@ -282,13 +282,14 @@ def bench_streaming(data: np.ndarray, eps: float) -> dict:
         np.save(path, data)
         source = MmapNpySource(path)
         mem = kern.self_join(data, eps, row_block=plan.row_block)
-        streamed, stats = kern.self_join_stream(
+        streamed = kern.self_join(
             source, eps, memory_budget_bytes=STREAM_BUDGET_BYTES
         )
+        stats = streamed.stream_stats
         identical = joins_bit_identical(mem, streamed)
         t_mem, t_stream = interleaved_medians(
             lambda: kern.self_join(data, eps, row_block=plan.row_block),
-            lambda: kern.self_join_stream(
+            lambda: kern.self_join(
                 source, eps, memory_budget_bytes=STREAM_BUDGET_BYTES
             ),
         )
@@ -332,15 +333,16 @@ def bench_two_source(rng: np.random.Generator, eps: float) -> dict:
         np.save(path_b, b)
         src_a, src_b = MmapNpySource(path_a), MmapNpySource(path_b)
         mem = kern.join(a, b, eps, row_block=plan.row_block, col_block=plan.col_block)
-        streamed, stats = kern.join_stream(
+        streamed = kern.join(
             src_a, src_b, eps, memory_budget_bytes=STREAM_BUDGET_BYTES
         )
+        stats = streamed.stream_stats
         identical = joins_bit_identical(mem, streamed)
         t_mem, t_stream = interleaved_medians(
             lambda: kern.join(
                 a, b, eps, row_block=plan.row_block, col_block=plan.col_block
             ),
-            lambda: kern.join_stream(
+            lambda: kern.join(
                 src_a, src_b, eps, memory_budget_bytes=STREAM_BUDGET_BYTES
             ),
         )
@@ -376,21 +378,24 @@ def bench_streaming_index(data: np.ndarray, eps: float) -> dict:
     data = np.ascontiguousarray(data, dtype=np.float64)
     kern = GdsJoinKernel()
     row_block = 1024
+    # The budget whose plan builds the grid in passes of row_block rows.
+    budget = TilePlan.RESIDENT_BLOCKS * row_block * (data.shape[1] + 1) * 8
     with tempfile.TemporaryDirectory() as td:
         source = write_chunked_npy(Path(td) / "chunks", data, rows_per_chunk=512)
         mem = kern.self_join(data, eps).result
-        streamed, stats = kern.self_join_source(source, eps, row_block=row_block)
+        streamed = kern.self_join(source, eps, memory_budget_bytes=budget)
+        stats = streamed.result.stream_stats
         identical = joins_bit_identical(mem, streamed.result)
         t_mem, t_stream = interleaved_medians(
             lambda: kern.self_join(data, eps),
-            lambda: kern.self_join_source(source, eps, row_block=row_block),
+            lambda: kern.self_join(source, eps, memory_budget_bytes=budget),
             reps=3,
         )
     return {
         "n": data.shape[0],
         "d": data.shape[1],
         "kernel": "gds-join",
-        "row_block": row_block,
+        "row_block": stats.plan.row_block,
         "build_blocks_loaded": stats.blocks_loaded,
         "peak_resident_bytes": stats.peak_resident_bytes,
         "in_memory_seconds": t_mem,

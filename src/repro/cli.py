@@ -153,13 +153,7 @@ def _calibration_sample(source, target: int = 4096):
 
 
 def _cmd_join(args) -> str:
-    from repro.core.api import (
-        STREAMABLE_METHODS,
-        join,
-        join_stream,
-        self_join,
-        self_join_stream,
-    )
+    from repro.core.api import STREAMABLE_METHODS, join, self_join
     from repro.data.source import as_source
     from repro.data.synthetic import synth_dataset
 
@@ -193,8 +187,8 @@ def _cmd_join(args) -> str:
     if stream and args.method not in STREAMABLE_METHODS:
         raise SystemExit(
             f"error: --stream/--memory-budget need one of {STREAMABLE_METHODS}; "
-            f"{args.method} materializes here (its out-of-core mode is the "
-            "kernel-level self_join_source)"
+            f"{args.method} materializes here (its out-of-core mode is its "
+            "kernel's self_join over a DatasetSource)"
         )
     if args.batched and (two_source or args.method in STREAMABLE_METHODS):
         raise SystemExit(
@@ -219,28 +213,28 @@ def _cmd_join(args) -> str:
     t0 = time.perf_counter()
     if stream:
         if two_source:
-            result, stats = join_stream(
-                source, source_b, eps, method=args.method,
+            result = join(
+                source, source_b, eps, method=args.method, stream=True,
                 memory_budget_bytes=budget,
             )
-            plan = stats.plan
-            geometry = (
-                f"row_block={plan.row_block} col_block={plan.col_block} "
-                f"({plan.n_row_blocks}x{plan.n_col_blocks} blocks, "
-                f"{plan.n_tiles} tiles, {stats.blocks_loaded} block loads)"
-            )
         else:
-            result, stats = self_join_stream(
-                source, eps, method=args.method, memory_budget_bytes=budget,
-            )
-            plan = stats.plan
-            geometry = (
-                f"row_block={plan.row_block} "
-                f"({plan.n_row_blocks} blocks, {plan.n_tiles} tiles, "
-                f"{stats.blocks_loaded} block loads)"
+            result = self_join(
+                source, eps, method=args.method, stream=True,
+                memory_budget_bytes=budget,
             )
         elapsed = time.perf_counter() - t0
-        lines.append(f"streaming: {geometry}")
+        stats = result.stream_stats
+        plan = stats.plan
+        edges = (
+            f"row_block={plan.row_block} col_block={plan.col_block} "
+            f"({plan.n_row_blocks}x{plan.n_col_blocks} blocks"
+            if two_source
+            else f"row_block={plan.row_block} ({plan.n_row_blocks} blocks"
+        )
+        lines.append(
+            f"streaming: {edges}, {plan.n_tiles} tiles, "
+            f"{stats.blocks_loaded} block loads)"
+        )
         lines.append(
             f"peak resident blocks: {stats.peak_resident_bytes / (1 << 20):.2f} MiB"
             + (
@@ -250,18 +244,15 @@ def _cmd_join(args) -> str:
             )
         )
     else:
-        # stream=False pins the in-memory path even under REPRO_STREAM=1;
-        # the data is already materialized here, re-streaming it would be
-        # pure (and unreported) extra work.
         if two_source:
             result = join(
                 source.materialize(), source_b.materialize(), eps,
-                method=args.method, stream=False,
+                method=args.method,
             )
         else:
             result = self_join(
                 source.materialize(), eps, method=args.method,
-                batched=args.batched, stream=False,
+                batched=args.batched,
             )
         elapsed = time.perf_counter() - t0
         if args.batched:

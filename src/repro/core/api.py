@@ -15,16 +15,17 @@ Methods: ``"fasted"`` (default), ``"ted-join-brute"``, ``"ted-join-index"``,
 ``"gds-join"``, ``"mistic"`` -- the five rows of paper Table 3.
 
 Datasets may also be :class:`repro.data.source.DatasetSource` instances
-(or paths to ``.npy`` files / chunk directories); with ``stream=True`` the
-brute methods then run out-of-core, holding only ``memory_budget_bytes``
-of the data resident (docs/ARCHITECTURE.md describes the dataflow -- for
-:func:`self_join` a symmetric :class:`~repro.core.engine.TilePlan`, for
-:func:`join` a rectangular one).
-Setting the environment variable ``REPRO_STREAM=1`` flips the default to
-streaming wherever it is defined -- the CI streaming leg runs the test
-suite that way.  The index-backed methods materialize here; their
-out-of-core modes (streamed grid/tree build + source row gathers) are the
-kernel-level ``self_join_source`` entry points.
+(or paths to ``.npy`` files / chunk directories); with ``stream=True`` (or
+a ``memory_budget_bytes``) the brute methods then run out-of-core, holding
+only ``memory_budget_bytes`` of the data resident (docs/ARCHITECTURE.md
+describes the dataflow -- for :func:`self_join` a symmetric
+:class:`~repro.core.engine.TilePlan`, for :func:`join` a rectangular one),
+and the result's ``stream_stats`` report what was loaded and held.  Each
+kernel has one ``self_join`` and one ``join``; the input picks the path (a
+source streams, an array stays resident), so streaming here only means
+handing the kernel a source.  The index-backed methods materialize here;
+their out-of-core self-joins (streamed grid/tree build + source row
+gathers) are their kernels' ``self_join`` given a source.
 
 Every method runs its tiles or candidate groups serially on the calling
 thread; the brute methods size their default tile edge to the per-core
@@ -33,7 +34,7 @@ cache (:func:`repro.core.engine.tile_rows`).
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +47,88 @@ from repro.gpusim.spec import DEFAULT_SPEC, GpuSpec
 #: Valid method names (paper Table 3).
 METHODS = ("fasted", "ted-join-brute", "ted-join-index", "gds-join", "mistic")
 
-#: Methods with a tiled out-of-core (streaming) execution mode here: the
-#: brute-force kernels.  The index-backed methods materialize at this API
-#: level; out of core they run through their kernels' ``self_join_source``
-#: (out-of-core grid/tree build via ``GridIndex.from_source`` /
-#: ``MultiSpaceTree.from_source`` + on-demand source row gathers).
+#: Methods that stream here (tiled out-of-core execution): the brute-force
+#: kernels.  The index-backed methods materialize at this API level; out
+#: of core they run through their kernels' ``self_join`` given a
+#: ``DatasetSource`` (out-of-core grid/tree build via
+#: ``GridIndex.from_source`` / ``MultiSpaceTree.from_source`` + on-demand
+#: source row gathers).
 STREAMABLE_METHODS = ("fasted", "ted-join-brute")
+
+
+def _kernel(method: str, precision: str | None, spec: GpuSpec, seed: int):
+    """The kernel behind ``method``, with its precision checked."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "fasted":
+        from repro.kernels.fasted import FastedKernel
+
+        if precision not in (None, "fp16-32"):
+            raise ValueError("FaSTED is FP16-32 only")
+        return FastedKernel(spec)
+    if method in ("ted-join-brute", "ted-join-index"):
+        from repro.kernels.tedjoin import TedJoinKernel
+
+        if precision not in (None, "fp64"):
+            raise ValueError("TED-Join is FP64 only")
+        return TedJoinKernel(spec, variant=method.rsplit("-", 1)[1])
+    if method == "gds-join":
+        from repro.kernels.gdsjoin import GdsJoinKernel
+
+        return GdsJoinKernel(spec, precision=precision or "fp32")
+    from repro.kernels.mistic import MisticKernel
+
+    if precision not in (None, "fp32"):
+        raise ValueError("MiSTIC is FP32 only")
+    return MisticKernel(spec, seed=seed)
+
+
+def _streams(method, stream, memory_budget_bytes, spill_threshold_bytes) -> bool:
+    """Check the streaming arguments; True when the join is to stream."""
+    if memory_budget_bytes is not None:
+        if stream is False:
+            raise ValueError(
+                "memory_budget_bytes cannot be honored with stream=False "
+                "(materializing ignores the budget)"
+            )
+        stream = True  # a budget can only be honored by streaming
+    if (stream or spill_threshold_bytes is not None) and (
+        method not in STREAMABLE_METHODS
+    ):
+        raise ValueError(
+            f"stream=True, memory_budget_bytes and spill_threshold_bytes "
+            f"are only supported for {STREAMABLE_METHODS}; index-backed "
+            "methods materialize the dataset here"
+        )
+    return bool(stream)
+
+
+def _as_input(data, stream: bool):
+    """What the kernel reads: a source when streaming, else an array."""
+    if stream:
+        return as_source(data)
+    return data if isinstance(data, np.ndarray) else as_source(data).materialize()
+
+
+@contextmanager
+def _spill_accumulator(spill_threshold_bytes, spill_dir, store_distances):
+    """A disk-spilling accumulator (or None), cleaned up if the join dies."""
+    if spill_threshold_bytes is None:
+        yield None
+        return
+    acc = PairAccumulator(
+        store_distances=store_distances,
+        spill_threshold_bytes=spill_threshold_bytes,
+        spill_dir=spill_dir,
+    )
+    try:
+        yield acc
+    except BaseException:
+        # Never strand spill chunks when the join dies (I/O error,
+        # interrupt): the accumulator was created here, so it is cleaned
+        # up here.  Successful runs clean up when they finalize.
+        acc.cleanup()
+        raise
 
 
 def self_join(
@@ -65,6 +142,8 @@ def self_join(
     seed: int = 0,
     stream: bool | None = None,
     memory_budget_bytes: int | None = None,
+    spill_threshold_bytes: int | None = None,
+    spill_dir: str | Path | None = None,
     batched: bool = False,
 ) -> NeighborResult:
     """Distance-similarity self-join: all pairs within ``eps``.
@@ -93,14 +172,23 @@ def self_join(
         Seed for randomized index construction (MiSTIC pivots).
     stream:
         Run out-of-core (:data:`STREAMABLE_METHODS` only; bit-identical to
-        the in-memory path).  ``None`` (default) follows the
-        ``REPRO_STREAM`` environment variable where streaming is defined.
-        Explicitly passing ``True`` for an index-backed method raises.
+        the in-memory path, at the same cache-fit tile edge).  The
+        default, ``None``, materializes the data unless
+        ``memory_budget_bytes`` is given; ``True`` for an index-backed
+        method raises.  The result's ``stream_stats`` then hold the
+        residency statistics (peak resident bytes, blocks loaded).
     memory_budget_bytes:
         Bound on resident streamed-block bytes; the tile plan is derived
         from it (:meth:`repro.core.engine.TilePlan.from_budget`).  Implies
         ``stream=True`` (a budget cannot be honored by materializing), so
-        passing it for an index-backed method raises.
+        passing it with ``stream=False`` or for an index-backed method
+        raises.
+    spill_threshold_bytes, spill_dir:
+        :data:`STREAMABLE_METHODS` only: route the pairs through a
+        disk-spilling :class:`~repro.core.results.PairAccumulator`,
+        bounding resident *result* memory during accumulation as the tile
+        plan bounds the streamed blocks (the returned result still
+        materializes).
     batched:
         Index-backed methods only: fuse small candidate groups into padded
         batch GEMMs (same pair set, faster at small eps).
@@ -110,145 +198,29 @@ def self_join(
     NeighborResult
         Non-self pairs within ``eps`` (both directions).
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    streamable = method in STREAMABLE_METHODS
-    if memory_budget_bytes is not None:
-        if stream is False:
-            raise ValueError(
-                "memory_budget_bytes cannot be honored with stream=False "
-                "(materializing ignores the budget)"
-            )
-        stream = True  # a budget can only be honored by streaming
-    if stream is None:
-        stream = streamable and os.environ.get("REPRO_STREAM", "0") == "1"
-    elif stream and not streamable:
-        raise ValueError(
-            f"stream=True (or memory_budget_bytes) is only supported for "
-            f"{STREAMABLE_METHODS}; index-backed methods must materialize "
-            "the dataset"
-        )
-    if batched and streamable:
-        raise ValueError("batched=True applies to index-backed methods only")
-
-    if stream:
-        result, _stats = self_join_stream(
-            data,
-            eps,
-            method=method,
-            precision=precision,
-            spec=spec,
-            store_distances=store_distances,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-        return result
-    if not isinstance(data, np.ndarray):
-        data = as_source(data).materialize()
-
-    if method == "fasted":
-        from repro.kernels.fasted import FastedKernel
-
-        if precision not in (None, "fp16-32"):
-            raise ValueError("FaSTED is FP16-32 only")
-        return FastedKernel(spec).self_join(
-            data, eps, store_distances=store_distances
-        )
-    if method in ("ted-join-brute", "ted-join-index"):
-        from repro.kernels.tedjoin import TedJoinKernel
-
-        if precision not in (None, "fp64"):
-            raise ValueError("TED-Join is FP64 only")
-        variant = "brute" if method.endswith("brute") else "index"
-        kwargs = {} if variant == "brute" else {"batched": batched}
-        return TedJoinKernel(spec, variant=variant).self_join(
-            data, eps, store_distances=store_distances, **kwargs
-        ).result
-    if method == "gds-join":
-        from repro.kernels.gdsjoin import GdsJoinKernel
-
-        return GdsJoinKernel(spec, precision=precision or "fp32").self_join(
-            data, eps, store_distances=store_distances, batched=batched,
-        ).result
-    from repro.kernels.mistic import MisticKernel
-
-    if precision not in (None, "fp32"):
-        raise ValueError("MiSTIC is FP32 only")
-    return MisticKernel(spec, seed=seed).self_join(
-        data, eps, store_distances=store_distances, batched=batched,
-    ).result
-
-
-def self_join_stream(
-    data: np.ndarray | DatasetSource | str | Path,
-    eps: float,
-    *,
-    method: str = "fasted",
-    precision: str | None = None,
-    spec: GpuSpec = DEFAULT_SPEC,
-    store_distances: bool = True,
-    memory_budget_bytes: int | None = None,
-    spill_threshold_bytes: int | None = None,
-    spill_dir: str | Path | None = None,
-):
-    """Out-of-core self-join returning ``(NeighborResult, StreamStats)``.
-
-    The streaming counterpart of :func:`self_join` for callers that need
-    the residency statistics (peak resident bytes, blocks loaded) --
-    ``python -m repro join --stream`` reports them from here.  Only
-    :data:`STREAMABLE_METHODS` stream; results are bit-identical to the
-    in-memory path at the same tile plan.
-
-    ``spill_threshold_bytes`` (optionally with ``spill_dir``) routes the
-    result through a disk-spilling
-    :class:`~repro.core.results.PairAccumulator`, bounding resident
-    *result* memory during accumulation exactly as :func:`join_stream`
-    does for two-source joins (the returned ``NeighborResult`` still
-    materializes).
-    """
+    kernel = _kernel(method, precision, spec, seed)
+    stream = _streams(method, stream, memory_budget_bytes, spill_threshold_bytes)
     if method not in STREAMABLE_METHODS:
-        raise ValueError(
-            f"method must be one of {STREAMABLE_METHODS} to stream, got {method!r}"
+        return kernel.self_join(
+            _as_input(data, stream), eps,
+            store_distances=store_distances, batched=batched,
+        ).result
+    if batched:
+        raise ValueError("batched=True applies to index-backed methods only")
+    with _spill_accumulator(
+        spill_threshold_bytes, spill_dir, store_distances
+    ) as acc:
+        out = kernel.self_join(
+            _as_input(data, stream), eps, store_distances=store_distances,
+            memory_budget_bytes=memory_budget_bytes, acc=acc,
         )
-    source = as_source(data)
-    acc = None
-    if spill_threshold_bytes is not None:
-        acc = PairAccumulator(
-            store_distances=store_distances,
-            spill_threshold_bytes=spill_threshold_bytes,
-            spill_dir=spill_dir,
-        )
-    try:
-        if method == "fasted":
-            from repro.kernels.fasted import FastedKernel
+    return out if method == "fasted" else out.result
 
-            if precision not in (None, "fp16-32"):
-                raise ValueError("FaSTED is FP16-32 only")
-            return FastedKernel(spec).self_join_stream(
-                source,
-                eps,
-                store_distances=store_distances,
-                memory_budget_bytes=memory_budget_bytes,
-                acc=acc,
-                )
-        from repro.kernels.tedjoin import TedJoinKernel
 
-        if precision not in (None, "fp64"):
-            raise ValueError("TED-Join is FP64 only")
-        joined, stats = TedJoinKernel(spec, variant="brute").self_join_stream(
-            source,
-            eps,
-            store_distances=store_distances,
-            memory_budget_bytes=memory_budget_bytes,
-            acc=acc,
-        )
-        return joined.result, stats
-    except BaseException:
-        # Never strand spill chunks when the stream dies mid-join (I/O
-        # error, interrupt): the accumulator was created here, so it is
-        # cleaned up here.  Successful runs clean up in finalize.
-        if acc is not None:
-            acc.cleanup()
-        raise
+def self_join_stream(data, eps, **kwargs):
+    """:func:`self_join` with ``stream=True``, returning ``(result, stats)``."""
+    result = self_join(data, eps, stream=True, **kwargs)
+    return result, result.stream_stats
 
 
 def join(
@@ -263,6 +235,8 @@ def join(
     seed: int = 0,
     stream: bool | None = None,
     memory_budget_bytes: int | None = None,
+    spill_threshold_bytes: int | None = None,
+    spill_dir: str | Path | None = None,
 ) -> JoinResult:
     """Two-source distance-similarity join: pairs ``(i in A, j in B)``.
 
@@ -283,162 +257,35 @@ def join(
         Search radius.
     method, precision, spec, store_distances, seed:
         As for :func:`self_join`.
-    stream:
-        Run out-of-core (:data:`STREAMABLE_METHODS` only; bit-identical to
-        the in-memory path at the same tile plan).  ``None`` follows
-        ``REPRO_STREAM`` where streaming is defined; explicitly passing
-        ``True`` for an index-backed method raises.
-    memory_budget_bytes:
-        Bound on resident streamed-block bytes
-        (:meth:`repro.core.engine.TilePlan.from_budget`); implies
-        ``stream=True``.
+    stream, memory_budget_bytes, spill_threshold_bytes, spill_dir:
+        As for :func:`self_join`: streamed, A's row blocks pin stripe by
+        stripe while B's column blocks stream through, bit-identical to
+        the in-memory path at the same tile plan, and the result's
+        ``stream_stats`` hold the residency statistics.
 
     Returns
     -------
     JoinResult
         Pairs within ``eps``, indices into A and B respectively.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    streamable = method in STREAMABLE_METHODS
-    if memory_budget_bytes is not None:
-        if stream is False:
-            raise ValueError(
-                "memory_budget_bytes cannot be honored with stream=False "
-                "(materializing ignores the budget)"
-            )
-        stream = True  # a budget can only be honored by streaming
-    if stream is None:
-        stream = streamable and os.environ.get("REPRO_STREAM", "0") == "1"
-    elif stream and not streamable:
-        raise ValueError(
-            f"stream=True (or memory_budget_bytes) is only supported for "
-            f"{STREAMABLE_METHODS}; index-backed methods materialize here "
-            "(their out-of-core mode is the kernel-level self_join_source)"
-        )
-
-    if stream:
-        result, _stats = join_stream(
-            a,
-            b,
-            eps,
-            method=method,
-            precision=precision,
-            spec=spec,
-            store_distances=store_distances,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-        return result
-    if not isinstance(a, np.ndarray):
-        a = as_source(a).materialize()
-    if not isinstance(b, np.ndarray):
-        b = as_source(b).materialize()
-
-    if method == "fasted":
-        from repro.kernels.fasted import FastedKernel
-
-        if precision not in (None, "fp16-32"):
-            raise ValueError("FaSTED is FP16-32 only")
-        return FastedKernel(spec).join(
-            a, b, eps, store_distances=store_distances
-        )
-    if method in ("ted-join-brute", "ted-join-index"):
-        from repro.kernels.tedjoin import TedJoinKernel
-
-        if precision not in (None, "fp64"):
-            raise ValueError("TED-Join is FP64 only")
-        variant = "brute" if method.endswith("brute") else "index"
-        return TedJoinKernel(spec, variant=variant).join(
-            a, b, eps, store_distances=store_distances
-        )
-    if method == "gds-join":
-        from repro.kernels.gdsjoin import GdsJoinKernel
-
-        return GdsJoinKernel(spec, precision=precision or "fp32").join(
-            a, b, eps, store_distances=store_distances
-        )
-    from repro.kernels.mistic import MisticKernel
-
-    if precision not in (None, "fp32"):
-        raise ValueError("MiSTIC is FP32 only")
-    return MisticKernel(spec, seed=seed).join(
-        a, b, eps, store_distances=store_distances
-    )
-
-
-def join_stream(
-    a: np.ndarray | DatasetSource | str | Path,
-    b: np.ndarray | DatasetSource | str | Path,
-    eps: float,
-    *,
-    method: str = "fasted",
-    precision: str | None = None,
-    spec: GpuSpec = DEFAULT_SPEC,
-    store_distances: bool = True,
-    memory_budget_bytes: int | None = None,
-    spill_threshold_bytes: int | None = None,
-    spill_dir: str | Path | None = None,
-):
-    """Out-of-core two-source join returning ``(JoinResult, StreamStats)``.
-
-    The streaming counterpart of :func:`join` for callers that need the
-    residency statistics -- ``python -m repro join A B --stream`` reports
-    them from here.  Only :data:`STREAMABLE_METHODS` stream; results are
-    bit-identical to the in-memory path at the same tile plan.
-
-    ``spill_threshold_bytes`` (optionally with ``spill_dir``) routes the
-    result through a disk-spilling
-    :class:`~repro.core.results.PairAccumulator`, bounding resident
-    *result* memory during accumulation as the tile plan bounds the
-    streamed blocks (the returned ``JoinResult`` still materializes; use
-    the engine's accumulator directly with
-    ``PairAccumulator.iter_chunks`` when even that cannot fit).
-    """
+    kernel = _kernel(method, precision, spec, seed)
+    stream = _streams(method, stream, memory_budget_bytes, spill_threshold_bytes)
+    a, b = _as_input(a, stream), _as_input(b, stream)
     if method not in STREAMABLE_METHODS:
-        raise ValueError(
-            f"method must be one of {STREAMABLE_METHODS} to stream, got {method!r}"
+        return kernel.join(a, b, eps, store_distances=store_distances)
+    with _spill_accumulator(
+        spill_threshold_bytes, spill_dir, store_distances
+    ) as acc:
+        return kernel.join(
+            a, b, eps, store_distances=store_distances,
+            memory_budget_bytes=memory_budget_bytes, acc=acc,
         )
-    source_a, source_b = as_source(a), as_source(b)
-    acc = None
-    if spill_threshold_bytes is not None:
-        acc = PairAccumulator(
-            store_distances=store_distances,
-            spill_threshold_bytes=spill_threshold_bytes,
-            spill_dir=spill_dir,
-        )
-    try:
-        if method == "fasted":
-            from repro.kernels.fasted import FastedKernel
 
-            if precision not in (None, "fp16-32"):
-                raise ValueError("FaSTED is FP16-32 only")
-            return FastedKernel(spec).join_stream(
-                source_a,
-                source_b,
-                eps,
-                store_distances=store_distances,
-                memory_budget_bytes=memory_budget_bytes,
-                acc=acc,
-                )
-        from repro.kernels.tedjoin import TedJoinKernel
 
-        if precision not in (None, "fp64"):
-            raise ValueError("TED-Join is FP64 only")
-        return TedJoinKernel(spec, variant="brute").join_stream(
-            source_a,
-            source_b,
-            eps,
-            store_distances=store_distances,
-            memory_budget_bytes=memory_budget_bytes,
-            acc=acc,
-        )
-    except BaseException:
-        # Never strand spill chunks when the stream dies mid-join (I/O
-        # error, interrupt): the accumulator was created here, so it is
-        # cleaned up here.  Successful runs clean up in finalize_join.
-        if acc is not None:
-            acc.cleanup()
-        raise
+def join_stream(a, b, eps, **kwargs):
+    """:func:`join` with ``stream=True``, returning ``(result, stats)``."""
+    result = join(a, b, eps, stream=True, **kwargs)
+    return result, result.stream_stats
 
 
 #: Module-level LRU of loaded query engines behind :func:`open_index`
@@ -599,10 +446,13 @@ def query(
     a persisted index directory (opened through the shared cache).  With
     ``k=None`` this is a range query -- eps-neighbors of every query
     point, ``eps`` defaulting to the index's radius, returned as a
-    :class:`~repro.core.results.JoinResult`, bit-identical to the
-    brute-force reference at the default FP64 serving precision.  With
-    ``k`` set it returns the k nearest neighbors per query
-    (``repro.service.KnnResult``) via the expanding-eps search.
+    :class:`~repro.core.results.JoinResult`.  At the default FP64 serving
+    precision its pair set always equals the brute-force reference's
+    (``brute_range_query``), and its distance bits are equal where BLAS
+    rounds a dot product alike in the engine's per-group GEMMs and the
+    reference's one GEMM (ROADMAP item 9 makes them equal by
+    construction).  With ``k`` set it returns the k nearest neighbors
+    per query (``repro.service.KnnResult``) via the expanding-eps search.
     """
     from repro.index.delta import MutableIndex
     from repro.service import QueryEngine

@@ -17,6 +17,9 @@ pair bookkeeping exactly once, and a kernel supplies only **operands** and a
   gather it pulls from a :class:`repro.data.source.DatasetSource` with the
   same *row-local* function, so both yield bitwise the same values for the
   same rows -- the lever behind every streamed-equals-resident pin.
+  :func:`as_operand` makes that choice from a kernel's input: a
+  ``DatasetSource`` streams, an array is prepared once, so each kernel has
+  one ``self_join`` and one ``join`` for both.
 
 * :func:`tile_join` -- dense/brute kernels.  Walks the block tiles of a
   :class:`TilePlan` (the host form of the GPU work queue): ``right=None`` is
@@ -94,6 +97,7 @@ import numpy as np
 
 from repro import trace as trace_mod
 from repro.core.results import PairAccumulator
+from repro.data.source import DatasetSource
 from repro.fp import native
 
 #: ``prepare(raw_block)`` turns float64 rows into ``(rows in the kernel's
@@ -114,6 +118,11 @@ GROUP_CHUNK_ELEMS = 2_000_000
 #: native pass's survivor scratch and the NumPy fallback's row strips,
 #: whose passes over a strip then read cache whatever the tile edge.
 TILE_CACHE_BUDGET_BYTES = 3 << 19  # 1.5 MiB
+
+#: Rows per streamed pass of an out-of-core index build
+#: (``GridIndex.from_source`` / ``MultiSpaceTree.from_source``) when no
+#: memory budget sizes it (:func:`source_build_stats`).
+SOURCE_BUILD_ROWS = 65536
 
 
 def tile_rows(
@@ -441,9 +450,12 @@ class StreamStats:
     """What a source-backed run actually loaded and held (tests, reporting).
 
     :func:`tile_join` returns one per call (all zeros for resident
-    operands apart from ``tiles_evaluated``); source-backed index builds
-    (``GridIndex.from_source``) and the kernels' ``self_join_source``
-    gathers account into one the kernel creates.
+    operands apart from ``tiles_evaluated``); an index kernel's
+    ``self_join`` over a source accounts its out-of-core build
+    (``GridIndex.from_source``) and its candidate gathers into one from
+    :func:`source_build_stats`.  A kernel run over a source hands its
+    stats back on the result (``NeighborResult.stream_stats`` /
+    ``JoinResult.stream_stats``; ``None`` when every operand was resident).
     """
 
     plan: "TilePlan | None" = None
@@ -557,6 +569,33 @@ class SourceOperand(Operand):
     def release(self, rows, norms, stats=None) -> None:
         if stats is not None:
             stats._release(rows.nbytes + norms.nbytes)
+
+
+def as_operand(data, prepare: PrepareFn) -> Operand:
+    """The operand a kernel's input calls for.
+
+    A :class:`~repro.data.source.DatasetSource` becomes a
+    :class:`SourceOperand` (rows loaded and prepared per block or
+    gather); anything else is an in-memory array, prepared once as a
+    :class:`ResidentOperand`.
+    """
+    if isinstance(data, DatasetSource):
+        return SourceOperand(data, prepare)
+    return ResidentOperand(*prepare(np.ascontiguousarray(data, dtype=np.float64)))
+
+
+def source_build_stats(source, memory_budget_bytes: int | None) -> StreamStats:
+    """Ledger of an index kernel's out-of-core self-join over ``source``.
+
+    Its plan's ``row_block`` sizes the streamed build passes:
+    :data:`SOURCE_BUILD_ROWS`, or the edge :meth:`TilePlan.from_budget`
+    derives from ``memory_budget_bytes``.
+    """
+    n, d = int(source.n), int(source.dim)
+    return StreamStats(plan=TilePlan.for_join(
+        n, n, d, row_block=SOURCE_BUILD_ROWS,
+        memory_budget_bytes=memory_budget_bytes, symmetric=True,
+    ))
 
 
 def _check_operands(left: Operand, right: "Operand | None") -> Operand:

@@ -29,6 +29,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class NeighborResult:
     sq_dists:
         Squared distances for each stored pair (optional; empty when the
         kernel was run with ``store_distances=False``).
+    stream_stats:
+        The :class:`~repro.core.engine.StreamStats` of a run over a
+        ``DatasetSource`` (blocks loaded, peak resident bytes, tile plan);
+        ``None`` when the data was resident.
     """
 
     n_points: int
@@ -57,6 +62,7 @@ class NeighborResult:
     pairs_i: np.ndarray
     pairs_j: np.ndarray
     sq_dists: np.ndarray = field(default_factory=lambda: np.empty(0, np.float32))
+    stream_stats: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pairs_i = np.asarray(self.pairs_i, dtype=np.int64)
@@ -133,7 +139,7 @@ class JoinResult:
     would be different pairs.  The field names mirror ``NeighborResult``
     so order-insensitive comparison helpers
     (``repro.kernels.reference.canon`` / ``joins_bit_identical``) work on
-    both.
+    both, and ``stream_stats`` is set when either side was a source.
     """
 
     n_left: int
@@ -142,6 +148,7 @@ class JoinResult:
     pairs_i: np.ndarray  # indices into the left set A
     pairs_j: np.ndarray  # indices into the right set B
     sq_dists: np.ndarray = field(default_factory=lambda: np.empty(0, np.float32))
+    stream_stats: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pairs_i = np.asarray(self.pairs_i, dtype=np.int64)
@@ -437,15 +444,20 @@ class PairAccumulator:
             self._spill_dir = None
             self._spill_dir_owned = False
 
-    def finalize(self, n_points: int, eps: float) -> NeighborResult:
+    def finalize(
+        self, n_points: int, eps: float, stream_stats: Any = None
+    ) -> NeighborResult:
         """Build the :class:`NeighborResult` and release the buffers."""
         pairs_i, pairs_j, sq = self.arrays()
         self.cleanup()
         return NeighborResult(
-            n_points=n_points, eps=eps, pairs_i=pairs_i, pairs_j=pairs_j, sq_dists=sq
+            n_points=n_points, eps=eps, pairs_i=pairs_i, pairs_j=pairs_j,
+            sq_dists=sq, stream_stats=stream_stats,
         )
 
-    def finalize_join(self, n_left: int, n_right: int, eps: float) -> "JoinResult":
+    def finalize_join(
+        self, n_left: int, n_right: int, eps: float, stream_stats: Any = None
+    ) -> "JoinResult":
         """Build the two-source :class:`JoinResult` and release the buffers."""
         pairs_i, pairs_j, sq = self.arrays()
         self.cleanup()
@@ -456,6 +468,7 @@ class PairAccumulator:
             pairs_i=pairs_i,
             pairs_j=pairs_j,
             sq_dists=sq,
+            stream_stats=stream_stats,
         )
 
 

@@ -27,16 +27,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.core.engine import (
-    ResidentOperand,
-    SourceOperand,
-    StreamStats,
     TilePlan,
+    as_operand,
     norm_expansion_sq_dists,
     tile_join,
     tile_rows,
 )
 from repro.core.results import JoinResult, NeighborResult, PairAccumulator
-from repro.data.source import DatasetSource, as_source
+from repro.data.source import DatasetSource
 from repro.fp.fp16 import quantize_fp16
 from repro.fp.mma import gemm_fp16_32
 from repro.fp.rounding import rz_sum_squares
@@ -211,20 +209,22 @@ class FastedKernel:
         """FaSTED operand preparation: FP16-grid coordinates + Step-1 norms.
 
         Row-local, so block-wise preparation is value-identical to slicing
-        a whole-dataset precompute -- the bit-identity lever shared by the
-        resident and streamed forms of every join below.
+        a whole-dataset precompute -- the bit-identity lever behind the
+        resident and streamed inputs of every join below.
         """
         q = quantize_fp16(block)  # FP32 values on the FP16 grid
         return q, (q * q).sum(axis=1, dtype=np.float32)
 
     def self_join(
         self,
-        data: np.ndarray,
+        data: np.ndarray | DatasetSource,
         eps: float,
         *,
         store_distances: bool = True,
         row_block: int | None = None,
         plan: TilePlan | None = None,
+        memory_budget_bytes: int | None = None,
+        acc: PairAccumulator | None = None,
     ) -> NeighborResult:
         """Compute the distance-similarity self-join with FaSTED numerics.
 
@@ -237,7 +237,13 @@ class FastedKernel:
         Parameters
         ----------
         data:
-            ``(n, d)`` dataset; quantized to FP16 internally.
+            ``(n, d)`` dataset; quantized to FP16 internally.  An ndarray
+            is prepared once and stays resident; a
+            :class:`~repro.data.source.DatasetSource` runs **out of core**:
+            row blocks are loaded on demand and quantized and normed per
+            block (both row-local, so the values match the resident path
+            exactly), only ``O(row_block * d)`` rows stay in memory, and
+            the answer is bitwise the resident one at the same plan.
         eps:
             Search radius; pairs with ``dist <= eps`` are returned.
         store_distances:
@@ -248,24 +254,38 @@ class FastedKernel:
             knob only: the pair set is identical for any value (low-order
             distance bits can vary with BLAS tile-shape specialization).
             ``None`` (the default) picks the cache-fit edge of
-            :meth:`auto_row_block`.
+            :meth:`auto_row_block`, resident or streamed.
         plan:
             Explicit :class:`~repro.core.engine.TilePlan` to execute
             (overrides ``row_block``); used by the timing-unification
             tests to run the device schedule functionally.
+        memory_budget_bytes:
+            Derive the tile plan from a resident-set budget
+            (:meth:`~repro.core.engine.TilePlan.from_budget`) instead of
+            ``row_block``.
+        acc:
+            Emit into this accumulator (e.g. a disk-spilling one) when
+            the output itself outgrows memory.
+
+        A run over a source reports its
+        :class:`~repro.core.engine.StreamStats` (blocks loaded, observed
+        peak resident bytes) as the result's ``stream_stats``.
         """
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        n, d = data.shape
+        operand = as_operand(data, self._block_state)
         if row_block is None:
-            row_block = self.auto_row_block(n, d)
-        acc, _stats = tile_join(
-            ResidentOperand(*self._block_state(data)),
+            row_block = self.auto_row_block(operand.n, operand.dim)
+        out, stats = tile_join(
+            operand,
             self._eps2(eps),
             plan=plan,
             row_block=row_block,
+            memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
+            acc=acc,
         )
-        return acc.finalize(n, float(eps))
+        return out.finalize(
+            operand.n, float(eps), None if operand.resident else stats
+        )
 
     @staticmethod
     def _eps2(eps: float) -> np.float32:
@@ -273,54 +293,21 @@ class FastedKernel:
         # ties resolve the same way as in an FP64 reference.
         return np.float32(float(eps) ** 2)
 
-    def self_join_stream(
-        self,
-        source: DatasetSource,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        row_block: int = 2048,
-        memory_budget_bytes: int | None = None,
-        acc: PairAccumulator | None = None,
-    ) -> tuple[NeighborResult, StreamStats]:
-        """Out-of-core self-join with FaSTED numerics (bit-identical).
-
-        The same tile executor over a source-backed operand: row blocks
-        are loaded from ``source`` on demand, quantization and the Step-1
-        norms are computed per block (both are row-local operations, so the
-        values match the resident path exactly), and only
-        ``O(row_block * d)`` rows stay in memory.  Pass
-        ``memory_budget_bytes`` to have the tile plan derived from a
-        resident-set budget instead of a block size, ``acc`` (e.g. a
-        disk-spilling accumulator) when the output itself outgrows memory.
-
-        Returns the result plus the :class:`~repro.core.engine.StreamStats`
-        (blocks loaded, observed peak resident bytes).
-        """
-        source = as_source(source)
-        out, stats = tile_join(
-            SourceOperand(source, self._block_state),
-            self._eps2(eps),
-            row_block=row_block,
-            memory_budget_bytes=memory_budget_bytes,
-            store_distances=store_distances,
-            acc=acc,
-        )
-        return out.finalize(source.n, float(eps)), stats
-
     # ------------------------------------------------------------------
     # Two-source joins (A x B)
     # ------------------------------------------------------------------
 
     def join(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
+        a: np.ndarray | DatasetSource,
+        b: np.ndarray | DatasetSource,
         eps: float,
         *,
         store_distances: bool = True,
         row_block: int | None = None,
         col_block: int | None = None,
+        memory_budget_bytes: int | None = None,
+        acc: PairAccumulator | None = None,
     ) -> JoinResult:
         """Two-source join with FaSTED numerics: pairs ``(i in A, j in B)``.
 
@@ -330,57 +317,31 @@ class FastedKernel:
         ``row_block``/``col_block`` are performance knobs only for the
         pair set (FP32 low-order distance bits vary with BLAS tile
         shapes, as for the self-join); ``None`` picks the cache-fit edge
-        of :meth:`auto_row_block`.
+        of :meth:`auto_row_block`.  Either side may be a
+        :class:`~repro.data.source.DatasetSource`: A's row blocks are
+        then pinned stripe by stripe while B's column blocks stream
+        through, with prefetch spanning both sources, bitwise equal to
+        the resident join at the same plan.  ``memory_budget_bytes`` and
+        ``acc`` are as for :meth:`self_join`.
         """
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        if a.shape[1] != b.shape[1]:
-            raise ValueError("A and B dimensionalities must match")
+        left = as_operand(a, self._block_state)
+        right = as_operand(b, self._block_state)
         if row_block is None:
-            row_block = self.auto_row_block(max(a.shape[0], b.shape[0]), a.shape[1])
-        acc, _stats = tile_join(
-            ResidentOperand(*self._block_state(a)),
-            self._eps2(eps),
-            ResidentOperand(*self._block_state(b)),
-            row_block=row_block,
-            col_block=col_block,
-            store_distances=store_distances,
-        )
-        return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-
-    def join_stream(
-        self,
-        source_a: DatasetSource,
-        source_b: DatasetSource,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        row_block: int = 2048,
-        col_block: int | None = None,
-        memory_budget_bytes: int | None = None,
-        acc: PairAccumulator | None = None,
-    ) -> tuple[JoinResult, StreamStats]:
-        """Out-of-core two-source join (bit-identical to :meth:`join` at
-        the same tile plan).
-
-        A's row blocks are pinned stripe by stripe while B's column
-        blocks stream through, with prefetch spanning both sources.  Pass
-        ``acc`` (e.g. a disk-spilling
-        :class:`~repro.core.results.PairAccumulator`) when the output
-        itself outgrows memory.
-        """
-        source_a, source_b = as_source(source_a), as_source(source_b)
+            row_block = self.auto_row_block(max(left.n, right.n), left.dim)
         out, stats = tile_join(
-            SourceOperand(source_a, self._block_state),
+            left,
             self._eps2(eps),
-            SourceOperand(source_b, self._block_state),
+            right,
             row_block=row_block,
             col_block=col_block,
             memory_budget_bytes=memory_budget_bytes,
             store_distances=store_distances,
             acc=acc,
         )
-        return out.finalize_join(source_a.n, source_b.n, float(eps)), stats
+        streamed = not (left.resident and right.resident)
+        return out.finalize_join(
+            left.n, right.n, float(eps), stats if streamed else None
+        )
 
     # ------------------------------------------------------------------
     # Timing path

@@ -5,9 +5,10 @@ of paper Section 4.6).  Functionally: a :class:`repro.index.grid.GridIndex`
 generates per-cell candidate sets and distances are computed only against
 candidates, with the precision requested.  The index can be built from an
 in-memory ndarray or **out of core** from a
-:class:`~repro.data.source.DatasetSource` (``GridIndex.from_source``; see
-:meth:`GdsJoinKernel.self_join_source`), in which case candidate rows are
-gathered from the source on demand and the dataset is never resident.
+:class:`~repro.data.source.DatasetSource` (``GridIndex.from_source``, when
+:meth:`GdsJoinKernel.self_join` is given a source), in which case
+candidate rows are gathered from the source on demand and the dataset is
+never resident.
 Two-source joins (:meth:`GdsJoinKernel.join`) drop the left set's points
 into the right set's grid.  Timing: index construction + short-circuiting
 CUDA-core distance pass (measured candidate counts and short-circuit
@@ -24,12 +25,12 @@ import numpy as np
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
-    StreamStats,
-    TilePlan,
     candidate_join,
     resolve_batching,
+    source_build_stats,
 )
 from repro.core.results import JoinResult, NeighborResult
+from repro.data.source import DatasetSource
 from repro.gpusim.spec import DEFAULT_SPEC, GpuSpec
 from repro.index.grid import GridIndex
 from repro.kernels.base import (
@@ -105,21 +106,70 @@ class GdsJoinKernel:
         w = block.astype(self._dtype, copy=False)
         return w, (w * w).sum(axis=1)
 
-    def _index_self_join(
-        self, index: GridIndex, operand, n: int, take_rows, eps: float, *,
-        store_distances, batched, batch_params, stats=None,
+    def self_join(
+        self,
+        data: np.ndarray | DatasetSource,
+        eps: float,
+        *,
+        store_distances: bool = True,
+        batched: bool | None = None,
+        batch_params: dict | None = None,
+        memory_budget_bytes: int | None = None,
     ) -> GdsJoinResult:
-        """Candidate pass over the grid's cells + the measured statistics.
+        """Index-supported self-join; returns result + cost statistics.
+
+        Runs on the shared candidate-group executor
+        (:func:`repro.core.engine.candidate_join`): per-group GEMMs
+        (pinned bit-identical to the seed loop) or -- batched -- small
+        neighboring cell groups fused into padded batch GEMMs (same pair
+        set, faster at small eps).  ``batched=None`` (the default) picks
+        per index shape: the grid's measured group-size moments decide
+        whether the typical group is call-overhead-bound
+        (:func:`repro.core.engine.auto_batched_from_stats`); explicit
+        ``True`` / ``False`` forces.  The candidate tally and profiling
+        sample ride along via the ``on_group`` hook in both modes.  Batched-mode knobs are derived from the grid's measured
+        group-size moments
+        (:func:`repro.core.engine.batch_params_from_stats` over
+        ``GridIndex.stats()``); ``batch_params`` overrides any of them
+        (``batch_elems`` / ``max_batch_groups`` / ``single_elems`` /
+        ``min_fill``) verbatim.
 
         Distances use the norm expansion in the working precision (the
         real CUDA-core kernel accumulates differences; in FP64 the two are
         equivalent to ~1e-13 relative, and in FP32 the expansion's extra
         rounding is two orders of magnitude below the FP16 effects the
-        accuracy study measures).  The candidate tally and the profiling
-        sample ride along via the ``on_group`` hook; ``take_rows(idx)``
-        gathers float64 dataset rows (array fancy indexing or
-        ``source.take``) for the short-circuit profile.
+        accuracy study measures).
+
+        ``data`` may be a :class:`~repro.data.source.DatasetSource`: the
+        grid then comes from ``GridIndex.from_source`` (streamed cell-key
+        encoding + external counting sort in passes of
+        :data:`~repro.core.engine.SOURCE_BUILD_ROWS` rows, or of the edge
+        ``memory_budget_bytes`` gives -- the ``(n, d)`` dataset is never
+        resident) and the executor gathers member and candidate rows on
+        demand with ``source.take``, converting to the working precision
+        per gather exactly as the in-memory path converts the whole
+        array.  Cell order, per-group norms and GEMM shapes are
+        unchanged, so the answer is **bit-identical** to the in-memory
+        one; the short-circuit profile is measured on gathered sample
+        rows.  In batched mode each flush issues one concatenated gather
+        per side.  The run's :class:`~repro.core.engine.StreamStats`
+        (build passes' block loads plus the transient gathers) come back
+        as ``result.result.stream_stats``.
         """
+        if isinstance(data, DatasetSource):
+            stats = source_build_stats(data, memory_budget_bytes)
+            index = GridIndex.from_source(
+                data, eps, n_dims=self.n_index_dims,
+                row_block=stats.plan.row_block, stats=stats,
+            )
+            operand = SourceOperand(data, self._block_state)
+            take_rows = data.take
+        else:
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            stats = None
+            index = GridIndex(data, eps, n_dims=self.n_index_dims)
+            operand = ResidentOperand(*self._block_state(data))
+            take_rows = data.__getitem__
         batched, params = resolve_batching(batched, index.stats, batch_params)
         total_candidates = 0
         sample_i, sample_j = [], []
@@ -157,7 +207,7 @@ class GdsJoinKernel:
             store_distances=store_distances,
             stats=stats,
         )
-        result = acc.finalize(n, float(eps))
+        result = acc.finalize(operand.n, float(eps), stats)
         si = np.concatenate(sample_i) if sample_i else np.empty(0, np.int64)
         sj = np.concatenate(sample_j) if sample_j else np.empty(0, np.int64)
         return GdsJoinResult(
@@ -166,101 +216,6 @@ class GdsJoinKernel:
             sample=ProfileSample(si, sj, take_rows, eps, order=index.order),
             n_indexed_dims=index.r,
         )
-
-    def self_join(
-        self,
-        data: np.ndarray,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        batched: bool | None = None,
-        batch_params: dict | None = None,
-    ) -> GdsJoinResult:
-        """Index-supported self-join; returns result + cost statistics.
-
-        Runs on the shared candidate-group executor
-        (:func:`repro.core.engine.candidate_join`): per-group GEMMs
-        (pinned bit-identical to the seed loop) or -- batched -- small
-        neighboring cell groups fused into padded batch GEMMs (same pair
-        set, faster at small eps).  ``batched=None`` (the default) picks
-        per index shape: the grid's measured group-size moments decide
-        whether the typical group is call-overhead-bound
-        (:func:`repro.core.engine.auto_batched_from_stats`); explicit
-        ``True`` / ``False`` forces.  The candidate tally and profiling
-        sample ride along via the ``on_group`` hook in both modes.  Batched-mode knobs are derived from the grid's measured
-        group-size moments
-        (:func:`repro.core.engine.batch_params_from_stats` over
-        ``GridIndex.stats()``); ``batch_params`` overrides any of them
-        (``batch_elems`` / ``max_batch_groups`` / ``single_elems`` /
-        ``min_fill``) verbatim.
-        """
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        index = GridIndex(data, eps, n_dims=self.n_index_dims)
-        return self._index_self_join(
-            index, ResidentOperand(*self._block_state(data)),
-            data.shape[0], data.__getitem__, eps,
-            store_distances=store_distances, batched=batched,
-            batch_params=batch_params,
-        )
-
-    def self_join_source(
-        self,
-        source,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        row_block: int = 65536,
-        memory_budget_bytes: int | None = None,
-        batched: bool | None = None,
-        batch_params: dict | None = None,
-    ) -> tuple[GdsJoinResult, StreamStats]:
-        """Self-join against a source: out-of-core grid build + row gathers.
-
-        The grid comes from ``GridIndex.from_source`` (streamed cell-key
-        encoding + external counting sort -- the ``(n, d)`` dataset is
-        never resident) and the candidate executor gathers member and
-        candidate rows on demand with ``source.take`` through a
-        :class:`~repro.core.engine.SourceOperand`, converting to the
-        working precision per gather exactly as the in-memory path
-        converts the whole array.  Cell iteration order, per-group norms
-        and GEMM shapes are unchanged, so the result is **bit-identical**
-        to :meth:`self_join` on the materialized data (pinned by
-        tests/test_two_source.py).  The short-circuit profile is measured
-        on the gathered sample rows, so the timing statistics ride along
-        as usual.
-
-        ``batched=True`` (or ``None`` resolving true via
-        :func:`repro.core.engine.auto_batched_from_stats` over the
-        streamed grid's stats) runs the executor's padded-batch-GEMM mode
-        with the ``take()`` gathers **batched**: each flush issues one
-        concatenated gather per side instead of one per group -- the
-        pair set matches the per-group source path (the batched mode's
-        usual contract), with knobs derived from ``GridIndex.stats()``
-        and overridable via ``batch_params``.
-
-        Returns ``(GdsJoinResult, StreamStats)``; the stats account the
-        build passes' block loads plus the executor's transient gathers.
-        """
-        from repro.data.source import as_source
-
-        source = as_source(source)
-        n, d = int(source.n), int(source.dim)
-        plan = TilePlan.for_join(
-            n, n, d, row_block=row_block,
-            memory_budget_bytes=memory_budget_bytes, symmetric=True,
-        )
-        row_block = plan.row_block
-        stats = StreamStats(plan=plan)
-        index = GridIndex.from_source(
-            source, eps, n_dims=self.n_index_dims, row_block=row_block,
-            stats=stats,
-        )
-        result = self._index_self_join(
-            index, SourceOperand(source, self._block_state), n, source.take,
-            eps, store_distances=store_distances, batched=batched,
-            batch_params=batch_params, stats=stats,
-        )
-        return result, stats
 
     def join(
         self,

@@ -18,12 +18,12 @@ import numpy as np
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
-    StreamStats,
-    TilePlan,
     candidate_join,
     resolve_batching,
+    source_build_stats,
 )
 from repro.core.results import JoinResult, NeighborResult
+from repro.data.source import DatasetSource
 from repro.gpusim.spec import DEFAULT_SPEC, GpuSpec
 from repro.index.mstree import MultiSpaceTree
 from repro.kernels.base import (
@@ -78,15 +78,62 @@ class MisticKernel:
         w = block.astype(np.float32)
         return w, np.einsum("nd,nd->n", w, w)
 
-    def _tree_self_join(
-        self, tree: MultiSpaceTree, operand, n: int, eps: float, take_rows, *,
-        store_distances, group, batched, batch_params=None, stats=None,
+    def self_join(
+        self,
+        data: np.ndarray | DatasetSource,
+        eps: float,
+        *,
+        store_distances: bool = True,
+        group: int = 512,
+        batched: bool | None = None,
+        batch_params: dict | None = None,
+        memory_budget_bytes: int | None = None,
     ) -> MisticResult:
-        """Candidate pass over the tree's groups + the profiling sample.
+        """Index-supported self-join; returns result + cost statistics.
 
-        ``take_rows(idx)`` gathers float64 dataset rows for the
-        short-circuit profile (only the sampled rows are ever touched).
+        Runs on the shared candidate-group executor
+        (:func:`repro.core.engine.candidate_join`).  ``batched`` fuses
+        small tree groups into padded batch GEMMs -- same pair set,
+        faster when ``group`` is small or eps prunes hard; ``None`` (the
+        default) resolves from the tree's measured group-shape moments
+        (:func:`repro.core.engine.auto_batched_from_stats` over
+        ``MultiSpaceTree.stats``), which also size the batch knobs
+        (:func:`~repro.core.engine.batch_params_from_stats`, the same
+        sizing contract the grid index uses); ``batch_params`` entries
+        override individual derived knobs.
+
+        ``data`` may be a :class:`~repro.data.source.DatasetSource`: the
+        multi-space tree is then built out of core
+        (``MultiSpaceTree.from_source``: every candidate-partition
+        evaluation is one streamed pass, which *is* MiSTIC's incremental
+        construction cost, in passes of
+        :data:`~repro.core.engine.SOURCE_BUILD_ROWS` rows or of the edge
+        ``memory_budget_bytes`` gives) and the executor gathers group
+        rows on demand with ``source.take``; per-row FP32 conversion and
+        norms match the in-memory precompute bit for bit, so the answer
+        is bit-identical to the in-memory one.  The run's
+        :class:`~repro.core.engine.StreamStats` come back as
+        ``result.result.stream_stats``.
         """
+        tree_args = dict(
+            n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES,
+            seed=self.seed,
+        )
+        if isinstance(data, DatasetSource):
+            stats = source_build_stats(data, memory_budget_bytes)
+            tree = MultiSpaceTree.from_source(
+                data, eps, row_block=stats.plan.row_block, stats=stats,
+                **tree_args,
+            )
+            operand = SourceOperand(data, self._block_state)
+            take_rows = data.take
+        else:
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            stats = None
+            tree = MultiSpaceTree(data, eps, **tree_args)
+            operand = ResidentOperand(*self._block_state(data))
+            take_rows = data.__getitem__
+        n = operand.n
         batched, params = resolve_batching(
             batched, lambda: tree.stats(group=group), batch_params
         )
@@ -101,7 +148,8 @@ class MisticKernel:
             store_distances=store_distances,
             stats=stats,
         )
-        result = acc.finalize(n, float(eps))
+        result = acc.finalize(n, float(eps), stats)
+        # The short-circuit profile's sample touches only these rows.
         rng = np.random.default_rng(self.seed)
         qi = rng.integers(0, n, size=min(n, 256))
         cand_i, cand_j = [], []
@@ -117,89 +165,6 @@ class MisticKernel:
             sample=ProfileSample(si, sj, take_rows, eps),
             construction_evaluations=tree.construction_evaluations,
         )
-
-    def self_join(
-        self,
-        data: np.ndarray,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        group: int = 512,
-        batched: bool | None = None,
-    ) -> MisticResult:
-        """Index-supported self-join; returns result + cost statistics.
-
-        Runs on the shared candidate-group executor
-        (:func:`repro.core.engine.candidate_join`).  ``batched`` fuses
-        small tree groups into padded batch GEMMs -- same pair set,
-        faster when ``group`` is small or eps prunes hard; ``None`` (the
-        default) resolves from the tree's measured group-shape moments
-        (:func:`repro.core.engine.auto_batched_from_stats` over
-        ``MultiSpaceTree.stats``).
-        """
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        tree = MultiSpaceTree(
-            data, eps, n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES,
-            seed=self.seed,
-        )
-        return self._tree_self_join(
-            tree, ResidentOperand(*self._block_state(data)), data.shape[0],
-            eps, data.__getitem__,
-            store_distances=store_distances, group=group, batched=batched,
-        )
-
-    def self_join_source(
-        self,
-        source,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        group: int = 512,
-        row_block: int = 65536,
-        memory_budget_bytes: int | None = None,
-        batched: bool | None = None,
-        batch_params: dict | None = None,
-    ) -> tuple[MisticResult, StreamStats]:
-        """Self-join against a source: streamed tree build + row gathers.
-
-        The multi-space tree is built out of core
-        (``MultiSpaceTree.from_source``: every candidate-partition
-        evaluation is one streamed pass, which *is* MiSTIC's incremental
-        construction cost) and the candidate executor gathers group rows
-        on demand with ``source.take`` through a
-        :class:`~repro.core.engine.SourceOperand`; per-row FP32
-        conversion and norms match the in-memory precompute bit for bit,
-        so the result is bit-identical to :meth:`self_join` on the
-        materialized data (pinned by tests/test_two_source.py).
-        ``batched=True`` fuses small groups into padded batch GEMMs with
-        the ``take()`` gathers batched per flush (pair-set contract).
-        The batch knobs are derived from the tree's measured group-shape
-        moments (``MultiSpaceTree.stats`` ->
-        :func:`~repro.core.engine.batch_params_from_stats`, the same
-        sizing contract the grid index uses); ``batch_params`` entries
-        override individual derived knobs.
-        """
-        from repro.data.source import as_source
-
-        source = as_source(source)
-        n, d = int(source.n), int(source.dim)
-        plan = TilePlan.for_join(
-            n, n, d, row_block=row_block,
-            memory_budget_bytes=memory_budget_bytes, symmetric=True,
-        )
-        row_block = plan.row_block
-        stats = StreamStats(plan=plan)
-        tree = MultiSpaceTree.from_source(
-            source, eps, n_levels=MISTIC_LEVELS, n_candidates=MISTIC_CANDIDATES,
-            seed=self.seed, row_block=row_block, stats=stats,
-        )
-        result = self._tree_self_join(
-            tree, SourceOperand(source, self._block_state), n, eps,
-            source.take,
-            store_distances=store_distances, group=group, batched=batched,
-            batch_params=batch_params, stats=stats,
-        )
-        return result, stats
 
     def join(
         self,

@@ -29,15 +29,16 @@ import numpy as np
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
-    StreamStats,
     TilePlan,
+    as_operand,
     candidate_join,
     resolve_batching,
+    source_build_stats,
     tile_join,
     tile_rows,
 )
 from repro.core.results import JoinResult, NeighborResult, PairAccumulator
-from repro.data.source import DatasetSource, as_source
+from repro.data.source import DatasetSource
 from repro.gpusim.occupancy import BlockResources, blocks_per_sm
 from repro.gpusim.pipeline import PipelineConfig
 from repro.gpusim.spec import DEFAULT_SPEC, GpuSpec
@@ -158,53 +159,9 @@ class TedJoinKernel:
                 f"exceeds shared memory at d={d}"
             )
 
-    def self_join_stream(
-        self,
-        source: DatasetSource,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        row_block: int = 1024,
-        memory_budget_bytes: int | None = None,
-        acc: PairAccumulator | None = None,
-    ) -> tuple[TedJoinResult, StreamStats]:
-        """Out-of-core FP64 brute self-join (bit-identical to resident).
-
-        Brute variant only; the index variant's out-of-core mode is
-        :meth:`self_join_source`, which builds its grid with the streamed
-        ``GridIndex.from_source`` and gathers candidate rows from the
-        source.  The tile executor runs over a source-backed operand
-        (per-block state is the contiguous FP64 block plus its row
-        norms); peak residency is bounded by the
-        :class:`~repro.core.engine.TilePlan`.  ``acc`` admits a
-        disk-spilling accumulator.
-        """
-        if self.variant != "brute":
-            raise ValueError(
-                "brute-variant streaming only; use self_join_source for the "
-                "index variant's out-of-core mode"
-            )
-        source = as_source(source)
-        self._check_capacity(source.dim)
-        out, stats = tile_join(
-            SourceOperand(source, self._block_state),
-            float(eps) ** 2,
-            row_block=row_block,
-            memory_budget_bytes=memory_budget_bytes,
-            store_distances=store_distances,
-            acc=acc,
-        )
-        n = source.n
-        result = TedJoinResult(
-            result=out.finalize(n, float(eps)),
-            total_candidates=n * n,
-            profile=None,
-        )
-        return result, stats
-
     def self_join(
         self,
-        data: np.ndarray,
+        data: np.ndarray | DatasetSource,
         eps: float,
         *,
         store_distances: bool = True,
@@ -212,6 +169,8 @@ class TedJoinKernel:
         batch_params: dict | None = None,
         row_block: int | None = None,
         plan: TilePlan | None = None,
+        memory_budget_bytes: int | None = None,
+        acc: PairAccumulator | None = None,
     ) -> TedJoinResult:
         """FP64-exact self-join (norm-expansion form, as TED-Join computes).
 
@@ -234,39 +193,59 @@ class TedJoinKernel:
         :meth:`tile_plan`).  The modeled hardware cost is unchanged:
         TED-Join itself evaluates all ``n^2`` candidates.
 
+        ``data`` may be a :class:`~repro.data.source.DatasetSource`; the
+        join then runs out of core, bitwise equal to the resident one.
+        The brute variant streams row blocks through the tile executor
+        (``memory_budget_bytes`` derives its plan from a resident-set
+        budget).  The index variant builds its grid with
+        ``GridIndex.from_source`` -- streamed cell-key encoding plus an
+        external counting sort, in passes of
+        :data:`~repro.core.engine.SOURCE_BUILD_ROWS` rows or of the
+        budget's edge -- and gathers member/candidate rows on demand
+        with ``source.take``.  The run's
+        :class:`~repro.core.engine.StreamStats` come back as
+        ``.result.stream_stats``.  ``acc`` (e.g. a disk-spilling
+        accumulator) receives the pairs of either variant.
+
         Raises :class:`MemoryError` when the dimensionality exceeds the
         shared-memory capacity, mirroring the hardware failure.
         """
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        n, d = data.shape
-        self._check_capacity(d)
-        operand = ResidentOperand(*self._block_state(data))
+        eps2 = float(eps) ** 2
         if self.variant == "brute":
+            operand = as_operand(data, self._block_state)
+            n = operand.n
+            self._check_capacity(operand.dim)
             if row_block is None:
-                row_block = self.auto_row_block(n, d)
-            acc, _stats = tile_join(
+                row_block = self.auto_row_block(n, operand.dim)
+            out, stats = tile_join(
                 operand,
-                float(eps) ** 2,
+                eps2,
                 plan=plan,
                 row_block=row_block,
+                memory_budget_bytes=memory_budget_bytes,
                 store_distances=store_distances,
+                acc=acc,
             )
             return TedJoinResult(
-                result=acc.finalize(n, float(eps)),
+                result=out.finalize(
+                    n, float(eps), None if operand.resident else stats
+                ),
                 total_candidates=n * n,
                 profile=None,
             )
-        return self._index_self_join(
-            GridIndex(data, eps), operand, n, eps,
-            store_distances=store_distances,
-            batched=batched, batch_params=batch_params,
-        )
-
-    def _index_self_join(
-        self, index: GridIndex, operand, n: int, eps: float, *,
-        store_distances, batched, batch_params, stats=None,
-    ) -> TedJoinResult:
-        """Index variant: grid candidates, FP64 distances, 8x8 tile padding."""
+        if isinstance(data, DatasetSource):
+            self._check_capacity(data.dim)
+            stats = source_build_stats(data, memory_budget_bytes)
+            index = GridIndex.from_source(
+                data, eps, row_block=stats.plan.row_block, stats=stats
+            )
+            operand = SourceOperand(data, self._block_state)
+        else:
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            self._check_capacity(data.shape[1])
+            stats = None
+            index = GridIndex(data, eps)
+            operand = ResidentOperand(*self._block_state(data))
         batched, params = resolve_batching(batched, index.stats, batch_params)
         total_candidates = 0
 
@@ -276,158 +255,84 @@ class TedJoinKernel:
             padded = (-(-members.size // 8) * 8) * (-(-candidates.size // 8) * 8)
             total_candidates += padded
 
-        acc = candidate_join(
+        out = candidate_join(
             index.iter_cells(order="size" if batched else "lex"),
             operand,
-            float(eps) ** 2,
+            eps2,
             batched=batched,
             batch_params=params,
             on_group=on_group,
             store_distances=store_distances,
+            acc=acc,
             stats=stats,
         )
         return TedJoinResult(
-            result=acc.finalize(n, float(eps)),
+            result=out.finalize(operand.n, float(eps), stats),
             total_candidates=total_candidates,
             profile=None,
         )
 
     # ------------------------------------------------------------------
-    # Two-source joins and source-backed index joins
+    # Two-source joins
     # ------------------------------------------------------------------
 
     def join(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
+        a: np.ndarray | DatasetSource,
+        b: np.ndarray | DatasetSource,
         eps: float,
         *,
         store_distances: bool = True,
         row_block: int | None = None,
         col_block: int | None = None,
+        memory_budget_bytes: int | None = None,
+        acc: PairAccumulator | None = None,
     ) -> JoinResult:
         """Two-source FP64 join: pairs ``(i in A, j in B)`` within ``eps``.
 
         Brute variant: the tile executor with a second operand -- every
         A-row x B-col tile, one pair direction, no diagonal handling.
-        Index variant: grid built over **B**, A's points dropped into it
+        Either side may be a :class:`~repro.data.source.DatasetSource`
+        (A's row blocks pin stripe by stripe while B's column blocks
+        stream through, bitwise equal to the resident join at the same
+        plan; ``memory_budget_bytes`` and ``acc`` as for
+        :meth:`self_join`).  Index variant (in-memory arrays only): grid
+        built over **B**, A's points dropped into it
         (``GridIndex.iter_join_groups``), candidates evaluated by the
         candidate executor with a second operand (no self-pair drop --
         equal indices address different points).  Functional path only; the timing models remain self-join-scoped.
         """
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        if a.shape[1] != b.shape[1]:
+        left = as_operand(a, self._block_state)
+        right = as_operand(b, self._block_state)
+        if left.dim != right.dim:
             raise ValueError("A and B dimensionalities must match")
-        d = a.shape[1]
-        self._check_capacity(d)
+        self._check_capacity(left.dim)
         eps2 = float(eps) ** 2
-        left = ResidentOperand(*self._block_state(a))
-        right = ResidentOperand(*self._block_state(b))
         if self.variant == "brute":
             if row_block is None:
-                row_block = self.auto_row_block(max(a.shape[0], b.shape[0]), d)
-            acc, _stats = tile_join(
+                row_block = self.auto_row_block(max(left.n, right.n), left.dim)
+            out, stats = tile_join(
                 left, eps2, right,
                 row_block=row_block,
                 col_block=col_block,
+                memory_budget_bytes=memory_budget_bytes,
                 store_distances=store_distances,
+                acc=acc,
             )
-        else:
-            acc = candidate_join(
-                GridIndex(b, eps).iter_join_groups(a), left, eps2, right,
-                store_distances=store_distances,
+            streamed = not (left.resident and right.resident)
+            return out.finalize_join(
+                left.n, right.n, float(eps), stats if streamed else None
             )
-        return acc.finalize_join(a.shape[0], b.shape[0], float(eps))
-
-    def join_stream(
-        self,
-        source_a: DatasetSource,
-        source_b: DatasetSource,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        row_block: int = 1024,
-        col_block: int | None = None,
-        memory_budget_bytes: int | None = None,
-        acc: PairAccumulator | None = None,
-    ) -> tuple[JoinResult, StreamStats]:
-        """Out-of-core two-source FP64 join (brute variant; bit-identical
-        to :meth:`join` at the same tile plan).
-
-        A's row blocks pin stripe by stripe while B's column blocks stream
-        through the tile executor, with prefetch spanning both sources;
-        ``acc`` admits a disk-spilling accumulator for outputs larger than
-        RAM.
-        """
-        if self.variant != "brute":
+        if not (left.resident and right.resident) or memory_budget_bytes is not None:
             raise ValueError(
-                "brute-variant streaming only; the index variant joins "
-                "sources via GridIndex.from_source (see self_join_source)"
+                "the index variant joins in-memory arrays; stream A x B "
+                "with the brute variant"
             )
-        source_a, source_b = as_source(source_a), as_source(source_b)
-        self._check_capacity(source_a.dim)
-        out, stats = tile_join(
-            SourceOperand(source_a, self._block_state),
-            float(eps) ** 2,
-            SourceOperand(source_b, self._block_state),
-            row_block=row_block,
-            col_block=col_block,
-            memory_budget_bytes=memory_budget_bytes,
-            store_distances=store_distances,
-            acc=acc,
+        out = candidate_join(
+            GridIndex(right.rows, eps).iter_join_groups(left.rows), left, eps2,
+            right, store_distances=store_distances, acc=acc,
         )
-        return out.finalize_join(source_a.n, source_b.n, float(eps)), stats
-
-    def self_join_source(
-        self,
-        source: DatasetSource,
-        eps: float,
-        *,
-        store_distances: bool = True,
-        row_block: int = 65536,
-        memory_budget_bytes: int | None = None,
-        batched: bool | None = None,
-        batch_params: dict | None = None,
-    ) -> tuple[TedJoinResult, StreamStats]:
-        """Index-variant self-join against a source (out-of-core grid build).
-
-        The grid is built with ``GridIndex.from_source`` -- streamed
-        cell-key encoding plus an external counting sort, never holding
-        the ``(n, d)`` dataset -- and the candidate executor gathers
-        member/candidate rows on demand with ``source.take`` through a
-        :class:`~repro.core.engine.SourceOperand`.  Per-row norms and
-        per-group GEMM shapes are unchanged, so the result is
-        bit-identical to :meth:`self_join` on the materialized data
-        (pinned by tests/test_two_source.py).  ``batched=True`` (or
-        ``None`` resolving true from the streamed grid's group moments)
-        fuses the groups into padded batch GEMMs with the ``take()``
-        gathers batched per flush (pair-set contract, knobs from
-        ``GridIndex.stats()`` overridable via ``batch_params``).
-        """
-        if self.variant != "index":
-            raise ValueError(
-                "self_join_source is the index variant's source mode; the "
-                "brute variant streams via self_join_stream"
-            )
-        source = as_source(source)
-        n, d = int(source.n), int(source.dim)
-        self._check_capacity(d)
-        plan = TilePlan.for_join(
-            n, n, d, row_block=row_block,
-            memory_budget_bytes=memory_budget_bytes, symmetric=True,
-        )
-        row_block = plan.row_block
-        stats = StreamStats(plan=plan)
-        index = GridIndex.from_source(
-            source, eps, row_block=row_block, stats=stats
-        )
-        result = self._index_self_join(
-            index, SourceOperand(source, self._block_state), n, eps,
-            store_distances=store_distances, batched=batched,
-            batch_params=batch_params, stats=stats,
-        )
-        return result, stats
+        return out.finalize_join(left.n, right.n, float(eps))
 
     # ------------------------------------------------------------------
     # Timing path

@@ -210,6 +210,43 @@ def test_readme_states_the_fp64_contract_that_holds():
     assert "# bit-identical to brute force" not in readme
 
 
+def test_query_docstring_states_the_fp64_contract_that_holds():
+    """`repro.query` promises what README does: brute force's pair set
+    always, its distance bits where BLAS rounds alike -- not bitwise
+    equality everywhere."""
+    import repro
+
+    doc = " ".join(repro.query.__doc__.split())
+    assert "pair set always equals the brute-force reference's" in doc
+    assert "distance bits are equal where BLAS rounds a dot product alike" in doc
+    assert "ROADMAP item 9" in doc
+    assert "bit-identical to the brute-force reference" not in doc
+
+
+def test_environment_knobs_are_exactly_the_documented_two():
+    """Every ``REPRO_*`` name the package reads from the environment is a
+    string literal naming it whole (``os.environ.get("REPRO_NATIVE")``,
+    ``ENV_VAR = "REPRO_FAULTS"``); the set is pinned, and README names
+    each one, so a new knob cannot slip in undocumented."""
+    import ast
+    import re
+
+    knob = re.compile(r"REPRO_[A-Z_]+")
+    found = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and knob.fullmatch(node.value)
+            ):
+                found.add(node.value)
+    assert found == {"REPRO_FAULTS", "REPRO_NATIVE"}
+    readme = (REPO_ROOT / "README.md").read_text()
+    for name in sorted(found):
+        assert name in readme, name
+
+
 def test_checker_resolves_nested_cli_commands():
     """`index build` must check against the nested parser's flags."""
     checker = _load_checker()

@@ -15,7 +15,7 @@ distance bits may differ (BLAS may reassociate for the padded shapes).
 import numpy as np
 import pytest
 
-from repro.core.api import self_join, self_join_stream
+from repro.core.api import join, self_join, self_join_stream
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
@@ -23,6 +23,7 @@ from repro.core.engine import (
     candidate_join,
     tile_join,
 )
+from repro.core.results import PairAccumulator
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.data.source import (
     ArraySource,
@@ -150,9 +151,9 @@ class TestStreamingBitIdentity:
         data = _dataset(48)
         eps = epsilon_for_selectivity(data, 16)
         mem = FastedKernel().self_join(data, eps, row_block=128)
-        got, stats = FastedKernel().self_join_stream(
-            ArraySource(data), eps, row_block=128
-        )
+        got = FastedKernel().self_join(ArraySource(data), eps, row_block=128)
+        stats = got.stream_stats
+        assert mem.stream_stats is None
         assert joins_bit_identical(mem, got)
         assert stats.blocks_loaded == stats.plan.n_tiles  # each tile: 1 load
 
@@ -168,9 +169,8 @@ class TestStreamingBitIdentity:
             source.n, source.n, source.dim, budget, symmetric=True
         )
         mem = FastedKernel().self_join(data, eps := epsilon_for_selectivity(data, 16), row_block=plan.row_block)
-        got, stats = FastedKernel().self_join_stream(
-            source, eps, memory_budget_bytes=budget
-        )
+        got = FastedKernel().self_join(source, eps, memory_budget_bytes=budget)
+        stats = got.stream_stats
         assert joins_bit_identical(mem, got)
         assert stats.peak_resident_bytes <= budget
         assert stats.plan.n_row_blocks > TilePlan.RESIDENT_BLOCKS
@@ -184,16 +184,16 @@ class TestStreamingBitIdentity:
         # FP64 tile geometry is bit-invariant across row_block (pinned by
         # tests/test_engine.py), so compare against the default path.
         mem = TedJoinKernel(variant="brute").self_join(data, eps).result
-        got, stats = TedJoinKernel(variant="brute").self_join_stream(
+        got = TedJoinKernel(variant="brute").self_join(
             source, eps, memory_budget_bytes=budget
-        )
-        assert joins_bit_identical(mem, got.result)
-        assert stats.peak_resident_bytes <= budget
+        ).result
+        assert joins_bit_identical(mem, got)
+        assert got.stream_stats.peak_resident_bytes <= budget
 
     def test_store_distances_off(self):
         data = _dataset(24, n=200, seed=4)
         eps = epsilon_for_selectivity(data, 8)
-        got, _ = FastedKernel().self_join_stream(
+        got = FastedKernel().self_join(
             ArraySource(data), eps, row_block=64, store_distances=False
         )
         assert got.sq_dists.size == 0
@@ -216,10 +216,11 @@ class TestStreamingBitIdentity:
         assert ref_stats.blocks_loaded == 0 == ref_stats.peak_resident_bytes
 
     def test_ted_index_variant_refuses_streaming(self):
+        """The index variant streams its self-join (through the source
+        grid build) but not an A x B join."""
+        data = _dataset(16, n=50)
         with pytest.raises(ValueError):
-            TedJoinKernel(variant="index").self_join_stream(
-                ArraySource(_dataset(16, n=50)), 1.0
-            )
+            TedJoinKernel(variant="index").join(ArraySource(data), data, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -296,16 +297,58 @@ class TestApiStreaming:
         with pytest.raises(ValueError):
             self_join(data, 1.0, method="fasted", batched=True)
 
-    def test_env_default(self, monkeypatch):
-        data = _dataset(24, n=200, seed=8)
-        eps = float(epsilon_for_selectivity(data, 8))
-        mem = self_join(data, eps)
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        streamed = self_join(data, eps)
-        assert joins_bit_identical(mem, streamed)
-        # Index methods quietly keep materializing under the env default.
-        idx = self_join(data, eps, method="gds-join")
-        assert idx.n_points == 200
+
+class TestStreamedEqualsResident:
+    @pytest.mark.parametrize("shape", ["self", "a-x-b"])
+    @pytest.mark.parametrize("method", ["fasted", "ted-join-brute"])
+    def test_every_api_path_answers_bitwise_alike(
+        self, method, shape, tmp_path, monkeypatch
+    ):
+        """``stream=False``, ``stream=True``, a memory-budget run and a
+        spill run give the same answer -- pairs in emission order and
+        distance bits -- on data several default tile edges wide.  The
+        budget is the one whose plan has the default (cache-fit) edge, so
+        all four walk one tile plan."""
+        data = _dataset(64, n=4352, seed=3)
+        eps = float(epsilon_for_selectivity(data[:2048], 16))
+        args = (data[:2048],) if shape == "self" else (data[:2048], data[2048:])
+        entry = self_join if shape == "self" else join
+        kernel = (
+            FastedKernel() if method == "fasted"
+            else TedJoinKernel(variant="brute")
+        )
+        edge = kernel.auto_row_block(max(len(x) for x in args), 64)
+        assert 2048 >= 4 * edge
+        budget = TilePlan.RESIDENT_BLOCKS * edge * (64 + 1) * 8
+        spills = []
+        real_spill = PairAccumulator._spill
+
+        def counting_spill(acc):
+            spills.append(len(acc))
+            real_spill(acc)
+
+        monkeypatch.setattr(PairAccumulator, "_spill", counting_spill)
+
+        resident = entry(*args, eps, method=method, stream=False)
+        runs = {
+            "stream": entry(*args, eps, method=method, stream=True),
+            "budget": entry(*args, eps, method=method, memory_budget_bytes=budget),
+            "spill": entry(
+                *args, eps, method=method, stream=True,
+                spill_threshold_bytes=16 * 1024, spill_dir=tmp_path / "spill",
+            ),
+        }
+        assert resident.stream_stats is None and resident.pairs_i.size > 0
+        for name, got in runs.items():
+            np.testing.assert_array_equal(got.pairs_i, resident.pairs_i, name)
+            np.testing.assert_array_equal(got.pairs_j, resident.pairs_j, name)
+            np.testing.assert_array_equal(
+                got.sq_dists.view(np.uint32), resident.sq_dists.view(np.uint32),
+                name,
+            )
+            assert got.stream_stats.plan.row_block == edge, name
+        assert runs["budget"].stream_stats.peak_resident_bytes <= budget
+        assert spills and not list((tmp_path / "spill").glob("spill_*"))
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ Contracts pinned here:
   run yields, while its resident buffer stays bounded.
 * ``GridIndex.from_source`` (streamed cell-key encoding + external
   counting sort) groups points exactly like the in-memory constructor, so
-  the kernels' ``self_join_source`` results are bit-identical to their
-  in-memory self-joins.
+  the index kernels' ``self_join`` over a source is bit-identical to
+  their in-memory self-join.
 * Index-backed two-source joins produce the same pair set as the exact
   FP64 brute-force two-source join.
 """
@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.api import join, join_stream, self_join
 from repro.core.engine import (
+    SOURCE_BUILD_ROWS,
     ResidentOperand,
     TilePlan,
     candidate_join,
@@ -67,6 +68,20 @@ def _eps(a, b, target=12):
 def _fp64_operand(x):
     x = np.ascontiguousarray(x, dtype=np.float64)
     return ResidentOperand(x, (x * x).sum(axis=1))
+
+
+def _budget_for_rows(rows, d):
+    """The memory budget whose plan has a ``rows``-row block edge."""
+    return TilePlan.RESIDENT_BLOCKS * rows * (d + 1) * 8
+
+
+def _assert_bitwise_equal(x, y):
+    """Pairs in emission order and their distance bits."""
+    np.testing.assert_array_equal(x.pairs_i, y.pairs_i)
+    np.testing.assert_array_equal(x.pairs_j, y.pairs_j)
+    np.testing.assert_array_equal(
+        x.sq_dists.view(np.uint32), y.sq_dists.view(np.uint32)
+    )
 
 
 def assert_pair_sets_equal(x, y):
@@ -166,9 +181,11 @@ class TestStreamingJoinBitIdentity:
         a, b = _pair(48)
         eps = _eps(a, b)
         mem = FastedKernel().join(a, b, eps, row_block=100)
-        got, stats = FastedKernel().join_stream(
+        got = FastedKernel().join(
             ArraySource(a), ArraySource(b), eps, row_block=100
         )
+        stats = got.stream_stats
+        assert mem.stream_stats is None
         assert joins_bit_identical(mem, got)
         assert stats.tiles_evaluated == stats.plan.n_tiles
         # Every stripe loads A's block once plus all of B's blocks.
@@ -189,11 +206,9 @@ class TestStreamingJoinBitIdentity:
         mem = FastedKernel().join(
             a, b, eps, row_block=plan.row_block, col_block=plan.col_block
         )
-        got, stats = FastedKernel().join_stream(
-            src_a, src_b, eps, memory_budget_bytes=budget
-        )
+        got = FastedKernel().join(src_a, src_b, eps, memory_budget_bytes=budget)
         assert joins_bit_identical(mem, got)
-        assert stats.peak_resident_bytes <= budget
+        assert got.stream_stats.peak_resident_bytes <= budget
 
     def test_ted_brute_chunked(self, tmp_path):
         a, b = _pair(32, seed=7)
@@ -201,14 +216,14 @@ class TestStreamingJoinBitIdentity:
         src_b = write_chunked_npy(tmp_path / "b", b, rows_per_chunk=80)
         eps = _eps(a, b)
         mem = TedJoinKernel(variant="brute").join(a, b, eps, row_block=90)
-        got, _ = TedJoinKernel(variant="brute").join_stream(
+        got = TedJoinKernel(variant="brute").join(
             src_a, src_b, eps, row_block=90
         )
         assert joins_bit_identical(mem, got)
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError):
-            FastedKernel().join_stream(
+            FastedKernel().join(
                 ArraySource(_dataset(8, n=10)), ArraySource(_dataset(9, n=10)), 1.0
             )
 
@@ -216,9 +231,10 @@ class TestStreamingJoinBitIdentity:
         """Rectangular plans honor distinct row/col block sizes."""
         a, b = _pair(16, n_a=130, n_b=210, seed=11)
         eps = _eps(a, b)
-        got, stats = FastedKernel().join_stream(
+        got = FastedKernel().join(
             ArraySource(a), ArraySource(b), eps, row_block=50, col_block=70
         )
+        stats = got.stream_stats
         assert stats.plan.row_block == 50 and stats.plan.col_block == 70
         mem = FastedKernel().join(a, b, eps, row_block=50, col_block=70)
         assert joins_bit_identical(mem, got)
@@ -308,7 +324,7 @@ class TestAccumulatorSpill:
         acc = PairAccumulator(
             spill_threshold_bytes=16 * 1024, spill_dir=tmp_path / "spill"
         )
-        got, _ = FastedKernel().join_stream(
+        got = FastedKernel().join(
             ArraySource(a), ArraySource(b), eps, row_block=80, acc=acc
         )
         assert joins_bit_identical(mem, got)
@@ -380,45 +396,54 @@ class TestKernelSelfJoinSource:
         data, eps = data_eps
         src = write_chunked_npy(tmp_path / "chunks", data, rows_per_chunk=96)
         mem = GdsJoinKernel().self_join(data, eps)
-        got, stats = GdsJoinKernel().self_join_source(src, eps, row_block=96)
-        assert joins_bit_identical(mem.result, got.result)
+        got = GdsJoinKernel().self_join(
+            src, eps, memory_budget_bytes=_budget_for_rows(96, data.shape[1])
+        )
+        _assert_bitwise_equal(mem.result, got.result)
         assert mem.total_candidates == got.total_candidates
         assert mem.n_indexed_dims == got.n_indexed_dims
-        assert stats.blocks_loaded > 0
+        assert mem.result.stream_stats is None
+        stats = got.result.stream_stats
+        assert stats.plan.row_block == 96 and stats.blocks_loaded > 0
 
     def test_ted_index(self, data_eps):
         data, eps = data_eps
         mem = TedJoinKernel(variant="index").self_join(data, eps)
-        got, _ = TedJoinKernel(variant="index").self_join_source(
-            ArraySource(data), eps, row_block=128
+        got = TedJoinKernel(variant="index").self_join(
+            ArraySource(data), eps,
+            memory_budget_bytes=_budget_for_rows(128, data.shape[1]),
         )
-        assert joins_bit_identical(mem.result, got.result)
+        _assert_bitwise_equal(mem.result, got.result)
         assert mem.total_candidates == got.total_candidates
+        assert got.result.stream_stats.blocks_loaded > 0
 
     def test_mistic(self, data_eps):
         data, eps = data_eps
         mem = MisticKernel().self_join(data, eps)
-        got, _ = MisticKernel().self_join_source(
-            ArraySource(data), eps, row_block=128
+        got = MisticKernel().self_join(
+            ArraySource(data), eps,
+            memory_budget_bytes=_budget_for_rows(128, data.shape[1]),
         )
-        assert joins_bit_identical(mem.result, got.result)
+        _assert_bitwise_equal(mem.result, got.result)
         assert mem.construction_evaluations == got.construction_evaluations
+        assert got.result.stream_stats.blocks_loaded > 0
 
     def test_memory_budget_sets_row_block(self, data_eps):
         data, eps = data_eps
-        got, stats = GdsJoinKernel().self_join_source(
+        got = GdsJoinKernel().self_join(
             ArraySource(data), eps, memory_budget_bytes=64 * 1024
         )
+        stats = got.result.stream_stats
         assert stats.plan.peak_resident_bytes(data.shape[1]) <= 64 * 1024
         mem = GdsJoinKernel().self_join(data, eps)
         assert joins_bit_identical(mem.result, got.result)
 
-    def test_wrong_variant_raises(self, data_eps):
+    def test_default_build_block(self, data_eps):
+        """Without a budget the source build reads SOURCE_BUILD_ROWS-row
+        passes."""
         data, eps = data_eps
-        with pytest.raises(ValueError):
-            TedJoinKernel(variant="brute").self_join_source(
-                ArraySource(data), eps
-            )
+        got = GdsJoinKernel().self_join(ArraySource(data), eps)
+        assert got.result.stream_stats.plan.row_block == SOURCE_BUILD_ROWS
 
 
 class TestBatchedSourceExecutor:
@@ -435,15 +460,15 @@ class TestBatchedSourceExecutor:
         data, eps = data_eps
         src = write_chunked_npy(tmp_path / "chunks", data, rows_per_chunk=128)
         mem = GdsJoinKernel().self_join(data, eps, batched=True)
-        got, stats = GdsJoinKernel().self_join_source(src, eps, batched=True)
+        got = GdsJoinKernel().self_join(src, eps, batched=True)
         assert_pair_sets_equal(mem.result, got.result)
         assert mem.total_candidates == got.total_candidates
-        assert stats.blocks_loaded > 0
+        assert got.result.stream_stats.blocks_loaded > 0
 
     def test_ted_index_batched_source(self, data_eps):
         data, eps = data_eps
         mem = TedJoinKernel(variant="index").self_join(data, eps, batched=True)
-        got, _ = TedJoinKernel(variant="index").self_join_source(
+        got = TedJoinKernel(variant="index").self_join(
             ArraySource(data), eps, batched=True
         )
         # FP64: the batched executor agrees bitwise in practice, but the
@@ -453,9 +478,7 @@ class TestBatchedSourceExecutor:
     def test_mistic_batched_source(self, data_eps):
         data, eps = data_eps
         mem = MisticKernel().self_join(data, eps, batched=True)
-        got, _ = MisticKernel().self_join_source(
-            ArraySource(data), eps, batched=True
-        )
+        got = MisticKernel().self_join(ArraySource(data), eps, batched=True)
         assert_pair_sets_equal(mem.result, got.result)
 
     def test_source_view_matches_unbatched(self, data_eps, tmp_path):
@@ -463,8 +486,8 @@ class TestBatchedSourceExecutor:
         data, eps = data_eps
         np.save(tmp_path / "d.npy", data)
         src = MmapNpySource(tmp_path / "d.npy")
-        plain, _ = GdsJoinKernel().self_join_source(src, eps)
-        batched, _ = GdsJoinKernel().self_join_source(src, eps, batched=True)
+        plain = GdsJoinKernel().self_join(src, eps)
+        batched = GdsJoinKernel().self_join(src, eps, batched=True)
         assert_pair_sets_equal(plain.result, batched.result)
 
     def test_batched_candidate_join_two_source(self, data_eps):
@@ -560,11 +583,9 @@ class TestApiJoin:
         mem = FastedKernel().join(
             a, b, eps, row_block=plan.row_block, col_block=plan.col_block
         )
-        got, stats = join_stream(
-            path_a, src_b.directory, eps, memory_budget_bytes=budget
-        )
+        got = join(path_a, src_b.directory, eps, memory_budget_bytes=budget)
         assert joins_bit_identical(mem, got)
-        assert stats.peak_resident_bytes <= budget
+        assert got.stream_stats.peak_resident_bytes <= budget
 
     def test_memory_budget_implies_stream(self):
         a, b = _pair(24, seed=27)
@@ -589,14 +610,6 @@ class TestApiJoin:
         with pytest.raises(ValueError):
             join_stream(a, b, 1.0, method="mistic")
 
-    def test_env_default(self, monkeypatch):
-        a, b = _pair(24, seed=31)
-        eps = _eps(a, b)
-        mem = join(a, b, eps)
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        streamed = join(a, b, eps)
-        assert joins_bit_identical(mem, streamed)
-
     def test_join_vs_self_join_consistency(self):
         """join(data, data) must contain self_join(data) plus the diagonal."""
         data = _dataset(24, n=180, seed=33)
@@ -617,8 +630,8 @@ class TestApiJoin:
         a, b = _pair(24, seed=35)
         eps = _eps(a, b)
         mem = join(a, b, eps, method="ted-join-brute")
-        got, _ = join_stream(
-            a, b, eps, method="ted-join-brute",
+        got = join(
+            a, b, eps, method="ted-join-brute", stream=True,
             spill_threshold_bytes=8 * 1024, spill_dir=tmp_path / "spill",
         )
         # Same tile plan (default row_block), so bit-identical through spill.
@@ -637,10 +650,9 @@ class TestCliTwoSource:
         write_chunked_npy(tmp_path / "b", b, rows_per_chunk=64)
         return tmp_path / "a", tmp_path / "b"
 
-    def test_two_chunked_sources_stream(self, tmp_path, capsys, monkeypatch):
+    def test_two_chunked_sources_stream(self, tmp_path, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_STREAM", "1")
         pa, pb = self._write_pair(tmp_path)
         assert main([
             "join", str(pa), str(pb), "--stream", "--memory-budget", "1",

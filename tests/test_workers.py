@@ -153,9 +153,8 @@ class TestWorkerDeterminism:
     def test_streaming_fasted(self, dataset, workers):
         data, eps = dataset
         serial = FastedKernel().self_join(data, eps, row_block=150)
-        streamed, stats = FastedKernel().self_join_stream(
-            ArraySource(data), eps, row_block=150
-        )
+        streamed = FastedKernel().self_join(ArraySource(data), eps, row_block=150)
+        stats = streamed.stream_stats
         assert joins_bit_identical(serial, streamed)
         assert stats.tiles_evaluated == stats.plan.n_tiles
 
@@ -165,9 +164,7 @@ class TestWorkerDeterminism:
         kern = TedJoinKernel(variant="brute")
         serial = kern.self_join(data, eps, row_block=150).result
         acc = PairAccumulator(spill_threshold_bytes=4096, spill_dir=tmp_path / "sp")
-        streamed, _ = kern.self_join_stream(
-            ArraySource(data), eps, row_block=150, acc=acc
-        )
+        streamed = kern.self_join(ArraySource(data), eps, row_block=150, acc=acc)
         assert joins_bit_identical(serial, streamed.result)
 
     @pytest.mark.parametrize("workers", [2])
@@ -181,9 +178,9 @@ class TestWorkerDeterminism:
 
     def test_two_source_streaming_with_spill(self, dataset, queries):
         data, eps = dataset
-        base, _ = api.join_stream(queries, data, eps)
-        streamed, _ = api.join_stream(
-            queries, data, eps, spill_threshold_bytes=4096,
+        base = api.join(queries, data, eps, stream=True)
+        streamed = api.join(
+            queries, data, eps, stream=True, spill_threshold_bytes=4096,
         )
         assert joins_bit_identical(base, streamed)
 
@@ -229,7 +226,7 @@ class TestRemovedWorkersKnob:
         with pytest.raises(TypeError, match="workers"):
             kern.join(data, data, eps, workers=2)
         with pytest.raises(TypeError, match="workers"):
-            kern.self_join_stream(ArraySource(data), eps, workers=2)
+            kern.self_join(ArraySource(data), eps, workers=2)
         with pytest.raises(TypeError):
             kern.auto_row_block(600, 32, 2)
 
@@ -460,20 +457,21 @@ class TestSpillConcurrency:
     def test_join_with_workers_and_tiny_spill(self, dataset, tmp_path):
         """A streamed FaSTED join through a tiny spill threshold."""
         data, eps = dataset
-        serial, _ = api.self_join_stream(data, eps)
-        spilled, _ = api.self_join_stream(
-            data, eps, spill_threshold_bytes=2048, spill_dir=tmp_path / "sp",
+        serial = api.self_join(data, eps, stream=True)
+        spilled = api.self_join(
+            data, eps, stream=True,
+            spill_threshold_bytes=2048, spill_dir=tmp_path / "sp",
         )
         assert joins_bit_identical(serial, spilled)
         # finalize() cleaned the chunks up behind itself.
         assert not list((tmp_path / "sp").glob("spill_*"))
 
     def test_self_join_stream_spill_threads_through(self, dataset, tmp_path):
-        """api.self_join_stream now honors spill_threshold_bytes/spill_dir."""
+        """api.self_join honors spill_threshold_bytes/spill_dir."""
         data, eps = dataset
-        base, _ = api.self_join_stream(data, eps, method="ted-join-brute")
-        spilled, _ = api.self_join_stream(
-            data, eps, method="ted-join-brute",
+        base = api.self_join(data, eps, method="ted-join-brute", stream=True)
+        spilled = api.self_join(
+            data, eps, method="ted-join-brute", stream=True,
             spill_threshold_bytes=2048, spill_dir=tmp_path / "ted",
         )
         assert joins_bit_identical(base, spilled)
@@ -495,7 +493,7 @@ class TestSpillConcurrency:
 
         spill_dir = tmp_path / "err"
         with pytest.raises(RuntimeError, match="disk died"):
-            api.self_join_stream(
+            api.self_join(
                 FailingSource(data), eps,
                 memory_budget_bytes=64 << 10,
                 spill_threshold_bytes=512, spill_dir=spill_dir,
