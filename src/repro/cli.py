@@ -21,7 +21,7 @@ Exposes the experiment drivers without writing any Python:
 Model-driven experiments run instantly at the paper's full scales; the
 data-driven ones accept ``--n`` to bound the surrogate size.  ``join``
 runs one functional join end to end: with no positional datasets a
-self-join on synthetic data (or ``--data``), with one positional a
+self-join on synthetic data, with one positional a
 self-join on that dataset, and with two positionals the **two-source**
 join ``A x B`` (each a ``.npy`` file or chunk directory) -- optionally
 out-of-core (``--stream`` / ``--memory-budget``, in MiB) or, for
@@ -157,8 +157,6 @@ def _cmd_join(args) -> str:
     from repro.data.source import as_source
     from repro.data.synthetic import synth_dataset
 
-    if args.data is not None and args.data_a is not None:
-        raise SystemExit("error: give datasets positionally OR via --data, not both")
     two_source = args.data_b is not None
     if two_source:
         source = as_source(args.data_a)
@@ -172,8 +170,6 @@ def _cmd_join(args) -> str:
         source_b = None
         if args.data_a is not None:
             source = as_source(args.data_a)
-        elif args.data is not None:
-            source = as_source(args.data)
         else:
             source = as_source(
                 synth_dataset(args.n, args.d, seed=args.seed, clustered=True)
@@ -684,12 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("fasted", "ted-join-brute", "ted-join-index", "gds-join", "mistic"),
         default="fasted",
-    )
-    j.add_argument(
-        "--data",
-        default=None,
-        help="legacy alias for the A positional "
-        "(default: synthetic clustered data)",
     )
     j.add_argument("--n", type=int, default=8192, help="synthetic dataset size")
     j.add_argument("--d", type=int, default=64, help="synthetic dimensionality")

@@ -588,12 +588,12 @@ def source_build_stats(source, memory_budget_bytes: int | None) -> StreamStats:
     """Ledger of an index kernel's out-of-core self-join over ``source``.
 
     Its plan's ``row_block`` sizes the streamed build passes:
-    :data:`SOURCE_BUILD_ROWS`, or the edge :meth:`TilePlan.from_budget`
-    derives from ``memory_budget_bytes``.
+    :data:`SOURCE_BUILD_ROWS` clamped to the source's rows, or the edge
+    :meth:`TilePlan.from_budget` derives from ``memory_budget_bytes``.
     """
     n, d = int(source.n), int(source.dim)
     return StreamStats(plan=TilePlan.for_join(
-        n, n, d, row_block=SOURCE_BUILD_ROWS,
+        n, n, d, row_block=min(SOURCE_BUILD_ROWS, max(n, 1)),
         memory_budget_bytes=memory_budget_bytes, symmetric=True,
     ))
 

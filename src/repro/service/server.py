@@ -1,34 +1,32 @@
 """Concurrent request layer: index cache, micro-batching, JSON-over-HTTP.
 
-Three pieces stack into the serving path:
+Every request takes one path through three pieces:
 
-* :class:`IndexCache` -- a thread-safe LRU of loaded
-  :class:`~repro.service.query.QueryEngine`\\ s, one per index
-  directory.  A hit costs one ``stat`` of the index's header (or a
-  mutable store's manifest) against the signature recorded at load;
-  a rewritten index has a new signature and is loaded again.  Hits hand
-  back the live engine (loading an index is the expensive part a
-  serving layer must amortize -- the ``query_service`` benchmark entry
-  measures exactly this against rebuild-per-query).
+* :class:`IndexCache` -- a thread-safe LRU of loaded engines, one per
+  resolved directory: a persisted index's
+  :class:`~repro.service.query.QueryEngine` or a mutable store's
+  :class:`~repro.index.delta.MutableIndex`, each entry with its own
+  currency check.  A hit costs one ``stat`` of the index's header (or
+  the store's manifest); a miss -- a rewritten index has a new
+  signature -- goes through one single-flight load per directory, so
+  concurrent cold requests share one engine.  Loading is the expensive
+  part a serving layer must amortize (the ``query_service`` benchmark
+  entry measures exactly this against rebuild-per-query).
 
 * :class:`QueryService` -- the **micro-batching queue**.  Concurrent
-  small queries against the same ``(engine, eps, kind)`` that queued
+  small queries against the same ``(engine, eps, kind, k)`` that queued
   while the engine was busy are drained from one queue together,
-  concatenated into a single query matrix, answered by **one** executor
-  batch, and split back per request.  kNN requests coalesce *across
-  different k*: the batch runs once at the largest requested k and each
-  request takes the leading columns of its rows (the kNN kernel breaks
-  distance ties by index with a stable sort and pads positionally, so
-  every smaller-k answer is a strict prefix of the max-k answer).
-  Batching changes only how many engine calls run -- at FP64 the split
-  results are bit-identical to per-request serial calls (same contract
-  the join executors carry; tests/test_service.py hammers one cached
-  index from N threads and compares against serial).  No timer holds a
-  batch open: the dispatcher blocks for the first request, takes
-  whatever else is already queued, and dispatches at once, so an idle
-  service adds no latency and a loaded one coalesces exactly the
-  requests that arrived during the previous engine call.  Dispatch runs
-  on one background thread, which makes each engine call serially.
+  concatenated into a single query matrix, answered by **one** engine
+  call, and split back per request.  Batching changes only how many
+  engine calls run -- at FP64 the split results are bit-identical to
+  per-request serial calls (same contract the join executors carry;
+  tests/test_service.py hammers one cached index from N threads and
+  compares against serial).  No timer holds a batch open: the
+  dispatcher blocks for the first request, takes whatever else is
+  already queued, and dispatches at once, so an idle service adds no
+  latency and a loaded one coalesces exactly the requests that arrived
+  during the previous engine call.  Dispatch runs on one background
+  thread, which makes each engine call serially.
 
 * :func:`make_server` -- stdlib-only JSON-over-HTTP on
   ``http.server.ThreadingHTTPServer`` (one thread per connection,
@@ -50,17 +48,16 @@ Fault tolerance (see docs/ARCHITECTURE.md "Fault tolerance"):
   :class:`ServiceOverloaded` in-process and ``429 Too Many Requests`` +
   ``Retry-After`` over HTTP, so overload produces immediate backpressure
   instead of unbounded memory growth and timeout storms.
-* **Deadlines** -- ``submit(..., deadline_s=...)`` attaches a
-  per-request deadline that rides into batch dispatch: a request already
-  past its deadline is *failed* with :class:`DeadlineExceeded`, never
-  executed (the engine call its batch runs is for the still-live
-  requests only).
-* **Graceful shutdown** -- :meth:`QueryService.stop` (``drain=True``)
-  fails everything still queued immediately with
-  :class:`ServiceShuttingDown` instead of leaving waiters to their own
-  timeouts; ``drain=False`` serves the queue out first.  While stopping,
-  ``/healthz`` reports ``draining`` (503) and new submissions are
-  refused.
+* **One deadline** -- every request carries one absolute deadline: the
+  caller's ``deadline_s``, else the service's ``default_deadline_s``
+  (:data:`DEFAULT_DEADLINE_S`, 30 s).  A request still queued at its
+  deadline is failed with :class:`DeadlineExceeded` (HTTP 504) and never
+  executed: the waiter gives up at that instant, and the dispatcher
+  skips it.  A request that reached its engine call in time is answered.
+* **Graceful shutdown** -- :meth:`QueryService.stop` fails everything
+  still queued immediately with :class:`ServiceShuttingDown` instead of
+  leaving waiters to their deadlines.  While stopping, ``/healthz``
+  reports ``draining`` (503) and new submissions are refused.
 """
 
 from __future__ import annotations
@@ -123,21 +120,31 @@ class DeadlineExceeded(ServiceError, TimeoutError):
 
 
 class IndexCache:
-    """Thread-safe LRU cache of :class:`QueryEngine`\\ s for persisted indexes.
+    """Thread-safe LRU cache of loaded indexes and mutable stores.
 
-    One entry per index directory (its resolved path).  A hit costs one
-    ``os.stat`` of the file under the path *as the caller spelled it*:
-    an immutable index's ``header.json`` against the
-    :class:`~repro.index.persist.FileGeneration` recorded when the
-    engine was loaded, a mutable store's ``state.json`` through
-    :meth:`~repro.index.delta.MutableIndex.manifest_is_current`.  Every
-    writer commits by renaming a fresh file into place, so a rebuilt or
-    rewritten index changes the signature, and a spelling that now
-    leads elsewhere (a retargeted symlink, a relative path after a
-    ``chdir``) finds another file; either way the path is resolved and
-    looked up again.  While a signature is racily clean -- written
-    within :data:`~repro.index.persist.RACY_NS` of when it was taken --
-    a hit also reads the file and compares its digest.
+    One entry per resolved directory, each with its own currency check
+    of the file under the path *as the caller spelled it*: an immutable
+    index's ``header.json`` against the
+    :class:`~repro.index.persist.FileGeneration` taken before its load,
+    a mutable store's ``state.json`` through
+    :meth:`~repro.index.delta.MutableIndex.manifest_is_current`.  A hit
+    costs that one ``os.stat``.  Every writer commits by renaming a
+    fresh file into place, so a rebuilt or rewritten index changes the
+    signature, and a spelling that now leads elsewhere (a retargeted
+    symlink, a relative path after a ``chdir``) finds another file;
+    either way the path is resolved and looked up again.  While a
+    signature is racily clean -- written within
+    :data:`~repro.index.persist.RACY_NS` of when it was taken -- a hit
+    also reads the file and compares its digest.
+
+    A miss loads through one single-flight load per resolved path, for
+    both kinds: concurrent cold lookups wait for one load and share its
+    engine (so no append lands in a store's buffer that a second load is
+    about to replace).  A store stays current through its own seals,
+    deletes and compactions -- the live writer keeps serving, and its
+    unsealed buffer is never dropped by a reload.  An index or store
+    rewritten by someone else is swapped out: requests already holding
+    the old engine finish on it, new lookups load the new generation.
 
     Parameters
     ----------
@@ -146,9 +153,9 @@ class IndexCache:
         evicted past that (its mmap-backed arrays simply lose their last
         reference).
     mmap, precision, verify:
-        Forwarded to every :class:`QueryEngine` the cache constructs
-        (``verify`` is the :func:`~repro.index.persist.load_index`
-        integrity level applied on each cache miss).
+        Forwarded to every engine the cache constructs (``verify`` is
+        the :func:`~repro.index.persist.load_index` integrity level
+        applied on each cache miss).
     metrics:
         The :class:`~repro.service.metrics.MetricsRegistry` the hit /
         miss / eviction counters live in (one is created when absent).
@@ -171,16 +178,13 @@ class IndexCache:
         self._mmap = mmap
         self._precision = precision
         self._verify = verify
-        # Resolved path -> engine, LRU order.
-        self._entries: "OrderedDict[str, QueryEngine | MutableIndex]" = (
-            OrderedDict()
-        )
-        # Resolved path -> header generation at load (immutable engines).
-        self._generations: dict[str, FileGeneration] = {}
+        # Resolved path -> (resolved path, engine, is_current(spelled)),
+        # LRU order.
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
         # Path as the caller spelled it -> resolved path.
         self._aliases: dict[str, str] = {}
         self._lock = threading.Lock()
-        # Per-store load locks: one mutable-store load in flight per key.
+        # Per-path load locks: one load in flight per resolved path.
         self._loading: dict[str, threading.Lock] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_hits = self.metrics.counter(
@@ -219,82 +223,77 @@ class IndexCache:
     def evictions(self) -> int:
         return int(self._c_evictions.value())
 
-    def get(self, path: str | Path) -> QueryEngine:
-        """Return the cached engine for a persisted index, loading on miss.
+    def get(self, path: str | Path) -> "QueryEngine | MutableIndex":
+        """Return the cached engine for a persisted index or store,
+        loading on miss.
 
         The hit path is one ``stat`` (see the class docstring).  Anything
         else -- an unknown spelling, an evicted entry, a changed
-        signature -- resolves the path and goes through :meth:`_get_index`
-        or, for a mutable store root, :meth:`_get_mutable`.
+        signature -- resolves the path and takes its load lock; the
+        first holder loads, and the others find its entry current.
         """
         spelled = str(path)
         with self._lock:
-            key = self._aliases.get(spelled)
-            engine = self._entries.get(key)
-            generation = self._generations.get(key)
+            entry = self._entries.get(self._aliases.get(spelled))
+        engine = self._hit(entry, spelled)
         if engine is not None:
-            if isinstance(engine, MutableIndex):
-                current = engine.manifest_is_current(spelled)
-            else:
-                current = generation.matches(Path(spelled) / HEADER_NAME)
-            if current:
-                with self._lock:
-                    if self._entries.get(key) is engine:
-                        self._entries.move_to_end(key)
-                    self._c_hits.inc()
-                return engine
-        resolved = Path(path).resolve()
-        if (resolved / MANIFEST_NAME).is_file():
-            engine = self._get_mutable(resolved)
-        else:
-            engine = self._get_index(resolved)
+            return engine
+        key = str(Path(path).resolve())
+        with self._lock:
+            flight = self._loading.setdefault(key, threading.Lock())
+        with flight:
+            with self._lock:
+                entry = self._entries.get(key)
+            engine = self._hit(entry, key)
+            if engine is None:
+                engine = self._load(Path(key))
         with self._lock:
             if len(self._aliases) > 64 * self.capacity:
                 self._aliases.clear()  # spellings of evicted entries
-            self._aliases[spelled] = str(resolved)
+            self._aliases[spelled] = key
         return engine
 
-    def _insert_locked(self, key: str, engine, generation=None) -> None:
-        self._entries[key] = engine
-        self._entries.move_to_end(key)
-        self._generations[key] = generation
-        while len(self._entries) > self.capacity:
-            old, _ = self._entries.popitem(last=False)
-            self._generations.pop(old, None)
-            self._c_evictions.inc()
+    def _hit(self, entry, spelled: str):
+        """``entry``'s engine if it is current under ``spelled`` (counted
+        as a hit), else None."""
+        if entry is None:
+            return None
+        key, engine, is_current = entry
+        if not is_current(spelled):
+            return None
+        with self._lock:
+            if self._entries.get(key) is entry:
+                self._entries.move_to_end(key)
+            self._c_hits.inc()
+        return engine
 
-    def _get_index(self, resolved: Path) -> QueryEngine:
-        """Immutable index: reuse the entry while its header generation
-        holds, else load (the generation is taken first, so a racing
-        rewrite can only cause one extra reload, never a stale hit)."""
+    def _load(self, resolved: Path):
+        """Load ``resolved`` (under its load lock) and insert it."""
         key = str(resolved)
-        header = resolved / HEADER_NAME
-        with self._lock:
-            engine = self._entries.get(key)
-            cached = self._generations.get(key)
-        if cached is not None and cached.matches(header):
-            with self._lock:
-                if self._entries.get(key) is engine:
-                    self._entries.move_to_end(key)
-                self._c_hits.inc()
-            return engine
-        try:
-            generation = FileGeneration(header)
-        except OSError as exc:
-            raise ValueError(
-                f"{resolved} is not a persisted index (no {HEADER_NAME})"
-            ) from exc
-        with self._lock:
-            self._c_misses.inc()
-        # Load outside the lock -- the expensive part; a racing duplicate
-        # load is harmless (last writer wins, both engines are valid).
-        t0 = time.perf_counter()
-        engine = QueryEngine(
-            key,
-            precision=self._precision,
-            mmap=self._mmap,
-            verify=self._verify,
+        options = dict(
+            precision=self._precision, mmap=self._mmap, verify=self._verify
         )
+        if (resolved / MANIFEST_NAME).is_file():
+            self._c_misses.inc()
+            t0 = time.perf_counter()
+            engine = MutableIndex(resolved, **options)
+            is_current = engine.manifest_is_current
+        else:
+            # Taken before the load: a rewrite racing it can only cause
+            # one extra reload, never a stale hit.
+            try:
+                generation = FileGeneration(resolved / HEADER_NAME)
+            except OSError as exc:
+                raise ValueError(
+                    f"{resolved} is not a persisted index (no {HEADER_NAME})"
+                ) from exc
+            self._c_misses.inc()
+            t0 = time.perf_counter()
+            engine = QueryEngine(key, **options)
+
+            def is_current(spelled: str) -> bool:
+                return generation.matches(Path(spelled) / HEADER_NAME)
+
         # A cache miss on the request path shows up in the trace: the
         # load+verify time is usually the whole cold-start story.
         trace_mod.record_ambient_span(
@@ -302,68 +301,16 @@ class IndexCache:
             attrs={"path": key, "verify": self._verify},
         )
         with self._lock:
-            self._insert_locked(key, engine, generation)
+            self._entries[key] = (key, engine, is_current)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._c_evictions.inc()
         return engine
 
-    def _get_mutable(self, resolved: Path) -> MutableIndex:
-        """Atomic generation swap for mutable stores.
-
-        The entry stays **hit** as long as the on-disk manifest is the one
-        the engine itself last committed
-        (:meth:`MutableIndex.manifest_is_current`) -- a live writer
-        engine keeps serving through its own seals, deletes and
-        compactions (its unsealed buffer must not be dropped by a
-        reload).  When the store was rewritten externally, the stale
-        engine is swapped out atomically: requests already holding it
-        finish on the old generation, new lookups load and see the new
-        one.  Loads are single-flight per store: concurrent cold requests
-        share one engine, so no append lands in a buffer a second load
-        is about to replace.
-        """
-        key = str(resolved)
-        engine = self._current_mutable(key)
-        if engine is not None:
-            return engine
-        with self._lock:
-            flight = self._loading.setdefault(key, threading.Lock())
-        with flight:
-            engine = self._current_mutable(key)
-            if engine is not None:
-                return engine  # a concurrent request loaded it
-            self._c_misses.inc()
-            t0 = time.perf_counter()
-            engine = MutableIndex(
-                resolved,
-                precision=self._precision,
-                mmap=self._mmap,
-                verify=self._verify,
-            )
-            trace_mod.record_ambient_span(
-                "cache.load", time.perf_counter() - t0,
-                attrs={"path": key, "verify": self._verify},
-            )
-            with self._lock:
-                self._insert_locked(key, engine)
-        return engine
-
-    def _current_mutable(self, key: str) -> "MutableIndex | None":
-        """The cached store for ``key`` if it is still current, else None
-        (a stale store is dropped from the cache)."""
-        with self._lock:
-            engine = self._entries.get(key)
-        if not isinstance(engine, MutableIndex):
-            return None
-        current = engine.manifest_is_current()
-        with self._lock:
-            if self._entries.get(key) is engine:
-                if not current:
-                    del self._entries[key]
-                    self._generations.pop(key, None)
-                else:
-                    self._entries.move_to_end(key)
-            if current:
-                self._c_hits.inc()
-        return engine if current else None
+    def engines(self) -> list:
+        """The loaded engines, least recently used first."""
+        return [engine for _, engine, _ in list(self._entries.values())]
 
     def __len__(self) -> int:
         with self._lock:
@@ -384,33 +331,49 @@ class IndexCache:
         return self._stats_from(self.metrics.snapshot())
 
 
+#: Seconds a request may wait for its engine call when neither the
+#: caller (``deadline_s``) nor the service (``default_deadline_s``)
+#: names another deadline.
+DEFAULT_DEADLINE_S = 30.0
+
+
 class _Pending:
     """One in-flight request: an event the dispatcher fulfills.
 
-    ``deadline`` is an absolute :func:`time.monotonic` instant (or None);
-    the dispatcher fails, rather than executes, a request whose deadline
-    has already passed when its batch is dispatched.
+    ``deadline`` is the absolute :func:`time.monotonic` instant by which
+    the request must reach its engine call (None only for handles built
+    by hand).  It drives both checks: the dispatcher fails, rather than
+    executes, a request it takes past the deadline, and :meth:`result`
+    stops waiting at it for a request still queued.  Whichever side
+    gets there first claims the request under one lock, so a
+    :class:`DeadlineExceeded` request never ran, and a request that ran
+    is answered.  ``expired`` is the counter the claiming side bumps.
     """
 
     __slots__ = (
-        "engine", "queries", "eps", "kind", "k", "deadline",
+        "engine", "queries", "eps", "kind", "k", "deadline", "expired",
         "span", "submit_t",
-        "_event", "_result", "_error",
+        "_lock", "_taken", "_event", "_result", "_error",
     )
 
-    def __init__(self, engine, queries, eps, kind, k, deadline=None) -> None:
+    def __init__(
+        self, engine, queries, eps, kind, k, deadline=None, expired=None
+    ) -> None:
         self.engine = engine
         self.queries = queries
         self.eps = eps
-        self.kind = kind  # "range" | "knn"
+        self.kind = kind  # "range" | "knn" | "append" | "delete"
         self.k = k
         self.deadline = deadline
+        self.expired = expired
         # Trace attribution: the submitting thread's ambient span
         # (the HTTP root, or None for direct library use) rides along so
         # the dispatcher thread can attach queue-wait / dispatch / split
         # child spans to the originating request.
         self.span = trace_mod.current_span()
         self.submit_t = time.perf_counter()
+        self._lock = threading.Lock()
+        self._taken = False
         self._event = threading.Event()
         self._result = None
         self._error: BaseException | None = None
@@ -423,15 +386,50 @@ class _Pending:
         self._error = exc
         self._event.set()
 
+    def _expire(self) -> None:
+        if self.expired is not None:
+            self.expired.inc()
+        self._fail(DeadlineExceeded("request deadline passed before dispatch"))
+
+    def _take(self) -> bool:
+        """Claim the request for its engine call (the dispatcher's side).
+
+        False if its waiter already gave up on it, or if its deadline has
+        passed -- then it is failed here, never executed.
+        """
+        with self._lock:
+            if self._taken:
+                return False
+            self._taken = True
+            live = self.deadline is None or time.monotonic() <= self.deadline
+        if not live:
+            self._expire()
+        return live
+
     def result(self, timeout: float | None = None):
         """Block until the dispatcher answers; re-raises its exception.
 
-        A wait that runs out raises :class:`DeadlineExceeded` (a
-        :class:`TimeoutError`), so the HTTP layer answers it with the
-        typed 504 like any other missed deadline.
+        Waits until the deadline, or for ``timeout`` seconds if that is
+        sooner (an upper bound for tests).  A request still queued then
+        is withdrawn -- it will never run -- and raises
+        :class:`DeadlineExceeded` (a :class:`TimeoutError`), which the
+        HTTP layer answers with the typed 504.  A request already in its
+        engine call is waited for; only ``timeout`` cuts that wait short.
         """
-        if not self._event.wait(timeout):
-            raise DeadlineExceeded("query not answered within the timeout")
+        give_up = None if timeout is None else time.monotonic() + timeout
+        ends = [t for t in (self.deadline, give_up) if t is not None]
+        wait = max(0.0, min(ends) - time.monotonic()) if ends else None
+        if not self._event.wait(wait):
+            with self._lock:
+                queued = not self._taken
+                self._taken = True
+            if queued:
+                self._expire()
+            elif not self._event.wait(
+                None if give_up is None
+                else max(0.0, give_up - time.monotonic())
+            ):
+                raise DeadlineExceeded("query not answered within the timeout")
         if self._error is not None:
             raise self._error
         return self._result
@@ -442,20 +440,24 @@ class QueryService:
 
     ``submit`` enqueues a request and returns a handle; a single
     background thread drains the queue, coalesces compatible requests
-    (same engine, eps, and query kind -- kNN requests coalesce across
-    different k, served once at the largest k and split as per-request
-    prefixes) into **one** engine call, and splits the answer back per
-    request.  A batch is the first request plus whatever is already
-    queued behind it (up to ``max_batch_points`` query rows): nothing
-    waits on a timer, so the requests that coalesce are the ones that
-    arrived while the previous engine call ran.  Use as a context
-    manager, or call :meth:`start` / :meth:`stop`.
+    (same engine, eps, query kind and k) into **one** engine call, and
+    splits the answer back per request.  A batch is the first request
+    plus whatever is already queued behind it (up to
+    ``max_batch_points`` query rows): nothing waits on a timer, so the
+    requests that coalesce are the ones that arrived while the previous
+    engine call ran.  Use as a context manager, or call :meth:`start` /
+    :meth:`stop`.
 
+    ``submit``, ``submit_append`` and ``submit_delete`` share one
+    admission: refused while draining, the dispatcher started, the
+    engine looked up, and one deadline fixed -- ``deadline_s``, else
+    ``default_deadline_s`` (:data:`DEFAULT_DEADLINE_S`).  The handle's
+    ``result()`` waits until that deadline, and the dispatcher fails a
+    request it takes later, so a request either reaches its engine call
+    by its deadline or raises :class:`DeadlineExceeded` without running.
     The submission queue is bounded at ``max_queue_depth`` requests: a
-    full queue makes ``submit`` raise :class:`ServiceOverloaded`
-    immediately (admission control -- reject fast, never buffer without
-    bound).  ``default_deadline_s`` attaches a deadline to every request
-    that does not bring its own.
+    full queue raises :class:`ServiceOverloaded` immediately (admission
+    control -- reject fast, never buffer without bound).
     """
 
     def __init__(
@@ -466,23 +468,19 @@ class QueryService:
         precision: str = "fp64",
         mmap: bool = True,
         max_queue_depth: int = 256,
-        default_deadline_s: float | None = None,
+        default_deadline_s: float = DEFAULT_DEADLINE_S,
         verify: str = "header",
         metrics: "MetricsRegistry | None" = None,
         tracer: "trace_mod.Tracer | None" = None,
     ) -> None:
-        # One registry backs service + cache: adopt an explicit one, else
-        # the supplied cache's, else create a fresh one -- so /stats and
-        # /metrics always read the same counters.
-        if cache is not None:
-            self.metrics = metrics if metrics is not None else cache.metrics
-            self.cache = cache
-        else:
-            self.metrics = metrics if metrics is not None else MetricsRegistry()
-            self.cache = IndexCache(
-                precision=precision, mmap=mmap,
-                verify=verify, metrics=self.metrics,
-            )
+        # One registry backs service + cache, so /stats and /metrics
+        # always read the same counters: a supplied cache brings its own,
+        # else the service builds its cache over ``metrics`` (or a fresh
+        # registry).
+        self.cache = cache if cache is not None else IndexCache(
+            precision=precision, mmap=mmap, verify=verify, metrics=metrics,
+        )
+        self.metrics = self.cache.metrics
         # The tracer is always present: request ids are echoed and stage
         # timings aggregated unconditionally; ``sample`` only decides
         # which completed traces are *retained* for /trace endpoints.
@@ -495,7 +493,7 @@ class QueryService:
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         self.max_queue_depth = int(max_queue_depth)
-        self.default_deadline_s = default_deadline_s
+        self.default_deadline_s = float(default_deadline_s)
         self._queue: "queue.Queue[_Pending]" = queue.Queue(
             maxsize=self.max_queue_depth
         )
@@ -579,35 +577,20 @@ class QueryService:
             "repro_mutable_compaction_seconds",
             "Wall time of one compaction (seal + rebuild + commit)",
         )
-        m.gauge(
-            "repro_mutable_delta_depth",
-            "Delta layers (sealed segments + live buffer) summed over "
-            "cached mutable indexes",
-            fn=lambda: float(sum(
-                e.delta_depth
-                for e in list(self.cache._entries.values())
+        for name, attr, help_text in (
+            ("repro_mutable_delta_depth", "delta_depth",
+             "Delta layers (sealed segments + live buffer) summed over "
+             "cached mutable indexes"),
+            ("repro_mutable_delta_rows", "delta_rows",
+             "Delta-block rows (every non-base row a read multiplies its "
+             "queries against) summed over cached mutable indexes"),
+            ("repro_mutable_tombstones", "n_tombstones",
+             "Live tombstones summed over cached mutable indexes"),
+        ):
+            m.gauge(name, help_text, fn=lambda attr=attr: float(sum(
+                getattr(e, attr) for e in self.cache.engines()
                 if isinstance(e, MutableIndex)
-            )),
-        )
-        m.gauge(
-            "repro_mutable_delta_rows",
-            "Delta-block rows (every non-base row a read multiplies its "
-            "queries against) summed over cached mutable indexes",
-            fn=lambda: float(sum(
-                e.delta_rows
-                for e in list(self.cache._entries.values())
-                if isinstance(e, MutableIndex)
-            )),
-        )
-        m.gauge(
-            "repro_mutable_tombstones",
-            "Live tombstones summed over cached mutable indexes",
-            fn=lambda: float(sum(
-                e.n_tombstones
-                for e in list(self.cache._entries.values())
-                if isinstance(e, MutableIndex)
-            )),
-        )
+            )))
         # Per-stage engine time aggregated across every dispatched batch
         # (fed from TraceHooks regardless of trace retention).
         self._h_stage = m.histogram(
@@ -694,26 +677,17 @@ class QueryService:
         """True while :meth:`stop` is refusing new submissions."""
         return self._draining
 
-    def stop(self, drain: bool = True) -> None:
+    def stop(self) -> None:
         """Stop the dispatcher; never abandon a queued request.
 
-        ``drain=True`` (the default) fails everything still queued
-        immediately with :class:`ServiceShuttingDown` -- waiters get a
-        typed error now instead of sitting out their own timeouts.
-        ``drain=False`` lets the dispatcher serve the queue out first.
-        Either way new submissions are refused (``ServiceShuttingDown``)
-        until the stop completes; afterwards a submit revives the
-        service.
+        Everything still queued fails immediately with
+        :class:`ServiceShuttingDown` -- waiters get a typed error now
+        instead of sitting out their deadlines.  New submissions are
+        refused (``ServiceShuttingDown``) until the stop completes;
+        afterwards a submit revives the service.
         """
         self._draining = True
         try:
-            if not drain:
-                # Serve out what was admitted before the drain flag went
-                # up; nothing new can join the queue behind it.
-                while self._thread is not None and self._thread.is_alive():
-                    if self._queue.empty():
-                        break
-                    time.sleep(0.001)
             self._stop.set()
             # The loop drops its own reference when it exits; one that
             # is still inside a batch when the join times out stays the
@@ -722,7 +696,7 @@ class QueryService:
             if thread is not None:
                 thread.join(timeout=5.0)
             # Fail anything still queued rather than leaving its waiters
-            # blocked until their own timeouts.
+            # blocked until their deadlines.
             while True:
                 try:
                     pending = self._queue.get_nowait()
@@ -747,6 +721,47 @@ class QueryService:
             return index
         return self.cache.get(index)
 
+    def _mutable_engine_for(self, index) -> MutableIndex:
+        engine = self.engine_for(index)
+        if not isinstance(engine, MutableIndex):
+            raise TypeError(
+                "index is immutable: append/delete/compact need a store "
+                "built with --mutable (see repro.index.delta)"
+            )
+        return engine
+
+    def _admit(self, index, deadline_s, lookup) -> tuple:
+        """The admission every submission shares: ``(engine, deadline)``.
+
+        Refused with :class:`ServiceShuttingDown` while a :meth:`stop` is
+        in progress.  Starts the dispatcher if it is not running, so the
+        service works without an explicit :meth:`start` and a stopped
+        service revives on the next submission instead of queueing
+        forever.  The deadline is absolute: ``deadline_s`` (else
+        ``default_deadline_s``) seconds from now.
+        """
+        if self._draining:
+            raise ServiceShuttingDown("query service is draining")
+        self.start()
+        engine = lookup(index)
+        if deadline_s is None:
+            deadline_s = self.default_deadline_s
+        return engine, time.monotonic() + float(deadline_s)
+
+    def _enqueue(self, engine, payload, kind, deadline, eps=None, k=None):
+        pending = _Pending(
+            engine, payload, eps, kind, k, deadline, self._c_expired
+        )
+        try:
+            self._queue.put_nowait(pending)
+        except queue.Full:
+            self._c_rejected.inc()
+            raise ServiceOverloaded(
+                f"submission queue is full ({self.max_queue_depth} requests "
+                "queued); back off and retry",
+            ) from None
+        return pending
+
     def submit(
         self,
         index: "QueryEngine | str | Path",
@@ -758,21 +773,12 @@ class QueryService:
     ) -> _Pending:
         """Enqueue one range (``k=None``) or kNN query batch.
 
-        Starts the dispatcher if it is not running, so the service works
-        without an explicit :meth:`start` and a stopped service revives
-        on the next submission instead of queueing forever.
-
-        Raises :class:`ServiceShuttingDown` while a :meth:`stop` is in
-        progress and :class:`ServiceOverloaded` -- immediately, without
-        blocking -- when the bounded queue is full.  ``deadline_s``
-        (falling back to ``default_deadline_s``) bounds how stale the
-        request may be when its batch dispatches: past the deadline it is
-        failed with :class:`DeadlineExceeded` instead of executed.
+        Raises :class:`ServiceOverloaded` -- immediately, without
+        blocking -- when the bounded queue is full.  A request that has
+        not reached its engine call by its deadline (see :meth:`_admit`)
+        fails with :class:`DeadlineExceeded` instead of running.
         """
-        if self._draining:
-            raise ServiceShuttingDown("query service is draining")
-        self.start()
-        engine = self.engine_for(index)
+        engine, deadline = self._admit(index, deadline_s, self.engine_for)
         q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
         if q.ndim == 1:
             q = q[None, :]
@@ -784,47 +790,20 @@ class QueryService:
                 f"queries must be (q, {engine.dim}); got shape {q.shape}"
             )
         if k is not None and int(k) < 1:
-            # Alone, a bad k fails in the engine; coalesced with a valid
-            # one it would be sliced out of the max-k answer instead.
             raise ValueError("k must be positive")
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        return self._enqueue(_Pending(
-            engine,
-            q,
-            float(eps) if eps is not None else None,
-            "knn" if k is not None else "range",
-            int(k) if k is not None else None,
-            time.monotonic() + float(deadline_s)
-            if deadline_s is not None
-            else None,
-        ))
+        return self._enqueue(
+            engine, q, "knn" if k is not None else "range", deadline,
+            eps=float(eps) if eps is not None else None,
+            k=int(k) if k is not None else None,
+        )
 
-    def query(self, index, queries, *, eps=None, k=None, timeout=30.0):
-        """Blocking convenience: ``submit(...).result(timeout)``."""
-        return self.submit(index, queries, eps=eps, k=k).result(timeout)
+    def query(self, index, queries, *, eps=None, k=None, deadline_s=None):
+        """Blocking convenience: ``submit(...).result()``."""
+        return self.submit(
+            index, queries, eps=eps, k=k, deadline_s=deadline_s
+        ).result()
 
     # -- mutations ------------------------------------------------------
-
-    def _mutable_engine_for(self, index) -> MutableIndex:
-        engine = self.engine_for(index)
-        if not isinstance(engine, MutableIndex):
-            raise TypeError(
-                "index is immutable: append/delete/compact need a store "
-                "built with --mutable (see repro.index.delta)"
-            )
-        return engine
-
-    def _enqueue(self, pending: _Pending) -> _Pending:
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            self._c_rejected.inc()
-            raise ServiceOverloaded(
-                f"submission queue is full ({self.max_queue_depth} requests "
-                "queued); back off and retry",
-            ) from None
-        return pending
 
     def submit_append(self, index, rows, *, deadline_s=None) -> _Pending:
         """Enqueue an append of ``rows`` to a mutable index.
@@ -835,10 +814,9 @@ class QueryService:
         dispatcher thread.  The result is the ``int64`` array of ids
         minted for the rows.
         """
-        if self._draining:
-            raise ServiceShuttingDown("query service is draining")
-        self.start()
-        engine = self._mutable_engine_for(index)
+        engine, deadline = self._admit(
+            index, deadline_s, self._mutable_engine_for
+        )
         r = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
         if r.ndim == 1:
             r = r[None, :]
@@ -846,14 +824,7 @@ class QueryService:
             raise ValueError(
                 f"rows must be (n >= 1, {engine.dim}); got shape {r.shape}"
             )
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        return self._enqueue(_Pending(
-            engine, r, None, "append", None,
-            time.monotonic() + float(deadline_s)
-            if deadline_s is not None
-            else None,
-        ))
+        return self._enqueue(engine, r, "append", deadline)
 
     def submit_delete(self, index, ids, *, deadline_s=None) -> _Pending:
         """Enqueue a tombstone-delete of ``ids`` from a mutable index.
@@ -862,29 +833,21 @@ class QueryService:
         dead ids fail the request with :class:`ValueError` (mapped to
         400 over HTTP) without touching the store.
         """
-        if self._draining:
-            raise ServiceShuttingDown("query service is draining")
-        self.start()
-        engine = self._mutable_engine_for(index)
+        engine, deadline = self._admit(
+            index, deadline_s, self._mutable_engine_for
+        )
         arr = np.asarray(ids, dtype=np.int64).ravel()
         if arr.size == 0:
             raise ValueError("ids must name at least one row")
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        return self._enqueue(_Pending(
-            engine, arr, None, "delete", None,
-            time.monotonic() + float(deadline_s)
-            if deadline_s is not None
-            else None,
-        ))
+        return self._enqueue(engine, arr, "delete", deadline)
 
-    def append(self, index, rows, *, timeout=30.0):
-        """Blocking convenience: ``submit_append(...).result(timeout)``."""
-        return self.submit_append(index, rows).result(timeout)
+    def append(self, index, rows, *, deadline_s=None):
+        """Blocking convenience: ``submit_append(...).result()``."""
+        return self.submit_append(index, rows, deadline_s=deadline_s).result()
 
-    def delete(self, index, ids, *, timeout=30.0):
-        """Blocking convenience: ``submit_delete(...).result(timeout)``."""
-        return self.submit_delete(index, ids).result(timeout)
+    def delete(self, index, ids, *, deadline_s=None):
+        """Blocking convenience: ``submit_delete(...).result()``."""
+        return self.submit_delete(index, ids, deadline_s=deadline_s).result()
 
     def compact(self, index) -> dict:
         """Fold sealed segments + tombstones into a new base generation.
@@ -913,13 +876,8 @@ class QueryService:
         is internally consistent and always agrees with ``/metrics``.
         """
         snap = self.metrics.snapshot()
-        cache_stats = (
-            self.cache._stats_from(snap)
-            if self.cache.metrics is self.metrics
-            else self.cache.stats()
-        )
         return {
-            "cache": cache_stats,
+            "cache": self.cache._stats_from(snap),
             "batches_dispatched": int(
                 snap["repro_service_batches_dispatched_total"]
             ),
@@ -979,30 +937,17 @@ class QueryService:
             return True
 
     def _dispatch(self, batch: list[_Pending]) -> None:
-        now = time.monotonic()
         groups: "OrderedDict[tuple, list[_Pending]]" = OrderedDict()
         for req in batch:
             # A request past its deadline is failed, not executed -- its
-            # waiter has given up (or will, immediately); spending an
-            # engine call on it only delays the still-live requests
-            # batched behind it.
-            if req.deadline is not None and now > req.deadline:
-                self._c_expired.inc()
-                req._fail(
-                    DeadlineExceeded(
-                        "request deadline passed before dispatch"
-                    )
-                )
+            # waiter has given up; spending an engine call on it only
+            # delays the still-live requests batched behind it.
+            if not req._take():
                 continue
             if req.kind in ("append", "delete"):
                 # Mutations never coalesce: each is its own serialized
                 # engine call, so the op log order equals dispatch order.
                 key = (id(req),)
-            elif req.kind == "knn":
-                # k is deliberately absent: mixed-k kNN requests share
-                # one engine call at the largest k (_run_group slices
-                # each request's prefix back out).
-                key = (id(req.engine), req.eps, req.kind)
             else:
                 key = (id(req.engine), req.eps, req.kind, req.k)
             groups.setdefault(key, []).append(req)
@@ -1116,33 +1061,27 @@ class QueryService:
         if faults.ARMED:
             faults.check("service.dispatch")
         engine = reqs[0].engine
-        if reqs[0].kind == "append":
+        kind = reqs[0].kind
+        if kind in ("append", "delete"):
             req = reqs[0]
             t0 = time.perf_counter()
-            ids = engine.append(req.queries)
+            if kind == "append":
+                out = engine.append(req.queries)
+                n, attr = int(out.size), "rows"
+                ops, rows = self._c_appends, self._c_rows_appended
+            else:
+                out = n = int(engine.delete(req.queries))
+                attr = "deleted"
+                ops, rows = self._c_deletes, self._c_tombstones_written
             if req.span is not None:
                 self.tracer.record_span(
-                    "engine.append", time.perf_counter() - t0,
-                    parent=req.span, attrs={"rows": int(ids.size)},
+                    f"engine.{kind}", time.perf_counter() - t0,
+                    parent=req.span, attrs={attr: n},
                 )
             with self.metrics.lock:
-                self._c_appends.inc()
-                self._c_rows_appended.inc(int(ids.size))
-            req._fulfill(ids)
-            return
-        if reqs[0].kind == "delete":
-            req = reqs[0]
-            t0 = time.perf_counter()
-            n = engine.delete(req.queries)
-            if req.span is not None:
-                self.tracer.record_span(
-                    "engine.delete", time.perf_counter() - t0,
-                    parent=req.span, attrs={"deleted": int(n)},
-                )
-            with self.metrics.lock:
-                self._c_deletes.inc()
-                self._c_tombstones_written.inc(int(n))
-            req._fulfill(int(n))
+                ops.inc()
+                rows.inc(n)
+            req._fulfill(out)
             return
         t_asm = time.perf_counter()
         cat = (
@@ -1167,72 +1106,55 @@ class QueryService:
                 (r.span.trace_id for r in reqs if r.span is not None), None
             )
         )
-        if reqs[0].kind == "knn":
-            # Serve the whole group once at the largest requested k.
-            # Every smaller-k answer is the leading columns of its rows:
-            # the kNN kernel breaks distance ties deterministically by
-            # (distance, index) with a stable sort, so top-k is a strict
-            # prefix of top-max_k, and short-of-k padding (-1 / +inf) is
-            # positional -- the slices are bit-identical to per-request
-            # calls at each request's own k.
-            max_k = max(r.k for r in reqs)
-            t_exec = time.perf_counter()
-            with trace_mod.use_hooks(hooks):
-                res = engine.knn_query(cat, max_k)
-            exec_s = time.perf_counter() - t_exec
-            stages = hooks.snapshot()
-            self._observe_stages(stages)
-            self._trace_exec(
-                reqs, int(cat.shape[0]), exec_s, stages, dispatch
-            )
-            off = 0
-            for req in reqs:
-                m = req.queries.shape[0]
-                t_split = time.perf_counter()
-                out = KnnResult(
-                    k=req.k,
-                    n_points=res.n_points,
-                    indices=res.indices[off : off + m, : req.k],
-                    sq_dists=res.sq_dists[off : off + m, : req.k],
-                )
-                if req.span is not None:
-                    # Recorded before _fulfill: once the waiter holds the
-                    # answer it may finish the root and seal the trace.
-                    self.tracer.record_span(
-                        "batch.split", time.perf_counter() - t_split,
-                        parent=req.span,
-                    )
-                req._fulfill(out)
-                off += m
-            return
         t_exec = time.perf_counter()
         with trace_mod.use_hooks(hooks):
-            res = engine.range_query(cat, reqs[0].eps)
+            if kind == "knn":
+                res = engine.knn_query(cat, reqs[0].k)
+            else:
+                res = engine.range_query(cat, reqs[0].eps)
         exec_s = time.perf_counter() - t_exec
         stages = hooks.snapshot()
         self._observe_stages(stages)
         self._trace_exec(reqs, int(cat.shape[0]), exec_s, stages, dispatch)
+        split = _knn_rows if kind == "knn" else _range_rows
         off = 0
         for req in reqs:
             m = req.queries.shape[0]
             t_split = time.perf_counter()
-            sel = (res.pairs_i >= off) & (res.pairs_i < off + m)
-            sq = res.sq_dists[sel] if res.sq_dists.size else res.sq_dists
-            out = JoinResult(
-                n_left=m,
-                n_right=res.n_right,
-                eps=res.eps,
-                pairs_i=res.pairs_i[sel] - off,
-                pairs_j=res.pairs_j[sel],
-                sq_dists=sq,
-            )
+            out = split(res, off, m)
             if req.span is not None:
+                # Recorded before _fulfill: once the waiter holds the
+                # answer it may finish the root and seal the trace.
                 self.tracer.record_span(
                     "batch.split", time.perf_counter() - t_split,
                     parent=req.span,
                 )
             req._fulfill(out)
             off += m
+
+
+def _knn_rows(res: KnnResult, off: int, m: int) -> KnnResult:
+    """Rows ``off:off+m`` of a batch's kNN answer."""
+    return KnnResult(
+        k=res.k,
+        n_points=res.n_points,
+        indices=res.indices[off : off + m],
+        sq_dists=res.sq_dists[off : off + m],
+    )
+
+
+def _range_rows(res: JoinResult, off: int, m: int) -> JoinResult:
+    """The pairs of query rows ``off:off+m`` of a batch's range answer,
+    renumbered from 0."""
+    sel = (res.pairs_i >= off) & (res.pairs_i < off + m)
+    return JoinResult(
+        n_left=m,
+        n_right=res.n_right,
+        eps=res.eps,
+        pairs_i=res.pairs_i[sel] - off,
+        pairs_j=res.pairs_j[sel],
+        sq_dists=res.sq_dists[sel] if res.sq_dists.size else res.sq_dists,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1335,8 +1257,8 @@ def _post_route(svc: QueryService, registry: dict, path: str, raw: bytes):
     """POST routing: ``(status, payload, headers)`` for one request body.
 
     Validates ``raw``, runs the service call -- blocking in
-    ``pending.result`` for queries and writes, or in the compaction
-    itself -- and formats the 200 payload.  Service-typed errors
+    ``pending.result`` (until the request's deadline) for queries and
+    writes, or in the compaction itself -- and formats the 200 payload.  Service-typed errors
     (overload, draining, malformed input) raise to the caller, which
     maps them through :func:`_error_response`.
     """
@@ -1366,7 +1288,7 @@ def _post_route(svc: QueryService, registry: dict, path: str, raw: bytes):
         else:
             pending = svc.submit(index, queries, eps=req.get("eps"))
             to_payload = _range_payload
-    return 200, to_payload(pending.result(timeout=30.0)), None
+    return 200, to_payload(pending.result()), None
 
 
 def _error_response(exc: BaseException):
@@ -1418,8 +1340,9 @@ def make_server(
     Every failure mode answers with well-formed JSON, never a stack
     trace: 400 (malformed request or ``Content-Length``), 404 (unknown
     path/index), 413 (body over ``max_body_bytes``), 429 +
-    ``Retry-After`` (admission queue full), 503 (draining), 500
-    (anything unexpected, as ``{"error": ...}``).
+    ``Retry-After`` (admission queue full), 503 (draining), 504 (the
+    request's deadline passed before it ran), 500 (anything
+    unexpected, as ``{"error": ...}``).
 
     Tracing: every request opens a root span and every response --
     errors included -- echoes its trace id as ``X-Request-Id``.
@@ -1493,22 +1416,19 @@ def make_server(
                 attrs={"method": self.command, "path": self.path},
             )
 
-        def _finish(self, code: int) -> None:
+        def _send(
+            self, code: int, body: bytes,
+            content_type: str = "application/json",
+            headers: "dict[str, str] | None" = None,
+        ) -> None:
+            # Counted before the body is written: a client holding the
+            # response is guaranteed to find the request in /metrics.
             http_requests.inc(endpoint=self._endpoint, status=str(code))
             http_latency.observe(
                 time.perf_counter() - self._t0, endpoint=self._endpoint
             )
-
-        def _send(
-            self, code: int, payload: dict,
-            headers: "dict[str, str] | None" = None,
-        ) -> None:
-            body = json.dumps(payload).encode()
-            # Counted before the body is written: a client holding the
-            # response is guaranteed to find the request in /metrics.
-            self._finish(code)
             self.send_response(code)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.send_header("X-Request-Id", self._span.trace_id)
             for key, value in (headers or {}).items():
@@ -1522,25 +1442,15 @@ def make_server(
             self._begin()
             with trace_mod.activate(self._span):
                 if self.path == "/metrics":
-                    # Rendered before this request is counted: the text
-                    # is a snapshot taken strictly before the response
-                    # completes, so counters stay monotonic across
-                    # scrapes.
+                    # Rendered before _send counts this request: the
+                    # text is a snapshot taken strictly before the
+                    # response completes, so counters stay monotonic
+                    # across scrapes.
                     body = svc.metrics.render().encode()
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", PROMETHEUS_CONTENT_TYPE
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.send_header("X-Request-Id", self._span.trace_id)
-                    self.end_headers()
-                    self.wfile.write(body)
-                    self._finish(200)
-                    self._span.set_attr("http.status", 200)
-                    self._span.finish()
+                    self._send(200, body, PROMETHEUS_CONTENT_TYPE)
                     return
                 code, payload = _get_route(svc, registry, self.path)
-                self._send(code, payload)
+                self._send(code, json.dumps(payload).encode())
 
         def do_POST(self) -> None:  # noqa: N802 (stdlib casing)
             self._begin()
@@ -1569,7 +1479,7 @@ def make_server(
                             f"{max_body_bytes} byte limit"
                         )
                     self._send(
-                        code, {"error": error},
+                        code, json.dumps({"error": error}).encode(),
                         headers={"Connection": "close"},
                     )
                     return
@@ -1587,11 +1497,12 @@ def make_server(
                             svc, registry, self.path, raw
                         )
                 except Exception as exc:  # noqa: BLE001 -- a JSON error
-                    # beats a dropped connection (e.g. a dispatch
-                    # TimeoutError).
+                    # beats a dropped connection.
                     self._span.record_error(exc)
                     code, payload, headers = _error_response(exc)
-                self._send(code, payload, headers)
+                self._send(
+                    code, json.dumps(payload).encode(), headers=headers
+                )
 
     server = ThreadingHTTPServer((host, port), Handler)
     server.service = svc  # type: ignore[attr-defined]

@@ -1,5 +1,5 @@
 """HTTP serving pipeline: front-end conformance, drain-the-queue
-micro-batching, cross-k kNN coalescing and client connection reuse.
+micro-batching, mixed-k kNN grouping and client connection reuse.
 
 The contracts under test: one keep-alive connection serves a mixed
 sequence of answers and error responses without losing its framing,
@@ -200,7 +200,7 @@ class TestDrainBatching:
             # The join "times out": the dispatcher is still mid-batch.
             svc._thread.join = lambda timeout=None: None
             svc.stop()
-            res = svc.query(engine, data[:2], timeout=10.0)
+            res = svc.query(engine, data[:2], deadline_s=10.0)
             assert res.n_left == 2
             assert len(_dispatcher_threads() - existing) == 1
         finally:
@@ -217,17 +217,27 @@ class TestRemovedBatchWindowKnob:
 
 
 # ----------------------------------------------------------------------
-# Cross-k kNN coalescing
+# Mixed-k kNN: kNN requests group by k, like range requests by eps
 # ----------------------------------------------------------------------
 
 
+def _record_knn_calls(engine):
+    """Wrap ``engine.knn_query`` to log the k of every engine call."""
+    calls = []
+    real = engine.knn_query
+
+    def knn_query(q, k):
+        calls.append(k)
+        return real(q, k)
+
+    engine.knn_query = knn_query
+    return calls
+
+
 class TestCrossKCoalescing:
-    def test_dispatch_serves_max_k_and_splits_prefixes(
-        self, data_eps, index_dir
-    ):
-        """One engine batch answers every k; each answer is bit-identical
-        to the per-request serial call (top-k' is a prefix of top-k
-        under the stable (distance, index) order)."""
+    def test_dispatch_runs_one_engine_call_per_k(self, data_eps, index_dir):
+        """Requests of one k share an engine call at that k, and every
+        answer is bit-identical to the per-request serial call."""
         data, eps = data_eps
         engine = QueryEngine(index_dir)
         rng = np.random.default_rng(3)
@@ -236,16 +246,19 @@ class TestCrossKCoalescing:
                 data[rng.integers(0, len(data), nq)]
                 + rng.normal(0, 0.05, size=(nq, data.shape[1]))
             )
-            for nq in (3, 1, 4)
+            for nq in (3, 1, 4, 2)
         ]
-        ks = (1, 7, 3)
+        ks = (1, 7, 3, 7)
         svc = QueryService()
         try:
             batch = [
                 _Pending(engine, q, None, "knn", k, None)
                 for q, k in zip(qs, ks)
             ]
+            calls = _record_knn_calls(engine)
             svc._dispatch(batch)
+            del engine.knn_query
+            assert calls == [1, 7, 3]
             for pending, q, k in zip(batch, qs, ks):
                 got = pending.result(timeout=5.0)
                 want = engine.knn_query(q, k)
@@ -260,6 +273,9 @@ class TestCrossKCoalescing:
             svc.stop()
 
     def test_live_coalesced_cross_k_matches_serial(self, data_eps, index_dir):
+        """Mixed-k requests queued behind a held batch each equal their
+        serial call bitwise; the next batch runs one engine call per k,
+        and only the two k=5 requests share one."""
         data, eps = data_eps
         svc = QueryService()
         try:
@@ -270,16 +286,17 @@ class TestCrossKCoalescing:
                     data[rng.integers(0, len(data), 2)]
                     + rng.normal(0, 0.05, size=(2, data.shape[1]))
                 )
-                for _ in range(6)
+                for _ in range(7)
             ]
-            ks = (1, 2, 3, 4, 5, 8)
+            ks = (1, 2, 3, 4, 5, 8, 5)
+            wants = [engine.knn_query(q, k) for q, k in zip(qs, ks)]
             held = _hold(svc, engine, data[:1])
+            calls = _record_knn_calls(engine)
             pendings = [
                 svc.submit(engine, q, k=k) for q, k in zip(qs, ks)
             ]
-            for pending, q, k in zip(pendings, qs, ks):
+            for pending, want, k in zip(pendings, wants, ks):
                 got = pending.result(timeout=10.0)
-                want = engine.knn_query(q, k)
                 assert got.k == k
                 np.testing.assert_array_equal(got.indices, want.indices)
                 assert np.array_equal(
@@ -287,9 +304,9 @@ class TestCrossKCoalescing:
                     want.sq_dists.view(np.uint32),
                 )
             held.result(timeout=10.0)
-            # Every different-k request queued behind the held batch and
-            # shared the next engine call.
-            assert svc.stats()["requests_coalesced"] == len(ks)
+            del engine.knn_query
+            assert sorted(calls) == sorted(set(ks))
+            assert svc.stats()["requests_coalesced"] == 2
         finally:
             faults.disarm()
             svc.stop()

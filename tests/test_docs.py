@@ -223,6 +223,29 @@ def test_query_docstring_states_the_fp64_contract_that_holds():
     assert "bit-identical to the brute-force reference" not in doc
 
 
+def test_docs_state_one_default_deadline_and_no_cross_k_coalescing():
+    """README and ARCHITECTURE describe the service the code runs: one
+    request deadline whose default is ``DEFAULT_DEADLINE_S`` (30 s), and
+    kNN batches of one ``k`` -- no cross-``k`` coalescing at a max-k."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.service.server import DEFAULT_DEADLINE_S
+    finally:
+        sys.path.pop(0)
+    assert DEFAULT_DEADLINE_S == 30.0
+    readme = " ".join((REPO_ROOT / "README.md").read_text().split())
+    arch = " ".join(
+        (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text().split()
+    )
+    assert "one request deadline (default 30 s)" in readme
+    assert "**one deadline**" in arch
+    assert "`server.DEFAULT_DEADLINE_S` (30 s)" in arch
+    for text in (readme, arch):
+        assert "cross-`k`" not in text
+        assert "max-k" not in text
+        assert "maximum requested `k`" not in text
+
+
 def test_environment_knobs_are_exactly_the_documented_two():
     """Every ``REPRO_*`` name the package reads from the environment is a
     string literal naming it whole (``os.environ.get("REPRO_NATIVE")``,

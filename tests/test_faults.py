@@ -526,7 +526,7 @@ class TestAdmissionControl:
         assert time.monotonic() - t0 < 5.0
         # A later submit revives the stopped service.
         faults.disarm()
-        res = svc.query(path, q, eps=eps, timeout=10)
+        res = svc.query(path, q, eps=eps, deadline_s=10)
         assert res.n_left == 4
         svc.stop()
 
@@ -795,6 +795,41 @@ class TestHttpStatusAccounting:
         assert [s for s, _, _ in results] == [200]
         assert booked == {"200": 1.0, "504": 1.0}
         assert svc.stats()["requests_expired"] == 1
+
+
+class TestOneDeadline:
+    def test_queued_request_answers_504_at_its_deadline(self, served_index):
+        """The waiter gives up at the request's one deadline: a /range
+        queued behind a dispatcher held ~1 s answers 504 after ~0.2 s,
+        not when the dispatcher gets to it, and never runs."""
+        path, data, eps = served_index
+        payload = json.dumps({"queries": data[:2].tolist(), "eps": eps}).encode()
+        svc = QueryService(default_deadline_s=0.2)
+        with _serve(path, service=svc) as port:
+            faults.arm("service.dispatch", "delay", param=1.0, count=1)
+            try:
+                held = svc.submit(path, data[:2], eps=eps, deadline_s=10.0)
+                give_up = time.monotonic() + 5.0
+                while svc.batches_dispatched == 0:  # held inside the delay
+                    assert time.monotonic() < give_up
+                    time.sleep(0.001)
+                t0 = time.monotonic()
+                status, _, body = _raw_post(port, "/range", payload)
+                elapsed = time.monotonic() - t0
+                assert held.result().n_left == 2
+            finally:
+                faults.disarm()
+            booked = _range_statuses(port)
+        assert status == 504 and "deadline" in body["error"]
+        assert elapsed < 0.8
+        assert booked == {"504": 1.0}
+        assert svc.stats()["requests_expired"] == 1
+        assert svc.stats()["batches_dispatched"] == 1
+
+    def test_default_deadline_is_the_named_constant(self):
+        from repro.service.server import DEFAULT_DEADLINE_S
+
+        assert QueryService().default_deadline_s == DEFAULT_DEADLINE_S == 30.0
 
 
 # ----------------------------------------------------------------------

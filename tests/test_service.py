@@ -16,6 +16,7 @@ The serving contracts, executable:
 
 import json
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,43 @@ class TestIndexCache:
         # i0 was evicted: a re-get is a miss producing a fresh engine.
         again = cache.get(paths[0])
         assert again is not engines[0]
+
+    def test_cold_lookups_load_an_index_once(
+        self, data_eps, tmp_path, monkeypatch
+    ):
+        """Concurrent cold lookups of one immutable index share one
+        single-flight load: one engine object and one miss."""
+        import repro.service.server as server_mod
+
+        data, eps = data_eps
+        build_index(data, eps, tmp_path / "g")
+        loads = []
+
+        class SlowLoad(QueryEngine):
+            def __init__(self, *args, **kwargs):
+                loads.append(1)
+                time.sleep(0.2)  # every lookup is in flight before it ends
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "QueryEngine", SlowLoad)
+        cache = IndexCache()
+        n = 4
+        barrier = threading.Barrier(n)
+        got = []
+
+        def cold():
+            barrier.wait()
+            got.append(cache.get(tmp_path / "g"))
+
+        threads = [threading.Thread(target=cold) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert len(loads) == 1
+        assert len(got) == n and all(e is got[0] for e in got)
+        assert cache.misses == 1 and cache.hits == n - 1
 
     def test_rejects_non_index(self, tmp_path):
         cache = IndexCache()

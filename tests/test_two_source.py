@@ -440,10 +440,25 @@ class TestKernelSelfJoinSource:
 
     def test_default_build_block(self, data_eps):
         """Without a budget the source build reads SOURCE_BUILD_ROWS-row
-        passes."""
+        passes, clamped to the source: 450 rows are one pass of 450."""
         data, eps = data_eps
         got = GdsJoinKernel().self_join(ArraySource(data), eps)
-        assert got.result.stream_stats.plan.row_block == SOURCE_BUILD_ROWS
+        assert data.shape[0] < SOURCE_BUILD_ROWS
+        assert got.result.stream_stats.plan.row_block == data.shape[0]
+
+    @pytest.mark.parametrize("kernel", [
+        GdsJoinKernel, lambda: TedJoinKernel(variant="index"), MisticKernel,
+    ], ids=["gds-join", "ted-join-index", "mistic"])
+    def test_reported_plan_is_the_one_that_ran(self, data_eps, kernel):
+        """The unbudgeted plan's edge never exceeds the data, so the
+        residency the plan claims is bounded by the data's own size."""
+        data, eps = data_eps
+        n, d = data.shape
+        stats = kernel().self_join(ArraySource(data), eps).result.stream_stats
+        assert stats.plan.row_block <= n and stats.plan.col_block <= n
+        assert stats.plan.peak_resident_bytes(d) <= (
+            stats.plan.RESIDENT_BLOCKS * n * (d + 1) * 8
+        )
 
 
 class TestBatchedSourceExecutor:
@@ -675,12 +690,15 @@ class TestCliTwoSource:
         with pytest.raises(SystemExit):
             main(["join", str(pa), str(pb), "--method", "gds-join", "--batched"])
 
-    def test_data_flag_conflicts_with_positional(self, tmp_path):
+    def test_data_flag_is_gone(self, tmp_path):
+        """The dataset is the A positional; ``--data`` is an unknown
+        flag (argparse exits 2)."""
         from repro.cli import main
 
         pa, _pb = self._write_pair(tmp_path)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["join", str(pa), "--data", str(pa)])
+        assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------
