@@ -577,56 +577,24 @@ def bench_query_service() -> dict:
     }
 
 
-def _v2_copy(src: Path, dst: Path) -> None:
-    """Rewrite a cell-ordered (v3) index directory in the v2 layout.
-
-    The v2 layout is what the v2 writer produced: rows in original order
-    beside a ``sort`` payload (the v3 ``ids``), no stored norms.  The
-    current reader loads it through its v2 path -- identity ids, each
-    candidate set gathered and normed per request.
-    """
-    from repro.index.persist import (
-        HEADER_NAME, _stage_payload, load_index, read_header,
-    )
-
-    header = read_header(src)
-    loaded = load_index(src)
-    ids = np.asarray(loaded.ids)
-    dst.mkdir()
-    arrays = {}
-    for name in ("order", "starts", "ends", "unique"):
-        arrays[name] = _stage_payload(
-            dst, f"{name}-v2.npy", np.load(src / header["arrays"][name]["file"])
-        )
-    arrays["sort"] = _stage_payload(dst, "sort-v2.npy", ids)
-    rows = np.empty(loaded.source.shape)
-    rows[ids] = loaded.source.materialize()
-    data = _stage_payload(dst, "data-v2.npy", rows)
-    v2 = {
-        key: header[key] for key in ("magic", "kind", "scalars")
-    } | {
-        "version": 2, "arrays": arrays, "data": data["file"],
-        "data_embedded": True, "data_sha256": data["sha256"],
-        "data_nbytes": data["nbytes"],
-    }
-    (dst / HEADER_NAME).write_text(json.dumps(v2, indent=2) + "\n")
-
-
 def bench_cell_order() -> dict:
-    """Serving reads on a cell-ordered (v3) index against its v2 copy.
+    """Serving reads on a cell-ordered (v3) index against original order.
 
     One persisted index over a tight Gaussian mixture (the serving
     regime: a query's candidates are its cluster's cells), answered by a
-    32-query ``range_query`` from a v3 directory -- rows stored in cell
+    32-query ``range_query`` from the v3 directory -- rows stored in cell
     order with FP64 norms, so candidate sets are contiguous runs read in
-    place -- and from a v2 copy of the same index -- original row order,
-    candidates gathered row by row.  ``bit_identical`` pins the v3
-    answers, pairs in order and distance bits, against the v2 ones;
-    ``pair_set_equal`` pins their pair sets against the dense brute-force
-    reference (whose one large GEMM may round a d=128 dot product
-    differently from the per-group GEMMs in the last bit).
+    place -- and by an engine over the same grid and a memory-mapped
+    ``.npy`` of the rows in original order -- candidates gathered and
+    normed row by row per request.  ``bit_identical`` pins the v3
+    answers, pairs in order and distance bits, against the
+    original-order ones; ``pair_set_equal`` pins their pair sets against
+    the dense brute-force reference (whose one large GEMM may round a
+    d=128 dot product differently from the per-group GEMMs in the last
+    bit).
     """
     from repro.core.api import build_index
+    from repro.index.grid import GridIndex
     from repro.service import QueryEngine, brute_range_query
 
     n, d, clusters, nq = 32768, 128, 256, 32
@@ -639,16 +607,16 @@ def bench_cell_order() -> dict:
         for _ in range(16)
     ]
     with tempfile.TemporaryDirectory() as td:
-        v3_path = build_index(data, eps, Path(td) / "v3")
-        _v2_copy(v3_path, Path(td) / "v2")
-        v3, v2 = QueryEngine(v3_path), QueryEngine(Path(td) / "v2")
+        v3 = QueryEngine(build_index(data, eps, Path(td) / "v3"))
+        np.save(Path(td) / "rows.npy", data)
+        original = QueryEngine(GridIndex(data, eps), Path(td) / "rows.npy")
 
         def serve(engine):
             return lambda: [engine.range_query(q) for q in requests]
 
         identical = pair_sets = True
         for q in requests:
-            a, b = v3.range_query(q), v2.range_query(q)
+            a, b = v3.range_query(q), original.range_query(q)
             identical = identical and bool(
                 np.array_equal(a.pairs_i, b.pairs_i)
                 and np.array_equal(a.pairs_j, b.pairs_j)
@@ -660,7 +628,7 @@ def bench_cell_order() -> dict:
             pair_sets = pair_sets and all(
                 np.array_equal(x, y) for x, y in zip(canon(a)[:2], want[:2])
             )
-        t_v2, t_v3 = interleaved_medians(serve(v2), serve(v3))
+        t_orig, t_v3 = interleaved_medians(serve(original), serve(v3))
         runs = [
             1 + int((np.diff(c) != 1).sum())
             for q in requests
@@ -672,9 +640,9 @@ def bench_cell_order() -> dict:
         "clusters": clusters,
         "eps": eps,
         "queries_per_request": nq,
-        "v2_seconds_per_request": t_v2 / len(requests),
+        "original_order_seconds_per_request": t_orig / len(requests),
         "v3_seconds_per_request": t_v3 / len(requests),
-        "speedup": t_v2 / t_v3,
+        "speedup": t_orig / t_v3,
         "v3_runs_per_candidate_set": float(np.mean(runs)),
         "v3_one_run_share": float(np.mean(np.array(runs) == 1)),
         "bit_identical": identical,

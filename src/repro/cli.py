@@ -299,15 +299,12 @@ def _cmd_index_build(args) -> str:
             synth_dataset(args.n, args.d, seed=args.seed, clustered=True)
         )
     eps, calibrated = _resolve_eps(args, source)
-    if args.mutable and args.no_data:
-        raise SystemExit("error: --mutable stores embed their data; drop --no-data")
     t0 = time.perf_counter()
     path = build_index(
         source,
         eps,
         args.out,
         n_dims=args.n_dims,
-        include_data=None if args.mutable else not args.no_data,
         mutable=args.mutable,
         seal_threshold=args.seal_threshold,
     )
@@ -322,9 +319,8 @@ def _cmd_index_build(args) -> str:
             f"index: grid  eps={eps:.4f}"
             + (f"  (calibrated for S={args.selectivity})" if calibrated else "")
             + ("  [mutable]" if args.mutable else ""),
-            f"persisted: {path} ({total_bytes / (1 << 20):.2f} MiB"
-            + (", dataset embedded)" if not args.no_data else ")")
-            + f" in {elapsed:.3f} s",
+            f"persisted: {path} ({total_bytes / (1 << 20):.2f} MiB, "
+            f"dataset embedded) in {elapsed:.3f} s",
         ]
     )
 
@@ -349,14 +345,7 @@ def _cmd_index_info(args) -> str:
         f"occupied cells: {loaded.index._starts.size}",
     ]
     payload = sum(p.stat().st_size for p in loaded.path.iterdir())
-    lines.append(
-        "dataset: "
-        + (
-            f"{loaded.header['data']} (n={loaded.source.n})"
-            if loaded.source is not None
-            else "not stored"
-        )
-    )
+    lines.append(f"dataset: {loaded.header['data']} (n={loaded.source.n})")
     lines.append(f"on disk: {payload / (1 << 20):.2f} MiB")
     return "\n".join(lines)
 
@@ -726,10 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ib.add_argument(
         "--n-dims", type=int, default=6, help="indexed dimension count"
-    )
-    ib.add_argument(
-        "--no-data", action="store_true",
-        help="do not embed a dataset copy (queries must supply data=)",
     )
     ib.add_argument(
         "--mutable", action="store_true",

@@ -299,8 +299,6 @@ def build_index(
     path: str | Path,
     *,
     n_dims: int = 6,
-    include_data: bool | None = None,
-    data_path: str | Path | None = None,
     mutable: bool = False,
     seal_threshold: int | None = None,
 ) -> Path:
@@ -311,8 +309,8 @@ def build_index(
     :func:`open_index`, ``python -m repro query`` and ``python -m repro
     serve`` answer queries from.  Non-resident inputs (paths, sources)
     build **out of core** (``GridIndex.from_source``) and the dataset is
-    embedded by a streamed copy, so the ``(n, d)`` array never
-    materializes here.
+    embedded (in cell order) by a streamed copy, so the ``(n, d)`` array
+    never materializes here.
 
     Parameters
     ----------
@@ -325,24 +323,12 @@ def build_index(
         Target directory.
     n_dims:
         Indexed dimension count.
-    include_data:
-        Embed a streamed dataset copy so the index directory is
-        self-contained.  Defaults to True -- unless ``data_path`` is
-        given, which implies a reference instead; passing both
-        ``include_data=True`` and ``data_path`` is a contradiction and
-        raises (a silent full copy is exactly what a path reference
-        exists to avoid).  With neither, pass the dataset at query time.
-    data_path:
-        Reference this path instead of embedding (see
-        :func:`repro.index.persist.save_index`).
     mutable:
         Build a **mutable** LSM-style store
         (:class:`repro.index.delta.MutableIndex`) instead of an
         immutable index directory: appends, tombstone deletes and
         compaction become available (``index append`` / ``index delete``
-        / ``index compact``).  Mutable stores always embed their data
-        (segments and compaction need it), so ``data_path`` and
-        ``include_data=False`` are rejected.
+        / ``index compact``).
     seal_threshold:
         Mutable only: buffered appends spill to a sealed on-disk segment
         past this row count.
@@ -353,11 +339,6 @@ def build_index(
     if mutable:
         from repro.index.delta import MutableIndex
 
-        if data_path is not None or include_data is False:
-            raise ValueError(
-                "mutable stores embed their data; data_path/"
-                "include_data=False do not apply"
-            )
         kwargs = {"n_dims": n_dims}
         if seal_threshold is not None:
             kwargs["seal_threshold"] = int(seal_threshold)
@@ -365,27 +346,13 @@ def build_index(
         return Path(path)
     if seal_threshold is not None:
         raise ValueError("seal_threshold applies only with mutable=True")
-    if data_path is not None:
-        if include_data:
-            raise ValueError(
-                "include_data=True embeds a copy; data_path references a "
-                "path -- pass one or the other"
-            )
-        include_data = False
-    elif include_data is None:
-        include_data = True
     source = as_source(data)
     index = (
         GridIndex(data, eps, n_dims=n_dims)
         if isinstance(data, np.ndarray)
         else GridIndex.from_source(source, eps, n_dims=n_dims)
     )
-    return save_index(
-        index,
-        path,
-        data=source if include_data else None,
-        data_path=None if include_data else data_path,
-    )
+    return save_index(index, path, data=source)
 
 
 def open_index(

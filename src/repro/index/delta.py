@@ -44,8 +44,9 @@ Writes:
   buffer is *sealed*: saved as an immutable on-disk **delta segment** --
   an ordinary :func:`~repro.index.persist.save_index` directory with its
   rows embedded, cell-ordered with stored ``ids`` and ``norms`` like
-  every v3 index -- so sealing inherits the atomic-staging crash safety
-  (stage + fsync + one ``rename``) and its fault points unchanged.  The
+  every persisted index -- so sealing inherits the atomic-staging crash
+  safety (stage + fsync + one ``rename``) and its fault points
+  unchanged.  The
   block keeps the sealed rows as they are (a large segment's rows leave
   it for the segment's engine); opening a store reads each small
   segment's rows once, into id order through its stored ``ids``.
@@ -71,8 +72,8 @@ payloads (``ids-<token>.npy``, ``tomb-<token>.npy``) through
 :mod:`repro.index.persist`'s payload staging (fsynced and
 SHA-256-checksummed; on open, checked by the same per-payload verifier
 as index payloads), writing the new manifest to a temp sibling, and
-swinging it in with one atomic ``os.replace`` -- the exact v2
-header-replacement discipline, sharing the ``persist.write`` /
+swinging it in with one atomic ``os.replace`` -- the index header's
+replacement discipline, sharing the ``persist.write`` /
 ``persist.payload`` fault points.  A ``SIGKILL`` at any instant
 therefore leaves the previous *or* the new manifest in place, each
 referencing only fully-committed payloads: the store always reloads as
@@ -436,7 +437,7 @@ def _prepare(dtype: np.dtype, rows: np.ndarray):
 
 def _stored_positions(ids: np.ndarray) -> np.ndarray:
     """Stored row of each original row, given the original row of each
-    stored row (a v3 segment's ``ids``)."""
+    stored row (a segment's ``ids``)."""
     inverse = np.empty(ids.size, dtype=np.int64)
     inverse[ids] = np.arange(ids.size, dtype=np.int64)
     return inverse
@@ -775,9 +776,8 @@ class MutableIndex:
 
     def _segment_rows(self, seg: dict):
         """A sealed segment's stored rows (mapped) and their original row
-        numbers (``ids``, None when stored in original order): only those
-        payloads are opened, checked at this handle's ``verify`` level;
-        a damaged one raises
+        numbers (``ids``): only those payloads are opened, checked at
+        this handle's ``verify`` level; a damaged one raises
         :class:`~repro.index.persist.CorruptIndexError`."""
         rows, ids = load_embedded_rows(
             self.path / seg["dir"], verify=self._verify
@@ -790,10 +790,6 @@ class MutableIndex:
         loaded = load_index(
             self.path / seg["dir"], mmap=self._mmap, verify=self._verify
         )
-        if loaded.source is None:
-            raise CorruptIndexError(
-                f"{self.path}: segment {seg['dir']} has no embedded rows"
-            )
         self._check_segment(seg, (loaded.source.n, loaded.source.dim))
         return _EnginePart(
             _engine_cls()(loaded, precision=self.precision), _segment_gids(seg)
@@ -1122,7 +1118,7 @@ class MutableIndex:
                     if not live.size:
                         continue
                     rows, ids = self._segment_rows(seg)
-                    pos = live if ids is None else _stored_positions(ids)[live]
+                    pos = _stored_positions(ids)[live]
                     parts.append((ArraySource(rows), pos))
                     gid_parts.append(gids[live])
                 live_src = _LiveRowsSource(parts)

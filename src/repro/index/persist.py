@@ -10,27 +10,22 @@ baseline kernel and never persisted):
 * :func:`save_index` writes an index as a **directory**: one JSON header
   (``header.json`` -- magic, format version, index kind ``"grid"``,
   scalars, and a per-payload SHA-256 checksum + byte size) plus one
-  ``.npy`` payload per index array.  A dataset can ride along --
-  embedded as a ``data-*.npy`` payload or referenced by path -- because
-  answering distance queries needs the points themselves, not just the
-  grouping.
+  ``.npy`` payload per index array and the embedded dataset
+  (``data-*.npy``) -- answering distance queries needs the points
+  themselves, not just the grouping, so every index carries its rows.
 
-* **Format v3: cell-ordered rows.**  An embedded dataset is written in
-  the grid's cell order (GDS-Join's sorted-by-cell layout), streamed
-  block by block through ``source.take`` of the grid's sort permutation,
-  never materialized.  Beside it go an ``ids`` payload -- the original
-  row id of every stored row, i.e. that permutation -- and a ``norms``
-  payload, the FP64 squared norm ``(w * w).sum(axis=1)`` of every
-  stored row.  The saved grid then needs no permutation: its member
-  order is the identity, each cell is the stored row range ``[start,
-  end)``, and a query's candidate set is one or a few contiguous slices
-  of rows and norms.  An index saved without data, or referencing its
-  dataset by path, cannot reorder those rows and keeps the permutation
-  as a ``sort`` payload instead (no ``ids``, no ``norms``) -- which is
-  also exactly the v2 layout, so a v2 directory loads through the same
-  code: identity ``ids``, and an engine gathers its candidate rows and
-  their norms per request, as it serves any dataset stored in original
-  order.
+* **Format v3: cell-ordered rows** -- the one layout written and read.
+  The dataset is written in the grid's cell order (GDS-Join's
+  sorted-by-cell layout), streamed block by block through
+  ``source.take`` of the grid's sort permutation, never materialized.
+  Beside it go an ``ids`` payload -- the original row id of every
+  stored row, i.e. that permutation -- and a ``norms`` payload, the
+  FP64 squared norm ``(w * w).sum(axis=1)`` of every stored row.  The
+  saved grid then needs no permutation: its member order is the
+  identity, each cell is the stored row range ``[start, end)``, and a
+  query's candidate set is one or a few contiguous slices of rows and
+  norms.  Older layouts (v2, and indexes saved without their rows or
+  referencing them by path) are refused: rebuild them.
 
 * **Crash safety**: a save stages everything in a temp sibling directory
   (``<name>.saving-<token>``), fsyncs files and directories, and commits
@@ -60,15 +55,17 @@ baseline kernel and never persisted):
   built; tests/test_faults.py drives the corruption and kill paths).
 
 * **Versioning**: the header's ``magic`` / ``version`` / ``kind`` are
-  checked before anything else; unknown versions, other index kinds
-  (a multi-space tree header included) and non-index directories are
-  rejected with :class:`ValueError` rather than misinterpreted.
+  checked before anything else; other versions, other index kinds (a
+  multi-space tree header included) and non-index directories are
+  rejected with :class:`ValueError` rather than misinterpreted, and a
+  header missing a scalar or a payload entry raises
+  :class:`CorruptIndexError`.
 
 Bit-identity argument: the saved arrays *are* the index state (cell
-extents, cell coordinates, and the stable sort permutation -- as
-``sort``, or as ``ids`` beside cell-ordered rows).  Loading installs them
-verbatim, so a query's candidates are the freshly built index's, in the
-same order: on a v3 index candidate ``p`` is stored row ``p`` and
+extents, cell coordinates, and the stable sort permutation as ``ids``
+beside the cell-ordered rows).  Loading installs them verbatim, so a
+query's candidates are the freshly built index's, in the same order:
+candidate ``p`` is stored row ``p`` and
 ``ids[p]`` is the fresh index's candidate at that position, holding the
 same float64 values.  Every distance is therefore computed from the same
 operands in the same order, and the stored norms are the same row-local
@@ -90,7 +87,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
-from repro.data.source import DatasetSource, as_source
+from repro.data.source import (
+    ArraySource,
+    DatasetSource,
+    MmapNpySource,
+    as_source,
+)
 from repro.index.grid import GridIndex
 
 #: Directory-format identification; bump ``FORMAT_VERSION`` on layout
@@ -101,8 +103,12 @@ from repro.index.grid import GridIndex
 MAGIC = "repro-index"
 FORMAT_VERSION = 3
 
-#: Versions :func:`read_header` accepts (v2 loads as identity-``ids``).
-READABLE_VERSIONS = (2, 3)
+#: Versions :func:`read_header` accepts: only the one the writer writes.
+READABLE_VERSIONS = (FORMAT_VERSION,)
+
+#: Header scalars and payload entries every index carries.
+SCALARS = ("eps", "n_points", "n_dims_data", "r")
+PAYLOADS = ("order", "starts", "ends", "unique", "ids", "norms")
 
 #: Header file name inside an index directory.
 HEADER_NAME = "header.json"
@@ -132,27 +138,22 @@ class CorruptIndexError(ValueError):
 
 @dataclass
 class LoadedIndex:
-    """A persisted index restored from disk, plus its dataset binding.
+    """A persisted index restored from disk, plus its dataset.
 
-    ``index`` is a ready-to-query :class:`GridIndex`; ``source`` is the
-    dataset it was built over
-    (embedded copy or referenced path) as a block/gather-addressable
-    :class:`~repro.data.source.DatasetSource`, or None when the index was
-    saved without one (the caller must then supply the data to the query
-    engine itself).  ``source`` rows are in *stored* order: ``ids[p]`` is
-    the original id of stored row ``p`` and ``norms[p]`` its FP64
-    squared norm -- both None when rows are stored in original order
-    (a v2 directory, or a dataset not embedded), where the ids are the
-    identity and norms are computed by whoever needs them.
+    ``index`` is a ready-to-query :class:`GridIndex`; ``source`` is its
+    embedded dataset as a block/gather-addressable
+    :class:`~repro.data.source.DatasetSource`, rows in *stored* (cell)
+    order: ``ids[p]`` is the original id of stored row ``p`` and
+    ``norms[p]`` its FP64 squared norm.
     """
 
     index: GridIndex
     eps: float
     path: Path
-    source: DatasetSource | None
+    source: DatasetSource
     header: dict
-    ids: np.ndarray | None = None
-    norms: np.ndarray | None = None
+    ids: np.ndarray
+    norms: np.ndarray
 
 
 #: How far a header's or manifest's timestamps must lag the clock before
@@ -327,9 +328,7 @@ def _gc_unreferenced_payloads(path: Path, header: dict) -> None:
     committed they are unreachable and can go.
     """
     referenced = {entry["file"] for entry in header["arrays"].values()}
-    data = header.get("data")
-    if isinstance(data, str) and header.get("data_embedded"):
-        referenced.add(data)
+    referenced.add(header["data"])
     for stray in path.glob("*.npy"):
         if stray.name not in referenced:
             stray.unlink(missing_ok=True)
@@ -339,10 +338,9 @@ def save_index(
     index: GridIndex,
     path: str | Path,
     *,
-    data=None,
-    data_path: str | Path | None = None,
+    data,
 ) -> Path:
-    """Persist a grid index (and optionally its dataset) to a directory.
+    """Persist a grid index and its dataset to a directory.
 
     The save is **atomic**: payloads and header are staged in a
     ``<name>.saving-<token>`` sibling directory, fsynced, and committed
@@ -359,20 +357,15 @@ def save_index(
     path:
         Target directory (created; an existing index there is replaced).
     data:
-        Dataset to **embed** as a ``data-<token>.npy`` payload -- an
-        ndarray, a :class:`~repro.data.source.DatasetSource`, or a path
-        coercible by :func:`~repro.data.source.as_source`.  Rows are
-        written in the grid's cell order (with ``ids`` and ``norms``
-        payloads), streamed in row blocks, never materialized.
-    data_path:
-        Dataset to **reference** by path instead of copying (stored
-        verbatim; relative paths resolve against the index directory at
-        load time).  Mutually exclusive with ``data``.
+        The dataset the index was built over, embedded as a
+        ``data-<token>.npy`` payload -- an ndarray, a
+        :class:`~repro.data.source.DatasetSource`, or a path coercible by
+        :func:`~repro.data.source.as_source`.  Rows are written in the
+        grid's cell order (with ``ids`` and ``norms`` payloads), streamed
+        in row blocks, never materialized.
     """
     if not isinstance(index, GridIndex):
         raise TypeError(f"cannot persist index of type {type(index).__name__}")
-    if data is not None and data_path is not None:
-        raise ValueError("pass data (embed) or data_path (reference), not both")
     path = Path(path)
     if path.exists() and not path.is_dir():
         raise ValueError(f"{path} exists and is not a directory")
@@ -398,28 +391,23 @@ def save_index(
                 "r": int(index.r),
             },
         }
+        # Cell order: stored row p is original row sort[p].
         sort = index.members_order()
+        data_file = tmp / fname(DATA_STEM)
+        norms = _write_rows(as_source(data), sort, data_file)
+        entry = _seal_payload(data_file)
+        header["data"] = entry["file"]
+        header["data_embedded"] = True
+        header["data_sha256"] = entry["sha256"]
+        header["data_nbytes"] = entry["nbytes"]
         to_save = {
             "order": index.order,
             "starts": index._starts,
             "ends": index._ends,
             "unique": index._unique,
+            "ids": sort,
+            "norms": norms,
         }
-        if data is not None:
-            # Cell order: stored row p is original row sort[p].
-            data_file = tmp / fname(DATA_STEM)
-            norms = _write_rows(as_source(data), sort, data_file)
-            entry = _seal_payload(data_file)
-            header["data"] = entry["file"]
-            header["data_embedded"] = True
-            header["data_sha256"] = entry["sha256"]
-            header["data_nbytes"] = entry["nbytes"]
-            to_save["ids"] = sort
-            to_save["norms"] = norms
-        else:
-            to_save["sort"] = sort
-            if data_path is not None:
-                header["data"] = str(data_path)
         header["arrays"] = {
             name: _stage_payload(tmp, fname(name), arr)
             for name, arr in to_save.items()
@@ -460,10 +448,12 @@ def read_header(path: str | Path) -> dict:
     """Read and validate an index directory's header.
 
     Raises :class:`ValueError` for anything that is not a compatible
-    persisted index (missing header, wrong magic, unknown format
-    version, any kind but ``"grid"``) and :class:`CorruptIndexError` --
-    a ValueError subclass -- when the header file itself is unreadable
-    garbage.
+    persisted index (missing header, wrong magic, any format version but
+    :data:`FORMAT_VERSION`, any kind but ``"grid"``) and
+    :class:`CorruptIndexError` -- a ValueError subclass -- when the
+    header file itself is unreadable garbage or lacks one of the
+    :data:`SCALARS`, the :data:`PAYLOADS` entries or the embedded
+    dataset's entry.
     """
     path = Path(path)
     header_path = path / HEADER_NAME
@@ -485,12 +475,26 @@ def read_header(path: str | Path) -> dict:
     if version not in READABLE_VERSIONS:
         raise ValueError(
             f"{path}: unsupported index format version {version!r} "
-            f"(this reader understands {READABLE_VERSIONS})"
+            f"(this reader understands {READABLE_VERSIONS}; rebuild the "
+            "index from its dataset)"
         )
     if header.get("kind") != "grid":
         raise ValueError(f"{path}: unknown index kind {header.get('kind')!r}")
-    if not isinstance(header.get("arrays"), dict):
-        raise CorruptIndexError(f"{path}: header lost its arrays map")
+    scalars, arrays = header.get("scalars"), header.get("arrays")
+    if not isinstance(scalars, dict) or not isinstance(arrays, dict):
+        raise CorruptIndexError(f"{path}: header lost its scalars or arrays map")
+    if not header.get("data_embedded") or not isinstance(header.get("data"), str):
+        raise CorruptIndexError(
+            f"{path}: header names no embedded dataset (every index "
+            "stores its rows; rebuild the index from its dataset)"
+        )
+    for name in SCALARS:
+        if name not in scalars:
+            raise CorruptIndexError(f"{path}: header lost scalar {name!r}")
+    for name in PAYLOADS:
+        entry = arrays.get(name)
+        if not isinstance(entry, dict) or "file" not in entry:
+            raise CorruptIndexError(f"{path}: header lost payload {name!r}")
     return header
 
 
@@ -560,8 +564,7 @@ def verify_index(
     if header is None:
         header = read_header(path)
     entries = dict(header["arrays"])
-    if header.get("data_embedded"):
-        entries["<data>"] = _data_entry(header)
+    entries["<data>"] = _data_entry(header)
     for name, entry in entries.items():
         _verify_payload(path, name, entry, level)
 
@@ -589,17 +592,23 @@ def _load_payload(path: Path, fname: str, mmap: bool) -> np.ndarray:
         ) from exc
 
 
+def _check_shape(path: Path, name: str, got: np.ndarray, shape, dtype) -> None:
+    if got.shape != shape or got.dtype != dtype:
+        raise CorruptIndexError(
+            f"{path}: payload {name} is {got.dtype}{got.shape}, "
+            f"expected {np.dtype(dtype)}{shape}"
+        )
+
+
 def load_embedded_rows(
     path: str | Path, *, verify: str = "header"
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """An index's embedded rows, memory-mapped, without its grid.
 
-    Returns ``(rows, ids)``: the stored rows and, for a cell-ordered
-    (v3) index, the original id of each stored row (``None`` when rows
-    are stored in original order).  Only the header and those two
-    payloads are opened, each checked at ``verify`` like
-    :func:`load_index` checks it; an index without an embedded dataset,
-    or a payload of the wrong shape, raises :class:`CorruptIndexError`.
+    Returns ``(rows, ids)``: the stored rows and the original id of each
+    stored row.  Only the header and those two payloads are opened, each
+    checked at ``verify`` like :func:`load_index` checks it; a payload of
+    the wrong shape raises :class:`CorruptIndexError`.
     """
     if verify not in VERIFY_LEVELS:
         raise ValueError(
@@ -607,26 +616,15 @@ def load_embedded_rows(
         )
     path = Path(path)
     header = read_header(path)
-    if not header.get("data_embedded"):
-        raise CorruptIndexError(f"{path}: no embedded rows")
+    scalars = header["scalars"]
+    n_points, dim = int(scalars["n_points"]), int(scalars["n_dims_data"])
     _verify_payload(path, "<data>", _data_entry(header), verify)
+    entry = header["arrays"]["ids"]
+    _verify_payload(path, "ids", entry, verify)
     rows = _load_payload(path, header["data"], True)
-    n_points = int(header["scalars"]["n_points"])
-    ids = None
-    entry = header["arrays"].get("ids")
-    if entry is not None:
-        _verify_payload(path, "ids", entry, verify)
-        ids = _load_payload(path, entry["file"], True)
-        if ids.shape != (n_points,) or ids.dtype != np.int64:
-            raise CorruptIndexError(
-                f"{path}: payload ids is {ids.dtype}{ids.shape}, "
-                f"expected int64({n_points},)"
-            )
-    if rows.ndim != 2 or rows.shape[0] != n_points:
-        raise CorruptIndexError(
-            f"{path}: embedded rows are {rows.shape}, expected "
-            f"{n_points} rows"
-        )
+    ids = _load_payload(path, entry["file"], True)
+    _check_shape(path, "<data>", rows, (n_points, dim), np.float64)
+    _check_shape(path, "ids", ids, (n_points,), np.int64)
     return rows, ids
 
 
@@ -641,14 +639,13 @@ def load_index(
     ``verify="off"`` trusts the directory.  Failures raise
     :class:`CorruptIndexError`.
 
-    ``mmap=True`` (the default) memory-maps every payload and serves an
-    embedded/referenced dataset through a mmap-backed
+    ``mmap=True`` (the default) memory-maps every payload and serves the
+    embedded dataset through a mmap-backed
     :class:`~repro.data.source.DatasetSource` -- queries read only the
     rows they touch, so the dataset is never re-read into RAM wholesale.
     ``mmap=False`` loads everything resident.  Results are bit-identical
-    either way, and to the freshly built index.  A v3 index's source is
-    in stored (cell) order and comes with ``ids`` and ``norms``; a v2
-    index, or one whose dataset is not embedded, has neither.
+    either way, and to the freshly built index.  The source is in stored
+    (cell) order and comes with ``ids`` and ``norms``.
     """
     path = Path(path)
     header = read_header(path)
@@ -658,54 +655,37 @@ def load_index(
         return _load_payload(path, header["arrays"][name]["file"], mmap)
 
     scalars = header["scalars"]
-    n_points = int(scalars["n_points"])
-    arrays = header["arrays"]
-    ids = norms = sort = None
-    if "ids" in arrays:
-        # Cell-ordered rows: the grid's member order is the identity.
-        if "norms" not in arrays or not header.get("data_embedded"):
-            raise CorruptIndexError(
-                f"{path}: cell-ordered index lost its norms or its data"
-            )
-        ids, norms = arr("ids"), arr("norms")
-        for name, got, dtype in (
-            ("ids", ids, np.int64), ("norms", norms, np.float64)
-        ):
-            if got.shape != (n_points,) or got.dtype != dtype:
-                raise CorruptIndexError(
-                    f"{path}: payload {name} is {got.dtype}{got.shape}, "
-                    f"expected {np.dtype(dtype)}({n_points},)"
-                )
-    elif "sort" in arrays:
-        sort = arr("sort")
-    else:
-        raise CorruptIndexError(f"{path}: header lost its sort/ids payload")
+    n_points, dim = int(scalars["n_points"]), int(scalars["n_dims_data"])
+    ids, norms = arr("ids"), arr("norms")
+    _check_shape(path, "ids", ids, (n_points,), np.int64)
+    _check_shape(path, "norms", norms, (n_points,), np.float64)
+    data_file = path / header["data"]
+    try:
+        source = (
+            MmapNpySource(data_file) if mmap else ArraySource(np.load(data_file))
+        )
+    except (ValueError, OSError) as exc:
+        raise CorruptIndexError(
+            f"{path}: payload {data_file.name} is unreadable: {exc}"
+        ) from exc
+    if (source.n, source.dim) != (n_points, dim):
+        raise CorruptIndexError(
+            f"{path}: embedded rows are {(source.n, source.dim)}, "
+            f"expected {(n_points, dim)}"
+        )
+    # Cell-ordered rows: the grid's member order is the identity.
     index = GridIndex.__new__(GridIndex)
     index._install(
         eps=float(scalars["eps"]),
         n_points=n_points,
-        n_dims_data=int(scalars["n_dims_data"]),
+        n_dims_data=dim,
         order=arr("order"),
         r=int(scalars["r"]),
-        sort=sort,
+        sort=None,
         starts=arr("starts"),
         ends=arr("ends"),
         unique=np.ascontiguousarray(arr("unique")),
     )
-
-    source: DatasetSource | None = None
-    if "data" in header:
-        data_ref = Path(header["data"])
-        if not data_ref.is_absolute():
-            data_ref = path / data_ref
-        if not data_ref.exists():
-            raise ValueError(f"{path}: referenced dataset {data_ref} is missing")
-        source = as_source(data_ref)
-        if not mmap:
-            from repro.data.source import ArraySource
-
-            source = ArraySource(source.materialize())
-
     return LoadedIndex(
         index=index,
         eps=float(scalars["eps"]),

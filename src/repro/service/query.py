@@ -34,20 +34,21 @@ on:
   cell fan-out to the smallest reach expected to cover ``k``.
 
 The dataset side stays **out of core**: at FP64 the memory-mapped rows
-of a cell-ordered (format v3) index are read in place beside their
-stored FP64 norms.  A candidate set there is stored rows in a few
-contiguous runs, and a single run is served as a slice view of rows and
-norms; any other set costs one gather of each.  Only the pages queries
-touch are read, and nothing is cached per candidate set, so a request
-pays for its own rows and no lock, hash or norm recompute.  Other
-sources -- rows in original order (a v2 index, a dataset referenced by
-path), chunked datasets, FP32 engines -- gather each candidate set and
-compute its norms row by row, bitwise the stored ones.  Answers are in
-**original ids**: range pairs map their stored rows through the index's
-``ids``, and kNN ranks each candidate set in original-id order so ties
-break exactly as on the original layout.  Queries run serially on the
-calling thread; concurrent requests are served by the caller's threads
-(the HTTP server's).
+of a persisted index (format v3, rows stored in cell order) are read in
+place beside their stored FP64 norms.  A candidate set there is stored
+rows in a few contiguous runs, and a single run is served as a slice
+view of rows and norms; any other set costs one gather of each.  Only
+the pages queries touch are read, and nothing is cached per candidate
+set, so a request pays for its own rows and no lock, hash or norm
+recompute.  An in-memory :class:`GridIndex` binds its dataset in
+original order: a resident array is prepared once, any other source
+(a ``.npy`` path, chunked datasets) and every FP32 engine gather each
+candidate set and compute its norms row by row, bitwise the stored
+ones.  Answers are in **original ids**: range pairs map their stored
+rows through the index's ``ids``, and kNN ranks each candidate set in
+original-id order so ties break exactly as on the original layout.
+Queries run serially on the calling thread; concurrent requests are
+served by the caller's threads (the HTTP server's).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from repro.core.engine import (
     norm_expansion_sq_dists,
 )
 from repro.core.results import JoinResult, PairAccumulator
-from repro.data.source import ArraySource, DatasetSource, MmapNpySource, as_source
+from repro.data.source import ArraySource, MmapNpySource, as_source
 from repro.index.grid import GridIndex
 from repro.index.persist import LoadedIndex, load_index
 
@@ -206,10 +207,9 @@ class QueryEngine:
         :class:`~repro.index.persist.LoadedIndex`, or a path to a
         persisted index directory (loaded mmap-backed).
     data:
-        The dataset the index was built over -- ndarray,
-        :class:`~repro.data.source.DatasetSource`, or path.  Optional
-        when a persisted index carries its dataset; passing it overrides
-        the embedded one.
+        The dataset an in-memory :class:`GridIndex` was built over --
+        ndarray, :class:`~repro.data.source.DatasetSource`, or path.  A
+        persisted index carries its own rows, so it takes none.
     precision:
         ``"fp64"`` (default -- range queries carry the brute reference's
         pair set and, where BLAS rounds alike, its distance bits; see the
@@ -241,25 +241,24 @@ class QueryEngine:
             raise ValueError("precision must be 'fp32' or 'fp64'")
         if isinstance(index, (str, Path)):
             index = load_index(index, mmap=mmap, verify=verify)
-        source: DatasetSource | None = None
         ids = norms = None
         if isinstance(index, LoadedIndex):
-            if data is not None and index.ids is not None:
+            if data is not None:
                 raise ValueError(
-                    "this index stores its embedded rows in cell order; "
-                    "query it with that dataset (do not pass data=)"
+                    "a persisted index stores its own rows in cell order; "
+                    "query it without data="
                 )
             source, ids, norms = index.source, index.ids, index.norms
             index = index.index
-        if not isinstance(index, GridIndex):
+        elif not isinstance(index, GridIndex):
             raise TypeError(f"unsupported index type {type(index).__name__}")
-        if data is not None:
-            source = as_source(data)
-        if source is None:
+        elif data is None:
             raise ValueError(
-                "no dataset: the index was persisted without one -- pass "
-                "data= (array, source, or path)"
+                "no dataset: an in-memory index needs data= (array, "
+                "source, or path)"
             )
+        else:
+            source = as_source(data)
         self.index = index
         self.eps = float(index.eps)
         self.precision = precision
@@ -278,9 +277,9 @@ class QueryEngine:
         self.ids = ids
         self._rows_of_id: np.ndarray | None = None
         # Resident fast path: an in-memory dataset is prepared once and
-        # candidate rows are sliced.  Cell-ordered mapped rows are read in
-        # place at FP64 beside their stored norms; anything else is
-        # gathered and prepared per candidate set.
+        # candidate rows are sliced.  A persisted index's mapped rows are
+        # read in place at FP64 beside their stored norms; anything else
+        # is gathered and prepared per candidate set.
         mapped = source.mapped if isinstance(source, MmapNpySource) else None
         if isinstance(source, ArraySource):
             self._data = ResidentOperand(*self._prepare(source.materialize()))

@@ -83,7 +83,12 @@ from repro.index.delta import (
     is_mutable_index,
     read_manifest,
 )
-from repro.index.persist import FileGeneration, HEADER_NAME, read_header
+from repro.index.persist import (
+    CorruptIndexError,
+    FileGeneration,
+    HEADER_NAME,
+    read_header,
+)
 from repro.service.metrics import (
     BATCH_FILL_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
@@ -1097,15 +1102,10 @@ class QueryService:
                     attrs={"batch_size": len(reqs)},
                 )
         # One TraceHooks per dispatch: the executors accumulate stage
-        # seconds into it (and the process pools copy its trace id into
-        # worker task metadata).  Installed unconditionally -- the
-        # repro_stage_seconds aggregates are a metrics feature, not a
+        # seconds into it on this thread.  Installed unconditionally --
+        # the repro_stage_seconds aggregates are a metrics feature, not a
         # sampling-gated one.
-        hooks = trace_mod.TraceHooks(
-            trace_id=next(
-                (r.span.trace_id for r in reqs if r.span is not None), None
-            )
-        )
+        hooks = trace_mod.TraceHooks()
         t_exec = time.perf_counter()
         with trace_mod.use_hooks(hooks):
             if kind == "knn":
@@ -1295,9 +1295,12 @@ def _error_response(exc: BaseException):
     """Map an exception to the shared JSON error contract.
 
     The same chain the HTTP layer has always applied: admission
-    rejection -> 429 + Retry-After, draining -> 503, deadline -> 504,
-    malformed input -> 400, anything else -> a JSON 500 (a stack trace
-    never crosses the wire).  Returns ``(status, payload, headers)``.
+    rejection -> 429 + Retry-After, draining -> 503, deadline -> 504, a
+    registered index that fails verification -> 500 (the server's data,
+    not the client's request, is at fault; checked before its
+    :class:`ValueError` base), malformed input -> 400, anything else ->
+    a JSON 500 (a stack trace never crosses the wire).  Returns
+    ``(status, payload, headers)``.
     """
     if isinstance(exc, ServiceOverloaded):
         return (429, {"error": str(exc), "retry_after": exc.retry_after},
@@ -1306,6 +1309,8 @@ def _error_response(exc: BaseException):
         return 503, {"error": str(exc)}, None
     if isinstance(exc, DeadlineExceeded):
         return 504, {"error": str(exc)}, None
+    if isinstance(exc, CorruptIndexError):
+        return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
     if isinstance(exc, (KeyError, TypeError, ValueError)):
         return 400, {"error": str(exc)}, None
     return 500, {"error": f"{type(exc).__name__}: {exc}"}, None

@@ -205,22 +205,21 @@ class TraceHooks:
     """Per-stage time accumulator the engine executors feed.
 
     The seam between the service and the engine: the service creates
-    one per engine dispatch (carrying the originating ``trace_id``),
-    installs it with :func:`use_hooks`, and afterwards reads
-    ``hooks.stages`` -- a ``{stage: seconds}`` dict over :data:`STAGES`
-    -- into span attributes and the ``repro_stage_seconds`` histograms.
+    one per engine dispatch, installs it with :func:`use_hooks`, and
+    afterwards reads ``hooks.stages`` -- a ``{stage: seconds}`` dict over
+    :data:`STAGES` -- into span attributes and the
+    ``repro_stage_seconds`` histograms.
     Executors call :meth:`record` with whatever granularity is natural;
     repeated records for one stage accumulate.
     """
 
-    __slots__ = ("trace_id", "stages", "_lock")
+    __slots__ = ("stages", "_lock")
 
-    def __init__(self, trace_id: str | None = None) -> None:
-        self.trace_id = trace_id
+    def __init__(self) -> None:
         self.stages: dict[str, float] = {}
-        # Tiled executors record from pool threads; a lock keeps the
-        # accumulation lossless (perf_counter deltas are tiny relative
-        # to the per-tile work being timed).
+        # Executors record on the thread that installed the hooks, but
+        # one instance may be shared by several threads (a caller timing
+        # concurrent work); a lock keeps the accumulation lossless.
         self._lock = threading.Lock()
 
     def record(self, stage: str, seconds: float) -> None:
@@ -230,10 +229,6 @@ class TraceHooks:
     def snapshot(self) -> dict[str, float]:
         with self._lock:
             return dict(self.stages)
-
-    def merge(self, other: "TraceHooks") -> None:
-        for stage, seconds in other.snapshot().items():
-            self.record(stage, seconds)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 The layout contracts, executable:
 
-* **Answers** -- a v3 index answers range and kNN queries bitwise equal
-  to a v2 index of the same data (``fixtures/index_v2`` was written by
-  the v2 writer) and to the brute-force reference; a kNN distance tie
-  between rows in two cells still resolves to the lower original id.
+* **Answers** -- a persisted index answers range and kNN queries bitwise
+  equal to a fresh in-memory engine over the same data (rows in
+  original order, gathered and normed per request) and to the
+  brute-force reference; a kNN distance tie between rows in two cells
+  still resolves to the lower original id.
 * **Payloads** -- stored rows are the original rows in cell order,
   ``ids`` is the fresh grid's sort permutation, ``norms`` the FP64
   squared norms; a truncated ``ids`` or ``norms`` payload is refused
   typed at every verify level; seals and compactions write v3.
+* **One layout** -- v3 is the only layout read: the committed v2
+  directory (``fixtures/index_v2``, written by the v2 writer) and an
+  index saved without its rows are refused, naming why.
 * **Operand** -- one run of candidate rows is served as a view, any
   other set by one gather, both bitwise the gathered values.
 * **Lookup** -- an ``IndexCache`` hit on a settled generation makes
@@ -17,14 +21,17 @@ The layout contracts, executable:
   reads the file, so a later generation repeating its signature is
   still told apart; a spelling that now leads to another index or store
   finds it.
-* **Sampling** -- ``sample_queries`` draws the same points from the v2
-  and v3 layouts of one dataset.
+* **Sampling** -- ``sample_queries`` draws the same points from the
+  original-order and cell-ordered layouts of one dataset.
 """
 
 import builtins
 import io
+import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +56,7 @@ from repro.service import (
 )
 
 FIXTURE_V2 = Path(__file__).parent / "fixtures" / "index_v2"
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -69,15 +77,24 @@ def _canon(res):
 
 @pytest.fixture(scope="module")
 def v2_data():
-    loaded = load_index(FIXTURE_V2)
-    assert loaded.header["version"] == 2
-    return loaded.source.materialize(), loaded.eps
+    """The v2 fixture's dataset (stored there in original order) and eps,
+    read straight from its files."""
+    header = json.loads((FIXTURE_V2 / HEADER_NAME).read_text())
+    assert header["version"] == 2
+    return np.load(FIXTURE_V2 / header["data"]), header["scalars"]["eps"]
 
 
 @pytest.fixture
 def v3_path(v2_data, tmp_path):
     data, eps = v2_data
     return build_index(data, eps, tmp_path / "v3")
+
+
+def _original_order_engine(data, eps, directory):
+    """An engine over ``data`` in original order, memory-mapped from a
+    ``.npy``: each candidate set is gathered and normed per request."""
+    np.save(directory / "ds.npy", data)
+    return QueryEngine(GridIndex(data, eps), directory / "ds.npy")
 
 
 def _queries(data, eps, nq=80, seed=5):
@@ -87,24 +104,30 @@ def _queries(data, eps, nq=80, seed=5):
 
 
 class TestV3Answers:
-    def test_range_equals_v2_and_brute(self, v2_data, v3_path):
+    def test_range_equals_fresh_and_brute(self, v2_data, v3_path, tmp_path):
         data, eps = v2_data
         q = _queries(data, eps)
         v3 = QueryEngine(v3_path).range_query(q)
-        v2 = QueryEngine(FIXTURE_V2).range_query(q)
         assert v3.pairs_i.size > 0
-        _assert_same_range(v3, v2)
+        _assert_same_range(v3, QueryEngine(GridIndex(data, eps), data).range_query(q))
+        _assert_same_range(
+            v3, _original_order_engine(data, eps, tmp_path).range_query(q)
+        )
         for got, want in zip(_canon(v3), _canon(brute_range_query(data, q, eps))):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("k", [1, 4, 9])
-    def test_knn_equals_v2_and_brute(self, v2_data, v3_path, k):
+    def test_knn_equals_fresh_and_brute(self, v2_data, v3_path, tmp_path, k):
         data, eps = v2_data
         q = _queries(data, eps, seed=6)
         v3 = QueryEngine(v3_path).knn_query(q, k)
-        v2 = QueryEngine(FIXTURE_V2).knn_query(q, k)
-        np.testing.assert_array_equal(v3.indices, v2.indices)
-        np.testing.assert_array_equal(_bits(v3.sq_dists), _bits(v2.sq_dists))
+        for fresh in (
+            QueryEngine(GridIndex(data, eps), data),
+            _original_order_engine(data, eps, tmp_path),
+        ):
+            ref = fresh.knn_query(q, k)
+            np.testing.assert_array_equal(v3.indices, ref.indices)
+            np.testing.assert_array_equal(_bits(v3.sq_dists), _bits(ref.sq_dists))
         d2 = ((q[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1)
         want = np.argsort(d2, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(v3.indices, want)
@@ -162,20 +185,6 @@ class TestV3Payloads:
         with pytest.raises(CorruptIndexError):
             load_index(v3_path, verify=level)
 
-    def test_unembedded_index_keeps_the_sort_payload(self, v2_data, tmp_path):
-        """No embedded rows to reorder: the permutation stays a payload."""
-        data, eps = v2_data
-        np.save(tmp_path / "ds.npy", data)
-        path = build_index(data, eps, tmp_path / "g", data_path=tmp_path / "ds.npy")
-        loaded = load_index(path)
-        assert loaded.ids is None and loaded.norms is None
-        assert "sort" in loaded.header["arrays"]
-        q = _queries(data, eps)
-        _assert_same_range(
-            QueryEngine(loaded).range_query(q),
-            QueryEngine(FIXTURE_V2).range_query(q),
-        )
-
     def test_embedded_index_refuses_foreign_rows(self, v3_path, v2_data):
         with pytest.raises(ValueError, match="cell order"):
             QueryEngine(load_index(v3_path), v2_data[0])
@@ -209,6 +218,42 @@ class TestV3Payloads:
         np.testing.assert_array_equal(gd, wd[order])
 
 
+class TestOneLayout:
+    def test_v2_fixture_is_refused(self):
+        for load in (load_index, QueryEngine, IndexCache().get):
+            with pytest.raises(ValueError, match="format version 2"):
+                load(FIXTURE_V2)
+
+    def test_cli_refuses_v2_without_traceback(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "index", "info", str(FIXTURE_V2)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        out = proc.stdout + proc.stderr
+        assert proc.returncode != 0, out
+        assert "error:" in out and "Traceback" not in out, out
+        assert "format version 2" in out, out
+
+    def test_unembedded_index_is_refused(self, v3_path):
+        """The header an index saved without its rows (or referencing
+        them by path) had: a ``sort`` payload, no ``ids``/``norms``, no
+        embedded dataset."""
+        header_path = v3_path / HEADER_NAME
+        header = json.loads(header_path.read_text())
+        header["arrays"]["sort"] = header["arrays"].pop("ids")
+        del header["arrays"]["norms"]
+        for key in ("data_embedded", "data_sha256", "data_nbytes"):
+            del header[key]
+        header["data"] = str(v3_path.parent / "ds.npy")
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(CorruptIndexError, match="no embedded dataset"):
+            load_index(v3_path)
+        with pytest.raises(CorruptIndexError, match="no embedded dataset"):
+            QueryEngine(v3_path)
+
+
 class TestStoredRowsOperand:
     def test_run_is_a_view_and_gathers_match(self, v3_path):
         engine = QueryEngine(v3_path)
@@ -224,10 +269,11 @@ class TestStoredRowsOperand:
             np.testing.assert_array_equal(r, rows[idx])
             np.testing.assert_array_equal(n, norms[idx])
 
-    def test_original_order_rows_are_gathered_per_request(self):
-        """A v2 index has no stored norms: its engine computes none at
-        open, and each candidate set is gathered and normed row by row."""
-        engine = QueryEngine(FIXTURE_V2)
+    def test_original_order_rows_are_gathered_per_request(self, v2_data, tmp_path):
+        """Rows mapped in original order have no stored norms: the engine
+        computes none at open, and each candidate set is gathered and
+        normed row by row."""
+        engine = _original_order_engine(*v2_data, tmp_path)
         assert type(engine._data) is SourceOperand
         rows = engine.source.materialize()
         idx = np.array([3, 9, 10, 40])
@@ -409,10 +455,12 @@ class TestOneStatLookup:
 
 
 class TestSampleQueries:
-    def test_same_rows_on_v2_and_v3(self, v2_data, v3_path):
+    def test_same_rows_on_original_and_cell_order(self, v2_data, v3_path, tmp_path):
         data, eps = v2_data
         want = sample_queries(data, eps, 24, seed=11)
-        for engine in (QueryEngine(FIXTURE_V2), QueryEngine(v3_path)):
+        for engine in (
+            _original_order_engine(data, eps, tmp_path), QueryEngine(v3_path)
+        ):
             got = sample_queries(engine, eps, 24, seed=11)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -171,15 +171,17 @@ def test_mutable_bench_large_segment():
 
 def test_cell_order_bench_entry():
     """The layout entry keeps its contracts: a 32-query range request on a
-    cell-ordered (v3) index answers bitwise like its v2 copy, pair sets
-    match the brute reference, and both layouts were timed."""
+    cell-ordered (v3) index answers bitwise like an engine over the rows
+    in original order, pair sets match the brute reference, and both
+    were timed."""
     bench = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
     entry = bench["cell_order"]
     assert entry["bit_identical"] is True
     assert entry["pair_set_equal"] is True
     assert entry["queries_per_request"] == 32
-    assert entry["v2_seconds_per_request"] > 0
+    assert entry["original_order_seconds_per_request"] > 0
     assert entry["v3_seconds_per_request"] > 0
+    assert not any(key.startswith("v2") for key in entry)
     assert 0.0 <= entry["v3_one_run_share"] <= 1.0
 
 
@@ -244,6 +246,67 @@ def test_docs_state_one_default_deadline_and_no_cross_k_coalescing():
         assert "cross-`k`" not in text
         assert "max-k" not in text
         assert "maximum requested `k`" not in text
+
+
+def test_one_persisted_layout_in_api_cli_and_docs():
+    """Every index directory embeds its rows in cell order: no API
+    parameter or CLI flag leaves the dataset out or references it by
+    path, and the docs no longer say v2 directories load or that a
+    dataset can be referenced by path or left out."""
+    import inspect
+
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.cli import build_parser
+        from repro.core.api import build_index
+        from repro.index import persist
+        from repro.service import query
+    finally:
+        sys.path.pop(0)
+    for fn in (build_index, persist.save_index):
+        params = inspect.signature(fn).parameters
+        assert "include_data" not in params and "data_path" not in params, fn
+    data = inspect.signature(persist.save_index).parameters["data"]
+    assert data.default is inspect.Parameter.empty  # required
+    assert persist.READABLE_VERSIONS == (persist.FORMAT_VERSION,)
+    sub = next(
+        a for a in build_parser()._actions
+        if a.__class__.__name__ == "_SubParsersAction"
+    )
+    index_sub = next(
+        a for a in sub.choices["index"]._actions
+        if a.__class__.__name__ == "_SubParsersAction"
+    )
+    assert "--no-data" not in index_sub.choices["build"].format_help()
+
+    def flat(text):
+        return " ".join(text.split())
+
+    texts = {
+        "README.md": flat((REPO_ROOT / "README.md").read_text()),
+        "ARCHITECTURE.md": flat(
+            (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        ),
+        "persist": flat(persist.__doc__),
+        "query": flat(query.__doc__),
+    }
+    for name, text in texts.items():
+        for stale in (
+            "v2 directories load",
+            "v2 directories read",
+            "v2 directory loads",
+            "a v2 index",
+            "referenced by path",
+            "or reference it by path",
+            "optionally with the dataset",
+            "saved without its data",
+            "saved without data",
+            "not stored",
+        ):
+            assert stale not in text, (name, stale)
+    assert "the one layout written and read" in texts["persist"]
+    assert "the one layout written and read" in texts["README.md"]
+    assert "with the dataset always embedded" in texts["ARCHITECTURE.md"]
 
 
 def test_environment_knobs_are_exactly_the_documented_two():

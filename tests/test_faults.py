@@ -418,6 +418,72 @@ class TestCrashSafePersistence:
         with pytest.raises(ValueError):
             read_header(tmp_path / "does-not-exist")
 
+    @pytest.mark.parametrize(
+        "field",
+        [f"scalars.{name}" for name in ("eps", "n_points", "n_dims_data", "r")]
+        + [
+            f"arrays.{name}"
+            for name in ("order", "starts", "ends", "unique", "ids", "norms")
+        ]
+        + ["data", "data_embedded"],
+    )
+    def test_missing_header_field_is_typed(self, tmp_path, field):
+        """A header that lost a scalar, a payload entry or the embedded
+        dataset's entry is corrupt, refused before any payload is read."""
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(200, 6))
+        path = tmp_path / "idx"
+        build_index(data, float(epsilon_for_selectivity(data, 8)), path)
+        header = json.loads((path / HEADER_NAME).read_text())
+        *parents, name = field.split(".")
+        node = header
+        for key in parents:
+            node = node[key]
+        del node[name]
+        (path / HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(CorruptIndexError, match=repr(name) if parents else "dataset"):
+            read_header(path)
+        for level in ("off", "header", "full"):
+            with pytest.raises(CorruptIndexError):
+                load_index(path, verify=level)
+
+    def test_malformed_payload_entry_is_typed(self, tmp_path):
+        """An entry that names no file is refused like a missing one, at
+        ``verify="off"`` too, where no payload check would see it."""
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(200, 6))
+        path = tmp_path / "idx"
+        build_index(data, float(epsilon_for_selectivity(data, 8)), path)
+        header = json.loads((path / HEADER_NAME).read_text())
+        header["arrays"]["ids"] = header["arrays"]["ids"]["file"]
+        (path / HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(CorruptIndexError, match="'ids'"):
+            load_index(path, verify="off")
+
+    def test_cli_reports_missing_scalar_without_traceback(self, tmp_path):
+        """``index info`` and ``serve --self-test`` on a header that lost
+        ``scalars.eps`` print one ``error:`` line, not a ``KeyError``."""
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(200, 6))
+        path = tmp_path / "idx"
+        build_index(data, float(epsilon_for_selectivity(data, 8)), path)
+        header = json.loads((path / HEADER_NAME).read_text())
+        del header["scalars"]["eps"]
+        (path / HEADER_NAME).write_text(json.dumps(header))
+        for argv in (
+            ["index", "info", str(path)],
+            ["serve", "--index", str(path), "--self-test"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                env=_subprocess_env(), capture_output=True, text=True,
+                timeout=120,
+            )
+            out = proc.stdout + proc.stderr
+            assert proc.returncode != 0, (argv, out)
+            assert "error:" in out and "Traceback" not in out, (argv, out)
+            assert "lost scalar 'eps'" in out, (argv, out)
+
     def test_injected_payload_corruption_roundtrip(self, tmp_path):
         """The persist.payload corrupt fault is caught by verify='full'."""
         rng = np.random.default_rng(6)
@@ -628,6 +694,36 @@ class TestHttpFaults:
                 json.dumps({"queries": data[:2].tolist(), "eps": eps}).encode(),
             )
             assert status == 200 and body["n_queries"] == 2
+
+    def test_corrupt_index_answers_500(self, served_index, tmp_path):
+        """A registered index whose payload fails verification is the
+        server's fault: a JSON 500 naming the corruption, which the
+        client does not retry.  A malformed query to a healthy index is
+        still the client's 400."""
+        path, data, eps = served_index
+        bad = tmp_path / "bad"
+        build_index(data, eps, bad)
+        server = make_server({"default": path, "bad": bad}, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            (payload,) = bad.glob("data-*.npy")
+            os.truncate(payload, payload.stat().st_size - 8)
+            body = {"index": "bad", "queries": data[:2].tolist(), "eps": eps}
+            status, _, got = _raw_post(port, "/range", json.dumps(body).encode())
+            assert status == 500, got
+            assert "CorruptIndexError" in got["error"] and "truncated" in got["error"]
+            with ServiceClient(port=port, max_attempts=3, base_delay_s=0.01) as client:
+                status, _ = client.request("POST", "/range", body)
+            assert status == 500 and client.retries == 0
+            body = {"queries": [[1.0, 2.0]], "eps": eps}  # wrong dimensionality
+            status, _, got = _raw_post(port, "/range", json.dumps(body).encode())
+            assert status == 400, got
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
     def test_overloaded_server_answers_429_within_50ms(self, served_index):
         path, data, eps = served_index

@@ -175,25 +175,30 @@ class TestPersistence:
             load_index(path)
 
     def test_saved_without_data_requires_data(self, data_eps, tmp_path):
+        """Every index embeds its rows: a save without them is refused,
+        and only an in-memory index takes its dataset at query time."""
         data, eps = data_eps
-        save_index(GridIndex(data, eps), tmp_path / "g")
-        loaded = load_index(tmp_path / "g")
-        assert loaded.source is None
+        with pytest.raises(TypeError, match="data"):
+            save_index(GridIndex(data, eps), tmp_path / "g")
+        assert not (tmp_path / "g").exists()
         with pytest.raises(ValueError, match="no dataset"):
-            QueryEngine(loaded)
+            QueryEngine(GridIndex(data, eps))
         q = _queries(data, eps, nq=40)
-        res = QueryEngine(loaded, data).range_query(q)
+        res = QueryEngine(GridIndex(data, eps), data).range_query(q)
         assert_joins_bit_identical(res, brute_range_query(data, q, eps))
 
-    def test_data_path_reference(self, data_eps, tmp_path):
+    def test_data_path_is_not_an_option(self, data_eps, tmp_path):
+        """No layout references its dataset by path."""
         data, eps = data_eps
         np.save(tmp_path / "ds.npy", data)
-        save_index(
-            GridIndex(data, eps), tmp_path / "g",
-            data_path=tmp_path / "ds.npy",
-        )
-        loaded = load_index(tmp_path / "g")
+        with pytest.raises(TypeError, match="data_path"):
+            save_index(
+                GridIndex(data, eps), tmp_path / "g", data=data,
+                data_path=tmp_path / "ds.npy",
+            )
+        loaded = load_index(save_index(GridIndex(data, eps), tmp_path / "g", data=data))
         assert isinstance(loaded.source, MmapNpySource)
+        assert loaded.source.path.parent == tmp_path / "g"
         assert loaded.source.n == data.shape[0]
 
     def test_resave_removes_stale_payloads(self, data_eps, tmp_path):
@@ -936,21 +941,16 @@ class TestApi:
             QueryEngine(loaded).range_query(q), brute_range_query(data, q, eps)
         )
 
-    def test_build_index_data_path_reference(self, data_eps, tmp_path):
-        """data_path implies a reference; embed+reference together is a
-        contradiction and must not silently copy."""
+    @pytest.mark.parametrize(
+        "option", [{"data_path": "ds.npy"}, {"include_data": False}],
+        ids=["data_path", "include_data"],
+    )
+    def test_build_index_has_one_layout(self, data_eps, tmp_path, option):
+        """The dataset is always embedded: no option leaves it out."""
         data, eps = data_eps
-        np.save(tmp_path / "ds.npy", data)
-        build_index(data, eps, tmp_path / "g", data_path=tmp_path / "ds.npy")
-        loaded = load_index(tmp_path / "g")
-        assert loaded.header["data"] == str(tmp_path / "ds.npy")
-        assert not loaded.header.get("data_embedded")
-        assert not list((tmp_path / "g").glob("data-*.npy"))
-        with pytest.raises(ValueError, match="one or the other"):
-            build_index(
-                data, eps, tmp_path / "g2",
-                include_data=True, data_path=tmp_path / "ds.npy",
-            )
+        with pytest.raises(TypeError, match=next(iter(option))):
+            build_index(data, eps, tmp_path / "g", **option)
+        assert not (tmp_path / "g").exists()
 
 
 class TestCli:
