@@ -54,6 +54,7 @@ from repro.analysis.experiments import (
 from repro.analysis.tables import format_heatmap, format_table
 from repro.data.realworld import DATASETS
 from repro.gpusim.profiler import format_table as profiler_table
+from repro.index.persist import VERIFY_LEVELS
 
 
 def _cmd_fig8(_args) -> str:
@@ -783,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=None, help="run a kNN query instead of range"
     )
     qp.add_argument(
-        "--verify", choices=("off", "header", "full"), default="header",
+        "--verify", choices=VERIFY_LEVELS, default="header",
         help="integrity level applied when loading the index (default: "
         "header byte-size checks; full re-hashes every payload)",
     )
@@ -816,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         "server answers 429 + Retry-After immediately",
     )
     sv.add_argument(
-        "--verify", choices=("off", "header", "full"), default="header",
+        "--verify", choices=VERIFY_LEVELS, default="header",
         help="integrity level applied when the cache loads an index "
         "(default: header byte-size checks; full re-hashes every payload)",
     )

@@ -358,8 +358,6 @@ def build_index(
 def open_index(
     path: str | Path,
     *,
-    mmap: bool = True,
-    precision: str = "fp64",
     cache: bool = True,
     verify: str = "header",
 ):
@@ -375,25 +373,24 @@ def open_index(
     a hit checked by one ``stat`` of its header), so repeated opens --
     and every :func:`query` call addressed by path -- reuse the loaded,
     mmap-backed index instead of re-reading it; this is the cached-index fast path the
-    ``query_service`` benchmark entry measures.  Non-default
-    ``mmap``/``precision``/``verify`` requests construct a
-    private engine instead (the shared cache stays at the default
-    serving configuration).
+    ``query_service`` benchmark entry measures.  ``verify="full"`` (or
+    ``cache=False``) constructs a private engine instead (the shared
+    cache stays at the default level).  Every engine answers in FP64
+    over the index's mapped rows.
 
     ``verify`` is the integrity level applied at load
     (:func:`repro.index.persist.load_index`): ``"header"`` (default)
     stat-checks payload byte sizes, ``"full"`` re-hashes every payload
-    against its SHA-256, ``"off"`` skips verification.  A failed check
-    raises :class:`~repro.index.persist.CorruptIndexError` before any
-    query runs.
+    against its SHA-256.  A failed check raises
+    :class:`~repro.index.persist.CorruptIndexError` before any query
+    runs.
     """
     from repro.index.delta import MutableIndex, is_mutable_index
     from repro.service import IndexCache, QueryEngine
 
-    default_config = mmap and precision == "fp64" and verify == "header"
-    if not cache or not default_config:
+    if not cache or verify != "header":
         engine_cls = MutableIndex if is_mutable_index(path) else QueryEngine
-        return engine_cls(path, precision=precision, mmap=mmap, verify=verify)
+        return engine_cls(path, verify=verify)
     global _INDEX_CACHE
     if _INDEX_CACHE is None:
         _INDEX_CACHE = IndexCache()
@@ -413,8 +410,8 @@ def query(
     a persisted index directory (opened through the shared cache).  With
     ``k=None`` this is a range query -- eps-neighbors of every query
     point, ``eps`` defaulting to the index's radius, returned as a
-    :class:`~repro.core.results.JoinResult`.  At the default FP64 serving
-    precision its pair set always equals the brute-force reference's
+    :class:`~repro.core.results.JoinResult`.  Serving is FP64: its pair
+    set always equals the brute-force reference's
     (``brute_range_query``), and its distance bits are equal where BLAS
     rounds a dot product alike in the engine's per-group GEMMs and the
     reference's one GEMM (ROADMAP item 9 makes them equal by

@@ -152,14 +152,10 @@ class MmapNpySource(DatasetSource):
         self.n, self.dim = self._mmap.shape
 
     @property
-    def mapped(self) -> np.ndarray | None:
-        """The mapped rows themselves, read-only and in place, when they
-        are C-contiguous native float64 (what an in-place reader can
-        slice and multiply without a copy); None otherwise."""
-        m = self._mmap
-        if m.dtype == np.float64 and m.flags.c_contiguous:
-            return np.asarray(m)
-        return None
+    def mapped(self) -> np.ndarray:
+        """The mapped rows themselves, read-only and in place, as a plain
+        ndarray view of the map (in the file's own dtype and order)."""
+        return np.asarray(self._mmap)
 
     def load_block(self, r0: int, r1: int) -> np.ndarray:
         self._check_block(r0, r1)

@@ -6,29 +6,28 @@ one persisted index directory into a **live store** with the classic
 log-structured layering, read as a base and one delta block:
 
 * The **base**: a persisted grid index, queried through its
-  :class:`~repro.service.query.QueryEngine`.
+  :class:`~repro.index.query.QueryEngine`.
 * The **delta block**: the rows of the unsealed buffer and of every
   sealed segment of at most :data:`BLOCK_SEGMENT_ROWS` rows -- every
   delta row unless a bulk append sealed a larger segment -- resident as
-  working-precision rows, their squared norms and their global ids, in
-  ascending id order.  A read is one
+  FP64 rows, their squared norms and their global ids, in ascending id
+  order.  A read is one
   :func:`~repro.core.engine.tile_join` of its queries against the block,
   one GEMM per column chunk (a chunk bounds the temporary) through the
   engine's ``threshold_epilogue``; kNN builds the same distance block
   and keeps each row's top-k by ``(distance, global id)``.  For small
   segments brute force beats the index -- the paper's trade-off: a grid
   probe per small segment costs more than the distances it saves.
-  **Residency:** ``n_block x d x itemsize`` bytes of rows plus
-  ``n_block x (itemsize + 8)`` of norms and ids; capacity doubles when
-  full, so at most twice that is allocated.  The FP64 originals stay on
-  disk in the segments (compaction reads them back), apart from the
-  buffer's until it is sealed.
+  **Residency:** ``n_block x d x 8`` bytes of rows plus ``n_block x 16``
+  of norms and ids; capacity doubles when full, so at most twice that is
+  allocated.  The segments keep their rows on disk too (compaction reads
+  them back), apart from the buffer's until it is sealed.
 * **Large segments**: a sealed segment past :data:`BLOCK_SEGMENT_ROWS`
   rows keeps its own grid engine over its memory-mapped rows, like the
   base -- past that size the index can beat brute force (see the
   constant's measurements and the ``segment_read_crossover`` table of
-  BENCH_engine.json), and ``mmap`` keeps bounding what such a store
-  holds resident.
+  BENCH_engine.json), and reading its rows in place keeps bounding what
+  such a store holds resident.
 
 ``delta_depth`` counts sealed segments plus a nonempty buffer (what a
 compaction folds); ``delta_rows`` counts the block's rows (what a read
@@ -94,19 +93,19 @@ that rebuild):
   rebuilt dataset" and "global id" order rows identically.  Each engine
   answers in its original row numbers, which the store maps through
   that part's ascending gids.
-* Pair sets are always equal: every part evaluates the same
-  norm-expansion distance against the same ``eps^2`` in the working
-  precision.  Distance *bits* are equal where BLAS rounds each dot
-  product alike in the engines' group GEMMs, the block's GEMM and the
-  rebuild's group GEMMs -- the store never matched a rebuild's GEMM
-  shapes, and the shapes tests/test_mutable.py pins round alike.  One
-  fixed-order FP64 distance per reported pair (planned in ROADMAP.md)
-  makes this hold by construction.
+* Pair sets are always equal: every part evaluates the same FP64
+  norm-expansion distance against the same ``eps^2``.  Distance *bits*
+  are equal where BLAS rounds each dot product alike in the engines'
+  group GEMMs, the block's GEMM and the rebuild's group GEMMs -- the
+  store never matched a rebuild's GEMM shapes, and the shapes
+  tests/test_mutable.py pins round alike.  One fixed-order FP64
+  distance per reported pair (planned in ROADMAP.md) makes this hold by
+  construction.
 * Range: tombstones are masked once per part and the union is
   canonicalized by the ``(query, global id)`` lexsort.
 * kNN: each engine part answers an exact top-``k + dead(part)`` (the
   padding guarantees ``k`` live survivors) whose distances are
-  recomputed in the working precision; the block's dead columns are set
+  recomputed in FP64; the block's dead columns are set
   to ``+inf`` and it keeps the least ``(distance, global id)``.  The
   merge breaks distance ties by id -- the part holding the lower ids
   first, then the engine's own order within a part -- which reproduces
@@ -171,6 +170,7 @@ from repro.index.persist import (
     load_index,
     save_index,
 )
+from repro.index.query import KnnResult, QueryEngine, _with_norms, as_rows
 
 #: Manifest identification; readers reject unknown magic/version.
 MUTABLE_MAGIC = "repro-mutable"
@@ -255,17 +255,6 @@ def read_manifest(path, raw: bytes | None = None) -> dict:
     return manifest
 
 
-def _as_rows(rows, dim: int | None = None) -> np.ndarray:
-    q = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
-    if q.ndim == 1:
-        q = q[None, :]
-    if q.ndim != 2:
-        raise ValueError("rows must be (n, d) or a single (d,) point")
-    if dim is not None and q.shape[1] != dim:
-        raise ValueError(f"row dimensionality {q.shape[1]} != indexed {dim}")
-    return q
-
-
 class _LiveRowsSource(DatasetSource):
     """Live rows of a generation, in ascending global-id order.
 
@@ -315,9 +304,9 @@ class _LiveRowsSource(DatasetSource):
 class _DeltaBlock:
     """Small-segment and buffer rows, resident, in ascending global-id order.
 
-    ``rows`` are the working-precision rows, ``norms`` their squared
-    norms (:func:`~repro.service.query._cast_with_norms`: row-local,
-    bitwise what the engine's operand preparation computes) and
+    ``rows`` are the FP64 rows, ``norms`` their squared norms
+    (:func:`~repro.index.query._with_norms`: row-local, bitwise what the
+    engine's operand preparation computes) and
     ``gids`` their global ids.  The first ``n`` rows of each array are
     filled.  :meth:`extend` writes only past ``n``, or into a doubled
     copy when the capacity is spent, and :meth:`snapshot` /
@@ -325,10 +314,9 @@ class _DeltaBlock:
     what lets a query run on its generation's block without the lock.
     """
 
-    def __init__(self, dim: int, dtype: np.dtype, cap: int = 0) -> None:
-        self.dtype = np.dtype(dtype)
-        self.rows = np.empty((cap, dim), dtype=self.dtype)
-        self.norms = np.empty(cap, dtype=self.dtype)
+    def __init__(self, dim: int, cap: int = 0) -> None:
+        self.rows = np.empty((cap, dim), dtype=np.float64)
+        self.norms = np.empty(cap, dtype=np.float64)
         self.gids = np.empty(cap, dtype=np.int64)
         self.n = 0
 
@@ -346,17 +334,17 @@ class _DeltaBlock:
             block = self._copy(0, self.n, max(2 * self.gids.size, self.n + m))
         lo, hi = block.n, block.n + m
         if order is None:
-            block.rows[lo:hi] = raw  # the working-precision cast
+            block.rows[lo:hi] = raw
         else:
             block.rows[lo + order] = raw
-        _, block.norms[lo:hi] = _prepare(self.dtype, block.rows[lo:hi])
+        _, block.norms[lo:hi] = _with_norms(block.rows[lo:hi])
         block.gids[lo:hi] = gids
         block.n = hi
         return block
 
     def _copy(self, start: int, stop: int, cap: int) -> "_DeltaBlock":
         """A fresh block of capacity ``cap`` holding rows ``start:stop``."""
-        block = _DeltaBlock(self.rows.shape[1], self.dtype, cap)
+        block = _DeltaBlock(self.rows.shape[1], cap)
         m, filled = stop - start, slice(start, stop)
         block.rows[:m] = self.rows[filled]
         block.norms[:m] = self.norms[filled]
@@ -368,7 +356,7 @@ class _DeltaBlock:
         """Views of the filled rows: full, so nothing ever extends them
         in place."""
         snap = _DeltaBlock.__new__(_DeltaBlock)
-        snap.dtype, snap.n = self.dtype, self.n
+        snap.n = self.n
         snap.rows, snap.norms = self.rows[: self.n], self.norms[: self.n]
         snap.gids = self.gids[: self.n]
         return snap
@@ -396,7 +384,7 @@ class _EnginePart:
     """A part read through a grid engine: the base, or one sealed segment
     too large for the block (see :data:`BLOCK_SEGMENT_ROWS`)."""
 
-    engine: object  # QueryEngine (imported lazily -- see _engine_cls)
+    engine: QueryEngine
     gids: np.ndarray  # (n,) int64 ascending: global id of engine row j
     dead: int = 0  # tombstoned rows (set per generation)
 
@@ -411,28 +399,6 @@ class _Generation:
     tomb: np.ndarray  # sorted int64 global ids
     n_live: int
     next_id: int
-
-
-def _engine_cls():
-    # Imported lazily: repro.service imports this module (via server.py),
-    # so a module-level import here would be circular.
-    from repro.service.query import QueryEngine
-
-    return QueryEngine
-
-
-def _knn_result_cls():
-    from repro.service.query import KnnResult
-
-    return KnnResult
-
-
-def _prepare(dtype: np.dtype, rows: np.ndarray):
-    """Rows in the working precision and their squared norms: the query
-    engine's own operand preparation, for queries and block rows alike."""
-    from repro.service.query import _cast_with_norms
-
-    return _cast_with_norms(dtype, rows)
 
 
 def _stored_positions(ids: np.ndarray) -> np.ndarray:
@@ -499,7 +465,7 @@ class MutableIndex:
 
     Open an existing store with ``MutableIndex(path)``; create one from a
     dataset with :meth:`MutableIndex.create`.  The instance duck-types
-    :class:`~repro.service.query.QueryEngine` (``range_query`` /
+    :class:`~repro.index.query.QueryEngine` (``range_query`` /
     ``knn_query`` / ``eps`` / ``dim`` / ``n_points``), so the whole
     serving stack -- :class:`~repro.service.server.QueryService`
     micro-batching and the HTTP front end -- works on it
@@ -521,8 +487,6 @@ class MutableIndex:
         self,
         path,
         *,
-        mmap: bool = True,
-        precision: str = "fp64",
         verify: str = "header",
         seal_threshold: int | None = None,
     ) -> None:
@@ -542,11 +506,6 @@ class MutableIndex:
         self.path = path
         self.eps = float(manifest["eps"])
         self.dim = int(manifest["dim"])
-        self.precision = precision
-        self.dtype = np.dtype(
-            np.float32 if precision == "fp32" else np.float64
-        )
-        self._mmap = mmap
         self._verify = verify
         self._params = dict(manifest.get("params", {}))
         self.seal_threshold = int(
@@ -569,15 +528,14 @@ class MutableIndex:
         self._buffer_n = 0
         self._buffer_start = 0
 
-        engine_cls = _engine_cls()
         self._base_dir = manifest["base"]
-        loaded = load_index(path / self._base_dir, mmap=mmap, verify=verify)
+        loaded = load_index(path / self._base_dir, verify=verify)
         if float(loaded.eps) != self.eps:
             raise CorruptIndexError(
                 f"{path}: base {self._base_dir} disagrees with the manifest "
                 f"(eps)"
             )
-        self._base_engine = engine_cls(loaded, precision=precision)
+        self._base_engine = QueryEngine(loaded)
         self._base_n = int(self._base_engine.n_points)
         entry = manifest.get("base_ids")
         if entry is None:
@@ -600,9 +558,7 @@ class MutableIndex:
         # Sealed segments past BLOCK_SEGMENT_ROWS, by directory.
         self._large: dict[str, _EnginePart] = {}
         small = [s for s in self._segments if s["n"] <= BLOCK_SEGMENT_ROWS]
-        self._block = _DeltaBlock(
-            self.dim, self.dtype, sum(seg["n"] for seg in small)
-        )
+        self._block = _DeltaBlock(self.dim, sum(seg["n"] for seg in small))
         for seg in self._segments:
             if seg["n"] > BLOCK_SEGMENT_ROWS:
                 self._large[seg["dir"]] = self._engine_part(seg)
@@ -637,8 +593,6 @@ class MutableIndex:
         *,
         n_dims: int = 6,
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
-        mmap: bool = True,
-        precision: str = "fp64",
         verify: str = "header",
     ) -> "MutableIndex":
         """Create a mutable store over ``data`` at ``path`` and open it.
@@ -693,10 +647,7 @@ class MutableIndex:
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
-        return cls(
-            path, mmap=mmap, precision=precision,
-            verify=verify, seal_threshold=seal_threshold,
-        )
+        return cls(path, verify=verify, seal_threshold=seal_threshold)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -787,13 +738,9 @@ class MutableIndex:
 
     def _engine_part(self, seg: dict) -> _EnginePart:
         """A large sealed segment's grid engine over its (mapped) rows."""
-        loaded = load_index(
-            self.path / seg["dir"], mmap=self._mmap, verify=self._verify
-        )
+        loaded = load_index(self.path / seg["dir"], verify=self._verify)
         self._check_segment(seg, (loaded.source.n, loaded.source.dim))
-        return _EnginePart(
-            _engine_cls()(loaded, precision=self.precision), _segment_gids(seg)
-        )
+        return _EnginePart(QueryEngine(loaded), _segment_gids(seg))
 
     def _base_gids_locked(self) -> np.ndarray:
         if self._base_gids is not None:
@@ -962,7 +909,7 @@ class MutableIndex:
         :meth:`seal`; rows that seal at once into a segment too large
         for the block never enter it.
         """
-        rows = _as_rows(rows, self.dim)
+        rows = as_rows(rows, self.dim, what="rows")
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         with self._lock:
@@ -1130,11 +1077,9 @@ class MutableIndex:
                 save_index(
                     new_index, self.path / new_base_dir, data=live_src
                 )
-                loaded = load_index(
-                    self.path / new_base_dir,
-                    mmap=self._mmap, verify=self._verify,
+                new_engine = QueryEngine(
+                    load_index(self.path / new_base_dir, verify=self._verify)
                 )
-                new_engine = _engine_cls()(loaded, precision=self.precision)
                 with self._lock:
                     folded = {id(s) for s in snap_segments}
                     self._segments = [
@@ -1266,7 +1211,7 @@ class MutableIndex:
         (``next_id``), not the live count: global ids are sparse after
         deletions.
         """
-        q = _as_rows(queries, self.dim)
+        q = as_rows(queries, self.dim)
         eps = self.eps if eps is None else float(eps)
         gen = self._generation()
         traced = trace_mod.current_span() is not None
@@ -1289,9 +1234,8 @@ class MutableIndex:
         block = gen.block
         if block.n and q.shape[0]:
             t0 = time.perf_counter() if traced else 0.0
-            wq, sq = _prepare(self.dtype, q)
-            # Squared in float64 before the precision cast, as the engine.
-            eps2 = self.dtype.type(eps**2)
+            wq, sq = _with_norms(q)
+            eps2 = np.float64(eps**2)
             acc, _ = tile_join(
                 ResidentOperand(wq, sq), eps2,
                 ResidentOperand(block.rows, block.norms),
@@ -1332,7 +1276,7 @@ class MutableIndex:
         The base and each large segment answer an exact
         top-``min(n, k + dead)`` (the padding guarantees ``k`` live
         survivors) whose survivors' squared distances are recomputed in
-        the working precision.  The delta block's distance block is built
+        FP64.  The delta block's distance block is built
         in column chunks with its dead columns at ``+inf``, and each
         chunk keeps its top-k by ``(distance, global id)``.  The parts'
         candidates are then merged by distance, ties going to the part
@@ -1344,7 +1288,7 @@ class MutableIndex:
         convention: ``-1`` / ``+inf`` when fewer than ``k`` live rows
         exist.
         """
-        q = _as_rows(queries, self.dim)
+        q = as_rows(queries, self.dim)
         k = int(k)
         if k <= 0:
             raise ValueError("k must be positive")
@@ -1353,11 +1297,11 @@ class MutableIndex:
         out_idx = np.full((nq, k), -1, dtype=np.int64)
         out_d = np.full((nq, k), np.inf, dtype=np.float32)
         if nq == 0 or gen.n_live == 0:
-            return _knn_result_cls()(
+            return KnnResult(
                 k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
             )
         kk = min(k, gen.n_live)
-        wq, sq = _prepare(self.dtype, q)
+        wq, sq = _with_norms(q)
         rows = np.arange(nq)[:, None]
         traced = trace_mod.current_span() is not None
         parts_d, parts_g, parts_key = [], [], []
@@ -1373,12 +1317,8 @@ class MutableIndex:
             d = np.full(idx.shape, np.inf)
             if alive.any():
                 uniq = np.unique(idx[alive])
-                wc, sc = _prepare(
-                    self.dtype, engine.source.take(engine.rows_of(uniq))
-                )
-                d2 = norm_expansion_sq_dists(sq, sc, wq @ wc.T).astype(
-                    np.float64, copy=False
-                )
+                wc, sc = _with_norms(engine.source.take(engine.rows_of(uniq)))
+                d2 = norm_expansion_sq_dists(sq, sc, wq @ wc.T)
                 # Dead/padded slots may map past the end of ``uniq``;
                 # clamp before gathering -- ``where`` discards them.
                 pos = np.minimum(np.searchsorted(uniq, safe), uniq.size - 1)
@@ -1402,7 +1342,7 @@ class MutableIndex:
                 gram = wq @ block.rows[c0 : c0 + chunk].T
                 d2 = norm_expansion_sq_dists(
                     sq, block.norms[c0 : c0 + chunk], gram
-                ).astype(np.float64, copy=False)
+                )
                 if gen.block_dead is not None:
                     d2[:, gen.block_dead[c0 : c0 + chunk]] = np.inf
                 g2 = np.broadcast_to(block.gids[c0 : c0 + chunk], d2.shape)
@@ -1429,7 +1369,7 @@ class MutableIndex:
         out_d[:, :kk] = np.where(finite, best_d, np.inf).astype(np.float32)
         if traced:
             _merge_span(len(parts_d), t0)
-        return _knn_result_cls()(
+        return KnnResult(
             k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
         )
 

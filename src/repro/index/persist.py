@@ -46,13 +46,14 @@ baseline kernel and never persisted):
 * :func:`load_index` **verifies before it touches payloads**:
   ``verify="header"`` (the default) checks that every payload exists with
   exactly the byte size the header recorded; ``verify="full"`` re-hashes
-  every payload against its SHA-256; ``verify="off"`` skips both.
+  every payload against its SHA-256.  There is no unchecked level.
   Verification failures raise :class:`CorruptIndexError` (a
-  :class:`ValueError`) before any query can run over bad bytes.
-  ``mmap=True`` (the default) memory-maps the payloads; ``mmap=False``
-  loads everything resident -- bit-identical results either way
-  (tests/test_service.py pins mmap vs in-RAM and loaded vs freshly
-  built; tests/test_faults.py drives the corruption and kill paths).
+  :class:`ValueError`) before any query can run over bad bytes.  Every
+  payload is then memory-mapped, and the embedded rows must be
+  C-contiguous float64 of the recorded shape -- what the query engine
+  reads in place beside the stored norms (tests/test_service.py pins
+  loaded vs freshly built; tests/test_faults.py drives the corruption
+  and kill paths).
 
 * **Versioning**: the header's ``magic`` / ``version`` / ``kind`` are
   checked before anything else; other versions, other index kinds (a
@@ -87,12 +88,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
-from repro.data.source import (
-    ArraySource,
-    DatasetSource,
-    MmapNpySource,
-    as_source,
-)
+from repro.data.source import DatasetSource, MmapNpySource, as_source
 from repro.index.grid import GridIndex
 
 #: Directory-format identification; bump ``FORMAT_VERSION`` on layout
@@ -122,7 +118,7 @@ DATA_STEM = "data"
 SAVING_SUFFIX = ".saving-"
 
 #: Accepted ``verify=`` levels for :func:`load_index`.
-VERIFY_LEVELS = ("off", "header", "full")
+VERIFY_LEVELS = ("header", "full")
 
 
 class CorruptIndexError(ValueError):
@@ -141,16 +137,16 @@ class LoadedIndex:
     """A persisted index restored from disk, plus its dataset.
 
     ``index`` is a ready-to-query :class:`GridIndex`; ``source`` is its
-    embedded dataset as a block/gather-addressable
-    :class:`~repro.data.source.DatasetSource`, rows in *stored* (cell)
-    order: ``ids[p]`` is the original id of stored row ``p`` and
-    ``norms[p]`` its FP64 squared norm.
+    embedded dataset, memory-mapped, rows in *stored* (cell) order
+    (``source.mapped`` is C-contiguous float64): ``ids[p]`` is the
+    original id of stored row ``p`` and ``norms[p]`` its FP64 squared
+    norm.
     """
 
     index: GridIndex
     eps: float
     path: Path
-    source: DatasetSource
+    source: MmapNpySource
     header: dict
     ids: np.ndarray
     norms: np.ndarray
@@ -512,8 +508,6 @@ def _verify_payload(path: Path, name: str, entry, level: str) -> None:
         raise CorruptIndexError(
             f"{path}: malformed entry for payload {name!r}"
         )
-    if level == "off":
-        return
     fpath = path / entry["file"]
     if not fpath.is_file():
         raise CorruptIndexError(
@@ -551,15 +545,10 @@ def verify_index(
     recorded byte size (one ``stat`` each -- catches truncation, partial
     writes, and swapped files without reading payload bytes).
     ``level="full"`` additionally re-hashes every payload and compares
-    its SHA-256 (catches in-place bit corruption).  ``level="off"`` is a
-    no-op.  Raises :class:`CorruptIndexError` on the first mismatch.
+    its SHA-256 (catches in-place bit corruption).  Raises
+    :class:`CorruptIndexError` on the first mismatch.
     """
-    if level not in VERIFY_LEVELS:
-        raise ValueError(
-            f"verify must be one of {VERIFY_LEVELS}, got {level!r}"
-        )
-    if level == "off":
-        return
+    _check_level(level)
     path = Path(path)
     if header is None:
         header = read_header(path)
@@ -578,11 +567,18 @@ def _data_entry(header: dict) -> dict:
     }
 
 
-def _load_payload(path: Path, fname: str, mmap: bool) -> np.ndarray:
+def _check_level(level: str) -> None:
+    if level not in VERIFY_LEVELS:
+        raise ValueError(
+            f"verify must be one of {VERIFY_LEVELS}, got {level!r}"
+        )
+
+
+def _load_payload(path: Path, fname: str) -> np.ndarray:
     try:
         # A plain ndarray view of the map: np.memmap's Python-level
         # __getitem__ would tax every scalar cell-extent lookup.
-        return np.asarray(np.load(path / fname, mmap_mode="r" if mmap else None))
+        return np.asarray(np.load(path / fname, mmap_mode="r"))
     except (ValueError, OSError) as exc:
         # Size-preserving corruption inside the npy format header
         # slips past verify="header"; surface it typed, not as a raw
@@ -593,10 +589,13 @@ def _load_payload(path: Path, fname: str, mmap: bool) -> np.ndarray:
 
 
 def _check_shape(path: Path, name: str, got: np.ndarray, shape, dtype) -> None:
-    if got.shape != shape or got.dtype != dtype:
+    """A mapped payload must be C-contiguous ``dtype`` of ``shape``: what
+    the engines read in place."""
+    if got.shape != shape or got.dtype != dtype or not got.flags.c_contiguous:
+        order = "" if got.flags.c_contiguous else " (not C-contiguous)"
         raise CorruptIndexError(
-            f"{path}: payload {name} is {got.dtype}{got.shape}, "
-            f"expected {np.dtype(dtype)}{shape}"
+            f"{path}: payload {name} is {got.dtype}{got.shape}{order}, "
+            f"expected C-contiguous {np.dtype(dtype)}{shape}"
         )
 
 
@@ -610,10 +609,7 @@ def load_embedded_rows(
     checked at ``verify`` like :func:`load_index` checks it; a payload of
     the wrong shape raises :class:`CorruptIndexError`.
     """
-    if verify not in VERIFY_LEVELS:
-        raise ValueError(
-            f"verify must be one of {VERIFY_LEVELS}, got {verify!r}"
-        )
+    _check_level(verify)
     path = Path(path)
     header = read_header(path)
     scalars = header["scalars"]
@@ -621,38 +617,36 @@ def load_embedded_rows(
     _verify_payload(path, "<data>", _data_entry(header), verify)
     entry = header["arrays"]["ids"]
     _verify_payload(path, "ids", entry, verify)
-    rows = _load_payload(path, header["data"], True)
-    ids = _load_payload(path, entry["file"], True)
+    rows = _load_payload(path, header["data"])
+    ids = _load_payload(path, entry["file"])
     _check_shape(path, "<data>", rows, (n_points, dim), np.float64)
     _check_shape(path, "ids", ids, (n_points,), np.int64)
     return rows, ids
 
 
-def load_index(
-    path: str | Path, *, mmap: bool = True, verify: str = "header"
-) -> LoadedIndex:
+def load_index(path: str | Path, *, verify: str = "header") -> LoadedIndex:
     """Restore a persisted index from a directory.
 
     Integrity is checked **before** any payload is mapped or read:
     ``verify="header"`` (default) stat-checks byte sizes,
-    ``verify="full"`` re-hashes every payload against its SHA-256,
-    ``verify="off"`` trusts the directory.  Failures raise
-    :class:`CorruptIndexError`.
+    ``verify="full"`` re-hashes every payload against its SHA-256.
+    Failures raise :class:`CorruptIndexError`.
 
-    ``mmap=True`` (the default) memory-maps every payload and serves the
-    embedded dataset through a mmap-backed
-    :class:`~repro.data.source.DatasetSource` -- queries read only the
-    rows they touch, so the dataset is never re-read into RAM wholesale.
-    ``mmap=False`` loads everything resident.  Results are bit-identical
-    either way, and to the freshly built index.  The source is in stored
-    (cell) order and comes with ``ids`` and ``norms``.
+    Every payload is memory-mapped and the embedded dataset is served
+    through a :class:`~repro.data.source.MmapNpySource` -- queries read
+    only the rows they touch, so the dataset is never re-read into RAM
+    wholesale.  Its rows must be C-contiguous float64 of the recorded
+    shape, or :class:`CorruptIndexError` is raised, as for ``ids`` and
+    ``norms``.  Answers are bit-identical to the freshly built index's.
+    The source is in stored (cell) order and comes with ``ids`` and
+    ``norms``.
     """
     path = Path(path)
     header = read_header(path)
     verify_index(path, header, level=verify)
 
     def arr(name: str) -> np.ndarray:
-        return _load_payload(path, header["arrays"][name]["file"], mmap)
+        return _load_payload(path, header["arrays"][name]["file"])
 
     scalars = header["scalars"]
     n_points, dim = int(scalars["n_points"]), int(scalars["n_dims_data"])
@@ -661,18 +655,12 @@ def load_index(
     _check_shape(path, "norms", norms, (n_points,), np.float64)
     data_file = path / header["data"]
     try:
-        source = (
-            MmapNpySource(data_file) if mmap else ArraySource(np.load(data_file))
-        )
+        source = MmapNpySource(data_file)
     except (ValueError, OSError) as exc:
         raise CorruptIndexError(
             f"{path}: payload {data_file.name} is unreadable: {exc}"
         ) from exc
-    if (source.n, source.dim) != (n_points, dim):
-        raise CorruptIndexError(
-            f"{path}: embedded rows are {(source.n, source.dim)}, "
-            f"expected {(n_points, dim)}"
-        )
+    _check_shape(path, "<data>", source.mapped, (n_points, dim), np.float64)
     # Cell-ordered rows: the grid's member order is the identity.
     index = GridIndex.__new__(GridIndex)
     index._install(

@@ -4,7 +4,8 @@ The serving counterpart of the batch join API: a :class:`QueryEngine`
 binds one epsilon-grid index (freshly built, or restored by
 :mod:`repro.index.persist`) to the dataset it was built over and answers
 **external** queries through the same engine executors the joins run
-on:
+on.  Serving has one configuration: FP64 throughout (FaSTED's FP16-32
+numerics belong to the join kernels).
 
 * :meth:`QueryEngine.range_query` -- eps-neighbors of a batch of query
   points.  Queries are grouped by grid cell
@@ -12,50 +13,48 @@ on:
   :func:`repro.core.engine.candidate_join` (per-group GEMMs) with the
   query batch as the left operand and the dataset as the right one,
   emitting into a :class:`~repro.core.results.PairAccumulator`.
-  At the default FP64 precision the pair set always equals the dense
-  brute-force reference's (:func:`brute_range_query`), and the distance
-  bits are equal where BLAS rounds a dot product alike in the per-group
-  GEMMs and the reference's one ``(q x n)`` GEMM -- which blocking
-  decides, so it is pinned at the tested shapes (tests/test_service.py,
-  loaded-from-disk indexes included), not promised everywhere: at
-  d=128, 1 of 16,359 pairs of the ``cell_order`` bench data differs in
-  its float32 bits.  One fixed-order FP64 distance per reported pair
-  (planned in ROADMAP.md) makes the bits equal by construction.  FP32
-  carries the usual pair-set contract.
+  The pair set always equals the dense brute-force reference's
+  (:func:`brute_range_query`), and the distance bits are equal where
+  BLAS rounds a dot product alike in the per-group GEMMs and the
+  reference's one ``(q x n)`` GEMM -- which blocking decides, so it is
+  pinned at the tested shapes (tests/test_service.py, loaded-from-disk
+  indexes included), not promised everywhere: at d=128, 1 of 16,359
+  pairs of the ``cell_order`` bench data differs in its float32 bits.
+  One fixed-order FP64 distance per reported pair (planned in
+  ROADMAP.md) makes the bits equal by construction.
 
 * :meth:`QueryEngine.knn_query` -- k nearest neighbors via **expanding
   radius**: candidates are probed at grid reach ``m`` (sound for radius
   ``m * eps``; see ``GridIndex.candidates_of_cell``), a query resolves
   once its k-th candidate distance is within ``m * eps`` (every point
-  that near is guaranteed to be a candidate, so the top-k is exact in
-  the working precision), and unresolved queries double ``m``.  The
-  starting reach comes from ``GridIndex.stats()``: the measured mean
-  candidate count at reach 1 is extrapolated by the ``(2m+1)^r / 3^r``
-  cell fan-out to the smallest reach expected to cover ``k``.
+  that near is guaranteed to be a candidate, so the top-k is exact),
+  and unresolved queries double ``m``.  The starting reach comes from
+  ``GridIndex.stats()``: the measured mean candidate count at reach 1
+  is extrapolated by the ``(2m+1)^r / 3^r`` cell fan-out to the
+  smallest reach expected to cover ``k``.
 
-The dataset side stays **out of core**: at FP64 the memory-mapped rows
-of a persisted index (format v3, rows stored in cell order) are read in
-place beside their stored FP64 norms.  A candidate set there is stored
+The operand is chosen by the input alone.  A persisted index (format
+v3, rows stored in cell order) is read **in place**: its memory-mapped
+rows beside their stored FP64 norms.  A candidate set there is stored
 rows in a few contiguous runs, and a single run is served as a slice
 view of rows and norms; any other set costs one gather of each.  Only
 the pages queries touch are read, and nothing is cached per candidate
 set, so a request pays for its own rows and no lock, hash or norm
 recompute.  An in-memory :class:`GridIndex` binds its dataset in
-original order: a resident array is prepared once, any other source
-(a ``.npy`` path, chunked datasets) and every FP32 engine gather each
-candidate set and compute its norms row by row, bitwise the stored
-ones.  Answers are in **original ids**: range pairs map their stored
-rows through the index's ``ids``, and kNN ranks each candidate set in
-original-id order so ties break exactly as on the original layout.
-Queries run serially on the calling thread; concurrent requests are
-served by the caller's threads (the HTTP server's).
+original order: an ndarray is prepared once, any other source (a
+``.npy`` path, chunked datasets) is gathered per candidate set with
+its norms computed row by row, bitwise the stored ones.  Answers are in
+**original ids**: range pairs map their stored rows through the index's
+``ids``, and kNN ranks each candidate set in original-id order so ties
+break exactly as on the original layout.  Queries run serially on the
+calling thread; concurrent requests are served by the caller's threads
+(the HTTP server's).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +69,7 @@ from repro.core.engine import (
     norm_expansion_sq_dists,
 )
 from repro.core.results import JoinResult, PairAccumulator
-from repro.data.source import ArraySource, MmapNpySource, as_source
+from repro.data.source import ArraySource, as_source
 from repro.index.grid import GridIndex
 from repro.index.persist import LoadedIndex, load_index
 
@@ -100,13 +99,30 @@ class KnnResult:
         return self.indices.shape[0]
 
 
-def _as_queries(queries) -> np.ndarray:
-    q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-    if q.ndim == 1:
-        q = q[None, :]
-    if q.ndim != 2:
-        raise ValueError("queries must be (q, d) or a single (d,) point")
-    return q
+def as_rows(
+    rows, dim: int | None = None, *, what: str = "queries", min_rows: int = 0
+) -> np.ndarray:
+    """``rows`` as C-contiguous float64 ``(n, d)``: a single ``(d,)``
+    point becomes one row.
+
+    The one input check of every query and append: ``dim`` (when given)
+    must match, and at least ``min_rows`` rows must be present; anything
+    else raises :class:`ValueError` naming ``what`` and the shape.
+    """
+    r = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
+    if r.ndim == 1:
+        r = r[None, :]
+    want = f"({'n' if min_rows == 0 else f'n >= {min_rows}'}, {dim or 'd'})"
+    if r.ndim != 2 or r.shape[0] < min_rows:
+        raise ValueError(
+            f"{what} must be {want} or a single point; got shape {r.shape}"
+        )
+    if dim is not None and r.shape[1] != dim:
+        raise ValueError(
+            f"{what} must be {want}: dimensionality {r.shape[1]} "
+            f"!= indexed {dim}"
+        )
+    return r
 
 
 def sample_queries(data, eps: float, n_queries: int, *, seed: int = 0) -> np.ndarray:
@@ -133,49 +149,41 @@ def sample_queries(data, eps: float, n_queries: int, *, seed: int = 0) -> np.nda
     return base + rng.normal(0, scale, size=base.shape)
 
 
+def _with_norms(rows: np.ndarray):
+    """Operand preparation for float64 queries and dataset rows alike:
+    the rows and their squared norms (row-local)."""
+    return rows, (rows * rows).sum(axis=1)
+
+
 def brute_range_query(
     data,
     queries,
     eps: float,
     *,
-    precision: str = "fp64",
     store_distances: bool = True,
     row_block: int = 1024,
 ) -> JoinResult:
     """Dense brute-force reference: eps-neighbors by full distance rows.
 
-    Computes each query block's distances to **every** dataset point via
-    the shared norm-expansion recombination in the requested working
-    precision -- the ground truth :meth:`QueryEngine.range_query` is
-    pinned against (pair sets always; at FP64 also distance bits, where
-    BLAS rounds a dot product alike -- see the module docstring).  Intended
-    for tests, benchmarks and small validation runs; it is O(q * n * d).
+    Computes each query block's FP64 distances to **every** dataset point
+    via the shared norm-expansion recombination -- the ground truth
+    :meth:`QueryEngine.range_query` is pinned against (pair sets always,
+    distance bits where BLAS rounds a dot product alike -- see the module
+    docstring).  Intended for tests, benchmarks and small validation
+    runs; it is O(q * n * d).
     """
-    data = np.ascontiguousarray(as_source(data).materialize())
-    q = _as_queries(queries)
-    if q.shape[1] != data.shape[1]:
-        raise ValueError("query dimensionality does not match the dataset")
-    dtype = np.dtype(np.float32 if precision == "fp32" else np.float64)
-    wb = data.astype(dtype)
+    wb = np.ascontiguousarray(as_source(data).materialize())
+    wq, sq = _with_norms(as_rows(queries, wb.shape[1]))
     sb = (wb * wb).sum(axis=1)
-    wq = q.astype(dtype)
-    sq = (wq * wq).sum(axis=1)
-    eps2 = dtype.type(float(eps) ** 2)
+    eps2 = np.float64(float(eps) ** 2)
     acc = PairAccumulator(store_distances=store_distances)
-    for r0 in range(0, q.shape[0], row_block):
-        r1 = min(r0 + row_block, q.shape[0])
+    for r0 in range(0, wq.shape[0], row_block):
+        r1 = min(r0 + row_block, wq.shape[0])
         d2 = norm_expansion_sq_dists(sq[r0:r1], sb, wq[r0:r1] @ wb.T)
         ii, jj = np.nonzero(d2 <= eps2)
         dd = d2[ii, jj].astype(np.float32) if store_distances else None
         acc.append(ii.astype(np.int64) + r0, jj.astype(np.int64), dd)
-    return acc.finalize_join(q.shape[0], data.shape[0], float(eps))
-
-
-def _cast_with_norms(dtype: np.dtype, block: np.ndarray):
-    """Operand preparation for queries and dataset alike: cast to the
-    working precision + row norms (row-local)."""
-    w = block.astype(dtype, copy=False)
-    return w, (w * w).sum(axis=1)
+    return acc.finalize_join(wq.shape[0], wb.shape[0], float(eps))
 
 
 class _StoredRowsOperand(ResidentOperand):
@@ -185,7 +193,7 @@ class _StoredRowsOperand(ResidentOperand):
     candidate set is often exactly that -- returns slice views of the
     mapped rows and norms; any other index set is one gather of each.
     Either way the values are bitwise the gathered rows and the
-    :func:`_cast_with_norms` norms a per-group gather would compute, so
+    :func:`_with_norms` norms a per-group gather would compute, so
     every answer is unchanged, and nothing is cached, locked or hashed.
     """
 
@@ -210,45 +218,31 @@ class QueryEngine:
         The dataset an in-memory :class:`GridIndex` was built over --
         ndarray, :class:`~repro.data.source.DatasetSource`, or path.  A
         persisted index carries its own rows, so it takes none.
-    precision:
-        ``"fp64"`` (default -- range queries carry the brute reference's
-        pair set and, where BLAS rounds alike, its distance bits; see the
-        module docstring) or ``"fp32"`` (pair-set contract, half the
-        memory traffic).
-    mmap, verify:
-        Only used when ``index`` is a path: forwarded to
-        :func:`~repro.index.persist.load_index` (``verify`` is the
-        integrity level -- ``"off"``, ``"header"``, or ``"full"`` -- and
-        a failed check raises
+    verify:
+        Only used when ``index`` is a path: the
+        :func:`~repro.index.persist.load_index` integrity level,
+        ``"header"`` or ``"full"`` (a failed check raises
         :class:`~repro.index.persist.CorruptIndexError` before any query
         can run).
 
-    ``source`` is the dataset in stored order and ``ids`` the original
-    id of each stored row (None: the identity); answers are always in
-    original ids, and :meth:`rows_of` maps them back to stored rows.
+    Answers are FP64 (see the module docstring).  ``source`` is the
+    dataset in stored order and ``ids`` the original id of each stored
+    row (None: the identity); answers are always in original ids, and
+    :meth:`rows_of` maps them back to stored rows.
     """
 
-    def __init__(
-        self,
-        index,
-        data=None,
-        *,
-        precision: str = "fp64",
-        mmap: bool = True,
-        verify: str = "header",
-    ) -> None:
-        if precision not in ("fp32", "fp64"):
-            raise ValueError("precision must be 'fp32' or 'fp64'")
+    def __init__(self, index, data=None, *, verify: str = "header") -> None:
         if isinstance(index, (str, Path)):
-            index = load_index(index, mmap=mmap, verify=verify)
-        ids = norms = None
+            index = load_index(index, verify=verify)
         if isinstance(index, LoadedIndex):
             if data is not None:
                 raise ValueError(
                     "a persisted index stores its own rows in cell order; "
                     "query it without data="
                 )
-            source, ids, norms = index.source, index.ids, index.norms
+            source, ids = index.source, index.ids
+            # Read in place: the mapped rows beside their stored norms.
+            self._data = _StoredRowsOperand(source.mapped, index.norms)
             index = index.index
         elif not isinstance(index, GridIndex):
             raise TypeError(f"unsupported index type {type(index).__name__}")
@@ -258,14 +252,15 @@ class QueryEngine:
                 "source, or path)"
             )
         else:
-            source = as_source(data)
+            source, ids = as_source(data), None
+            # An ndarray is prepared once; any other source is gathered
+            # and prepared per candidate set.
+            if isinstance(source, ArraySource):
+                self._data = ResidentOperand(*_with_norms(source.materialize()))
+            else:
+                self._data = SourceOperand(source, _with_norms)
         self.index = index
         self.eps = float(index.eps)
-        self.precision = precision
-        self.dtype = np.dtype(np.float32 if precision == "fp32" else np.float64)
-        # A partial, not a bound method: the dataset operand keeps its
-        # prepare function, and must not keep the engine alive in a cycle.
-        self._prepare = partial(_cast_with_norms, self.dtype)
         self.source = source
         n = int(source.n)
         if n != int(index.n_points):
@@ -276,20 +271,6 @@ class QueryEngine:
         self.dim = int(source.dim)
         self.ids = ids
         self._rows_of_id: np.ndarray | None = None
-        # Resident fast path: an in-memory dataset is prepared once and
-        # candidate rows are sliced.  A persisted index's mapped rows are
-        # read in place at FP64 beside their stored norms; anything else
-        # is gathered and prepared per candidate set.
-        mapped = source.mapped if isinstance(source, MmapNpySource) else None
-        if isinstance(source, ArraySource):
-            self._data = ResidentOperand(*self._prepare(source.materialize()))
-        elif (
-            self.dtype == np.float64 and mapped is not None
-            and norms is not None
-        ):
-            self._data = _StoredRowsOperand(mapped, norms)
-        else:
-            self._data = SourceOperand(source, self._prepare)
         self._stats = None  # lazy GridIndex.stats() (kNN starting reach)
 
     def rows_of(self, ids) -> np.ndarray:
@@ -306,14 +287,6 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
 
-    def _check_queries(self, queries) -> np.ndarray:
-        q = _as_queries(queries)
-        if q.shape[1] != self.dim:
-            raise ValueError(
-                f"query dimensionality {q.shape[1]} != indexed {self.dim}"
-            )
-        return q
-
     def range_query(
         self,
         queries,
@@ -327,12 +300,12 @@ class QueryEngine:
         (the +-1 cell candidate window is only sound up to there --
         larger radii belong to an index built at that eps, which is why
         the serving cache keys on the eps grid).  The pair set is always
-        :func:`brute_range_query`'s; at FP64 the distance bits are too
+        :func:`brute_range_query`'s, and the distance bits are too
         wherever BLAS rounds a dot product alike in both GEMM shapes
         (pinned at the tested shapes, not guaranteed -- see the module
         docstring).
         """
-        q = self._check_queries(queries)
+        q = as_rows(queries, self.dim)
         eps = self.eps if eps is None else float(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -341,12 +314,10 @@ class QueryEngine:
                 f"eps={eps} exceeds the index cell width {self.eps}; "
                 "build (or load) an index at that radius"
             )
-        # Square in float64 before any precision cast (the kernels'
-        # boundary-tie convention).
-        eps2 = self.dtype.type(float(eps) ** 2)
+        eps2 = np.float64(float(eps) ** 2)
         acc = candidate_join(
             self.index.iter_join_groups(q),
-            ResidentOperand(*self._prepare(q)),
+            ResidentOperand(*_with_norms(q)),
             eps2,
             self._data,
             store_distances=store_distances,
@@ -380,14 +351,14 @@ class QueryEngine:
     def knn_query(self, queries, k: int) -> KnnResult:
         """k nearest neighbors of each query point, expanding-eps search.
 
-        Distances are squared Euclidean in the engine's working precision;
-        ties break deterministically by original dataset id.  Queries resolve
+        Distances are squared Euclidean in FP64; ties break
+        deterministically by original dataset id.  Queries resolve
         as soon as the probed reach provably covers their k-th neighbor
         (see the module docstring); the rest re-probe at double reach,
         degenerating to an exact brute pass when the probe reaches the
         whole dataset.
         """
-        q = self._check_queries(queries)
+        q = as_rows(queries, self.dim)
         k = int(k)
         if k <= 0:
             raise ValueError("k must be positive")
@@ -397,7 +368,7 @@ class QueryEngine:
         if nq == 0 or self.n_points == 0:
             return KnnResult(k=k, n_points=self.n_points, indices=out_idx, sq_dists=out_d)
         kk = min(k, self.n_points)
-        wq, sq = self._prepare(q)
+        wq, sq = _with_norms(q)
         chunk = max(kk, group_chunk(self.dim))
         hooks = trace_mod.current_hooks()
         unresolved = np.arange(nq)
@@ -429,9 +400,7 @@ class QueryEngine:
                     gram, norms_c = group_gram(rows_m, self._data, cand, hooks)
                     tz = time.perf_counter()
                     # kNN ranks every candidate: the full block is the product.
-                    d2 = norm_expansion_sq_dists(norms_m, norms_c, gram).astype(
-                        np.float64, copy=False
-                    )
+                    d2 = norm_expansion_sq_dists(norms_m, norms_c, gram)
                     tm = time.perf_counter()
                     if hooks is not None:
                         hooks.record("rz", tm - tz)
@@ -463,4 +432,10 @@ class QueryEngine:
         )
 
 
-__all__ = ["QueryEngine", "KnnResult", "brute_range_query", "sample_queries"]
+__all__ = [
+    "QueryEngine",
+    "KnnResult",
+    "as_rows",
+    "brute_range_query",
+    "sample_queries",
+]

@@ -4,7 +4,7 @@ Every request takes one path through three pieces:
 
 * :class:`IndexCache` -- a thread-safe LRU of loaded engines, one per
   resolved directory: a persisted index's
-  :class:`~repro.service.query.QueryEngine` or a mutable store's
+  :class:`~repro.index.query.QueryEngine` or a mutable store's
   :class:`~repro.index.delta.MutableIndex`, each entry with its own
   currency check.  A hit costs one ``stat`` of the index's header (or
   the store's manifest); a miss -- a rewritten index has a new
@@ -89,13 +89,13 @@ from repro.index.persist import (
     HEADER_NAME,
     read_header,
 )
+from repro.index.query import KnnResult, QueryEngine, as_rows
 from repro.service.metrics import (
     BATCH_FILL_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
     parse_prometheus_text,
 )
-from repro.service.query import KnnResult, QueryEngine
 
 _logger = _log.get_logger("repro.service.server")
 
@@ -157,10 +157,9 @@ class IndexCache:
         Maximum simultaneously loaded engines; the least recently used is
         evicted past that (its mmap-backed arrays simply lose their last
         reference).
-    mmap, precision, verify:
-        Forwarded to every engine the cache constructs (``verify`` is
-        the :func:`~repro.index.persist.load_index` integrity level
-        applied on each cache miss).
+    verify:
+        The :func:`~repro.index.persist.load_index` integrity level
+        (``"header"`` or ``"full"``) applied on each cache miss.
     metrics:
         The :class:`~repro.service.metrics.MetricsRegistry` the hit /
         miss / eviction counters live in (one is created when absent).
@@ -172,16 +171,12 @@ class IndexCache:
         self,
         capacity: int = 4,
         *,
-        mmap: bool = True,
-        precision: str = "fp64",
         verify: str = "header",
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._mmap = mmap
-        self._precision = precision
         self._verify = verify
         # Resolved path -> (resolved path, engine, is_current(spelled)),
         # LRU order.
@@ -275,13 +270,10 @@ class IndexCache:
     def _load(self, resolved: Path):
         """Load ``resolved`` (under its load lock) and insert it."""
         key = str(resolved)
-        options = dict(
-            precision=self._precision, mmap=self._mmap, verify=self._verify
-        )
         if (resolved / MANIFEST_NAME).is_file():
             self._c_misses.inc()
             t0 = time.perf_counter()
-            engine = MutableIndex(resolved, **options)
+            engine = MutableIndex(resolved, verify=self._verify)
             is_current = engine.manifest_is_current
         else:
             # Taken before the load: a rewrite racing it can only cause
@@ -294,7 +286,7 @@ class IndexCache:
                 ) from exc
             self._c_misses.inc()
             t0 = time.perf_counter()
-            engine = QueryEngine(key, **options)
+            engine = QueryEngine(key, verify=self._verify)
 
             def is_current(spelled: str) -> bool:
                 return generation.matches(Path(spelled) / HEADER_NAME)
@@ -470,8 +462,6 @@ class QueryService:
         cache: IndexCache | None = None,
         *,
         max_batch_points: int = 4096,
-        precision: str = "fp64",
-        mmap: bool = True,
         max_queue_depth: int = 256,
         default_deadline_s: float = DEFAULT_DEADLINE_S,
         verify: str = "header",
@@ -483,7 +473,7 @@ class QueryService:
         # else the service builds its cache over ``metrics`` (or a fresh
         # registry).
         self.cache = cache if cache is not None else IndexCache(
-            precision=precision, mmap=mmap, verify=verify, metrics=metrics,
+            verify=verify, metrics=metrics
         )
         self.metrics = self.cache.metrics
         # The tracer is always present: request ids are echoed and stage
@@ -784,16 +774,10 @@ class QueryService:
         fails with :class:`DeadlineExceeded` instead of running.
         """
         engine, deadline = self._admit(index, deadline_s, self.engine_for)
-        q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-        if q.ndim == 1:
-            q = q[None, :]
         # Validate here, synchronously: a malformed request must fail its
         # own submit, never poison the micro-batch it would coalesce into
         # (the dispatcher concatenates group members blindly).
-        if q.ndim != 2 or q.shape[1] != engine.dim:
-            raise ValueError(
-                f"queries must be (q, {engine.dim}); got shape {q.shape}"
-            )
+        q = as_rows(queries, engine.dim)
         if k is not None and int(k) < 1:
             raise ValueError("k must be positive")
         return self._enqueue(
@@ -822,13 +806,7 @@ class QueryService:
         engine, deadline = self._admit(
             index, deadline_s, self._mutable_engine_for
         )
-        r = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
-        if r.ndim == 1:
-            r = r[None, :]
-        if r.ndim != 2 or r.shape[0] == 0 or r.shape[1] != engine.dim:
-            raise ValueError(
-                f"rows must be (n >= 1, {engine.dim}); got shape {r.shape}"
-            )
+        r = as_rows(rows, engine.dim, what="rows", min_rows=1)
         return self._enqueue(engine, r, "append", deadline)
 
     def submit_delete(self, index, ids, *, deadline_s=None) -> _Pending:
@@ -1322,7 +1300,6 @@ def make_server(
     port: int = 8787,
     *,
     service: QueryService | None = None,
-    precision: str = "fp64",
     max_queue_depth: int = 256,
     verify: str = "header",
     max_body_bytes: int = 8 << 20,
@@ -1370,7 +1347,6 @@ def make_server(
         else:
             read_header(path)
     svc = service or QueryService(
-        precision=precision,
         max_queue_depth=max_queue_depth,
         verify=verify,
         tracer=trace_mod.Tracer(
@@ -1605,7 +1581,7 @@ def run_self_test(
     ``serve --self-test`` path.
     """
     from repro.service.client import ServiceClient
-    from repro.service.query import sample_queries
+    from repro.index.query import sample_queries
 
     index_path = Path(index_path)
     server = make_server(

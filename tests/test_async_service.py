@@ -25,7 +25,7 @@ from repro import faults
 from repro.core.api import build_index
 from repro.core.selectivity import epsilon_for_selectivity
 from repro.service import QueryService, ServiceClient
-from repro.service.query import QueryEngine
+from repro.index.query import QueryEngine
 from repro.service.server import _Pending, make_server
 
 

@@ -177,13 +177,35 @@ class TestV3Payloads:
             )
 
     @pytest.mark.parametrize("name", ["ids", "norms"])
-    @pytest.mark.parametrize("level", ["header", "full", "off"])
+    @pytest.mark.parametrize("level", ["header", "full"])
     def test_truncated_payload_refused(self, v3_path, name, level):
         entry = read_header(v3_path)["arrays"][name]
         target = v3_path / entry["file"]
         os.truncate(target, target.stat().st_size - 8)
         with pytest.raises(CorruptIndexError):
             load_index(v3_path, verify=level)
+
+    @pytest.mark.parametrize("layout", ["fortran", "int64"])
+    def test_rows_the_engine_cannot_read_in_place_are_refused(
+        self, v3_path, layout
+    ):
+        """The engine reads every loaded index through its mapped rows:
+        rows that are not C-contiguous float64 are refused as corruption
+        (the header's byte size still matches), never read another way."""
+        header = json.loads((v3_path / HEADER_NAME).read_text())
+        target = v3_path / header["data"]
+        rows = np.load(target)
+        np.save(
+            target,
+            np.asfortranarray(rows) if layout == "fortran"
+            else rows.view(np.int64),
+        )
+        header["data_nbytes"] = target.stat().st_size
+        (v3_path / HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(CorruptIndexError, match="expected C-contiguous"):
+            load_index(v3_path)
+        with pytest.raises(CorruptIndexError, match="expected C-contiguous"):
+            QueryEngine(v3_path)
 
     def test_embedded_index_refuses_foreign_rows(self, v3_path, v2_data):
         with pytest.raises(ValueError, match="cell order"):

@@ -260,7 +260,7 @@ def test_one_persisted_layout_in_api_cli_and_docs():
         from repro.cli import build_parser
         from repro.core.api import build_index
         from repro.index import persist
-        from repro.service import query
+        from repro.index import query
     finally:
         sys.path.pop(0)
     for fn in (build_index, persist.save_index):
@@ -346,7 +346,7 @@ def test_checker_resolves_nested_cli_commands():
         nested,
     ))
     assert calls == [
-        (1, "index build", ["--n-dims"]),
+        (1, "index build", [("--n-dims", "4")]),
         (2, "index info", []),
     ]
 
@@ -386,7 +386,7 @@ def test_checker_catches_cli_flag_drift():
         "`python -m repro bogus` but skip `python -m repro <experiment>`\n"
     ))
     assert calls == [
-        (1, "join", ["--stream", "--no-such-flag"]),
+        (1, "join", [("--stream", None), ("--no-such-flag", None)]),
         (2, "bogus", []),
     ]
     errors = []
@@ -394,8 +394,61 @@ def test_checker_catches_cli_flag_drift():
         if command not in commands:
             errors.append(command)
         else:
-            errors.extend(f for f in flags if f not in commands[command])
+            errors.extend(f for f, _ in flags if f not in commands[command])
     assert errors == ["--no-such-flag", "bogus"]
+
+
+def test_checker_catches_cli_value_drift(tmp_path):
+    """check_docs must flag a value outside a flag's argparse choices --
+    a doc still showing ``--verify off`` fails -- in both spellings, and
+    pass the values the parser accepts."""
+    checker = _load_checker()
+    commands = checker._load_cli_commands()
+    assert commands["query"]["--verify"] == ("header", "full")
+    assert commands["serve"]["--verify"] == ("header", "full")
+    assert commands["query"]["--n-queries"] is None  # no choices
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`python -m repro query idx --verify off --n-queries 8`\n"
+        "`python -m repro serve --index idx --verify=off`\n"
+        "`python -m repro query idx --verify full`\n"
+        "`python -m repro serve --index idx --verify <level>`\n"
+    )
+    errors = checker.check_cli_invocations(doc, commands)
+    assert len(errors) == 2, errors
+    assert "doc.md:1:" in errors[0] and "not `off`" in errors[0]
+    assert "doc.md:2:" in errors[1] and "not `off`" in errors[1]
+
+
+def test_serving_has_one_configuration():
+    """Serving answers in FP64 over the mapped v3 rows: no serving
+    signature takes ``precision`` or ``mmap``, and there is no unchecked
+    load level."""
+    import inspect
+
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        import repro
+        from repro.index import persist
+        from repro.index.delta import MutableIndex
+        from repro.service import IndexCache, QueryEngine, QueryService
+        from repro.service.server import make_server
+    finally:
+        sys.path.pop(0)
+    signatures = (
+        QueryEngine,
+        MutableIndex,
+        MutableIndex.create,
+        IndexCache,
+        QueryService,
+        make_server,
+        repro.open_index,
+        persist.load_index,
+    )
+    for fn in signatures:
+        params = inspect.signature(fn).parameters
+        assert "precision" not in params and "mmap" not in params, fn
+    assert persist.VERIFY_LEVELS == ("header", "full")
 
 
 def test_docs_cli_invocations_valid():

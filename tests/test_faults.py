@@ -322,7 +322,6 @@ class TestCrashSafePersistence:
         # and the loader both refuse before any payload reaches a query.
         faults.corrupt_file(victim, offset=victim.stat().st_size - 16)
         load_index(path, verify="header")
-        load_index(path, verify="off")
         with pytest.raises(CorruptIndexError):
             load_index(path, verify="full")
         with pytest.raises(CorruptIndexError):
@@ -443,13 +442,13 @@ class TestCrashSafePersistence:
         (path / HEADER_NAME).write_text(json.dumps(header))
         with pytest.raises(CorruptIndexError, match=repr(name) if parents else "dataset"):
             read_header(path)
-        for level in ("off", "header", "full"):
+        for level in ("header", "full"):
             with pytest.raises(CorruptIndexError):
                 load_index(path, verify=level)
 
     def test_malformed_payload_entry_is_typed(self, tmp_path):
-        """An entry that names no file is refused like a missing one, at
-        ``verify="off"`` too, where no payload check would see it."""
+        """An entry that names no file is refused like a missing one,
+        typed, before any payload check runs."""
         rng = np.random.default_rng(8)
         data = rng.normal(size=(200, 6))
         path = tmp_path / "idx"
@@ -458,7 +457,40 @@ class TestCrashSafePersistence:
         header["arrays"]["ids"] = header["arrays"]["ids"]["file"]
         (path / HEADER_NAME).write_text(json.dumps(header))
         with pytest.raises(CorruptIndexError, match="'ids'"):
-            load_index(path, verify="off")
+            load_index(path, verify="header")
+
+    def test_verify_off_is_refused(self, tmp_path):
+        """There is no unchecked load: ``verify="off"`` is a ValueError
+        at every entry point, before anything is mapped."""
+        rng = np.random.default_rng(10)
+        data = rng.normal(size=(200, 6))
+        eps = float(epsilon_for_selectivity(data, 8))
+        path = tmp_path / "idx"
+        build_index(data, eps, path)
+        store = tmp_path / "store"
+        build_index(data, eps, store, mutable=True)
+        for load in (
+            lambda: load_index(path, verify="off"),
+            lambda: verify_index(path, level="off"),
+            lambda: open_index(path, verify="off"),
+            lambda: MutableIndex(store, verify="off"),
+        ):
+            with pytest.raises(ValueError, match="verify must be one of"):
+                load()
+
+    def test_cli_verify_off_exits_2(self, tmp_path, capsys):
+        """``--verify off`` is not a choice of ``query`` or ``serve``:
+        argparse refuses it with exit status 2."""
+        from repro.cli import main
+
+        for argv in (
+            ["query", str(tmp_path), "--verify", "off"],
+            ["serve", "--index", str(tmp_path), "--verify", "off"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "invalid choice: 'off'" in capsys.readouterr().err
 
     def test_cli_reports_missing_scalar_without_traceback(self, tmp_path):
         """``index info`` and ``serve --self-test`` on a header that lost
@@ -1059,7 +1091,7 @@ class TestMutableStoreChaos:
         assert mut.n_segments in (0, 1)
         # Whatever generation survived answers bit-identically to a
         # from-scratch rebuild over the live rows.
-        from repro.service.query import QueryEngine
+        from repro.index.query import QueryEngine
 
         live_rows = np.concatenate([data[3:], extra])
         ref = QueryEngine(GridIndex(live_rows, eps, n_dims=6), live_rows)

@@ -10,7 +10,7 @@ ways:
 * **Differential op sequences** -- a seeded generator interleaves
   append/delete/seal/compact/reopen ops against a ``MutableIndex`` and a
   brute-force model, asserting bit-identical range and kNN answers after
-  *every* op (mmap and in-RAM loads, 3 seeds x 200 ops).
+  *every* op (mapped loads, 3 seeds x 200 ops).
 * **Concurrency hammer** -- writer threads appending/deleting through a
   ``QueryService`` while readers issue range/kNN; the final store equals
   the serialized op log's rebuild and the mutation counters are exact.
@@ -124,12 +124,12 @@ def _assert_bit_identical(mut, model, queries, k=5, *, atol=None):
     assert np.all(got_k.indices[:, kk:] == -1)
 
 
-def _run_op_sequence(tmp_path, *, mmap, seed, n_ops=200, n0=150, d=7):
+def _run_op_sequence(tmp_path, *, seed, n_ops=200, n0=150, d=7):
     data = _dataset(n0, d, seed)
     eps = _eps_for(data)
     root = tmp_path / f"mut-{seed}"
     MutableIndex.create(root, data, eps, seal_threshold=40)
-    mut = MutableIndex(root, mmap=mmap)
+    mut = MutableIndex(root)
     model = _Model(data)
     rng = np.random.default_rng(seed + 1000)
     queries = data[rng.integers(0, n0, size=10)] + rng.normal(
@@ -159,7 +159,7 @@ def _run_op_sequence(tmp_path, *, mmap, seed, n_ops=200, n0=150, d=7):
             # Reopen from disk: the unsealed buffer is volatile, so
             # seal first -- this also exercises manifest round-tripping.
             mut.seal()
-            mut = MutableIndex(root, mmap=mmap)
+            mut = MutableIndex(root)
         if step % 4 == 0 or r >= 0.62:
             assert mut.n_points == len(model.live)
             np.testing.assert_array_equal(mut.live_ids(), model.live_gids())
@@ -168,16 +168,17 @@ def _run_op_sequence(tmp_path, *, mmap, seed, n_ops=200, n0=150, d=7):
     mut.compact()
     _assert_bit_identical(mut, model, queries)
     # And once more through a cold reopen of the compacted store.
-    _assert_bit_identical(MutableIndex(root, mmap=mmap), model, queries)
+    _assert_bit_identical(MutableIndex(root), model, queries)
 
 
-# Stores are grid-only; ``kind`` keeps the test ids stable.
+# Stores are grid-only and read their mapped rows; ``kind`` and ``mmap``
+# keep the test ids stable.
 @pytest.mark.parametrize(
     "kind,mmap,seed",
     [("grid", True, 0), ("grid", False, 1), ("grid", True, 2)],
 )
 def test_differential_op_sequence(tmp_path, kind, mmap, seed):
-    _run_op_sequence(tmp_path, mmap=mmap, seed=seed)
+    _run_op_sequence(tmp_path, seed=seed)
 
 
 def test_duplicate_rows_tie_break(tmp_path):
@@ -486,6 +487,7 @@ def test_appends_during_compaction_are_answered(tmp_path, monkeypatch):
     _assert_bit_identical(MutableIndex(root), model, queries)
 
 
+# Every store reads its mapped rows; ``mmap`` keeps the test ids stable.
 @pytest.mark.parametrize("mmap", [True, False])
 def test_reopen_answers_like_the_handle(tmp_path, mmap):
     """A store reopened with sealed segments and tombstones (base and
@@ -495,7 +497,7 @@ def test_reopen_answers_like_the_handle(tmp_path, mmap):
     eps = _eps_for(data)
     root = tmp_path / "reopen"
     MutableIndex.create(root, data, eps, seal_threshold=20)
-    mut = MutableIndex(root, mmap=mmap)
+    mut = MutableIndex(root)
     for seed in range(62, 67):
         mut.append(_dataset(13, d, seed))
     mut.delete([0, 5, 151, 170, 205])
@@ -504,7 +506,7 @@ def test_reopen_answers_like_the_handle(tmp_path, mmap):
     queries = data[::25] + np.random.default_rng(68).normal(0, eps / 8, (6, d))
     for k in (1, 5, 40):
         want = _answers(mut, queries, k)
-        reopened = MutableIndex(root, mmap=mmap)
+        reopened = MutableIndex(root)
         assert reopened.delta_rows == mut.delta_rows == 65
         _assert_same_answers(_answers(reopened, queries, k), want)
 
@@ -544,91 +546,6 @@ def test_truncated_segment_payload_raises_at_open(tmp_path):
         fh.truncate(victim.stat().st_size - 8)
     with pytest.raises(CorruptIndexError):
         MutableIndex(root)
-
-
-def _assert_matches_fp32_rebuild(mut, model, queries, k=5):
-    """An FP32 store keeps the pair-set contract against an FP32 rebuild:
-    the same range pairs and kNN indices, distances within FP32 rounding
-    (its GEMM shapes differ from the rebuild's)."""
-    gids = model.live_gids()
-    rows = model.live_rows()
-    ref = QueryEngine(GridIndex(rows, mut.eps), rows, precision="fp32")
-    got, want = mut.range_query(queries), ref.range_query(queries)
-    order = np.lexsort((want.pairs_j, want.pairs_i))
-    np.testing.assert_array_equal(got.pairs_i, want.pairs_i[order])
-    np.testing.assert_array_equal(got.pairs_j, gids[want.pairs_j[order]])
-    np.testing.assert_allclose(
-        got.sq_dists, want.sq_dists[order], rtol=1e-5, atol=1e-6
-    )
-    got_k, want_k = mut.knn_query(queries, k), ref.knn_query(queries, k)
-    pad = want_k.indices < 0
-    mapped = np.where(pad, -1, gids[np.clip(want_k.indices, 0, None)])
-    np.testing.assert_array_equal(got_k.indices, mapped)
-    np.testing.assert_allclose(
-        got_k.sq_dists, want_k.sq_dists, rtol=1e-5, atol=1e-6
-    )
-
-
-@pytest.mark.parametrize("mmap", [True, False])
-def test_fp32_store_matches_an_fp32_rebuild(tmp_path, monkeypatch, mmap):
-    """An FP32 store -- block rows cast once, large segments and the base
-    through FP32 engines -- answers like an FP32 rebuild across appends,
-    deletes, seals, a reopen and a compaction racing appends; the
-    compacted base stores the FP64 originals bitwise."""
-    import repro.index.delta as delta_mod
-
-    monkeypatch.setattr(delta_mod, "BLOCK_SEGMENT_ROWS", 24)
-    d = 6
-    data = _dataset(160, d, 81)
-    eps = _eps_for(data)
-    root = tmp_path / "fp32"
-    MutableIndex.create(root, data, eps, seal_threshold=16)
-    mut = MutableIndex(root, precision="fp32", mmap=mmap)
-    assert mut.dtype == np.float32
-    model = _Model(data)
-    rng = np.random.default_rng(82)
-    queries = data[rng.integers(0, 160, 9)] + rng.normal(0, eps / 8, (9, d))
-
-    def append(n, seed):
-        rows = _dataset(n, d, seed)
-        assert mut.append(rows).tolist() == model.append(rows)
-
-    append(18, 83)  # sealed: a small segment, in the block
-    append(30, 84)  # sealed whole: a large segment with its own engine
-    append(7, 85)  # the buffer
-    assert mut.n_segments == 2 and mut.delta_rows == 25
-    assert mut._block.rows.dtype == np.float32
-    for gone in ([3, 170, 190, 210], [0, 161]):
-        assert mut.delete(gone) == len(gone)
-        model.delete(gone)
-        _assert_matches_fp32_rebuild(mut, model, queries)
-    mut.seal()
-    mut = MutableIndex(root, precision="fp32", mmap=mmap)
-    assert mut.delta_rows == 25
-    _assert_matches_fp32_rebuild(mut, model, queries, k=9)
-
-    real_from_source = GridIndex.from_source.__func__
-
-    def from_source_with_appends(cls, *args, **kwargs):
-        monkeypatch.setattr(
-            GridIndex, "from_source", classmethod(real_from_source)
-        )
-        append(9, 86)  # lands while the new base builds
-        return real_from_source(cls, *args, **kwargs)
-
-    monkeypatch.setattr(
-        GridIndex, "from_source", classmethod(from_source_with_appends)
-    )
-    mut.compact()
-    assert mut.delta_rows == 9
-    _assert_matches_fp32_rebuild(mut, model, queries, k=9)
-    # The new base holds the FP64 originals of the folded rows, not
-    # their FP32 casts.
-    folded = model.live_gids() < 215
-    stored = mut.source.take(mut.rows_of(np.arange(int(folded.sum()))))
-    np.testing.assert_array_equal(
-        stored.view(np.uint64), model.live_rows()[folded].view(np.uint64)
-    )
 
 
 def test_large_segments_keep_their_own_engine(tmp_path, monkeypatch):

@@ -131,19 +131,6 @@ class TestPersistence:
         loaded = QueryEngine(tmp_path / "grid").range_query(q)
         assert_joins_bit_identical(fresh, loaded)
 
-    def test_mmap_vs_in_ram_equivalence(self, data_eps, tmp_path):
-        data, eps = data_eps
-        q = _queries(data, eps)
-        save_index(GridIndex(data, eps), tmp_path / "g", data=data)
-        mm = QueryEngine(load_index(tmp_path / "g", mmap=True))
-        ram = QueryEngine(load_index(tmp_path / "g", mmap=False))
-        assert_joins_bit_identical(mm.range_query(q), ram.range_query(q))
-        km, kr = mm.knn_query(q, 4), ram.knn_query(q, 4)
-        np.testing.assert_array_equal(km.indices, kr.indices)
-        assert np.array_equal(
-            km.sq_dists.view(np.uint32), kr.sq_dists.view(np.uint32)
-        )
-
     def test_version_mismatch_rejected(self, data_eps, tmp_path):
         data, eps = data_eps
         path = save_index(GridIndex(data, eps), tmp_path / "g", data=data)
@@ -262,14 +249,6 @@ class TestRangeQuery:
             eng.range_query(q, -1.0)
         with pytest.raises(ValueError, match="dimensionality"):
             eng.range_query(q[:, :-1])
-
-    def test_fp32_pair_set(self, data_eps, tmp_path):
-        data, eps = data_eps
-        q = _queries(data, eps)
-        build_index(data, eps, tmp_path / "g")
-        eng32 = QueryEngine(tmp_path / "g", precision="fp32")
-        ref = brute_range_query(data, q, eps, precision="fp32")
-        assert_pair_sets_equal(eng32.range_query(q), ref)
 
     def test_workers_bit_identical(self, data_eps):
         data, eps = data_eps

@@ -16,9 +16,11 @@ must be a directory.
 
 It also verifies every documented **CLI invocation** against the live
 argparse parser: each ``python -m repro <command> ...`` code span must
-name a real subcommand and use only flags that subcommand actually
-defines, so a renamed/removed flag in ``src/repro/cli.py`` fails the docs
-job instead of silently stranding the README's flag table.
+name a real subcommand, use only flags that subcommand actually
+defines, and give a flag with argparse ``choices`` one of those values
+(``--verify full``, not a removed level), so a renamed/removed flag or
+value in ``src/repro/cli.py`` fails the docs job instead of silently
+stranding the README's flag table.
 
 Used by the CI docs job::
 
@@ -83,8 +85,17 @@ def _subparsers_action(parser):
     )
 
 
-def _load_cli_commands() -> dict[str, set[str]]:
-    """Map each live CLI subcommand to its accepted option strings.
+def _options(parser) -> dict[str, tuple | None]:
+    """A parser's option strings, each with its ``choices`` (or None)."""
+    return {
+        opt: (tuple(str(c) for c in action.choices) if action.choices else None)
+        for opt, action in parser._option_string_actions.items()
+    }
+
+
+def _load_cli_commands() -> dict[str, dict[str, tuple | None]]:
+    """Map each live CLI subcommand to its accepted option strings, each
+    with the values argparse accepts for it (None: any value).
 
     Imports ``repro.cli`` with ``src/`` on the path; the argparse parser
     itself is the source of truth, so documentation can only drift from
@@ -96,39 +107,50 @@ def _load_cli_commands() -> dict[str, set[str]]:
         from repro.cli import build_parser
     finally:
         sys.path.pop(0)
-    commands: dict[str, set[str]] = {}
+    commands: dict[str, dict[str, tuple | None]] = {}
     sub = _subparsers_action(build_parser())
     for name, parser in sub.choices.items():
-        commands[name] = set(parser._option_string_actions)
+        commands[name] = _options(parser)
         nested = _subparsers_action(parser)
         if nested is not None:
             for sub_name, sub_parser in nested.choices.items():
-                commands[f"{name} {sub_name}"] = set(
-                    sub_parser._option_string_actions
-                ) | set(parser._option_string_actions)
+                commands[f"{name} {sub_name}"] = {
+                    **_options(parser), **_options(sub_parser)
+                }
     return commands
 
 
 def iter_cli_invocations(text: str, nested: tuple[str, ...] = ()):
-    """Yield ``(line_number, command, flags)`` for documented CLI calls.
+    """Yield ``(line_number, command, [(flag, value), ...])`` for
+    documented CLI calls.
 
-    Placeholder spans (``python -m repro <experiment>``) and bare mentions
-    without a concrete command are skipped.  ``nested`` names commands
-    with sub-subcommands: their following bare token joins the command
-    (``index build``), so the flag check runs against the right nested
-    parser.
+    ``value`` is the flag's ``=value`` or the token after it (None when
+    the flag ends the span or a placeholder follows); whether the flag
+    takes a value at all is the parser's business, so it is only read
+    for flags with ``choices``.  Placeholder spans (``python -m repro
+    <experiment>``) and bare mentions without a concrete command are
+    skipped.  ``nested`` names commands with sub-subcommands: their
+    following bare token joins the command (``index build``), so the
+    flag check runs against the right nested parser.
     """
     for lineno, line in enumerate(text.splitlines(), start=1):
         for match in _CLI_RE.finditer(line):
-            tokens = match.group(1).replace("\\", " ").split()
+            tokens = [
+                tok.rstrip("`|,.;:)")
+                for tok in match.group(1).replace("\\", " ").split()
+            ]
             command = None
-            flags: list[str] = []
-            for tok in tokens:
-                tok = tok.rstrip("`|,.;:)")
+            flags: list[tuple[str, str | None]] = []
+            for i, tok in enumerate(tokens):
                 if "<" in tok or ">" in tok:
                     continue
                 if tok.startswith("--"):
-                    flags.append(tok.split("=", 1)[0])
+                    flag, eq, value = tok.partition("=")
+                    if not eq:
+                        nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
+                        plain = nxt and not nxt.startswith("-")
+                        value = nxt if plain and "<" not in nxt else None
+                    flags.append((flag, value))
                 elif not tok.startswith("-"):
                     if command is None:
                         command = tok
@@ -138,8 +160,11 @@ def iter_cli_invocations(text: str, nested: tuple[str, ...] = ()):
                 yield lineno, command, flags
 
 
-def check_cli_invocations(doc: Path, commands: dict[str, set[str]]) -> list[str]:
-    """Verify a document's CLI calls against the live parser."""
+def check_cli_invocations(
+    doc: Path, commands: dict[str, dict[str, tuple | None]]
+) -> list[str]:
+    """Verify a document's CLI calls (commands, flags and the values of
+    flags with ``choices``) against the live parser."""
     errors = []
     try:
         shown = doc.relative_to(REPO_ROOT)
@@ -153,11 +178,18 @@ def check_cli_invocations(doc: Path, commands: dict[str, set[str]]) -> list[str]
                 f"`python -m repro {command}` does not exist"
             )
             continue
-        for flag in flags:
+        for flag, value in flags:
             if flag not in commands[command]:
                 errors.append(
                     f"{shown}:{lineno}: `python -m repro {command}` has no "
                     f"`{flag}` flag"
+                )
+                continue
+            choices = commands[command][flag]
+            if choices is not None and value is not None and value not in choices:
+                errors.append(
+                    f"{shown}:{lineno}: `python -m repro {command} {flag}` "
+                    f"takes one of {', '.join(choices)}, not `{value}`"
                 )
     return errors
 
