@@ -29,7 +29,8 @@ Measures, at the standard working point (n=4096):
 * The mutable store (``repro.index.delta``): range-query latency as the
   delta depth grows from 0 to 16 sealed segments, compaction throughput,
   and a bit-identity pin against a from-scratch rebuild at full depth
-  and after compaction.
+  and after compaction; kNN latency as base tombstones grow from 0 to
+  4096, pinned bitwise against a rebuild.
 
 Writes ``BENCH_engine.json`` at the repository root (see
 docs/BENCHMARKS.md for the workflow: extend this file, never replace it).
@@ -806,7 +807,54 @@ def bench_mutable() -> dict:
         "block_segment_rows": BLOCK_SEGMENT_ROWS,
         "by_rows": crossover,
     }
+    out.update(_knn_by_tombstones(rng))
     return out
+
+
+def _knn_by_tombstones(rng: np.random.Generator) -> dict:
+    """kNN (k=5, 8 queries) on a 16384-row store as random base rows are
+    deleted: 0, 512, then 4096 tombstones.  A tombstone costs a read its
+    ``isin`` mask only, so ``knn_overhead_tombstones_vs_0`` (the slower
+    of the two tombstoned reads over the clean one) stays near 1;
+    ``knn_bit_identical`` pins every answer -- indices and distance bits
+    -- against an engine rebuilt over the live rows."""
+    from repro.data.synthetic import synth_dataset
+    from repro.index.delta import MutableIndex
+    from repro.index.grid import GridIndex
+    from repro.service import QueryEngine, sample_queries
+
+    n, k = 4 * N_POINTS, 5
+    data = synth_dataset(n, JOIN_DIMS, seed=0, clustered=True)
+    eps = float(epsilon_for_selectivity(data, SELECTIVITY))
+    queries = sample_queries(data, eps, 8, seed=7)
+    doomed = rng.permutation(n)
+    seconds: dict = {}
+    identical = True
+    with tempfile.TemporaryDirectory() as td:
+        mut = MutableIndex.create(Path(td) / "mut", data, eps)
+        for n_dead in (0, 512, 4096):
+            if n_dead:
+                mut.delete(doomed[mut.n_tombstones : n_dead])
+            seconds[str(n_dead)] = median_seconds(
+                lambda: mut.knn_query(queries, k), reps=7
+            )
+            live = mut.live_ids()
+            ref = QueryEngine(GridIndex(data[live], eps), data[live])
+            got, want = mut.knn_query(queries, k), ref.knn_query(queries, k)
+            identical = identical and bool(
+                np.array_equal(got.indices, live[want.indices])
+                and np.array_equal(
+                    got.sq_dists.view(np.uint32), want.sq_dists.view(np.uint32)
+                )
+            )
+    return {
+        "knn_store_rows": n,
+        "knn_seconds_by_tombstones": seconds,
+        "knn_overhead_tombstones_vs_0": (
+            max(seconds["512"], seconds["4096"]) / seconds["0"]
+        ),
+        "knn_bit_identical": identical,
+    }
 
 
 def main() -> dict:
@@ -845,7 +893,9 @@ def main() -> dict:
 
 
 #: Correctness bits of the report: every one must be ``True``.
-CORRECTNESS_FIELDS = ("bit_identical", "within_budget", "pair_set_equal")
+CORRECTNESS_FIELDS = (
+    "bit_identical", "knn_bit_identical", "within_budget", "pair_set_equal",
+)
 
 
 def failed_correctness_fields(node, path: str = "") -> list[str]:

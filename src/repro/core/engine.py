@@ -798,8 +798,8 @@ def group_gram(
 
     The one spelling of a candidate group's ``gather`` / ``gemm`` stages,
     shared by :func:`candidate_join` (which thresholds the gram block) and
-    the query service's kNN search (which ranks every candidate, so it
-    builds the full block with :func:`norm_expansion_sq_dists`).
+    kNN's rounds (which rank by FP64 distance, so they build the full
+    block with :func:`norm_expansion_sq_dists`).
     """
     t0 = time.perf_counter()
     rows_c, norms_c = cols.take(cand, stats)

@@ -11,11 +11,11 @@ log-structured layering, read as a base and one delta block:
   sealed segment of at most :data:`BLOCK_SEGMENT_ROWS` rows -- every
   delta row unless a bulk append sealed a larger segment -- resident as
   FP64 rows, their squared norms and their global ids, in ascending id
-  order.  A read is one
+  order.  A range read is one
   :func:`~repro.core.engine.tile_join` of its queries against the block,
   one GEMM per column chunk (a chunk bounds the temporary) through the
-  engine's ``threshold_epilogue``; kNN builds the same distance block
-  and keeps each row's top-k by ``(distance, global id)``.  For small
+  engine's ``threshold_epilogue``; a kNN round thresholds the FP64
+  distance block of each base-grid query group at its radius.  For small
   segments brute force beats the index -- the paper's trade-off: a grid
   probe per small segment costs more than the distances it saves.
   **Residency:** ``n_block x d x 8`` bytes of rows plus ``n_block x 16``
@@ -103,13 +103,11 @@ that rebuild):
   construction.
 * Range: tombstones are masked once per part and the union is
   canonicalized by the ``(query, global id)`` lexsort.
-* kNN: each engine part answers an exact top-``k + dead(part)`` (the
-  padding guarantees ``k`` live survivors) whose distances are
-  recomputed in FP64; the block's dead columns are set
-  to ``+inf`` and it keeps the least ``(distance, global id)``.  The
-  merge breaks distance ties by id -- the part holding the lower ids
-  first, then the engine's own order within a part -- which reproduces
-  the rebuilt engine's ``(distance, index)`` tie-break.
+* kNN: the engine's round loop (:func:`~repro.index.query.knn_rounds`)
+  over every part's live pairs inside the round's radius, tombstones
+  masked as in range, and one selector ranking their union by ``(FP64
+  distance, global id)`` -- the rebuilt engine's ``(distance, index)``
+  order.
 
 **Concurrency.**  One writer process; within it, mutations serialize on
 an internal lock, queries capture an immutable generation snapshot (the
@@ -143,6 +141,7 @@ import shutil
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +169,7 @@ from repro.index.persist import (
     load_index,
     save_index,
 )
-from repro.index.query import KnnResult, QueryEngine, _with_norms, as_rows
+from repro.index.query import QueryEngine, _with_norms, as_rows, knn_rounds
 
 #: Manifest identification; readers reject unknown magic/version.
 MUTABLE_MAGIC = "repro-mutable"
@@ -188,8 +187,8 @@ DEFAULT_SEAL_THRESHOLD = 4096
 #: segment of clustered rows at ~8 range neighbours per query: at 8
 #: queries the block's GEMM beats the segment's grid engine up to 8192
 #: rows at d=64 (0.48 vs 0.57 ms; 0.89 vs 0.46 ms at 16384) and ties at
-#: 4096 rows at d=128 (0.38 vs 0.34 ms), and its kNN selection beats the
-#: engine's up to 8192 rows at d=64 (0.73 vs 0.89 ms).
+#: 4096 rows at d=128 (0.38 vs 0.34 ms).  kNN reads the block by the
+#: same GEMMs, per query group, at each round's radius.
 BLOCK_SEGMENT_ROWS = 4096
 
 #: Lock file a compaction holds exclusively (``flock``) for its whole run;
@@ -386,7 +385,6 @@ class _EnginePart:
 
     engine: QueryEngine
     gids: np.ndarray  # (n,) int64 ascending: global id of engine row j
-    dead: int = 0  # tombstoned rows (set per generation)
 
 
 @dataclass
@@ -420,27 +418,6 @@ def _block_chunk(n_queries: int) -> int:
     """Block columns per GEMM: a ``(queries x chunk)`` temporary stays
     within the engine's :data:`~repro.core.engine.GROUP_CHUNK_ELEMS`."""
     return max(1, GROUP_CHUNK_ELEMS // max(n_queries, 1))
-
-
-def _least(d: np.ndarray, keys: tuple, k: int) -> np.ndarray:
-    """Per row, the columns of the ``k`` entries of least ``(distance,
-    *keys)``, in that order: ``(rows, min(k, columns))`` positions.
-
-    A partition finds each row's ``k``-th distance; only the entries at
-    or under it (ties included) are sorted.
-    """
-    nq, c = d.shape
-    if c > k:
-        cut = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
-        r, col = np.nonzero(d <= cut)
-    else:
-        r, col = np.divmod(np.arange(nq * c), max(c, 1))
-    order = np.lexsort(
-        tuple(key[r, col] for key in reversed(keys)) + (d[r, col], r)
-    )
-    r, col = r[order], col[order]
-    keep = np.arange(r.size) - np.searchsorted(r, r) < k
-    return col[keep].reshape(nq, -1)
 
 
 def _layer_span(layer: int, rows: int, t0: float) -> None:
@@ -1149,25 +1126,11 @@ class MutableIndex:
             )
             block = self._block.snapshot()
             block_dead = np.isin(block.gids, tomb) if tomb.size else None
-            n_dead = 0 if block_dead is None else int(block_dead.sum())
-            large = []
-            for seg in self._segments:
-                part = self._large.get(seg["dir"])
-                if part is not None:
-                    # A segment's ids are one contiguous run.
-                    lo, hi = np.searchsorted(
-                        tomb, [part.gids[0], part.gids[-1] + 1]
-                    )
-                    large.append(
-                        _EnginePart(part.engine, part.gids, int(hi - lo))
-                    )
-                    n_dead += int(hi - lo)
-            # Every tombstone names a present row (delete checks, reopen
-            # prunes), so those in no other part are the base's.
-            base = _EnginePart(
-                self._base_engine, self._base_gids_locked(),
-                int(tomb.size) - n_dead,
-            )
+            base = _EnginePart(self._base_engine, self._base_gids_locked())
+            large = [
+                self._large[seg["dir"]] for seg in self._segments
+                if seg["dir"] in self._large
+            ]
             self._gen = _Generation(
                 parts=[base] + large,
                 block=block,
@@ -1222,7 +1185,7 @@ class MutableIndex:
                 q, eps, store_distances=store_distances
             )
             pi, pg, pd = res.pairs_i, part.gids[res.pairs_j], res.sq_dists
-            if part.dead and pg.size:
+            if gen.tomb.size and pg.size:
                 alive = ~np.isin(pg, gen.tomb)
                 pi, pg = pi[alive], pg[alive]
                 pd = pd[alive] if store_distances else pd
@@ -1273,104 +1236,74 @@ class MutableIndex:
     def knn_query(self, queries, k: int):
         """k nearest live rows per query; indices are global ids.
 
-        The base and each large segment answer an exact
-        top-``min(n, k + dead)`` (the padding guarantees ``k`` live
-        survivors) whose survivors' squared distances are recomputed in
-        FP64.  The delta block's distance block is built
-        in column chunks with its dead columns at ``+inf``, and each
-        chunk keeps its top-k by ``(distance, global id)``.  The parts'
-        candidates are then merged by distance, ties going to the part
-        with the lower ids (an engine part's ids are one run, or all
-        below the delta's) and within an engine part to its own order --
-        the rebuilt engine's ``(distance, index)`` tie-break, since
-        global ids order rows as the rebuilt dataset does.  Padding
-        follows the engine
-        convention: ``-1`` / ``+inf`` when fewer than ``k`` live rows
-        exist.
+        The engine's :func:`~repro.index.query.knn_rounds` loop over
+        :meth:`_pairs_within`, started at the base engine's reach: each
+        round gathers every part's live pairs inside its radius, and one
+        :func:`~repro.index.query.select_nearest` ranks their union by
+        ``(FP64 distance, global id)`` -- the rebuilt engine's
+        ``(distance, index)`` order, since global ids order rows as the
+        rebuilt dataset does.  Tombstones cost only their ``isin`` mask,
+        never a wider probe.  Padding follows the engine convention:
+        ``-1`` / ``+inf`` when fewer than ``k`` live rows exist.
         """
         q = as_rows(queries, self.dim)
-        k = int(k)
-        if k <= 0:
-            raise ValueError("k must be positive")
         gen = self._generation()
-        nq = q.shape[0]
-        out_idx = np.full((nq, k), -1, dtype=np.int64)
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        if nq == 0 or gen.n_live == 0:
-            return KnnResult(
-                k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
-            )
-        kk = min(k, gen.n_live)
-        wq, sq = _with_norms(q)
-        rows = np.arange(nq)[:, None]
+        return knn_rounds(
+            q, k, gen.n_live, self.eps, gen.parts[0].engine._initial_reach,
+            partial(self._pairs_within, gen),
+        )
+
+    def _pairs_within(self, gen: _Generation, q, reach: int, radius2: float):
+        """One kNN round over the live rows, as
+        ``QueryEngine._pairs_within`` gives it: each engine part's pairs
+        at ``reach`` in global ids, tombstones masked, then the block's.
+        A query is covered when every engine part covered it, and the
+        block -- every query's candidates -- gives the pairs inside the
+        radius, or all of its live pairs for a covered query.  It is read
+        per base-grid query group (one GEMM per column chunk), so a query
+        meets every part with the rows its engine groups have.
+        """
         traced = trace_mod.current_span() is not None
-        parts_d, parts_g, parts_key = [], [], []
+        qi, gids, d2 = [], [], []
+        covered = np.ones(q.shape[0], dtype=bool)
         for layer, part in self._layers(gen):
             t0 = time.perf_counter() if traced else 0.0
-            engine = part.engine
-            res = engine.knn_query(q, min(part.gids.size, kk + part.dead))
-            idx = res.indices
-            valid = idx >= 0
-            safe = np.clip(idx, 0, None)
-            gid = np.where(valid, part.gids[safe], -1)
-            alive = valid & ~np.isin(gid, gen.tomb) if part.dead else valid
-            d = np.full(idx.shape, np.inf)
-            if alive.any():
-                uniq = np.unique(idx[alive])
-                wc, sc = _with_norms(engine.source.take(engine.rows_of(uniq)))
-                d2 = norm_expansion_sq_dists(sq, sc, wq @ wc.T)
-                # Dead/padded slots may map past the end of ``uniq``;
-                # clamp before gathering -- ``where`` discards them.
-                pos = np.minimum(np.searchsorted(uniq, safe), uniq.size - 1)
-                d = np.where(alive, d2[rows, pos], np.inf)
-            parts_d.append(d)
-            parts_g.append(gid)
-            # Below every id of another part, above none: ties break on
-            # the part's first id, then the engine's own order.
-            parts_key.append((
-                np.full(idx.shape, part.gids[0]),
-                np.broadcast_to(np.arange(idx.shape[1]), idx.shape),
-            ))
+            pi, pj, pd, cov = part.engine._pairs_within(q, reach, radius2)
+            pg = part.gids[pj]
+            if gen.tomb.size and pg.size:
+                alive = ~np.isin(pg, gen.tomb)
+                pi, pg, pd = pi[alive], pg[alive], pd[alive]
+            qi.append(pi)
+            gids.append(pg)
+            d2.append(pd)
+            covered &= cov
             if traced:
                 _layer_span(layer, part.gids.size, t0)
         block = gen.block
         if block.n:
             t0 = time.perf_counter() if traced else 0.0
-            kb = min(kk, block.n)
-            chunk = max(kb, _block_chunk(nq))
-            for c0 in range(0, block.n, chunk):
-                gram = wq @ block.rows[c0 : c0 + chunk].T
-                d2 = norm_expansion_sq_dists(
-                    sq, block.norms[c0 : c0 + chunk], gram
-                )
-                if gen.block_dead is not None:
-                    d2[:, gen.block_dead[c0 : c0 + chunk]] = np.inf
-                g2 = np.broadcast_to(block.gids[c0 : c0 + chunk], d2.shape)
-                if c0:
-                    d2 = np.concatenate([best_d, d2], axis=1)
-                    g2 = np.concatenate([best_g, g2], axis=1)
-                pos = _least(d2, (g2,), kb)
-                best_d, best_g = d2[rows, pos], g2[rows, pos]
-            parts_d.append(best_d)
-            parts_g.append(best_g)
-            parts_key.append((best_g, np.zeros_like(best_g)))
+            wq, sq = _with_norms(q)
+            limit = np.where(covered, np.inf, radius2)
+            for members in gen.parts[0].engine.index.query_groups(q):
+                rows_m, norms_m = wq[members], sq[members]
+                chunk = _block_chunk(members.size)
+                for c0 in range(0, block.n, chunk):
+                    cols = slice(c0, c0 + chunk)
+                    d = norm_expansion_sq_dists(
+                        norms_m, block.norms[cols], rows_m @ block.rows[cols].T
+                    )
+                    hit = d <= limit[members, None]
+                    if gen.block_dead is not None:
+                        hit &= ~gen.block_dead[cols]
+                    ii, jj = np.nonzero(hit)
+                    qi.append(members[ii])
+                    gids.append(block.gids[c0 + jj])
+                    d2.append(d[ii, jj])
             if traced:
                 _layer_span(1, block.n, t0)
-        t0 = time.perf_counter() if traced else 0.0
-        cat_d = np.concatenate(parts_d, axis=1)
-        pos = _least(cat_d, tuple(
-            np.concatenate([key[i] for key in parts_key], axis=1)
-            for i in (0, 1)
-        ), kk)
-        best_d = cat_d[rows, pos]
-        best_g = np.concatenate(parts_g, axis=1)[rows, pos]
-        finite = np.isfinite(best_d)
-        out_idx[:, :kk] = np.where(finite, best_g, -1)
-        out_d[:, :kk] = np.where(finite, best_d, np.inf).astype(np.float32)
-        if traced:
-            _merge_span(len(parts_d), t0)
-        return KnnResult(
-            k=k, n_points=gen.n_live, indices=out_idx, sq_dists=out_d
+        return (
+            np.concatenate(qi), np.concatenate(gids), np.concatenate(d2),
+            covered,
         )
 
     # -- info -----------------------------------------------------------

@@ -709,6 +709,39 @@ class GridIndex:
         for ci in cells:
             yield self._members(ci), self._candidates_of_index(ci, cache=False)
 
+    def _group_queries(self, queries, row_block: int = _SOURCE_ROW_BLOCK):
+        """:func:`_group_by_cells` of external queries dropped into this
+        grid (None when there are none); cell coordinates are computed in
+        streamed row blocks."""
+        from repro.data.source import as_source
+
+        src = as_source(queries)
+        if int(src.dim) != int(self.n_dims_data):
+            raise ValueError(
+                f"query dimensionality {src.dim} != indexed {self.n_dims_data}"
+            )
+        nq = int(src.n)
+        if nq == 0:
+            return None
+        proj_dims = self.order[: self.r]
+        qcells = np.empty((nq, self.r), dtype=np.int64)
+        for r0 in range(0, nq, row_block):
+            r1 = min(r0 + row_block, nq)
+            block = src.load_block(r0, r1)
+            qcells[r0:r1] = np.floor(block[:, proj_dims] / self.eps).astype(
+                np.int64
+            )
+        return _group_by_cells(qcells)
+
+    def query_groups(self, queries) -> list[np.ndarray]:
+        """The query members of each :meth:`iter_join_groups` group, in
+        its order, without the candidate probe."""
+        grouped = self._group_queries(queries)
+        if grouped is None:
+            return []
+        qsort, starts, ends, _ = grouped
+        return [qsort[s:e] for s, e in zip(starts, ends)]
+
     def iter_join_groups(
         self, queries, *, row_block: int = _SOURCE_ROW_BLOCK, reach: int = 1
     ):
@@ -732,25 +765,10 @@ class GridIndex:
         candidate probe for radii beyond one cell width (see
         :meth:`candidates_of_cell`).
         """
-        from repro.data.source import as_source
-
-        src = as_source(queries)
-        if int(src.dim) != int(self.n_dims_data):
-            raise ValueError(
-                f"query dimensionality {src.dim} != indexed {self.n_dims_data}"
-            )
-        nq = int(src.n)
-        if nq == 0:
+        grouped = self._group_queries(queries, row_block)
+        if grouped is None:
             return
-        proj_dims = self.order[: self.r]
-        qcells = np.empty((nq, self.r), dtype=np.int64)
-        for r0 in range(0, nq, row_block):
-            r1 = min(r0 + row_block, nq)
-            block = src.load_block(r0, r1)
-            qcells[r0:r1] = np.floor(block[:, proj_dims] / self.eps).astype(
-                np.int64
-            )
-        qsort, starts, ends, sorted_cells = _group_by_cells(qcells)
+        qsort, starts, ends, sorted_cells = grouped
         if reach != 1:
             for s, e in zip(starts, ends):
                 yield qsort[s:e], self.candidates_of_cell(

@@ -23,15 +23,17 @@ numerics belong to the join kernels).
   One fixed-order FP64 distance per reported pair (planned in
   ROADMAP.md) makes the bits equal by construction.
 
-* :meth:`QueryEngine.knn_query` -- k nearest neighbors via **expanding
-  radius**: candidates are probed at grid reach ``m`` (sound for radius
-  ``m * eps``; see ``GridIndex.candidates_of_cell``), a query resolves
-  once its k-th candidate distance is within ``m * eps`` (every point
-  that near is guaranteed to be a candidate, so the top-k is exact),
-  and unresolved queries double ``m``.  The starting reach comes from
-  ``GridIndex.stats()``: the measured mean candidate count at reach 1
-  is extrapolated by the ``(2m+1)^r / 3^r`` cell fan-out to the
-  smallest reach expected to cover ``k``.
+* :meth:`QueryEngine.knn_query` -- k nearest neighbors as a **range
+  query at a growing radius** plus one selector (:func:`knn_rounds`,
+  :func:`select_nearest`; the mutable store runs the same pair): a
+  round at grid reach ``m`` (sound for radius ``m * eps``; see
+  ``GridIndex.candidates_of_cell``) keeps every candidate pair with
+  FP64 ``d2 <= (m * eps)^2``, a query with ``k`` of them is answered
+  (every point that near was a candidate, so the top-k is exact), and
+  the rest double ``m``.  Ranking is by FP64 distance, then id.  The
+  starting reach comes from ``GridIndex.stats()``: the measured mean
+  candidate count at reach 1 is extrapolated by the ``(2m+1)^r / 3^r``
+  cell fan-out to the smallest reach expected to cover ``k``.
 
 The operand is chosen by the input alone.  A persisted index (format
 v3, rows stored in cell order) is read **in place**: its memory-mapped
@@ -45,8 +47,9 @@ original order: an ndarray is prepared once, any other source (a
 ``.npy`` path, chunked datasets) is gathered per candidate set with
 its norms computed row by row, bitwise the stored ones.  Answers are in
 **original ids**: range pairs map their stored rows through the index's
-``ids``, and kNN ranks each candidate set in original-id order so ties
-break exactly as on the original layout.  Queries run serially on the
+``ids``, and kNN evaluates each candidate set in original-id order and
+breaks distance ties by original id, exactly as on the original
+layout.  Queries run serially on the
 calling thread; concurrent requests are served by the caller's threads
 (the HTTP server's).
 """
@@ -63,6 +66,7 @@ from repro import trace as trace_mod
 from repro.core.engine import (
     ResidentOperand,
     SourceOperand,
+    _live_groups,
     candidate_join,
     group_chunk,
     group_gram,
@@ -349,87 +353,127 @@ class QueryEngine:
         return reach
 
     def knn_query(self, queries, k: int) -> KnnResult:
-        """k nearest neighbors of each query point, expanding-eps search.
+        """k nearest neighbors of each query point: :func:`knn_rounds`
+        over :meth:`_pairs_within` (see the module docstring).
 
-        Distances are squared Euclidean in FP64; ties break
-        deterministically by original dataset id.  Queries resolve
-        as soon as the probed reach provably covers their k-th neighbor
-        (see the module docstring); the rest re-probe at double reach,
-        degenerating to an exact brute pass when the probe reaches the
-        whole dataset.
+        Distances are squared Euclidean in FP64; ties break by original
+        dataset id.  A probe that reaches the whole dataset is an exact
+        brute pass.
         """
         q = as_rows(queries, self.dim)
-        k = int(k)
-        if k <= 0:
-            raise ValueError("k must be positive")
-        nq = q.shape[0]
-        out_idx = np.full((nq, k), -1, dtype=np.int64)
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        if nq == 0 or self.n_points == 0:
-            return KnnResult(k=k, n_points=self.n_points, indices=out_idx, sq_dists=out_d)
-        kk = min(k, self.n_points)
-        wq, sq = _with_norms(q)
-        chunk = max(kk, group_chunk(self.dim))
-        hooks = trace_mod.current_hooks()
-        unresolved = np.arange(nq)
-        reach = self._initial_reach(kk)
-        while unresolved.size:
-            radius2 = float(reach * self.eps) ** 2
-            still: list[np.ndarray] = []
-            for members, candidates in self.index.iter_join_groups(
-                q[unresolved], reach=reach
-            ):
-                gm = unresolved[members]  # global query rows
-                if candidates.size == 0:
-                    still.append(gm)
-                    continue
-                # Ascending original-id order: a stable distance sort
-                # then breaks ties by original id on every layout.
-                if self.ids is None:
-                    candidates = np.sort(candidates)
-                    cand_ids = candidates
-                else:
-                    cand_ids = self.ids[candidates]
-                    by_id = np.argsort(cand_ids)
-                    candidates, cand_ids = candidates[by_id], cand_ids[by_id]
-                best_d = np.full((gm.size, kk), np.inf)
-                best_i = np.full((gm.size, kk), -1, dtype=np.int64)
-                rows_m, norms_m = wq[gm], sq[gm]
-                for c0 in range(0, candidates.size, chunk):
-                    cand = candidates[c0 : c0 + chunk]
-                    gram, norms_c = group_gram(rows_m, self._data, cand, hooks)
-                    tz = time.perf_counter()
-                    # kNN ranks every candidate: the full block is the product.
-                    d2 = norm_expansion_sq_dists(norms_m, norms_c, gram)
-                    tm = time.perf_counter()
-                    if hooks is not None:
-                        hooks.record("rz", tm - tz)
-                    cat_d = np.concatenate([best_d, d2], axis=1)
-                    cat_i = np.concatenate(
-                        [best_i, np.broadcast_to(cand_ids[c0 : c0 + chunk], d2.shape)],
-                        axis=1,
-                    )
-                    order = np.argsort(cat_d, axis=1, kind="stable")[:, :kk]
-                    rows = np.arange(gm.size)[:, None]
-                    best_d = cat_d[rows, order]
-                    best_i = cat_i[rows, order]
-                    if hooks is not None:
-                        hooks.record("commit", time.perf_counter() - tm)
-                covered = candidates.size >= self.n_points
-                done = covered | (best_d[:, kk - 1] <= radius2)
-                sel = np.nonzero(done)[0]
-                if sel.size:
-                    out_idx[gm[sel], :kk] = best_i[sel]
-                    out_d[gm[sel], :kk] = best_d[sel].astype(np.float32)
-                if not done.all():
-                    still.append(gm[~done])
-            unresolved = (
-                np.concatenate(still) if still else np.empty(0, np.int64)
-            )
-            reach *= 2
-        return KnnResult(
-            k=k, n_points=self.n_points, indices=out_idx, sq_dists=out_d
+        return knn_rounds(
+            q, k, self.n_points, self.eps, self._initial_reach,
+            self._pairs_within,
         )
+
+    def _pairs_within(self, q: np.ndarray, reach: int, radius2: float):
+        """One kNN round: ``(query row, original id, FP64 d2)`` of every
+        candidate at grid ``reach`` with ``d2 <= radius2`` -- every
+        candidate of a query whose group covers the dataset -- and the
+        mask of those covered queries.
+
+        Groups come through range's ``adjacency`` timing and
+        :func:`~repro.core.engine.group_gram`; candidates are evaluated
+        in ascending original-id chunks, so every layout of a dataset
+        has the same GEMM shapes and distance bits.
+        """
+        hooks = trace_mod.current_hooks()
+        wq, sq = _with_norms(q)
+        chunk = group_chunk(self.dim)
+        covered = np.zeros(q.shape[0], dtype=bool)
+        qi, ids = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        d2 = [np.empty(0)]
+        groups = self.index.iter_join_groups(q, reach=reach)
+        for members, candidates in _live_groups(groups, None, hooks):
+            cand_ids = candidates if self.ids is None else self.ids[candidates]
+            by_id = np.argsort(cand_ids)
+            candidates, cand_ids = candidates[by_id], cand_ids[by_id]
+            whole = candidates.size >= self.n_points
+            covered[members] = whole
+            limit = np.inf if whole else radius2
+            rows_m, norms_m = wq[members], sq[members]
+            for c0 in range(0, candidates.size, chunk):
+                cand = candidates[c0 : c0 + chunk]
+                gram, norms_c = group_gram(rows_m, self._data, cand, hooks)
+                tz = time.perf_counter()
+                block = norm_expansion_sq_dists(norms_m, norms_c, gram)
+                tm = time.perf_counter()
+                ii, jj = np.nonzero(block <= limit)
+                qi.append(members[ii])
+                ids.append(cand_ids[c0 + jj])
+                d2.append(block[ii, jj])
+                if hooks is not None:
+                    hooks.record("rz", tm - tz)
+                    hooks.record("commit", time.perf_counter() - tm)
+        return (
+            np.concatenate(qi), np.concatenate(ids), np.concatenate(d2),
+            covered,
+        )
+
+
+def select_nearest(qi, ids, d2, n_queries: int, kk: int):
+    """Each query's first ``kk`` pairs by ``(FP64 d2, id)``.
+
+    ``qi`` (query rows in ``[0, n_queries)``), ``ids`` and ``d2`` are
+    parallel pair arrays in any order.  Returns ``(indices, sq_dists)``,
+    ``(n_queries, kk)`` each, ``-1`` / ``+inf`` padded where a query has
+    fewer than ``kk`` pairs.
+    """
+    order = np.lexsort((ids, d2, qi))
+    qi = qi[order]
+    rank = np.arange(qi.size) - np.searchsorted(qi, qi)
+    keep = rank < kk
+    at, src = (qi[keep], rank[keep]), order[keep]
+    indices = np.full((n_queries, kk), -1, dtype=np.int64)
+    sq_dists = np.full((n_queries, kk), np.inf)
+    indices[at], sq_dists[at] = ids[src], d2[src]
+    return indices, sq_dists
+
+
+def knn_rounds(
+    q: np.ndarray, k: int, n_points: int, eps: float, start, probe
+) -> KnnResult:
+    """k nearest neighbors as range queries at a growing radius: the kNN
+    of :class:`QueryEngine` and of the mutable store.
+
+    A round at grid reach ``r`` (first ``start(kk)``) calls
+    ``probe(open_queries, r, (r * eps)^2)``, which returns ``(qi, ids,
+    d2, covered)``: the pairs inside the radius -- all pairs of a query
+    whose candidates covered every row -- and the covered mask.
+    :func:`select_nearest` keeps each query's first ``kk = min(k,
+    n_points)``; a query is answered when its ``kk``-th distance is
+    inside the radius or it was covered, and the rest re-probe at double
+    reach.  A traced round records one ``knn.round`` span with its
+    ``reach`` and the ``unresolved`` queries it probed.
+    """
+    k = int(k)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    nq = q.shape[0]
+    out_idx = np.full((nq, k), -1, dtype=np.int64)
+    out_d = np.full((nq, k), np.inf, dtype=np.float32)
+    if nq == 0 or n_points == 0:
+        return KnnResult(k=k, n_points=n_points, indices=out_idx, sq_dists=out_d)
+    kk = min(k, n_points)
+    traced = trace_mod.current_span() is not None
+    unresolved = np.arange(nq)
+    reach = start(kk)
+    while unresolved.size:
+        t0 = time.perf_counter() if traced else 0.0
+        radius2 = float(reach * eps) ** 2
+        qi, ids, d2, covered = probe(q[unresolved], reach, radius2)
+        best_i, best_d = select_nearest(qi, ids, d2, unresolved.size, kk)
+        done = covered | (best_d[:, kk - 1] <= radius2)
+        out_idx[unresolved[done], :kk] = best_i[done]
+        out_d[unresolved[done], :kk] = best_d[done]
+        if traced:
+            trace_mod.record_ambient_span(
+                "knn.round", time.perf_counter() - t0,
+                attrs={"reach": reach, "unresolved": int(unresolved.size)},
+            )
+        unresolved = unresolved[~done]
+        reach *= 2
+    return KnnResult(k=k, n_points=n_points, indices=out_idx, sq_dists=out_d)
 
 
 __all__ = [
@@ -437,5 +481,7 @@ __all__ = [
     "KnnResult",
     "as_rows",
     "brute_range_query",
+    "knn_rounds",
     "sample_queries",
+    "select_nearest",
 ]

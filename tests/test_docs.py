@@ -196,6 +196,17 @@ def test_mutable_bench_depth_overhead():
     assert "`overhead_depth16_vs_0`" in readme
 
 
+def test_mutable_bench_knn_tombstone_overhead():
+    """A tombstone costs a store's kNN its mask only, never a wider
+    probe: the committed reads at 512 and 4096 dead base rows stay within
+    2x of the clean store's, and every answer equals a rebuild's."""
+    bench = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
+    entry = bench["mutable"]
+    assert entry["knn_bit_identical"] is True
+    assert set(entry["knn_seconds_by_tombstones"]) == {"0", "512", "4096"}
+    assert entry["knn_overhead_tombstones_vs_0"] <= 2.0
+
+
 def test_readme_states_the_fp64_contract_that_holds():
     """README promises what the FP64 engine keeps: brute force's pair set
     always, its distance bits only where BLAS rounds a dot product alike

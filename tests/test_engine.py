@@ -33,6 +33,7 @@ from repro.data.source import ArraySource
 from repro.fp import native
 from repro.index.grid import GridIndex
 from repro.index.mstree import MultiSpaceTree
+from repro.index.query import QueryEngine
 from repro.kernels.fasted import FastedKernel
 from repro.kernels.gdsjoin import GdsJoinKernel
 from repro.kernels.mistic import MisticKernel
@@ -292,6 +293,13 @@ def _hook_cases():
     # The API route with an explicit serial worker request runs the
     # candidate loop and reports that loop's stages.
     cases.append(("gds-pooled", api_gds, candidate))
+
+    def knn():
+        res = QueryEngine(GridIndex(data, eps), data).knn_query(other[:40], 5)
+        return res.indices, res.sq_dists
+
+    # kNN's rounds pull their groups and build their blocks as range does.
+    cases.append(("knn-rounds", knn, candidate))
     return cases
 
 

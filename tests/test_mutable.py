@@ -326,6 +326,79 @@ def test_serve_mutable_shape_deep_deltas(tmp_path):
     _assert_bit_identical(mut, model, near_centres(8))
 
 
+def _probed_reaches(monkeypatch):
+    """Record the ``reach`` of every ``GridIndex.iter_join_groups`` call."""
+    reaches = []
+    real = GridIndex.iter_join_groups
+
+    def spy(self, queries, **kwargs):
+        reaches.append(kwargs.get("reach", 1))
+        return real(self, queries, **kwargs)
+
+    monkeypatch.setattr(GridIndex, "iter_join_groups", spy)
+    return reaches
+
+
+def test_tombstones_do_not_widen_the_knn_probe(tmp_path, monkeypatch):
+    """Tombstones far from the queries cost a kNN read nothing: with 600
+    dead base rows the store probes no reach a tombstone-free copy does
+    not, and still answers like a rebuild over the live rows."""
+    d = 6
+    rng = np.random.default_rng(41)
+    near = rng.normal(0.0, 1.0, size=(900, d))
+    far = rng.normal(0.0, 1.0, size=(600, d)) + 40.0
+    data = np.concatenate([near, far])
+    eps = _eps_for(near)
+    MutableIndex.create(tmp_path / "dead", data, eps)
+    MutableIndex.create(tmp_path / "clean", data, eps)
+    dead, clean = MutableIndex(tmp_path / "dead"), MutableIndex(tmp_path / "clean")
+    model = _Model(data)
+    gone = np.arange(900, 1500)
+    assert dead.delete(gone) == gone.size
+    model.delete(gone.tolist())
+    queries = near[::90] + rng.normal(0.0, eps / 8, size=(10, d))
+    reaches = _probed_reaches(monkeypatch)
+    for k in (1, 5, 40):
+        del reaches[:]
+        clean.knn_query(queries, k)
+        clean_reaches = set(reaches)
+        del reaches[:]
+        dead.knn_query(queries, k)
+        assert set(reaches) <= clean_reaches, (k, reaches, clean_reaches)
+        _assert_bit_identical(dead, model, queries, k=k)
+
+
+@pytest.mark.parametrize("k", [4, 500])
+def test_knn_covered_rule_across_parts(tmp_path, monkeypatch, k):
+    """Queries far from every row, and ``k`` past the live count, resolve
+    only when every part covered them: the base, the block and a large
+    segment, each holding tombstones, give all of their live rows, and
+    the answers equal a rebuild's."""
+    import repro.index.delta as delta_mod
+
+    monkeypatch.setattr(delta_mod, "BLOCK_SEGMENT_ROWS", 24)
+    d = 5
+    data = _dataset(120, d, 97)
+    eps = _eps_for(data)
+    root = tmp_path / "covered"
+    MutableIndex.create(root, data, eps, seal_threshold=16)
+    mut = MutableIndex(root)
+    model = _Model(data)
+    for rows in (_dataset(16, d, 98), _dataset(40, d, 99), _dataset(5, d, 100)):
+        assert mut.append(rows).tolist() == model.append(rows)
+    assert len(mut._large) == 1 and mut.delta_rows == 21
+    gone = [3, 77, 121, 130, 140, 150, 177, 180]  # base, block, large, buffer
+    assert mut.delete(gone) == len(gone)
+    model.delete(gone)
+    queries = np.concatenate([
+        data[:3] + np.random.default_rng(101).normal(0, eps / 8, (3, d)),
+        data[:3] + 60.0 * eps,
+    ])
+    reaches = _probed_reaches(monkeypatch)
+    _assert_bit_identical(mut, model, queries, k=k)
+    assert max(reaches) >= 32  # the far queries went out to a covering reach
+
+
 # ----------------------------------------------------------------------
 # The delta block's lifecycle
 # ----------------------------------------------------------------------
@@ -487,9 +560,7 @@ def test_appends_during_compaction_are_answered(tmp_path, monkeypatch):
     _assert_bit_identical(MutableIndex(root), model, queries)
 
 
-# Every store reads its mapped rows; ``mmap`` keeps the test ids stable.
-@pytest.mark.parametrize("mmap", [True, False])
-def test_reopen_answers_like_the_handle(tmp_path, mmap):
+def test_reopen_answers_like_the_handle(tmp_path):
     """A store reopened with sealed segments and tombstones (base and
     delta rows) answers range and kNN bitwise like the handle before."""
     d = 7

@@ -475,8 +475,9 @@ class TestHttpTracing:
     def test_mutable_read_names_its_layers(self, tmp_path, monkeypatch):
         """A traced read on a mutable store records one ``delta.layer``
         span per part -- the base pass, then the delta block holding the
-        sealed segment and the buffer -- and one ``delta.merge``, nested
-        under the request's engine.dispatch; untraced reads record
+        sealed segment and the buffer -- nested under the request's
+        engine.dispatch: a range read once, with one ``delta.merge``, a
+        kNN read once per ``knn.round``.  Untraced reads record
         nothing."""
         from repro.index.delta import MutableIndex
 
@@ -509,14 +510,52 @@ class TestHttpTracing:
                 (dispatch,) = [s for s in spans if s["name"] == "engine.dispatch"]
                 layers = [s for s in spans if s["name"] == "delta.layer"]
                 merges = [s for s in spans if s["name"] == "delta.merge"]
-                assert [s["attrs"]["layer"] for s in layers] == [0, 1]
-                assert [s["attrs"]["rows"] for s in layers] == [300, 20]
-                assert len(merges) == 1
-                for s in layers + merges:
+                rounds = [s for s in spans if s["name"] == "knn.round"]
+                passes = len(rounds) if kind else 1
+                assert passes >= 1 and len(merges) == (0 if kind else 1)
+                assert [s["attrs"]["layer"] for s in layers] == [0, 1] * passes
+                assert [s["attrs"]["rows"] for s in layers] == [300, 20] * passes
+                for s in layers + merges + rounds:
                     assert s["parent_id"] == dispatch["span_id"]
                 assert sum(s["duration_s"] for s in layers + merges) <= (
                     dispatch["duration_s"]
                 )
+
+    def test_traced_knn_reports_stages_and_rounds(self, indexed, monkeypatch):
+        """A traced kNN read carries range's five engine stages on its
+        dispatch span and records one ``knn.round`` span per reach it
+        probed: a far query re-probes at doubling reach, with fewer
+        queries still open each round.  Untraced, no round records a
+        span."""
+        path, data, eps = indexed
+        q = np.concatenate([_queries(data, nq=4), data[:1] + 40.0 * eps])
+        tracer = trace_mod.Tracer(sample=1.0, slow_threshold_s=0.0)
+        with QueryService(tracer=tracer) as svc:
+            engine = svc.cache.get(path)
+            calls = []
+            real = trace_mod.record_ambient_span
+            monkeypatch.setattr(
+                trace_mod, "record_ambient_span",
+                lambda *a, **kw: calls.append(a[0]) or real(*a, **kw),
+            )
+            want = engine.knn_query(q, 3)
+            assert calls == []
+            root = tracer.start_trace("knn-rounds")
+            with trace_mod.activate(root):
+                got = svc.query(path, q, k=3)
+            root.finish()
+        np.testing.assert_array_equal(got.indices, want.indices)
+        spans = tracer.get_trace(root.trace_id)["spans"]
+        (dispatch,) = [s for s in spans if s["name"] == "engine.dispatch"]
+        for stage in ("adjacency", "gather", "gemm", "rz", "commit"):
+            assert f"stage.{stage}_s" in dispatch["attrs"], stage
+        rounds = [s for s in spans if s["name"] == "knn.round"]
+        reach = [s["attrs"]["reach"] for s in rounds]
+        open_ = [s["attrs"]["unresolved"] for s in rounds]
+        assert len(rounds) >= 3
+        assert all(b == 2 * a for a, b in zip(reach, reach[1:]))
+        assert open_[0] == 5 and open_[-1] == 1 and open_ == sorted(open_)[::-1]
+        assert all(s["parent_id"] == dispatch["span_id"] for s in rounds)
 
     def test_stage_histogram_populated(self, indexed):
         path, data, eps = indexed
